@@ -176,8 +176,8 @@ func BenchmarkFig7QueuedAdaptive(b *testing.B) { fig7Point(b, true) }
 
 // Engine-scheduler benchmarks: cost of one Step at a low offered load on a
 // 24-ary 2-cube (576 routers, nearly all idle in any given cycle). The
-// active-set scheduler (now two-level: router worklist + per-router lane
-// worklists) touches only routers that can make progress; the dense scan
+// active-set scheduler (two-level: an active-router set, and per-router
+// lane sets) touches only routers that can make progress; the dense scan
 // — the engine's original behaviour, kept behind the Config.DenseScan
 // knob — visits all 576 every cycle. Results are bit-identical between
 // the two (see TestActiveSetMatchesDenseScan); only the wall-clock cost
@@ -220,13 +220,13 @@ func BenchmarkStepActiveSet(b *testing.B) { stepBench(b, false) }
 func BenchmarkStepDenseScan(b *testing.B) { stepBench(b, true) }
 
 // Per-VC scheduler benchmarks: cost of one Step with the second scheduler
-// level — per-(port, VC) lane worklists inside each busy router — against
+// level — per-router lane sets, walked a set bit at a time — against
 // the dense Ports()×V lane scan (Config.DenseVCScan, the engine's
 // behaviour between PR 1 and the per-VC scheduler). Two regimes:
 // "low" is a 24-ary 2-cube at λ=0.0002 (576 routers, nearly all idle;
 // the router-level set already skips most of them, so the lane level adds
 // little), "mod" is the paper's 8-ary 2-cube at λ=0.006 (busy routers
-// with most lanes still empty — the case the lane worklist targets; the
+// with most lanes still empty — the case the lane sets target; the
 // win grows with V because the dense scan pays (2n+1)·V per busy router
 // while the lane set pays only for occupied lanes). Results are
 // bit-identical (TestVCActiveSetMatchesDenseScan); only Step cost
@@ -289,4 +289,30 @@ func sourceBench(b *testing.B, spec string) {
 func BenchmarkSourcePoll(b *testing.B) {
 	b.Run("poisson", func(b *testing.B) { sourceBench(b, "poisson") })
 	b.Run("burst", func(b *testing.B) { sourceBench(b, "burst:on=50,off=200") })
+}
+
+// BenchmarkStepSaturatedAdaptive is one Step past saturation — the
+// reference benchmark's sat-adaptive shape: a 16-ary 2-cube under adaptive
+// routing with hotspot × burst traffic, every lane holding flits and most
+// heads blocked on full VC banks. It gates the blocked-head rule (a parked
+// head is not re-routed until one of its router's output VCs is released)
+// and the lane-set walk, which idle-network rows cannot see.
+func BenchmarkStepSaturatedAdaptive(b *testing.B) {
+	c := core.DefaultConfig(0, 0, 0.014)
+	c.Topology = "torus:k=16,n=2"
+	c.Algorithm = "adaptive"
+	c.V = 6
+	c.Faults.RandomNodes = 6
+	c.Pattern = "hotspot:frac=0.05"
+	c.Traffic = "burst:on=50,off=200"
+	stepEngine(b, c, 2000)
+}
+
+// BenchmarkStepWideLanes is the moderate-load 8-ary 2-cube with V=16:
+// 5 ports × 16 VCs = 80 lanes per router, so every lane set spans two
+// words and the second word carries the injection port.
+func BenchmarkStepWideLanes(b *testing.B) {
+	c := core.DefaultConfig(8, 2, 0.006)
+	c.V = 16
+	stepEngine(b, c, 2000)
 }

@@ -92,8 +92,12 @@ type Status struct {
 	Failed int `json:"failed"`
 	// Done is the number of cached records (the digest-keyed cache).
 	Done int `json:"done"`
-	// Drained reports no queued and no leased work: a fleet started for
-	// a batch can exit (worker exit=drain watches this).
+	// Drained reports that work arrived (a plan was submitted, or a
+	// restart re-queued journalled points) and none of it is queued or
+	// leased any more: a fleet started for a batch can exit (worker
+	// exit=drain watches this). A coordinator that has not yet been given
+	// anything is idle, not drained — workers started ahead of their
+	// plan must wait for it.
 	Drained bool `json:"drained"`
 	// Plans counts plan submissions; CacheHits counts already-computed
 	// points served back (at submission and via /v1/results) without
@@ -128,6 +132,10 @@ type Server struct {
 	points      map[string]sweep.PlanPoint
 	records     map[string]sweep.Record
 	leases      *sweep.LeaseTable
+
+	// sawWork latches once this incarnation has had anything to hand out;
+	// see Status.Drained.
+	sawWork bool
 
 	plans, cacheHits, resultsAccepted uint64
 	duplicates, conflicts             uint64
@@ -189,6 +197,7 @@ func NewServer(opt ServerOptions) (*Server, error) {
 			queued++
 		}
 	}
+	s.sawWork = queued > 0
 	if len(s.records) > 0 || queued > 0 {
 		s.logf("coord: recovered %d completed records, re-queued %d points from %s", len(s.records), queued, opt.Checkpoint)
 	}
@@ -237,6 +246,7 @@ func (s *Server) SubmitPlan(req PlanRequest) (PlanResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.plans++
+	s.sawWork = true
 	var resp PlanResponse
 	resp.Total = len(req.Points)
 	for _, pp := range req.Points {
@@ -277,11 +287,16 @@ func (s *Server) Lease(req LeaseRequest) LeaseResponse {
 	s.expireLocked(now)
 	id, token, ok := s.leases.Acquire(now, worker)
 	if !ok {
-		queued, leased, _ := s.leases.Counts()
-		return LeaseResponse{Drained: queued == 0 && leased == 0}
+		return LeaseResponse{Drained: s.drainedLocked()}
 	}
 	pp := s.points[id]
 	return LeaseResponse{Point: &pp, Token: token, TTLMs: s.opt.LeaseTTL.Milliseconds()}
+}
+
+// drainedLocked implements Status.Drained. Callers hold s.mu.
+func (s *Server) drainedLocked() bool {
+	queued, leased, _ := s.leases.Counts()
+	return s.sawWork && queued == 0 && leased == 0
 }
 
 // Renew extends a worker's lease (the heartbeat).
@@ -380,7 +395,7 @@ func (s *Server) Status() Status {
 		Leased:          leased,
 		Failed:          failed,
 		Done:            len(s.records),
-		Drained:         queued == 0 && leased == 0,
+		Drained:         s.drainedLocked(),
 		Plans:           s.plans,
 		CacheHits:       s.cacheHits,
 		ResultsAccepted: s.resultsAccepted,

@@ -51,8 +51,9 @@ type LeaseResponse struct {
 	// TTLMs is the lease duration in milliseconds; workers heartbeat at
 	// a fraction of it.
 	TTLMs int64 `json:"ttl_ms,omitempty"`
-	// Drained is set on idle responses when no work is queued or leased
-	// anywhere — a batch fleet can exit (worker exit=drain).
+	// Drained is set on idle responses once the coordinator has had work
+	// and none of it is queued or leased anywhere — a batch fleet can exit
+	// (worker exit=drain). See Status.Drained.
 	Drained bool `json:"drained,omitempty"`
 }
 

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
@@ -209,5 +210,67 @@ func TestWorkerStallLosesLeaseButResultAccepted(t *testing.T) {
 	res := s.Results(ResultsRequest{IDs: []string{id}})
 	if rec, ok := res.Records[id]; !ok || rec.Results.MeanLatency != 3 {
 		t.Fatalf("stalled worker's result not recorded: %+v", res)
+	}
+}
+
+// TestDrainWorkersStartedBeforePlanWait is the regression test for the
+// exit=drain early-quit race: a drain-mode fleet started *before* its plan
+// (FIGURES.md's recipe) used to see an empty coordinator, take "nothing
+// queued, nothing leased" for "drained", and exit — leaving RunPlan
+// waiting on a fleet of zero. A coordinator that has never had work is
+// idle, not drained: the workers must keep polling, then run the plan
+// when it arrives, then exit.
+func TestDrainWorkersStartedBeforePlanWait(t *testing.T) {
+	s, c := startServer(t, 10*time.Second, 3)
+	if g := s.Lease(LeaseRequest{Worker: "probe"}); g.Point != nil || g.Drained {
+		t.Fatalf("lease from a coordinator that never had work = %+v, want idle and not drained", g)
+	}
+	if s.Status().Drained {
+		t.Fatal("coordinator that never had work reports drained")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	const workers = 3
+	done := make(chan int, workers)
+	for i := 0; i < workers; i++ {
+		w := &Worker{Client: c, Name: fmt.Sprintf("early%d", i), ExitOnDrain: true, IdlePoll: time.Millisecond,
+			run: func(core.Config) (metrics.Results, error) {
+				return metrics.Results{MeanLatency: 5, Delivered: 100}, nil
+			}}
+		go func() {
+			n, err := w.Run(ctx)
+			if err != nil {
+				t.Errorf("worker: %v", err)
+			}
+			done <- n
+		}()
+	}
+	// Give every worker time for many idle polls against the empty
+	// coordinator; none may take that for a drain.
+	deadline := time.After(100 * time.Millisecond)
+wait:
+	for {
+		select {
+		case n := <-done:
+			t.Fatalf("a drain worker exited (after %d points) before any plan was submitted", n)
+		case <-deadline:
+			break wait
+		}
+	}
+
+	plan := testPlan(t, 4)
+	if _, err := c.RunPlan(ctx, plan); err != nil {
+		t.Fatalf("RunPlan with an early-started fleet: %v", err)
+	}
+	total := 0
+	for i := 0; i < workers; i++ {
+		total += <-done // every worker exits once the plan has drained
+	}
+	if total != len(plan.Points) {
+		t.Fatalf("fleet completed %d points, want %d", total, len(plan.Points))
+	}
+	if !s.Status().Drained {
+		t.Fatal("coordinator not drained after its only plan completed")
 	}
 }

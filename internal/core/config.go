@@ -138,8 +138,8 @@ type Config struct {
 	// bit-identical either way, only wall-clock cost differs. Implies
 	// DenseVCScan.
 	DenseScan bool
-	// DenseVCScan disables the per-(port, VC) lane worklists inside each
-	// visited router and scans all Ports()×V input lanes per busy router.
+	// DenseVCScan disables the walk over each visited router's lane sets
+	// and probes all Ports()×V input lanes per busy router.
 	// Benchmark/ablation knob mirroring DenseScan: results are
 	// bit-identical either way, only wall-clock cost differs.
 	DenseVCScan bool

@@ -340,3 +340,26 @@ func TestMaxCyclesTracksSourceRate(t *testing.T) {
 		t.Errorf("pinned bound = %d, want 123", got)
 	}
 }
+
+// TestNewEngineAllocationsPerNode pins the lane arena's construction
+// cost: every router's lanes, output VCs, flit rings, arbitration
+// pointers and lane sets are carved from a handful of slabs, so building
+// an engine allocates a small constant per node (the per-router rng
+// stream) instead of one object per port and per virtual channel — 52 per
+// node before the arena. The bound of 8 leaves room for the topology,
+// routing and traffic layers' own per-node state.
+func TestNewEngineAllocationsPerNode(t *testing.T) {
+	c := DefaultConfig(0, 0, 0.001)
+	c.Topology = "torus:k=16,n=3"
+	c.V = 4
+	const nodes = 16 * 16 * 16
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := NewEngine(c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("NewEngine on %s, V=%d: %.0f allocations, %.2f per node", c.Topology, c.V, allocs, allocs/nodes)
+	if perNode := allocs / nodes; perNode > 8 {
+		t.Fatalf("NewEngine allocates %.1f objects per node, want <= 8 (%.0f total)", perNode, allocs)
+	}
+}

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -88,7 +89,7 @@ func TestActiveSetMatchesDenseScan(t *testing.T) {
 }
 
 // TestActiveSetDrainsWorklist checks the scheduler's bookkeeping: once the
-// network is idle, no router may be left on the worklist (drained routers
+// network is idle, no router may be left in the active set (drained routers
 // must retire, or Step cost degenerates to a dense scan).
 func TestActiveSetDrainsWorklist(t *testing.T) {
 	tor := topology.New(8, 2)
@@ -112,12 +113,18 @@ func TestActiveSetDrainsWorklist(t *testing.T) {
 	if !nw.Idle() {
 		t.Fatal("network did not drain")
 	}
-	if n := len(nw.work) + len(nw.pending); n != 0 {
-		t.Fatalf("idle network still has %d routers on the worklist", n)
+	if n := activeRouters(nw); n != 0 {
+		t.Fatalf("idle network still has %d routers in the active set", n)
 	}
-	for id, a := range nw.active {
-		if a {
-			t.Fatalf("idle network: router %d still flagged active", id)
+}
+
+// activeRouters counts the routers in every domain's active set.
+func activeRouters(nw *Network) int {
+	n := 0
+	for _, w := range nw.doms {
+		for _, m := range w.act {
+			n += bits.OnesCount64(m)
 		}
 	}
+	return n
 }

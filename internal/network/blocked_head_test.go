@@ -1,0 +1,199 @@
+package network
+
+import (
+	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/message"
+	"repro/internal/metrics"
+	"repro/internal/rng"
+	"repro/internal/router"
+	"repro/internal/routing"
+	"repro/internal/topology"
+)
+
+// countingRouter wraps a routing.Router and counts Route calls per message
+// id, so a test can see exactly when the engine asks.
+type countingRouter struct {
+	routing.Router
+	routes map[uint64]int
+}
+
+func (c *countingRouter) Route(cur topology.NodeID, m *message.Message) routing.Decision {
+	c.routes[m.ID]++
+	return c.Router.Route(cur, m)
+}
+
+// RefreshFaults forwards the optional capability the embedding hides.
+func (c *countingRouter) RefreshFaults() {
+	if fr, ok := c.Router.(routing.FaultRefresher); ok {
+		fr.RefreshFaults()
+	}
+}
+
+// blockedScene is the shared set-up of the blocked-head tests: an 8-ary
+// 2-cube under deterministic routing with V=2, so a worm travelling +x
+// without crossing the dateline has exactly one candidate VC per hop.
+// Worm A (id 1, 60 flits) runs (0,0) → (3,0) and holds output (+x, VC 0) of
+// router (1,0) for about 60 cycles; worm B (id 2) is injected at (1,0)
+// and needs that same output VC, so its head parks on the injection lane.
+type blockedScene struct {
+	nw   *Network
+	alg  *countingRouter
+	col  *metrics.Collector
+	tor  *topology.Torus
+	mid  topology.NodeID // router (1,0)
+	rt   *router.Router  // its state
+	out  int             // OutIndex of (+x, VC 0)
+	lane router.Lane     // injection lane B's head sits in
+	a, b *message.Message
+}
+
+func newBlockedScene(t *testing.T, bDst []int, sched fault.Schedule) *blockedScene {
+	t.Helper()
+	tor := topology.New(8, 2)
+	fs := fault.NewSet(tor)
+	det, err := routing.NewDeterministic(tor, fs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &blockedScene{tor: tor, col: metrics.NewCollector(0)}
+	s.alg = &countingRouter{Router: det, routes: map[uint64]int{}}
+	p := DefaultParams(2)
+	p.Schedule = sched
+	s.nw = New(tor, fs, s.alg, nil, s.col, p, rng.New(3))
+	s.mid = tor.FromCoords([]int{1, 0})
+	s.rt = &s.nw.routers[s.mid]
+	s.out = s.rt.OutIndex(topology.PortFor(0, topology.Plus), 0)
+	s.lane = s.rt.LaneOf(s.rt.InjectionPort(), 0)
+
+	s.a = message.New(1, tor.FromCoords([]int{0, 0}), tor.FromCoords([]int{3, 0}), 60, 2, message.Deterministic, 0)
+	s.col.Generated(s.a)
+	s.nw.Enqueue(s.a.Src, s.a)
+	// Let A's head reach and leave (1,0) before B shows up.
+	for !s.rt.Out[s.out].Busy {
+		s.step(t)
+	}
+	s.b = message.New(2, s.mid, tor.FromCoords(bDst), 8, 2, message.Deterministic, 0)
+	s.col.Generated(s.b)
+	s.nw.Enqueue(s.mid, s.b)
+	for !s.rt.Blocked(s.lane) {
+		s.step(t)
+	}
+	if !s.rt.Out[s.out].Busy {
+		t.Fatal("scene broken: B parked but the contested VC is free")
+	}
+	return s
+}
+
+func (s *blockedScene) step(t *testing.T) {
+	t.Helper()
+	if s.nw.Now() > 500 {
+		t.Fatal("scene did not reach the expected state in 500 cycles")
+	}
+	s.nw.Step()
+}
+
+// TestBlockedHeadAllocatesCycleAfterRelease: a head parked on a full VC
+// bank is not re-routed while it waits, and takes the VC on the very cycle
+// after the holding worm's tail leaves.
+func TestBlockedHeadAllocatesCycleAfterRelease(t *testing.T) {
+	s := newBlockedScene(t, []int{3, 0}, nil)
+	asked := s.alg.routes[s.b.ID]
+	for s.rt.Out[s.out].Busy {
+		if !s.rt.Blocked(s.lane) || s.rt.HasRoute(s.lane) {
+			t.Fatalf("cycle %d: B lost its mark while the VC was still held", s.nw.Now())
+		}
+		s.step(t)
+	}
+	// A's tail left during this cycle's switch phase.
+	if s.rt.Blocked(s.lane) {
+		t.Fatal("release did not wake the parked head")
+	}
+	if got := s.alg.routes[s.b.ID]; got != asked {
+		t.Fatalf("B was routed %d times while parked, want 0", got-asked)
+	}
+	s.step(t)
+	if !s.rt.HasRoute(s.lane) || !s.rt.Out[s.out].Busy {
+		t.Fatal("B did not allocate on the cycle after the release")
+	}
+	if got := s.alg.routes[s.b.ID]; got != asked+1 {
+		t.Fatalf("B was routed %d times on wake-up, want exactly 1", got-asked)
+	}
+	for s.col.DeliveredCount() < 2 {
+		s.step(t)
+	}
+}
+
+// TestFaultTransitionReroutesBlockedHead: the fault set is an input of
+// Route, so a transition applied while a head is parked must force one
+// fresh Route call — even when the failure is nowhere near it.
+func TestFaultTransitionReroutesBlockedHead(t *testing.T) {
+	tor := topology.New(8, 2)
+	far := topology.ChannelID{Src: tor.FromCoords([]int{5, 5}), Port: topology.PortFor(1, topology.Plus)}
+	const failAt = 30
+	s := newBlockedScene(t, []int{3, 0}, fault.NewTraceSchedule([]fault.Transition{
+		{Cycle: failAt, Fail: true, IsLink: true, Link: far},
+	}))
+	if s.nw.Now() >= failAt-1 {
+		t.Fatalf("scene set up too late (cycle %d) for a transition at %d", s.nw.Now(), failAt)
+	}
+	asked := s.alg.routes[s.b.ID]
+	for s.nw.Now() < failAt-1 {
+		s.step(t)
+	}
+	if got := s.alg.routes[s.b.ID]; got != asked {
+		t.Fatalf("B was routed %d times while parked before the transition, want 0", got-asked)
+	}
+	s.step(t) // the transition cycle
+	if got := s.alg.routes[s.b.ID]; got != asked+1 {
+		t.Fatalf("transition caused %d Route calls for B, want exactly 1", got-asked)
+	}
+	if !s.rt.Blocked(s.lane) || !s.rt.Out[s.out].Busy {
+		t.Fatal("B should be parked again: A still holds the VC")
+	}
+	for s.col.DeliveredCount() < 2 {
+		s.step(t)
+	}
+}
+
+// TestPurgedBlockedHeadDoesNotLeakMark: when a purge removes a parked head,
+// the mark goes with it — the next worm to use that lane is routed on
+// arrival instead of inheriting a wait for a release it does not need.
+func TestPurgedBlockedHeadDoesNotLeakMark(t *testing.T) {
+	tor := topology.New(8, 2)
+	// B runs (1,0) → (2,1): +x first (contested), then +y. Killing its
+	// destination purges it wherever it is.
+	bDst := []int{2, 1}
+	const failAt = 30
+	s := newBlockedScene(t, bDst, fault.NewTraceSchedule([]fault.Transition{
+		{Cycle: failAt, Fail: true, Node: tor.FromCoords(bDst)},
+	}))
+	for s.nw.Now() < failAt {
+		s.step(t)
+	}
+	if s.rt.Blocked(s.lane) || s.rt.Len(s.lane) != 0 {
+		t.Fatalf("purge left the lane marked (blocked %v, %d flits)", s.rt.Blocked(s.lane), s.rt.Len(s.lane))
+	}
+	if !s.rt.Out[s.out].Busy {
+		t.Fatal("scene broken: A should still hold the contested VC")
+	}
+	// C reuses the lane but heads +y, where nothing is in its way: it
+	// must allocate within a few cycles, long before A's tail passes.
+	c := message.New(3, s.mid, tor.FromCoords([]int{1, 3}), 8, 2, message.Deterministic, 0)
+	s.col.Generated(c)
+	s.nw.Enqueue(s.mid, c)
+	deadline := s.nw.Now() + 4
+	for !s.rt.HasRoute(s.lane) {
+		if s.nw.Now() >= deadline {
+			t.Fatalf("C not routed %d cycles after enqueue (blocked %v)", 4, s.rt.Blocked(s.lane))
+		}
+		s.step(t)
+	}
+	if f, ok := s.rt.Front(s.lane); !ok || s.nw.pool.At(f.Ref()).ID != c.ID {
+		t.Fatal("the routed worm in B's old lane is not C")
+	}
+	if !s.rt.Out[s.out].Busy {
+		t.Fatal("A's tail passed before C allocated; the test proved nothing")
+	}
+}

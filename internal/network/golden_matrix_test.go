@@ -1,0 +1,138 @@
+package network
+
+import (
+	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/message"
+	"repro/internal/metrics"
+	"repro/internal/rng"
+	"repro/internal/routing"
+	"repro/internal/topology"
+	"repro/internal/trace"
+	"repro/internal/traffic"
+)
+
+// goldenCase is one cell of the golden trace matrix: a fully specified run
+// whose FNV-1a trace hash is pinned. The hashes were recorded from the
+// engine as it stood before the lane-arena / blocked-head rewrite (PR 12's
+// parent), so the matrix — not an ablation knob — is the oracle that the
+// rewrite, and every later engine change, preserves the event sequence.
+type goldenCase struct {
+	name   string
+	net    func() topology.Network
+	alg    string
+	v      int
+	nf     int
+	lambda float64
+	td     int64
+	sched  string // fault-schedule spec; "" for a static run
+	golden uint64
+}
+
+// goldenMatrix covers topology × algorithm × faults, one past-saturation
+// point (heads blocked on full VC banks for most of the run), a nonzero
+// decision time, a generative fault schedule, and one configuration with
+// more than 64 lanes per router (5 ports × V=16), where the lane sets span
+// two words.
+var goldenMatrix = []goldenCase{
+	{"torus-det-faultfree", torus8, "det", 4, 0, 0.004, 0, "", 0xfe77fc76fd66ac4a},
+	{"torus-det-faulted", torus8, "det", 4, 6, 0.004, 0, "", 0x40d4420feb6cb2d6},
+	{"torus-adaptive-faultfree", torus8, "adaptive", 4, 0, 0.004, 0, "", 0xeb12d0042389a0fc},
+	{"torus-adaptive-faulted", torus8, "adaptive", 4, 6, 0.004, 0, "", 0x1b740ce4f0915e2a},
+	{"torus-valiant-faultfree", torus8, "valiant", 4, 0, 0.004, 0, "", 0xf38b2293504343bd},
+	{"torus-valiant-faulted", torus8, "valiant", 4, 6, 0.004, 0, "", 0x5d3ed1f3164a0a95},
+	{"mesh-planar-faultfree", mesh8, "planar-adaptive", 4, 0, 0.004, 0, "", 0xa3c209bde88d3c8c},
+	{"mesh-planar-faulted", mesh8, "planar-adaptive", 4, 4, 0.004, 0, "", 0x5ccc433d01433c89},
+	{"torus-adaptive-saturated", torus8, "adaptive", 4, 6, 0.03, 0, "", 0xbf61f48071f817e2},
+	{"torus-adaptive-td2", torus8, "adaptive", 4, 6, 0.004, 2, "", 0xe464afea45da808c},
+	{"torus-adaptive-mtbf", torus8, "adaptive", 4, 3, 0.02, 0, "mtbf:mtbf=1500,mttr=600,elems=mixed", 0x8db03665454a4e44},
+	{"torus4-adaptive-v16", torus4, "adaptive", 16, 2, 0.08, 0, "", 0x5e589f881a0146df},
+}
+
+func torus8() topology.Network { return topology.New(8, 2) }
+func torus4() topology.Network { return topology.New(4, 2) }
+func mesh8() topology.Network  { return topology.NewMesh(8, 2) }
+
+// runGolden drives one matrix cell: 3000 cycles of Poisson traffic, then a
+// drain, on the given number of engine workers.
+func runGolden(t *testing.T, c goldenCase, workers int) []trace.Event {
+	t.Helper()
+	net := c.net()
+	fs := fault.NewSet(net)
+	if c.nf > 0 {
+		var err error
+		fs, err = fault.Random(net, c.nf, rng.New(41), fault.DefaultRandomOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	alg, err := routing.New(c.alg, net, fs, c.v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(123)
+	pattern, err := traffic.NewPattern("uniform", net, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRecorder()
+	p := DefaultParams(c.v)
+	p.Tracer = rec
+	p.Td = c.td
+	p.Workers = workers
+	if workers > 1 {
+		p.AlgFactory = func() (routing.Router, error) { return routing.New(c.alg, net, fs, c.v) }
+	}
+	pool := message.NewPool(net.N(), false)
+	p.Pool = pool
+	gen, err := traffic.NewSource("poisson", traffic.Env{
+		T: net, F: fs, Sources: fs.HealthyNodes(),
+		Lambda: c.lambda, MsgLen: 16, Mode: alg.BaseMode(),
+		Pattern: pattern, R: r.Split(1), Pool: pool,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := r.Split(2) // before the schedule stream, as core.NewEngine does
+	if c.sched != "" {
+		p.Schedule, err = fault.NewSchedule(c.sched, fault.ScheduleEnv{
+			T: net, Base: fs, R: r.Split(rng.ScheduleLabel()),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	nw := New(net, fs, alg, gen, metrics.NewCollector(0), p, engine)
+	for nw.Now() < 3000 {
+		nw.Step()
+	}
+	nw.StopGeneration()
+	for !nw.Idle() && nw.Now() < 400_000 {
+		nw.Step()
+	}
+	if !nw.Idle() {
+		t.Fatal("network did not drain")
+	}
+	return rec.All()
+}
+
+// TestGoldenTraceMatrix holds every matrix cell to its pinned hash on the
+// serial engine and on three worker domains (an odd count, so domain
+// bounds fall mid-row).
+func TestGoldenTraceMatrix(t *testing.T) {
+	for _, c := range goldenMatrix {
+		t.Run(c.name, func(t *testing.T) {
+			for _, workers := range []int{1, 3} {
+				ev := runGolden(t, c, workers)
+				if len(ev) == 0 {
+					t.Fatal("no events traced")
+				}
+				if h := traceHash(ev); h != c.golden {
+					t.Errorf("workers=%d: trace hash = %#x, want %#x (%d events; the event sequence changed)",
+						workers, h, c.golden, len(ev))
+				}
+			}
+		})
+	}
+}

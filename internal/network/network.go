@@ -25,7 +25,7 @@ package network
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 	"sort"
 
 	"repro/internal/fault"
@@ -76,9 +76,9 @@ type Params struct {
 	// results are bit-identical either way, only Step cost differs.
 	// Implies DenseVCScan: a dense router scan always scans lanes densely.
 	DenseScan bool
-	// DenseVCScan disables the per-(port, VC) lane worklists and scans all
-	// Ports()×V input lanes of every visited router, as the engine did
-	// between the router-level active set (PR 1) and the per-VC scheduler.
+	// DenseVCScan stops the phases walking the set bits of a router's
+	// lane sets and has them probe all Ports()×V input lanes of every
+	// visited router instead, as a dense nested scan would.
 	// Ablation/benchmark knob mirroring DenseScan: results are
 	// bit-identical either way, only Step cost differs.
 	DenseVCScan bool
@@ -136,37 +136,37 @@ func DefaultParams(v int) Params {
 	return Params{V: v, BufDepth: 2, SaturationBacklog: 0}
 }
 
-// arrivalEvent is a staged flit transfer, applied when dueAt <= now (at
-// cycle end). Events are enqueued in non-decreasing dueAt order because the
-// link latency is constant, so a FIFO suffices.
+// arrivalEvent is a staged flit transfer into input lane `lane` of node,
+// applied when dueAt <= now (at cycle end). Events are enqueued in
+// non-decreasing dueAt order because the link latency is constant, so a
+// FIFO suffices.
 type arrivalEvent struct {
 	dueAt int64
 	node  topology.NodeID
-	port  int
-	vc    int
+	lane  router.Lane
 	flit  message.Flit
 }
 
-// xbarReq is a crossbar request: input lane (port, vc) asking for its
-// allocated output physical channel this cycle.
-type xbarReq struct{ port, vc int }
-
-// creditEvent is a staged credit return, applied when dueAt <= now.
+// creditEvent is a staged credit return to output VC `out` (a
+// router.OutIndex) of node, applied when dueAt <= now.
 type creditEvent struct {
 	dueAt int64
 	node  topology.NodeID
-	port  topology.Port
-	vc    int
+	out   int32
 }
 
 // link is one precomputed entry of the engine's per-(node, port) geometry
-// table: the downstream router, whether the hop crosses the dateline, and
-// the effective flit latency (per-link overlay or the global default).
-// Routing only ever allocates existing healthy channels, so the dst of an
-// unwired mesh-edge port (-1) is never read.
+// table: the downstream router, whether the hop crosses the dateline, the
+// effective flit latency (per-link overlay or the global default), and
+// back = Opposite(port)·V — the neighbour's first input lane fed by this
+// channel, which is also the neighbour's first output VC feeding our input
+// port, so both flit transfers and credit returns address the far side as
+// back + vc. Routing only ever allocates existing healthy channels, so the
+// dst of an unwired mesh-edge port (-1) is never read.
 type link struct {
 	dst   topology.NodeID
 	wraps bool
+	back  int32
 	lat   int64
 }
 
@@ -231,13 +231,17 @@ type Network struct {
 	p    Params
 	pool *message.Pool
 
-	// links is the per-(node, port) geometry/latency table (see link);
-	// uniformLat records whether every link shares the default latency, in
-	// which case staged arrivals are naturally FIFO-ordered by due cycle.
-	links      [][]link
+	// links is the geometry/latency table (see link), indexed
+	// node*degree + port; uniformLat records whether every link shares the
+	// default latency, in which case staged arrivals are naturally
+	// FIFO-ordered by due cycle.
+	links      []link
+	degree     int
 	uniformLat bool
 
-	routers []*router.Router
+	// routers is the lane arena (router.NewSlab): one Router value per
+	// node, all state in shared slabs.
+	routers []router.Router
 	gen     traffic.Source
 	col     *metrics.Collector
 	r       *rng.Stream
@@ -252,10 +256,12 @@ type Network struct {
 	// sw is the serial stepping context: the one worker that applies every
 	// effect directly instead of staging it (see worker). par, when
 	// non-nil, holds the parallel domain workers and dom maps node id →
-	// owning domain index (see parallel.go).
-	sw  *worker
-	par []*worker
-	dom []int32
+	// owning domain index (see parallel.go). doms is whichever of the two
+	// steps this engine: {sw} or par.
+	sw   *worker
+	par  []*worker
+	doms []*worker
+	dom  []int32
 
 	// Per-node software queues: fresh traffic and re-injections (the latter
 	// have absolute priority, §4 "Absorbed messages have priority over new
@@ -266,31 +272,10 @@ type Network struct {
 	streams [][]stream
 	rrInj   []int
 
-	// arrivals holds in-flight link transfers (uniform latency, so FIFO is
-	// due-ordered); injArrivals holds same-cycle injection-channel
-	// transfers, drained fully every cycle. Both are the serial engine's
-	// queues; parallel workers keep per-domain equivalents.
-	arrivals    []arrivalEvent
-	injArrivals []arrivalEvent
-	credits     []creditEvent
-
-	// Active-set scheduler state: the engine visits only routers that can
-	// make progress this cycle instead of dense-scanning every node.
-	// work is the sorted worklist processed by the per-cycle phases;
-	// pending collects routers activated by events (generated traffic,
-	// flit arrivals, re-injections) since the last cycle started; active
-	// flags membership in either. A router leaves the worklist when it is
-	// fully drained: no buffered flits, no queued messages, no streams.
-	// With Params.DenseScan the worklist is pinned to every node.
-	active  []bool
-	work    []topology.NodeID
-	pending []topology.NodeID
-	allIDs  []topology.NodeID
-
-	// vcTrack enables the scheduler's second level: per-(port, VC) lane
-	// worklists inside each router (see internal/router), so a busy
-	// router's phases visit only lanes holding flits instead of scanning
-	// all Ports()×V. Off under either dense knob.
+	// vcTrack selects the scheduler's second level: a router's phases walk
+	// the set bits of its lane sets (see internal/router) instead of
+	// probing all Ports()×V lanes. Off under either dense knob. The first
+	// level — the active-router set — lives in the workers (worker.act).
 	vcTrack bool
 
 	// Dynamic-fault state (nil/zero for static runs): the schedule driving
@@ -333,39 +318,31 @@ func New(t topology.Network, f *fault.Set, alg routing.Router, gen traffic.Sourc
 	}
 	n := &Network{
 		t: t, f: f, alg: alg, p: p, pool: pool,
-		routers: make([]*router.Router, t.Nodes()),
+		routers: router.NewSlab(t.Nodes(), t.N(), p.V, p.BufDepth),
+		degree:  t.Degree(),
 		gen:     gen, col: col, r: r,
 		newQ:    make([]fifo[message.Ref], t.Nodes()),
 		reQ:     make([]fifo[pendingMsg], t.Nodes()),
 		streams: make([][]stream, t.Nodes()),
 		rrInj:   make([]int, t.Nodes()),
-		active:  make([]bool, t.Nodes()),
 	}
 	n.vcTrack = !p.DenseScan && !p.DenseVCScan
 	// A node never runs more than V injection streams (one per injection
 	// VC), so every per-node stream slice is carved from one backing array
-	// at its full capacity; likewise the software queues get a small
-	// starting capacity. Without this, the first message reaching each of
-	// tens of thousands of nodes triggers an append growth long after
-	// warm-up — the allocations the zero-alloc Step gate would flag.
+	// at its full capacity; likewise the software queues start as small
+	// windows of one slab each. Without this, the first message reaching
+	// each of tens of thousands of nodes triggers an append growth long
+	// after warm-up — the allocations the zero-alloc Step gate would flag.
+	const queueCap = 4
 	streamBacking := make([]stream, t.Nodes()*p.V)
+	newBacking := make([]message.Ref, t.Nodes()*queueCap)
+	reBacking := make([]pendingMsg, t.Nodes()*queueCap)
 	for id := 0; id < t.Nodes(); id++ {
-		n.routers[id] = router.New(topology.NodeID(id), t.N(), p.V, p.BufDepth)
-		if n.vcTrack {
-			n.routers[id].EnableLaneTracking()
-		}
 		n.streams[id] = streamBacking[id*p.V : id*p.V : (id+1)*p.V]
-		n.newQ[id].items = make([]message.Ref, 0, 4)
-		n.reQ[id].items = make([]pendingMsg, 0, 4)
+		n.newQ[id].items = newBacking[id*queueCap : id*queueCap : (id+1)*queueCap]
+		n.reQ[id].items = reBacking[id*queueCap : id*queueCap : (id+1)*queueCap]
 	}
 	n.buildLinkTable()
-	if p.DenseScan {
-		n.allIDs = make([]topology.NodeID, t.Nodes())
-		for id := range n.allIDs {
-			n.allIDs[id] = topology.NodeID(id)
-		}
-		n.work = n.allIDs
-	}
 	n.rngs = make([]*rng.Stream, t.Nodes())
 	if p.GlobalRNG {
 		if p.Workers > 1 {
@@ -385,6 +362,7 @@ func New(t topology.Network, f *fault.Set, alg routing.Router, gen traffic.Sourc
 		n.baseMode = alg.BaseMode()
 	}
 	n.sw = newWorker(n, 0, true, 0, topology.NodeID(t.Nodes()), alg)
+	n.doms = []*worker{n.sw}
 	n.initWorkers()
 	return n
 }
@@ -393,41 +371,24 @@ func New(t topology.Network, f *fault.Set, alg routing.Router, gen traffic.Sourc
 // effective latency for every (node, port) so the per-flit hot path never
 // dispatches through the topology interface.
 func (nw *Network) buildLinkTable() {
-	degree := nw.t.Degree()
 	nw.uniformLat = true
-	nw.links = make([][]link, nw.t.Nodes())
-	for id := 0; id < nw.t.Nodes(); id++ {
-		row := make([]link, degree)
-		for p := 0; p < degree; p++ {
-			port := topology.Port(p)
-			dim, dir := port.Dim(), port.Dir()
-			if !nw.t.HasLink(topology.NodeID(id), dim, dir) {
-				row[p] = link{dst: -1}
-				continue
-			}
-			lat := nw.t.LinkLatency(topology.NodeID(id), port)
-			if lat == 0 {
-				lat = nw.p.LinkLatency
-			} else if lat != nw.p.LinkLatency {
-				nw.uniformLat = false
-			}
-			row[p] = link{
-				dst:   nw.t.Neighbor(topology.NodeID(id), dim, dir),
-				wraps: nw.t.WrapsAround(nw.t.Coord(topology.NodeID(id), dim), dir),
-				lat:   lat,
-			}
+	nw.links = make([]link, nw.t.Nodes()*nw.degree)
+	for i := range nw.links {
+		id, port := topology.NodeID(i/nw.degree), topology.Port(i%nw.degree)
+		if !nw.t.HasLink(id, port.Dim(), port.Dir()) {
+			nw.links[i] = link{dst: -1}
+			continue
 		}
-		nw.links[id] = row
+		nw.links[i] = nw.queryLink(id, port)
+		if nw.links[i].lat != nw.p.LinkLatency {
+			nw.uniformLat = false
+		}
 	}
 }
 
-// linkFor resolves the geometry of the channel leaving node through port:
-// from the precomputed table, or through the topology interface when the
-// NoLinkCache ablation knob is set.
-func (nw *Network) linkFor(node topology.NodeID, port topology.Port) link {
-	if !nw.p.NoLinkCache {
-		return nw.links[node][port]
-	}
+// queryLink resolves the geometry of the channel leaving node through port
+// from the topology interface.
+func (nw *Network) queryLink(node topology.NodeID, port topology.Port) link {
 	dim, dir := port.Dim(), port.Dir()
 	lat := nw.t.LinkLatency(node, port)
 	if lat == 0 {
@@ -436,77 +397,40 @@ func (nw *Network) linkFor(node topology.NodeID, port topology.Port) link {
 	return link{
 		dst:   nw.t.Neighbor(node, dim, dir),
 		wraps: nw.t.WrapsAround(nw.t.Coord(node, dim), dir),
+		back:  int32(int(port.Opposite()) * nw.p.V),
 		lat:   lat,
 	}
 }
 
-// markActive schedules a router for the next cycle's worklist. Safe to
-// call redundantly; membership is deduplicated by the active flags. Serial
-// contexts only (construction, Enqueue, pollTraffic, serial applyStaged);
-// parallel workers mark through their own pend lists (worker.applyArrival).
+// linkFor resolves the geometry of the channel leaving node through port:
+// from the precomputed table, or through the topology interface when the
+// NoLinkCache ablation knob is set.
+func (nw *Network) linkFor(node topology.NodeID, port topology.Port) link {
+	if !nw.p.NoLinkCache {
+		return nw.links[int(node)*nw.degree+int(port)]
+	}
+	return nw.queryLink(node, port)
+}
+
+// markActive puts a router into its domain's active set, so the next
+// phase A visits it. Idempotent. Serial contexts only (construction,
+// Enqueue, pollTraffic, transitions); a worker applying arrivals marks its
+// own set directly (worker.applyArrival).
 func (nw *Network) markActive(id topology.NodeID) {
-	if nw.p.DenseScan || nw.active[id] {
-		return
+	w := nw.sw
+	if nw.par != nil {
+		w = nw.par[nw.dom[id]]
 	}
-	nw.active[id] = true
-	nw.pending = append(nw.pending, id)
+	w.mark(id)
 }
 
-// beginCycle merges newly activated routers into the worklist, keeping it
-// sorted by node id so the phases visit routers in the same ascending
-// order as a dense scan — that ordering is what makes the scheduler
-// rng-transparent (bit-exact traces for a fixed seed). With the per-VC
-// scheduler it then merges each working router's newly marked lanes the
-// same way (sorted (port, VC) order = the dense nested-scan order).
-func (nw *Network) beginCycle() {
-	if nw.p.DenseScan {
-		return
-	}
-	if len(nw.pending) > 0 {
-		nw.work = append(nw.work, nw.pending...)
-		nw.pending = nw.pending[:0]
-		slices.Sort(nw.work)
-	}
-	if nw.vcTrack {
-		for _, id := range nw.work {
-			nw.routers[id].MergeLanes()
-		}
-	}
-}
-
-// endCycle retires drained routers from the worklist. A router stays
-// active while anything local can still make progress: buffered flits,
-// queued software messages (fresh or re-injection), or injection streams.
-// Everything else re-enters via markActive when an event touches it.
-func (nw *Network) endCycle() {
-	if nw.p.DenseScan {
-		return
-	}
-	keep := nw.work[:0]
-	for _, id := range nw.work {
-		if nw.routerBusy(id) {
-			keep = append(keep, id)
-		} else {
-			nw.active[id] = false
-		}
-	}
-	nw.work = keep
-}
-
-// routerBusy reports whether the router still has locally visible work.
-// With the per-VC scheduler the flit check rides on the lane worklist:
-// RetireLanes prunes drained lanes and reports how many remain (merged +
-// freshly marked), so the retire path touches only active-lane counters,
-// never all Ports()×V buffers.
+// routerBusy reports whether the router still has locally visible work:
+// buffered flits, queued software messages (fresh or re-injection), or
+// injection streams. Everything else re-enters the active set when an
+// event touches it.
 func (nw *Network) routerBusy(id topology.NodeID) bool {
-	if nw.vcTrack {
-		if nw.routers[id].RetireLanes() > 0 {
-			return true
-		}
-	} else if nw.routers[id].Flits > 0 {
-		return true
-	}
-	return nw.newQ[id].Len() > 0 || nw.reQ[id].Len() > 0 || len(nw.streams[id]) > 0
+	return nw.routers[id].Flits > 0 ||
+		nw.newQ[id].Len() > 0 || nw.reQ[id].Len() > 0 || len(nw.streams[id]) > 0
 }
 
 // Now returns the current cycle.
@@ -560,37 +484,41 @@ func (nw *Network) Enqueue(node topology.NodeID, m *message.Message) {
 // flits, no flits in flight on links, no queued messages, no active
 // streams.
 func (nw *Network) Idle() bool {
-	if nw.Backlog() > 0 || len(nw.arrivals) > 0 || len(nw.injArrivals) > 0 {
+	if nw.Backlog() > 0 {
 		return false
 	}
-	for _, w := range nw.par {
-		if len(w.arrQ) > 0 {
+	for _, w := range nw.doms {
+		if len(w.arrQ) > 0 || len(w.injArr) > 0 {
 			return false
 		}
 	}
-	for _, rt := range nw.routers {
-		if rt.Flits > 0 {
+	for id := range nw.routers {
+		if nw.routers[id].Flits > 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// Step advances the simulation by one cycle.
+// Step advances the simulation by one cycle: the serial transition point
+// (fault schedule, traffic polling — no worker goroutine exists between
+// cycles), then phase A (route/allocate → switch → inject) and phase B
+// (apply staged transfers, retire drained routers) on every domain. The
+// serial engine is the one direct worker running both phases inline; the
+// parallel engine barriers them around the ordered effect commit (see
+// parallel.go).
 func (nw *Network) Step() {
-	if nw.par != nil {
-		nw.stepParallel()
-		return
-	}
 	nw.now++
 	nw.applyTransitions()
 	nw.pollTraffic()
-	nw.beginCycle()
-	nw.routeAndAllocate()
-	nw.switchTraversal()
-	nw.inject()
-	nw.applyStaged()
-	nw.endCycle()
+	if nw.par == nil {
+		nw.sw.phaseA()
+		nw.sw.phaseB()
+		return
+	}
+	nw.runParallel((*worker).phaseA)
+	nw.commitEffects()
+	nw.runParallel((*worker).phaseB)
 }
 
 // pollTraffic pulls newly generated messages into source queues. Messages
@@ -620,56 +548,56 @@ func (nw *Network) pollTraffic() {
 	}
 }
 
-// routeAndAllocate runs routing decisions and output-VC allocation for
-// every head flit parked at the front of an input VC.
-func (nw *Network) routeAndAllocate() {
-	for _, node := range nw.work {
-		nw.sw.routeNode(node)
-	}
-}
-
-// routeNode takes the routing decisions of one router. With the per-VC
-// scheduler it visits only the router's active lanes; the dense-VC
-// ablation nests over all Ports()×V. Both orders are port-major/VC-minor,
+// routeNode takes the routing decisions of one router: every lane whose
+// front is an unrouted, unblocked head (router.RouteWord). With the per-VC
+// scheduler it walks the set bits; the dense-VC ablation probes all
+// Ports()×V lanes. Both orders are ascending lane = port-major/VC-minor,
 // so rng draws are identical.
 //
 //simlint:phase compute
 func (w *worker) routeNode(node topology.NodeID) {
-	rt := w.nw.routers[node]
-	if w.nw.vcTrack {
-		for _, lane := range rt.Lanes() {
-			port, vc := rt.LanePortVC(lane)
-			w.allocateLane(node, rt, port, vc)
-		}
-		return
-	}
+	rt := &w.nw.routers[node]
 	if rt.Flits == 0 {
 		return
 	}
-	for port := range rt.In {
-		for vc := range rt.In[port] {
-			w.allocateLane(node, rt, port, vc)
+	if !w.nw.vcTrack {
+		for l := range rt.In {
+			if rt.RouteWord(l>>6)>>(uint(l)&63)&1 != 0 {
+				w.allocateLane(node, rt, router.Lane(l))
+			}
+		}
+		return
+	}
+	for i := 0; i < rt.Words(); i++ {
+		for m := rt.RouteWord(i); m != 0; m &= m - 1 {
+			w.allocateLane(node, rt, router.Lane(i<<6+bits.TrailingZeros64(m)))
 		}
 	}
 }
 
-// allocateLane takes the routing decision for input lane (port, vc) of
-// node, if its front flit is a head that is ready and unrouted. The
-// candidate scratch w.freeVCs is reused across calls; the VC pick draws
-// from the router's own stream (see Network.rngs).
+// allocateLane takes the routing decision for an input lane of node whose
+// front worm is unrouted, if that front is a head and ready. The candidate
+// scratch w.freeVCs is reused across calls; the VC pick draws from the
+// router's own stream (see Network.rngs).
+//
+// A head that finds every candidate output VC busy is parked
+// (router.Block) and not asked again until the answer can differ. That is
+// exact, not a heuristic: Route is a pure function of (node, header, fault
+// set) — a repeated call returns the same candidates, including Valiant's
+// via, which the first call already pushed — a blocked outcome draws no
+// random number, and Busy only turns true in this phase. So the outcome
+// can change only when one of this router's output VCs is released (the
+// tail leaves in moveNetwork; a purge frees it) or the fault set changes
+// (applyTransitions), and each of those wakes the lane; the mark itself
+// dies with the lane's front flit (router.FilterLane). The state is
+// router-owned, so the parallel engine's single-owner rule holds.
 //
 //simlint:phase compute
-func (w *worker) allocateLane(node topology.NodeID, rt *router.Router, port, vc int) {
+func (w *worker) allocateLane(node topology.NodeID, rt *router.Router, lane router.Lane) {
 	nw := w.nw
-	ivc := &rt.In[port][vc]
-	if ivc.HasRoute {
-		return
-	}
-	front, ok := ivc.Buf.Front()
-	if !ok || !front.IsHead() {
-		return
-	}
-	if nw.now < ivc.ReadyAt {
+	ivc := &rt.In[lane]
+	front, ok := rt.Front(lane)
+	if !ok || !front.IsHead() || nw.now < ivc.ReadyAt {
 		return
 	}
 	m := nw.pool.At(front.Ref())
@@ -677,10 +605,10 @@ func (w *worker) allocateLane(node topology.NodeID, rt *router.Router, port, vc 
 	switch dec.Outcome {
 	case routing.Deliver:
 		m.Pending = message.StopDeliver
-		ivc.HasRoute, ivc.ToEject = true, true
+		ivc.ToEject = true
 	case routing.ViaArrived:
 		m.Pending = message.StopVia
-		ivc.HasRoute, ivc.ToEject = true, true
+		ivc.ToEject = true
 	case routing.AbsorbFault:
 		w.emitTrace(trace.AbsorbStart, m.ID, node)
 		if w.alg.Plan(node, m, dec.BlockedDim, dec.BlockedDir) {
@@ -688,42 +616,36 @@ func (w *worker) allocateLane(node topology.NodeID, rt *router.Router, port, vc 
 		} else {
 			m.Pending = message.StopDrop
 		}
-		ivc.HasRoute, ivc.ToEject = true, true
+		ivc.ToEject = true
 	case routing.Progress:
 		free := w.freeVCs[:0]
 		for _, c := range dec.Preferred {
-			if !rt.Out[c.Port][c.VC].Busy {
+			if !rt.Out[rt.OutIndex(c.Port, c.VC)].Busy {
 				free = append(free, c)
 			}
 		}
 		if len(free) == 0 {
 			for _, c := range dec.Fallback {
-				if !rt.Out[c.Port][c.VC].Busy {
+				if !rt.Out[rt.OutIndex(c.Port, c.VC)].Busy {
 					free = append(free, c)
 				}
 			}
 		}
 		w.freeVCs = free
 		if len(free) == 0 {
-			return // all candidate VCs owned; retry next cycle
+			rt.Block(lane) // all candidate VCs owned; wait for a release
+			return
 		}
 		pick := free[nw.rngs[node].Intn(len(free))]
-		rt.Out[pick.Port][pick.VC].Busy = true
-		ivc.HasRoute, ivc.ToEject = true, false
-		ivc.OutPort, ivc.OutVC = pick.Port, pick.VC
+		rt.Out[rt.OutIndex(pick.Port, pick.VC)].Busy = true
+		ivc.ToEject = false
+		ivc.OutPort, ivc.OutVC = uint8(pick.Port), uint16(pick.VC)
 	}
 	// Every case above that falls through has allocated a route (Progress
 	// returns early otherwise); record the owning worm for the
 	// fault-transition purge.
+	rt.SetRoute(lane)
 	ivc.Owner = front.Ref()
-}
-
-// switchTraversal performs switch allocation and link/ejection traversal
-// for every working router.
-func (nw *Network) switchTraversal() {
-	for _, node := range nw.work {
-		nw.sw.switchNode(node)
-	}
 }
 
 // switchNode performs one router's switch allocation and link/ejection
@@ -738,110 +660,110 @@ func (nw *Network) switchTraversal() {
 //simlint:phase compute
 func (w *worker) switchNode(node topology.NodeID) {
 	nw := w.nw
-	rt := nw.routers[node]
-	if nw.vcTrack {
-		if len(rt.Lanes()) == 0 {
-			return
-		}
-		for i := range w.buckets {
-			w.buckets[i] = w.buckets[i][:0]
-		}
-		for _, lane := range rt.Lanes() {
-			port, vc := rt.LanePortVC(lane)
-			w.gatherLane(node, rt, port, vc)
+	rt := &nw.routers[node]
+	if rt.Flits == 0 {
+		return
+	}
+	for i := range w.buckets {
+		w.buckets[i] = w.buckets[i][:0]
+	}
+	// Buffered, routed lanes (router.SwitchWord), ascending: the set bits
+	// under the per-VC scheduler, a probe of every lane under the dense-VC
+	// ablation.
+	if !nw.vcTrack {
+		for l := range rt.In {
+			if rt.SwitchWord(l>>6)>>(uint(l)&63)&1 != 0 {
+				w.gatherLane(node, rt, router.Lane(l))
+			}
 		}
 	} else {
-		if rt.Flits == 0 {
-			return
-		}
-		for i := range w.buckets {
-			w.buckets[i] = w.buckets[i][:0]
-		}
-		for port := range rt.In {
-			for vc := range rt.In[port] {
-				w.gatherLane(node, rt, port, vc)
+		for i := 0; i < rt.Words(); i++ {
+			for m := rt.SwitchWord(i); m != 0; m &= m - 1 {
+				w.gatherLane(node, rt, router.Lane(i<<6+bits.TrailingZeros64(m)))
 			}
 		}
 	}
 	// Network output channels: one flit per physical channel per cycle,
-	// round-robin over the competing input VCs.
-	degree := nw.t.Degree()
-	for out := 0; out < degree; out++ {
-		cands := w.buckets[out]
-		if len(cands) == 0 {
+	// round-robin over the competing input VCs. k walks the candidates
+	// from RROut mod n; both wrap by compare-and-subtract (RROut is below
+	// the previous cycle's n, so the reduction loop rarely runs twice).
+	for out, cands := range w.buckets {
+		n := len(cands)
+		if n == 0 {
 			continue
 		}
-		n := len(cands)
-		start := rt.RROut[out] % n
+		k := int(rt.RROut[out])
+		for k >= n {
+			k -= n
+		}
 		for i := 0; i < n; i++ {
-			c := cands[(start+i)%n]
-			ivc := &rt.In[c.port][c.vc]
-			ovc := &rt.Out[ivc.OutPort][ivc.OutVC]
-			if ovc.Credits == 0 {
+			lane := cands[k]
+			if k++; k == n {
+				k = 0
+			}
+			ivc := &rt.In[lane]
+			if rt.Out[rt.OutIndex(topology.Port(ivc.OutPort), int(ivc.OutVC))].Credits == 0 {
 				continue
 			}
-			w.moveNetwork(node, rt, c.port, c.vc)
-			rt.RROut[out] = (start + i + 1) % n
+			w.moveNetwork(node, rt, lane)
+			rt.RROut[out] = int32(k)
 			break
 		}
 	}
 }
 
-// gatherLane inspects input lane (port, vc): routed eject lanes drain
-// immediately (per-VC ejection, no arbitration), routed network lanes file
-// a crossbar request into their output port's bucket.
+// gatherLane handles one buffered, routed input lane: eject lanes drain
+// immediately (per-VC ejection, no arbitration), network lanes file a
+// crossbar request into their output port's bucket.
 //
 //simlint:phase compute
-func (w *worker) gatherLane(node topology.NodeID, rt *router.Router, port, vc int) {
-	ivc := &rt.In[port][vc]
-	if !ivc.HasRoute || ivc.Buf.Len() == 0 {
-		return
-	}
+func (w *worker) gatherLane(node topology.NodeID, rt *router.Router, lane router.Lane) {
+	ivc := &rt.In[lane]
 	if ivc.ToEject {
-		w.moveEject(node, rt, port, vc)
+		w.moveEject(node, rt, lane)
 	} else {
-		w.buckets[ivc.OutPort] = append(w.buckets[ivc.OutPort], xbarReq{port, vc})
+		w.buckets[ivc.OutPort] = append(w.buckets[ivc.OutPort], lane)
 	}
 }
 
-// moveNetwork sends the front flit of input (port, vc) through its
-// allocated output VC to the neighbouring router.
+// moveNetwork sends the front flit of an input lane through its allocated
+// output VC to the neighbouring router.
 //
 //simlint:phase compute
-func (w *worker) moveNetwork(node topology.NodeID, rt *router.Router, port, vc int) {
+func (w *worker) moveNetwork(node topology.NodeID, rt *router.Router, lane router.Lane) {
 	nw := w.nw
-	ivc := &rt.In[port][vc]
-	f := rt.Pop(port, vc)
-	ovc := &rt.Out[ivc.OutPort][ivc.OutVC]
-	ovc.Credits--
-	lk := nw.linkFor(node, ivc.OutPort)
+	ivc := &rt.In[lane]
+	f := rt.PopLane(lane)
+	outPort := topology.Port(ivc.OutPort)
+	o := rt.OutIndex(outPort, int(ivc.OutVC))
+	rt.Out[o].Credits--
+	lk := nw.linkFor(node, outPort)
 	if f.IsHead() {
 		m := nw.pool.At(f.Ref())
 		if lk.wraps {
-			m.Crossed[ivc.OutPort.Dim()] = true
+			m.Crossed[outPort.Dim()] = true
 		}
 		w.emitTrace(trace.Hop, m.ID, lk.dst)
 	}
-	w.stageArrivalW(arrivalEvent{
+	w.stageArrival(arrivalEvent{
 		dueAt: nw.now + lk.lat - 1,
 		node:  lk.dst,
-		port:  int(ivc.OutPort.Opposite()),
-		vc:    ivc.OutVC,
+		lane:  router.Lane(lk.back) + router.Lane(ivc.OutVC),
 		flit:  f,
 	})
-	w.returnCredit(node, port, vc)
+	w.returnCredit(node, rt, lane)
 	if f.IsTail() {
-		ovc.Busy = false
-		ivc.HasRoute = false
-		nw.refreshReady(ivc)
+		rt.Release(o)
+		rt.ClearRoute(lane)
+		nw.refreshReady(rt, lane)
 	}
 }
 
 // refreshReady re-arms the routing-decision timer when a new worm's head
 // becomes the buffer front after the previous tail left.
-func (nw *Network) refreshReady(ivc *router.InVC) {
-	if nf, ok := ivc.Buf.Front(); ok && nf.IsHead() {
-		ivc.ReadyAt = nw.now + 1 + nw.p.Td
+func (nw *Network) refreshReady(rt *router.Router, lane router.Lane) {
+	if nf, ok := rt.Front(lane); ok && nf.IsHead() {
+		rt.In[lane].ReadyAt = nw.now + 1 + nw.p.Td
 	}
 }
 
@@ -854,16 +776,15 @@ func (nw *Network) refreshReady(ivc *router.InVC) {
 // and stages it for the ordered commit on the parallel one.
 //
 //simlint:phase compute
-func (w *worker) moveEject(node topology.NodeID, rt *router.Router, port, vc int) {
+func (w *worker) moveEject(node topology.NodeID, rt *router.Router, lane router.Lane) {
 	nw := w.nw
-	ivc := &rt.In[port][vc]
-	f := rt.Pop(port, vc)
-	w.returnCredit(node, port, vc)
+	f := rt.PopLane(lane)
+	w.returnCredit(node, rt, lane)
 	if !f.IsTail() {
 		return
 	}
-	ivc.HasRoute = false
-	nw.refreshReady(ivc)
+	rt.ClearRoute(lane)
+	nw.refreshReady(rt, lane)
 	ref := f.Ref()
 	m := nw.pool.At(ref)
 	reason := m.Pending
@@ -893,41 +814,34 @@ func (nw *Network) requeue(node topology.NodeID, ref message.Ref) {
 	nw.reQ[node].Push(pendingMsg{ref: ref, eligibleAt: nw.now + nw.p.Delta})
 }
 
-// returnCredit stages a credit for the upstream output VC feeding input
-// (port, vc) of node. Injection-port buffers are fed by the local source,
+// returnCredit stages a credit for the upstream output VC feeding an
+// input lane of node. Injection-port buffers are fed by the local source,
 // which checks space directly, so they carry no credits.
 //
 //simlint:phase compute
-func (w *worker) returnCredit(node topology.NodeID, port, vc int) {
+func (w *worker) returnCredit(node topology.NodeID, rt *router.Router, lane router.Lane) {
 	nw := w.nw
-	if port >= nw.t.Degree() {
+	port, vc := rt.LanePortVC(lane)
+	if port >= nw.degree {
 		return
 	}
-	tp := topology.Port(port)
-	up := nw.linkFor(node, tp).dst
+	lk := nw.linkFor(node, topology.Port(port))
 	ev := creditEvent{
 		dueAt: nw.now + nw.p.CreditDelay - 1,
-		node:  up,
-		port:  tp.Opposite(),
-		vc:    vc,
+		node:  lk.dst,
+		out:   lk.back + int32(vc),
 	}
 	if w.direct {
-		nw.credits = append(nw.credits, ev)
+		w.credQ = append(w.credQ, ev)
 		return
 	}
-	w.outCred[nw.dom[up]] = append(w.outCred[nw.dom[up]], ev)
+	w.outCred[nw.dom[lk.dst]] = append(w.outCred[nw.dom[lk.dst]], ev)
 }
 
-// inject moves at most one flit per node from the software layer into the
-// injection input port, starting new streams as injection VCs free up.
-// Re-injected (absorbed) messages always start before new messages.
-func (nw *Network) inject() {
-	for _, node := range nw.work {
-		nw.sw.injectNode(node)
-	}
-}
-
-// injectNode runs one node's software-layer injection for this cycle.
+// injectNode runs one node's software-layer injection for this cycle: at
+// most one flit moves from the software layer into the injection input
+// port, new streams starting as injection VCs free up. Re-injected
+// (absorbed) messages always start before new messages.
 //
 //simlint:phase compute
 func (w *worker) injectNode(node topology.NodeID) {
@@ -937,34 +851,33 @@ func (w *worker) injectNode(node topology.NodeID) {
 	if len(ss) == 0 {
 		return
 	}
-	rt := nw.routers[node]
-	injPort := rt.InjectionPort()
+	rt := &nw.routers[node]
 	// Round-robin across active streams for the single injection
-	// channel's flit slot.
+	// channel's flit slot (same wrap discipline as switchNode).
 	n := len(ss)
-	start := nw.rrInj[node] % n
+	k := nw.rrInj[node]
+	for k >= n {
+		k -= n
+	}
 	for i := 0; i < n; i++ {
-		s := &ss[(start+i)%n]
-		ivc := &rt.In[injPort][s.vc]
-		if ivc.Buf.Space() == 0 {
+		idx := k
+		if k++; k == n {
+			k = 0
+		}
+		s := &ss[idx]
+		lane := rt.LaneOf(rt.InjectionPort(), s.vc)
+		if rt.Space(lane) == 0 {
 			continue
 		}
 		// Injection is a local wire: always one cycle.
-		ev := arrivalEvent{
-			dueAt: nw.now, node: node, port: injPort, vc: s.vc,
+		w.injArr = append(w.injArr, arrivalEvent{
+			dueAt: nw.now, node: node, lane: lane,
 			flit: message.MakeFlit(s.ref, s.seq, s.len),
-		}
-		if w.direct {
-			nw.injArrivals = append(nw.injArrivals, ev)
-		} else {
-			w.injArr = append(w.injArr, ev)
-		}
-		// Reserve the slot so a same-cycle arrival cannot overflow.
+		})
 		s.seq++
-		nw.rrInj[node] = (start + i + 1) % n
+		nw.rrInj[node] = k
 		if s.seq == s.len {
 			// Stream complete; remove, preserving order.
-			idx := (start + i) % n
 			nw.streams[node] = append(ss[:idx], ss[idx+1:]...)
 		}
 		break
@@ -979,7 +892,7 @@ func (w *worker) injectNode(node topology.NodeID) {
 //simlint:phase compute
 func (w *worker) startStreams(node topology.NodeID) {
 	nw := w.nw
-	rt := nw.routers[node]
+	rt := &nw.routers[node]
 	injPort := rt.InjectionPort()
 	for {
 		ref, ok := nw.peekQueue(node)
@@ -989,8 +902,7 @@ func (w *worker) startStreams(node topology.NodeID) {
 		// Find a free injection VC: empty buffer and no stream using it.
 		vc := -1
 		for v := 0; v < nw.p.V; v++ {
-			ivc := &rt.In[injPort][v]
-			if ivc.HasRoute || ivc.Buf.Len() > 0 {
+			if lane := rt.LaneOf(injPort, v); rt.HasRoute(lane) || rt.Len(lane) > 0 {
 				continue
 			}
 			inUse := false
@@ -1092,19 +1004,14 @@ func (w *worker) prepareForInjection(node topology.NodeID, m *message.Message) b
 	return true
 }
 
-// stageArrival enqueues an in-flight link transfer on the serial engine's
-// queue. With uniform link latency the queue is naturally due-ordered
-// FIFO; a latmap overlay mixes latencies, so the event is then inserted at
-// its due position (after every event with the same due cycle, preserving
-// deterministic same-cycle application order).
-func (nw *Network) stageArrival(ev arrivalEvent) {
-	nw.arrivals = queueArrival(nw.arrivals, ev, nw.uniformLat)
-}
-
 // queueArrival inserts one staged transfer into a due-ordered arrival
-// queue, keeping same-due events in staging order. The serial engine and
-// every parallel domain share this discipline, which is what makes the
-// per-domain queues apply each receiver's events in the serial order.
+// queue, keeping same-due events in staging order. With uniform link
+// latency the queue is naturally due-ordered FIFO; a latmap overlay mixes
+// latencies, so the event is then inserted at its due position (after
+// every event with the same due cycle, preserving deterministic same-cycle
+// application order). The serial engine and every parallel domain share
+// this discipline, which is what makes the per-domain queues apply each
+// receiver's events in the serial order.
 func queueArrival(q []arrivalEvent, ev arrivalEvent, uniformLat bool) []arrivalEvent {
 	n := len(q)
 	if uniformLat || n == 0 || q[n-1].dueAt <= ev.dueAt {
@@ -1117,49 +1024,17 @@ func queueArrival(q []arrivalEvent, ev arrivalEvent, uniformLat bool) []arrivalE
 	return q
 }
 
-// applyStaged commits the flit arrivals and credit returns that are due at
-// the end of this cycle. With the default unit link latency and credit
-// delay every staged event is due immediately; longer latencies leave a
-// sorted (FIFO) tail in flight.
-func (nw *Network) applyStaged() {
-	for _, a := range nw.injArrivals {
-		nw.sw.applyArrival(a)
-	}
-	nw.injArrivals = nw.injArrivals[:0]
-	i := 0
-	for ; i < len(nw.arrivals) && nw.arrivals[i].dueAt <= nw.now; i++ {
-		nw.sw.applyArrival(nw.arrivals[i])
-	}
-	nw.arrivals = sliceTail(nw.arrivals, i)
-	j := 0
-	for ; j < len(nw.credits) && nw.credits[j].dueAt <= nw.now; j++ {
-		c := nw.credits[j]
-		nw.routers[c.node].Out[c.port][c.vc].Credits++
-	}
-	nw.credits = sliceTail(nw.credits, j)
-}
-
-// applyArrival commits one staged flit into its destination buffer. A
-// parallel worker only ever applies arrivals addressed to its own domain,
-// so the activation mark goes on its private pend list; the serial worker
-// marks through the engine's pending list as always.
+// applyArrival commits one staged flit into its destination buffer and
+// activates the receiving router. A worker only ever applies arrivals
+// addressed to its own domain, so the mark goes into its own active set.
 func (w *worker) applyArrival(a arrivalEvent) {
 	nw := w.nw
-	rt := nw.routers[a.node]
-	rt.Push(a.port, a.vc, a.flit)
-	if !nw.p.DenseScan && !nw.active[a.node] {
-		nw.active[a.node] = true
-		if w.direct {
-			nw.pending = append(nw.pending, a.node)
-		} else {
-			w.pend = append(w.pend, a.node)
-		}
-	}
-	if a.flit.IsHead() {
-		ivc := &rt.In[a.port][a.vc]
-		if ivc.Buf.Len() == 1 { // became front: routing decision earliest next cycle
-			ivc.ReadyAt = nw.now + 1 + nw.p.Td
-		}
+	rt := &nw.routers[a.node]
+	rt.PushLane(a.lane, a.flit)
+	w.mark(a.node)
+	if a.flit.IsHead() && rt.Len(a.lane) == 1 {
+		// Became front: routing decision earliest next cycle.
+		rt.In[a.lane].ReadyAt = nw.now + 1 + nw.p.Td
 	}
 }
 

@@ -34,12 +34,12 @@ package network
 // every scheduler ablation honors, enforced by TestParallelMatchesSerial.
 import (
 	"fmt"
-	"slices"
-	"sort"
+	"math/bits"
 	"sync"
 
 	"repro/internal/message"
 	"repro/internal/metrics"
+	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -96,16 +96,26 @@ type worker struct {
 	id     int
 	direct bool
 
-	// [loNode, hiNode) is the domain's node-id range; [workLo, workHi) is
-	// its slice of nw.work this cycle (recomputed by beginCycleParallel).
+	// [loNode, hiNode) is the domain's node-id range.
 	loNode, hiNode topology.NodeID
-	workLo, workHi int
+
+	// act is the domain's active-router set — the scheduler's first level:
+	// bit (id − loNode) is set while router id can make progress. Events
+	// set bits (mark: generated traffic, flit arrivals, re-injections),
+	// phase B clears a router once it is fully drained (no buffered flits,
+	// no queued messages, no streams). Each domain owns whole words, so no
+	// two goroutines ever share one. work is the set expanded in ascending
+	// node order at the start of phase A — the order of a dense scan, which
+	// is what makes the scheduler rng-transparent — and walked by every
+	// phase of the cycle. With Params.DenseScan every bit stays set.
+	act  []uint64
+	work []topology.NodeID
 
 	alg routing.Router
 
-	// Per-worker phase scratch, formerly engine-global: crossbar request
-	// buckets and the candidate-VC buffer.
-	buckets [][]xbarReq
+	// Per-worker phase scratch: crossbar request buckets (input lanes
+	// asking for each output physical channel) and the candidate-VC buffer.
+	buckets [][]router.Lane
 	freeVCs []routing.CandidateVC
 
 	// ph selects which effect log phase-A appends to.
@@ -120,26 +130,37 @@ type worker struct {
 	outCred [][]creditEvent
 
 	// injArr holds same-cycle injection-channel transfers (always
-	// addressed to the worker's own domain); arrQ/credQ are the domain's
-	// in-flight link-transfer and credit queues, the parallel split of the
-	// serial engine's arrivals/credits.
+	// addressed to the worker's own domain, drained fully every cycle);
+	// arrQ/credQ are the domain's in-flight link-transfer and credit
+	// queues. The direct worker stages into its own queues; a domain worker
+	// receives through the mailboxes above.
 	injArr []arrivalEvent
 	arrQ   []arrivalEvent
 	credQ  []creditEvent
-
-	// pend collects routers of this domain activated during phase B; keep
-	// is the retire filter's output, spliced into nw.work at cycle end.
-	pend []topology.NodeID
-	keep []topology.NodeID
 }
 
 func newWorker(nw *Network, id int, direct bool, lo, hi topology.NodeID, alg routing.Router) *worker {
 	w := &worker{nw: nw, id: id, direct: direct, loNode: lo, hiNode: hi, alg: alg}
-	w.buckets = make([][]xbarReq, nw.t.Degree())
+	w.act = make([]uint64, (int(hi-lo)+63)/64)
+	w.work = make([]topology.NodeID, 0, hi-lo)
+	if nw.p.DenseScan {
+		for n := lo; n < hi; n++ {
+			w.mark(n)
+		}
+	}
+	lanes := (nw.degree + 1) * nw.p.V
+	backing := make([]router.Lane, nw.degree*lanes)
+	w.buckets = make([][]router.Lane, nw.degree)
 	for i := range w.buckets {
-		w.buckets[i] = make([]xbarReq, 0, (nw.t.Degree()+1)*nw.p.V)
+		w.buckets[i] = backing[i*lanes : i*lanes : (i+1)*lanes]
 	}
 	return w
+}
+
+// mark puts a router of this domain into the active set. Idempotent.
+func (w *worker) mark(id topology.NodeID) {
+	i := uint(id - w.loNode)
+	w.act[i>>6] |= 1 << (i & 63)
 }
 
 // initWorkers builds the parallel domain workers when Params.Workers asks
@@ -182,6 +203,7 @@ func (nw *Network) initWorkers() {
 		}
 		nw.par[i] = w
 	}
+	nw.doms = nw.par
 }
 
 // emit applies one shared-state effect: immediately on the serial path,
@@ -248,58 +270,15 @@ func (nw *Network) applyFx(r fxRec) {
 	}
 }
 
-// stageArrivalW routes a staged link transfer: onto the serial engine's
-// global queue, or into the mailbox of the destination router's domain.
-func (w *worker) stageArrivalW(ev arrivalEvent) {
+// stageArrival routes a staged link transfer: onto the direct worker's own
+// queue, or into the mailbox of the destination router's domain.
+func (w *worker) stageArrival(ev arrivalEvent) {
 	if w.direct {
-		w.nw.stageArrival(ev)
+		w.arrQ = queueArrival(w.arrQ, ev, w.nw.uniformLat)
 		return
 	}
 	d := w.nw.dom[ev.node]
 	w.outArr[d] = append(w.outArr[d], ev)
-}
-
-// stepParallel is Step for Workers > 1. Traffic polling stays serial (the
-// source is one stream of draws); everything per-router fans out.
-func (nw *Network) stepParallel() {
-	nw.now++
-	nw.applyTransitions() // serial: no worker goroutine exists between cycles
-	nw.pollTraffic()
-	nw.beginCycleParallel()
-	nw.runParallel((*worker).phaseA)
-	nw.commitEffects()
-	nw.runParallel((*worker).phaseB)
-	nw.finishCycleParallel()
-}
-
-// beginCycleParallel merges newly activated routers (serial-side pending
-// plus every worker's phase-B pend list) into the sorted worklist, then
-// recomputes each domain's work range. The active flags guarantee a node
-// appears in at most one of the merged lists.
-func (nw *Network) beginCycleParallel() {
-	if !nw.p.DenseScan {
-		merged := len(nw.pending) > 0
-		if merged {
-			nw.work = append(nw.work, nw.pending...)
-			nw.pending = nw.pending[:0]
-		}
-		for _, w := range nw.par {
-			if len(w.pend) > 0 {
-				nw.work = append(nw.work, w.pend...)
-				w.pend = w.pend[:0]
-				merged = true
-			}
-		}
-		if merged {
-			slices.Sort(nw.work)
-		}
-	}
-	lo := 0
-	for _, w := range nw.par {
-		hi := lo + sort.Search(len(nw.work)-lo, func(i int) bool { return nw.work[lo+i] >= w.hiNode })
-		w.workLo, w.workHi = lo, hi
-		lo = hi
-	}
 }
 
 // runParallel executes f on every worker, worker 0 on the calling
@@ -319,28 +298,30 @@ func (nw *Network) runParallel(f func(*worker)) {
 	wg.Wait()
 }
 
-// phaseA runs the three per-router phases over the worker's slice of the
-// worklist, in the serial engine's node-ascending, phase-major order.
+// phaseA expands the domain's active set into this cycle's worklist and
+// runs the three per-router phases over it, in node-ascending, phase-major
+// order: routing decisions and output-VC allocation for every head parked
+// at the front of an input VC, switch allocation and link/ejection
+// traversal, then software-layer injection.
 //
 //simlint:phase compute
 func (w *worker) phaseA() {
-	nw := w.nw
-	work := nw.work[w.workLo:w.workHi]
-	if nw.vcTrack {
-		for _, id := range work {
-			nw.routers[id].MergeLanes()
+	w.work = w.work[:0]
+	for i, m := range w.act {
+		for ; m != 0; m &= m - 1 {
+			w.work = append(w.work, w.loNode+topology.NodeID(i<<6+bits.TrailingZeros64(m)))
 		}
 	}
 	w.ph = phRoute
-	for _, node := range work {
+	for _, node := range w.work {
 		w.routeNode(node)
 	}
 	w.ph = phSwitch
-	for _, node := range work {
+	for _, node := range w.work {
 		w.switchNode(node)
 	}
 	w.ph = phInject
-	for _, node := range work {
+	for _, node := range w.work {
 		w.injectNode(node)
 	}
 }
@@ -363,10 +344,14 @@ func (nw *Network) commitEffects() {
 	}
 }
 
-// phaseB applies the cycle's staged transfers to the worker's own domain
-// and retires drained routers. Each (sender, receiver) mailbox is drained
-// only here, only by its receiver, after the phase barrier — so phase B
-// reads nothing any other goroutine is writing.
+// phaseB applies the staged transfers due at the end of this cycle to the
+// worker's own domain and retires drained routers. With the default unit
+// link latency and credit delay every staged event is due immediately;
+// longer latencies leave a due-ordered tail in flight. Each (sender,
+// receiver) mailbox is drained only here, only by its receiver, after the
+// phase barrier — so phase B reads nothing any other goroutine is writing.
+// (The direct worker has no mailboxes: nw.par is empty and it staged
+// straight into arrQ/credQ.)
 //
 //simlint:phase commit
 func (w *worker) phaseB() {
@@ -402,33 +387,18 @@ func (w *worker) phaseB() {
 	j := 0
 	for ; j < len(w.credQ) && w.credQ[j].dueAt <= nw.now; j++ {
 		c := w.credQ[j]
-		nw.routers[c.node].Out[c.port][c.vc].Credits++
+		nw.routers[c.node].Out[c.out].Credits++
 	}
 	w.credQ = sliceTail(w.credQ, j)
-	// Retire drained routers from this domain's work range (serial
-	// endCycle, restricted to the domain).
+	// Retire this cycle's drained routers; one that an arrival above just
+	// re-activated is busy again and stays.
 	if nw.p.DenseScan {
 		return
 	}
-	w.keep = w.keep[:0]
-	for _, id := range nw.work[w.workLo:w.workHi] {
-		if nw.routerBusy(id) {
-			w.keep = append(w.keep, id)
-		} else {
-			nw.active[id] = false
+	for _, id := range w.work {
+		if !nw.routerBusy(id) {
+			i := uint(id - w.loNode)
+			w.act[i>>6] &^= 1 << (i & 63)
 		}
-	}
-}
-
-// finishCycleParallel splices the per-domain keep lists back into the
-// worklist. Each list is ascending and domains cover ascending ranges, so
-// the concatenation is sorted without another sort.
-func (nw *Network) finishCycleParallel() {
-	if nw.p.DenseScan {
-		return
-	}
-	nw.work = nw.work[:0]
-	for _, w := range nw.par {
-		nw.work = append(nw.work, w.keep...)
 	}
 }

@@ -122,8 +122,8 @@ func TestParallelMatchesSerialAblations(t *testing.T) {
 }
 
 // TestParallelDrainsWorklist checks the parallel scheduler bookkeeping:
-// once the network is idle, no router may linger on the worklist, any
-// worker's pending list, or the active flags.
+// once the network is idle, no router may linger in any domain's active
+// set.
 func TestParallelDrainsWorklist(t *testing.T) {
 	net := topology.New(8, 2)
 	fs := fault.NewSet(net)
@@ -152,17 +152,8 @@ func TestParallelDrainsWorklist(t *testing.T) {
 	if !nw.Idle() {
 		t.Fatal("network did not drain")
 	}
-	n := len(nw.work) + len(nw.pending)
-	for _, w := range nw.par {
-		n += len(w.pend)
-	}
-	if n != 0 {
-		t.Fatalf("idle network still has %d routers on worklists", n)
-	}
-	for id, a := range nw.active {
-		if a {
-			t.Fatalf("idle network: router %d still flagged active", id)
-		}
+	if n := activeRouters(nw); n != 0 {
+		t.Fatalf("idle network still has %d routers in the active sets", n)
 	}
 }
 
@@ -214,8 +205,8 @@ func TestParallelRequiresAlgFactory(t *testing.T) {
 
 // TestParallelEnqueueDriven checks the source-less path under the worker
 // pool: caller-enqueued messages must behave identically at any worker
-// count (Enqueue feeds the serial-side pending list, which
-// beginCycleParallel merges).
+// count (Enqueue marks the owning domain's active set from the serial
+// side, between cycles).
 func TestParallelEnqueueDriven(t *testing.T) {
 	run := func(workers int) []trace.Event {
 		net := topology.New(8, 2)

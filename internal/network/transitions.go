@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/message"
+	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -48,6 +49,11 @@ func (nw *Network) applyTransitions() {
 	}
 	if changed {
 		nw.refreshRouting()
+		// The fault set is an input of Route: every parked head must ask
+		// again (see allocateLane).
+		for id := range nw.routers {
+			nw.routers[id].Unblock()
+		}
 	}
 }
 
@@ -86,28 +92,26 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 		return deadNode >= 0 && nw.pool.At(ref).Dst == deadNode
 	}
 	for id := range nw.routers {
-		rt := nw.routers[id]
+		rt := &nw.routers[id]
 		node := topology.NodeID(id)
-		for p := range rt.In {
-			for vc := range rt.In[p] {
-				ivc := &rt.In[p][vc]
-				if node == deadNode {
-					ivc.Buf.Each(func(f message.Flit) { aff[f.Ref()] = true })
-					if ivc.HasRoute {
-						aff[ivc.Owner] = true
-					}
-					continue
-				}
-				if deadNode >= 0 {
-					ivc.Buf.Each(func(f message.Flit) {
-						if dstDead(f.Ref()) {
-							aff[f.Ref()] = true
-						}
-					})
-				}
-				if ivc.HasRoute && !ivc.ToEject && dead[topology.ChannelID{Src: node, Port: ivc.OutPort}] {
+		for l := range rt.In {
+			lane, ivc := router.Lane(l), &rt.In[l]
+			if node == deadNode {
+				rt.Each(lane, func(f message.Flit) { aff[f.Ref()] = true })
+				if rt.HasRoute(lane) {
 					aff[ivc.Owner] = true
 				}
+				continue
+			}
+			if deadNode >= 0 {
+				rt.Each(lane, func(f message.Flit) {
+					if dstDead(f.Ref()) {
+						aff[f.Ref()] = true
+					}
+				})
+			}
+			if rt.HasRoute(lane) && !ivc.ToEject && dead[topology.ChannelID{Src: node, Port: topology.Port(ivc.OutPort)}] {
+				aff[ivc.Owner] = true
 			}
 		}
 	}
@@ -120,8 +124,7 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 			}
 		}
 	}
-	markArrivals(nw.arrivals)
-	for _, w := range nw.par {
+	for _, w := range nw.doms {
 		markArrivals(w.arrQ)
 	}
 	if deadNode >= 0 {
@@ -139,37 +142,32 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 	// buffer will never pop, so the credit it consumed upstream is
 	// restored directly — unless the feeding channel is dead, whose output
 	// VCs are reset wholesale in pass 4.
-	degree := nw.t.Degree()
 	for id := range nw.routers {
-		rt := nw.routers[id]
+		rt := &nw.routers[id]
 		node := topology.NodeID(id)
-		for p := range rt.In {
-			for vc := range rt.In[p] {
-				ivc := &rt.In[p][vc]
-				removed := 0
-				if ivc.Buf.Len() > 0 {
-					removed = rt.FilterLane(p, vc, func(f message.Flit) bool { return aff[f.Ref()] })
+		for l := range rt.In {
+			lane, ivc := router.Lane(l), &rt.In[l]
+			removed := rt.FilterLane(lane, func(f message.Flit) bool { return aff[f.Ref()] })
+			if p, vc := rt.LanePortVC(lane); removed > 0 && p < nw.degree {
+				feed := topology.ChannelID{Src: nw.linkFor(node, topology.Port(p)).dst, Port: topology.Port(p).Opposite()}
+				if !dead[feed] {
+					up := &nw.routers[feed.Src]
+					up.Out[up.OutIndex(feed.Port, vc)].Credits += int32(removed)
 				}
-				if removed > 0 && p < degree {
-					feed := topology.ChannelID{Src: nw.linkFor(node, topology.Port(p)).dst, Port: topology.Port(p).Opposite()}
-					if !dead[feed] {
-						nw.routers[feed.Src].Out[feed.Port][vc].Credits += removed
-					}
+			}
+			cleared := false
+			if rt.HasRoute(lane) && aff[ivc.Owner] {
+				if !ivc.ToEject {
+					rt.Release(rt.OutIndex(topology.Port(ivc.OutPort), int(ivc.OutVC)))
 				}
-				cleared := false
-				if ivc.HasRoute && aff[ivc.Owner] {
-					if !ivc.ToEject {
-						rt.Out[ivc.OutPort][ivc.OutVC].Busy = false
-					}
-					ivc.HasRoute = false
-					cleared = true
-				}
-				if removed > 0 || cleared {
-					// A surviving worm's head may have surfaced; treat it
-					// like an arrival at the end of the previous cycle.
-					if nf, ok := ivc.Buf.Front(); ok && nf.IsHead() && !ivc.HasRoute {
-						ivc.ReadyAt = nw.now + nw.p.Td
-					}
+				rt.ClearRoute(lane)
+				cleared = true
+			}
+			if removed > 0 || cleared {
+				// A surviving worm's head may have surfaced; treat it
+				// like an arrival at the end of the previous cycle.
+				if nf, ok := rt.Front(lane); ok && nf.IsHead() && !rt.HasRoute(lane) {
+					ivc.ReadyAt = nw.now + nw.p.Td
 				}
 			}
 		}
@@ -177,8 +175,7 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 
 	// Pass 3: drop the affected worms' in-flight link transfers, again
 	// restoring the consumed credit when the traveled channel survives.
-	nw.arrivals = nw.filterArrivals(nw.arrivals, aff, dead)
-	for _, w := range nw.par {
+	for _, w := range nw.doms {
 		w.arrQ = nw.filterArrivals(w.arrQ, aff, dead)
 	}
 
@@ -202,12 +199,12 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 		return deadCh[i].Port < deadCh[j].Port
 	})
 	for _, ch := range deadCh {
-		down := nw.linkFor(ch.Src, ch.Port).dst
-		inPort := int(ch.Port.Opposite())
+		lk := nw.linkFor(ch.Src, ch.Port)
+		rt, down := &nw.routers[ch.Src], &nw.routers[lk.dst]
 		for vc := 0; vc < nw.p.V; vc++ {
-			ovc := &nw.routers[ch.Src].Out[ch.Port][vc]
-			ovc.Busy = false
-			ovc.Credits = nw.p.BufDepth - nw.routers[down].In[inPort][vc].Buf.Len() - nw.pendingCredits(ch.Src, ch.Port, vc)
+			o := rt.OutIndex(ch.Port, vc)
+			rt.Release(o)
+			rt.Out[o].Credits = int32(nw.p.BufDepth - down.Len(router.Lane(lk.back)+router.Lane(vc)) - nw.pendingCredits(ch.Src, o))
 		}
 	}
 
@@ -302,11 +299,12 @@ func (nw *Network) deadChannels(tr fault.Transition) (map[topology.ChannelID]boo
 // traveling on: the event is addressed to (node, input port), so it came
 // from that port's neighbor through the paired output.
 func (nw *Network) arrivalChannel(ev arrivalEvent) (topology.ChannelID, bool) {
-	if ev.port >= nw.t.Degree() {
+	port, _ := nw.routers[ev.node].LanePortVC(ev.lane)
+	if port >= nw.degree {
 		return topology.ChannelID{}, false // injection transfer: no link
 	}
-	up := nw.linkFor(ev.node, topology.Port(ev.port)).dst
-	return topology.ChannelID{Src: up, Port: topology.Port(ev.port).Opposite()}, true
+	up := nw.linkFor(ev.node, topology.Port(port)).dst
+	return topology.ChannelID{Src: up, Port: topology.Port(port).Opposite()}, true
 }
 
 // filterArrivals removes in-flight transfers of affected worms from one
@@ -320,26 +318,24 @@ func (nw *Network) filterArrivals(q []arrivalEvent, aff map[message.Ref]bool, de
 			continue
 		}
 		if ch, ok := nw.arrivalChannel(ev); ok && !dead[ch] {
-			nw.routers[ch.Src].Out[ch.Port][ev.vc].Credits++
+			up := &nw.routers[ch.Src]
+			_, vc := up.LanePortVC(ev.lane)
+			up.Out[up.OutIndex(ch.Port, vc)].Credits++
 		}
 	}
 	return kept
 }
 
-// pendingCredits counts staged credit returns addressed to output VC
-// (node, port, vc), across the serial queue and every domain's.
-func (nw *Network) pendingCredits(node topology.NodeID, port topology.Port, vc int) int {
+// pendingCredits counts staged credit returns addressed to output VC out
+// (a router.OutIndex) of node, across every domain's queue.
+func (nw *Network) pendingCredits(node topology.NodeID, out int) int {
 	n := 0
-	count := func(q []creditEvent) {
-		for _, c := range q {
-			if c.node == node && c.port == port && c.vc == vc {
+	for _, w := range nw.doms {
+		for _, c := range w.credQ {
+			if c.node == node && int(c.out) == out {
 				n++
 			}
 		}
-	}
-	count(nw.credits)
-	for _, w := range nw.par {
-		count(w.credQ)
 	}
 	return n
 }

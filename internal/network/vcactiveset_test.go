@@ -70,8 +70,8 @@ func TestVCActiveSetDrainsLanes(t *testing.T) {
 	if !nw.Idle() {
 		t.Fatal("network did not drain")
 	}
-	for id, rt := range nw.routers {
-		if n := rt.LaneCount(); n != 0 {
+	for id := range nw.routers {
+		if n := nw.routers[id].LaneCount(); n != 0 {
 			t.Fatalf("idle network: router %d still has %d active lanes", id, n)
 		}
 	}

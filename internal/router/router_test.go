@@ -1,8 +1,10 @@
 package router
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/message"
 )
@@ -13,66 +15,70 @@ func poolMsg(length int) *message.Message {
 	return message.NewPool(2, false).New(1, 0, 1, length, message.Deterministic, 0)
 }
 
+// ring builds a one-lane-deep view of a router: the tests below drive lane
+// (0, 0) as a bare FIFO of the given capacity.
+func ring(capacity int) *Router { return New(0, 1, 1, capacity) }
+
 func TestFlitQueueFIFO(t *testing.T) {
-	q := NewFlitQueue(4)
+	r := ring(4)
 	m := poolMsg(4)
 	for i := 0; i < 4; i++ {
-		q.Push(m.Flit(i))
+		r.PushLane(0, m.Flit(i))
 	}
-	if q.Len() != 4 || q.Space() != 0 || q.Cap() != 4 {
-		t.Fatalf("len/space/cap = %d/%d/%d", q.Len(), q.Space(), q.Cap())
+	if r.Len(0) != 4 || r.Space(0) != 0 {
+		t.Fatalf("len/space = %d/%d", r.Len(0), r.Space(0))
 	}
 	for i := 0; i < 4; i++ {
-		f, ok := q.Front()
+		f, ok := r.Front(0)
 		if !ok || f.Seq() != i {
 			t.Fatalf("front seq = %d, want %d", f.Seq(), i)
 		}
-		if got := q.Pop(); got.Seq() != i {
+		if got := r.PopLane(0); got.Seq() != i {
 			t.Fatalf("pop seq = %d, want %d", got.Seq(), i)
 		}
 	}
-	if _, ok := q.Front(); ok {
-		t.Fatal("front on empty queue succeeded")
+	if _, ok := r.Front(0); ok {
+		t.Fatal("front on empty lane succeeded")
 	}
 }
 
 func TestFlitQueueWrapsRing(t *testing.T) {
-	q := NewFlitQueue(2)
+	r := ring(2)
 	m := poolMsg(8)
 	// Interleave push/pop so head wraps around the ring repeatedly.
 	seq := 0
-	q.Push(m.Flit(seq))
+	r.PushLane(0, m.Flit(seq))
 	seq++
 	for i := 0; i < 20; i++ {
-		q.Push(m.Flit(seq % 8))
+		r.PushLane(0, m.Flit(seq%8))
 		seq++
 		want := (seq - 2) % 8
-		if got := q.Pop(); got.Seq() != want {
+		if got := r.PopLane(0); got.Seq() != want {
 			t.Fatalf("iteration %d: pop seq %d, want %d", i, got.Seq(), want)
 		}
 	}
 }
 
 func TestFlitQueueOverflowPanics(t *testing.T) {
-	q := NewFlitQueue(1)
+	r := ring(1)
 	m := poolMsg(4)
-	q.Push(m.Flit(0))
+	r.PushLane(0, m.Flit(0))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("overflow did not panic")
 		}
 	}()
-	q.Push(m.Flit(1))
+	r.PushLane(0, m.Flit(1))
 }
 
 func TestFlitQueueUnderflowPanics(t *testing.T) {
-	q := NewFlitQueue(1)
+	r := ring(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("underflow did not panic")
 		}
 	}()
-	q.Pop()
+	r.PopLane(0)
 }
 
 func TestNewFlitQueueValidation(t *testing.T) {
@@ -81,37 +87,76 @@ func TestNewFlitQueueValidation(t *testing.T) {
 			t.Fatal("zero capacity did not panic")
 		}
 	}()
-	NewFlitQueue(0)
+	ring(0)
 }
 
 func TestRouterLayout(t *testing.T) {
 	r := New(5, 3, 10, 2)
-	if len(r.In) != 7 { // 6 network + injection
-		t.Fatalf("in ports = %d, want 7", len(r.In))
+	if r.ID != 5 {
+		t.Fatalf("id = %d, want 5", r.ID)
 	}
-	if len(r.Out) != 6 {
-		t.Fatalf("out ports = %d, want 6", len(r.Out))
+	if len(r.In) != 7*10 { // (6 network + injection) × V
+		t.Fatalf("input lanes = %d, want 70", len(r.In))
+	}
+	if len(r.Out) != 6*10 {
+		t.Fatalf("output VCs = %d, want 60", len(r.Out))
 	}
 	if r.InjectionPort() != 6 {
 		t.Fatalf("injection port = %d", r.InjectionPort())
 	}
-	for p := range r.In {
-		if len(r.In[p]) != 10 {
-			t.Fatalf("port %d has %d VCs", p, len(r.In[p]))
+	if r.Words() != 2 {
+		t.Fatalf("lane-set words = %d, want 2 for 70 lanes", r.Words())
+	}
+	for o := range r.Out {
+		if r.Out[o].Credits != 2 {
+			t.Fatalf("initial credits = %d, want bufDepth 2", r.Out[o].Credits)
+		}
+		if r.Out[o].Busy {
+			t.Fatal("output VC born busy")
 		}
 	}
-	for p := range r.Out {
-		for vc := range r.Out[p] {
-			if r.Out[p][vc].Credits != 2 {
-				t.Fatalf("initial credits = %d, want bufDepth 2", r.Out[p][vc].Credits)
-			}
-			if r.Out[p][vc].Busy {
-				t.Fatal("output VC born busy")
-			}
-		}
-	}
-	if len(r.RROut) != 7 { // network ports + ejection arbiter slot
+	if len(r.RROut) != 6 { // one arbiter per network output port
 		t.Fatalf("rr slots = %d", len(r.RROut))
+	}
+	if size := unsafe.Sizeof(InVC{}); size > 40 {
+		t.Fatalf("InVC is %d bytes, want <= 40", size)
+	}
+}
+
+// TestSlabRoutersAreDisjoint checks the arena carving: every router of a
+// slab gets its own id and its own windows, so filling one router's lanes
+// to capacity leaves its neighbours untouched.
+func TestSlabRoutersAreDisjoint(t *testing.T) {
+	rs := NewSlab(3, 2, 4, 2)
+	m := poolMsg(4)
+	mid := &rs[1]
+	for l := range mid.In {
+		mid.PushLane(Lane(l), m.Flit(0))
+		mid.PushLane(Lane(l), m.Flit(1))
+		mid.SetRoute(Lane(l))
+		mid.Block(Lane(l))
+	}
+	for o := range mid.Out {
+		mid.Out[o].Busy = true
+	}
+	for _, id := range []int{0, 2} {
+		r := &rs[id]
+		if int(r.ID) != id {
+			t.Fatalf("router %d has id %d", id, r.ID)
+		}
+		if r.Flits != 0 || r.LaneCount() != 0 {
+			t.Fatalf("router %d: neighbour's pushes leaked in (flits %d, lanes %d)", id, r.Flits, r.LaneCount())
+		}
+		for l := range r.In {
+			if r.HasRoute(Lane(l)) || r.Blocked(Lane(l)) || r.Len(Lane(l)) != 0 {
+				t.Fatalf("router %d lane %d: neighbour's state leaked in", id, l)
+			}
+		}
+		for o := range r.Out {
+			if r.Out[o].Busy {
+				t.Fatalf("router %d out %d: neighbour's state leaked in", id, o)
+			}
+		}
 	}
 }
 
@@ -132,9 +177,17 @@ func TestActivityCounter(t *testing.T) {
 	}
 }
 
+// lanesOf collects the active lanes in iteration order.
+func lanesOf(r *Router) []Lane {
+	var out []Lane
+	for _, l := range r.Lanes() {
+		out = append(out, l)
+	}
+	return out
+}
+
 func TestLaneWorklistOrderAndRetire(t *testing.T) {
 	r := New(0, 2, 4, 2) // degree 4 + injection port, V=4
-	r.EnableLaneTracking()
 	m := poolMsg(8)
 
 	// Mark lanes out of order, with a duplicate push into one of them.
@@ -143,67 +196,168 @@ func TestLaneWorklistOrderAndRetire(t *testing.T) {
 	r.Push(r.InjectionPort(), 0, m.Flit(2))
 	r.Push(2, 3, m.Flit(3)) // same lane again: must not double-mark
 	if got := r.LaneCount(); got != 3 {
-		t.Fatalf("lane count before merge = %d, want 3", got)
+		t.Fatalf("lane count = %d, want 3", got)
 	}
-	if got := len(r.Lanes()); got != 0 {
-		t.Fatalf("lanes visible before merge: %d", got)
-	}
-
-	r.MergeLanes()
 	want := []Lane{Lane(0*4 + 1), Lane(2*4 + 3), Lane(r.InjectionPort() * 4)}
-	got := r.Lanes()
-	if len(got) != len(want) {
-		t.Fatalf("merged lanes = %v, want %v", got, want)
+	if got := lanesOf(r); !slices.Equal(got, want) {
+		t.Fatalf("active lanes = %v, want %v (port-major ascending)", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("merged lanes = %v, want %v (port-major ascending)", got, want)
-		}
-		port, vc := r.LanePortVC(got[i])
-		if Lane(port*4+vc) != got[i] {
-			t.Fatalf("LanePortVC(%d) = (%d,%d): does not round-trip", got[i], port, vc)
+	for _, l := range want {
+		port, vc := r.LanePortVC(l)
+		if r.LaneOf(port, vc) != l {
+			t.Fatalf("LanePortVC(%d) = (%d,%d): does not round-trip", l, port, vc)
 		}
 	}
 
-	// Drain lane (0,1); retire must drop exactly it and report the rest.
+	// Drain lane (0,1): it must leave the set at once, the rest stay.
 	r.Pop(0, 1)
 	if n := r.RetireLanes(); n != 2 {
 		t.Fatalf("retire count = %d, want 2", n)
 	}
-	if lanes := r.Lanes(); len(lanes) != 2 || lanes[0] != Lane(2*4+3) {
-		t.Fatalf("lanes after retire = %v", lanes)
+	if lanes := lanesOf(r); len(lanes) != 2 || lanes[0] != Lane(2*4+3) {
+		t.Fatalf("lanes after drain = %v", lanes)
+	}
+	// The doubly pushed lane stays active until its last flit leaves.
+	r.Pop(2, 3)
+	if lanes := lanesOf(r); len(lanes) != 2 {
+		t.Fatalf("half-drained lane left the set: %v", lanes)
 	}
 
-	// A retired lane re-arms on the next push.
+	// A drained lane re-arms on the next push.
 	r.Push(0, 1, m.Flit(4))
-	if got := r.LaneCount(); got != 3 {
-		t.Fatalf("lane count after re-push = %d, want 3", got)
+	if lanes := lanesOf(r); len(lanes) != 3 || lanes[0] != Lane(0*4+1) {
+		t.Fatalf("lanes after re-push = %v", lanes)
 	}
-	r.MergeLanes()
-	if lanes := r.Lanes(); len(lanes) != 3 || lanes[0] != Lane(0*4+1) {
-		t.Fatalf("lanes after re-merge = %v", lanes)
+}
+
+// TestLaneSetSpansWords drives a router with 80 lanes (5 ports × V=16), so
+// its lane sets take two words: marks, ascending iteration, the phase
+// words and drain order must all work across the word boundary.
+func TestLaneSetSpansWords(t *testing.T) {
+	r := New(0, 2, 16, 2)
+	if len(r.In) != 80 || r.Words() != 2 {
+		t.Fatalf("lanes/words = %d/%d, want 80/2", len(r.In), r.Words())
+	}
+	m := poolMsg(8)
+	marks := []Lane{79, 0, 64, 63, 17, 65}
+	for _, l := range marks {
+		r.PushLane(l, m.Flit(0))
+	}
+	want := []Lane{0, 17, 63, 64, 65, 79}
+	if got := lanesOf(r); !slices.Equal(got, want) {
+		t.Fatalf("active lanes = %v, want %v", got, want)
+	}
+	if port, vc := r.LanePortVC(79); port != 4 || vc != 15 {
+		t.Fatalf("LanePortVC(79) = (%d,%d), want (4,15)", port, vc)
+	}
+
+	// Route two lanes (one per word), block two others: the route phase
+	// must see exactly the remaining two, the switch phase the routed two.
+	r.SetRoute(17)
+	r.SetRoute(64)
+	r.Block(63)
+	r.Block(79)
+	if r.RouteWord(0) != 1<<0 || r.RouteWord(1) != 1<<(65-64) {
+		t.Fatalf("route words = %#x %#x", r.RouteWord(0), r.RouteWord(1))
+	}
+	if r.SwitchWord(0) != 1<<17 || r.SwitchWord(1) != 1<<(64-64) {
+		t.Fatalf("switch words = %#x %#x", r.SwitchWord(0), r.SwitchWord(1))
+	}
+
+	// A release wakes the blocked lanes of both words.
+	r.Out[3].Busy = true
+	r.Release(3)
+	if r.Out[3].Busy || r.Blocked(63) || r.Blocked(79) {
+		t.Fatal("release left a VC busy or a lane blocked")
+	}
+	if r.RouteWord(0) != 1<<0|1<<63 || r.RouteWord(1) != 1<<(65-64)|1<<(79-64) {
+		t.Fatalf("route words after release = %#x %#x", r.RouteWord(0), r.RouteWord(1))
+	}
+
+	// Drain in an arbitrary order; the survivors stay ascending throughout.
+	for i, l := range []Lane{64, 0, 79, 63} {
+		r.PopLane(l)
+		if got := r.RetireLanes(); got != len(want)-1-i {
+			t.Fatalf("after draining lane %d: %d lanes, want %d", l, got, len(want)-1-i)
+		}
+		if got := lanesOf(r); !slices.IsSorted(got) || slices.Contains(got, l) {
+			t.Fatalf("after draining lane %d: lanes = %v", l, got)
+		}
+	}
+	if got := lanesOf(r); !slices.Equal(got, []Lane{17, 65}) {
+		t.Fatalf("remaining lanes = %v, want [17 65]", got)
+	}
+}
+
+// TestFilterLane checks the purge primitive: survivors keep FIFO order,
+// the counters follow, an emptied lane leaves the active set, and the
+// blocked mark dies with the flits it described.
+func TestFilterLane(t *testing.T) {
+	r := New(0, 2, 4, 4)
+	pool := message.NewPool(2, false)
+	a := pool.New(1, 0, 1, 4, message.Deterministic, 0)
+	b := pool.New(2, 0, 1, 4, message.Deterministic, 0)
+	refA, _ := a.Ref()
+	// Start the ring off-zero so the filter has to wrap.
+	r.PushLane(5, b.Flit(0))
+	r.PushLane(5, b.Flit(1))
+	r.PopLane(5)
+	r.PopLane(5)
+	for _, f := range []message.Flit{a.Flit(2), b.Flit(0), a.Flit(3), b.Flit(1)} {
+		r.PushLane(5, f)
+	}
+	r.Block(5)
+	dropA := func(f message.Flit) bool { return f.Ref() == refA }
+	if n := r.FilterLane(5, dropA); n != 2 {
+		t.Fatalf("removed %d flits, want 2", n)
+	}
+	if r.Flits != 2 || r.Len(5) != 2 || r.Blocked(5) {
+		t.Fatalf("after filter: flits %d, len %d, blocked %v", r.Flits, r.Len(5), r.Blocked(5))
+	}
+	var seqs []int
+	r.Each(5, func(f message.Flit) { seqs = append(seqs, f.Seq()) })
+	if !slices.Equal(seqs, []int{0, 1}) {
+		t.Fatalf("survivors = %v, want [0 1]", seqs)
+	}
+	if n := r.FilterLane(5, func(message.Flit) bool { return true }); n != 2 {
+		t.Fatalf("removed %d flits, want 2", n)
+	}
+	if r.Flits != 0 || r.LaneCount() != 0 {
+		t.Fatalf("emptied lane still counted: flits %d, lanes %d", r.Flits, r.LaneCount())
+	}
+	// A filter that removes nothing must leave a blocked mark alone.
+	r.PushLane(5, b.Flit(0))
+	r.Block(5)
+	if n := r.FilterLane(5, func(message.Flit) bool { return false }); n != 0 || !r.Blocked(5) {
+		t.Fatalf("no-op filter removed %d flits, blocked %v", n, r.Blocked(5))
 	}
 }
 
 func TestLaneRetireCountsPendingMarks(t *testing.T) {
-	// Lanes marked after the last merge (as applyStaged does late in a
-	// cycle) must still count as activity in the retire path, or the
-	// engine would retire a router holding fresh flits.
+	// Lanes marked late in a cycle (as phase B does) must count as
+	// activity in the retire path at once, or the engine would retire a
+	// router holding fresh flits.
 	r := New(0, 2, 4, 2)
-	r.EnableLaneTracking()
 	m := poolMsg(8)
 	r.Push(1, 2, m.Flit(0))
 	if n := r.RetireLanes(); n != 1 {
-		t.Fatalf("retire count with only a pending mark = %d, want 1", n)
+		t.Fatalf("retire count right after a push = %d, want 1", n)
 	}
 }
 
-func TestLaneTrackingOffByDefault(t *testing.T) {
+func TestLaneSetTrackedWithoutEnable(t *testing.T) {
+	// The active set is maintained unconditionally; EnableLaneTracking is
+	// a no-op kept for older callers.
 	r := New(0, 2, 4, 2)
 	m := poolMsg(8)
 	r.Push(0, 0, m.Flit(0))
-	if got := r.LaneCount(); got != 0 {
-		t.Fatalf("untracked router recorded %d lanes", got)
+	if got := r.LaneCount(); got != 1 {
+		t.Fatalf("router recorded %d lanes, want 1", got)
+	}
+	r.EnableLaneTracking()
+	r.MergeLanes()
+	if got := r.LaneCount(); got != 1 {
+		t.Fatalf("after the no-op calls: %d lanes, want 1", got)
 	}
 }
 
@@ -212,24 +366,24 @@ func TestFlitQueuePropertyConservation(t *testing.T) {
 	// counts.
 	if err := quick.Check(func(ops []bool, capRaw uint8) bool {
 		capacity := 1 + int(capRaw)%8
-		q := NewFlitQueue(capacity)
+		r := ring(capacity)
 		m := poolMsg(1024)
 		pushed, popped := 0, 0
 		for _, isPush := range ops {
 			if isPush {
-				if q.Space() > 0 {
-					q.Push(m.Flit(pushed % 1024))
+				if r.Space(0) > 0 {
+					r.PushLane(0, m.Flit(pushed%1024))
 					pushed++
 				}
-			} else if q.Len() > 0 {
-				f := q.Pop()
+			} else if r.Len(0) > 0 {
+				f := r.PopLane(0)
 				if f.Seq() != popped%1024 {
 					return false
 				}
 				popped++
 			}
 		}
-		return q.Len() == pushed-popped
+		return r.Len(0) == pushed-popped && r.Flits == r.Len(0)
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
