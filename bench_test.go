@@ -100,7 +100,7 @@ func BenchmarkFig3DetV6Faults5M64(b *testing.B) {
 func BenchmarkFig3AdaptiveV10Faults5(b *testing.B) {
 	c := benchConfig(8, 2, 0.01)
 	c.V = 10
-	c.Adaptive = true
+	c.Algorithm = "adaptive"
 	c.Faults.RandomNodes = 5
 	runPoint(b, c)
 }
@@ -123,7 +123,7 @@ func BenchmarkFig4DetV10Faults12(b *testing.B) {
 func BenchmarkFig4AdaptiveV6Faults12(b *testing.B) {
 	c := benchConfig(8, 3, 0.008)
 	c.V = 6
-	c.Adaptive = true
+	c.Algorithm = "adaptive"
 	c.Faults.RandomNodes = 12
 	runPoint(b, c)
 }
@@ -131,48 +131,48 @@ func BenchmarkFig4AdaptiveV6Faults12(b *testing.B) {
 // Fig. 5 benchmarks: fault-region latency points (M=32, V=10), one convex
 // and one concave region in each routing mode.
 
-func fig5Point(b *testing.B, shapeName string, adaptive bool) {
+func fig5Point(b *testing.B, shapeName, alg string) {
 	c := benchConfig(8, 2, 0.012)
 	c.V = 10
-	c.Adaptive = adaptive
+	c.Algorithm = alg
 	c.Faults.Shapes = []core.ShapeStamp{{Spec: fault.PaperFig5Specs()[shapeName], DimA: 0, DimB: 1}}
 	runPoint(b, c)
 }
 
-func BenchmarkFig5RectDet(b *testing.B)         { fig5Point(b, "rect-shaped", false) }
-func BenchmarkFig5URegionDet(b *testing.B)      { fig5Point(b, "U-shaped", false) }
-func BenchmarkFig5RectAdaptive(b *testing.B)    { fig5Point(b, "rect-shaped", true) }
-func BenchmarkFig5URegionAdaptive(b *testing.B) { fig5Point(b, "U-shaped", true) }
+func BenchmarkFig5RectDet(b *testing.B)         { fig5Point(b, "rect-shaped", "det") }
+func BenchmarkFig5URegionDet(b *testing.B)      { fig5Point(b, "U-shaped", "det") }
+func BenchmarkFig5RectAdaptive(b *testing.B)    { fig5Point(b, "rect-shaped", "adaptive") }
+func BenchmarkFig5URegionAdaptive(b *testing.B) { fig5Point(b, "U-shaped", "adaptive") }
 
 // Fig. 6 benchmarks: 16-ary 2-cube throughput under saturation load with
 // faults (the capacity measurement).
 
-func fig6Point(b *testing.B, nf int, adaptive bool) {
+func fig6Point(b *testing.B, nf int, alg string) {
 	c := benchConfig(16, 2, 0.012)
 	c.V = 6
-	c.Adaptive = adaptive
+	c.Algorithm = alg
 	c.Faults.RandomNodes = nf
 	c.SaturationBacklog = 1 << 30
 	c.MaxCycles = 60_000
 	runPoint(b, c)
 }
 
-func BenchmarkFig6ThroughputDetFaults6(b *testing.B)      { fig6Point(b, 6, false) }
-func BenchmarkFig6ThroughputAdaptiveFaults6(b *testing.B) { fig6Point(b, 6, true) }
+func BenchmarkFig6ThroughputDetFaults6(b *testing.B)      { fig6Point(b, 6, "det") }
+func BenchmarkFig6ThroughputAdaptiveFaults6(b *testing.B) { fig6Point(b, 6, "adaptive") }
 
 // Fig. 7 benchmarks: messages-queued counting in an 8-ary 3-cube
 // (M=32, V=10), generation rate 100 (λ = 0.01).
 
-func fig7Point(b *testing.B, adaptive bool) {
+func fig7Point(b *testing.B, alg string) {
 	c := benchConfig(8, 3, 0.01)
 	c.V = 10
-	c.Adaptive = adaptive
+	c.Algorithm = alg
 	c.Faults.RandomNodes = 8
 	runPoint(b, c)
 }
 
-func BenchmarkFig7QueuedDet(b *testing.B)      { fig7Point(b, false) }
-func BenchmarkFig7QueuedAdaptive(b *testing.B) { fig7Point(b, true) }
+func BenchmarkFig7QueuedDet(b *testing.B)      { fig7Point(b, "det") }
+func BenchmarkFig7QueuedAdaptive(b *testing.B) { fig7Point(b, "adaptive") }
 
 // Engine-scheduler benchmarks: cost of one Step at a low offered load on a
 // 24-ary 2-cube (576 routers, nearly all idle in any given cycle). The

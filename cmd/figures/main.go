@@ -38,8 +38,8 @@ import (
 	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/registry"
 	"repro/internal/sweep"
-	"repro/internal/topology"
 )
 
 func main() {
@@ -53,7 +53,7 @@ func main() {
 		checkpoint = flag.String("checkpoint", "", "JSONL checkpoint journal: completed points are skipped on re-run")
 		shardSpec  = flag.String("shard", "", "run only shard i of n ('i/n') of each figure's sweep")
 		mergeList  = flag.String("merge", "", "comma-separated shard journals to merge into -checkpoint before rendering")
-		topo       = flag.String("topo", "", "topology family overriding every figure's torus (e.g. mesh); each figure's k/n are rewritten into the spec, other parameters (latmap) kept; fault-region figures need the shapes to fit the network")
+		topo       = flag.String("topo", "torus", "topology family overriding every figure's torus (e.g. mesh); each figure's k/n are rewritten into the spec, other parameters (latmap) kept; fault-region figures need the shapes to fit the network")
 		coordURL   = flag.String("coordinator", "", "submit every figure sweep to a coordinator fleet (swsim -serve / -worker) instead of simulating locally")
 	)
 	flag.Parse()
@@ -153,11 +153,11 @@ type harness struct {
 	plot       bool
 	checkpoint string
 	shard      sweep.Shard
-	// topo, when set, overrides every figure's k-ary n-cube with a
-	// registry topology spec (mesh-vs-torus comparisons). Each figure
-	// still chooses its own network size: topoFor rewrites the spec's
-	// k/n parameters per point, so size-varying figures keep truthful
-	// labels.
+	// topo replaces every figure's k-ary n-cube ("torus", the default)
+	// with another registry topology spec (mesh-vs-torus comparisons).
+	// Each figure still chooses its own network size: topoFor rewrites
+	// the spec's k/n parameters per point, so size-varying figures keep
+	// truthful labels.
 	topo string
 	// coordinator, when set, is the base URL of a sweep coordinator
 	// (swsim -serve); every figure sweep is submitted there and served by
@@ -166,21 +166,17 @@ type harness struct {
 	coordinator string
 }
 
-// topoFor resolves the -topo override for a figure point of the given
-// size: empty when no override is set, otherwise the spec with its k and
-// n parameters replaced by the figure's values (other parameters, e.g. a
-// latmap, are preserved). Specs whose factory rejects a k parameter
-// (hypercube) surface that as a per-point error rather than silently
-// simulating a mislabeled size.
+// topoFor resolves the -topo spec for a figure point of the given size:
+// its k and n parameters are replaced by the figure's values (other
+// parameters, e.g. a latmap, are preserved). Specs whose factory rejects a
+// k parameter (hypercube) surface that as a per-point error rather than
+// silently simulating a mislabeled size.
 func (h *harness) topoFor(k, n int) string {
-	if h.topo == "" {
-		return ""
-	}
-	spec, err := topology.ParseSpec(h.topo)
+	spec, err := registry.Parse(h.topo)
 	if err != nil {
 		return h.topo // let core.Validate report the parse error
 	}
-	params := []topology.Param{
+	params := []registry.Param{
 		{Key: "k", Value: strconv.Itoa(k)},
 		{Key: "n", Value: strconv.Itoa(n)},
 	}

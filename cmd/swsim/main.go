@@ -72,29 +72,28 @@ import (
 
 func main() {
 	var (
-		k        = flag.Int("k", 8, "radix (nodes per dimension); shorthand for -topo torus:k=...")
-		n        = flag.Int("n", 2, "dimensions; shorthand for -topo torus:n=...")
-		topo     = flag.String("topo", "", "topology spec from the registry (overrides -k/-n; see -list)")
-		v        = flag.Int("v", 4, "virtual channels per physical channel")
-		m        = flag.Int("m", 32, "message length in flits")
-		buf      = flag.Int("buf", 2, "per-VC buffer depth in flits")
-		lambda   = flag.Float64("lambda", 0.004, "generation rate (messages/node/cycle)")
-		alg      = flag.String("alg", "det", "routing algorithm (see -list)")
-		adaptive = flag.Bool("adaptive", false, "deprecated: same as -alg adaptive")
-		list     = flag.Bool("list", false, "list registered topologies, algorithms, patterns and sources, then exit")
-		faults   = flag.Int("faults", 0, "random faulty nodes")
-		shape    = flag.String("shape", "", "fault region shape: rect|T|plus|L|U (Fig. 5 configurations)")
-		sched    = flag.String("faults-schedule", "", "dynamic fault schedule spec: trace:file=<f> or mtbf:mtbf=<c>,mttr=<c> (see -list)")
-		pattern  = flag.String("pattern", "uniform", "destination pattern spec (see -list)")
-		traf     = flag.String("traffic", "poisson", "arrival process spec (see -list)")
-		wlOut    = flag.String("workload-out", "", "capture the generated workload to this CSV file (replay with -traffic 'replay:file=...')")
-		warmup   = flag.Int("warmup", 1000, "warm-up messages (unmeasured)")
-		measure  = flag.Int("measure", 10000, "measured message deliveries")
-		td       = flag.Int64("td", 0, "router decision time (cycles)")
-		delta    = flag.Int64("delta", 0, "software re-injection overhead (cycles)")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		quiet    = flag.Bool("q", false, "print only the CSV row")
-		jsonOut  = flag.Bool("json", false, "emit config and results as JSON instead of CSV")
+		k       = flag.Int("k", 8, "radix (nodes per dimension); shorthand for -topo torus:k=...")
+		n       = flag.Int("n", 2, "dimensions; shorthand for -topo torus:n=...")
+		topo    = flag.String("topo", "", "topology spec from the registry (overrides -k/-n; see -list)")
+		v       = flag.Int("v", 4, "virtual channels per physical channel")
+		m       = flag.Int("m", 32, "message length in flits")
+		buf     = flag.Int("buf", 2, "per-VC buffer depth in flits")
+		lambda  = flag.Float64("lambda", 0.004, "generation rate (messages/node/cycle)")
+		alg     = flag.String("alg", "det", "routing algorithm (see -list)")
+		list    = flag.Bool("list", false, "list registered topologies, algorithms, patterns and sources, then exit")
+		faults  = flag.Int("faults", 0, "random faulty nodes")
+		shape   = flag.String("shape", "", "fault region shape: rect|T|plus|L|U (Fig. 5 configurations)")
+		sched   = flag.String("faults-schedule", "", "dynamic fault schedule spec: trace:file=<f> or mtbf:mtbf=<c>,mttr=<c> (see -list)")
+		pattern = flag.String("pattern", "uniform", "destination pattern spec (see -list)")
+		traf    = flag.String("traffic", "poisson", "arrival process spec (see -list)")
+		wlOut   = flag.String("workload-out", "", "capture the generated workload to this CSV file (replay with -traffic 'replay:file=...')")
+		warmup  = flag.Int("warmup", 1000, "warm-up messages (unmeasured)")
+		measure = flag.Int("measure", 10000, "measured message deliveries")
+		td      = flag.Int64("td", 0, "router decision time (cycles)")
+		delta   = flag.Int64("delta", 0, "software re-injection overhead (cycles)")
+		seed    = flag.Uint64("seed", 1, "random seed")
+		quiet   = flag.Bool("q", false, "print only the CSV row")
+		jsonOut = flag.Bool("json", false, "emit config and results as JSON instead of CSV")
 
 		sweepGrid  = flag.String("sweep", "", "λ sweep instead of a single point: comma list '0.002,0.004' or range 'lo:hi:step'")
 		checkpoint = flag.String("checkpoint", "", "JSONL checkpoint journal: completed points are skipped on re-run (sweep/find-sat modes)")
@@ -135,21 +134,14 @@ func main() {
 		return
 	}
 
-	algName := *alg
-	if *adaptive {
-		if algExplicit() && algName != "adaptive" {
-			fmt.Fprintf(os.Stderr, "swsim: -adaptive conflicts with -alg %s\n", algName)
-			os.Exit(2)
-		}
-		algName = "adaptive"
-	}
-
 	cfg := core.DefaultConfig(*k, *n, *lambda)
-	cfg.Topology = *topo
+	if *topo != "" {
+		cfg.Topology = *topo
+	}
 	cfg.V = *v
 	cfg.MsgLen = *m
 	cfg.BufDepth = *buf
-	cfg.Algorithm = algName
+	cfg.Algorithm = *alg
 	cfg.Pattern = *pattern
 	cfg.Traffic = *traf
 	var captured trace.Workload
@@ -232,7 +224,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	topoNet, err := topology.NewNetwork(cfg.TopologySpec())
+	topoNet, err := topology.NewNetwork(cfg.Topology)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
 		os.Exit(2)
@@ -315,7 +307,7 @@ func main() {
 
 	if !*quiet {
 		fmt.Printf("# %s, %s routing, V=%d, M=%d flits, λ=%g, traffic=%s, pattern=%s, faults=%d%s\n",
-			cfg.TopologySpec(), algName, *v, *m, *lambda, cfg.TrafficSpec(), cfg.PatternSpec(), *faults, shapeNote(*shape))
+			cfg.Topology, *alg, *v, *m, *lambda, cfg.TrafficSpec(), cfg.PatternSpec(), *faults, shapeNote(*shape))
 		fmt.Printf("# wall time: %v, simulated cycles: %d\n", elapsed.Round(time.Millisecond), res.Cycles)
 		fmt.Println(csvHeader)
 	}
@@ -474,7 +466,7 @@ func runSweepGrid(base core.Config, grid []float64, opt sweep.Options, coordURL 
 	}
 	if !quiet && !jsonOut {
 		fmt.Printf("# %s, %s routing, V=%d, M=%d flits, traffic=%s, pattern=%s, faults=%d: %d-point sweep (wall time %v)\n",
-			base.TopologySpec(), base.AlgorithmName(), base.V, base.MsgLen,
+			base.Topology, base.AlgorithmName(), base.V, base.MsgLen,
 			base.TrafficSpec(), base.PatternSpec(), base.Faults.RandomNodes,
 			len(grid), time.Since(start).Round(time.Millisecond))
 		fmt.Println(csvHeader)
@@ -531,7 +523,7 @@ func runFindSat(base core.Config, opt sweep.Options, factor float64, quiet, json
 	}
 	if !quiet {
 		fmt.Printf("# %s, %s routing, V=%d, M=%d flits: saturation search (%d probes)\n",
-			base.TopologySpec(), base.AlgorithmName(), base.V, base.MsgLen, len(sat.Probes))
+			base.Topology, base.AlgorithmName(), base.V, base.MsgLen, len(sat.Probes))
 		for _, pr := range sat.Probes {
 			note := ""
 			if pr.Results.Saturated {
@@ -567,19 +559,6 @@ func resolveEngineWorkers(spec string, nodes int, multiPoint bool) (workers int,
 		warn = fmt.Sprintf("-engine-workers %d exceeds the %d-router topology; the engine will clamp to %d single-router domains", w, nodes, nodes)
 	}
 	return w, warn, nil
-}
-
-// algExplicit reports whether -alg was passed on the command line (as
-// opposed to holding its default), so the deprecated -adaptive flag can
-// refuse to silently override an explicit choice.
-func algExplicit() bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "alg" {
-			set = true
-		}
-	})
-	return set
 }
 
 func fig5Shape(name string) (fault.ShapeSpec, bool) {

@@ -29,19 +29,18 @@ import (
 
 func main() {
 	var (
-		k        = flag.Int("k", 8, "radix; shorthand for -topo torus:k=...")
-		n        = flag.Int("n", 2, "dimensions; shorthand for -topo torus:n=...")
-		topo     = flag.String("topo", "", "topology spec from the registry (overrides -k/-n; see -list)")
-		v        = flag.Int("v", 4, "virtual channels")
-		m        = flag.Int("m", 16, "message length (flits)")
-		faults   = flag.Int("faults", 0, "random faulty nodes")
-		shape    = flag.String("shape", "", "stamp a Fig. 5 region instead: rect|T|plus|L|U")
-		seed     = flag.Uint64("seed", 1, "seed for fault placement")
-		srcFlag  = flag.String("src", "0,0", "source coordinates, comma-separated")
-		dstFlag  = flag.String("dst", "", "destination coordinates (required)")
-		algFlag  = flag.String("alg", "det", "routing algorithm from the registry")
-		adaptive = flag.Bool("adaptive", false, "deprecated: same as -alg adaptive")
-		list     = flag.Bool("list", false, "list registered topologies, algorithms, patterns and sources, then exit")
+		k       = flag.Int("k", 8, "radix; shorthand for -topo torus:k=...")
+		n       = flag.Int("n", 2, "dimensions; shorthand for -topo torus:n=...")
+		topo    = flag.String("topo", "", "topology spec from the registry (overrides -k/-n; see -list)")
+		v       = flag.Int("v", 4, "virtual channels")
+		m       = flag.Int("m", 16, "message length (flits)")
+		faults  = flag.Int("faults", 0, "random faulty nodes")
+		shape   = flag.String("shape", "", "stamp a Fig. 5 region instead: rect|T|plus|L|U")
+		seed    = flag.Uint64("seed", 1, "seed for fault placement")
+		srcFlag = flag.String("src", "0,0", "source coordinates, comma-separated")
+		dstFlag = flag.String("dst", "", "destination coordinates (required)")
+		algFlag = flag.String("alg", "det", "routing algorithm from the registry")
+		list    = flag.Bool("list", false, "list registered topologies, algorithms, patterns and sources, then exit")
 	)
 	flag.Parse()
 
@@ -91,20 +90,7 @@ func main() {
 		fatal(fmt.Errorf("source or destination is faulty"))
 	}
 
-	algName := *algFlag
-	if *adaptive {
-		algSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "alg" {
-				algSet = true
-			}
-		})
-		if algSet && algName != "adaptive" {
-			fatal(fmt.Errorf("-adaptive conflicts with -alg %s", algName))
-		}
-		algName = "adaptive"
-	}
-	alg, err := routing.New(algName, t, fs, *v)
+	alg, err := routing.New(*algFlag, t, fs, *v)
 	if err != nil {
 		fatal(err)
 	}

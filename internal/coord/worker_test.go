@@ -83,7 +83,7 @@ func TestFleetMatchesLocalRun(t *testing.T) {
 		cfg.MeasureMessages = 300
 		plan.Points = append(plan.Points, core.Point{Label: "e2e", Config: cfg})
 	}
-	want := core.RunSweep(plan.Points, 1)
+	want := core.RunSweepFunc(plan.Points, 1, nil)
 
 	s, c := startServer(t, 10*time.Second, 3)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)

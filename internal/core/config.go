@@ -1,19 +1,21 @@
 // Package core is the library façade: a declarative Config describing one
 // simulation experiment (topology, routing, virtual channels, faults,
 // workload, measurement protocol), a Run function executing it on the
-// flit-level engine, and the parallel worker pool (RunSweep/RunSweepFunc)
-// behind the multi-point parameter sweeps of every figure of the paper.
-// Plan identity, checkpoint/resume, sharding and saturation search live a
+// flit-level engine, and the parallel worker pool (RunSweepFunc) behind
+// the multi-point parameter sweeps of every figure of the paper. Plan
+// identity, checkpoint/resume, sharding and saturation search live a
 // layer up, in the sweep subsystem (repro/internal/sweep), which drives
 // the pool through RunSweepFunc.
 package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strconv"
 
 	"repro/internal/fault"
+	"repro/internal/registry"
 	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -56,13 +58,8 @@ type Config struct {
 	// Topology is the network spec in the topology registry:
 	// "torus:k=8,n=2" (the paper's networks, the default), "mesh:k=8,n=2",
 	// "hypercube:n=10", optionally with a per-link latency overlay
-	// (",latmap=<file>"); see topology.Topologies. Empty defers to the
-	// legacy K/N fields, which select a torus.
+	// (",latmap=<file>"); see topology.Topologies.
 	Topology string
-	// K is the radix and N the dimensionality of the k-ary n-cube.
-	// Deprecated: legacy shorthand for Topology = "torus:k=K,n=N",
-	// honoured only when Topology is empty.
-	K, N int
 	// V is the number of virtual channels per physical channel (paper
 	// sweeps 4, 6, 10).
 	V int
@@ -74,21 +71,14 @@ type Config struct {
 	// messages/node/cycle.
 	Lambda float64
 	// Algorithm names the routing algorithm in the routing registry
-	// ("det", "adaptive", "valiant", ...; see routing.Names). Empty defers
-	// to the legacy Adaptive flag.
+	// ("det", "adaptive", "valiant", ...; see routing.Names). Empty means
+	// "det", the paper's deterministic (e-cube) base.
 	Algorithm string
-	// Adaptive selects Duato-based adaptive SW-Based routing; false is the
-	// deterministic (e-cube) base. Deprecated: set Algorithm instead; the
-	// flag is honoured only when Algorithm is empty.
-	Adaptive bool
 	// Pattern is the destination-pattern spec in the traffic registry:
 	// "uniform" (paper), "transpose", "hotspot:frac=0.1,node=12",
-	// "bitrev", "weights:5=3,rest=1", ... (see traffic.Patterns).
+	// "bitrev", "weights:5=3,rest=1", ... (see traffic.Patterns). Empty
+	// means "uniform".
 	Pattern string
-	// HotspotFrac is the legacy hotspot probability, honoured only when
-	// Pattern is exactly "hotspot" with no parameters. Deprecated: write
-	// "hotspot:frac=..." into Pattern instead.
-	HotspotFrac float64
 	// Traffic is the arrival-process spec in the traffic source registry:
 	// "poisson" (paper, the default), "interval:period=200",
 	// "burst:on=50,off=200,rate=0.02", "nodemap:default=0.001,12=0.01",
@@ -180,7 +170,7 @@ type Config struct {
 // WarmupMessages/MeasureMessages to 10k/90k.
 func DefaultConfig(k, n int, lambda float64) Config {
 	return Config{
-		K: k, N: n,
+		Topology:        fmt.Sprintf("torus:k=%d,n=%d", k, n),
 		V:               4,
 		BufDepth:        2,
 		MsgLen:          32,
@@ -192,37 +182,23 @@ func DefaultConfig(k, n int, lambda float64) Config {
 	}
 }
 
-// TopologySpec resolves the topology spec for this config: the explicit
-// Topology field when set, else the legacy K/N torus.
-func (c Config) TopologySpec() string {
-	if c.Topology != "" {
-		return c.Topology
-	}
-	return fmt.Sprintf("torus:k=%d,n=%d", c.K, c.N)
-}
-
 // BuildTopology constructs the network this config describes through the
 // topology registry.
 func (c Config) BuildTopology() (topology.Network, error) {
-	net, err := topology.NewNetwork(c.TopologySpec())
+	net, err := topology.NewNetwork(c.Topology)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return net, nil
 }
 
-// PatternSpec resolves the destination-pattern spec for this config:
-// Pattern when set (empty means "uniform"), with the legacy HotspotFrac
-// field folded into a bare "hotspot" for compatibility.
+// PatternSpec resolves the destination-pattern spec for this config; empty
+// means the paper's "uniform".
 func (c Config) PatternSpec() string {
-	p := c.Pattern
-	if p == "" {
-		p = "uniform"
+	if c.Pattern == "" {
+		return "uniform"
 	}
-	if p == "hotspot" && c.HotspotFrac > 0 {
-		p = fmt.Sprintf("hotspot:frac=%g", c.HotspotFrac)
-	}
-	return p
+	return c.Pattern
 }
 
 // TrafficSpec resolves the arrival-process spec for this config; empty
@@ -235,16 +211,12 @@ func (c Config) TrafficSpec() string {
 }
 
 // AlgorithmName resolves the routing-algorithm registry key for this
-// config: the explicit Algorithm field when set, else the legacy Adaptive
-// flag's "adaptive"/"det".
+// config; empty means the paper's "det".
 func (c Config) AlgorithmName() string {
-	if c.Algorithm != "" {
-		return c.Algorithm
+	if c.Algorithm == "" {
+		return "det"
 	}
-	if c.Adaptive {
-		return "adaptive"
-	}
-	return "det"
+	return c.Algorithm
 }
 
 // Validate checks the configuration for consistency: registered algorithm,
@@ -258,15 +230,6 @@ func (c Config) Validate() error {
 	info, ok := routing.Lookup(name)
 	if !ok {
 		return fmt.Errorf("core: unknown routing algorithm %q (registered: %v)", name, routing.Names())
-	}
-	if c.Topology == "" {
-		// Legacy field errors keep their historical shape.
-		if c.K < 2 {
-			return fmt.Errorf("core: radix K must be >= 2, got %d", c.K)
-		}
-		if c.N < 1 {
-			return fmt.Errorf("core: dimension N must be >= 1, got %d", c.N)
-		}
 	}
 	net, err := c.BuildTopology()
 	if err != nil {
@@ -284,8 +247,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: BufDepth must be >= 1, got %d", c.BufDepth)
 	case c.MsgLen < 1:
 		return fmt.Errorf("core: MsgLen must be >= 1, got %d", c.MsgLen)
-	case c.Lambda <= 0:
-		return fmt.Errorf("core: Lambda must be positive, got %g", c.Lambda)
+	case !(c.Lambda > 0) || math.IsInf(c.Lambda, 0): // negated to reject NaN
+		return fmt.Errorf("core: Lambda must be positive and finite, got %g", c.Lambda)
 	case c.MeasureMessages < 1:
 		return fmt.Errorf("core: MeasureMessages must be >= 1, got %d", c.MeasureMessages)
 	case c.WarmupMessages < 0:
@@ -366,7 +329,7 @@ func (c Config) validateWorkload(net topology.Network) error {
 // checkSpecNodeIDs range-checks every node id a workload spec references —
 // the decimal-keyed per-node parameters plus the parameters the registry
 // declares as node-valued (Info.NodeIDKeys) — against the network size.
-func checkSpecNodeIDs(spec traffic.Spec, info traffic.Info, total int) error {
+func checkSpecNodeIDs(spec registry.Spec, info traffic.Info, total int) error {
 	inRange := func(s string) error {
 		id, err := strconv.Atoi(s)
 		if err != nil || id < 0 || id >= total {
@@ -375,7 +338,7 @@ func checkSpecNodeIDs(spec traffic.Spec, info traffic.Info, total int) error {
 		return nil
 	}
 	for _, p := range spec.Params {
-		if traffic.IsNodeKey(p.Key) {
+		if registry.IsNodeKey(p.Key) {
 			if err := inRange(p.Key); err != nil {
 				return err
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,13 +22,16 @@ func TestValidate(t *testing.T) {
 		t.Fatalf("default config invalid: %v", err)
 	}
 	bad := []func(c *Config){
-		func(c *Config) { c.K = 1 },
-		func(c *Config) { c.N = 0 },
+		func(c *Config) { c.Topology = "" },          // no default topology
+		func(c *Config) { c.Topology = "torus:k=1" }, // radix below 2
+		func(c *Config) { c.Topology = "torus:n=0" }, // dimension below 1
 		func(c *Config) { c.V = 1 },
-		func(c *Config) { c.V = 2; c.Adaptive = true },
+		func(c *Config) { c.V = 2; c.Algorithm = "adaptive" },
 		func(c *Config) { c.BufDepth = 0 },
 		func(c *Config) { c.MsgLen = 0 },
 		func(c *Config) { c.Lambda = 0 },
+		func(c *Config) { c.Lambda = math.NaN() }, // NaN compares false against every bound
+		func(c *Config) { c.Lambda = math.Inf(1) },
 		func(c *Config) { c.MeasureMessages = 0 },
 		func(c *Config) { c.WarmupMessages = -1 },
 		func(c *Config) { c.Td = -1 },
@@ -49,6 +53,31 @@ func TestValidate(t *testing.T) {
 		mutate(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
+		}
+	}
+}
+
+// TestNonFiniteSpecParametersRejected pins the one place numbers enter a
+// spec (registry.Args): NaN/±Inf parameters fail Validate for every seam
+// instead of reaching the engine, where an infinite burst length or Pareto
+// shape spins NewEngine's arrival pre-scheduling forever.
+func TestNonFiniteSpecParametersRejected(t *testing.T) {
+	for _, mutate := range []func(c *Config){
+		func(c *Config) { c.Traffic = "burst:on=Inf,off=200" },
+		func(c *Config) { c.Traffic = "pareto:shape=Inf" },
+		func(c *Config) { c.Traffic = "poisson:rate=Inf" },
+		func(c *Config) { c.Traffic = "nodemap:default=Inf" },
+		func(c *Config) { c.Traffic = "nodemap:default=0.001,5=+Inf" },
+		func(c *Config) { c.Pattern = "weights:5=3,rest=Inf" },
+		func(c *Config) { c.Pattern = "hotspot:frac=NaN" },
+		func(c *Config) { c.FaultSchedule = "mtbf:mtbf=Inf,mttr=10" },
+	} {
+		c := DefaultConfig(8, 2, 0.003)
+		mutate(&c)
+		err := c.Validate()
+		if err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("pattern %q traffic %q schedule %q: Validate() = %v, want a not-finite error",
+				c.Pattern, c.Traffic, c.FaultSchedule, err)
 		}
 	}
 }
@@ -122,9 +151,9 @@ func TestRunSmokeFaultFree(t *testing.T) {
 }
 
 func TestRunWithFaultsBothModes(t *testing.T) {
-	for _, adaptive := range []bool{false, true} {
+	for _, alg := range []string{"det", "adaptive"} {
 		c := DefaultConfig(8, 2, 0.004)
-		c.Adaptive = adaptive
+		c.Algorithm = alg
 		c.V = 4
 		c.WarmupMessages = 100
 		c.MeasureMessages = 1000
@@ -132,16 +161,16 @@ func TestRunWithFaultsBothModes(t *testing.T) {
 		c.Seed = 7
 		res, err := Run(c)
 		if err != nil {
-			t.Fatalf("adaptive=%v: %v", adaptive, err)
+			t.Fatalf("%s: %v", alg, err)
 		}
 		if res.Delivered < 1000 {
-			t.Fatalf("adaptive=%v: delivered %d", adaptive, res.Delivered)
+			t.Fatalf("%s: delivered %d", alg, res.Delivered)
 		}
 		if res.Dropped != 0 {
-			t.Fatalf("adaptive=%v: dropped %d", adaptive, res.Dropped)
+			t.Fatalf("%s: dropped %d", alg, res.Dropped)
 		}
 		if res.QueuedTotal() == 0 {
-			t.Fatalf("adaptive=%v: no absorptions with 5 faults", adaptive)
+			t.Fatalf("%s: no absorptions with 5 faults", alg)
 		}
 	}
 }
@@ -184,19 +213,16 @@ func TestRunDeterministicAcrossCalls(t *testing.T) {
 func TestSweepMatchesSerialAndParallel(t *testing.T) {
 	var points []Point
 	for _, lambda := range []float64{0.002, 0.004} {
-		for _, ad := range []bool{false, true} {
+		for _, alg := range []string{"det", "adaptive"} {
 			c := DefaultConfig(4, 2, lambda)
 			c.WarmupMessages = 50
 			c.MeasureMessages = 300
-			c.Adaptive = ad
-			if ad {
-				c.V = 4
-			}
+			c.Algorithm = alg
 			points = append(points, Point{Label: "p", Config: c})
 		}
 	}
-	serial := RunSweep(points, 1)
-	parallel := RunSweep(points, 4)
+	serial := RunSweepFunc(points, 1, nil)
+	parallel := RunSweepFunc(points, 4, nil)
 	for i := range serial {
 		if serial[i].Err != nil || parallel[i].Err != nil {
 			t.Fatalf("sweep error: %v / %v", serial[i].Err, parallel[i].Err)

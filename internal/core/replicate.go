@@ -41,7 +41,7 @@ func RunReplicated(cfg Config, r int, seedBase uint64, workers int) (Replicated,
 		c.Seed = seedBase + uint64(i)
 		points[i] = Point{Label: fmt.Sprintf("rep%d", i), Config: c}
 	}
-	results := RunSweep(points, workers)
+	results := RunSweepFunc(points, workers, nil)
 	var agg Replicated
 	var lat, thr, q stats.Welford
 	var firstErr error

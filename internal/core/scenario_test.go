@@ -13,10 +13,10 @@ import (
 // Fig. 6 in miniature: adaptive throughput exceeds deterministic under
 // saturation load with faults.
 func TestScenarioAdaptiveThroughputWins(t *testing.T) {
-	thr := func(adaptive bool) float64 {
+	thr := func(alg string) float64 {
 		cfg := DefaultConfig(8, 2, 0.02) // well past saturation
 		cfg.V = 6
-		cfg.Adaptive = adaptive
+		cfg.Algorithm = alg
 		cfg.WarmupMessages = 200
 		cfg.MeasureMessages = 3000
 		cfg.Faults.RandomNodes = 5
@@ -29,7 +29,7 @@ func TestScenarioAdaptiveThroughputWins(t *testing.T) {
 		}
 		return res.Throughput
 	}
-	det, adp := thr(false), thr(true)
+	det, adp := thr("det"), thr("adaptive")
 	if adp <= det {
 		t.Fatalf("adaptive throughput %v not above deterministic %v", adp, det)
 	}

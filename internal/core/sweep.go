@@ -25,26 +25,18 @@ type PointResult struct {
 	Err     error
 }
 
-// RunSweep executes every point, fanning out over a worker pool. Each
+// RunSweepFunc executes every point, fanning out over a worker pool. Each
 // engine instance is single-goroutine and deterministic, so results are
 // identical to serial execution regardless of worker count. workers <= 0
 // uses GOMAXPROCS. A point that panics is reported through its
 // PointResult.Err; it never takes down the pool or the other points.
 //
-// RunSweep is the compatibility entry point kept for existing callers; it
-// is a thin shim over RunSweepFunc. New code that needs named plans,
-// checkpoint/resume, sharding or saturation search should go through the
-// sweep subsystem in internal/sweep, which builds on RunSweepFunc.
-func RunSweep(points []Point, workers int) []PointResult {
-	return RunSweepFunc(points, workers, nil)
-}
-
-// RunSweepFunc is RunSweep with a completion callback: done (when non-nil)
-// is invoked once per point as it finishes, with the point's index into
-// points and its result. Calls to done are serialized (never concurrent),
-// but arrive in completion order, not index order — the sweep subsystem
-// uses this to journal each result the moment it exists, so an
-// interrupted sweep loses at most the points in flight.
+// done (when non-nil) is invoked once per point as it finishes, with the
+// point's index into points and its result. Calls to done are serialized
+// (never concurrent), but arrive in completion order, not index order — the
+// sweep subsystem (internal/sweep: named plans, checkpoint/resume, sharding,
+// saturation search) uses this to journal each result the moment it exists,
+// so an interrupted sweep loses at most the points in flight.
 func RunSweepFunc(points []Point, workers int, done func(int, PointResult)) []PointResult {
 	return runSweep(points, workers, Run, done)
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // TestSweepSurfacesPanics injects a runner that panics on selected points
-// and checks RunSweep's contract: the panic becomes that point's Err, the
+// and checks RunSweepFunc's contract: the panic becomes that point's Err, the
 // other points complete, and the pool survives — serially and in
 // parallel.
 func TestSweepSurfacesPanics(t *testing.T) {
@@ -85,18 +85,15 @@ func TestRunUnknownAlgorithm(t *testing.T) {
 	}
 }
 
-// TestAlgorithmNameLegacyFlag pins the Adaptive-flag compatibility rule.
-func TestAlgorithmNameLegacyFlag(t *testing.T) {
+// TestSpecDefaults pins the empty-field defaults bench configs rely on:
+// the paper's deterministic routing, uniform pattern and Poisson source.
+func TestSpecDefaults(t *testing.T) {
 	c := Config{}
-	if got := c.AlgorithmName(); got != "det" {
-		t.Fatalf("zero config resolves to %q, want det", got)
+	if alg, pat, src := c.AlgorithmName(), c.PatternSpec(), c.TrafficSpec(); alg != "det" || pat != "uniform" || src != "poisson" {
+		t.Fatalf("zero config resolves to %q/%q/%q, want det/uniform/poisson", alg, pat, src)
 	}
-	c.Adaptive = true
-	if got := c.AlgorithmName(); got != "adaptive" {
-		t.Fatalf("Adaptive flag resolves to %q, want adaptive", got)
-	}
-	c.Algorithm = "valiant"
-	if got := c.AlgorithmName(); got != "valiant" {
-		t.Fatalf("explicit Algorithm resolves to %q, want valiant", got)
+	c.Algorithm, c.Pattern, c.Traffic = "valiant", "transpose", "burst"
+	if alg, pat, src := c.AlgorithmName(), c.PatternSpec(), c.TrafficSpec(); alg != "valiant" || pat != "transpose" || src != "burst" {
+		t.Fatalf("explicit fields resolve to %q/%q/%q", alg, pat, src)
 	}
 }

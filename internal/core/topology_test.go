@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -9,29 +8,23 @@ import (
 	"repro/internal/topology"
 )
 
-// TestTopologySpecDefaultsToLegacyTorus pins the compatibility contract:
-// an empty Topology field resolves to the legacy K/N torus, and a run
-// configured either way produces identical results (the spec threading
-// perturbs nothing — the trace-level proof lives in the network package's
-// TestTopologyRegistryMatchesDirectTorus).
+// TestTopologySpecDefaultsToLegacyTorus pins what is left of the legacy
+// (k, n) shorthand: DefaultConfig's size arguments are written out as the
+// paper's torus spec, and there is no other default — an empty Topology is
+// rejected. (That the registry-built torus perturbs nothing is the network
+// package's TestTopologyRegistryMatchesDirectTorus.)
 func TestTopologySpecDefaultsToLegacyTorus(t *testing.T) {
-	legacy := DefaultConfig(4, 2, 0.004)
-	legacy.WarmupMessages, legacy.MeasureMessages = 100, 800
-	if got := legacy.TopologySpec(); got != "torus:k=4,n=2" {
-		t.Fatalf("TopologySpec() = %q", got)
+	cfg := DefaultConfig(4, 2, 0.004)
+	if cfg.Topology != "torus:k=4,n=2" {
+		t.Fatalf("DefaultConfig(4, 2).Topology = %q", cfg.Topology)
 	}
-	spec := legacy
-	spec.Topology = "torus:k=4,n=2"
-	resLegacy, err := Run(legacy)
-	if err != nil {
-		t.Fatal(err)
+	net, err := cfg.BuildTopology()
+	if err != nil || net.Kind() != "torus" || net.K() != 4 || net.N() != 2 {
+		t.Fatalf("BuildTopology() = %v, %v; want the 4-ary 2-cube", net, err)
 	}
-	resSpec, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resLegacy, resSpec) {
-		t.Fatalf("legacy K/N and explicit spec runs differ:\nlegacy: %+v\nspec:   %+v", resLegacy, resSpec)
+	cfg.Topology = ""
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("empty Topology accepted")
 	}
 }
 

@@ -1,8 +1,8 @@
 package fault
 
 // Dynamic fault schedules: time-varying fail/heal transitions over a run's
-// fault Set, selected by the same "name:key=val,..." spec grammar as the
-// topology, routing and traffic registries. Two schedules are built in:
+// fault Set, selected by internal/registry's "name:key=val,..." spec
+// grammar like every other seam. Two schedules are built in:
 //
 //	trace:file=<events>     replay a CSV/JSONL event file
 //	mtbf:mtbf=<c>,mttr=<c>  generative MTBF/MTTR renewal process
@@ -25,8 +25,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
+	"repro/internal/registry"
 	"repro/internal/rng"
 	"repro/internal/topology"
 )
@@ -51,272 +51,55 @@ type ScheduleEnv struct {
 	R    *rng.Stream
 }
 
-// ScheduleSpec is a parsed schedule specifier, sharing the registry
-// grammar "name[:key=val,...]".
-type ScheduleSpec struct {
-	Name   string
-	Params []ScheduleParam
-}
+// ScheduleFactory is the one function a registration supplies. It reads
+// the parsed spec's parameters — statically: no environment, no file IO —
+// and returns the builder binding them to a run. CheckScheduleSpec calls
+// the factory and drops the builder; NewSchedule calls both, so validation
+// and construction cannot drift.
+type ScheduleFactory func(spec registry.Spec) (ScheduleBuilder, error)
 
-// ScheduleParam is one key=value pair of a ScheduleSpec, in written order.
-type ScheduleParam struct {
-	Key, Value string
-}
+// ScheduleBuilder builds the configured schedule in an environment.
+type ScheduleBuilder func(env ScheduleEnv) (Schedule, error)
 
-// Get returns the value of key and whether it was present.
-func (s ScheduleSpec) Get(key string) (string, bool) {
-	for _, p := range s.Params {
-		if p.Key == key {
-			return p.Value, true
-		}
-	}
-	return "", false
-}
-
-// String renders the spec back into its parseable form.
-func (s ScheduleSpec) String() string {
-	if len(s.Params) == 0 {
-		return s.Name
-	}
-	parts := make([]string, len(s.Params))
-	for i, p := range s.Params {
-		parts[i] = p.Key + "=" + p.Value
-	}
-	return s.Name + ":" + strings.Join(parts, ",")
-}
-
-// validScheduleName reports whether s is a legal spec name or parameter
-// key: non-empty, lower-case letters, digits, '-' or '_'.
-func validScheduleName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, c := range s {
-		if (c < 'a' || c > 'z') && (c < '0' || c > '9') && c != '-' && c != '_' {
-			return false
-		}
-	}
-	return true
-}
-
-// normalizeScheduleSpec accepts the two shorthand spellings used by the
-// CLIs ("trace=events.csv", "mtbf=20000,mttr=2000") alongside the full
-// registry grammar: a spec whose head segment already contains '=' infers
-// its name from the first key, with "trace=<file>" mapping onto
-// "trace:file=<file>".
-func normalizeScheduleSpec(s string) string {
-	s = strings.TrimSpace(s)
-	head, _, _ := strings.Cut(s, ":")
-	if !strings.Contains(head, "=") {
-		return s
-	}
-	firstKey, _, _ := strings.Cut(s, "=")
-	firstKey = strings.TrimSpace(firstKey)
-	if firstKey == "trace" {
-		return "trace:file" + strings.TrimPrefix(s, firstKey)
-	}
-	return firstKey + ":" + s
-}
-
-// ParseScheduleSpec parses a "name[:key=val,...]" schedule specifier,
-// accepting the shorthand forms (see normalizeScheduleSpec).
-func ParseScheduleSpec(s string) (ScheduleSpec, error) {
-	s = normalizeScheduleSpec(s)
-	name, rest, hasParams := strings.Cut(s, ":")
-	if !validScheduleName(name) {
-		return ScheduleSpec{}, fmt.Errorf("fault: bad schedule spec name %q in %q", name, s)
-	}
-	spec := ScheduleSpec{Name: name}
-	if !hasParams {
-		return spec, nil
-	}
-	if rest == "" {
-		return ScheduleSpec{}, fmt.Errorf("fault: schedule spec %q has an empty parameter list", s)
-	}
-	seen := map[string]bool{}
-	for _, kv := range strings.Split(rest, ",") {
-		key, val, ok := strings.Cut(kv, "=")
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		if !ok || !validScheduleName(key) || val == "" {
-			return ScheduleSpec{}, fmt.Errorf("fault: bad parameter %q in schedule spec %q (want key=value)", kv, s)
-		}
-		if seen[key] {
-			return ScheduleSpec{}, fmt.Errorf("fault: duplicate parameter %q in schedule spec %q", key, s)
-		}
-		seen[key] = true
-		spec.Params = append(spec.Params, ScheduleParam{Key: key, Value: val})
-	}
-	return spec, nil
-}
-
-// scheduleArgs is the typed accessor over a spec's parameters used by
-// schedule factories, mirroring the other registries: every accessor marks
-// its key consumed and records the first error; finish reports it, or
-// complains about unconsumed keys. The static check functions share the
-// accessors so validation and construction cannot drift.
-type scheduleArgs struct {
-	spec ScheduleSpec
-	used map[string]bool
-	err  error
-}
-
-func newScheduleArgs(spec ScheduleSpec) *scheduleArgs {
-	return &scheduleArgs{spec: spec, used: make(map[string]bool, len(spec.Params))}
-}
-
-func (a *scheduleArgs) fail(format string, v ...any) {
-	if a.err == nil {
-		a.err = fmt.Errorf("fault: schedule spec %q: %s", a.spec.String(), fmt.Sprintf(format, v...))
-	}
-}
-
-// Str returns the value of key, or def when absent.
-func (a *scheduleArgs) Str(key, def string) string {
-	a.used[key] = true
-	s, ok := a.spec.Get(key)
-	if !ok {
-		return def
-	}
-	return s
-}
-
-// Float returns the value of key as a float64, or def when absent.
-func (a *scheduleArgs) Float(key string, def float64) float64 {
-	a.used[key] = true
-	s, ok := a.spec.Get(key)
-	if !ok {
-		return def
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		a.fail("parameter %s=%q is not a finite number", key, s)
-		return def
-	}
-	return v
-}
-
-func (a *scheduleArgs) finish() error {
-	if a.err != nil {
-		return a.err
-	}
-	for _, p := range a.spec.Params {
-		if !a.used[p.Key] {
-			return fmt.Errorf("fault: schedule spec %q: unknown parameter %q", a.spec.String(), p.Key)
-		}
-	}
-	return nil
-}
-
-// ScheduleInfo describes a registered schedule for listings.
-type ScheduleInfo struct {
-	Name        string
-	Usage       string
-	Description string
-	Aliases     []string
-}
-
-// ScheduleFactory builds a configured schedule; ScheduleCheck statically
-// validates a spec's parameters without side effects (no file IO), for
-// config validation ahead of construction.
-type (
-	ScheduleFactory func(env ScheduleEnv, spec ScheduleSpec) (Schedule, error)
-	ScheduleCheck   func(spec ScheduleSpec) error
-)
-
-type schedEntry struct {
-	info    ScheduleInfo
-	factory ScheduleFactory
-	check   ScheduleCheck
-}
-
-var (
-	schedMu      sync.RWMutex
-	schedReg     = make(map[string]*schedEntry)
-	schedPrimary []string
-)
+var schedules = registry.NewTable[ScheduleFactory]("fault", "schedule")
 
 // RegisterSchedule adds a schedule to the registry under info.Name and
 // every alias. It panics on duplicates or nil factories — registration
 // happens in init functions where a panic is a build-time bug.
-func RegisterSchedule(info ScheduleInfo, factory ScheduleFactory, check ScheduleCheck) {
-	if info.Name == "" {
-		panic("fault: RegisterSchedule with empty name")
-	}
+func RegisterSchedule(info registry.Info, factory ScheduleFactory) {
 	if factory == nil {
 		panic(fmt.Sprintf("fault: RegisterSchedule(%q) with nil factory", info.Name))
 	}
-	schedMu.Lock()
-	defer schedMu.Unlock()
-	e := &schedEntry{info: info, factory: factory, check: check}
-	for _, key := range append([]string{info.Name}, info.Aliases...) {
-		if _, dup := schedReg[key]; dup {
-			panic(fmt.Sprintf("fault: duplicate registration of schedule %q", key))
-		}
-		schedReg[key] = e
-	}
-	schedPrimary = append(schedPrimary, info.Name)
+	schedules.Register(info, factory)
 }
 
 // NewSchedule builds the registered schedule the spec names.
-func NewSchedule(spec string, env ScheduleEnv) (Schedule, error) {
-	parsed, e, err := lookupSchedule(spec)
+func NewSchedule(specStr string, env ScheduleEnv) (Schedule, error) {
+	factory, spec, err := schedules.Resolve(specStr)
 	if err != nil {
 		return nil, err
 	}
-	return e.factory(env, parsed)
+	build, err := factory(spec)
+	if err != nil {
+		return nil, err
+	}
+	return build(env)
 }
 
 // CheckScheduleSpec statically validates a schedule spec: parseable, a
 // registered name, well-formed parameters. It performs no IO (a trace
 // file's contents are validated at construction).
-func CheckScheduleSpec(spec string) (ScheduleSpec, error) {
-	parsed, e, err := lookupSchedule(spec)
-	if err != nil {
-		return ScheduleSpec{}, err
+func CheckScheduleSpec(specStr string) (registry.Spec, error) {
+	factory, spec, err := schedules.Resolve(specStr)
+	if err == nil {
+		_, err = factory(spec)
 	}
-	if e.check != nil {
-		if err := e.check(parsed); err != nil {
-			return ScheduleSpec{}, err
-		}
-	}
-	return parsed, nil
+	return spec, err
 }
 
-func lookupSchedule(spec string) (ScheduleSpec, *schedEntry, error) {
-	parsed, err := ParseScheduleSpec(spec)
-	if err != nil {
-		return ScheduleSpec{}, nil, err
-	}
-	schedMu.RLock()
-	e, ok := schedReg[parsed.Name]
-	schedMu.RUnlock()
-	if !ok {
-		return ScheduleSpec{}, nil, fmt.Errorf("fault: unknown schedule %q (registered: %v)", parsed.Name, ScheduleNames())
-	}
-	return parsed, e, nil
-}
-
-// ScheduleNames returns the primary registered schedule names, sorted.
-func ScheduleNames() []string {
-	schedMu.RLock()
-	defer schedMu.RUnlock()
-	out := append([]string(nil), schedPrimary...)
-	sort.Strings(out)
-	return out
-}
-
-// Schedules returns the ScheduleInfo of every registered schedule, sorted
-// by primary name.
-func Schedules() []ScheduleInfo {
-	schedMu.RLock()
-	out := make([]ScheduleInfo, 0, len(schedPrimary))
-	for _, name := range schedPrimary {
-		out = append(out, schedReg[name].info)
-	}
-	schedMu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+// Schedules returns the Info of every registered schedule, sorted by
+// primary name.
+func Schedules() []registry.Info { return schedules.Infos() }
 
 // traceSchedule replays a pre-validated, cycle-sorted transition list.
 type traceSchedule struct {
@@ -628,80 +411,56 @@ func (s *mtbfSchedule) scheduleHeal(failed Transition) {
 	return
 }
 
-func mtbfArgs(spec ScheduleSpec) (mtbf, mttr float64, elems string, err error) {
-	a := newScheduleArgs(spec)
-	mtbf = a.Float("mtbf", 0)
-	mttr = a.Float("mttr", 0)
-	elems = a.Str("elems", elemsLinks)
-	if err := a.finish(); err != nil {
-		return 0, 0, "", err
-	}
-	if mtbf <= 0 {
-		return 0, 0, "", fmt.Errorf("fault: schedule spec %q: mtbf must be a positive cycle count", spec.String())
-	}
-	if mttr <= 0 {
-		return 0, 0, "", fmt.Errorf("fault: schedule spec %q: mttr must be a positive cycle count", spec.String())
-	}
-	switch elems {
-	case elemsLinks, elemsNodes, elemsMixed:
-	default:
-		return 0, 0, "", fmt.Errorf("fault: schedule spec %q: elems must be links|nodes|mixed, got %q", spec.String(), elems)
-	}
-	return mtbf, mttr, elems, nil
-}
-
 func init() {
-	RegisterSchedule(ScheduleInfo{
+	RegisterSchedule(registry.Info{
 		Name:        "trace",
-		Usage:       "trace:file=<events> (or trace=<events>)",
+		Usage:       "trace:file=<events>",
 		Description: "replay fail/heal events from a CSV/JSONL file (cycle,fail|heal,node,<id> / ...,link,<src>,<port>)",
-	}, func(env ScheduleEnv, spec ScheduleSpec) (Schedule, error) {
-		a := newScheduleArgs(spec)
+	}, func(spec registry.Spec) (ScheduleBuilder, error) {
+		a := schedules.Args(spec)
 		file := a.Str("file", "")
-		if err := a.finish(); err != nil {
-			return nil, err
-		}
 		if file == "" {
-			return nil, fmt.Errorf("fault: schedule spec %q: missing file parameter", spec.String())
+			a.Failf("missing file parameter")
 		}
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, fmt.Errorf("fault: schedule trace: %w", err)
-		}
-		defer f.Close()
-		evs, err := ParseScheduleTrace(f, env.T)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", file, err)
-		}
-		return NewTraceSchedule(evs), nil
-	}, func(spec ScheduleSpec) error {
-		a := newScheduleArgs(spec)
-		file := a.Str("file", "")
-		if err := a.finish(); err != nil {
-			return err
-		}
-		if file == "" {
-			return fmt.Errorf("fault: schedule spec %q: missing file parameter", spec.String())
-		}
-		return nil
+		return func(env ScheduleEnv) (Schedule, error) {
+			f, err := os.Open(file)
+			if err != nil {
+				return nil, fmt.Errorf("fault: schedule trace: %w", err)
+			}
+			defer f.Close()
+			evs, err := ParseScheduleTrace(f, env.T)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", file, err)
+			}
+			return NewTraceSchedule(evs), nil
+		}, a.Finish()
 	})
-	RegisterSchedule(ScheduleInfo{
+	RegisterSchedule(registry.Info{
 		Name:        "mtbf",
 		Usage:       "mtbf:mtbf=<cycles>,mttr=<cycles>[,elems=links|nodes|mixed]",
 		Description: "generative renewal process: exponential failures (mean mtbf) healing after exponential repairs (mean mttr), connectivity-preserving",
-	}, func(env ScheduleEnv, spec ScheduleSpec) (Schedule, error) {
-		mtbf, mttr, elems, err := mtbfArgs(spec)
-		if err != nil {
-			return nil, err
+	}, func(spec registry.Spec) (ScheduleBuilder, error) {
+		a := schedules.Args(spec)
+		mtbf, mttr := a.Float("mtbf", 0), a.Float("mttr", 0)
+		elems := a.Str("elems", elemsLinks)
+		if mtbf <= 0 {
+			a.Failf("mtbf must be a positive cycle count")
 		}
-		if env.R == nil {
-			return nil, fmt.Errorf("fault: mtbf schedule needs an rng stream (ScheduleEnv.R)")
+		if mttr <= 0 {
+			a.Failf("mttr must be a positive cycle count")
 		}
-		s := &mtbfSchedule{t: env.T, r: env.R, mtbf: mtbf, mttr: mttr, elems: elems}
-		s.nextFail = s.gap(mtbf)
-		return s, nil
-	}, func(spec ScheduleSpec) error {
-		_, _, _, err := mtbfArgs(spec)
-		return err
+		switch elems {
+		case elemsLinks, elemsNodes, elemsMixed:
+		default:
+			a.Failf("elems must be links|nodes|mixed, got %q", elems)
+		}
+		return func(env ScheduleEnv) (Schedule, error) {
+			if env.R == nil {
+				return nil, fmt.Errorf("fault: mtbf schedule needs an rng stream (ScheduleEnv.R)")
+			}
+			s := &mtbfSchedule{t: env.T, r: env.R, mtbf: mtbf, mttr: mttr, elems: elems}
+			s.nextFail = s.gap(mtbf)
+			return s, nil
+		}, a.Finish()
 	})
 }

@@ -9,6 +9,11 @@ import (
 	"repro/internal/topology"
 )
 
+// TestParseScheduleSpecNormalization pins the single spelling of a schedule
+// spec: the canonical registry form resolves, and the former CLI shorthands
+// ("trace=<file>", "mtbf=..,mttr=..", which hashed to a different
+// sweep.PointID than the canonical spelling of the same experiment) are
+// rejected rather than normalized.
 func TestParseScheduleSpecNormalization(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -16,26 +21,24 @@ func TestParseScheduleSpecNormalization(t *testing.T) {
 		want map[string]string
 	}{
 		{"trace:file=events.csv", "trace", map[string]string{"file": "events.csv"}},
-		{"trace=events.csv", "trace", map[string]string{"file": "events.csv"}},
 		{"mtbf:mtbf=20000,mttr=2000", "mtbf", map[string]string{"mtbf": "20000", "mttr": "2000"}},
-		{"mtbf=20000,mttr=2000", "mtbf", map[string]string{"mtbf": "20000", "mttr": "2000"}},
 	} {
-		spec, err := ParseScheduleSpec(tc.in)
+		spec, err := CheckScheduleSpec(tc.in)
 		if err != nil {
-			t.Fatalf("ParseScheduleSpec(%q): %v", tc.in, err)
+			t.Fatalf("CheckScheduleSpec(%q): %v", tc.in, err)
 		}
-		if spec.Name != tc.name {
-			t.Fatalf("ParseScheduleSpec(%q).Name = %q, want %q", tc.in, spec.Name, tc.name)
+		if spec.Name != tc.name || spec.String() != tc.in {
+			t.Fatalf("CheckScheduleSpec(%q) = %q (name %q), want name %q", tc.in, spec.String(), spec.Name, tc.name)
 		}
 		for k, v := range tc.want {
 			if got, ok := spec.Get(k); !ok || got != v {
-				t.Fatalf("ParseScheduleSpec(%q): param %s = %q/%v, want %q", tc.in, k, got, ok, v)
+				t.Fatalf("CheckScheduleSpec(%q): param %s = %q/%v, want %q", tc.in, k, got, ok, v)
 			}
 		}
 	}
-	for _, bad := range []string{"", "Trace:file=x", "mtbf:", "mtbf:mtbf", "mtbf:mtbf=1,mtbf=2", "mtbf:=3"} {
-		if _, err := ParseScheduleSpec(bad); err == nil {
-			t.Fatalf("ParseScheduleSpec(%q) accepted", bad)
+	for _, bad := range []string{"trace=events.csv", "mtbf=20000,mttr=2000", "", "Trace:file=x", "mtbf:"} {
+		if _, err := CheckScheduleSpec(bad); err == nil || !strings.HasPrefix(err.Error(), "fault: ") {
+			t.Fatalf("CheckScheduleSpec(%q) = %v, want a fault:-prefixed error", bad, err)
 		}
 	}
 }

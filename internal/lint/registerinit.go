@@ -27,8 +27,11 @@ var RegisterInit = &Analyzer{
 	Run:  runRegisterInit,
 }
 
-// registryFuncs maps the fully-qualified registration functions to the
-// registry namespace their names live in.
+// registryFuncs maps the fully-qualified registration functions — the
+// seams' typed entry points, the only callers of registry.Table.Register —
+// to the registry namespace their names live in. Their first argument is
+// the Info literal (the seam's own, or registry.Info) the names are read
+// from.
 var registryFuncs = map[string]string{
 	modulePath + "/internal/routing.Register":        "routing",
 	modulePath + "/internal/topology.Register":       "topology",

@@ -3,6 +3,7 @@ package fixture
 
 import (
 	"repro/internal/fault"
+	"repro/internal/registry"
 	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -15,8 +16,8 @@ func init() {
 		Description: "fixture algorithm",
 		Aliases:     []string{"fx-alias"},
 	}, nil)
-	traffic.RegisterPattern(traffic.Info{Name: "fx-pattern"}, nil, nil)
-	fault.RegisterSchedule(fault.ScheduleInfo{Name: "fx-schedule"}, nil, nil)
+	traffic.RegisterPattern(traffic.Info{Name: "fx-pattern"}, nil)
+	fault.RegisterSchedule(registry.Info{Name: "fx-schedule"}, nil)
 }
 
 var computed = "fx-" + "computed"
@@ -30,9 +31,9 @@ func init() {
 }
 
 func lateRegistration() {
-	topology.Register(topology.Info{Name: "fx-late"}, nil, nil) // want `topology registration outside init\(\)`
+	topology.Register(registry.Info{Name: "fx-late"}, nil) // want `topology registration outside init\(\)`
 }
 
 func suppressedLate() {
-	topology.Register(topology.Info{Name: "fx-plugin"}, nil, nil) //simlint:ignore registerinit -- test-only registry mutation, unwound by t.Cleanup
+	topology.Register(registry.Info{Name: "fx-plugin"}, nil) //simlint:ignore registerinit -- test-only registry mutation, unwound by t.Cleanup
 }

@@ -3,7 +3,11 @@
 // check must reject.
 package fixtureb
 
-import "repro/internal/routing"
+import (
+	"repro/internal/fault"
+	"repro/internal/registry"
+	"repro/internal/routing"
+)
 
 func init() {
 	routing.Register(routing.Info{Name: "fx-good"}, nil)  // want `duplicate routing registration "fx-good"`
@@ -12,4 +16,6 @@ func init() {
 		Name:    "fx-shadow",
 		Aliases: []string{"fx-alias"}, // want `duplicate routing registration "fx-alias"`
 	}, nil)
+	// Seams without extra Info fields spell the shared registry.Info directly.
+	fault.RegisterSchedule(registry.Info{Name: "fx-schedule"}, nil) // want `duplicate fault-schedule registration "fx-schedule"`
 }

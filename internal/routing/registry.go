@@ -2,11 +2,10 @@ package routing
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/message"
+	"repro/internal/registry"
 	"repro/internal/topology"
 )
 
@@ -102,37 +101,22 @@ func (i Info) Supports(kind string) bool {
 	return false
 }
 
-type regEntry struct {
+type algorithm struct {
 	info    Info
 	factory Factory
 }
 
-var (
-	regMu      sync.RWMutex
-	registry   = make(map[string]*regEntry) // primary name and aliases -> entry
-	regPrimary []string                     // primary names, registration order
-)
+var algorithms = registry.NewTable[algorithm]("routing", "algorithm")
 
 // Register adds an algorithm to the registry under info.Name and every
 // alias. It panics on a duplicate key or a nil factory — registration
 // happens in package init functions where a panic is a build-time bug.
 func Register(info Info, factory Factory) {
-	if info.Name == "" {
-		panic("routing: Register with empty name")
-	}
 	if factory == nil {
 		panic(fmt.Sprintf("routing: Register(%q) with nil factory", info.Name))
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	e := &regEntry{info: info, factory: factory}
-	for _, key := range append([]string{info.Name}, info.Aliases...) {
-		if _, dup := registry[key]; dup {
-			panic(fmt.Sprintf("routing: duplicate registration of algorithm %q", key))
-		}
-		registry[key] = e
-	}
-	regPrimary = append(regPrimary, info.Name)
+	algorithms.Register(registry.Info{Name: info.Name, Description: info.Description, Aliases: info.Aliases},
+		algorithm{info: info, factory: factory})
 }
 
 // New builds the registered algorithm called name (primary or alias) over
@@ -140,49 +124,34 @@ func Register(info Info, factory Factory) {
 // report the available set; algorithms that declare supported topologies
 // reject networks outside them.
 func New(name string, t topology.Network, f *fault.Set, v int) (Router, error) {
-	regMu.RLock()
-	e, ok := registry[name]
-	regMu.RUnlock()
+	a, ok := algorithms.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("routing: unknown algorithm %q (registered: %v)", name, Names())
 	}
-	if !e.info.Supports(t.Kind()) {
+	if !a.info.Supports(t.Kind()) {
 		return nil, fmt.Errorf("routing: algorithm %q supports topologies %v, not %q",
-			name, e.info.Topologies, t.Kind())
+			name, a.info.Topologies, t.Kind())
 	}
-	return e.factory(t, f, v)
+	return a.factory(t, f, v)
 }
 
 // Lookup returns the Info for a registered name (primary or alias).
 func Lookup(name string) (Info, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	e, ok := registry[name]
-	if !ok {
-		return Info{}, false
-	}
-	return e.info, true
+	a, ok := algorithms.Lookup(name)
+	return a.info, ok
 }
 
 // Names returns the primary registered algorithm names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := append([]string(nil), regPrimary...)
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return algorithms.Names() }
 
 // Algorithms returns the Info of every registered algorithm, sorted by
 // primary name.
 func Algorithms() []Info {
-	regMu.RLock()
-	out := make([]Info, 0, len(regPrimary))
-	for _, name := range regPrimary {
-		out = append(out, registry[name].info)
+	names := Names()
+	out := make([]Info, len(names))
+	for i, name := range names {
+		out[i], _ = Lookup(name)
 	}
-	regMu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

@@ -5,11 +5,10 @@
 // step that combines shard journals into one result set, and a
 // bisection saturation auto-search for capacity figures.
 //
-// The execution model is unchanged from core.RunSweep (which remains as
-// a thin compatibility shim): every point is an independent,
-// single-goroutine, deterministic engine run, fanned out over a worker
-// pool. What this package adds is identity and durability around that
-// pool:
+// The execution model is core.RunSweepFunc's: every point is an
+// independent, single-goroutine, deterministic engine run, fanned out over
+// a worker pool. What this package adds is identity and durability around
+// that pool:
 //
 //   - A Plan names a list of core.Points. Each point has a stable ID
 //     derived from its label and full configuration (PointID), so the
@@ -125,7 +124,7 @@ func (o Options) logf(format string, args ...any) {
 //
 // Run returns an error only for journal I/O failures; per-point
 // simulation errors and panics travel in PointResult.Err exactly as
-// with core.RunSweep.
+// with core.RunSweepFunc.
 func Run(plan Plan, opt Options) ([]core.PointResult, error) {
 	if err := opt.Shard.validate(); err != nil {
 		return nil, err

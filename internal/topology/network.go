@@ -4,10 +4,10 @@ import (
 	"bufio"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
+
+	"repro/internal/registry"
 )
 
 // Network is the pluggable topology interface: everything the routing
@@ -85,62 +85,29 @@ type Network interface {
 
 // Factory builds a configured Network from its parsed spec (the reserved
 // latmap parameter is stripped before the factory runs). Factories validate
-// their own parameters so New surfaces per-topology errors directly.
-type Factory func(spec Spec) (Network, error)
+// their own parameters so NewNetwork surfaces per-topology errors directly.
+type Factory func(spec registry.Spec) (Network, error)
 
-// Info describes a registered topology for listings and validation.
-type Info struct {
-	// Name is the primary registry key.
-	Name string
-	// Usage is the spec grammar, e.g. "torus[:k=<radix>,n=<dims>]".
-	Usage string
-	// Description is a one-line summary for -list style output.
-	Description string
-	// Aliases are additional keys resolving to the same factory.
-	Aliases []string
-}
-
-type topoEntry struct {
-	info    Info
-	check   func(Spec) error
-	factory Factory
-}
-
-var (
-	topoMu      sync.RWMutex
-	topoReg     = make(map[string]*topoEntry) // primary name and aliases -> entry
-	topoPrimary []string                      // primary names, registration order
-)
+var topologies = registry.NewTable[Factory]("topology", "topology")
 
 // Register adds a topology to the registry under info.Name and every alias.
-// check statically validates a parsed spec's parameters (nil for none). It
-// panics on a duplicate key or nil factory — registration happens in
+// It panics on a duplicate key or nil factory — registration happens in
 // package init functions where a panic is a build-time bug.
-func Register(info Info, check func(Spec) error, factory Factory) {
-	if info.Name == "" {
-		panic("topology: Register with empty name")
-	}
+func Register(info registry.Info, factory Factory) {
 	if factory == nil {
 		panic(fmt.Sprintf("topology: Register(%q) with nil factory", info.Name))
 	}
-	topoMu.Lock()
-	defer topoMu.Unlock()
-	e := &topoEntry{info: info, check: check, factory: factory}
-	for _, key := range append([]string{info.Name}, info.Aliases...) {
-		if _, dup := topoReg[key]; dup {
-			panic(fmt.Sprintf("topology: duplicate registration of topology %q", key))
-		}
-		topoReg[key] = e
-	}
-	topoPrimary = append(topoPrimary, info.Name)
+	topologies.Register(info, factory)
 }
 
-// resolve parses a spec string, splits off the reserved latmap parameter,
-// and finds the registry entry for the remaining spec.
-func resolve(specStr string) (*topoEntry, Spec, string, error) {
-	spec, err := ParseSpec(specStr)
+// NewNetwork builds the network described by a spec string ("torus:k=8,n=2",
+// "mesh:k=8,n=2", "hypercube:n=10"). The reserved latmap=<file> parameter
+// applies a per-link latency overlay to any topology and is consumed here,
+// before the factory sees the spec.
+func NewNetwork(specStr string) (Network, error) {
+	factory, spec, err := topologies.Resolve(specStr)
 	if err != nil {
-		return nil, Spec{}, "", err
+		return nil, err
 	}
 	latmap := ""
 	kept := spec.Params[:0]
@@ -152,23 +119,7 @@ func resolve(specStr string) (*topoEntry, Spec, string, error) {
 		kept = append(kept, p)
 	}
 	spec.Params = kept
-	topoMu.RLock()
-	e, ok := topoReg[spec.Name]
-	topoMu.RUnlock()
-	if !ok {
-		return nil, Spec{}, "", fmt.Errorf("topology: unknown topology %q (registered: %v)", spec.Name, Names())
-	}
-	return e, spec, latmap, nil
-}
-
-// NewNetwork builds the network described by a spec string ("torus:k=8,n=2",
-// "mesh:k=8,n=2", "hypercube:n=10", any of them with ",latmap=<file>").
-func NewNetwork(specStr string) (Network, error) {
-	e, spec, latmap, err := resolve(specStr)
-	if err != nil {
-		return nil, err
-	}
-	net, err := e.factory(spec)
+	net, err := factory(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -178,54 +129,9 @@ func NewNetwork(specStr string) (Network, error) {
 	return net, nil
 }
 
-// Check statically validates a topology spec string — parseable, registered
-// name, well-formed parameters — without building the network or touching
-// the latmap file (an environmental input checked at construction).
-func Check(specStr string) (Spec, Info, error) {
-	e, spec, _, err := resolve(specStr)
-	if err != nil {
-		return Spec{}, Info{}, err
-	}
-	if e.check != nil {
-		if err := e.check(spec); err != nil {
-			return Spec{}, Info{}, err
-		}
-	}
-	return spec, e.info, nil
-}
-
-// Lookup returns the Info for a registered name (primary or alias).
-func Lookup(name string) (Info, bool) {
-	topoMu.RLock()
-	defer topoMu.RUnlock()
-	e, ok := topoReg[name]
-	if !ok {
-		return Info{}, false
-	}
-	return e.info, true
-}
-
-// Names returns the primary registered topology names, sorted.
-func Names() []string {
-	topoMu.RLock()
-	out := append([]string(nil), topoPrimary...)
-	topoMu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
 // Topologies returns the Info of every registered topology, sorted by
 // primary name.
-func Topologies() []Info {
-	topoMu.RLock()
-	out := make([]Info, 0, len(topoPrimary))
-	for _, name := range topoPrimary {
-		out = append(out, topoReg[name].info)
-	}
-	topoMu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+func Topologies() []registry.Info { return topologies.Infos() }
 
 // maxNodes bounds constructible networks so a typo'd spec cannot allocate
 // the machine away (engines allocate per-node state eagerly).
@@ -249,68 +155,55 @@ func checkDims(k, n int) error {
 	return nil
 }
 
-func parseGridSpec(spec Spec) (k, n int, err error) {
-	a := newSpecArgs(spec)
+// gridDims extracts the (k, n) parameters of a grid topology spec.
+func gridDims(spec registry.Spec) (k, n int, err error) {
+	a := topologies.Args(spec)
 	k = a.Int("k", 8)
 	n = a.Int("n", 2)
-	if err := a.finish(); err != nil {
+	if err := a.Finish(); err != nil {
 		return 0, 0, err
 	}
 	return k, n, checkDims(k, n)
 }
 
-func parseHypercubeSpec(spec Spec) (n int, err error) {
-	a := newSpecArgs(spec)
-	n = a.Int("n", 10)
-	if err := a.finish(); err != nil {
-		return 0, err
-	}
-	return n, checkDims(2, n)
-}
-
 func init() {
-	Register(Info{
+	Register(registry.Info{
 		Name:        "torus",
 		Usage:       "torus[:k=<radix>,n=<dims>]",
 		Description: "k-ary n-cube with wraparound links (the paper's networks); defaults k=8,n=2",
 		Aliases:     []string{"k-ary-n-cube"},
-	}, func(spec Spec) error {
-		_, _, err := parseGridSpec(spec)
-		return err
-	}, func(spec Spec) (Network, error) {
-		k, n, err := parseGridSpec(spec)
+	}, func(spec registry.Spec) (Network, error) {
+		k, n, err := gridDims(spec)
 		if err != nil {
 			return nil, err
 		}
 		return New(k, n), nil
 	})
 
-	Register(Info{
+	Register(registry.Info{
 		Name:        "mesh",
 		Usage:       "mesh[:k=<radix>,n=<dims>]",
 		Description: "k-ary n-mesh: no wraparound links, so no dateline VC classes; defaults k=8,n=2",
-	}, func(spec Spec) error {
-		_, _, err := parseGridSpec(spec)
-		return err
-	}, func(spec Spec) (Network, error) {
-		k, n, err := parseGridSpec(spec)
+	}, func(spec registry.Spec) (Network, error) {
+		k, n, err := gridDims(spec)
 		if err != nil {
 			return nil, err
 		}
 		return NewMesh(k, n), nil
 	})
 
-	Register(Info{
+	Register(registry.Info{
 		Name:        "hypercube",
 		Usage:       "hypercube[:n=<dims>]",
 		Description: "binary n-cube (2-ary n-torus alias); defaults n=10",
 		Aliases:     []string{"binary-n-cube"},
-	}, func(spec Spec) error {
-		_, err := parseHypercubeSpec(spec)
-		return err
-	}, func(spec Spec) (Network, error) {
-		n, err := parseHypercubeSpec(spec)
-		if err != nil {
+	}, func(spec registry.Spec) (Network, error) {
+		a := topologies.Args(spec)
+		n := a.Int("n", 10)
+		if err := a.Finish(); err != nil {
+			return nil, err
+		}
+		if err := checkDims(2, n); err != nil {
 			return nil, err
 		}
 		return New(2, n), nil

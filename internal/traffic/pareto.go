@@ -1,6 +1,10 @@
 package traffic
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/registry"
+)
 
 // ParetoOnOff is the heavy-tailed on/off source: each node alternates
 // independently between an ON phase emitting Poisson arrivals at rate and
@@ -97,45 +101,26 @@ func (p *ParetoOnOff) nextArrival(idx int, _ int64) int64 {
 
 // --- registry wiring ---
 
-type paretoParams struct{ shape, on, off, rate float64 }
-
-func parsePareto(spec Spec) (paretoParams, error) {
-	a := newArgs(spec)
-	p := paretoParams{
-		shape: a.PositiveFloat("shape", 1.5),
-		on:    a.PositiveFloat("on", 50),
-		off:   a.PositiveFloat("off", 200),
-		rate:  a.PositiveFloat("rate", 0), // 0: derive from env.Lambda
-	}
-	if err := a.finish(); err != nil {
-		return p, err
-	}
-	if p.shape <= 1 {
-		return p, fmt.Errorf("traffic: spec %q: shape must be > 1, got %g", spec.String(), p.shape)
-	}
-	return p, nil
-}
-
 func init() {
 	RegisterSource(Info{
 		Name:        "pareto",
 		Usage:       "pareto[:shape=<alpha>,on=<cycles>,off=<cycles>,rate=<msgs/node/cycle>]",
 		Description: "heavy-tailed Pareto on/off arrivals (self-similar for shape<=2); rate defaults to λ·(on+off)/on",
 		Aliases:     []string{"pareto-onoff"},
-	}, func(spec Spec) error {
-		_, err := parsePareto(spec)
-		return err
-	}, func(env Env, spec Spec) (Source, error) {
-		p, err := parsePareto(spec)
-		if err != nil {
-			return nil, err
+	}, func(spec registry.Spec) (SourceBuilder, error) {
+		a := sources.Args(spec)
+		shape := a.PositiveFloat("shape", 1.5)
+		on, off := a.PositiveFloat("on", 50), a.PositiveFloat("off", 200)
+		explicit := a.PositiveFloat("rate", 0)
+		if shape <= 1 {
+			a.Failf("shape must be > 1, got %g", shape)
 		}
-		if p.rate == 0 {
-			if env.Lambda <= 0 {
-				return nil, fmt.Errorf("traffic: pareto needs rate=<λ> or a positive λ")
+		return func(env Env) (Source, error) {
+			rate, err := onOffRate("pareto", explicit, on, off, env.Lambda)
+			if err != nil {
+				return nil, err
 			}
-			p.rate = env.Lambda * (p.on + p.off) / p.on
-		}
-		return NewParetoOnOff(env, p.shape, p.on, p.off, p.rate)
+			return NewParetoOnOff(env, shape, on, off, rate)
+		}, a.Finish()
 	})
 }

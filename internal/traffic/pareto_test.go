@@ -109,7 +109,7 @@ func TestParetoRejectsBadSpecs(t *testing.T) {
 		"pareto:alpha=1.5", // misspelt key
 		"pareto:shape=nan", // NaN shape
 	} {
-		if err := ValidateSourceSpec(spec); err == nil {
+		if _, _, err := CheckSourceSpec(spec); err == nil {
 			t.Errorf("spec %q accepted", spec)
 		}
 		if _, err := NewSource(spec, testEnv(t, 25)); err == nil {

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/fault"
+	"repro/internal/registry"
 	"repro/internal/rng"
 	"repro/internal/topology"
 )
@@ -121,43 +122,12 @@ func (w *Weighted) Pick(src topology.NodeID, r *rng.Stream) topology.NodeID {
 
 // --- registry wiring ---
 
-func noParams(spec Spec) error { return newArgs(spec).finish() }
-
-type hotspotParams struct {
-	frac float64
-	node int // -1: default (middle healthy node)
-}
-
-func parseHotspot(spec Spec) (hotspotParams, error) {
-	a := newArgs(spec)
-	p := hotspotParams{frac: a.Fraction("frac", 0.1), node: a.Int("node", -1)}
-	if err := a.finish(); err != nil {
-		return p, err
+// noParams is the factory of a parameterless pattern: it rejects every
+// parameter and hands back build.
+func noParams(build PatternBuilder) PatternFactory {
+	return func(spec registry.Spec) (PatternBuilder, error) {
+		return build, patterns.Args(spec).Finish()
 	}
-	if _, ok := spec.Get("node"); ok && p.node < 0 {
-		return p, fmt.Errorf("traffic: spec %q: node must be >= 0, got %d", spec.String(), p.node)
-	}
-	return p, nil
-}
-
-type weightsParams struct {
-	weights map[int]float64
-	rest    float64
-}
-
-func parseWeights(spec Spec) (weightsParams, error) {
-	a := newArgs(spec)
-	p := weightsParams{weights: a.NodeFloats(), rest: a.Float("rest", 0)}
-	if err := a.finish(); err != nil {
-		return p, err
-	}
-	if !(p.rest >= 0) { // negated to reject NaN
-		return p, fmt.Errorf("traffic: spec %q: rest must be >= 0, got %g", spec.String(), p.rest)
-	}
-	if len(p.weights) == 0 && p.rest == 0 {
-		return p, fmt.Errorf("traffic: spec %q: weights needs at least one <node>=<weight> entry or rest=<weight>", spec.String())
-	}
-	return p, nil
 }
 
 func init() {
@@ -165,52 +135,47 @@ func init() {
 		Name:        "uniform",
 		Usage:       "uniform",
 		Description: "uniformly random healthy destination != source (the paper's workload)",
-	}, noParams, func(t topology.Network, f *fault.Set, spec Spec) (Pattern, error) {
-		if err := noParams(spec); err != nil {
-			return nil, err
-		}
+	}, noParams(func(t topology.Network, f *fault.Set) (Pattern, error) {
 		return NewUniform(f), nil
-	})
+	}))
 
 	RegisterPattern(Info{
 		Name:        "transpose",
 		Usage:       "transpose",
 		Description: "coordinate rotation (a0,...,an-1) -> (a1,...,a0); adversarial for e-cube",
-	}, noParams, func(t topology.Network, f *fault.Set, spec Spec) (Pattern, error) {
-		if err := noParams(spec); err != nil {
-			return nil, err
-		}
+	}, noParams(func(t topology.Network, f *fault.Set) (Pattern, error) {
 		return NewTranspose(t, f), nil
-	})
+	}))
 
 	RegisterPattern(Info{
 		Name:        "hotspot",
 		Usage:       "hotspot[:frac=<(0,1]>,node=<id>]",
 		Description: "uniform mixed with a fixed hot node (default: middle healthy node, frac 0.1)",
 		NodeIDKeys:  []string{"node"},
-	}, func(spec Spec) error {
-		_, err := parseHotspot(spec)
-		return err
-	}, func(t topology.Network, f *fault.Set, spec Spec) (Pattern, error) {
-		p, err := parseHotspot(spec)
-		if err != nil {
-			return nil, err
+	}, func(spec registry.Spec) (PatternBuilder, error) {
+		a := patterns.Args(spec)
+		frac := a.Fraction("frac", 0.1)
+		node := a.Int("node", -1) // -1: default (middle healthy node)
+		if _, ok := spec.Get("node"); ok && node < 0 {
+			a.Failf("node must be >= 0, got %d", node)
 		}
-		healthy := f.HealthyNodes()
-		if len(healthy) == 0 {
-			return nil, fmt.Errorf("traffic: hotspot needs at least one healthy node")
-		}
-		spot := healthy[len(healthy)/2]
-		if p.node >= 0 {
-			if p.node >= t.Nodes() {
-				return nil, fmt.Errorf("traffic: hotspot node %d out of range [0,%d)", p.node, t.Nodes())
+		return func(t topology.Network, f *fault.Set) (Pattern, error) {
+			healthy := f.HealthyNodes()
+			if len(healthy) == 0 {
+				return nil, fmt.Errorf("traffic: hotspot needs at least one healthy node")
 			}
-			spot = topology.NodeID(p.node)
-			if f.NodeFaulty(spot) {
-				return nil, fmt.Errorf("traffic: hotspot node %d is faulty", p.node)
+			spot := healthy[len(healthy)/2]
+			if node >= 0 {
+				if node >= t.Nodes() {
+					return nil, fmt.Errorf("traffic: hotspot node %d out of range [0,%d)", node, t.Nodes())
+				}
+				spot = topology.NodeID(node)
+				if f.NodeFaulty(spot) {
+					return nil, fmt.Errorf("traffic: hotspot node %d is faulty", node)
+				}
 			}
-		}
-		return NewHotspot(NewUniform(f), spot, p.frac, f), nil
+			return NewHotspot(NewUniform(f), spot, frac, f), nil
+		}, a.Finish()
 	})
 
 	RegisterPattern(Info{
@@ -218,26 +183,26 @@ func init() {
 		Usage:       "bitrev",
 		Description: "bit-reversal permutation (needs a power-of-two node count)",
 		Aliases:     []string{"bit-reversal"},
-	}, noParams, func(t topology.Network, f *fault.Set, spec Spec) (Pattern, error) {
-		if err := noParams(spec); err != nil {
-			return nil, err
-		}
+	}, noParams(func(t topology.Network, f *fault.Set) (Pattern, error) {
 		return NewBitReversal(t, f)
-	})
+	}))
 
 	RegisterPattern(Info{
 		Name:        "weights",
 		Usage:       "weights:<node>=<weight>,...[,rest=<weight>]",
 		Description: "per-node weighted destination map; rest weights the unlisted nodes",
 		Aliases:     []string{"weighted"},
-	}, func(spec Spec) error {
-		_, err := parseWeights(spec)
-		return err
-	}, func(t topology.Network, f *fault.Set, spec Spec) (Pattern, error) {
-		p, err := parseWeights(spec)
-		if err != nil {
-			return nil, err
+	}, func(spec registry.Spec) (PatternBuilder, error) {
+		a := patterns.Args(spec)
+		weights, rest := a.NodeFloats(), a.Float("rest", 0)
+		if rest < 0 {
+			a.Failf("rest must be >= 0, got %g", rest)
 		}
-		return NewWeighted(t, f, p.weights, p.rest)
+		if len(weights) == 0 && rest == 0 {
+			a.Failf("weights needs at least one <node>=<weight> entry or rest=<weight>")
+		}
+		return func(t topology.Network, f *fault.Set) (Pattern, error) {
+			return NewWeighted(t, f, weights, rest)
+		}, a.Finish()
 	})
 }

@@ -2,11 +2,10 @@ package traffic
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/message"
+	"repro/internal/registry"
 	"repro/internal/rng"
 	"repro/internal/topology"
 )
@@ -80,11 +79,19 @@ type MeanRater interface {
 	MeanRate() float64
 }
 
-// SourceFactory builds a configured Source from its parsed spec.
-type SourceFactory func(env Env, spec Spec) (Source, error)
-
-// PatternFactory builds a configured Pattern from its parsed spec.
-type PatternFactory func(t topology.Network, f *fault.Set, spec Spec) (Pattern, error)
+// A factory is the one function a registration supplies. It reads the
+// parsed spec's parameters — statically: no environment, no IO — and
+// returns the builder binding them to a run. Static checks
+// (CheckPatternSpec/CheckSourceSpec) call the factory and drop the builder;
+// construction calls both, so validation and construction cannot drift.
+type (
+	PatternFactory func(spec registry.Spec) (PatternBuilder, error)
+	SourceFactory  func(spec registry.Spec) (SourceBuilder, error)
+	// PatternBuilder builds the configured pattern over a network.
+	PatternBuilder func(t topology.Network, f *fault.Set) (Pattern, error)
+	// SourceBuilder builds the configured source in an environment.
+	SourceBuilder func(env Env) (Source, error)
+)
 
 // Info describes a registered pattern or source for listings and
 // validation.
@@ -103,186 +110,82 @@ type Info struct {
 	NodeIDKeys []string
 }
 
-// entry pairs an Info with its factory and static parameter check.
-type entry[F any] struct {
+// entry pairs an Info with its factory; B is the builder type.
+type entry[B any] struct {
 	info    Info
-	check   func(Spec) error
-	factory F
-}
-
-// table is a string-keyed registry shared by patterns and sources,
-// mirroring the routing-algorithm registry.
-type table[F any] struct {
-	kind    string
-	mu      sync.RWMutex
-	m       map[string]*entry[F]
-	primary []string
-}
-
-func (tb *table[F]) register(info Info, check func(Spec) error, factory F) {
-	if info.Name == "" {
-		panic(fmt.Sprintf("traffic: Register%s with empty name", tb.kind))
-	}
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	e := &entry[F]{info: info, check: check, factory: factory}
-	for _, key := range append([]string{info.Name}, info.Aliases...) {
-		if _, dup := tb.m[key]; dup {
-			panic(fmt.Sprintf("traffic: duplicate registration of %s %q", tb.kind, key))
-		}
-		tb.m[key] = e
-	}
-	tb.primary = append(tb.primary, info.Name)
-}
-
-func (tb *table[F]) lookup(name string) (*entry[F], bool) {
-	tb.mu.RLock()
-	defer tb.mu.RUnlock()
-	e, ok := tb.m[name]
-	return e, ok
-}
-
-func (tb *table[F]) names() []string {
-	tb.mu.RLock()
-	out := append([]string(nil), tb.primary...)
-	tb.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-func (tb *table[F]) infos() []Info {
-	tb.mu.RLock()
-	out := make([]Info, 0, len(tb.primary))
-	for _, name := range tb.primary {
-		out = append(out, tb.m[name].info)
-	}
-	tb.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// resolve parses a spec string and finds its registry entry.
-func (tb *table[F]) resolve(specStr string) (*entry[F], Spec, error) {
-	spec, err := ParseSpec(specStr)
-	if err != nil {
-		return nil, Spec{}, err
-	}
-	e, ok := tb.lookup(spec.Name)
-	if !ok {
-		return nil, Spec{}, fmt.Errorf("traffic: unknown %s %q (registered: %v)", tb.kind, spec.Name, tb.names())
-	}
-	return e, spec, nil
-}
-
-// check statically validates a spec string — parseable, registered name,
-// well-formed parameters — and returns the parsed Spec with the resolved
-// entry's Info so callers can continue without re-parsing. Environment-
-// dependent checks (node healthiness, replay file contents) happen at
-// construction.
-func (tb *table[F]) check(specStr string) (Spec, Info, error) {
-	e, spec, err := tb.resolve(specStr)
-	if err != nil {
-		return Spec{}, Info{}, err
-	}
-	if e.check != nil {
-		if err := e.check(spec); err != nil {
-			return Spec{}, Info{}, err
-		}
-	}
-	return spec, e.info, nil
+	factory func(registry.Spec) (B, error)
 }
 
 var (
-	patternReg = &table[PatternFactory]{kind: "pattern", m: map[string]*entry[PatternFactory]{}}
-	sourceReg  = &table[SourceFactory]{kind: "source", m: map[string]*entry[SourceFactory]{}}
+	patterns = registry.NewTable[entry[PatternBuilder]]("traffic", "pattern")
+	sources  = registry.NewTable[entry[SourceBuilder]]("traffic", "source")
 )
 
-// RegisterPattern adds a destination pattern to the registry under
-// info.Name and every alias. check statically validates a parsed spec's
-// parameters (nil for none). Panics on duplicates — registration happens in
-// init functions where a panic is a build-time bug.
-func RegisterPattern(info Info, check func(Spec) error, factory PatternFactory) {
+func register[B any](tb *registry.Table[entry[B]], info Info, factory func(registry.Spec) (B, error)) {
 	if factory == nil {
-		panic(fmt.Sprintf("traffic: RegisterPattern(%q) with nil factory", info.Name))
+		panic(fmt.Sprintf("traffic: registration of %q with nil factory", info.Name))
 	}
-	patternReg.register(info, check, factory)
+	tb.Register(registry.Info{Name: info.Name, Usage: info.Usage, Description: info.Description, Aliases: info.Aliases},
+		entry[B]{info: info, factory: factory})
 }
+
+// resolve parses a spec string, finds its entry and runs the factory's
+// static parameter validation.
+func resolve[B any](tb *registry.Table[entry[B]], specStr string) (build B, spec registry.Spec, info Info, err error) {
+	e, spec, err := tb.Resolve(specStr)
+	if err == nil {
+		build, err = e.factory(spec)
+	}
+	return build, spec, e.info, err
+}
+
+// RegisterPattern adds a destination pattern to the registry under
+// info.Name and every alias. Panics on duplicates or a nil factory —
+// registration happens in init functions where a panic is a build-time bug.
+func RegisterPattern(info Info, factory PatternFactory) { register(patterns, info, factory) }
 
 // RegisterSource adds an arrival-process source to the registry under
 // info.Name and every alias; see RegisterPattern.
-func RegisterSource(info Info, check func(Spec) error, factory SourceFactory) {
-	if factory == nil {
-		panic(fmt.Sprintf("traffic: RegisterSource(%q) with nil factory", info.Name))
-	}
-	sourceReg.register(info, check, factory)
-}
+func RegisterSource(info Info, factory SourceFactory) { register(sources, info, factory) }
 
 // NewPattern builds the destination pattern described by a spec string
 // ("uniform", "hotspot:frac=0.1,node=12", ...) over the given network.
 func NewPattern(specStr string, t topology.Network, f *fault.Set) (Pattern, error) {
-	e, spec, err := patternReg.resolve(specStr)
+	build, _, _, err := resolve(patterns, specStr)
 	if err != nil {
 		return nil, err
 	}
-	return e.factory(t, f, spec)
+	return build(t, f)
 }
 
 // NewSource builds the arrival-process source described by a spec string
 // ("poisson", "burst:on=50,off=200,rate=0.02", "replay:file=w.csv", ...).
 func NewSource(specStr string, env Env) (Source, error) {
-	e, spec, err := sourceReg.resolve(specStr)
+	build, _, _, err := resolve(sources, specStr)
 	if err != nil {
 		return nil, err
 	}
-	return e.factory(env, spec)
+	return build(env)
 }
 
-// CheckPatternSpec statically checks a pattern spec string and returns the
-// parsed Spec and the resolved registry Info.
-func CheckPatternSpec(specStr string) (Spec, Info, error) { return patternReg.check(specStr) }
-
-// CheckSourceSpec statically checks a source spec string and returns the
-// parsed Spec and the resolved registry Info.
-func CheckSourceSpec(specStr string) (Spec, Info, error) { return sourceReg.check(specStr) }
-
-// ValidatePatternSpec statically checks a pattern spec string.
-func ValidatePatternSpec(specStr string) error {
-	_, _, err := patternReg.check(specStr)
-	return err
+// CheckPatternSpec statically checks a pattern spec string — parseable,
+// registered name, well-formed parameters — and returns the parsed Spec and
+// the resolved registry Info so callers can continue without re-parsing.
+// Environment-dependent checks (node healthiness) happen at construction.
+func CheckPatternSpec(specStr string) (registry.Spec, Info, error) {
+	_, spec, info, err := resolve(patterns, specStr)
+	return spec, info, err
 }
 
-// ValidateSourceSpec statically checks a source spec string.
-func ValidateSourceSpec(specStr string) error {
-	_, _, err := sourceReg.check(specStr)
-	return err
+// CheckSourceSpec is CheckPatternSpec for a source spec string (replay file
+// contents are read at construction).
+func CheckSourceSpec(specStr string) (registry.Spec, Info, error) {
+	_, spec, info, err := resolve(sources, specStr)
+	return spec, info, err
 }
 
-// LookupPattern returns the Info of a registered pattern (primary or alias).
-func LookupPattern(name string) (Info, bool) {
-	e, ok := patternReg.lookup(name)
-	if !ok {
-		return Info{}, false
-	}
-	return e.info, true
-}
+// Patterns returns the listing of every registered pattern, sorted by name.
+func Patterns() []registry.Info { return patterns.Infos() }
 
-// LookupSource returns the Info of a registered source (primary or alias).
-func LookupSource(name string) (Info, bool) {
-	e, ok := sourceReg.lookup(name)
-	if !ok {
-		return Info{}, false
-	}
-	return e.info, true
-}
-
-// Patterns returns the Info of every registered pattern, sorted by name.
-func Patterns() []Info { return patternReg.infos() }
-
-// Sources returns the Info of every registered source, sorted by name.
-func Sources() []Info { return sourceReg.infos() }
-
-// PatternNames returns the primary registered pattern names, sorted.
-func PatternNames() []string { return patternReg.names() }
-
-// SourceNames returns the primary registered source names, sorted.
-func SourceNames() []string { return sourceReg.names() }
+// Sources returns the listing of every registered source, sorted by name.
+func Sources() []registry.Info { return sources.Infos() }

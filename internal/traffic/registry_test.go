@@ -6,72 +6,10 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/message"
+	"repro/internal/registry"
 	"repro/internal/rng"
 	"repro/internal/topology"
 )
-
-func TestParseSpec(t *testing.T) {
-	for _, tc := range []struct {
-		in     string
-		name   string
-		params int
-	}{
-		{"poisson", "poisson", 0},
-		{"burst:on=50,off=200,rate=0.02", "burst", 3},
-		{"hotspot:frac=0.1,node=12", "hotspot", 2},
-		{"nodemap:default=0.001,12=0.01", "nodemap", 2},
-		{" uniform ", "uniform", 0},
-		{"replay:file=/tmp/w.csv", "replay", 1},
-	} {
-		spec, err := ParseSpec(tc.in)
-		if err != nil {
-			t.Errorf("%q: %v", tc.in, err)
-			continue
-		}
-		if spec.Name != tc.name || len(spec.Params) != tc.params {
-			t.Errorf("%q parsed to %+v", tc.in, spec)
-		}
-	}
-}
-
-func TestParseSpecErrors(t *testing.T) {
-	for _, in := range []string{
-		"",                  // empty
-		":frac=0.1",         // no name
-		"Burst:on=50",       // upper case name
-		"burst:",            // empty param list
-		"burst:on",          // no value
-		"burst:=5",          // no key
-		"burst:on=",         // empty value
-		"burst:on=5,on=6",   // duplicate key
-		"burst:o n=5",       // space inside key
-		"hot spot:frac=0.1", // space inside name
-		"burst:on=5,,off=6", // empty pair
-		"burst:on=5;off=6",  // wrong separator survives as one bad value? no: key "on" value "5;off=6" is fine... ensure ; in key fails below
-		"burst:on@x=5",      // bad key char
-	} {
-		if _, err := ParseSpec(in); err == nil {
-			// "burst:on=5;off=6" actually parses as on = "5;off=6": values
-			// are free-form, so skip it.
-			if in == "burst:on=5;off=6" {
-				continue
-			}
-			t.Errorf("%q accepted", in)
-		}
-	}
-}
-
-func TestSpecRoundTrip(t *testing.T) {
-	for _, in := range []string{"poisson", "burst:on=50,off=200,rate=0.02", "weights:5=3,rest=1"} {
-		spec, err := ParseSpec(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := spec.String(); got != in {
-			t.Errorf("round trip %q -> %q", in, got)
-		}
-	}
-}
 
 // testEnv builds a valid source env over a fault-free 8-ary 2-cube.
 func testEnv(t *testing.T, seed uint64) Env {
@@ -144,18 +82,40 @@ func TestNewPatternRejectsBadSpecs(t *testing.T) {
 
 func TestValidateSpecsStatically(t *testing.T) {
 	// Static validation catches malformed parameters without an env...
-	if err := ValidateSourceSpec("burst:on=-1"); err == nil {
+	if _, _, err := CheckSourceSpec("burst:on=-1"); err == nil {
 		t.Error("static source check missed on=-1")
 	}
-	if err := ValidatePatternSpec("hotspot:frac=2"); err == nil {
+	if _, _, err := CheckPatternSpec("hotspot:frac=2"); err == nil {
 		t.Error("static pattern check missed frac=2")
 	}
-	if err := ValidateSourceSpec("poisson"); err != nil {
+	if _, _, err := CheckSourceSpec("poisson"); err != nil {
 		t.Errorf("poisson rejected statically: %v", err)
 	}
 	// ...while env-dependent facts (file existence) wait for construction.
-	if err := ValidateSourceSpec("replay:file=/nonexistent/x.csv"); err != nil {
+	if _, _, err := CheckSourceSpec("replay:file=/nonexistent/x.csv"); err != nil {
 		t.Errorf("static replay check should not touch the filesystem: %v", err)
+	}
+	// The resolved Info carries what only this seam knows: which parameters
+	// hold node ids, for callers that know the network size.
+	spec, info, err := CheckPatternSpec("hotspot:frac=0.2,node=12")
+	if err != nil || spec.Name != "hotspot" || len(info.NodeIDKeys) != 1 || info.NodeIDKeys[0] != "node" {
+		t.Errorf("CheckPatternSpec(hotspot) = %+v, %+v, %v", spec, info, err)
+	}
+}
+
+// TestSpecRoundTrip pins what core.Validate's node-id range checks rely
+// on: the static checks hand back the spec as written — alias kept,
+// parameters in written order — so it renders back to its input.
+func TestSpecRoundTrip(t *testing.T) {
+	for _, in := range []string{"poisson", "mmpp:on=50,off=200,rate=0.02", "nodemap:default=0.001,12=0.01"} {
+		if spec, _, err := CheckSourceSpec(in); err != nil || spec.String() != in {
+			t.Errorf("CheckSourceSpec(%q) = %q, %v", in, spec.String(), err)
+		}
+	}
+	for _, in := range []string{"uniform", "weighted:5=3,rest=1", "hotspot:node=12,frac=0.1"} {
+		if spec, _, err := CheckPatternSpec(in); err != nil || spec.String() != in {
+			t.Errorf("CheckPatternSpec(%q) = %q, %v", in, spec.String(), err)
+		}
 	}
 }
 
@@ -179,42 +139,40 @@ func TestSourceAliasesResolve(t *testing.T) {
 }
 
 func TestRegistryListings(t *testing.T) {
-	wantSources := []string{"burst", "interval", "nodemap", "poisson", "replay"}
-	gotSources := SourceNames()
-	for _, w := range wantSources {
-		found := false
-		for _, g := range gotSources {
-			if g == w {
-				found = true
+	listed := func(infos []registry.Info) map[string]bool {
+		out := map[string]bool{}
+		for _, info := range infos {
+			if info.Usage == "" || info.Description == "" {
+				t.Errorf("%q: empty usage or description", info.Name)
 			}
+			out[info.Name] = true
 		}
-		if !found {
-			t.Errorf("source %q not listed in %v", w, gotSources)
+		return out
+	}
+	sources, patterns := listed(Sources()), listed(Patterns())
+	for _, w := range []string{"burst", "interval", "nodemap", "pareto", "poisson", "replay"} {
+		if !sources[w] {
+			t.Errorf("source %q not listed in %v", w, sources)
 		}
 	}
-	wantPatterns := []string{"bitrev", "hotspot", "transpose", "uniform", "weights"}
-	gotPatterns := PatternNames()
-	for _, w := range wantPatterns {
-		found := false
-		for _, g := range gotPatterns {
-			if g == w {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("pattern %q not listed in %v", w, gotPatterns)
+	for _, w := range []string{"bitrev", "hotspot", "transpose", "uniform", "weights"} {
+		if !patterns[w] {
+			t.Errorf("pattern %q not listed in %v", w, patterns)
 		}
 	}
-	for _, info := range append(Sources(), Patterns()...) {
-		if info.Usage == "" || info.Description == "" {
-			t.Errorf("%q: empty usage or description", info.Name)
-		}
+	// Aliases resolve but are not listed; the two tables do not leak into
+	// each other.
+	if sources["mmpp"] || patterns["bit-reversal"] {
+		t.Error("an alias is listed as a primary name")
 	}
-	if _, ok := LookupSource("mmpp"); !ok {
-		t.Error("LookupSource alias mmpp failed")
+	if _, _, err := CheckSourceSpec("mmpp"); err != nil {
+		t.Errorf("source alias mmpp: %v", err)
 	}
-	if _, ok := LookupPattern("bit-reversal"); !ok {
-		t.Error("LookupPattern alias bit-reversal failed")
+	if _, _, err := CheckPatternSpec("bit-reversal"); err != nil {
+		t.Errorf("pattern alias bit-reversal: %v", err)
+	}
+	if _, _, err := CheckPatternSpec("poisson"); err == nil || !strings.Contains(err.Error(), "traffic: unknown pattern") {
+		t.Errorf("source name accepted as a pattern: %v", err)
 	}
 }
 
@@ -224,5 +182,5 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 			t.Error("duplicate source registration did not panic")
 		}
 	}()
-	RegisterSource(Info{Name: "poisson"}, nil, func(env Env, spec Spec) (Source, error) { return nil, nil })
+	RegisterSource(Info{Name: "poisson"}, func(registry.Spec) (SourceBuilder, error) { return nil, nil })
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/message"
+	"repro/internal/registry"
 	"repro/internal/rng"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -278,62 +279,17 @@ func NewNodeMap(env Env, rates map[int]float64, def float64) (*schedSource, erro
 }
 
 // --- registry wiring ---
-//
-// Each source's parameter extraction is a standalone parse function used
-// both by its factory and as the registry's static check, so spec
-// validation and construction cannot drift.
 
-func parsePoisson(spec Spec) (rate float64, err error) {
-	a := newArgs(spec)
-	rate = a.PositiveFloat("rate", 0) // 0: defer to env.Lambda
-	return rate, a.finish()
-}
-
-func parseInterval(spec Spec) (period int64, err error) {
-	a := newArgs(spec)
-	period = int64(a.PositiveInt("period", 0)) // 0: derive from env.Lambda
-	return period, a.finish()
-}
-
-type burstParams struct{ on, off, rate float64 }
-
-func parseBurst(spec Spec) (burstParams, error) {
-	a := newArgs(spec)
-	p := burstParams{
-		on:   a.PositiveFloat("on", 50),
-		off:  a.PositiveFloat("off", 200),
-		rate: a.PositiveFloat("rate", 0), // 0: derive from env.Lambda
+// onOffRate resolves the on-state rate of an on/off source: the explicit
+// rate= when given, else the one that makes the long-run offered load λ.
+func onOffRate(name string, rate, on, off, lambda float64) (float64, error) {
+	if rate != 0 {
+		return rate, nil
 	}
-	return p, a.finish()
-}
-
-type nodeMapParams struct {
-	rates map[int]float64
-	def   float64
-}
-
-func parseNodeMap(spec Spec) (nodeMapParams, error) {
-	a := newArgs(spec)
-	p := nodeMapParams{rates: a.NodeFloats(), def: a.Float("default", 0)}
-	if err := a.finish(); err != nil {
-		return p, err
+	if lambda <= 0 {
+		return 0, fmt.Errorf("traffic: %s needs rate=<λ> or a positive λ", name)
 	}
-	if !(p.def >= 0) { // negated to reject NaN
-		return p, fmt.Errorf("traffic: spec %q: default rate must be >= 0, got %g", spec.String(), p.def)
-	}
-	return p, nil
-}
-
-func parseReplay(spec Spec) (file string, err error) {
-	a := newArgs(spec)
-	file = a.Str("file", "")
-	if err := a.finish(); err != nil {
-		return "", err
-	}
-	if file == "" {
-		return "", fmt.Errorf("traffic: spec %q: replay needs file=<path>", spec.String())
-	}
-	return file, nil
+	return lambda * (on + off) / on, nil
 }
 
 func init() {
@@ -341,18 +297,15 @@ func init() {
 		Name:        "poisson",
 		Usage:       "poisson[:rate=<msgs/node/cycle>]",
 		Description: "independent Poisson arrivals per node (the paper's workload); rate defaults to λ",
-	}, func(spec Spec) error {
-		_, err := parsePoisson(spec)
-		return err
-	}, func(env Env, spec Spec) (Source, error) {
-		rate, err := parsePoisson(spec)
-		if err != nil {
-			return nil, err
-		}
-		if rate == 0 {
-			rate = env.Lambda
-		}
-		return NewPoisson(env, rate)
+	}, func(spec registry.Spec) (SourceBuilder, error) {
+		a := sources.Args(spec)
+		rate := a.PositiveFloat("rate", 0)
+		return func(env Env) (Source, error) {
+			if rate == 0 {
+				return NewPoisson(env, env.Lambda)
+			}
+			return NewPoisson(env, rate)
+		}, a.Finish()
 	})
 
 	RegisterSource(Info{
@@ -360,24 +313,22 @@ func init() {
 		Usage:       "interval[:period=<cycles>]",
 		Description: "deterministic arrivals, one message per node every period cycles (default round(1/λ))",
 		Aliases:     []string{"deterministic-interval"},
-	}, func(spec Spec) error {
-		_, err := parseInterval(spec)
-		return err
-	}, func(env Env, spec Spec) (Source, error) {
-		period, err := parseInterval(spec)
-		if err != nil {
-			return nil, err
-		}
-		if period == 0 {
-			if env.Lambda <= 0 {
-				return nil, fmt.Errorf("traffic: interval needs period=<cycles> or a positive λ")
+	}, func(spec registry.Spec) (SourceBuilder, error) {
+		a := sources.Args(spec)
+		explicit := int64(a.PositiveInt("period", 0))
+		return func(env Env) (Source, error) {
+			period := explicit
+			if period == 0 {
+				if env.Lambda <= 0 {
+					return nil, fmt.Errorf("traffic: interval needs period=<cycles> or a positive λ")
+				}
+				period = int64(math.Round(1 / env.Lambda))
+				if period < 1 {
+					period = 1
+				}
 			}
-			period = int64(math.Round(1 / env.Lambda))
-			if period < 1 {
-				period = 1
-			}
-		}
-		return NewInterval(env, period)
+			return NewInterval(env, period)
+		}, a.Finish()
 	})
 
 	RegisterSource(Info{
@@ -385,21 +336,17 @@ func init() {
 		Usage:       "burst[:on=<cycles>,off=<cycles>,rate=<msgs/node/cycle>]",
 		Description: "MMPP on/off bursty arrivals; rate defaults to λ·(on+off)/on (equal offered load)",
 		Aliases:     []string{"mmpp", "bursty"},
-	}, func(spec Spec) error {
-		_, err := parseBurst(spec)
-		return err
-	}, func(env Env, spec Spec) (Source, error) {
-		p, err := parseBurst(spec)
-		if err != nil {
-			return nil, err
-		}
-		if p.rate == 0 {
-			if env.Lambda <= 0 {
-				return nil, fmt.Errorf("traffic: burst needs rate=<λ> or a positive λ")
+	}, func(spec registry.Spec) (SourceBuilder, error) {
+		a := sources.Args(spec)
+		on, off := a.PositiveFloat("on", 50), a.PositiveFloat("off", 200)
+		explicit := a.PositiveFloat("rate", 0)
+		return func(env Env) (Source, error) {
+			rate, err := onOffRate("burst", explicit, on, off, env.Lambda)
+			if err != nil {
+				return nil, err
 			}
-			p.rate = env.Lambda * (p.on + p.off) / p.on
-		}
-		return NewMMPP(env, p.on, p.off, p.rate)
+			return NewMMPP(env, on, off, rate)
+		}, a.Finish()
 	})
 
 	RegisterSource(Info{
@@ -407,38 +354,36 @@ func init() {
 		Usage:       "nodemap:default=<λ>,<node>=<λ>,...",
 		Description: "heterogeneous load: per-node Poisson rates keyed by node id (0 silences a node)",
 		Aliases:     []string{"hetero"},
-	}, func(spec Spec) error {
-		_, err := parseNodeMap(spec)
-		return err
-	}, func(env Env, spec Spec) (Source, error) {
-		p, err := parseNodeMap(spec)
-		if err != nil {
-			return nil, err
+	}, func(spec registry.Spec) (SourceBuilder, error) {
+		a := sources.Args(spec)
+		rates, def := a.NodeFloats(), a.Float("default", 0)
+		if def < 0 {
+			a.Failf("default rate must be >= 0, got %g", def)
 		}
-		return NewNodeMap(env, p.rates, p.def)
+		return func(env Env) (Source, error) { return NewNodeMap(env, rates, def) }, a.Finish()
 	})
 
 	RegisterSource(Info{
 		Name:        "replay",
 		Usage:       "replay:file=<workload.csv>",
 		Description: "re-drive captured (cycle,src,dst,len) records (see swsim -workload-out)",
-	}, func(spec Spec) error {
-		_, err := parseReplay(spec)
-		return err
-	}, func(env Env, spec Spec) (Source, error) {
-		file, err := parseReplay(spec)
-		if err != nil {
-			return nil, err
+	}, func(spec registry.Spec) (SourceBuilder, error) {
+		a := sources.Args(spec)
+		file := a.Str("file", "")
+		if file == "" {
+			a.Failf("replay needs file=<path>")
 		}
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, fmt.Errorf("traffic: replay: %w", err)
-		}
-		defer f.Close()
-		w, err := trace.ParseWorkload(f)
-		if err != nil {
-			return nil, err
-		}
-		return NewReplay(env.T, env.F, w, env.Mode)
+		return func(env Env) (Source, error) {
+			f, err := os.Open(file)
+			if err != nil {
+				return nil, fmt.Errorf("traffic: replay: %w", err)
+			}
+			defer f.Close()
+			w, err := trace.ParseWorkload(f)
+			if err != nil {
+				return nil, err
+			}
+			return NewReplay(env.T, env.F, w, env.Mode)
+		}, a.Finish()
 	})
 }

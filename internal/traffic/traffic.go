@@ -9,7 +9,7 @@
 //     trace replay of captured (cycle,src,dst,len) records).
 //
 // Both sides parse from specs like "hotspot:frac=0.1,node=12" and
-// "burst:on=50,off=200,rate=0.02" (see ParseSpec) and are built through
+// "burst:on=50,off=200,rate=0.02" (see registry.Parse) and are built through
 // NewPattern/NewSource; new patterns and sources plug in with a
 // RegisterPattern/RegisterSource call.
 //
