@@ -14,51 +14,36 @@ import (
 // worms re-injected or lost, mean rerouting convergence time and the
 // worst availability window.
 func (h *harness) figChurn() {
-	type level struct {
-		name string
-		spec string
-	}
-	levels := []level{
+	levels := []struct{ name, spec string }{
 		{"static", ""},
 		{"mtbf 50k", "mtbf:mtbf=50000,mttr=5000"},
 		{"mtbf 20k", "mtbf:mtbf=20000,mttr=2000"},
 		{"mtbf 10k", "mtbf:mtbf=10000,mttr=1000"},
 		{"mtbf 5k", "mtbf:mtbf=5000,mttr=500"},
 	}
-	grid := h.lambdaGrid(4)
-	label := func(lv level, l float64) string { return fmt.Sprintf("churn|%s|l%g", lv.name, l) }
-	var points []core.Point
+	t := latencyTable("Churn", "Churn: mean latency vs fault churn (adaptive, 8-ary 2-cube, V=4; * = saturated)", h.lambdaGrid(4))
 	for _, lv := range levels {
-		for _, l := range grid {
-			cfg := h.base(8, 2, l)
-			cfg.Algorithm = "adaptive"
-			cfg.FaultSchedule = lv.spec
-			points = append(points, core.Point{Label: label(lv, l), Config: cfg})
-		}
+		t.series = append(t.series, series{col: lv.name, seeds: 1,
+			point: func(l float64, _ int) core.Point {
+				cfg := h.base(8, 2, l)
+				cfg.Algorithm = "adaptive"
+				cfg.FaultSchedule = lv.spec
+				return core.Point{Label: fmt.Sprintf("churn|%s|l%g", lv.name, l), Config: cfg}
+			}})
 	}
-	res := h.run("Churn", points)
-	cols := make([]string, len(levels))
-	for i, lv := range levels {
-		cols[i] = lv.name
-	}
-	rows := make([]string, len(grid))
-	for i, l := range grid {
-		rows[i] = fmt.Sprintf("%g", l)
-	}
-	printTable("Churn: mean latency vs fault churn (adaptive, 8-ary 2-cube, V=4; * = saturated)",
-		cols, rows, func(ri, ci int) string { return latencyCell(res[label(levels[ci], grid[ri])]) })
+	cells := h.render(t)
 
-	mid := grid[len(grid)/2]
-	fmt.Printf("\nchaos metrics at λ=%g:\n", mid)
-	fmt.Println("level,transitions,reinjected,lost,mean_convergence,min_availability")
-	for _, lv := range levels[1:] {
-		r := res[label(lv, mid)]
+	mid := len(t.xs) / 2
+	h.printf("\nchaos metrics at λ=%g:\n", t.xs[mid])
+	h.printf("level,transitions,reinjected,lost,mean_convergence,min_availability\n")
+	for i, lv := range levels[1:] {
+		r := cells[i+1][mid].results[0]
 		if r.Err != nil {
-			fmt.Printf("%s,err\n", lv.name)
+			h.printf("%s,err\n", lv.name)
 			continue
 		}
 		m := r.Results
-		fmt.Printf("%s,%d,%d,%d,%.1f,%.4f\n",
+		h.printf("%s,%d,%d,%d,%.1f,%.4f\n",
 			lv.name, m.Transitions, m.Reinjected, m.Lost, m.MeanConvergence, m.MinAvailability)
 	}
 }

@@ -13,61 +13,55 @@ import (
 // latter across every interesting registry algorithm, which is where the
 // Valiant two-phase baseline earns its keep.
 func (h *harness) figExt() {
-	fmt.Println("\n===== Extended experiments (sizes and patterns beyond the plotted figures) =====")
+	h.printf("\n===== Extended experiments (sizes and patterns beyond the plotted figures) =====\n")
 	h.extSizes()
 	h.extPatterns()
 	h.extSources()
 }
 
 func (h *harness) extSizes() {
-	type netCase struct {
-		k, n, nf int
-		v        int
-	}
-	cases := []netCase{
+	t := latencyTable("Ext A sizes", "Ext A: latency across network sizes (mean cycles; * = saturated)",
+		[]float64{0.002, 0.004, 0.006, 0.008})
+	for _, net := range []struct{ k, n, nf, v int }{
 		{16, 2, 0, 6}, {16, 2, 8, 6}, // larger radix
 		{4, 4, 0, 6}, {4, 4, 12, 6}, // higher dimensionality
-	}
-	grid := []float64{0.002, 0.004, 0.006, 0.008}
-	algs := []string{"det", "adaptive"}
-	var points []core.Point
-	label := func(c netCase, alg string, l float64) string {
-		return fmt.Sprintf("%dx%d|nf%d|%s|l%g", c.k, c.n, c.nf, alg, l)
-	}
-	for _, c := range cases {
-		for _, alg := range algs {
-			for _, l := range grid {
-				cfg := h.base(c.k, c.n, l)
-				cfg.V = c.v
-				cfg.Algorithm = alg
-				cfg.Faults.RandomNodes = c.nf
-				cfg.Seed = 1001
-				points = append(points, core.Point{Label: label(c, alg, l), Config: cfg})
-			}
+	} {
+		for _, alg := range []string{"det", "adaptive"} {
+			t.series = append(t.series, series{
+				col: fmt.Sprintf("%d-ary %d, nf%d %s", net.k, net.n, net.nf, algTag[alg]), seeds: 1,
+				point: func(l float64, _ int) core.Point {
+					cfg := h.base(net.k, net.n, l)
+					cfg.V = net.v
+					cfg.Algorithm = alg
+					cfg.Faults.RandomNodes = net.nf
+					cfg.Seed = 1001
+					return core.Point{Label: fmt.Sprintf("%dx%d|nf%d|%s|l%g", net.k, net.n, net.nf, alg, l), Config: cfg}
+				}})
 		}
 	}
-	res := h.run("Ext A sizes", points)
-	var cols []string
-	type curve struct {
-		c   netCase
-		alg string
-	}
-	var curves []curve
-	for _, c := range cases {
+	h.render(t)
+}
+
+// extVariants declares the shape Ext B and Ext C share: an 8-ary 2-cube
+// with V=6 and 4 random faults, one column per (variant, algorithm),
+// where set applies the variant spec to the point's config.
+func (h *harness) extVariants(t table, variants, algs []string, seed uint64, set func(*core.Config, string)) {
+	for _, variant := range variants {
 		for _, alg := range algs {
-			cols = append(cols, fmt.Sprintf("%d-ary %d, nf%d %s", c.k, c.n, c.nf, shortAlg(alg)))
-			curves = append(curves, curve{c, alg})
+			t.series = append(t.series, series{
+				col: fmt.Sprintf("%s %s", variant, algTag[alg]), seeds: 1,
+				point: func(l float64, _ int) core.Point {
+					cfg := h.base(8, 2, l)
+					cfg.V = 6
+					cfg.Algorithm = alg
+					set(&cfg, variant)
+					cfg.Faults.RandomNodes = 4
+					cfg.Seed = seed
+					return core.Point{Label: fmt.Sprintf("%s|%s|l%g", variant, alg, l), Config: cfg}
+				}})
 		}
 	}
-	rows := make([]string, len(grid))
-	for i, l := range grid {
-		rows[i] = fmt.Sprintf("%g", l)
-	}
-	printTable("Ext A: latency across network sizes (mean cycles; * = saturated)", cols, rows,
-		func(ri, ci int) string {
-			cu := curves[ci]
-			return latencyCell(res[label(cu.c, cu.alg, grid[ri])])
-		})
+	h.render(t)
 }
 
 // extPatterns compares every latency-relevant registry algorithm across
@@ -75,47 +69,12 @@ func (h *harness) extSizes() {
 // transpose and hotspot are where Valiant's two-phase load balancing is
 // designed to pay off.
 func (h *harness) extPatterns() {
-	patterns := []string{"uniform", "transpose", "hotspot:frac=0.1"}
-	algs := []string{"det", "adaptive", "valiant", "valiant-adaptive"}
-	grid := []float64{0.002, 0.004, 0.006}
-	var points []core.Point
-	label := func(p, alg string, l float64) string {
-		return fmt.Sprintf("%s|%s|l%g", p, alg, l)
-	}
-	for _, p := range patterns {
-		for _, alg := range algs {
-			for _, l := range grid {
-				cfg := h.base(8, 2, l)
-				cfg.V = 6
-				cfg.Algorithm = alg
-				cfg.Pattern = p
-				cfg.Faults.RandomNodes = 4
-				cfg.Seed = 1002
-				points = append(points, core.Point{Label: label(p, alg, l), Config: cfg})
-			}
-		}
-	}
-	res := h.run("Ext B patterns", points)
-	var cols []string
-	type curve struct {
-		p, alg string
-	}
-	var curves []curve
-	for _, p := range patterns {
-		for _, alg := range algs {
-			cols = append(cols, fmt.Sprintf("%s %s", p, shortAlg(alg)))
-			curves = append(curves, curve{p, alg})
-		}
-	}
-	rows := make([]string, len(grid))
-	for i, l := range grid {
-		rows[i] = fmt.Sprintf("%g", l)
-	}
-	printTable("Ext B: traffic patterns under 4 random faults, 8-ary 2-cube, V=6 (mean cycles)", cols, rows,
-		func(ri, ci int) string {
-			cu := curves[ci]
-			return latencyCell(res[label(cu.p, cu.alg, grid[ri])])
-		})
+	h.extVariants(
+		latencyTable("Ext B patterns", "Ext B: traffic patterns under 4 random faults, 8-ary 2-cube, V=6 (mean cycles)",
+			[]float64{0.002, 0.004, 0.006}),
+		[]string{"uniform", "transpose", "hotspot:frac=0.1"},
+		[]string{"det", "adaptive", "valiant", "valiant-adaptive"},
+		1002, func(c *core.Config, pattern string) { c.Pattern = pattern })
 }
 
 // extSources compares arrival processes at equal offered load: smooth
@@ -123,45 +82,10 @@ func (h *harness) extPatterns() {
 // bursts whose ON rate is scaled so the long-run rate still equals λ. The
 // spread between the three columns at a fixed λ is pure burstiness cost.
 func (h *harness) extSources() {
-	sources := []string{"interval", "poisson", "burst:on=50,off=200"}
-	algs := []string{"det", "adaptive"}
-	grid := []float64{0.002, 0.004, 0.006}
-	var points []core.Point
-	label := func(s, alg string, l float64) string {
-		return fmt.Sprintf("%s|%s|l%g", s, alg, l)
-	}
-	for _, s := range sources {
-		for _, alg := range algs {
-			for _, l := range grid {
-				cfg := h.base(8, 2, l)
-				cfg.V = 6
-				cfg.Algorithm = alg
-				cfg.Traffic = s
-				cfg.Faults.RandomNodes = 4
-				cfg.Seed = 1003
-				points = append(points, core.Point{Label: label(s, alg, l), Config: cfg})
-			}
-		}
-	}
-	res := h.run("Ext C sources", points)
-	var cols []string
-	type curve struct {
-		s, alg string
-	}
-	var curves []curve
-	for _, s := range sources {
-		for _, alg := range algs {
-			cols = append(cols, fmt.Sprintf("%s %s", s, shortAlg(alg)))
-			curves = append(curves, curve{s, alg})
-		}
-	}
-	rows := make([]string, len(grid))
-	for i, l := range grid {
-		rows[i] = fmt.Sprintf("%g", l)
-	}
-	printTable("Ext C: arrival processes at equal offered load, 4 random faults, 8-ary 2-cube, V=6 (mean cycles)", cols, rows,
-		func(ri, ci int) string {
-			cu := curves[ci]
-			return latencyCell(res[label(cu.s, cu.alg, grid[ri])])
-		})
+	h.extVariants(
+		latencyTable("Ext C sources", "Ext C: arrival processes at equal offered load, 4 random faults, 8-ary 2-cube, V=6 (mean cycles)",
+			[]float64{0.002, 0.004, 0.006}),
+		[]string{"interval", "poisson", "burst:on=50,off=200"},
+		[]string{"det", "adaptive"},
+		1003, func(c *core.Config, source string) { c.Traffic = source })
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -9,7 +8,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/routing"
-	"repro/internal/sweep"
 	"repro/internal/topology"
 	"repro/internal/viz"
 )
@@ -17,7 +15,7 @@ import (
 // fig1 reproduces Fig. 1: examples of coalesced fault regions in a 2-D
 // torus, rendered as ASCII planes with convex/concave classification.
 func (h *harness) fig1() {
-	fmt.Println("\n===== Fig. 1: coalesced fault regions in a 2-D torus =====")
+	h.printf("\n===== Fig. 1: coalesced fault regions in a 2-D torus =====\n")
 	t := topology.New(16, 2)
 	examples := []struct {
 		name string
@@ -35,17 +33,16 @@ func (h *harness) fig1() {
 	for _, ex := range examples {
 		fs := fault.NewSet(t)
 		if _, err := fault.StampShape(fs, 0, 0, 1, ex.spec); err != nil {
-			fmt.Printf("%s: %v\n", ex.name, err)
+			h.printf("%s: %v\n", ex.name, err)
 			continue
 		}
-		fmt.Printf("\n-- %s --\n%s%s", ex.name, viz.RenderPlane(fs, 0, 0, 1), viz.RenderRegions(fs))
+		h.printf("\n-- %s --\n%s%s", ex.name, viz.RenderPlane(fs, 0, 0, 1), viz.RenderRegions(fs))
 	}
 }
 
 // latencyFigure renders one latency-vs-traffic figure: a panel per
 // (routing algorithm, V), curves per (M, nf). Faulted curves average over
-// h.seeds random placements ("to make the results independent of relative
-// positions of failures", §5.2); a point prints as saturated when at least
+// h.seeds random placements; a point prints as saturated when at least
 // half its placements saturate.
 func (h *harness) latencyFigure(figName string, k, n int, vs []int, ms []int, nfs []int) {
 	for _, algName := range []string{"det", "adaptive"} {
@@ -54,128 +51,43 @@ func (h *harness) latencyFigure(figName string, k, n int, vs []int, ms []int, nf
 			if v < info.MinV {
 				continue
 			}
-			grid := h.lambdaGrid(v)
-			var points []core.Point
-			label := func(m, nf int, l float64, s int) string {
-				return fmt.Sprintf("%s|v%d|m%d|nf%d|l%g|s%d", algName, v, m, nf, l, s)
-			}
-			seedsFor := func(nf int) int {
-				if nf == 0 {
-					return 1 // fault-free: placement is irrelevant
-				}
-				return h.seeds
-			}
+			t := latencyTable(fmt.Sprintf("%s %s v%d", figName, algName, v),
+				fmt.Sprintf("%s: %s routing, %d-ary %d-cube, V=%d (mean latency, cycles; * = saturated)", figName, algName, k, n, v),
+				h.lambdaGrid(v))
+			var legend []string
 			for _, m := range ms {
 				for _, nf := range nfs {
-					for _, l := range grid {
-						for s := 0; s < seedsFor(nf); s++ {
+					s := series{col: fmt.Sprintf("M=%d,nf=%d", m, nf), seeds: h.seeds,
+						point: func(l float64, seed int) core.Point {
 							c := h.base(k, n, l)
 							c.V = v
 							c.MsgLen = m
 							c.Algorithm = algName
 							c.Faults.RandomNodes = nf
-							c.Seed = uint64(1000 + s)
-							points = append(points, core.Point{Label: label(m, nf, l, s), Config: c})
-						}
+							c.Seed = uint64(1000 + seed)
+							return core.Point{Label: fmt.Sprintf("%s|v%d|m%d|nf%d|l%g|s%d", algName, v, m, nf, l, seed), Config: c}
+						}}
+					if nf == 0 {
+						s.seeds = 1 // fault-free: placement is irrelevant
 					}
+					t.series = append(t.series, s)
+					legend = append(legend, fmt.Sprintf("M%d/nf%d", m, nf))
 				}
 			}
-			res := h.run(fmt.Sprintf("%s %s v%d", figName, algName, v), points)
-			var cols []string
-			type curve struct{ m, nf int }
-			var curves []curve
-			for _, m := range ms {
-				for _, nf := range nfs {
-					cols = append(cols, fmt.Sprintf("M=%d,nf=%d", m, nf))
-					curves = append(curves, curve{m, nf})
-				}
-			}
-			rows := make([]string, len(grid))
-			for i, l := range grid {
-				rows[i] = fmt.Sprintf("%g", l)
-			}
-			// vals[ci][ri]: mean latency (NaN = missing); satMask flags
-			// points where at least half the placements saturated;
-			// skipMask flags cells whose points all belong to other
-			// shards; partialMask flags cells averaged over only the
-			// placements this shard owns (a shard splits each cell's
-			// seeds, so a plain number would be indistinguishable from
-			// the complete post-merge average).
-			vals := make([][]float64, len(curves))
-			satMask := make([][]bool, len(curves))
-			skipMask := make([][]bool, len(curves))
-			partialMask := make([][]bool, len(curves))
-			for ci, cu := range curves {
-				vals[ci] = make([]float64, len(grid))
-				satMask[ci] = make([]bool, len(grid))
-				skipMask[ci] = make([]bool, len(grid))
-				partialMask[ci] = make([]bool, len(grid))
-				for ri := range grid {
-					sum, cnt, sat, skipped, failed := 0.0, 0, 0, 0, 0
-					for s := 0; s < seedsFor(cu.nf); s++ {
-						r, ok := res[label(cu.m, cu.nf, grid[ri], s)]
-						if !ok || r.Err != nil {
-							if ok && errors.Is(r.Err, sweep.ErrSkipped) {
-								skipped++
-							} else {
-								failed++
-							}
-							continue
-						}
-						if r.Results.Saturated {
-							sat++
-						}
-						sum += r.Results.MeanLatency
-						cnt++
-					}
-					if cnt == 0 {
-						vals[ci][ri] = math.NaN()
-						// "-" promises the merge will fill the cell in; a
-						// real failure among the owned points must stay "err".
-						skipMask[ci][ri] = skipped > 0 && failed == 0
-						continue
-					}
-					vals[ci][ri] = sum / float64(cnt)
-					satMask[ci][ri] = 2*sat >= cnt
-					partialMask[ci][ri] = skipped > 0
-				}
-			}
-			printTable(
-				fmt.Sprintf("%s: %s routing, %d-ary %d-cube, V=%d (mean latency, cycles; * = saturated)", figName, algName, k, n, v),
-				cols, rows,
-				func(ri, ci int) string {
-					v := vals[ci][ri]
-					var cell string
-					switch {
-					case skipMask[ci][ri]:
-						return skippedCell
-					case math.IsNaN(v):
-						return "err"
-					case satMask[ci][ri]:
-						cell = fmt.Sprintf("%.0f*", v)
-					default:
-						cell = fmt.Sprintf("%.1f", v)
-					}
-					if partialMask[ci][ri] {
-						cell += partialMark
-					}
-					return cell
-				})
+			cells := h.render(t)
 			if h.plot {
-				ch := viz.NewChart(grid, 6, 14)
-				for ci, cu := range curves {
-					ys := make([]float64, len(grid))
-					for ri := range grid {
-						if satMask[ci][ri] {
-							ys[ri] = math.Inf(1)
-						} else {
-							ys[ri] = vals[ci][ri]
+				ch := viz.NewChart(t.xs, 6, 14)
+				for si, curve := range cells {
+					ys := make([]float64, len(curve))
+					for xi, c := range curve {
+						ys[xi] = c.mean // NaN = missing
+						if c.saturated {
+							ys[xi] = math.Inf(1)
 						}
 					}
-					ch.Add(fmt.Sprintf("M%d/nf%d", cu.m, cu.nf), ys)
+					ch.Add(legend[si], ys)
 				}
-				fmt.Println()
-				fmt.Print(ch.Render())
+				h.printf("\n%s", ch.Render())
 			}
 		}
 	}
@@ -184,135 +96,81 @@ func (h *harness) latencyFigure(figName string, k, n int, vs []int, ms []int, nf
 // fig3: mean message latency vs traffic rate in an 8-ary 2-cube;
 // deterministic and adaptive; M in {32,64}; V in {4,6,10}; nf in {0,3,5}.
 func (h *harness) fig3() {
-	fmt.Println("\n===== Fig. 3: latency vs traffic, 8-ary 2-cube, random faults =====")
+	h.printf("\n===== Fig. 3: latency vs traffic, 8-ary 2-cube, random faults =====\n")
 	h.latencyFigure("Fig 3", 8, 2, []int{4, 6, 10}, []int{32, 64}, []int{0, 3, 5})
 }
 
 // fig4: same in an 8-ary 3-cube with nf in {0,12}.
 func (h *harness) fig4() {
-	fmt.Println("\n===== Fig. 4: latency vs traffic, 8-ary 3-cube, random faults =====")
+	h.printf("\n===== Fig. 4: latency vs traffic, 8-ary 3-cube, random faults =====\n")
 	h.latencyFigure("Fig 4", 8, 3, []int{4, 6, 10}, []int{32, 64}, []int{0, 12})
 }
 
 // fig5: latency vs traffic for the five fault-region shapes of the paper
 // (8-ary 2-cube, M=32, V=10, deterministic and adaptive).
 func (h *harness) fig5() {
-	fmt.Println("\n===== Fig. 5: latency vs traffic with fault regions, 8-ary 2-cube, M=32, V=10 =====")
+	h.printf("\n===== Fig. 5: latency vs traffic with fault regions, 8-ary 2-cube, M=32, V=10 =====\n")
 	specs := fault.PaperFig5Specs()
-	order := []string{"rect-shaped", "T-shaped", "Plus-shaped", "L-shaped", "U-shaped"}
-	grid := h.lambdaGrid(10)
-	var points []core.Point
-	label := func(routing, shape string, l float64) string {
-		return fmt.Sprintf("%s|%s|l%g", routing, shape, l)
-	}
+	t := latencyTable("Fig 5 shapes", "Fig 5: mean latency (cycles; * = saturated)", h.lambdaGrid(10))
 	for _, algName := range []string{"det", "adaptive"} {
-		short := shortAlg(algName)
-		for _, shape := range order {
-			for _, l := range grid {
-				c := h.base(8, 2, l)
-				c.V = 10
-				c.MsgLen = 32
-				c.Algorithm = algName
-				c.Faults.Shapes = []core.ShapeStamp{{Spec: specs[shape], DimA: 0, DimB: 1}}
-				points = append(points, core.Point{Label: label(short, shape, l), Config: c})
-			}
+		for _, shape := range []struct{ name, tag string }{
+			{"rect-shaped", "rect"}, {"T-shaped", "T"}, {"Plus-shaped", "+"}, {"L-shaped", "L"}, {"U-shaped", "U"},
+		} {
+			spec := specs[shape.name]
+			nf, _ := spec.CellCount()
+			t.series = append(t.series, series{
+				col: fmt.Sprintf("%s %s(%d)", algTag[algName], shape.tag, nf), seeds: 1,
+				point: func(l float64, _ int) core.Point {
+					c := h.base(8, 2, l)
+					c.V = 10
+					c.MsgLen = 32
+					c.Algorithm = algName
+					c.Faults.Shapes = []core.ShapeStamp{{Spec: spec, DimA: 0, DimB: 1}}
+					return core.Point{Label: fmt.Sprintf("%s|%s|l%g", algTag[algName], shape.name, l), Config: c}
+				}})
 		}
 	}
-	res := h.run("Fig 5 shapes", points)
-	var cols []string
-	type curve struct{ routing, shape string }
-	var curves []curve
-	for _, routing := range []string{"det", "adp"} {
-		for _, shape := range order {
-			nf, _ := specs[shape].CellCount()
-			cols = append(cols, fmt.Sprintf("%s %s(%d)", routing, shortShape(shape), nf))
-			curves = append(curves, curve{routing, shape})
-		}
-	}
-	rows := make([]string, len(grid))
-	for i, l := range grid {
-		rows[i] = fmt.Sprintf("%g", l)
-	}
-	printTable("Fig 5: mean latency (cycles; * = saturated)", cols, rows, func(ri, ci int) string {
-		cu := curves[ci]
-		return latencyCell(res[label(cu.routing, cu.shape, grid[ri])])
-	})
+	h.render(t)
 }
 
-// shortAlg maps registry algorithm names to the two-to-three letter column
+// algTag maps registry algorithm names to the two-to-three letter column
 // tags the figure tables use.
-func shortAlg(name string) string {
-	switch name {
-	case "det":
-		return "det"
-	case "adaptive":
-		return "adp"
-	case "valiant":
-		return "val"
-	case "valiant-adaptive":
-		return "vla"
-	}
-	return name
-}
-
-func shortShape(s string) string {
-	switch s {
-	case "rect-shaped":
-		return "rect"
-	case "T-shaped":
-		return "T"
-	case "Plus-shaped":
-		return "+"
-	case "L-shaped":
-		return "L"
-	case "U-shaped":
-		return "U"
-	}
-	return s
-}
+var algTag = map[string]string{"det": "det", "adaptive": "adp", "valiant": "val", "valiant-adaptive": "vla"}
 
 // fig6: overall throughput vs number of random faulty nodes in a 16-ary
 // 2-cube (M=32, V=6), deterministic vs adaptive, averaged over fault
 // placements. Offered load sits past the fault-free saturation point so the
 // measured delivery rate is the network's capacity.
 func (h *harness) fig6() {
-	fmt.Println("\n===== Fig. 6: throughput vs faulty nodes, 16-ary 2-cube, M=32, V=6 =====")
+	h.printf("\n===== Fig. 6: throughput vs faulty nodes, 16-ary 2-cube, M=32, V=6 =====\n")
 	const lambda = 0.012
-	nfs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
-	var points []core.Point
-	label := func(routing string, nf, seed int) string {
-		return fmt.Sprintf("%s|nf%d|s%d", routing, nf, seed)
+	t := table{
+		plan:  "Fig 6 throughput",
+		title: fmt.Sprintf("Fig 6: throughput (messages/node/cycle) at offered λ=%g", lambda),
+		xhead: "nf", xw: 8, colw: 14,
+		xs: []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
+		metric: metric{
+			value:  func(m metrics.Results) (float64, bool) { return m.Throughput, true },
+			format: "%.5f",
+		},
 	}
-	for _, algName := range []string{"det", "adaptive"} {
-		short := shortAlg(algName)
-		for _, nf := range nfs {
-			for s := 0; s < h.seeds; s++ {
+	for _, alg := range []struct{ name, col string }{{"det", "deterministic"}, {"adaptive", "adaptive"}} {
+		t.series = append(t.series, series{col: alg.col, seeds: h.seeds,
+			point: func(nf float64, seed int) core.Point {
 				c := h.base(16, 2, lambda)
 				c.V = 6
 				c.MsgLen = 32
-				c.Algorithm = algName
-				c.Faults.RandomNodes = nf
-				c.Seed = uint64(1000 + s)
+				c.Algorithm = alg.name
+				c.Faults.RandomNodes = int(nf)
+				c.Seed = uint64(1000 + seed)
 				// Throughput runs are capacity measurements: let them run a
 				// fixed horizon rather than stopping at a backlog.
 				c.SaturationBacklog = 1 << 30
 				c.MaxCycles = int64(h.scale.measure) * 40
-				points = append(points, core.Point{Label: label(short, nf, s), Config: c})
-			}
-		}
+				return core.Point{Label: fmt.Sprintf("%s|nf%g|s%d", algTag[alg.name], nf, seed), Config: c}
+			}})
 	}
-	res := h.run("Fig 6 throughput", points)
-	fmt.Printf("\n== Fig 6: throughput (messages/node/cycle) at offered λ=%g ==\n", lambda)
-	fmt.Printf("%-8s%14s%14s\n", "nf", "deterministic", "adaptive")
-	for _, nf := range nfs {
-		cell := func(routing string) string {
-			return h.seedCell(
-				func(s int) (core.PointResult, bool) { r, ok := res[label(routing, nf, s)]; return r, ok },
-				func(m metrics.Results) (float64, bool) { return m.Throughput, true },
-				"%.5f")
-		}
-		fmt.Printf("%-8d%14s%14s\n", nf, cell("det"), cell("adp"))
-	}
+	h.render(t)
 }
 
 // fig7: number of messages queued (absorbed) vs number of random faulty
@@ -322,45 +180,38 @@ func (h *harness) fig6() {
 // paper's legend (see EXPERIMENTS.md); counts are scaled to the paper's
 // 100,000-message protocol for comparability.
 func (h *harness) fig7() {
-	fmt.Println("\n===== Fig. 7: messages queued vs faulty nodes, 8-ary 3-cube, M=32, V=10 =====")
-	rates := []int{70, 100}
-	nfs := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
-	var points []core.Point
-	label := func(routing string, rate, nf, seed int) string {
-		return fmt.Sprintf("%s|g%d|nf%d|s%d", routing, rate, nf, seed)
+	h.printf("\n===== Fig. 7: messages queued vs faulty nodes, 8-ary 3-cube, M=32, V=10 =====\n")
+	t := table{
+		plan:  "Fig 7 queued",
+		title: "Fig 7: messages queued, scaled to per-100k-messages (paper's protocol)",
+		xhead: "nf", xw: 8, colw: 16,
+		xs: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
+		// The plan runs det before adaptive and rate 70 before 100; the
+		// table leads with the paper's legend order.
+		cols: []int{3, 1, 2, 0},
+		metric: metric{
+			value: func(m metrics.Results) (float64, bool) {
+				if m.Delivered == 0 {
+					return 0, false
+				}
+				return float64(m.QueuedTotal()) / float64(m.Delivered) * 100000, true
+			},
+			format: "%.0f",
+		},
 	}
 	for _, algName := range []string{"det", "adaptive"} {
-		short := shortAlg(algName)
-		for _, rate := range rates {
-			for _, nf := range nfs {
-				for s := 0; s < h.seeds; s++ {
+		for _, rate := range []int{70, 100} {
+			t.series = append(t.series, series{col: fmt.Sprintf("%s g=%d", algTag[algName], rate), seeds: h.seeds,
+				point: func(nf float64, seed int) core.Point {
 					c := h.base(8, 3, float64(rate)/10000.0)
 					c.V = 10
 					c.MsgLen = 32
 					c.Algorithm = algName
-					c.Faults.RandomNodes = nf
-					c.Seed = uint64(2000 + s)
-					points = append(points, core.Point{Label: label(short, rate, nf, s), Config: c})
-				}
-			}
+					c.Faults.RandomNodes = int(nf)
+					c.Seed = uint64(2000 + seed)
+					return core.Point{Label: fmt.Sprintf("%s|g%d|nf%g|s%d", algTag[algName], rate, nf, seed), Config: c}
+				}})
 		}
 	}
-	res := h.run("Fig 7 queued", points)
-	fmt.Println("\n== Fig 7: messages queued, scaled to per-100k-messages (paper's protocol) ==")
-	fmt.Printf("%-8s%16s%16s%16s%16s\n", "nf", "adp g=100", "det g=100", "adp g=70", "det g=70")
-	for _, nf := range nfs {
-		cell := func(routing string, rate int) string {
-			return h.seedCell(
-				func(s int) (core.PointResult, bool) { r, ok := res[label(routing, rate, nf, s)]; return r, ok },
-				func(m metrics.Results) (float64, bool) {
-					if m.Delivered == 0 {
-						return 0, false
-					}
-					return float64(m.QueuedTotal()) / float64(m.Delivered) * 100000, true
-				},
-				"%.0f")
-		}
-		fmt.Printf("%-8d%16s%16s%16s%16s\n", nf,
-			cell("adp", 100), cell("det", 100), cell("adp", 70), cell("det", 70))
-	}
+	h.render(t)
 }

@@ -21,115 +21,116 @@
 //	figures -fig 3 -scale full -shard 0/2 -checkpoint s0.jsonl   # host A
 //	figures -fig 3 -scale full -shard 1/2 -checkpoint s1.jsonl   # host B
 //	figures -fig 3 -scale full -checkpoint all.jsonl -merge s0.jsonl,s1.jsonl
+//
+// Every figure table is a declaration (a table value: plan name, title,
+// x-axis and one series per column); harness.render is the one path that
+// turns a declaration into points, runs them through the sweep front door
+// (internal/sweepcli), averages each cell over its fault placements and
+// prints it.
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
-	"os/signal"
 	"strconv"
-	"strings"
-	"syscall"
 	"time"
 
-	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/registry"
 	"repro/internal/sweep"
+	"repro/internal/sweepcli"
 )
 
-func main() {
-	var (
-		fig        = flag.String("fig", "all", "figure to regenerate: 1|3|4|5|6|7|ext|sat|churn|all")
-		scale      = flag.String("scale", "default", "measurement scale: quick|default|full")
-		workers    = flag.Int("workers", 0, "sweep workers (0 = GOMAXPROCS)")
-		seeds      = flag.Int("seeds", 3, "random fault placements averaged across figures")
-		csv        = flag.Bool("csv", false, "also print raw CSV rows per point")
-		plot       = flag.Bool("plot", false, "render ASCII charts under the latency tables")
-		checkpoint = flag.String("checkpoint", "", "JSONL checkpoint journal: completed points are skipped on re-run")
-		shardSpec  = flag.String("shard", "", "run only shard i of n ('i/n') of each figure's sweep")
-		mergeList  = flag.String("merge", "", "comma-separated shard journals to merge into -checkpoint before rendering")
-		topo       = flag.String("topo", "torus", "topology family overriding every figure's torus (e.g. mesh); each figure's k/n are rewritten into the spec, other parameters (latmap) kept; fault-region figures need the shapes to fit the network")
-		coordURL   = flag.String("coordinator", "", "submit every figure sweep to a coordinator fleet (swsim -serve / -worker) instead of simulating locally")
-	)
-	flag.Parse()
+// figures is the -fig table, in the order -fig all draws it.
+var figures = []struct {
+	name string
+	draw func(*harness)
+}{
+	{"1", (*harness).fig1},
+	{"3", (*harness).fig3},
+	{"4", (*harness).fig4},
+	{"5", (*harness).fig5},
+	{"6", (*harness).fig6},
+	{"7", (*harness).fig7},
+	{"ext", (*harness).figExt},
+	{"sat", (*harness).figSat},
+	{"churn", (*harness).figChurn},
+}
 
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		fig   = fs.String("fig", "all", "figure to regenerate: 1|3|4|5|6|7|ext|sat|churn|all")
+		scale = fs.String("scale", "default", "measurement scale: quick|default|full")
+		seeds = fs.Int("seeds", 3, "random fault placements averaged across figures")
+		csv   = fs.Bool("csv", false, "also print raw CSV rows per point")
+		plot  = fs.Bool("plot", false, "render ASCII charts under the latency tables")
+		topo  = fs.String("topo", "torus", "topology family overriding every figure's torus (e.g. mesh); each figure's k/n are rewritten into the spec, other parameters (latmap) kept; fault-region figures need the shapes to fit the network")
+	)
+	sweepFlags := sweepcli.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "figures: "+format+"\n", a...)
+		return 2
+	}
+
+	// Everything is validated before the door opens: -merge appends to the
+	// checkpoint, and a rejected invocation must have no side effects.
 	sc, ok := scales[*scale]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "figures: unknown scale %q\n", *scale)
-		os.Exit(2)
+		return usage("unknown scale %q", *scale)
 	}
-	shard, err := sweep.ParseShard(*shardSpec)
+	var draw []func(*harness)
+	for _, f := range figures {
+		if *fig == "all" || *fig == f.name {
+			draw = append(draw, f.draw)
+		}
+	}
+	if draw == nil {
+		return usage("unknown figure %q", *fig)
+	}
+	mode := sweepcli.Grid
+	if *fig == "sat" {
+		mode = sweepcli.Searches
+	}
+	door, err := sweepFlags.Validate("figures", mode, stderr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-		os.Exit(2)
+		return usage("%v", err)
 	}
-	if shard.Count > 1 && *checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "figures: -shard requires -checkpoint (without a journal the shard's results cannot be merged)")
-		os.Exit(2)
+	if door.Fleet && *fig == "all" {
+		fmt.Fprintln(stderr, "figures: the -fig sat saturation searches run in-process, not on the -coordinator fleet (their probes are sequential)")
 	}
-	if *mergeList != "" {
-		if *checkpoint == "" {
-			fmt.Fprintln(os.Stderr, "figures: -merge requires -checkpoint (the journal to merge into)")
-			os.Exit(2)
-		}
-		total, err := sweep.MergeJournals(*checkpoint, strings.Split(*mergeList, ",")...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "figures: merged into %s (%d distinct points)\n", *checkpoint, total)
+	runPlan, err := door.Open()
+	if err != nil {
+		fmt.Fprintf(stderr, "figures: %v\n", err)
+		return 1
 	}
-	if *coordURL != "" && (*checkpoint != "" || shard.Count > 1 || *mergeList != "") {
-		fmt.Fprintln(os.Stderr, "figures: -coordinator conflicts with -checkpoint/-shard/-merge (the coordinator owns the journal; its workers are the shards)")
-		os.Exit(2)
-	}
-	h := &harness{scale: sc, workers: *workers, seeds: *seeds, csv: *csv, plot: *plot,
-		checkpoint: *checkpoint, shard: shard, topo: *topo, coordinator: *coordURL}
+	h := &harness{scale: sc, seeds: *seeds, csv: *csv, plot: *plot, topo: *topo,
+		local: door.Local, runPlan: runPlan, stdout: stdout, stderr: stderr}
 
 	start := time.Now()
-	switch *fig {
-	case "1":
-		h.fig1()
-	case "3":
-		h.fig3()
-	case "4":
-		h.fig4()
-	case "5":
-		h.fig5()
-	case "6":
-		h.fig6()
-	case "7":
-		h.fig7()
-	case "ext":
-		h.figExt()
-	case "sat":
-		h.figSat()
-	case "churn":
-		h.figChurn()
-	case "all":
-		h.fig1()
-		h.fig3()
-		h.fig4()
-		h.fig5()
-		h.fig6()
-		h.fig7()
-		h.figExt()
-		h.figSat()
-		h.figChurn()
-	default:
-		fmt.Fprintf(os.Stderr, "figures: unknown figure %q\n", *fig)
-		os.Exit(2)
+	for _, f := range draw {
+		f(h)
 	}
-	if h.shard.Count > 1 {
-		fmt.Fprintf(os.Stderr, "figures: shard %s complete; until the other shards' journals are merged (-merge), cells they own render as %q and cells averaged from this shard's placements only are marked %q\n",
-			h.shard, skippedCell, partialMark)
+	if shard := door.Local.Shard; shard.Count > 1 {
+		fmt.Fprintf(stderr, "figures: shard %s complete; until the other shards' journals are merged (-merge), cells they own render as %q and cells averaged from this shard's placements only are marked %q\n",
+			shard, skippedCell, partialMark)
 	}
-	fmt.Printf("\n(total wall time %v)\n", time.Since(start).Round(time.Second))
+	h.printf("\n(total wall time %v)\n", time.Since(start).Round(time.Second))
+	return 0
 }
 
 // scaleSpec sets the measurement protocol; the paper's is warmup=10000,
@@ -146,25 +147,27 @@ var scales = map[string]scaleSpec{
 }
 
 type harness struct {
-	scale      scaleSpec
-	workers    int
-	seeds      int
-	csv        bool
-	plot       bool
-	checkpoint string
-	shard      sweep.Shard
+	scale scaleSpec
+	seeds int
+	csv   bool
+	plot  bool
 	// topo replaces every figure's k-ary n-cube ("torus", the default)
 	// with another registry topology spec (mesh-vs-torus comparisons).
 	// Each figure still chooses its own network size: topoFor rewrites
 	// the spec's k/n parameters per point, so size-varying figures keep
 	// truthful labels.
 	topo string
-	// coordinator, when set, is the base URL of a sweep coordinator
-	// (swsim -serve); every figure sweep is submitted there and served by
-	// the worker fleet (and, on repeat runs, by the result cache) instead
-	// of simulating locally.
-	coordinator string
+	// runPlan is the sweep front door every table's plan goes through
+	// (resumable via -checkpoint, splittable via -shard, fleet-served via
+	// -coordinator); local holds the in-process options the saturation
+	// searches of figSat take instead, and the shard they split by.
+	runPlan func(sweep.Plan) ([]core.PointResult, error)
+	local   sweep.Options
+
+	stdout, stderr io.Writer
 }
+
+func (h *harness) printf(format string, a ...any) { fmt.Fprintf(h.stdout, format, a...) }
 
 // topoFor resolves the -topo spec for a figure point of the given size:
 // its k and n parameters are replaced by the figure's values (other
@@ -222,48 +225,52 @@ func (h *harness) base(k, n int, lambda float64) core.Config {
 	return c
 }
 
-// sweepOptions assembles the checkpoint/shard/worker options shared by
-// every figure's sweep.
-func (h *harness) sweepOptions() sweep.Options {
-	return sweep.Options{Workers: h.workers, Checkpoint: h.checkpoint, Shard: h.shard, Log: os.Stderr}
+// table declares one figure table. Its plan is generated series by
+// series, x by x, seed by seed — the order (with each point's label and
+// config) is the identity existing journals and coordinator caches are
+// keyed by, so a declaration's series order is not cosmetic.
+type table struct {
+	plan, title string
+	// xhead names the x-axis column, xw is its width; colw is the data
+	// column width, 0 meaning 14 widened to fit the longest header.
+	xhead    string
+	xw, colw int
+	xs       []float64
+	series   []series
+	// cols lists the series in display order where that differs from
+	// plan order (nil = plan order).
+	cols   []int
+	metric metric
 }
 
-// run executes the named figure sweep through the sweep subsystem
-// (resumable via -checkpoint, splittable via -shard) and indexes results
-// by label. Points owned by other shards carry sweep.ErrSkipped and
-// render as skippedCell. With -coordinator the plan goes to the fleet
-// instead; point identity is the content digest, so a figure re-render
-// against a warm coordinator is pure cache.
-func (h *harness) run(name string, points []core.Point) map[string]core.PointResult {
-	plan := sweep.Plan{Name: name, Points: points}
-	var res []core.PointResult
-	var err error
-	if h.coordinator != "" {
-		c := coord.NewClient(h.coordinator)
-		c.Log = os.Stderr
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		res, err = c.RunPlan(ctx, plan)
-		stop()
-	} else {
-		res, err = sweep.Run(plan, h.sweepOptions())
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "figures: %s: %v\n", name, err)
-		os.Exit(1)
-	}
-	out := make(map[string]core.PointResult, len(res))
-	for _, r := range res {
-		if r.Err != nil && !errors.Is(r.Err, sweep.ErrSkipped) {
-			fmt.Fprintf(os.Stderr, "figures: point %s: %v\n", r.Label, r.Err)
-		}
-		out[r.Label] = r
-		if h.csv && r.Err == nil {
-			fmt.Printf("csv,%s,%.2f,%.6f,%d,%d,%v\n", r.Label,
-				r.Results.MeanLatency, r.Results.Throughput,
-				r.Results.QueuedFault, r.Results.QueuedVia, r.Results.Saturated)
-		}
-	}
-	return out
+// series is one table column: its header, how many seeded fault
+// placements each cell averages (1 where placement is irrelevant), and
+// the sweep point behind (x, seed).
+type series struct {
+	col   string
+	seeds int
+	point func(x float64, seed int) core.Point
+}
+
+// metric is the quantity a table plots. value extracts it from one run
+// (ok=false drops that placement from the average, e.g. a run that
+// delivered nothing); format renders the cell average; satFormat, when
+// set, renders cells where at least half the placements saturated — the
+// way the paper's latency curves go vertical.
+type metric struct {
+	value             func(metrics.Results) (v float64, ok bool)
+	format, satFormat string
+}
+
+var latency = metric{
+	value:  func(m metrics.Results) (float64, bool) { return m.MeanLatency, true },
+	format: "%.1f", satFormat: "%.0f*",
+}
+
+// latencyTable starts the declaration of a mean-latency-vs-λ table, the
+// shape of every table but Figs. 6 and 7.
+func latencyTable(plan, title string, grid []float64) table {
+	return table{plan: plan, title: title, xhead: "lambda", xw: 10, xs: grid, metric: latency}
 }
 
 // skippedCell marks a table cell whose points all belong to another
@@ -276,76 +283,127 @@ const (
 	partialMark = "?"
 )
 
-// seedCell averages one metric over a table cell's seeded fault
-// placements, rendering the shard states consistently: skippedCell when
-// every missing placement belongs to another shard, "err" when any
-// owned placement failed and none succeeded, and a partialMark suffix
-// when the average covers only this shard's placements. lookup fetches
-// the result for seed s; value extracts the metric (ok=false drops that
-// placement, e.g. a run that delivered nothing); format renders the
-// average.
-func (h *harness) seedCell(lookup func(s int) (core.PointResult, bool), value func(metrics.Results) (float64, bool), format string) string {
-	sum, n, skipped, failed := 0.0, 0, 0, 0
-	for s := 0; s < h.seeds; s++ {
-		r, ok := lookup(s)
+// cell is one table entry: a metric averaged over the cell's seeded
+// fault placements ("to make the results independent of relative
+// positions of failures", §5.2).
+type cell struct {
+	results   []core.PointResult // one per placement, in seed order
+	mean      float64            // over the placements that ran; NaN if none did
+	saturated bool               // at least half of those saturated
+	skipped   int                // placements owned by other shards
+	failed    int                // placements that ran and failed
+}
+
+func aggregate(results []core.PointResult, m metric) cell {
+	c := cell{results: results}
+	sum, n, sat := 0.0, 0, 0
+	for _, r := range results {
 		switch {
-		case ok && r.Err == nil:
-			if v, vok := value(r.Results); vok {
+		case r.Err == nil:
+			if v, ok := m.value(r.Results); ok {
 				sum += v
 				n++
+				if r.Results.Saturated {
+					sat++
+				}
 			}
-		case ok && errors.Is(r.Err, sweep.ErrSkipped):
-			skipped++
+		case errors.Is(r.Err, sweep.ErrSkipped):
+			c.skipped++
 		default:
-			failed++
+			c.failed++
 		}
 	}
-	if n == 0 {
-		if skipped > 0 && failed == 0 {
+	c.mean = math.NaN()
+	if n > 0 {
+		c.mean, c.saturated = sum/float64(n), 2*sat >= n
+	}
+	return c
+}
+
+// text renders the cell, shard states included: skippedCell when every
+// missing placement belongs to another shard ("-" promises the merge will
+// fill the cell in, so a real failure among the owned points stays
+// "err"), and a partialMark suffix when the average covers only this
+// shard's placements.
+func (c cell) text(m metric) string {
+	if math.IsNaN(c.mean) {
+		if c.skipped > 0 && c.failed == 0 {
 			return skippedCell
 		}
 		return "err"
 	}
-	cell := fmt.Sprintf(format, sum/float64(n))
-	if skipped > 0 {
-		cell += partialMark
+	format := m.format
+	if c.saturated && m.satFormat != "" {
+		format = m.satFormat
 	}
-	return cell
+	s := fmt.Sprintf(format, c.mean)
+	if c.skipped > 0 {
+		s += partialMark
+	}
+	return s
 }
 
-// latencyCell formats one latency entry; saturated points are flagged the
-// way the paper's curves go vertical.
-func latencyCell(r core.PointResult) string {
-	if errors.Is(r.Err, sweep.ErrSkipped) {
-		return skippedCell
+// render is the one path from a table declaration to its printed form:
+// generate the plan, run it through the sweep front door, report failed
+// points (and -csv rows), cut the results into cells and print them. The
+// cells come back as [series][x] for callers that draw more from them.
+func (h *harness) render(t table) [][]cell {
+	plan := sweep.Plan{Name: t.plan}
+	for _, s := range t.series {
+		for _, x := range t.xs {
+			for seed := 0; seed < s.seeds; seed++ {
+				plan.Points = append(plan.Points, s.point(x, seed))
+			}
+		}
 	}
-	if r.Err != nil {
-		return "err"
+	res, err := h.runPlan(plan)
+	if err != nil {
+		fmt.Fprintf(h.stderr, "figures: %s: %v\n", t.plan, err)
+		os.Exit(1)
 	}
-	if r.Results.Saturated {
-		return fmt.Sprintf("%.0f*", r.Results.MeanLatency)
+	for _, r := range res {
+		if r.Err != nil && !errors.Is(r.Err, sweep.ErrSkipped) {
+			fmt.Fprintf(h.stderr, "figures: point %s: %v\n", r.Label, r.Err)
+		}
+		if h.csv && r.Err == nil {
+			h.printf("csv,%s,%.2f,%.6f,%d,%d,%v\n", r.Label,
+				r.Results.MeanLatency, r.Results.Throughput,
+				r.Results.QueuedFault, r.Results.QueuedVia, r.Results.Saturated)
+		}
 	}
-	return fmt.Sprintf("%.1f", r.Results.MeanLatency)
-}
+	cells := make([][]cell, len(t.series))
+	for si, s := range t.series {
+		cells[si] = make([]cell, len(t.xs))
+		for xi := range t.xs {
+			cells[si][xi] = aggregate(res[:s.seeds], t.metric)
+			res = res[s.seeds:]
+		}
+	}
 
-func printTable(title string, colNames []string, rowNames []string, cell func(row, col int) string) {
-	width := 14
-	for _, c := range colNames {
-		if len(c)+2 > width {
-			width = len(c) + 2
+	cols := t.cols
+	if cols == nil {
+		for si := range t.series {
+			cols = append(cols, si)
 		}
 	}
-	fmt.Printf("\n== %s ==\n", title)
-	fmt.Printf("%-10s", "lambda")
-	for _, c := range colNames {
-		fmt.Printf("%*s", width, c)
-	}
-	fmt.Println()
-	for i, rn := range rowNames {
-		fmt.Printf("%-10s", rn)
-		for j := range colNames {
-			fmt.Printf("%*s", width, cell(i, j))
+	width := t.colw
+	if width == 0 {
+		width = 14
+		for _, s := range t.series {
+			width = max(width, len(s.col)+2)
 		}
-		fmt.Println()
 	}
+	h.printf("\n== %s ==\n%-*s", t.title, t.xw, t.xhead)
+	for _, si := range cols {
+		h.printf("%*s", width, t.series[si].col)
+	}
+	h.printf("\n")
+	for xi, x := range t.xs {
+		h.printf("%-*g", t.xw, x)
+		for _, si := range cols {
+			h.printf("%*s", width, cells[si][xi].text(t.metric))
+		}
+		h.printf("\n")
+	}
+	return cells
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/sweep"
 )
@@ -16,8 +15,8 @@ import (
 // go vertical, and the basis for capacity experiments like Fig. 6,
 // whose offered load must sit past λ*.
 func (h *harness) figSat() {
-	fmt.Println("\n===== Saturation points: λ* by algorithm and V, 8-ary 2-cube, M=32 (auto-search) =====")
-	fmt.Printf("\n%-10s%-6s%14s%14s%14s%10s\n", "alg", "V", "sat λ*", "zero-load", "threshold", "probes")
+	h.printf("\n===== Saturation points: λ* by algorithm and V, 8-ary 2-cube, M=32 (auto-search) =====\n")
+	h.printf("\n%-10s%-6s%14s%14s%14s%10s\n", "alg", "V", "sat λ*", "zero-load", "threshold", "probes")
 	combo := 0
 	for _, algName := range []string{"det", "adaptive"} {
 		for _, v := range []int{4, 6, 10} {
@@ -25,10 +24,10 @@ func (h *harness) figSat() {
 			// so -shard splits whole (alg, V) searches, not probes. With a
 			// checkpoint, a merged render replays every search from the
 			// journal and fills the skipped rows in.
-			mine := h.shard.Owns(combo)
+			mine := h.local.Shard.Owns(combo)
 			combo++
 			if !mine {
-				fmt.Printf("%-10s%-6d%14s%14s%14s%10s\n", algName, v, skippedCell, skippedCell, skippedCell, skippedCell)
+				h.printf("%-10s%-6d%14s%14s%14s%10s\n", algName, v, skippedCell, skippedCell, skippedCell, skippedCell)
 				continue
 			}
 			base := h.base(8, 2, 0.001) // λ is owned by the search
@@ -38,25 +37,25 @@ func (h *harness) figSat() {
 			base.Seed = 1001
 			sat, err := sweep.FindSaturation(
 				fmt.Sprintf("sat|%s|v%d", algName, v), base,
-				sweep.SaturationOptions{Tol: 0.05, Run: h.sweepOptions()})
+				sweep.SaturationOptions{Tol: 0.05, Run: h.local})
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "figures: saturation %s V=%d: %v\n", algName, v, err)
-				fmt.Printf("%-10s%-6d%14s%14s%14s%10s\n", algName, v, "err", "", "", "")
+				fmt.Fprintf(h.stderr, "figures: saturation %s V=%d: %v\n", algName, v, err)
+				h.printf("%-10s%-6d%14s%14s%14s%10s\n", algName, v, "err", "", "", "")
 				continue
 			}
 			lstar := fmt.Sprintf("%.5f", sat.Lambda)
 			if !sat.Converged {
 				lstar += "~" // probe budget exhausted: bracket wider than Tol
 			}
-			fmt.Printf("%-10s%-6d%14s%14.1f%14.1f%10d\n",
+			h.printf("%-10s%-6d%14s%14.1f%14.1f%10d\n",
 				algName, v, lstar, sat.ZeroLoad, sat.Threshold, len(sat.Probes))
 		}
 	}
-	fmt.Println("\n(λ* = load where mean latency crosses 3x zero-load latency; bisection to 5% brackets,")
-	fmt.Println(" ~ marks a search that ran out of probes before reaching that width.")
-	if h.shard.Count > 1 {
-		fmt.Println(" - rows belong to other shards; after merging journals, re-run -fig sat without")
-		fmt.Println(" -shard to replay every search from the checkpoint and fill them in.")
+	h.printf("\n(λ* = load where mean latency crosses 3x zero-load latency; bisection to 5%% brackets,\n")
+	h.printf(" ~ marks a search that ran out of probes before reaching that width.\n")
+	if h.local.Shard.Count > 1 {
+		h.printf(" - rows belong to other shards; after merging journals, re-run -fig sat without\n")
+		h.printf(" -shard to replay every search from the checkpoint and fill them in.\n")
 	}
-	fmt.Println(" Fig. 6's offered load λ=0.012 sits above the V=6 16-ary saturation point by design.)")
+	h.printf(" Fig. 6's offered load λ=0.012 sits above the V=6 16-ary saturation point by design.)\n")
 }

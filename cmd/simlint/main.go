@@ -2,73 +2,27 @@
 // statically enforces the simulator's determinism, arena and registry
 // contracts: maprange, rngpurity, reflife, registerinit, phasepurity.
 //
-// Standalone (the usual way — whole-build view, cross-package duplicate
-// detection included):
+// It loads the named packages itself (go list + the source importer), so
+// every run has the whole-build view that cross-package duplicate
+// registration detection needs:
 //
 //	go run ./cmd/simlint ./...
-//
-// As a vet tool (per-package units driven by the go command, sharing go
-// vet's caching and test-file handling):
-//
-//	go build -o simlint ./cmd/simlint
-//	go vet -vettool=$PWD/simlint ./...
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
 	"repro/internal/lint"
 )
 
-func main() {
-	// The go command drives vet tools through a tiny protocol: -V=full
-	// for the tool fingerprint, -flags for supported flags, then one
-	// invocation per package with the path to a JSON config file.
-	if len(os.Args) == 2 {
-		switch {
-		case os.Args[1] == "-V=full" || os.Args[1] == "--V=full":
-			// Fingerprint for cmd/go's tool ID cache: a "devel" tool must
-			// report a buildID, which for a vet tool is a content hash of
-			// its own executable (same scheme as unitchecker's).
-			fmt.Printf("simlint version devel buildID=%s\n", selfID())
-			return
-		case os.Args[1] == "-flags" || os.Args[1] == "--flags":
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(os.Args[1], ".cfg"):
-			os.Exit(vetUnit(os.Args[1]))
-		}
-	}
-	os.Exit(standalone(os.Args[1:]))
-}
+func main() { os.Exit(run(os.Args[1:])) }
 
-// selfID returns a content hash of the running executable, so go vet's
-// result cache invalidates whenever the tool is rebuilt.
-func selfID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:16])
-}
-
-func standalone(args []string) int {
+func run(args []string) int {
 	fs := flag.NewFlagSet("simlint", flag.ExitOnError)
 	var (
 		list    = fs.Bool("list", false, "list the analyzers and exit")

@@ -66,6 +66,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/sweep"
+	"repro/internal/sweepcli"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -96,17 +97,13 @@ func main() {
 		jsonOut = flag.Bool("json", false, "emit config and results as JSON instead of CSV")
 
 		sweepGrid  = flag.String("sweep", "", "λ sweep instead of a single point: comma list '0.002,0.004' or range 'lo:hi:step'")
-		checkpoint = flag.String("checkpoint", "", "JSONL checkpoint journal: completed points are skipped on re-run (sweep/find-sat modes)")
-		shardSpec  = flag.String("shard", "", "run only shard i of n ('i/n') of the sweep; journals merge via -merge")
-		mergeList  = flag.String("merge", "", "comma-separated shard journals to merge into -checkpoint before running")
-		workers    = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
+		sweepFlags = sweepcli.Register(flag.CommandLine) // -workers -checkpoint -shard -merge -coordinator
 		engWorkers = flag.String("engine-workers", "auto", "engine worker domains per simulation: an integer >= 1, or 'auto' (scales with topology size for single-point runs; sweep modes keep each engine serial and parallelize across points instead)")
 		findSat    = flag.Bool("find-sat", false, "bisection auto-search for the saturation λ instead of a fixed grid")
 		satFactor  = flag.Float64("sat-factor", 3, "saturation threshold as a multiple of zero-load latency (with -find-sat)")
 
 		serveSpec  = flag.String("serve", "", "run as a sweep coordinator: 'addr=:8080,checkpoint=coord.jsonl[,lease=15s][,retries=3]' (ignores simulation flags)")
 		workerSpec = flag.String("worker", "", "run as a sweep worker: 'url=http://host:8080[,name=w1][,exit=drain|never][,stall=5s][,engine-workers=N]'")
-		coordURL   = flag.String("coordinator", "", "with -sweep: submit the sweep to a coordinator fleet instead of running locally ('url=http://host:8080' or a bare URL)")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with 'go tool pprof')")
 		memprofile = flag.String("memprofile", "", "write an end-of-run heap profile to this file (inspect with 'go tool pprof')")
@@ -166,55 +163,25 @@ func main() {
 
 	// Validate the flag combination fully before -merge mutates the
 	// checkpoint journal: a rejected invocation must have no side effects.
-	shard, err := sweep.ParseShard(*shardSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
-		os.Exit(2)
-	}
 	if *wlOut != "" && (*findSat || *sweepGrid != "") {
 		fmt.Fprintln(os.Stderr, "swsim: -workload-out applies to single-point runs only")
-		os.Exit(2)
-	}
-	if *mergeList != "" && *checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "swsim: -merge requires -checkpoint (the journal to merge into)")
-		os.Exit(2)
-	}
-	if shard.Count > 1 && *checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "swsim: -shard requires -checkpoint (without a journal the shard's results cannot be merged)")
 		os.Exit(2)
 	}
 	if *findSat && *sweepGrid != "" {
 		fmt.Fprintln(os.Stderr, "swsim: -find-sat and -sweep are mutually exclusive (the search picks its own λ probes)")
 		os.Exit(2)
 	}
-	if *coordURL != "" {
-		if *sweepGrid == "" {
-			fmt.Fprintln(os.Stderr, "swsim: -coordinator applies to -sweep mode only (the fleet runs grid points)")
-			os.Exit(2)
-		}
-		if *checkpoint != "" || shard.Count > 1 || *mergeList != "" {
-			fmt.Fprintln(os.Stderr, "swsim: -coordinator conflicts with -checkpoint/-shard/-merge (the coordinator owns the journal; its workers are the shards)")
-			os.Exit(2)
-		}
+	mode := sweepcli.Point
+	switch {
+	case *sweepGrid != "":
+		mode = sweepcli.Grid
+	case *findSat:
+		mode = sweepcli.Search
 	}
-	if *findSat && shard.Count > 1 {
-		fmt.Fprintln(os.Stderr, "swsim: -find-sat cannot be sharded (each probe depends on the previous one); run it unsharded with -checkpoint to make it resumable")
+	door, err := sweepFlags.Validate("swsim", mode, os.Stderr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
 		os.Exit(2)
-	}
-	// Sweep-only flags given without a sweep mode would be silently
-	// ignored by the single-point path — reject them instead, so a
-	// forgotten -sweep cannot burn a shard's compute without journalling
-	// anything. (-checkpoint without -sweep is still valid alongside
-	// -merge: that is the merge-and-exit flow.)
-	if *sweepGrid == "" && !*findSat {
-		if shard.Count > 1 {
-			fmt.Fprintln(os.Stderr, "swsim: -shard applies to -sweep mode only (did you forget -sweep?)")
-			os.Exit(2)
-		}
-		if *checkpoint != "" && *mergeList == "" {
-			fmt.Fprintln(os.Stderr, "swsim: -checkpoint applies to -sweep, -find-sat and -merge modes only (did you forget -sweep?)")
-			os.Exit(2)
-		}
 	}
 	var grid []float64
 	if *sweepGrid != "" {
@@ -245,24 +212,19 @@ func main() {
 	}
 	defer stopProfiles()
 
-	opt := sweep.Options{Workers: *workers, Checkpoint: *checkpoint, Shard: shard, Log: os.Stderr}
-	if *mergeList != "" {
-		total, err := sweep.MergeJournals(*checkpoint, strings.Split(*mergeList, ",")...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "swsim: merged into %s (%d distinct points)\n", *checkpoint, total)
-		if *sweepGrid == "" && !*findSat {
-			return
-		}
+	runPlan, err := door.Open()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
+		os.Exit(1)
 	}
-	if *findSat {
-		runFindSat(cfg, opt, *satFactor, *quiet, *jsonOut)
+	switch {
+	case door.MergeOnly:
 		return
-	}
-	if *sweepGrid != "" {
-		runSweepGrid(cfg, grid, opt, *coordURL, *quiet, *jsonOut)
+	case *findSat:
+		runFindSat(cfg, door.Local, *satFactor, *quiet, *jsonOut)
+		return
+	case *sweepGrid != "":
+		runSweepGrid(cfg, grid, runPlan, *quiet, *jsonOut)
 		return
 	}
 
@@ -439,13 +401,11 @@ func parseRange(s string) (lo, hi, step float64, err error) {
 	return vals[0], vals[1], vals[2], nil
 }
 
-// runSweepGrid runs one point per λ of the grid through the sweep
-// subsystem and prints rows in grid order. Points owned by other shards
-// (and absent from the checkpoint) are omitted from the output. With a
-// coordinator URL the plan is submitted to the fleet instead of running
-// locally; point identity is the content digest, so the rows are
-// byte-identical either way.
-func runSweepGrid(base core.Config, grid []float64, opt sweep.Options, coordURL string, quiet, jsonOut bool) {
+// runSweepGrid runs one point per λ of the grid through the sweep front
+// door (locally or on the coordinator fleet — the rows are byte-identical
+// either way) and prints rows in grid order. Points owned by other shards
+// (and absent from the checkpoint) are omitted from the output.
+func runSweepGrid(base core.Config, grid []float64, runPlan func(sweep.Plan) ([]core.PointResult, error), quiet, jsonOut bool) {
 	plan := sweep.Plan{Name: "swsim", Points: make([]core.Point, len(grid))}
 	for i, l := range grid {
 		cfg := base
@@ -453,13 +413,7 @@ func runSweepGrid(base core.Config, grid []float64, opt sweep.Options, coordURL 
 		plan.Points[i] = core.Point{Label: fmt.Sprintf("swsim|l%g", l), Config: cfg}
 	}
 	start := time.Now()
-	var results []core.PointResult
-	var err error
-	if coordURL != "" {
-		results, err = runPlanViaCoordinator(coordURL, plan)
-	} else {
-		results, err = sweep.Run(plan, opt)
-	}
+	results, err := runPlan(plan)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
 		os.Exit(1)

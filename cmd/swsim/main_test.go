@@ -1,12 +1,76 @@
 package main
 
 import (
+	"bytes"
 	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 )
+
+// TestRejectedInvocationHasNoSideEffects: every flag rule is checked
+// before -merge appends to the checkpoint, so a refused command line
+// (exit 2) leaves the journal byte-identical, or absent.
+func TestRejectedInvocationHasNoSideEffects(t *testing.T) {
+	dir := t.TempDir()
+	exe := filepath.Join(dir, "swsim")
+	if out, err := exec.Command("go", "build", "-o", exe, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	grid := []string{"-q", "-k", "4", "-n", "2", "-warmup", "20", "-measure", "100", "-sweep", "0.002,0.004"}
+	shard := filepath.Join(dir, "s0.jsonl")
+	if out, err := exec.Command(exe, append(grid, "-shard", "0/2", "-checkpoint", shard)...).CombinedOutput(); err != nil {
+		t.Fatalf("shard run: %v\n%s", err, out)
+	}
+	ckpt := filepath.Join(dir, "all.jsonl")
+	seed, err := os.ReadFile(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		stderr string
+	}{
+		{"coordinator conflict", append(grid, "-coordinator", "http://127.0.0.1:1"), "-coordinator conflicts with"},
+		{"coordinator without sweep", []string{"-coordinator", "http://127.0.0.1:1"}, "-coordinator applies to -sweep mode only"},
+		{"find-sat with coordinator", []string{"-find-sat", "-coordinator", "http://127.0.0.1:1"}, "-coordinator applies to -sweep mode only"},
+		{"find-sat with sweep", append(grid, "-find-sat"), "mutually exclusive"},
+		{"bad grid", []string{"-sweep", "0.01:0.001:0.002"}, "bad sweep range"},
+		{"bad topology", append(grid, "-topo", "moebius"), "moebius"},
+		{"bad engine workers", append(grid, "-engine-workers", "0"), "bad -engine-workers"},
+	} {
+		for _, existing := range []bool{false, true} {
+			os.Remove(ckpt)
+			if existing {
+				if err := os.WriteFile(ckpt, seed[:bytes.IndexByte(seed, '\n')+1], 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before, _ := os.ReadFile(ckpt)
+			out, err := exec.Command(exe, append(tc.args, "-checkpoint", ckpt, "-merge", shard)...).CombinedOutput()
+			if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), tc.stderr) {
+				t.Errorf("%s: err %v, want exit 2 mentioning %q\n%s", tc.name, err, tc.stderr, out)
+			}
+			after, err := os.ReadFile(ckpt)
+			if existing && (err != nil || !bytes.Equal(before, after)) {
+				t.Errorf("%s: rejected invocation changed the checkpoint (err %v)", tc.name, err)
+			}
+			if !existing && !os.IsNotExist(err) {
+				t.Errorf("%s: rejected invocation created the checkpoint", tc.name)
+			}
+		}
+	}
+	// The accepted merge-and-exit flow does write it.
+	if out, err := exec.Command(exe, "-checkpoint", ckpt, "-merge", shard).CombinedOutput(); err != nil || !strings.Contains(string(out), "merged into") {
+		t.Fatalf("merge-and-exit: %v\n%s", err, out)
+	}
+}
 
 func TestResolveEngineWorkers(t *testing.T) {
 	// Explicit widths pass through in every mode; only > nodes warns.

@@ -14,8 +14,6 @@ import (
 	"time"
 
 	"repro/internal/coord"
-	"repro/internal/core"
-	"repro/internal/sweep"
 )
 
 // parseKV parses a comma-separated key=value spec ("addr=:8080,
@@ -169,37 +167,4 @@ func runWorker(spec string) {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "swsim: worker %s: done (%d points)\n", name, n)
-}
-
-// parseCoordinatorURL parses the -coordinator flag, which accepts
-// either a bare URL or a url= spec for symmetry with -serve/-worker.
-func parseCoordinatorURL(spec string) (string, error) {
-	if !strings.Contains(spec, "=") {
-		return spec, nil
-	}
-	kv, err := parseKV("coordinator", spec, "url")
-	if err != nil {
-		return "", err
-	}
-	if kv["url"] == "" {
-		return "", fmt.Errorf("-coordinator: empty url")
-	}
-	return kv["url"], nil
-}
-
-// runPlanViaCoordinator submits the plan to a coordinator fleet and
-// polls until every point is served from the result cache — the
-// fleet-backed drop-in for sweep.Run. SIGTERM/SIGINT abort the wait
-// (the fleet keeps computing; a re-run picks the results up from the
-// cache).
-func runPlanViaCoordinator(spec string, plan sweep.Plan) ([]core.PointResult, error) {
-	url, err := parseCoordinatorURL(spec)
-	if err != nil {
-		return nil, err
-	}
-	ctx, stop := signalCtx()
-	defer stop()
-	c := coord.NewClient(url)
-	c.Log = os.Stderr
-	return c.RunPlan(ctx, plan)
 }

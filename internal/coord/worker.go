@@ -49,9 +49,7 @@ type Worker struct {
 	// Log, when non-nil, receives one-line progress notes.
 	Log io.Writer
 
-	// run substitutes the simulator in tests; nil uses the sweep
-	// machinery (core.RunSweepFunc on a one-point slice, which recovers
-	// panics into PointResult.Err exactly like a local sweep).
+	// run substitutes the simulator in tests; nil uses core.Run.
 	run func(core.Config) (metrics.Results, error)
 }
 
@@ -164,7 +162,10 @@ func (w *Worker) runPoint(ctx context.Context, name string, grant LeaseResponse)
 	if run == nil {
 		run = core.Run
 	}
-	pr := runSinglePoint(core.Point{Label: pp.Label, Config: cfg}, run)
+	// RunPointFunc is what a local sweep pool runs per point, panic recovery
+	// included: a crashing config becomes PointResult.Err, journalled like
+	// any deterministic failure, instead of killing the worker process.
+	pr := core.RunPointFunc(core.Point{Label: pp.Label, Config: cfg}, run)
 	close(stop)
 	<-hbDone
 
@@ -190,12 +191,4 @@ func (w *Worker) runPoint(ctx context.Context, name string, grant LeaseResponse)
 		}
 		time.Sleep(bo.Next())
 	}
-}
-
-// runSinglePoint runs one point through the sweep worker-pool machinery
-// (one-point pool), inheriting its panic recovery: a crashing config
-// becomes PointResult.Err, journalled like any deterministic failure,
-// instead of killing the worker process.
-func runSinglePoint(pt core.Point, run func(core.Config) (metrics.Results, error)) core.PointResult {
-	return core.RunPointFunc(pt, run)
 }

@@ -99,12 +99,6 @@ func (l *Loader) LoadFiles(path string, filenames ...string) (*Package, error) {
 		}
 		files = append(files, f)
 	}
-	return l.Check(path, files)
-}
-
-// Check type-checks already-parsed files (which must come from this
-// loader's FileSet) as a package under the given import path.
-func (l *Loader) Check(path string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},

@@ -77,17 +77,7 @@ func (nf *NegativeFirst) Route(cur topology.NodeID, m *message.Message) Decision
 		// Defensive: the Target checks above make this unreachable.
 		return Decision{Outcome: ViaArrived}
 	}
-	port := topology.PortFor(dim, dir)
-	if nf.f.LinkFaulty(cur, port) {
-		return Decision{Outcome: AbsorbFault, BlockedDim: dim, BlockedDir: dir}
-	}
-	class := nf.datelineClass(cur, m, dim, dir)
-	lo, hi := nf.detVCRange(class)
-	d := Decision{Outcome: Progress, Preferred: make([]CandidateVC, 0, hi-lo)}
-	for vc := lo; vc < hi; vc++ {
-		d.Preferred = append(d.Preferred, CandidateVC{Port: port, VC: vc})
-	}
-	return d
+	return nf.moveAlong(cur, m, dim, dir)
 }
 
 func init() {

@@ -108,8 +108,7 @@ func (pa *PlanarAdaptive) Route(cur topology.NodeID, m *message.Message) Decisio
 		return Decision{Outcome: ViaArrived}
 	}
 	firstHi, incHi := planarBanks(pa.v)
-	var dec Decision
-	dec.Outcome = Progress
+	dec := Decision{Outcome: Progress, Preferred: pa.pref[:0]}
 	if port := topology.PortFor(d0, dir0); !pa.f.LinkFaulty(cur, port) {
 		for vc := 0; vc < firstHi; vc++ {
 			dec.Preferred = append(dec.Preferred, CandidateVC{Port: port, VC: vc})
@@ -131,6 +130,7 @@ func (pa *PlanarAdaptive) Route(cur topology.NodeID, m *message.Message) Decisio
 		// messaging layer replan around the region.
 		return Decision{Outcome: AbsorbFault, BlockedDim: d0, BlockedDir: dir0}
 	}
+	pa.pref = dec.Preferred
 	return dec
 }
 

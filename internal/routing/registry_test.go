@@ -158,6 +158,42 @@ func TestRegistryAllRouteWithFaults(t *testing.T) {
 	}
 }
 
+// TestRouteAllocsEveryAlgorithm holds ARCHITECTURE.md's "the steady-state
+// hot path allocates nothing" at the Route seam for every registered
+// algorithm, on a topology it supports, fault-free and faulted: the
+// candidate lists live in the Algorithm's reused scratch, never in a
+// per-call slice.
+func TestRouteAllocsEveryAlgorithm(t *testing.T) {
+	for _, info := range Algorithms() {
+		t.Run(info.Name, func(t *testing.T) {
+			net := testNetFor(info, 8, 2)
+			for _, f := range []*fault.Set{fault.NewSet(net), mustRandomFaults(t, net, 5, 9)} {
+				a, err := New(info.Name, net, f, max(info.MinV, 4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				healthy := f.HealthyNodes()
+				outcomes := map[Outcome]int{}
+				for i, src := range healthy {
+					dst := healthy[(i*7+13)%len(healthy)]
+					if src == dst {
+						continue
+					}
+					m := message.New(uint64(i), src, dst, 16, net.N(), a.BaseMode(), 0)
+					var dec Decision
+					if allocs := testing.AllocsPerRun(20, func() { dec = a.Route(src, m) }); allocs != 0 {
+						t.Fatalf("%d->%d: %v allocs/Route, want 0", src, dst, allocs)
+					}
+					outcomes[dec.Outcome]++
+				}
+				if outcomes[Progress] == 0 {
+					t.Fatalf("no Progress decision exercised: %v", outcomes)
+				}
+			}
+		})
+	}
+}
+
 // TestValiantDetourInstalledOnce drives one message header through the
 // valiant algorithm and checks the detour discipline: the intermediate is
 // pushed exactly once, survives re-walks, and differs across message IDs.

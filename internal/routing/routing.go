@@ -281,6 +281,13 @@ func (a *Algorithm) routeDeterministic(cur topology.NodeID, m *message.Message) 
 		// Defensive: Target checks above make this unreachable.
 		return Decision{Outcome: ViaArrived}
 	}
+	return a.moveAlong(cur, m, dim, dir)
+}
+
+// moveAlong is the decision for the single move (dim, dir) of a
+// deterministic discipline: absorb if the link is faulty, else progress on
+// every VC of the move's dateline class.
+func (a *Algorithm) moveAlong(cur topology.NodeID, m *message.Message, dim int, dir topology.Dir) Decision {
 	port := topology.PortFor(dim, dir)
 	if a.f.LinkFaulty(cur, port) {
 		return Decision{Outcome: AbsorbFault, BlockedDim: dim, BlockedDir: dir}

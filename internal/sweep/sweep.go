@@ -150,7 +150,7 @@ func Run(plan Plan, opt Options) ([]core.PointResult, error) {
 	nCached, nSkipped := 0, 0
 	for i := range plan.Points {
 		if rec, ok := cached[ids[i]]; ok {
-			results[i] = rec.pointResult(plan.Points[i])
+			results[i] = rec.Result(plan.Points[i])
 			nCached++
 			continue
 		}
@@ -205,17 +205,12 @@ func NewRecord(id string, r core.PointResult) Record {
 	return rec
 }
 
-// Result reconstitutes a record as the result of pt — the conversion
-// shared by checkpoint replay and the coordinator's cache-served
-// results (repro/internal/coord).
+// Result reconstitutes a journal record as the result of pt — the
+// conversion shared by checkpoint replay and the coordinator's
+// cache-served results (repro/internal/coord). The error round-trips as
+// its message (wrapped so callers can tell it was replayed from a
+// checkpoint).
 func (rec Record) Result(pt core.Point) core.PointResult {
-	return rec.pointResult(pt)
-}
-
-// pointResult reconstitutes a journal record as the result of pt. The
-// error round-trips as its message (wrapped so callers can tell it was
-// replayed from a checkpoint).
-func (rec Record) pointResult(pt core.Point) core.PointResult {
 	r := core.PointResult{Point: pt, Results: rec.Results}
 	if rec.Err != "" {
 		r.Err = fmt.Errorf("checkpointed failure: %s", rec.Err)

@@ -141,52 +141,58 @@ func NewInterval(env Env, period int64) (*schedSource, error) {
 	return s, nil
 }
 
-// MMPP is the two-state Markov-modulated Poisson ("burst") source: each
-// node alternates independently between an ON phase (exponential duration,
-// mean on cycles) emitting Poisson arrivals at rate, and a silent OFF
-// phase (mean off cycles). The long-run per-node rate is rate·on/(on+off);
-// the registry's burst factory derives rate from λ when the spec omits it,
-// so bursty and Poisson runs compare at equal offered load.
-type MMPP struct {
+// onOff is the on/off modulated Poisson source behind two registry
+// entries: each node alternates independently between an ON phase emitting
+// Poisson arrivals at rate and a silent OFF phase, with phase durations of
+// mean on / off cycles drawn by phase. With exponential phases it is the
+// two-state Markov-modulated Poisson process ("burst"); with Pareto
+// phases the heavy-tailed self-similar construction ("pareto", see
+// pareto.go). The long-run per-node rate is rate·on/(on+off); the
+// registry factories derive rate from λ when the spec omits it, so on/off
+// and Poisson runs compare at equal offered load.
+type onOff struct {
 	*schedSource
 	on, off, rate float64
-	nodes         []mmppNode
+	phase         func(r *rng.Stream, mean float64) float64
+	nodes         []onOffNode
 }
 
-// mmppNode is one node's phase-process state in continuous time: the
+// onOffNode is one node's phase-process state in continuous time: the
 // current phase, the cycle it ends at, and the node's own process clock t
 // (the time of its last arrival or phase change).
-type mmppNode struct {
+type onOffNode struct {
 	on       bool
 	t        float64
 	phaseEnd float64
 }
 
-// NewMMPP builds the bursty source. on and off are mean phase durations in
-// cycles; rate is the Poisson rate while ON.
-func NewMMPP(env Env, on, off, rate float64) (*MMPP, error) {
+// newOnOff builds an on/off source reporting itself as name. on and off
+// are mean phase durations in cycles; rate is the Poisson rate while ON;
+// phase draws one phase duration with the given mean. Each node starts ON
+// with the stationary probability on/(on+off) at the beginning of a fresh
+// phase: exactly stationary for memoryless (exponential) phases,
+// approximately so otherwise — a bias that decays over the warm-up.
+func newOnOff(name string, env Env, on, off, rate float64, phase func(r *rng.Stream, mean float64) float64) (*onOff, error) {
 	if on <= 0 || off <= 0 {
-		return nil, fmt.Errorf("traffic: burst on/off durations must be > 0, got on=%g off=%g", on, off)
+		return nil, fmt.Errorf("traffic: on/off durations must be > 0, got on=%g off=%g", on, off)
 	}
 	if rate <= 0 {
-		return nil, fmt.Errorf("traffic: burst rate must be > 0, got %g", rate)
+		return nil, fmt.Errorf("traffic: on-state rate must be > 0, got %g", rate)
 	}
-	s, err := newSched(fmt.Sprintf("burst(on=%g,off=%g,rate=%g)", on, off, rate), env)
+	s, err := newSched(name, env)
 	if err != nil {
 		return nil, err
 	}
 	s.meanRate = rate * on / (on + off) * float64(len(s.sources))
-	m := &MMPP{schedSource: s, on: on, off: off, rate: rate}
-	m.nodes = make([]mmppNode, len(s.sources))
+	m := &onOff{schedSource: s, on: on, off: off, rate: rate, phase: phase}
+	m.nodes = make([]onOffNode, len(s.sources))
 	for i := range m.nodes {
 		st := &m.nodes[i]
-		// Stationary start: ON with probability on/(on+off); the residual
-		// phase duration is exponential by memorylessness.
 		st.on = s.r.Float64() < on/(on+off)
 		if st.on {
-			st.phaseEnd = s.r.Exp(on)
+			st.phaseEnd = phase(s.r, on)
 		} else {
-			st.phaseEnd = s.r.Exp(off)
+			st.phaseEnd = phase(s.r, off)
 		}
 	}
 	s.next = m.nextArrival
@@ -197,14 +203,14 @@ func NewMMPP(env Env, on, off, rate float64) (*MMPP, error) {
 // nextArrival advances node idx's phase process to its next arrival. An
 // ON-phase inter-arrival draw that overshoots the phase boundary is
 // discarded and redrawn in the next ON phase — unbiased, because the
-// exponential is memoryless.
-func (m *MMPP) nextArrival(idx int, _ int64) int64 {
+// exponential arrival process (whatever the phase law) is memoryless.
+func (m *onOff) nextArrival(idx int, _ int64) int64 {
 	st := &m.nodes[idx]
 	for {
 		if !st.on {
 			st.t = st.phaseEnd
 			st.on = true
-			st.phaseEnd = st.t + m.r.Exp(m.on)
+			st.phaseEnd = st.t + m.phase(m.r, m.on)
 			continue
 		}
 		gap := m.r.Exp(1 / m.rate)
@@ -214,7 +220,7 @@ func (m *MMPP) nextArrival(idx int, _ int64) int64 {
 		}
 		st.t = st.phaseEnd
 		st.on = false
-		st.phaseEnd = st.t + m.r.Exp(m.off)
+		st.phaseEnd = st.t + m.phase(m.r, m.off)
 	}
 }
 
@@ -345,7 +351,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return NewMMPP(env, on, off, rate)
+			return newOnOff(fmt.Sprintf("burst(on=%g,off=%g,rate=%g)", on, off, rate), env, on, off, rate, (*rng.Stream).Exp)
 		}, a.Finish()
 	})
 
