@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -36,95 +37,103 @@ import (
 	"repro/internal/topology"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("analyze", flag.ContinueOnError)
+	fl.SetOutput(stderr)
 	var (
-		mode    = flag.String("mode", "deadlock", "analysis: deadlock|model")
-		k       = flag.Int("k", 8, "radix")
-		n       = flag.Int("n", 2, "dimensions")
-		v       = flag.Int("v", 4, "virtual channels")
-		m       = flag.Int("m", 32, "message length (flits)")
-		faults  = flag.Int("faults", 0, "random faulty nodes")
-		seed    = flag.Uint64("seed", 1, "seed")
-		measure = flag.Int("measure", 5000, "measured messages per simulated point (model mode)")
+		mode    = fl.String("mode", "deadlock", "analysis: deadlock|model|livelock")
+		k       = fl.Int("k", 8, "radix")
+		n       = fl.Int("n", 2, "dimensions")
+		v       = fl.Int("v", 4, "virtual channels")
+		m       = fl.Int("m", 32, "message length (flits)")
+		faults  = fl.Int("faults", 0, "random faulty nodes")
+		seed    = fl.Uint64("seed", 1, "seed")
+		measure = fl.Int("measure", 5000, "measured messages per simulated point (model mode)")
 	)
-	flag.Parse()
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
 
 	switch *mode {
 	case "deadlock":
-		analyzeDeadlock(*k, *n, *faults, *seed)
+		return analyzeDeadlock(stdout, stderr, *k, *n, *faults, *seed)
 	case "model":
-		analyzeModel(*k, *n, *v, *m, *faults, *seed, *measure)
+		analyzeModel(stdout, *k, *n, *v, *m, *faults, *seed, *measure)
+		return 0
 	case "livelock":
-		analyzeLivelock(*k, *n, *v, *m, *faults, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "analyze: unknown mode %q\n", *mode)
-		os.Exit(2)
+		return analyzeLivelock(stdout, stderr, *k, *n, *v, *m, *faults, *seed)
 	}
+	fmt.Fprintf(stderr, "analyze: unknown mode %q\n", *mode)
+	return 2
 }
 
-func analyzeDeadlock(k, n, nf int, seed uint64) {
+func analyzeDeadlock(stdout, stderr io.Writer, k, n, nf int, seed uint64) int {
 	t := topology.New(k, n)
 	var healthy func(topology.NodeID) bool
 	if nf > 0 {
 		fs, err := fault.Random(t, nf, rng.New(seed), fault.DefaultRandomOptions())
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "analyze: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "analyze: %v\n", err)
+			return 1
 		}
 		healthy = func(id topology.NodeID) bool { return !fs.NodeFaulty(id) }
-		fmt.Printf("faulty nodes: %v\n", fs.FaultyNodes())
+		fmt.Fprintf(stdout, "faulty nodes: %v\n", fs.FaultyNodes())
 	}
 	g, err := deadlock.BuildEcube(t, healthy)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "analyze: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "analyze: %v\n", err)
+		return 1
 	}
 	vtx, edges := g.Size()
-	fmt.Printf("%v: extended channel dependency graph has %d vertices, %d edges\n", t, vtx, edges)
+	fmt.Fprintf(stdout, "%v: extended channel dependency graph has %d vertices, %d edges\n", t, vtx, edges)
 	if cyc := g.Cycle(); cyc != nil {
-		fmt.Printf("CYCLE FOUND (deadlock possible): %v\n", cyc)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "CYCLE FOUND (deadlock possible): %v\n", cyc)
+		return 1
 	}
-	fmt.Println("acyclic: the deterministic routing relation is deadlock-free (paper §4)")
+	fmt.Fprintln(stdout, "acyclic: the deterministic routing relation is deadlock-free (paper §4)")
+	return 0
 }
 
-func analyzeLivelock(k, n, v, m, nf int, seed uint64) {
+func analyzeLivelock(stdout, stderr io.Writer, k, n, v, m, nf int, seed uint64) int {
 	t := topology.New(k, n)
 	fs := fault.NewSet(t)
 	if nf > 0 {
 		var err error
 		fs, err = fault.Random(t, nf, rng.New(seed), fault.DefaultRandomOptions())
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "analyze: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "analyze: %v\n", err)
+			return 1
 		}
-		fmt.Printf("faulty nodes: %v\n", fs.FaultyNodes())
+		fmt.Fprintf(stdout, "faulty nodes: %v\n", fs.FaultyNodes())
 	}
 	for _, info := range routing.Algorithms() {
 		if !info.Supports(t.Kind()) {
-			fmt.Printf("%-18s (skipped: %s-only)\n", info.Name+":", strings.Join(info.Topologies, "/"))
+			fmt.Fprintf(stdout, "%-18s (skipped: %s-only)\n", info.Name+":", strings.Join(info.Topologies, "/"))
 			continue
 		}
 		alg, err := routing.New(info.Name, t, fs, max(v, info.MinV))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "analyze: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "analyze: %v\n", err)
+			return 1
 		}
 		rep := routing.AnalyzeLivelock(alg, m, 0)
-		fmt.Printf("%-18s %v\n", info.Name+":", rep)
+		fmt.Fprintf(stdout, "%-18s %v\n", info.Name+":", rep)
 		if rep.Undelivered > 0 {
-			fmt.Println("LIVELOCK/DISCONNECTION SUSPECTED: some pairs undelivered")
-			os.Exit(1)
+			fmt.Fprintln(stdout, "LIVELOCK/DISCONNECTION SUSPECTED: some pairs undelivered")
+			return 1
 		}
 	}
-	fmt.Println("all pairs delivered with bounded software stops (livelock-free, §4)")
+	fmt.Fprintln(stdout, "all pairs delivered with bounded software stops (livelock-free, §4)")
+	return 0
 }
 
-func analyzeModel(k, n, v, m, nf int, seed uint64, measure int) {
-	fmt.Printf("analytical model vs flit-level simulation, %d-ary %d-cube, V=%d, M=%d, nf=%d\n", k, n, v, m, nf)
-	fmt.Printf("%-10s%14s%14s%12s\n", "lambda", "model", "simulation", "rel.err")
+func analyzeModel(stdout io.Writer, k, n, v, m, nf int, seed uint64, measure int) {
+	fmt.Fprintf(stdout, "analytical model vs flit-level simulation, %d-ary %d-cube, V=%d, M=%d, nf=%d\n", k, n, v, m, nf)
+	fmt.Fprintf(stdout, "%-10s%14s%14s%12s\n", "lambda", "model", "simulation", "rel.err")
 	mdl := analytic.Model{K: k, N: n, V: v, M: m, Nf: nf}
-	fmt.Printf("model saturation estimate: λ ≈ %.4f\n", mdl.SaturationRate())
+	fmt.Fprintf(stdout, "model saturation estimate: λ ≈ %.4f\n", mdl.SaturationRate())
 	for _, lambda := range []float64{0.001, 0.002, 0.004, 0.006, 0.008, 0.010, 0.012} {
 		mdl.Lambda = lambda
 		modelLat, err := mdl.MeanLatency()
@@ -152,6 +161,6 @@ func analyzeModel(k, n, v, m, nf int, seed uint64, measure int) {
 		if err == nil && rerr == nil && !res.Saturated && res.MeanLatency > 0 {
 			rel = fmt.Sprintf("%+.0f%%", (modelLat-res.MeanLatency)/res.MeanLatency*100)
 		}
-		fmt.Printf("%-10g%14s%14s%12s\n", lambda, modelCell, simCell, rel)
+		fmt.Fprintf(stdout, "%-10g%14s%14s%12s\n", lambda, modelCell, simCell, rel)
 	}
 }

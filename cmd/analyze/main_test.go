@@ -1,0 +1,38 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// The goldens under testdata/ were recorded from the analyze binary of
+// the commit before main became run(args, stdout, stderr) (3f78b42): they
+// pin that program's output and must not be regenerated from this code.
+func TestGoldenOutput(t *testing.T) {
+	for name, args := range map[string][]string{
+		"deadlock": {"-mode", "deadlock", "-k", "4", "-n", "2", "-faults", "2"},
+		"model":    {"-mode", "model", "-k", "4", "-n", "2", "-measure", "200"},
+		"livelock": {"-mode", "livelock", "-k", "4", "-n", "2", "-faults", "2", "-seed", "3"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 0 || stdout.String() != string(want) {
+				t.Errorf("exit %d, stdout differs from testdata/%s.golden:\n%s\nstderr:\n%s", code, name, &stdout, &stderr)
+			}
+		})
+	}
+}
+
+func TestUnknownModeRejected(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-mode", "nope"}, &stdout, &stderr)
+	if want := "analyze: unknown mode \"nope\"\n"; code != 2 || stderr.String() != want || stdout.Len() != 0 {
+		t.Errorf("exit %d, stderr %q (want 2, %q), stdout %q", code, &stderr, want, &stdout)
+	}
+}

@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/fault"
@@ -16,19 +17,25 @@ import (
 	"repro/internal/viz"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("faultviz", flag.ContinueOnError)
+	fl.SetOutput(stderr)
 	var (
-		k      = flag.Int("k", 16, "radix of the 2-D torus")
-		shape  = flag.String("shape", "", "shape: bar|doublebar|rect|L|U|T|plus|H")
-		a      = flag.Int("a", 4, "shape parameter A")
-		b      = flag.Int("b", 4, "shape parameter B")
-		th     = flag.Int("t", 0, "plus-shape thickness (0 = 1)")
-		ax     = flag.Int("ax", 2, "anchor coordinate in dim 0")
-		ay     = flag.Int("ay", 2, "anchor coordinate in dim 1")
-		random = flag.Int("random", 0, "random faulty nodes instead of a shape")
-		seed   = flag.Uint64("seed", 1, "seed for random placement")
+		k      = fl.Int("k", 16, "radix of the 2-D torus")
+		shape  = fl.String("shape", "", "shape: bar|doublebar|rect|L|U|T|plus|H")
+		a      = fl.Int("a", 4, "shape parameter A")
+		b      = fl.Int("b", 4, "shape parameter B")
+		th     = fl.Int("t", 0, "plus-shape thickness (0 = 1)")
+		ax     = fl.Int("ax", 2, "anchor coordinate in dim 0")
+		ay     = fl.Int("ay", 2, "anchor coordinate in dim 1")
+		random = fl.Int("random", 0, "random faulty nodes instead of a shape")
+		seed   = fl.Uint64("seed", 1, "seed for random placement")
 	)
-	flag.Parse()
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
 
 	t := topology.New(*k, 2)
 	fs := fault.NewSet(t)
@@ -37,30 +44,31 @@ func main() {
 		var err error
 		fs, err = fault.Random(t, *random, rng.New(*seed), fault.DefaultRandomOptions())
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "faultviz: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "faultviz: %v\n", err)
+			return 1
 		}
 	case *shape != "":
 		sh, ok := shapeByName(*shape)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "faultviz: unknown shape %q\n", *shape)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "faultviz: unknown shape %q\n", *shape)
+			return 2
 		}
 		spec := fault.ShapeSpec{Shape: sh, A: *a, B: *b, T: *th, AnchorA: *ax, AnchorB: *ay}
 		if _, err := fault.StampShape(fs, 0, 0, 1, spec); err != nil {
-			fmt.Fprintf(os.Stderr, "faultviz: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "faultviz: %v\n", err)
+			return 1
 		}
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fl.Usage()
+		return 2
 	}
 
-	fmt.Print(viz.RenderPlane(fs, 0, 0, 1))
-	fmt.Print(viz.RenderRegions(fs))
+	fmt.Fprint(stdout, viz.RenderPlane(fs, 0, 0, 1))
+	fmt.Fprint(stdout, viz.RenderRegions(fs))
 	if fs.Disconnects() {
-		fmt.Println("WARNING: this configuration disconnects the network")
+		fmt.Fprintln(stdout, "WARNING: this configuration disconnects the network")
 	}
+	return 0
 }
 
 func shapeByName(name string) (fault.Shape, bool) {

@@ -1,0 +1,52 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// The goldens under testdata/ were recorded from the faultviz binary of
+// the commit before main became run(args, stdout, stderr) (3f78b42): they
+// pin that program's output and must not be regenerated from this code.
+func TestGoldenOutput(t *testing.T) {
+	for name, args := range map[string][]string{
+		"shape-U": {"-k", "8", "-shape", "U", "-a", "3", "-b", "4"},
+		"random":  {"-k", "8", "-random", "5", "-seed", "3"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 0 || stdout.String() != string(want) {
+				t.Errorf("exit %d, stdout differs from testdata/%s.golden:\n%s\nstderr:\n%s", code, name, &stdout, &stderr)
+			}
+		})
+	}
+}
+
+func TestRejectedInvocations(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		code   int
+		stderr string // prefix
+	}{
+		{"unknown-shape", []string{"-shape", "Z"}, 2, "faultviz: unknown shape \"Z\"\n"},
+		{"self-overlap", []string{"-k", "4", "-shape", "rect", "-a", "9", "-b", "9"}, 1,
+			"faultviz: fault: shape rect at (2,2) self-overlaps after wraparound (k=4)\n"},
+		{"nothing-to-draw", nil, 2, "Usage of faultviz:\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			code := run(tc.args, &stdout, &stderr)
+			if code != tc.code || !strings.HasPrefix(stderr.String(), tc.stderr) || stdout.Len() != 0 {
+				t.Errorf("exit %d (want %d)\nstderr: %q\nwant prefix: %q\nstdout: %q", code, tc.code, &stderr, tc.stderr, &stdout)
+			}
+		})
+	}
+}

@@ -20,8 +20,7 @@ func buildSimlint(t *testing.T) string {
 }
 
 // TestDoctoredViolationFails is the analyzer suite's injected-regression
-// check (the analogue of benchdiff's): a file with an unordered map
-// iteration, type-checked as part of the determinism-critical
+// check: a file with an unordered map iteration, type-checked as part of the determinism-critical
 // internal/network package, must fail simlint with exit status 1 and name
 // the maprange analyzer.
 func TestDoctoredViolationFails(t *testing.T) {

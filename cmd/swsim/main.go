@@ -153,7 +153,7 @@ func main() {
 	cfg.Faults.RandomNodes = *faults
 	cfg.FaultSchedule = *sched
 	if *shape != "" {
-		spec, ok := fig5Shape(*shape)
+		spec, ok := fault.PaperFig5Shape(*shape)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "swsim: unknown shape %q (rect|T|plus|L|U)\n", *shape)
 			os.Exit(2)
@@ -513,23 +513,6 @@ func resolveEngineWorkers(spec string, nodes int, multiPoint bool) (workers int,
 		warn = fmt.Sprintf("-engine-workers %d exceeds the %d-router topology; the engine will clamp to %d single-router domains", w, nodes, nodes)
 	}
 	return w, warn, nil
-}
-
-func fig5Shape(name string) (fault.ShapeSpec, bool) {
-	specs := fault.PaperFig5Specs()
-	switch name {
-	case "rect":
-		return specs["rect-shaped"], true
-	case "T":
-		return specs["T-shaped"], true
-	case "plus":
-		return specs["Plus-shaped"], true
-	case "L":
-		return specs["L-shaped"], true
-	case "U":
-		return specs["U-shaped"], true
-	}
-	return fault.ShapeSpec{}, false
 }
 
 func shapeNote(s string) string {

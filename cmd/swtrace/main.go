@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -27,26 +28,36 @@ import (
 	"repro/internal/viz"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("swtrace", flag.ContinueOnError)
+	fl.SetOutput(stderr)
 	var (
-		k       = flag.Int("k", 8, "radix; shorthand for -topo torus:k=...")
-		n       = flag.Int("n", 2, "dimensions; shorthand for -topo torus:n=...")
-		topo    = flag.String("topo", "", "topology spec from the registry (overrides -k/-n; see -list)")
-		v       = flag.Int("v", 4, "virtual channels")
-		m       = flag.Int("m", 16, "message length (flits)")
-		faults  = flag.Int("faults", 0, "random faulty nodes")
-		shape   = flag.String("shape", "", "stamp a Fig. 5 region instead: rect|T|plus|L|U")
-		seed    = flag.Uint64("seed", 1, "seed for fault placement")
-		srcFlag = flag.String("src", "0,0", "source coordinates, comma-separated")
-		dstFlag = flag.String("dst", "", "destination coordinates (required)")
-		algFlag = flag.String("alg", "det", "routing algorithm from the registry")
-		list    = flag.Bool("list", false, "list registered topologies, algorithms, patterns and sources, then exit")
+		k       = fl.Int("k", 8, "radix; shorthand for -topo torus:k=...")
+		n       = fl.Int("n", 2, "dimensions; shorthand for -topo torus:n=...")
+		topo    = fl.String("topo", "", "topology spec from the registry (overrides -k/-n; see -list)")
+		v       = fl.Int("v", 4, "virtual channels")
+		m       = fl.Int("m", 16, "message length (flits)")
+		faults  = fl.Int("faults", 0, "random faulty nodes")
+		shape   = fl.String("shape", "", "stamp a Fig. 5 region instead: rect|T|plus|L|U")
+		seed    = fl.Uint64("seed", 1, "seed for fault placement")
+		srcFlag = fl.String("src", "0,0", "source coordinates, comma-separated")
+		dstFlag = fl.String("dst", "", "destination coordinates (required)")
+		algFlag = fl.String("alg", "det", "routing algorithm from the registry")
+		list    = fl.Bool("list", false, "list registered topologies, algorithms, patterns and sources, then exit")
 	)
-	flag.Parse()
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "swtrace: %v\n", err)
+		return 1
+	}
 
 	if *list {
-		core.PrintRegistries(os.Stdout, "swsim ")
-		return
+		core.PrintRegistries(stdout, "swsim ")
+		return 0
 	}
 
 	spec := *topo
@@ -55,52 +66,50 @@ func main() {
 	}
 	t, err := topology.NewNetwork(spec)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	src, err := parseCoords(t, *srcFlag)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	dst, err := parseCoords(t, *dstFlag)
 	if err != nil {
-		fatal(fmt.Errorf("need -dst: %w", err))
+		return fail(fmt.Errorf("need -dst: %w", err))
 	}
 
 	fs := fault.NewSet(t)
 	switch {
 	case *shape != "":
-		specs := fault.PaperFig5Specs()
-		name := map[string]string{"rect": "rect-shaped", "T": "T-shaped", "plus": "Plus-shaped", "L": "L-shaped", "U": "U-shaped"}[*shape]
-		spec, ok := specs[name]
+		spec, ok := fault.PaperFig5Shape(*shape)
 		if !ok {
-			fatal(fmt.Errorf("unknown shape %q", *shape))
+			return fail(fmt.Errorf("unknown shape %q", *shape))
 		}
 		if _, err := fault.StampShape(fs, 0, 0, 1, spec); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	case *faults > 0:
 		fs, err = fault.Random(t, *faults, rng.New(*seed), fault.RandomOptions{
 			KeepConnected: true, Avoid: []topology.NodeID{src, dst},
 		})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	if fs.NodeFaulty(src) || fs.NodeFaulty(dst) {
-		fatal(fmt.Errorf("source or destination is faulty"))
+		return fail(fmt.Errorf("source or destination is faulty"))
 	}
 
 	alg, err := routing.New(*algFlag, t, fs, *v)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	mode := alg.BaseMode()
 
 	if t.N() == 2 {
-		fmt.Print(viz.RenderPlane(fs, 0, 0, 1))
+		fmt.Fprint(stdout, viz.RenderPlane(fs, 0, 0, 1))
 	}
-	fmt.Print(viz.RenderRegions(fs))
-	fmt.Printf("tracing %s -> %s (%s, M=%d, V=%d)\n\n",
+	fmt.Fprint(stdout, viz.RenderRegions(fs))
+	fmt.Fprintf(stdout, "tracing %s -> %s (%s, M=%d, V=%d)\n\n",
 		t.FormatNode(src), t.FormatNode(dst), mode, *m, *v)
 
 	rec := trace.NewRecorder()
@@ -115,13 +124,17 @@ func main() {
 		nw.Step()
 	}
 	if msg.DeliveredAt < 0 {
-		fatal(fmt.Errorf("message not delivered within 1M cycles"))
+		return fail(fmt.Errorf("message not delivered within 1M cycles"))
 	}
-	fmt.Print(rec.Render(t, 0))
-	fmt.Printf("\nlatency: %d cycles (minimal distance %d, length %d flits, %d absorption(s))\n",
+	fmt.Fprint(stdout, rec.Render(t, 0))
+	fmt.Fprintf(stdout, "\nlatency: %d cycles (minimal distance %d, length %d flits, %d absorption(s))\n",
 		msg.DeliveredAt-msg.CreatedAt, t.Distance(src, dst), *m, msg.Absorptions)
+	return 0
 }
 
+// parseCoords reads a comma-separated node address. FromCoords reduces
+// digits mod k, so a digit outside [0, k) is rejected here rather than
+// silently traced to a different node.
 func parseCoords(t topology.Network, s string) (topology.NodeID, error) {
 	if s == "" {
 		return 0, fmt.Errorf("empty coordinates")
@@ -136,12 +149,10 @@ func parseCoords(t topology.Network, s string) (topology.NodeID, error) {
 		if err != nil {
 			return 0, fmt.Errorf("bad coordinate %q", p)
 		}
+		if v < 0 || v >= t.K() {
+			return 0, fmt.Errorf("coordinate %d in %q is outside [0, %d)", v, s, t.K())
+		}
 		coords[i] = v
 	}
 	return t.FromCoords(coords), nil
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "swtrace: %v\n", err)
-	os.Exit(1)
 }

@@ -389,3 +389,70 @@ func TestNewEngineAllocationsPerNode(t *testing.T) {
 		t.Fatalf("NewEngine allocates %.1f objects per node, want <= 8 (%.0f total)", perNode, allocs)
 	}
 }
+
+// TestStepAllocatesNothing is the zero-allocation contract of the engine's
+// steady state: once a run has warmed up — traffic in flight, every
+// scratch buffer, lane set and arena slab at its high-water mark — a Step
+// allocates no object, whatever the topology, load, routing algorithm or
+// lane width. testing.AllocsPerRun divides like a benchmark's allocs/op
+// column, so any per-cycle allocation on the hot path reads >= 1. Serial
+// engines only: Workers > 1 spawns goroutines per phase by design.
+func TestStepAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		slow bool
+		cfg  func(c *Config)
+	}{
+		{"idle-torus-k24", false, func(c *Config) {
+			c.Topology, c.V, c.Lambda = "torus:k=24,n=2", 4, 0.0002
+		}},
+		{"idle-mesh-k24", false, func(c *Config) {
+			c.Topology, c.V, c.Lambda = "mesh:k=24,n=2", 4, 0.0002
+		}},
+		{"wide-lanes-v16", false, func(c *Config) {
+			c.Topology, c.V, c.Lambda = "torus:k=8,n=2", 16, 0.006
+		}},
+		{"torus-k16-n3", false, func(c *Config) {
+			c.Topology, c.V, c.Lambda = "torus:k=16,n=3", 4, 0.001
+		}},
+		// bench/'s fig4-faulted shape: the absorb-replan-reinject path.
+		{"fig4-faulted", false, func(c *Config) {
+			c.Topology, c.V, c.Lambda = "torus:k=8,n=3", 6, 0.008
+			c.Faults.RandomNodes = 12
+		}},
+		// bench/'s sat-adaptive shape: every lane holds flits, most heads
+		// are parked in the blocked sets.
+		{"sat-adaptive", false, func(c *Config) {
+			c.Topology, c.V, c.Lambda = "torus:k=16,n=2", 6, 0.014
+			c.Algorithm = "adaptive"
+			c.Faults.RandomNodes = 6
+			c.Pattern = "hotspot:frac=0.05"
+			c.Traffic = "burst:on=50,off=200"
+		}},
+		// bench/'s scale-par shape, serial: 32,768 routers.
+		{"torus-k32-n3", true, func(c *Config) {
+			c.Topology, c.V, c.Lambda = "torus:k=32,n=3", 4, 0.0005
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.slow && testing.Short() {
+				t.Skip("2000 warm-up cycles of a 32-ary 3-cube take ~10 s")
+			}
+			c := DefaultConfig(0, 0, 0)
+			tc.cfg(&c)
+			c.MeasureMessages = 1 << 30 // never stop on quota
+			c.MaxCycles = 1 << 62
+			c.SaturationBacklog = 1 << 30
+			e, err := NewEngine(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2000; i++ {
+				e.Step()
+			}
+			if allocs := testing.AllocsPerRun(1000, e.Step); allocs != 0 {
+				t.Fatalf("steady-state Step allocates %.0f objects per cycle, want 0", allocs)
+			}
+		})
+	}
+}

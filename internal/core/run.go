@@ -48,9 +48,8 @@ func BuildFaults(t topology.Network, spec FaultSpec, seed uint64) (*fault.Set, e
 
 // buildWorkload constructs the config's workload from the traffic
 // registries: the destination pattern (spatial) feeding the arrival source
-// (temporal), optionally wrapped in a capture recorder. r must be the
-// stream the pre-registry code handed to traffic.NewGenerator (the run
-// seed's Split(1)) so the default poisson+uniform path consumes random
+// (temporal), optionally wrapped in a capture recorder. r must be the run
+// seed's Split(1) so the default poisson+uniform path consumes random
 // numbers in exactly the historical order.
 func buildWorkload(c Config, t topology.Network, fs *fault.Set, mode message.Mode, pool *message.Pool, r *rng.Stream) (traffic.Source, error) {
 	pattern, err := traffic.NewPattern(c.PatternSpec(), t, fs)

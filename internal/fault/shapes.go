@@ -257,3 +257,12 @@ func PaperFig5Specs() map[string]ShapeSpec {
 		"U-shaped":    {Shape: ShapeU, A: 3, B: 4, AnchorA: 2, AnchorB: 2},          // 4 + 2*2 = 8
 	}
 }
+
+// PaperFig5Shape looks a Fig. 5 region up by the short name the CLIs take
+// (rect|T|plus|L|U).
+func PaperFig5Shape(short string) (ShapeSpec, bool) {
+	spec, ok := PaperFig5Specs()[map[string]string{
+		"rect": "rect-shaped", "T": "T-shaped", "plus": "Plus-shaped", "L": "L-shaped", "U": "U-shaped",
+	}[short]]
+	return spec, ok
+}

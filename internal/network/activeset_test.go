@@ -48,8 +48,7 @@ func TestActiveSetMatchesDenseScan(t *testing.T) {
 				}
 				rec := trace.NewRecorder()
 				r := rng.New(123)
-				gen := traffic.NewGenerator(tor, fs.HealthyNodes(), 0.004, 16, alg.BaseMode(),
-					traffic.NewUniform(fs), r.Split(1))
+				gen := poissonSource(tor, fs, 0.004, 16, alg.BaseMode(), traffic.NewUniform(fs), r.Split(1))
 				col := metrics.NewCollector(0)
 				p := DefaultParams(4)
 				p.Tracer = rec
@@ -99,8 +98,7 @@ func TestActiveSetDrainsWorklist(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.New(5)
-	gen := traffic.NewGenerator(tor, fs.HealthyNodes(), 0.004, 16, alg.BaseMode(),
-		traffic.NewUniform(fs), r.Split(1))
+	gen := poissonSource(tor, fs, 0.004, 16, alg.BaseMode(), traffic.NewUniform(fs), r.Split(1))
 	col := metrics.NewCollector(0)
 	nw := New(tor, fs, alg, gen, col, DefaultParams(4), r.Split(2))
 	for nw.Now() < 2000 {

@@ -38,8 +38,7 @@ func TestDebugPathologicalTrace(t *testing.T) {
 	}
 	rec := trace.NewRecorder()
 	r := rng.New(1000)
-	gen := traffic.NewGenerator(tor, fs.HealthyNodes(), 0.002, 64, message.Deterministic,
-		traffic.NewUniform(fs), r.Split(1))
+	gen := poissonSource(tor, fs, 0.002, 64, message.Deterministic, traffic.NewUniform(fs), r.Split(1))
 	col := metrics.NewCollector(0)
 	p := DefaultParams(4)
 	p.Tracer = rec

@@ -48,8 +48,7 @@ func TestPropertyEngineConservation(t *testing.T) {
 			return false
 		}
 		guard := &faultGuard{Recorder: trace.NewRecorder(), tb: t, fs: fs}
-		gen := traffic.NewGenerator(tor, fs.HealthyNodes(), 0.003, msgLen, mode,
-			traffic.NewUniform(fs), r.Split(2))
+		gen := poissonSource(tor, fs, 0.003, msgLen, mode, traffic.NewUniform(fs), r.Split(2))
 		col := metrics.NewCollector(0)
 		p := DefaultParams(v)
 		p.BufDepth = 1 + int(seed%3)

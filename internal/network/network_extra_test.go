@@ -102,7 +102,7 @@ func TestTransposePatternWithFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.New(41)
-	gen := traffic.NewGenerator(tor, fs.HealthyNodes(), 0.003, 16, message.Deterministic,
+	gen := poissonSource(tor, fs, 0.003, 16, message.Deterministic,
 		traffic.NewTranspose(tor, fs), r.Split(1))
 	col := metrics.NewCollector(0)
 	nw := New(tor, fs, alg, gen, col, DefaultParams(4), r.Split(2))
@@ -135,8 +135,7 @@ func TestNoReinjectPriorityStillDelivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.New(47)
-	gen := traffic.NewGenerator(tor, fs.HealthyNodes(), 0.004, 16, message.Deterministic,
-		traffic.NewUniform(fs), r.Split(1))
+	gen := poissonSource(tor, fs, 0.004, 16, message.Deterministic, traffic.NewUniform(fs), r.Split(1))
 	col := metrics.NewCollector(0)
 	p := DefaultParams(4)
 	p.NoReinjectPriority = true
@@ -200,8 +199,7 @@ func TestCreditDelayConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.New(61)
-	gen := traffic.NewGenerator(tor, fs.HealthyNodes(), 0.01, 8, message.Deterministic,
-		traffic.NewUniform(fs), r.Split(1))
+	gen := poissonSource(tor, fs, 0.01, 8, message.Deterministic, traffic.NewUniform(fs), r.Split(1))
 	col := metrics.NewCollector(0)
 	p := DefaultParams(2)
 	p.CreditDelay = 4

@@ -17,7 +17,6 @@ type harness struct {
 	t   *topology.Torus
 	f   *fault.Set
 	alg *routing.Algorithm
-	gen *traffic.Generator
 	col *metrics.Collector
 	nw  *Network
 }
@@ -41,10 +40,26 @@ func newHarness(tb testing.TB, k, n, v int, adaptive bool, fs *fault.Set, lambda
 		tb.Fatal(err)
 	}
 	r := rng.New(seed)
-	gen := traffic.NewGenerator(tor, fs.HealthyNodes(), lambda, msgLen, mode, traffic.NewUniform(fs), r.Split(1))
+	gen := poissonSource(tor, fs, lambda, msgLen, mode, traffic.NewUniform(fs), r.Split(1))
 	col := metrics.NewCollector(warmup)
 	nw := New(tor, fs, alg, gen, col, DefaultParams(v), r.Split(2))
-	return &harness{t: tor, f: fs, alg: alg, gen: gen, col: col, nw: nw}
+	return &harness{t: tor, f: fs, alg: alg, col: col, nw: nw}
+}
+
+// poissonSource builds the registry "poisson" source the way the seed's
+// tests called traffic.NewGenerator: every healthy node of fs generates at
+// rate lambda, drawing from r. The arrival stream is the one that
+// constructor produced (traffic.TestPoissonMatchesReferenceGenerator), so
+// every golden trace hash recorded against it still holds.
+func poissonSource(net topology.Network, fs *fault.Set, lambda float64, msgLen int, mode message.Mode, pattern traffic.Pattern, r *rng.Stream) traffic.Source {
+	src, err := traffic.NewSource("poisson", traffic.Env{
+		T: net, F: fs, Sources: fs.HealthyNodes(), Lambda: lambda,
+		MsgLen: msgLen, Mode: mode, Pattern: pattern, R: r,
+	})
+	if err != nil {
+		panic(err)
+	}
+	return src
 }
 
 // runUntilDelivered steps until `count` measured deliveries or maxCycles.
@@ -245,7 +260,7 @@ func TestBackpressureTinyBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.New(9)
-	gen := traffic.NewGenerator(tor, fs.HealthyNodes(), 0.02, 8, message.Deterministic, traffic.NewUniform(fs), r.Split(1))
+	gen := poissonSource(tor, fs, 0.02, 8, message.Deterministic, traffic.NewUniform(fs), r.Split(1))
 	col := metrics.NewCollector(0)
 	p := Params{V: 2, BufDepth: 1}
 	nw := New(tor, fs, alg, gen, col, p, r.Split(2))

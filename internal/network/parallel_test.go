@@ -132,8 +132,7 @@ func TestParallelDrainsWorklist(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.New(5)
-	gen := traffic.NewGenerator(net, fs.HealthyNodes(), 0.004, 16, alg.BaseMode(),
-		traffic.NewUniform(fs), r.Split(1))
+	gen := poissonSource(net, fs, 0.004, 16, alg.BaseMode(), traffic.NewUniform(fs), r.Split(1))
 	col := metrics.NewCollector(0)
 	p := DefaultParams(4)
 	p.Workers = 4

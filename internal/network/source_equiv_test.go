@@ -1,7 +1,6 @@
 package network
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/fault"
@@ -12,101 +11,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/traffic"
 )
-
-// TestRegistrySourceMatchesLegacyGenerator is the traffic refactor's
-// bit-identity proof, the workload-layer analogue of
-// TestActiveSetMatchesDenseScan: an engine driven by the registry-built
-// "poisson"+"uniform" workload (the path core.Run takes since the traffic
-// registry landed) must produce the exact same event trace — every
-// injection, hop, stop and delivery at the same cycle — as an engine
-// driven by traffic.NewGenerator, the pre-registry constructor the seed
-// code called directly. Combined with TestDebugPathologicalTrace's pinned
-// golden history for the constructor path, this guards the acceptance
-// criterion that default-config traces are bit-identical across the
-// refactor (rng split order preserved).
-func TestRegistrySourceMatchesLegacyGenerator(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		alg  string
-		nf   int
-	}{
-		{"det-faultfree", "det", 0},
-		{"det-faults", "det", 6},
-		{"adaptive-faults", "adaptive", 5},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			run := func(registry bool) ([]trace.Event, metrics.Results) {
-				tor := topology.New(8, 2)
-				fs := fault.NewSet(tor)
-				if tc.nf > 0 {
-					var err error
-					fs, err = fault.Random(tor, tc.nf, rng.New(41), fault.DefaultRandomOptions())
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-				alg, err := routing.New(tc.alg, tor, fs, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Exactly core.Run's stream discipline: Split(1) feeds the
-				// workload, Split(2) feeds the engine.
-				r := rng.New(123)
-				genStream := r.Split(1)
-				var gen traffic.Source
-				if registry {
-					pattern, err := traffic.NewPattern("uniform", tor, fs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gen, err = traffic.NewSource("poisson", traffic.Env{
-						T: tor, F: fs, Sources: fs.HealthyNodes(),
-						Lambda: 0.004, MsgLen: 16, Mode: alg.BaseMode(),
-						Pattern: pattern, R: genStream,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					gen = traffic.NewGenerator(tor, fs.HealthyNodes(), 0.004, 16,
-						alg.BaseMode(), traffic.NewUniform(fs), genStream)
-				}
-				rec := trace.NewRecorder()
-				col := metrics.NewCollector(0)
-				p := DefaultParams(4)
-				p.Tracer = rec
-				nw := New(tor, fs, alg, gen, col, p, r.Split(2))
-				for nw.Now() < 4000 {
-					nw.Step()
-				}
-				nw.StopGeneration()
-				for !nw.Idle() && nw.Now() < 400_000 {
-					nw.Step()
-				}
-				if !nw.Idle() {
-					t.Fatal("network did not drain")
-				}
-				return rec.All(), col.Finalize(nw.Now(), len(fs.HealthyNodes()), false)
-			}
-			evReg, resReg := run(true)
-			evLegacy, resLegacy := run(false)
-			if len(evReg) == 0 {
-				t.Fatal("no events traced")
-			}
-			if len(evReg) != len(evLegacy) {
-				t.Fatalf("event counts differ: registry %d, legacy %d", len(evReg), len(evLegacy))
-			}
-			for i := range evReg {
-				if evReg[i] != evLegacy[i] {
-					t.Fatalf("event %d differs:\nregistry: %+v\nlegacy:   %+v", i, evReg[i], evLegacy[i])
-				}
-			}
-			if !reflect.DeepEqual(resReg, resLegacy) {
-				t.Fatalf("results differ:\nregistry: %+v\nlegacy:   %+v", resReg, resLegacy)
-			}
-		})
-	}
-}
 
 // TestCaptureReplayReproducesWorkload closes the capture → replay loop at
 // the engine level: capture the workload of a Poisson run, re-drive it
@@ -125,7 +29,7 @@ func TestCaptureReplayReproducesWorkload(t *testing.T) {
 	}
 	var w trace.Workload
 	r := rng.New(9)
-	gen := traffic.NewGenerator(tor, fs.HealthyNodes(), 0.004, 16, 0, traffic.NewUniform(fs), r.Split(1))
+	gen := poissonSource(tor, fs, 0.004, 16, 0, traffic.NewUniform(fs), r.Split(1))
 	nw, col := build(traffic.NewCapture(gen, &w), 9)
 	for nw.Now() < 3000 {
 		nw.Step()

@@ -99,7 +99,7 @@ func assertSameRun(t *testing.T, evA, evB []trace.Event, resA, resB metrics.Resu
 
 // TestTopologyRegistryMatchesDirectTorus is the topology refactor's
 // bit-identity proof, the network-layer analogue of
-// TestRegistrySourceMatchesLegacyGenerator: an engine whose torus was
+// traffic.TestPoissonMatchesReferenceGenerator: an engine whose torus was
 // built through the topology registry (the path core.Run takes since the
 // topology seam landed) must produce the exact same event trace as one
 // built on the direct topology.New constructor the seed code called.

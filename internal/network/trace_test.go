@@ -65,8 +65,7 @@ func TestEngineTraceInvariants(t *testing.T) {
 			}
 			guard := &faultGuard{Recorder: trace.NewRecorder(), tb: t, fs: fs}
 			r := rng.New(5)
-			gen := traffic.NewGenerator(tor, fs.HealthyNodes(), 0.004, 16, mode,
-				traffic.NewUniform(fs), r.Split(1))
+			gen := poissonSource(tor, fs, 0.004, 16, mode, traffic.NewUniform(fs), r.Split(1))
 			col := metrics.NewCollector(0)
 			p := DefaultParams(4)
 			p.Tracer = guard
@@ -104,8 +103,7 @@ func TestTraceLatencyDecomposition(t *testing.T) {
 	}
 	rec := trace.NewRecorder()
 	r := rng.New(77)
-	gen := traffic.NewGenerator(tor, fs.HealthyNodes(), 0.01, 8, message.Deterministic,
-		traffic.NewUniform(fs), r.Split(1))
+	gen := poissonSource(tor, fs, 0.01, 8, message.Deterministic, traffic.NewUniform(fs), r.Split(1))
 	col := metrics.NewCollector(0)
 	p := DefaultParams(2)
 	p.Tracer = rec

@@ -56,8 +56,7 @@ func TestVCActiveSetDrainsLanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.New(5)
-	gen := traffic.NewGenerator(tor, fs.HealthyNodes(), 0.004, 16, alg.BaseMode(),
-		traffic.NewUniform(fs), r.Split(1))
+	gen := poissonSource(tor, fs, 0.004, 16, alg.BaseMode(), traffic.NewUniform(fs), r.Split(1))
 	col := metrics.NewCollector(0)
 	nw := New(tor, fs, alg, gen, col, DefaultParams(4), r.Split(2))
 	for nw.Now() < 2000 {

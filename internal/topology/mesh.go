@@ -1,9 +1,6 @@
 package topology
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Mesh is an immutable k-ary n-mesh descriptor: the k-ary n-cube grid
 // without the wraparound links. Edge routers simply leave their outward
@@ -13,29 +10,11 @@ import (
 // collapse to a single VC class, and direction-reversal detours (which rely
 // on reaching a coordinate "the other way around") are never profitable.
 // All methods are safe for concurrent use.
-type Mesh struct {
-	k int // radix: nodes per dimension
-	n int // number of dimensions
-	// pow[i] = k^i, cached for fast address arithmetic.
-	pow []int
-}
+type Mesh struct{ grid }
 
 // NewMesh constructs a k-ary n-mesh. It panics on degenerate parameters
-// (k < 2 or n < 1): those are programming errors, not runtime conditions.
-func NewMesh(k, n int) *Mesh {
-	if k < 2 {
-		panic(fmt.Sprintf("topology: radix k must be >= 2, got %d", k))
-	}
-	if n < 1 {
-		panic(fmt.Sprintf("topology: dimension n must be >= 1, got %d", n))
-	}
-	pow := make([]int, n+1)
-	pow[0] = 1
-	for i := 1; i <= n; i++ {
-		pow[i] = pow[i-1] * k
-	}
-	return &Mesh{k: k, n: n, pow: pow}
-}
+// (k < 2 or n < 1).
+func NewMesh(k, n int) *Mesh { return &Mesh{newGrid(k, n)} }
 
 // Kind implements Network.
 func (m *Mesh) Kind() string { return "mesh" }
@@ -43,60 +22,8 @@ func (m *Mesh) Kind() string { return "mesh" }
 // Spec implements Network.
 func (m *Mesh) Spec() string { return fmt.Sprintf("mesh:k=%d,n=%d", m.k, m.n) }
 
-// K returns the radix (nodes per dimension).
-func (m *Mesh) K() int { return m.k }
-
-// N returns the number of dimensions.
-func (m *Mesh) N() int { return m.n }
-
-// Nodes returns the total node count k^n.
-func (m *Mesh) Nodes() int { return m.pow[m.n] }
-
-// Degree returns the number of network ports per router (2 per dimension;
-// edge routers leave outward ports unwired).
-func (m *Mesh) Degree() int { return 2 * m.n }
-
 // Wraps implements Network: meshes have no wraparound links.
 func (m *Mesh) Wraps() bool { return false }
-
-// Coord returns the address digit of node id along dimension dim.
-func (m *Mesh) Coord(id NodeID, dim int) int {
-	return (int(id) / m.pow[dim]) % m.k
-}
-
-// Coords decomposes a node id into its full address {a0, ..., a(n-1)}.
-func (m *Mesh) Coords(id NodeID) []int {
-	c := make([]int, m.n)
-	v := int(id)
-	for i := 0; i < m.n; i++ {
-		c[i] = v % m.k
-		v /= m.k
-	}
-	return c
-}
-
-// FromCoords composes a node id from an address. Digits are reduced mod k
-// so callers may pass unnormalised coordinates, matching the torus
-// contract the shared plane/shape helpers rely on.
-func (m *Mesh) FromCoords(c []int) NodeID {
-	if len(c) != m.n {
-		panic(fmt.Sprintf("topology: FromCoords got %d digits, want %d", len(c), m.n))
-	}
-	id := 0
-	for i := m.n - 1; i >= 0; i-- {
-		d := c[i] % m.k
-		if d < 0 {
-			d += m.k
-		}
-		id = id*m.k + d
-	}
-	return NodeID(id)
-}
-
-// Valid reports whether id is a legal node identifier for this mesh.
-func (m *Mesh) Valid(id NodeID) bool {
-	return id >= 0 && int(id) < m.Nodes()
-}
 
 // HasLink reports whether a channel leaves id along dim towards dir: false
 // exactly at the mesh edges (coordinate 0 going Minus, k-1 going Plus).
@@ -147,21 +74,7 @@ func (m *Mesh) BothMinimal(src, dst NodeID, dim int) bool { return false }
 // WrapsAround implements Network: no hop crosses a dateline on a mesh.
 func (m *Mesh) WrapsAround(c int, dir Dir) bool { return false }
 
-// LinkLatency implements Network: base meshes defer every link to the
-// engine's configured default (overlay with a latmap for non-uniform wires).
-func (m *Mesh) LinkLatency(src NodeID, port Port) int64 { return 0 }
-
 // String renders, e.g., "8-ary 2-mesh (64 nodes)".
 func (m *Mesh) String() string {
 	return fmt.Sprintf("%d-ary %d-mesh (%d nodes)", m.k, m.n, m.Nodes())
-}
-
-// FormatNode renders a node address as "(a0,a1,...)" for logs and traces.
-func (m *Mesh) FormatNode(id NodeID) string {
-	c := m.Coords(id)
-	parts := make([]string, len(c))
-	for i, v := range c {
-		parts[i] = fmt.Sprint(v)
-	}
-	return "(" + strings.Join(parts, ",") + ")"
 }

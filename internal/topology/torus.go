@@ -9,10 +9,7 @@
 // digit. The topology is regular and edge-symmetric.
 package topology
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // NodeID identifies a node as the radix-k integer encoding of its address:
 // id = a0 + a1*k + a2*k^2 + ... for address digits a0..a(n-1).
@@ -39,31 +36,13 @@ func (d Dir) String() string {
 	return "-"
 }
 
-// Torus is an immutable k-ary n-cube descriptor. All methods are safe for
-// concurrent use.
-type Torus struct {
-	k int // radix: nodes per dimension
-	n int // number of dimensions
-	// pow[i] = k^i, cached for fast address arithmetic.
-	pow []int
-}
+// Torus is an immutable k-ary n-cube descriptor: the shared grid plus
+// wraparound links on every ring. All methods are safe for concurrent use.
+type Torus struct{ grid }
 
 // New constructs a k-ary n-cube. It panics on degenerate parameters
-// (k < 2 or n < 1): those are programming errors, not runtime conditions.
-func New(k, n int) *Torus {
-	if k < 2 {
-		panic(fmt.Sprintf("topology: radix k must be >= 2, got %d", k))
-	}
-	if n < 1 {
-		panic(fmt.Sprintf("topology: dimension n must be >= 1, got %d", n))
-	}
-	pow := make([]int, n+1)
-	pow[0] = 1
-	for i := 1; i <= n; i++ {
-		pow[i] = pow[i-1] * k
-	}
-	return &Torus{k: k, n: n, pow: pow}
-}
+// (k < 2 or n < 1).
+func New(k, n int) *Torus { return &Torus{newGrid(k, n)} }
 
 // Kind implements Network.
 func (t *Torus) Kind() string { return "torus" }
@@ -77,55 +56,6 @@ func (t *Torus) Wraps() bool { return true }
 
 // HasLink implements Network: every ±1 move of a torus carries a channel.
 func (t *Torus) HasLink(id NodeID, dim int, dir Dir) bool { return dim < t.n }
-
-// LinkLatency implements Network: base tori defer every link to the
-// engine's configured default (overlay with a latmap for non-uniform wires).
-func (t *Torus) LinkLatency(src NodeID, port Port) int64 { return 0 }
-
-// K returns the radix (nodes per dimension).
-func (t *Torus) K() int { return t.k }
-
-// N returns the number of dimensions.
-func (t *Torus) N() int { return t.n }
-
-// Nodes returns the total node count k^n.
-func (t *Torus) Nodes() int { return t.pow[t.n] }
-
-// Degree returns the number of network ports per router (2 per dimension).
-func (t *Torus) Degree() int { return 2 * t.n }
-
-// Coord returns the address digit of node id along dimension dim.
-func (t *Torus) Coord(id NodeID, dim int) int {
-	return (int(id) / t.pow[dim]) % t.k
-}
-
-// Coords decomposes a node id into its full address {a0, ..., a(n-1)}.
-func (t *Torus) Coords(id NodeID) []int {
-	c := make([]int, t.n)
-	v := int(id)
-	for i := 0; i < t.n; i++ {
-		c[i] = v % t.k
-		v /= t.k
-	}
-	return c
-}
-
-// FromCoords composes a node id from an address. Digits are reduced mod k so
-// callers may pass unnormalised (e.g. negative) coordinates.
-func (t *Torus) FromCoords(c []int) NodeID {
-	if len(c) != t.n {
-		panic(fmt.Sprintf("topology: FromCoords got %d digits, want %d", len(c), t.n))
-	}
-	id := 0
-	for i := t.n - 1; i >= 0; i-- {
-		d := c[i] % t.k
-		if d < 0 {
-			d += t.k
-		}
-		id = id*t.k + d
-	}
-	return NodeID(id)
-}
 
 // Neighbor returns the node adjacent to id along dim in direction dir,
 // with wraparound.
@@ -202,22 +132,7 @@ func (t *Torus) BothMinimal(src, dst NodeID, dim int) bool {
 	return d*2 == t.k
 }
 
-// Valid reports whether id is a legal node identifier for this torus.
-func (t *Torus) Valid(id NodeID) bool {
-	return id >= 0 && int(id) < t.Nodes()
-}
-
 // String renders, e.g., "8-ary 2-cube (64 nodes)".
 func (t *Torus) String() string {
 	return fmt.Sprintf("%d-ary %d-cube (%d nodes)", t.k, t.n, t.Nodes())
-}
-
-// FormatNode renders a node address as "(a0,a1,...)" for logs and traces.
-func (t *Torus) FormatNode(id NodeID) string {
-	c := t.Coords(id)
-	parts := make([]string, len(c))
-	for i, v := range c {
-		parts[i] = fmt.Sprint(v)
-	}
-	return "(" + strings.Join(parts, ",") + ")"
 }

@@ -13,12 +13,12 @@ import (
 	"repro/internal/trace"
 )
 
-// schedSource is the shared chassis of the generating sources other than
-// the legacy Poisson Generator: a per-node event heap of pre-scheduled
-// arrivals, so Poll cost is proportional to arrivals rather than nodes.
-// next produces the node's following arrival time (clamped to at least one
-// cycle after the arrival just emitted); per-node process state lives in
-// the concrete source and is indexed by the node's position in sources.
+// schedSource is the shared chassis of the generating sources: a per-node
+// event heap of pre-scheduled arrivals, so Poll cost is proportional to
+// arrivals rather than nodes. next produces the node's following arrival
+// time (clamped to at least one cycle after the arrival just emitted);
+// per-node process state lives in the concrete source and is indexed by
+// the node's position in sources.
 type schedSource struct {
 	name     string
 	t        topology.Network
@@ -78,9 +78,9 @@ func (s *schedSource) Created() uint64 { return s.created }
 // messages/cycle, set by each concrete source's constructor.
 func (s *schedSource) MeanRate() float64 { return s.meanRate }
 
-// Poll implements Source; it mirrors Generator.Poll with the pluggable
-// next-arrival sampler. Messages come from the configured pool (heap when
-// nil); the returned slice is reused across calls.
+// Poll implements Source, with the pluggable next-arrival sampler.
+// Messages come from the configured pool (heap when nil); the returned
+// slice is reused across calls.
 func (s *schedSource) Poll(now int64) []*message.Message {
 	s.out = s.out[:0]
 	for {
@@ -104,10 +104,10 @@ func (s *schedSource) Poll(now int64) []*message.Message {
 
 // NewPoisson builds the Poisson source on the shared chassis: every node is
 // an independent Poisson process of rate messages/node/cycle. It draws the
-// rng in exactly the legacy Generator's order (destination, then gap;
+// rng in exactly the seed Generator's order (destination, then gap;
 // stationary exponential first arrival), so the default workload stays
-// bit-identical to the pre-registry path — guarded by the network package's
-// TestRegistrySourceMatchesLegacyGenerator.
+// bit-identical to the pre-registry path — guarded by
+// TestPoissonMatchesReferenceGenerator.
 func NewPoisson(env Env, rate float64) (*schedSource, error) {
 	if rate <= 0 {
 		return nil, fmt.Errorf("traffic: poisson rate must be > 0, got %g", rate)

@@ -20,11 +20,9 @@
 package traffic
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/message"
 	"repro/internal/rng"
 	"repro/internal/topology"
 )
@@ -137,25 +135,20 @@ type arrival struct {
 	idx  int
 }
 
-// arrivalHeap is a min-heap of scheduled arrivals ordered by cycle; the
-// exported-looking methods below are the container/heap.Interface
-// contract plus a non-popping Peek.
+// arrivalHeap is a min-heap of scheduled arrivals ordered by cycle. Len,
+// Less and Swap are three fifths of container/heap.Interface; the other
+// two live in generator_test.go, where the reference Generator drives this
+// type through container/heap itself.
 type arrivalHeap []arrival
 
-// Len implements heap.Interface.
+// Len is the number of scheduled arrivals.
 func (h arrivalHeap) Len() int { return len(h) }
 
-// Less implements heap.Interface: earlier arrivals first.
+// Less orders earlier arrivals first.
 func (h arrivalHeap) Less(i, j int) bool { return h[i].at < h[j].at }
 
-// Swap implements heap.Interface.
+// Swap exchanges two heap slots.
 func (h arrivalHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-// Push implements heap.Interface; use heap.Push, never call directly.
-func (h *arrivalHeap) Push(x any) { *h = append(*h, x.(arrival)) }
-
-// Pop implements heap.Interface; use heap.Pop, never call directly.
-func (h *arrivalHeap) Pop() any { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
 
 // Peek returns the earliest scheduled arrival without removing it.
 func (h arrivalHeap) Peek() (arrival, bool) {
@@ -165,15 +158,12 @@ func (h arrivalHeap) Peek() (arrival, bool) {
 	return h[0], true
 }
 
-// The unexported push/pop/init operations below are the engine-facing heap
-// interface: container/heap's algorithms restated directly over the slice,
-// because heap.Push/heap.Pop box every arrival through an interface value —
-// one allocation per scheduled event, which is exactly the hot path the
-// zero-allocation Step contract forbids. They reproduce container/heap's
-// sift order operation for operation, so a source switching from heap.* to
-// these emits bit-identical arrival sequences; the legacy Generator stays
-// on container/heap as the reference, and the network package's
-// TestRegistrySourceMatchesLegacyGenerator holds the two equal.
+// The push/pop/init operations below are container/heap's algorithms
+// restated directly over the slice, because heap.Push/heap.Pop box every
+// arrival through an interface value — one allocation per scheduled event,
+// which is exactly the hot path the zero-allocation Step contract forbids.
+// They reproduce container/heap's sift order operation for operation;
+// TestPoissonMatchesReferenceGenerator holds them equal to the real thing.
 
 // push inserts an arrival, mirroring heap.Push.
 func (h *arrivalHeap) push(a arrival) {
@@ -228,73 +218,3 @@ func (h arrivalHeap) down(i int) {
 		i = j
 	}
 }
-
-// Generator produces messages: each healthy node is an independent Poisson
-// source of rate Lambda messages/cycle. Arrival times are pre-scheduled per
-// node on an event heap, so per-cycle cost is proportional to the number of
-// arrivals, not the number of nodes.
-//
-// It is the seed's pre-registry implementation, kept as the reference the
-// registry's "poisson" source (NewPoisson, on the schedSource chassis) is
-// proven bit-identical against by TestRegistrySourceMatchesLegacyGenerator.
-type Generator struct {
-	t       topology.Network
-	lambda  float64
-	msgLen  int
-	mode    message.Mode
-	pattern Pattern
-	r       *rng.Stream
-	heap    arrivalHeap
-	nextID  uint64
-	created uint64
-}
-
-// NewGenerator builds a generator. lambda is the per-node rate in
-// messages/node/cycle; msgLen the fixed message length in flits; sources are
-// the healthy nodes that generate traffic.
-func NewGenerator(t topology.Network, sources []topology.NodeID, lambda float64, msgLen int, mode message.Mode, pattern Pattern, r *rng.Stream) *Generator {
-	if lambda <= 0 {
-		panic(fmt.Sprintf("traffic: lambda must be positive, got %g", lambda))
-	}
-	if msgLen < 1 {
-		panic(fmt.Sprintf("traffic: message length must be >= 1, got %d", msgLen))
-	}
-	g := &Generator{t: t, lambda: lambda, msgLen: msgLen, mode: mode, pattern: pattern, r: r}
-	mean := 1.0 / lambda
-	for i, src := range sources {
-		// First arrival at an exponential offset: stationary start.
-		g.heap = append(g.heap, arrival{at: int64(r.Exp(mean)) + 1, node: src, idx: i})
-	}
-	heap.Init(&g.heap)
-	return g
-}
-
-// Poll returns the messages generated at cycle `now` (creation times <= now
-// that have not been returned yet) and schedules each source's next arrival.
-func (g *Generator) Poll(now int64) []*message.Message {
-	var out []*message.Message
-	mean := 1.0 / g.lambda
-	for {
-		top, ok := g.heap.Peek()
-		if !ok || top.at > now {
-			return out
-		}
-		heap.Pop(&g.heap)
-		dst := g.pattern.Pick(top.node, g.r)
-		m := message.New(g.nextID, top.node, dst, g.msgLen, g.t.N(), g.mode, now)
-		g.nextID++
-		g.created++
-		out = append(out, m)
-		gap := int64(g.r.Exp(mean))
-		if gap < 1 {
-			gap = 1
-		}
-		heap.Push(&g.heap, arrival{at: top.at + gap, node: top.node, idx: top.idx})
-	}
-}
-
-// Name implements Source.
-func (g *Generator) Name() string { return "poisson" }
-
-// Created returns the total number of messages generated so far.
-func (g *Generator) Created() uint64 { return g.created }
