@@ -4,7 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
+	"repro/internal/message"
 	"repro/internal/metrics"
+	"repro/internal/network"
+	"repro/internal/rng"
+	"repro/internal/routing"
+	"repro/internal/topology"
 )
 
 // TestSweepSurfacesPanics injects a runner that panics on selected points
@@ -44,6 +50,47 @@ func TestSweepSurfacesPanics(t *testing.T) {
 				t.Fatalf("workers=%d point %d: result not propagated", workers, i)
 			}
 		}
+	}
+}
+
+// panickyRouter is a routing instance whose Route panics.
+type panickyRouter struct{ routing.Router }
+
+func (panickyRouter) Route(topology.NodeID, *message.Message) routing.Decision {
+	panic("boom in worker")
+}
+
+// TestEngineWorkerPanicBecomesPointError: a panic on an engine worker's
+// own goroutine (here the second routing instance of a Workers=2 point,
+// which steps the upper half of the nodes) must reach the point's Err like
+// any other, not kill the process — runPointSafe's recover only sees the
+// stepping goroutine, so the engine has to carry the panic across its
+// barrier.
+func TestEngineWorkerPanicBecomesPointError(t *testing.T) {
+	run := func(Config) (metrics.Results, error) {
+		tor := topology.New(4, 2)
+		fs := fault.NewSet(tor)
+		alg, err := routing.New("det", tor, fs, 2)
+		if err != nil {
+			return metrics.Results{}, err
+		}
+		p := network.DefaultParams(2)
+		p.Workers = 2
+		p.AlgFactory = func() (routing.Router, error) { return panickyRouter{alg}, nil }
+		nw := network.New(tor, fs, alg, nil, metrics.NewCollector(0), p, rng.New(1))
+		src := topology.NodeID(tor.Nodes() - 1) // worker 1's domain
+		nw.Enqueue(src, message.New(1, src, 0, 4, tor.N(), alg.BaseMode(), 0))
+		for i := 0; i < 8; i++ {
+			nw.Step()
+		}
+		return metrics.Results{}, nil
+	}
+	r := RunPointFunc(Point{Label: "poisoned", Config: DefaultConfig(4, 2, 0.01)}, run)
+	if r.Err == nil || !strings.Contains(r.Err.Error(), "boom in worker") {
+		t.Fatalf("worker panic not surfaced as the point's error: %v", r.Err)
+	}
+	if !strings.Contains(r.Err.Error(), "panic in worker 1") {
+		t.Fatalf("error does not say which worker panicked: %v", r.Err)
 	}
 }
 

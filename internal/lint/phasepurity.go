@@ -5,17 +5,19 @@ import (
 	"strings"
 )
 
-// PhasePurity keeps the parallel engine's two-phase barrier honest.
-// Functions that run in the compute phase (phase A: route/switch/inject
-// decisions taken concurrently across worker domains) are marked
+// PhasePurity keeps the engine's two-phase barrier honest. Functions that
+// run in the compute phase (phase A: the per-router visits — route, switch,
+// inject — taken concurrently across worker domains) are marked
 //
 //	//simlint:phase compute
 //
 // and must never call a commit-only API directly: shared-state mutation is
-// staged through worker.emit / worker.emitTrace / worker.stageArrivalW and
-// replayed in serial order at the barrier. A direct call to an applyFx-side
-// API from compute code is a data race on the serial order — exactly the
-// class of bug the phase-barriered engine exists to exclude.
+// staged through worker.emit / worker.emitTrace / worker.stageArrival —
+// unconditionally, on one domain or on many; the stagers have no apply
+// side and carry the marker themselves — and replayed in one order at the
+// barrier. A direct call to an applyFx-side API from compute code is a data
+// race on that order — exactly the class of bug the phase-barriered engine
+// exists to exclude.
 //
 // The check is per-function and syntactic over resolved callees: every call
 // in a marked function's body (function literals included) is matched

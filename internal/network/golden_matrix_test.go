@@ -48,15 +48,34 @@ var goldenMatrix = []goldenCase{
 	{"torus-adaptive-td2", torus8, "adaptive", 4, 6, 0.004, 2, "", 0xe464afea45da808c},
 	{"torus-adaptive-mtbf", torus8, "adaptive", 4, 3, 0.02, 0, "mtbf:mtbf=1500,mttr=600,elems=mixed", 0x8db03665454a4e44},
 	{"torus4-adaptive-v16", torus4, "adaptive", 16, 2, 0.08, 0, "", 0x5e589f881a0146df},
+	// Recorded from PR 18's parent, before the one-visit engine: a sparse
+	// shape where a busy router forwards one worm, and the three Params
+	// settings of goldenKnobs.
+	{"torus24-det-sparse", torus24, "det", 4, 0, 0.0002, 0, "", 0xbcfb27f693891ca8},
+	{"torus-det-delta5", torus8, "det", 4, 6, 0.004, 0, "", 0x24e403bbf100f558},
+	{"torus-adaptive-lat3-cred2", torus8, "adaptive", 4, 6, 0.004, 0, "", 0x7409126e901b5c2f},
+	{"torus-det-noreinjectprio", torus8, "det", 4, 6, 0.01, 0, "", 0x1d920c251669f2fe},
 }
 
-func torus8() topology.Network { return topology.New(8, 2) }
-func torus4() topology.Network { return topology.New(4, 2) }
-func mesh8() topology.Network  { return topology.NewMesh(8, 2) }
+// goldenKnobs holds, by cell name, the Params settings the goldenCase
+// columns do not cover: a re-injection queue holding not-yet-eligible
+// entries, staged events not due in their own cycle, and fresh traffic
+// served ahead of re-injections.
+var goldenKnobs = map[string]func(*Params){
+	"torus-det-delta5":          func(p *Params) { p.Delta = 5 },
+	"torus-adaptive-lat3-cred2": func(p *Params) { p.LinkLatency, p.CreditDelay = 3, 2 },
+	"torus-det-noreinjectprio":  func(p *Params) { p.NoReinjectPriority = true },
+}
+
+func torus8() topology.Network  { return topology.New(8, 2) }
+func torus4() topology.Network  { return topology.New(4, 2) }
+func torus24() topology.Network { return topology.New(24, 2) }
+func mesh8() topology.Network   { return topology.NewMesh(8, 2) }
 
 // runGolden drives one matrix cell: 3000 cycles of Poisson traffic, then a
-// drain, on the given number of engine workers.
-func runGolden(t *testing.T, c goldenCase, workers int) []trace.Event {
+// drain, on the given number of engine workers, calling check (when
+// non-nil) after every Step.
+func runGolden(t *testing.T, c goldenCase, workers int, check func(*Network)) []trace.Event {
 	t.Helper()
 	net := c.net()
 	fs := fault.NewSet(net)
@@ -81,6 +100,9 @@ func runGolden(t *testing.T, c goldenCase, workers int) []trace.Event {
 	p.Tracer = rec
 	p.Td = c.td
 	p.Workers = workers
+	if knob := goldenKnobs[c.name]; knob != nil {
+		knob(&p)
+	}
 	if workers > 1 {
 		p.AlgFactory = func() (routing.Router, error) { return routing.New(c.alg, net, fs, c.v) }
 	}
@@ -104,12 +126,18 @@ func runGolden(t *testing.T, c goldenCase, workers int) []trace.Event {
 		}
 	}
 	nw := New(net, fs, alg, gen, metrics.NewCollector(0), p, engine)
-	for nw.Now() < 3000 {
+	step := func() {
 		nw.Step()
+		if check != nil {
+			check(nw)
+		}
+	}
+	for nw.Now() < 3000 {
+		step()
 	}
 	nw.StopGeneration()
 	for !nw.Idle() && nw.Now() < 400_000 {
-		nw.Step()
+		step()
 	}
 	if !nw.Idle() {
 		t.Fatal("network did not drain")
@@ -124,7 +152,7 @@ func TestGoldenTraceMatrix(t *testing.T) {
 	for _, c := range goldenMatrix {
 		t.Run(c.name, func(t *testing.T) {
 			for _, workers := range []int{1, 3} {
-				ev := runGolden(t, c, workers)
+				ev := runGolden(t, c, workers, nil)
 				if len(ev) == 0 {
 					t.Fatal("no events traced")
 				}

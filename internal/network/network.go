@@ -253,9 +253,9 @@ type Network struct {
 	// lets domains draw concurrently without perturbing each other.
 	rngs []*rng.Stream
 
-	// sw is the serial stepping context: the one worker that applies every
-	// effect directly instead of staging it (see worker). par, when
-	// non-nil, holds the parallel domain workers and dom maps node id →
+	// sw is the serial stepping context: the one worker whose domain is
+	// every router, staging transfers on its own queues (see worker). par,
+	// when non-nil, holds the parallel domain workers and dom maps node id →
 	// owning domain index (see parallel.go). doms is whichever of the two
 	// steps this engine: {sw} or par.
 	sw   *worker
@@ -271,6 +271,13 @@ type Network struct {
 	// Per-node active injection streams, at most one flit/cycle/node.
 	streams [][]stream
 	rrInj   []int
+	// soft[id] is the software-layer occupancy flag: set wherever something
+	// is pushed on newQ/reQ, cleared only by injectNode once it has seen
+	// both queues (not-yet-eligible entries included) and streams empty. A
+	// superset of "queue or stream non-empty" by construction — a purge may
+	// empty a queue and leave the flag set for one more visit — which is
+	// unobservable: active-set membership never reaches a result.
+	soft []bool
 
 	// vcTrack selects the scheduler's second level: a router's phases walk
 	// the set bits of its lane sets (see internal/router) instead of
@@ -325,6 +332,7 @@ func New(t topology.Network, f *fault.Set, alg routing.Router, gen traffic.Sourc
 		reQ:     make([]fifo[pendingMsg], t.Nodes()),
 		streams: make([][]stream, t.Nodes()),
 		rrInj:   make([]int, t.Nodes()),
+		soft:    make([]bool, t.Nodes()),
 	}
 	n.vcTrack = !p.DenseScan && !p.DenseVCScan
 	// A node never runs more than V injection streams (one per injection
@@ -412,25 +420,18 @@ func (nw *Network) linkFor(node topology.NodeID, port topology.Port) link {
 	return nw.queryLink(node, port)
 }
 
-// markActive puts a router into its domain's active set, so the next
-// phase A visits it. Idempotent. Serial contexts only (construction,
-// Enqueue, pollTraffic, transitions); a worker applying arrivals marks its
-// own set directly (worker.applyArrival).
-func (nw *Network) markActive(id topology.NodeID) {
+// markSoft records that something was pushed on one of the node's software
+// queues: it raises the occupancy flag and puts the router into its
+// domain's active set, so the next phase A visits it. Idempotent. Serial
+// contexts only (Enqueue, pollTraffic, transitions); a worker applying
+// arrivals marks its own set directly (worker.applyArrival).
+func (nw *Network) markSoft(id topology.NodeID) {
+	nw.soft[id] = true
 	w := nw.sw
 	if nw.par != nil {
 		w = nw.par[nw.dom[id]]
 	}
 	w.mark(id)
-}
-
-// routerBusy reports whether the router still has locally visible work:
-// buffered flits, queued software messages (fresh or re-injection), or
-// injection streams. Everything else re-enters the active set when an
-// event touches it.
-func (nw *Network) routerBusy(id topology.NodeID) bool {
-	return nw.routers[id].Flits > 0 ||
-		nw.newQ[id].Len() > 0 || nw.reQ[id].Len() > 0 || len(nw.streams[id]) > 0
 }
 
 // Now returns the current cycle.
@@ -477,7 +478,7 @@ func (nw *Network) Enqueue(node topology.NodeID, m *message.Message) {
 		panic(fmt.Sprintf("network: enqueue at faulty node %d", node))
 	}
 	nw.newQ[node].Push(nw.pool.Adopt(m))
-	nw.markActive(node)
+	nw.markSoft(node)
 }
 
 // Idle reports whether the network is completely drained: no buffered
@@ -502,20 +503,14 @@ func (nw *Network) Idle() bool {
 
 // Step advances the simulation by one cycle: the serial transition point
 // (fault schedule, traffic polling — no worker goroutine exists between
-// cycles), then phase A (route/allocate → switch → inject) and phase B
-// (apply staged transfers, retire drained routers) on every domain. The
-// serial engine is the one direct worker running both phases inline; the
-// parallel engine barriers them around the ordered effect commit (see
-// parallel.go).
+// cycles), then phase A (one visit per active router: route/allocate →
+// switch → inject → retire, every shared-state effect staged), the ordered
+// effect commit, and phase B (apply staged transfers) on every domain. The
+// serial engine is the one-domain case of the same loop (see parallel.go).
 func (nw *Network) Step() {
 	nw.now++
 	nw.applyTransitions()
 	nw.pollTraffic()
-	if nw.par == nil {
-		nw.sw.phaseA()
-		nw.sw.phaseB()
-		return
-	}
 	nw.runParallel((*worker).phaseA)
 	nw.commitEffects()
 	nw.runParallel((*worker).phaseB)
@@ -544,8 +539,45 @@ func (nw *Network) pollTraffic() {
 			continue
 		}
 		nw.newQ[m.Src].Push(nw.pool.Adopt(m))
-		nw.markActive(m.Src)
+		nw.markSoft(m.Src)
 	}
+}
+
+// visit runs one active router's cycle while its state is loaded — route/
+// allocate, switch traversal, software-layer injection — and reports
+// whether the router still has locally visible work (buffered flits, or a
+// raised software-layer flag); everything else re-enters the active set
+// when an event touches it. Each step costs what the router has to do: the
+// route step runs only with a head to route, a lone switch requester skips
+// arbitration (switchOne), the inject step runs only under the flag. A
+// router's steps touch its own lanes, queues and streams, the headers of
+// worms whose head it holds, and staged queues — the single-owner rule — so
+// running them router-major gives the results of the phase-major order the
+// effect logs are replayed in.
+//
+//simlint:phase compute
+func (w *worker) visit(node topology.NodeID) bool {
+	nw := w.nw
+	rt := &nw.routers[node]
+	if rt.Flits > 0 {
+		if !nw.vcTrack || rt.Words() > 1 {
+			w.routeNode(node, rt)
+			w.switchNode(node, rt)
+		} else {
+			if rt.RouteWord(0) != 0 {
+				w.routeNode(node, rt)
+			}
+			if m := rt.SwitchWord(0); m&(m-1) != 0 {
+				w.switchNode(node, rt)
+			} else if m != 0 {
+				w.switchOne(node, rt, router.Lane(bits.TrailingZeros64(m)))
+			}
+		}
+	}
+	if nw.soft[node] {
+		w.injectNode(node)
+	}
+	return rt.Flits > 0 || nw.soft[node]
 }
 
 // routeNode takes the routing decisions of one router: every lane whose
@@ -555,11 +587,7 @@ func (nw *Network) pollTraffic() {
 // so rng draws are identical.
 //
 //simlint:phase compute
-func (w *worker) routeNode(node topology.NodeID) {
-	rt := &w.nw.routers[node]
-	if rt.Flits == 0 {
-		return
-	}
+func (w *worker) routeNode(node topology.NodeID, rt *router.Router) {
 	if !w.nw.vcTrack {
 		for l := range rt.In {
 			if rt.RouteWord(l>>6)>>(uint(l)&63)&1 != 0 {
@@ -610,7 +638,7 @@ func (w *worker) allocateLane(node topology.NodeID, rt *router.Router, lane rout
 		m.Pending = message.StopVia
 		ivc.ToEject = true
 	case routing.AbsorbFault:
-		w.emitTrace(trace.AbsorbStart, m.ID, node)
+		w.emitTrace(phRoute, trace.AbsorbStart, m.ID, node)
 		if w.alg.Plan(node, m, dec.BlockedDim, dec.BlockedDir) {
 			m.Pending = message.StopFault
 		} else {
@@ -658,12 +686,8 @@ func (w *worker) allocateLane(node topology.NodeID, rt *router.Router, lane rout
 // as they arrive).
 //
 //simlint:phase compute
-func (w *worker) switchNode(node topology.NodeID) {
+func (w *worker) switchNode(node topology.NodeID, rt *router.Router) {
 	nw := w.nw
-	rt := &nw.routers[node]
-	if rt.Flits == 0 {
-		return
-	}
 	for i := range w.buckets {
 		w.buckets[i] = w.buckets[i][:0]
 	}
@@ -712,6 +736,27 @@ func (w *worker) switchNode(node topology.NodeID) {
 	}
 }
 
+// switchOne is switchNode for a router whose only buffered, routed lane is
+// `lane`: eject, or check the credit and move. With one candidate the
+// arbiter computes k = RROut mod 1 = 0, grants candidate 0 and wraps k+1 to
+// 0, and no grant leaves RROut untouched — so this is bit for bit what the
+// buckets do, without resetting, filling and scanning them.
+//
+//simlint:phase compute
+func (w *worker) switchOne(node topology.NodeID, rt *router.Router, lane router.Lane) {
+	ivc := &rt.In[lane]
+	if ivc.ToEject {
+		w.moveEject(node, rt, lane)
+		return
+	}
+	out := ivc.OutPort
+	if rt.Out[rt.OutIndex(topology.Port(out), int(ivc.OutVC))].Credits == 0 {
+		return
+	}
+	w.moveNetwork(node, rt, lane)
+	rt.RROut[out] = 0
+}
+
 // gatherLane handles one buffered, routed input lane: eject lanes drain
 // immediately (per-VC ejection, no arbitration), network lanes file a
 // crossbar request into their output port's bucket.
@@ -743,7 +788,7 @@ func (w *worker) moveNetwork(node topology.NodeID, rt *router.Router, lane route
 		if lk.wraps {
 			m.Crossed[outPort.Dim()] = true
 		}
-		w.emitTrace(trace.Hop, m.ID, lk.dst)
+		w.emitTrace(phSwitch, trace.Hop, m.ID, lk.dst)
 	}
 	w.stageArrival(arrivalEvent{
 		dueAt: nw.now + lk.lat - 1,
@@ -771,9 +816,8 @@ func (nw *Network) refreshReady(rt *router.Router, lane router.Lane) {
 // messaging layer and finalises the worm when its tail arrives. The
 // local state transitions (buffer pop, requeue, header rewrite) happen
 // here; the shared-state finalisation — tracing, metrics, returning the
-// message to the pool, the in-flight counter — goes through the worker's
-// effect channel (emit), which applies it immediately on the serial path
-// and stages it for the ordered commit on the parallel one.
+// message to the pool, the in-flight counter — is staged through the
+// worker's effect log (emit) for the ordered commit.
 //
 //simlint:phase compute
 func (w *worker) moveEject(node topology.NodeID, rt *router.Router, lane router.Lane) {
@@ -791,27 +835,29 @@ func (w *worker) moveEject(node topology.NodeID, rt *router.Router, lane router.
 	m.Pending = message.StopNone
 	switch reason {
 	case message.StopDeliver:
-		w.emit(fxRec{kind: fxDeliver, ref: ref, msg: m.ID, node: node})
+		w.emit(phSwitch, fxRec{kind: fxDeliver, ref: ref, msg: m.ID, node: node})
 	case message.StopVia:
-		w.emit(fxRec{kind: fxStopVia, ref: ref, msg: m.ID, node: node})
+		w.emit(phSwitch, fxRec{kind: fxStopVia, ref: ref, msg: m.ID, node: node})
 		m.PopViasAt(node)
 		m.ResetForReinjection()
 		nw.requeue(node, ref)
 	case message.StopFault:
-		w.emit(fxRec{kind: fxStopFault, ref: ref, msg: m.ID, node: node})
+		w.emit(phSwitch, fxRec{kind: fxStopFault, ref: ref, msg: m.ID, node: node})
 		m.ResetForReinjection()
 		nw.requeue(node, ref)
 	case message.StopDrop:
-		w.emit(fxRec{kind: fxDropEject, ref: ref, msg: m.ID, node: node})
+		w.emit(phSwitch, fxRec{kind: fxDropEject, ref: ref, msg: m.ID, node: node})
 	default:
 		panic(fmt.Sprintf("network: worm ejected with no stop reason: %v", m))
 	}
 }
 
 // requeue places an absorbed message on the node's priority re-injection
-// queue, eligible after the software overhead Δ.
+// queue, eligible after the software overhead Δ. Runs inside the node's own
+// visit, so raising the flag is enough to keep the router active.
 func (nw *Network) requeue(node topology.NodeID, ref message.Ref) {
 	nw.reQ[node].Push(pendingMsg{ref: ref, eligibleAt: nw.now + nw.p.Delta})
+	nw.soft[node] = true
 }
 
 // returnCredit stages a credit for the upstream output VC feeding an
@@ -849,6 +895,11 @@ func (w *worker) injectNode(node topology.NodeID) {
 	w.startStreams(node)
 	ss := nw.streams[node]
 	if len(ss) == 0 {
+		// Nothing streaming; with both queues empty too (a re-injection
+		// still waiting out Δ counts) the software layer is idle.
+		if nw.newQ[node].Len() == 0 && nw.reQ[node].Len() == 0 {
+			nw.soft[node] = false
+		}
 		return
 	}
 	rt := &nw.routers[node]
@@ -924,12 +975,12 @@ func (w *worker) startStreams(node topology.NodeID) {
 		if !w.prepareForInjection(node, m) {
 			// Undeliverable: drop it and keep scanning the queue.
 			nw.popQueue(node)
-			w.emit(fxRec{kind: fxDropInject, ref: ref, msg: m.ID, node: node})
+			w.emit(phInject, fxRec{kind: fxDropInject, ref: ref, msg: m.ID, node: node})
 			continue
 		}
 		nw.popQueue(node)
 		nw.streams[node] = append(nw.streams[node], stream{ref: ref, len: m.Len, vc: vc})
-		w.emit(fxRec{kind: fxInject, ref: ref, msg: m.ID, node: node})
+		w.emit(phInject, fxRec{kind: fxInject, ref: ref, msg: m.ID, node: node})
 	}
 }
 

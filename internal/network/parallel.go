@@ -1,40 +1,47 @@
 package network
 
-// Parallel stepping: the routers are partitioned into P contiguous
-// node-id domains, each stepped by one worker. A cycle runs in two phases
-// separated by barriers:
+// Stepping: the routers are partitioned into P contiguous node-id domains,
+// each stepped by one worker; the serial engine is the one-domain case of
+// the same loop (its worker runs on the calling goroutine and stages
+// transfers on its own queues instead of mailboxes). A cycle runs in two
+// phases separated by barriers:
 //
-//	phase A (parallel)  per-domain route/allocate → switch → inject, with
-//	                    every cross-router or shared-state effect staged
-//	                    instead of applied: flit transfers and credit
-//	                    returns go into per-(sender→receiver) mailboxes,
-//	                    trace/metrics/pool/counter effects into per-phase
-//	                    effect logs;
+//	phase A (parallel)  one visit per active router of the domain, node-
+//	                    ascending: route/allocate → switch → inject →
+//	                    retire while its state is loaded, with every
+//	                    cross-router or shared-state effect staged, never
+//	                    applied: flit transfers and credit returns go into
+//	                    per-(sender→receiver) mailboxes, trace/metrics/
+//	                    pool/counter effects into per-phase effect logs;
 //	commit  (serial)    the effect logs replay phase-major, domain-
-//	                    ascending — which is exactly the serial engine's
-//	                    node-ascending order — so every order-sensitive
-//	                    shared structure (the trace byte stream, the
-//	                    collector's float accumulators, the pool's LIFO
-//	                    free lists) mutates in the serial order;
+//	                    ascending — every routing effect in node order,
+//	                    then every switch effect, then every injection —
+//	                    so each order-sensitive shared structure (the
+//	                    trace byte stream, the collector's float
+//	                    accumulators, the pool's LIFO free lists) mutates
+//	                    in one order whatever the worker count;
 //	phase B (parallel)  each worker drains the mailboxes addressed to its
-//	                    domain in sender-ascending order (the serial
-//	                    staging order), applies due arrivals/credits to
-//	                    its own routers, and retires drained routers.
+//	                    domain in sender-ascending order (the staging
+//	                    order of one domain), and applies due
+//	                    arrivals/credits to its own routers, re-activating
+//	                    the receivers.
 //
-// Determinism rests on three invariants: (1) within a cycle, phase-A
-// computation for a router reads only state owned by that router's domain
-// plus immutable shared structure (topology, fault set, link table) and
-// the message header of worms whose head flit it holds — the single-owner
-// rule; (2) the commit replays effects in the serial engine's exact
-// order; (3) phase B applies each receiver's events in the serial
-// relative order (sender-ascending, same due-position insertion as the
-// serial queue), and the remaining same-cycle effects (credit increments,
-// pushes to distinct lanes) commute. Together these make the engine
-// bit-identical to Workers <= 1 for any worker count — the same contract
+// Determinism rests on three invariants: (1) within a cycle, a router's
+// visit reads and writes only its own lanes, queues and streams plus
+// immutable shared structure (topology, fault set, link table) and the
+// message header of worms whose head flit it holds — the single-owner
+// rule, which makes router-major visits equal to phase-major passes and
+// any domain split equal to any other; (2) the commit replays effects in
+// the one phase-major, node-ascending order; (3) phase B applies each
+// receiver's events in the one-domain relative order (sender-ascending,
+// same due-position insertion), and the remaining same-cycle effects
+// (credit increments, pushes to distinct lanes) commute. Together these
+// make the engine bit-identical for any worker count — the same contract
 // every scheduler ablation honors, enforced by TestParallelMatchesSerial.
 import (
 	"fmt"
 	"math/bits"
+	"runtime/debug"
 	"sync"
 
 	"repro/internal/message"
@@ -45,9 +52,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Phase indices for the per-phase effect logs: the serial engine runs
-// route/allocate, switch traversal, then injection for all routers, so the
-// replay must group effects the same way.
+// Phase indices for the per-phase effect logs: the reference order is
+// route/allocate, switch traversal, then injection, each over all routers,
+// so a visit files each effect under the step that produced it and the
+// replay groups them that way.
 const (
 	phRoute = iota
 	phSwitch
@@ -88,8 +96,8 @@ type fxRec struct {
 }
 
 // worker is one stepping context. The serial engine owns a single direct
-// worker (every effect applies immediately); each parallel domain owns a
-// staging worker plus a private routing-algorithm instance, since a
+// worker (transfers go straight onto its own queues); each parallel domain
+// owns a mailbox worker plus a private routing-algorithm instance, since a
 // routing.Router's decision scratch is not goroutine-safe.
 type worker struct {
 	nw     *Network
@@ -101,15 +109,13 @@ type worker struct {
 
 	// act is the domain's active-router set — the scheduler's first level:
 	// bit (id − loNode) is set while router id can make progress. Events
-	// set bits (mark: generated traffic, flit arrivals, re-injections),
-	// phase B clears a router once it is fully drained (no buffered flits,
-	// no queued messages, no streams). Each domain owns whole words, so no
-	// two goroutines ever share one. work is the set expanded in ascending
-	// node order at the start of phase A — the order of a dense scan, which
-	// is what makes the scheduler rng-transparent — and walked by every
-	// phase of the cycle. With Params.DenseScan every bit stays set.
-	act  []uint64
-	work []topology.NodeID
+	// set bits (mark: generated traffic, flit arrivals, re-injections), a
+	// visit clears its router once it is fully drained (no buffered flits,
+	// software-layer flag down). Each domain owns whole words, so no two
+	// goroutines ever share one. Phase A walks the bits in ascending node
+	// order — the order of a dense scan, which is what makes the scheduler
+	// rng-transparent. With Params.DenseScan every bit stays set.
+	act []uint64
 
 	alg routing.Router
 
@@ -118,8 +124,7 @@ type worker struct {
 	buckets [][]router.Lane
 	freeVCs []routing.CandidateVC
 
-	// ph selects which effect log phase-A appends to.
-	ph int
+	// fx holds the per-phase effect logs phase A appends to (see emit).
 	fx [numPhases][]fxRec
 
 	// outArr[d] / outCred[d] are the mailboxes of staged flit transfers /
@@ -142,7 +147,6 @@ type worker struct {
 func newWorker(nw *Network, id int, direct bool, lo, hi topology.NodeID, alg routing.Router) *worker {
 	w := &worker{nw: nw, id: id, direct: direct, loNode: lo, hiNode: hi, alg: alg}
 	w.act = make([]uint64, (int(hi-lo)+63)/64)
-	w.work = make([]topology.NodeID, 0, hi-lo)
 	if nw.p.DenseScan {
 		for n := lo; n < hi; n++ {
 			w.mark(n)
@@ -206,35 +210,26 @@ func (nw *Network) initWorkers() {
 	nw.doms = nw.par
 }
 
-// emit applies one shared-state effect: immediately on the serial path,
-// staged into the current phase's log on the parallel one.
-func (w *worker) emit(r fxRec) {
-	if w.direct {
-		w.nw.applyFx(r)
-		return
-	}
-	w.fx[w.ph] = append(w.fx[w.ph], r)
+// emit stages one shared-state effect into the log of the step (ph) that
+// produced it; commitEffects applies it.
+//
+//simlint:phase compute
+func (w *worker) emit(ph int, r fxRec) {
+	w.fx[ph] = append(w.fx[ph], r)
 }
 
-// emitTrace emits a bare tracer event through the same channel. Skipped
-// entirely when no tracer is attached, so the staging cost is zero for
-// measurement runs.
-func (w *worker) emitTrace(tk trace.Kind, msg uint64, node topology.NodeID) {
-	nw := w.nw
-	if nw.p.Tracer == nil {
-		return
+// emitTrace stages a bare tracer event the same way. Skipped entirely when
+// no tracer is attached, so the staging cost is zero for measurement runs.
+//
+//simlint:phase compute
+func (w *worker) emitTrace(ph int, tk trace.Kind, msg uint64, node topology.NodeID) {
+	if w.nw.p.Tracer != nil {
+		w.fx[ph] = append(w.fx[ph], fxRec{kind: fxTrace, tk: tk, msg: msg, node: node})
 	}
-	if w.direct {
-		nw.p.Tracer.Trace(trace.Event{Cycle: nw.now, Msg: msg, Kind: tk, Node: node})
-		return
-	}
-	w.fx[w.ph] = append(w.fx[w.ph], fxRec{kind: fxTrace, tk: tk, msg: msg, node: node})
 }
 
-// applyFx performs one effect against the engine's shared state. The
-// serial worker calls it inline (so the serial engine's behaviour is the
-// reference by construction); the parallel commit replays logs through it
-// in the serial order.
+// applyFx performs one effect against the engine's shared state; only the
+// commit calls it, replaying the logs in phase-major, node-ascending order.
 //
 //simlint:phase commit
 func (nw *Network) applyFx(r fxRec) {
@@ -282,60 +277,72 @@ func (w *worker) stageArrival(ev arrivalEvent) {
 }
 
 // runParallel executes f on every worker, worker 0 on the calling
-// goroutine. Goroutines are spawned per phase: the engine holds no
-// long-lived workers, so abandoned engines (sweep instances) need no
-// shutdown and the serial engine pays nothing.
+// goroutine — for the serial engine that is all there is. Goroutines are
+// spawned per phase: the engine holds no long-lived workers, so abandoned
+// engines (sweep instances) need no shutdown and the serial engine pays
+// nothing. A panic in a spawned worker is caught there, and the first one
+// is raised again on the stepping goroutine after the barrier, where the
+// caller's recover (core.runPointSafe) can see it.
 func (nw *Network) runParallel(f func(*worker)) {
-	var wg sync.WaitGroup
-	for _, w := range nw.par[1:] {
-		wg.Add(1)
+	if len(nw.doms) == 1 {
+		f(nw.doms[0])
+		return
+	}
+	var b struct { // one heap object per phase
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		first error
+	}
+	for _, w := range nw.doms[1:] {
+		b.wg.Add(1)
 		go func(w *worker) {
-			defer wg.Done()
+			defer b.wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					b.mu.Lock()
+					if b.first == nil {
+						b.first = fmt.Errorf("network: panic in worker %d: %v\n%s", w.id, v, debug.Stack())
+					}
+					b.mu.Unlock()
+				}
+			}()
 			f(w)
 		}(w)
 	}
-	f(nw.par[0])
-	wg.Wait()
+	f(nw.doms[0])
+	b.wg.Wait()
+	if b.first != nil {
+		panic(b.first)
+	}
 }
 
-// phaseA expands the domain's active set into this cycle's worklist and
-// runs the three per-router phases over it, in node-ascending, phase-major
-// order: routing decisions and output-VC allocation for every head parked
-// at the front of an input VC, switch allocation and link/ejection
-// traversal, then software-layer injection.
+// phaseA visits every router in the domain's active set once, in ascending
+// node order, and retires those a visit leaves drained. Clearing the bit
+// here equals clearing it after phase B's arrivals: applyArrival re-marks
+// the receiver.
 //
 //simlint:phase compute
 func (w *worker) phaseA() {
-	w.work = w.work[:0]
+	dense := w.nw.p.DenseScan
 	for i, m := range w.act {
 		for ; m != 0; m &= m - 1 {
-			w.work = append(w.work, w.loNode+topology.NodeID(i<<6+bits.TrailingZeros64(m)))
+			if !w.visit(w.loNode+topology.NodeID(i<<6+bits.TrailingZeros64(m))) && !dense {
+				w.act[i] &^= m & -m
+			}
 		}
-	}
-	w.ph = phRoute
-	for _, node := range w.work {
-		w.routeNode(node)
-	}
-	w.ph = phSwitch
-	for _, node := range w.work {
-		w.switchNode(node)
-	}
-	w.ph = phInject
-	for _, node := range w.work {
-		w.injectNode(node)
 	}
 }
 
 // commitEffects replays every worker's effect logs phase-major and
 // domain-ascending. Within a phase each worker staged its effects while
-// walking its work slice in ascending node order, and domains cover
-// ascending node ranges, so the replay order is exactly the serial
-// engine's global node-ascending order for that phase.
+// visiting its routers in ascending node order, and domains cover
+// ascending node ranges, so the replay order is the global node-ascending
+// order of that phase — on one domain or on many.
 //
 //simlint:phase commit
 func (nw *Network) commitEffects() {
 	for ph := 0; ph < numPhases; ph++ {
-		for _, w := range nw.par {
+		for _, w := range nw.doms {
 			for _, r := range w.fx[ph] {
 				nw.applyFx(r)
 			}
@@ -345,11 +352,11 @@ func (nw *Network) commitEffects() {
 }
 
 // phaseB applies the staged transfers due at the end of this cycle to the
-// worker's own domain and retires drained routers. With the default unit
-// link latency and credit delay every staged event is due immediately;
-// longer latencies leave a due-ordered tail in flight. Each (sender,
-// receiver) mailbox is drained only here, only by its receiver, after the
-// phase barrier — so phase B reads nothing any other goroutine is writing.
+// worker's own domain. With the default unit link latency and credit delay
+// every staged event is due immediately; longer latencies leave a
+// due-ordered tail in flight. Each (sender, receiver) mailbox is drained
+// only here, only by its receiver, after the phase barrier — so phase B
+// reads nothing any other goroutine is writing.
 // (The direct worker has no mailboxes: nw.par is empty and it staged
 // straight into arrQ/credQ.)
 //
@@ -390,15 +397,4 @@ func (w *worker) phaseB() {
 		nw.routers[c.node].Out[c.out].Credits++
 	}
 	w.credQ = sliceTail(w.credQ, j)
-	// Retire this cycle's drained routers; one that an arrival above just
-	// re-activated is busy again and stays.
-	if nw.p.DenseScan {
-		return
-	}
-	for _, id := range w.work {
-		if !nw.routerBusy(id) {
-			i := uint(id - w.loNode)
-			w.act[i>>6] &^= 1 << (i & 63)
-		}
-	}
 }

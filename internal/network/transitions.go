@@ -269,7 +269,7 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 		m.ResetForRequeue(nw.baseMode)
 		nw.col.Reinjected(m)
 		nw.reQ[m.Src].Push(pendingMsg{ref: ref, eligibleAt: nw.now + nw.p.Delta})
-		nw.markActive(m.Src)
+		nw.markSoft(m.Src)
 	}
 }
 
