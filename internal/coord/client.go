@@ -68,21 +68,39 @@ func (c *Client) logf(format string, args ...any) {
 	}
 }
 
-// do POSTs req as JSON to path and decodes the response into resp.
+// maxDrain bounds what do reads past the reply it decoded (or ignored)
+// to reach EOF: the transport only reuses a connection whose body was
+// read to the end, and a reply longer than this is cheaper to drop with
+// its connection than to read.
+const maxDrain = 256 << 10
+
+// do sends one request — req as a JSON POST body, or a GET when req is
+// nil — and decodes the reply into resp (nil ignores it). A non-200
+// reply becomes an *APIError. The body is drained and closed on every
+// path, so the connection goes back to the pool.
 func (c *Client) do(path string, req, resp any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("coord: marshal request: %w", err)
-	}
 	hc := c.HTTP
 	if hc == nil {
 		hc = &http.Client{Timeout: 30 * time.Second}
 	}
-	r, err := hc.Post(c.URL+path, "application/json", bytes.NewReader(body))
+	var r *http.Response
+	var err error
+	if req == nil {
+		r, err = hc.Get(c.URL + path)
+	} else {
+		var body []byte
+		if body, err = json.Marshal(req); err != nil {
+			return fmt.Errorf("coord: marshal request: %w", err)
+		}
+		r, err = hc.Post(c.URL+path, "application/json", bytes.NewReader(body))
+	}
 	if err != nil {
 		return fmt.Errorf("coord: %s: %w", path, err)
 	}
-	defer r.Body.Close()
+	defer func() {
+		_, _ = io.CopyN(io.Discard, r.Body, maxDrain) // best-effort: only connection reuse is at stake
+		_ = r.Body.Close()
+	}()
 	if r.StatusCode != http.StatusOK {
 		var e struct {
 			Error string `json:"error"`
@@ -104,9 +122,38 @@ func (c *Client) do(path string, req, resp any) error {
 
 // SubmitPlan registers the plan's points with the coordinator.
 func (c *Client) SubmitPlan(plan sweep.Plan) (PlanResponse, error) {
+	return c.submitPlan(plan, plan.IDs())
+}
+
+// submitPlan registers the plan digest-first: its IDs alone, and only
+// if the coordinator reports some of them unknown — it holds neither a
+// record nor a definition — once more with exactly those definitions
+// attached. A plan the coordinator has seen before travels as IDs only.
+func (c *Client) submitPlan(plan sweep.Plan, ids []string) (PlanResponse, error) {
+	req := PlanRequest{Name: plan.Name, IDs: ids}
 	var resp PlanResponse
-	err := c.do("/v1/plan", PlanRequest{Name: plan.Name, Points: plan.Wire()}, &resp)
-	return resp, err
+	if err := c.do("/v1/plan", req, &resp); err != nil || len(resp.Unknown) == 0 {
+		return resp, err
+	}
+	index := make(map[string]int, len(ids))
+	for i, id := range ids {
+		index[id] = i
+	}
+	for _, id := range resp.Unknown {
+		i, ok := index[id]
+		if !ok {
+			return PlanResponse{}, fmt.Errorf("coord: coordinator asked for point %s, which plan %s does not contain", id, plan.Name)
+		}
+		req.Points = append(req.Points, sweep.PlanPoint{ID: id, Label: plan.Points[i].Label, Config: plan.Points[i].Config})
+	}
+	resp = PlanResponse{}
+	if err := c.do("/v1/plan", req, &resp); err != nil {
+		return PlanResponse{}, err
+	}
+	if len(resp.Unknown) > 0 {
+		return PlanResponse{}, fmt.Errorf("coord: coordinator still reports %d points of plan %s unknown after their definitions were uploaded", len(resp.Unknown), plan.Name)
+	}
+	return resp, nil
 }
 
 // Lease requests one point of work for the named worker.
@@ -137,20 +184,9 @@ func (c *Client) Results(ids []string) (ResultsResponse, error) {
 
 // Status fetches /statusz.
 func (c *Client) Status() (Status, error) {
-	hc := c.HTTP
-	if hc == nil {
-		hc = &http.Client{Timeout: 30 * time.Second}
-	}
-	r, err := hc.Get(c.URL + "/statusz")
-	if err != nil {
-		return Status{}, fmt.Errorf("coord: /statusz: %w", err)
-	}
-	defer r.Body.Close()
 	var st Status
-	if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
-		return Status{}, fmt.Errorf("coord: /statusz: decode: %w", err)
-	}
-	return st, nil
+	err := c.do("/statusz", nil, &st)
+	return st, err
 }
 
 // RunPlan is the fleet-served analogue of sweep.Run: submit the plan,
@@ -162,11 +198,12 @@ func (c *Client) Status() (Status, error) {
 // same queue, so waiting is correct — until ctx is cancelled;
 // coordinator rejections (version skew, conflicts) abort.
 func (c *Client) RunPlan(ctx context.Context, plan sweep.Plan) ([]core.PointResult, error) {
+	ids := plan.IDs() // hashed once: submission and polling share them
 	bo := NewBackoff("runplan")
 	var submitted PlanResponse
 	for {
 		var err error
-		submitted, err = c.SubmitPlan(plan)
+		submitted, err = c.submitPlan(plan, ids)
 		if err == nil {
 			break
 		}
@@ -181,7 +218,6 @@ func (c *Client) RunPlan(ctx context.Context, plan sweep.Plan) ([]core.PointResu
 	c.logf("coord: plan %s: %d points (%d cached, %d queued, %d failed)",
 		plan.Name, submitted.Total, submitted.Done, submitted.Queued, submitted.Failed)
 
-	ids := plan.IDs()
 	positions := map[string][]int{} // a plan may repeat a point; fill every slot
 	for i, id := range ids {
 		positions[id] = append(positions[id], i)

@@ -10,11 +10,15 @@
 //
 //   - Point identity is the stable content digest sweep.PointID, so the
 //     same point submitted by any process, host or restart is recognised
-//     as the same work — the cache key and the dedup key are one thing.
+//     as the same work — the cache key and the dedup key are one thing,
+//     and the thing a plan submission sends: a definition travels only
+//     when the coordinator holds neither a record nor a definition for
+//     its ID.
 //   - Completed records append to a standard JSONL checkpoint journal
 //     (single writer, O_APPEND, torn-tail recovery), so a coordinator
 //     journal is a sweep journal: renderable by swsim/figures
-//     -checkpoint, mergeable by MergeJournals.
+//     -checkpoint, mergeable by MergeJournals. The journal line is also
+//     the cache entry and the bytes on the wire, encoded once.
 //   - Result consistency is sweep.RecordsAgree — engine runs are
 //     deterministic, so two workers computing one point must agree
 //     bit-for-bit; a conflicting submission is rejected as a
@@ -42,6 +46,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -123,14 +128,20 @@ type Status struct {
 // its journals, exposed over HTTP by Handler. All state transitions
 // serialise on one mutex; journal appends happen inside it, preserving
 // the single-writer contract.
+//
+// A definition and a record each have one representation here: the line
+// their journal holds. It is encoded once — when a plan or a result is
+// accepted; a restart reads it back — and is what /v1/lease and
+// /v1/results put on the wire, byte for byte. The typed methods (Lease,
+// Results, the duplicate check) decode it on demand.
 type Server struct {
 	opt ServerOptions
 
 	mu          sync.Mutex
 	journal     *sweep.Journal
 	planJournal *sweep.JSONL[sweep.PlanPoint]
-	points      map[string]sweep.PlanPoint
-	records     map[string]sweep.Record
+	points      map[string][]byte // point ID -> plan-journal line
+	records     map[string][]byte // point ID -> checkpoint-journal line
 	leases      *sweep.LeaseTable
 
 	// sawWork latches once this incarnation has had anything to hand out;
@@ -161,41 +172,38 @@ func NewServer(opt ServerOptions) (*Server, error) {
 	if opt.MaxRetries < 0 {
 		opt.MaxRetries = DefaultMaxRetries
 	}
-	journal, err := sweep.OpenJournal(opt.Checkpoint)
-	if err != nil {
-		return nil, err
-	}
-	planJournal, err := sweep.OpenJSONL[sweep.PlanPoint](opt.Checkpoint + ".plan")
-	if err != nil {
-		_ = journal.Close()
-		return nil, err
-	}
 	s := &Server{
-		opt:         opt,
-		journal:     journal,
-		planJournal: planJournal,
-		points:      map[string]sweep.PlanPoint{},
-		records:     map[string]sweep.Record{},
-		leases:      sweep.NewLeaseTable(opt.LeaseTTL, opt.MaxRetries),
+		opt:     opt,
+		points:  map[string][]byte{},
+		records: map[string][]byte{},
+		leases:  sweep.NewLeaseTable(opt.LeaseTTL, opt.MaxRetries),
 	}
-	for _, rec := range journal.Records() {
-		s.records[rec.ID] = rec
+	var err error
+	s.journal, err = sweep.OpenJSONLFunc(opt.Checkpoint, func(rec sweep.Record, line []byte) error {
+		s.records[rec.ID] = line
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	queued := 0
-	for _, pp := range planJournal.Records() {
+	s.planJournal, err = sweep.OpenJSONLFunc(opt.Checkpoint+".plan", func(pp sweep.PlanPoint, line []byte) error {
 		if _, ok := s.points[pp.ID]; ok {
-			continue
+			return nil
 		}
 		if err := pp.Verify(); err != nil {
-			_ = journal.Close()
-			_ = planJournal.Close()
-			return nil, fmt.Errorf("coord: plan journal %s.plan: %w (delete the plan journal to discard its queued work)", opt.Checkpoint, err)
+			return fmt.Errorf("%w (delete the plan journal to discard its queued work)", err)
 		}
-		s.points[pp.ID] = pp
+		s.points[pp.ID] = line
 		if _, done := s.records[pp.ID]; !done {
 			s.leases.Add(pp.ID)
 			queued++
 		}
+		return nil
+	})
+	if err != nil {
+		_ = s.journal.Close() // best-effort: the plan-journal error is the one to report
+		return nil, err
 	}
 	s.sawWork = queued > 0
 	if len(s.records) > 0 || queued > 0 {
@@ -232,44 +240,82 @@ func (s *Server) expireLocked(now time.Time) {
 	}
 }
 
-// SubmitPlan registers a plan's points: already-computed points count
-// as cache hits, already-known ones are left in place, and new ones are
-// journalled to the plan journal and queued. Every point is
-// digest-verified before any state changes, so a version-skewed
-// submission is rejected atomically.
+// SubmitPlan registers a plan. The plan is req.IDs — or, in the full
+// form without them, the IDs of req.Points: already-computed points
+// count as cache hits, already-known ones are left in place, and new
+// ones (defined by req.Points) are journalled to the plan journal in one
+// write and queued. An ID with no record, no known definition and none
+// in req.Points is reported in Unknown; a submission with unknown IDs
+// registers and counts nothing, and the submitter repeats it with those
+// definitions attached. Every definition is digest-verified before any
+// state changes, so a version-skewed submission is rejected atomically.
 func (s *Server) SubmitPlan(req PlanRequest) (PlanResponse, error) {
+	ids := req.IDs
+	defs := make(map[string][]byte, len(req.Points)) // point ID -> journal line, newline included
 	for _, pp := range req.Points {
 		if err := pp.Verify(); err != nil {
 			return PlanResponse{}, &httpError{http.StatusBadRequest, err.Error()}
 		}
+		line, err := sweep.EncodeLine(pp)
+		if err != nil {
+			return PlanResponse{}, &httpError{http.StatusBadRequest, err.Error()}
+		}
+		defs[pp.ID] = line
+		if req.IDs == nil {
+			ids = append(ids, pp.ID)
+		}
 	}
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.plans++
-	s.sawWork = true
-	var resp PlanResponse
-	resp.Total = len(req.Points)
-	for _, pp := range req.Points {
-		if _, done := s.records[pp.ID]; done {
+	resp := PlanResponse{Total: len(ids)}
+	// New points enter s.points as they are met, so that a plan repeating
+	// a point finds the repeat known; they leave again if the submission
+	// turns out incomplete or the journal write fails.
+	var fresh []string
+	var journal []byte
+	for _, id := range ids {
+		if _, done := s.records[id]; done {
 			resp.Done++
-			s.cacheHits++
 			continue
 		}
-		if _, known := s.points[pp.ID]; known {
-			if s.leases.FailReason(pp.ID) != "" {
+		if _, known := s.points[id]; known {
+			if s.leases.FailReason(id) != "" {
 				resp.Failed++
 			} else {
 				resp.Queued++
 			}
 			continue
 		}
-		if err := s.planJournal.Append(pp); err != nil {
-			return PlanResponse{}, &httpError{http.StatusInternalServerError, err.Error()}
+		line, defined := defs[id]
+		if !defined {
+			resp.Unknown = append(resp.Unknown, id)
+			continue
 		}
-		s.points[pp.ID] = pp
-		s.leases.Add(pp.ID)
+		s.points[id] = line[:len(line)-1]
+		fresh = append(fresh, id)
+		journal = append(journal, line...)
 		resp.Queued++
 	}
+	var err error
+	if len(resp.Unknown) == 0 && len(fresh) > 0 {
+		err = s.planJournal.AppendLines(journal)
+	}
+	if len(resp.Unknown) > 0 || err != nil {
+		for _, id := range fresh {
+			delete(s.points, id)
+		}
+		if err != nil {
+			return PlanResponse{}, &httpError{http.StatusInternalServerError, err.Error()}
+		}
+		return resp, nil
+	}
+	for _, id := range fresh {
+		s.leases.Add(id)
+	}
+	s.plans++
+	s.sawWork = true
+	s.cacheHits += uint64(resp.Done)
 	s.logf("coord: plan %q: %d points (%d cached, %d queued/known, %d failed)", req.Name, resp.Total, resp.Done, resp.Queued, resp.Failed)
 	return resp, nil
 }
@@ -277,20 +323,35 @@ func (s *Server) SubmitPlan(req PlanRequest) (PlanResponse, error) {
 // Lease hands the queue head to a worker, or reports idle (and whether
 // the coordinator is fully drained) when nothing is queued.
 func (s *Server) Lease(req LeaseRequest) LeaseResponse {
+	return decodeOwn[LeaseResponse](s.leaseJSON(req))
+}
+
+// leaseJSON is Lease in wire form: the point is its plan-journal line.
+func (s *Server) leaseJSON(req LeaseRequest) rawJSON {
 	worker := req.Worker
 	if worker == "" {
 		worker = "anonymous"
 	}
 	now := s.opt.Now()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.expireLocked(now)
 	id, token, ok := s.leases.Acquire(now, worker)
+	point, drained := s.points[id], s.drainedLocked()
+	s.mu.Unlock()
 	if !ok {
-		return LeaseResponse{Drained: s.drainedLocked()}
+		if drained {
+			return rawJSON(`{"drained":true}` + "\n")
+		}
+		return rawJSON("{}\n")
 	}
-	pp := s.points[id]
-	return LeaseResponse{Point: &pp, Token: token, TTLMs: s.opt.LeaseTTL.Milliseconds()}
+	buf := make([]byte, 0, len(point)+64)
+	buf = append(buf, `{"point":`...)
+	buf = append(buf, point...)
+	buf = append(buf, `,"token":`...)
+	buf = appendJSONString(buf, token)
+	buf = append(buf, `,"ttl_ms":`...)
+	buf = strconv.AppendInt(buf, s.opt.LeaseTTL.Milliseconds(), 10)
+	return append(buf, "}\n"...)
 }
 
 // drainedLocked implements Status.Drained. Callers hold s.mu.
@@ -328,12 +389,16 @@ func (s *Server) SubmitResult(req ResultRequest) (ResultResponse, error) {
 		return ResultResponse{}, &httpError{http.StatusBadRequest,
 			fmt.Sprintf("coord: result ID %s does not match record ID %s", req.ID, rec.ID)}
 	}
+	line, err := sweep.EncodeLine(rec)
+	if err != nil {
+		return ResultResponse{}, &httpError{http.StatusBadRequest, err.Error()}
+	}
 	now := s.opt.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.expireLocked(now)
 	if prev, done := s.records[rec.ID]; done {
-		if !sweep.RecordsAgree(prev, rec) {
+		if !sweep.RecordsAgree(decodeOwn[sweep.Record](prev), rec) {
 			s.conflicts++
 			return ResultResponse{}, &httpError{http.StatusConflict,
 				fmt.Sprintf("coord: conflicting result for point %s (%q): determinism violation — records from diverging code or data", rec.ID, rec.Label)}
@@ -345,10 +410,10 @@ func (s *Server) SubmitResult(req ResultRequest) (ResultResponse, error) {
 		return ResultResponse{}, &httpError{http.StatusNotFound,
 			fmt.Sprintf("coord: result for unknown point %s (no plan submitted it)", rec.ID)}
 	}
-	if err := s.journal.Append(rec); err != nil {
+	if err := s.journal.AppendLines(line); err != nil {
 		return ResultResponse{}, &httpError{http.StatusInternalServerError, err.Error()}
 	}
-	s.records[rec.ID] = rec
+	s.records[rec.ID] = line[:len(line)-1]
 	s.resultsAccepted++
 	if _, token, held := s.leases.Holder(rec.ID); !held || token != req.Token {
 		s.lateResults++
@@ -361,25 +426,65 @@ func (s *Server) SubmitResult(req ResultRequest) (ResultResponse, error) {
 // Results answers a batch lookup: cached records (cache hits), failure
 // reasons for retry-exhausted points, and the IDs still pending.
 func (s *Server) Results(req ResultsRequest) ResultsResponse {
+	return decodeOwn[ResultsResponse](s.resultsJSON(req))
+}
+
+// resultsJSON is Results in wire form: each record is its checkpoint-
+// journal line, in request order (a repeated ID repeats its entry).
+func (s *Server) resultsJSON(req ResultsRequest) rawJSON {
+	lines := make([][]byte, len(req.IDs)) // non-nil where req.IDs[i] is cached
+	var failed, reasons, pending []string
+	size := 64
 	now := s.opt.Now()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.expireLocked(now)
-	resp := ResultsResponse{Records: map[string]sweep.Record{}, Failed: map[string]string{}}
-	for _, id := range req.IDs {
-		if rec, ok := s.records[id]; ok {
-			resp.Records[id] = rec
+	for i, id := range req.IDs {
+		if line, ok := s.records[id]; ok {
+			lines[i] = line
+			size += len(id) + len(line) + 4
 			s.cacheHits++
-			continue
+		} else if reason := s.leases.FailReason(id); reason != "" {
+			failed, reasons = append(failed, id), append(reasons, reason)
+			size += len(id) + len(reason) + 8
+		} else {
+			pending = append(pending, id)
+			size += len(id) + 4
 		}
-		if reason := s.leases.FailReason(id); reason != "" {
-			resp.Failed[id] = reason
-			continue
-		}
-		resp.Pending = append(resp.Pending, id)
 	}
-	sort.Strings(resp.Pending)
-	return resp
+	s.mu.Unlock()
+	sort.Strings(pending)
+
+	// comma separates the members of the innermost open object or array.
+	comma := func(buf []byte) []byte {
+		if c := buf[len(buf)-1]; c != '{' && c != '[' {
+			buf = append(buf, ',')
+		}
+		return buf
+	}
+	buf := append(make([]byte, 0, size), `{"records":{`...)
+	for i, line := range lines {
+		if line != nil {
+			buf = append(appendJSONString(comma(buf), req.IDs[i]), ':')
+			buf = append(buf, line...)
+		}
+	}
+	buf = append(buf, '}')
+	if len(failed) > 0 {
+		buf = append(buf, `,"failed":{`...)
+		for i, id := range failed {
+			buf = append(appendJSONString(comma(buf), id), ':')
+			buf = appendJSONString(buf, reasons[i])
+		}
+		buf = append(buf, '}')
+	}
+	if len(pending) > 0 {
+		buf = append(buf, `,"pending":[`...)
+		for _, id := range pending {
+			buf = appendJSONString(comma(buf), id)
+		}
+		buf = append(buf, ']')
+	}
+	return append(buf, "}\n"...)
 }
 
 // Status assembles the /statusz document.

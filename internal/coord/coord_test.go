@@ -36,7 +36,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 
 // testPlan builds a small plan of distinct λ points (never simulated in
 // the server-level tests; records are fabricated).
-func testPlan(t *testing.T, n int) sweep.Plan {
+func testPlan(t testing.TB, n int) sweep.Plan {
 	t.Helper()
 	plan := sweep.Plan{Name: "coordtest"}
 	for i := 0; i < n; i++ {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 
 	"repro/internal/sweep"
 )
@@ -14,17 +15,23 @@ import (
 // the two coordination-specific rejections (lost lease on renew,
 // conflicting result on submit) that clients must handle distinctly.
 
-// PlanRequest is the body of POST /v1/plan.
+// PlanRequest is the body of POST /v1/plan. It has a digest form
+// ({name, ids}: what Client sends first), the same with the definitions
+// the coordinator reported unknown attached, and a full form ({name,
+// points}), in which the points are the plan.
 type PlanRequest struct {
 	// Name labels the plan in coordinator logs.
 	Name string `json:"name"`
-	// Points are the plan's points in wire form (sweep.Plan.Wire).
-	Points []sweep.PlanPoint `json:"points"`
+	// IDs are the plan's point IDs (sweep.Plan.IDs), in plan order.
+	IDs []string `json:"ids,omitempty"`
+	// Points are definitions in wire form (sweep.PlanPoint), for the IDs
+	// the coordinator does not know yet; without IDs, the whole plan.
+	Points []sweep.PlanPoint `json:"points,omitempty"`
 }
 
 // PlanResponse reports the submission outcome per point category.
 type PlanResponse struct {
-	// Total = Done + Queued + Failed.
+	// Total = Done + Queued + Failed + len(Unknown).
 	Total int `json:"total"`
 	// Done points already had cached records (served without simulation).
 	Done int `json:"done"`
@@ -33,6 +40,10 @@ type PlanResponse struct {
 	Queued int `json:"queued"`
 	// Failed points previously exhausted their lease retries.
 	Failed int `json:"failed"`
+	// Unknown are the IDs the coordinator holds neither a record nor a
+	// definition for and the request did not define. While there are any
+	// the submission has registered nothing (Server.SubmitPlan).
+	Unknown []string `json:"unknown,omitempty"`
 }
 
 // LeaseRequest is the body of POST /v1/lease.
@@ -128,11 +139,11 @@ func (s *Server) Handler() http.Handler {
 		}
 		writeJSON(w, s.Status())
 	})
-	post(mux, "/v1/plan", func(req PlanRequest) (PlanResponse, error) { return s.SubmitPlan(req) })
-	post(mux, "/v1/lease", func(req LeaseRequest) (LeaseResponse, error) { return s.Lease(req), nil })
+	post(mux, "/v1/plan", s.SubmitPlan)
+	post(mux, "/v1/lease", func(req LeaseRequest) (rawJSON, error) { return s.leaseJSON(req), nil })
 	post(mux, "/v1/renew", func(req RenewRequest) (struct{}, error) { return struct{}{}, s.Renew(req) })
-	post(mux, "/v1/result", func(req ResultRequest) (ResultResponse, error) { return s.SubmitResult(req) })
-	post(mux, "/v1/results", func(req ResultsRequest) (ResultsResponse, error) { return s.Results(req), nil })
+	post(mux, "/v1/result", s.SubmitResult)
+	post(mux, "/v1/results", func(req ResultsRequest) (rawJSON, error) { return s.resultsJSON(req), nil })
 	return mux
 }
 
@@ -158,10 +169,46 @@ func post[Req, Resp any](mux *http.ServeMux, path string, fn func(Req) (Resp, er
 	})
 }
 
+// rawJSON is a reply the server assembled itself around journal lines
+// (leaseJSON, resultsJSON): written as it stands, under a Content-Length.
+type rawJSON []byte
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	// Best-effort: an encode failure here means the connection died.
+	// Best-effort: a failure here means the connection died.
+	if raw, ok := v.(rawJSON); ok {
+		w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
+		_, _ = w.Write(raw)
+		return
+	}
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// appendJSONString appends s as a JSON string. Point IDs and lease
+// tokens are plain ASCII, which is a copy between quotes; anything else
+// — a request may name any string as an ID — goes through encoding/json.
+func appendJSONString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
+			quoted, _ := json.Marshal(s) // cannot fail on a string
+			return append(buf, quoted...)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
+}
+
+// decodeOwn decodes JSON the server holds or produced itself — a journal
+// line, or a reply assembled around them — for the typed face of the
+// API. A line was encoded from a typed value here or decoded into one at
+// recovery, so a failure is a bug, not bad input.
+func decodeOwn[T any](b []byte) T {
+	var v T
+	if err := json.Unmarshal(b, &v); err != nil {
+		panic(fmt.Sprintf("coord: undecodable journal-derived JSON: %v", err))
+	}
+	return v
 }
 
 func writeError(w http.ResponseWriter, err error) {

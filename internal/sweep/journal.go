@@ -31,9 +31,10 @@ type Record struct {
 
 // JSONL is an append-only file of newline-delimited JSON values of one
 // type. Opening it recovers from a crashed writer by discarding a torn
-// final line; appends are single whole-line writes, so a process killed
-// mid-append (even with SIGKILL) loses at most the value being written,
-// never a previously completed one. Append is safe for concurrent use.
+// final line; an append is a single write of whole lines, so a process
+// killed mid-append (even with SIGKILL) loses at most what that append
+// was writing, never a previously completed value. Append and
+// AppendLines are safe for concurrent use.
 //
 // Journal (the sweep checkpoint) is JSONL[Record]; the coordinator's
 // plan journal is JSONL[PlanPoint]. Both inherit the same single-writer
@@ -54,11 +55,29 @@ type JSONL[T any] struct {
 // bounds the damage of a mistaken double-open to torn lines instead of
 // interleaved overwrites.
 func OpenJSONL[T any](path string) (*JSONL[T], error) {
+	var loaded []T
+	j, err := OpenJSONLFunc(path, func(v T, _ []byte) error {
+		loaded = append(loaded, v)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	j.loaded = loaded
+	return j, nil
+}
+
+// OpenJSONLFunc is OpenJSONL for an owner that indexes the file itself
+// (the coordinator, whose cache entries are the journal lines): each
+// valid value goes to visit, in file order, with the line that holds it
+// — newline stripped, the caller's to keep — and Records stays empty. An
+// error from visit aborts the open.
+func OpenJSONLFunc[T any](path string, visit func(v T, line []byte) error) (*JSONL[T], error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: open journal: %w", err)
 	}
-	loaded, valid, err := scanJSONL[T](f)
+	valid, err := scanJSONL(f, visit)
 	if err != nil {
 		_ = f.Close() // best-effort: the scan/truncate error is the one to report
 		return nil, fmt.Errorf("sweep: read journal %s: %w", path, err)
@@ -69,24 +88,25 @@ func OpenJSONL[T any](path string) (*JSONL[T], error) {
 		_ = f.Close() // best-effort: the scan/truncate error is the one to report
 		return nil, fmt.Errorf("sweep: recover journal %s: %w", path, err)
 	}
-	return &JSONL[T]{f: f, loaded: loaded}, nil
+	return &JSONL[T]{f: f}, nil
 }
 
-// scanJSONL parses newline-terminated values from r and returns them
-// with the byte offset just past the last valid one. A final line that
-// is unterminated or fails to parse — a writer died mid-append — is
-// dropped. A malformed line in the middle of the file is corruption,
-// not a torn write, and is an error.
-func scanJSONL[T any](r io.Reader) (values []T, valid int64, err error) {
+// scanJSONL parses newline-terminated values from r, hands each to
+// visit with its line (newline stripped) and returns the byte offset
+// just past the last valid one. A final line that is unterminated or
+// fails to parse — a writer died mid-append — is dropped. A malformed
+// line in the middle of the file is corruption, not a torn write, and
+// is an error.
+func scanJSONL[T any](r io.Reader, visit func(v T, line []byte) error) (valid int64, err error) {
 	br := bufio.NewReader(r)
 	for {
 		line, err := br.ReadBytes('\n')
 		if err == io.EOF {
 			// Unterminated tail (possibly empty): torn write, drop it.
-			return values, valid, nil
+			return valid, nil
 		}
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		var v T
 		if jerr := json.Unmarshal(line, &v); jerr != nil {
@@ -94,11 +114,13 @@ func scanJSONL[T any](r io.Reader) (values []T, valid int64, err error) {
 				// Torn final line that happens to end in '\n' garbage is
 				// indistinguishable from corruption; but a parse failure on
 				// the very last line is overwhelmingly a torn write — drop.
-				return values, valid, nil
+				return valid, nil
 			}
-			return nil, 0, fmt.Errorf("corrupt record at byte %d: %w", valid, jerr)
+			return 0, fmt.Errorf("corrupt record at byte %d: %w", valid, jerr)
 		}
-		values = append(values, v)
+		if err := visit(v, line[:len(line)-1]); err != nil {
+			return 0, err
+		}
 		valid += int64(len(line))
 	}
 }
@@ -107,16 +129,32 @@ func scanJSONL[T any](r io.Reader) (values []T, valid int64, err error) {
 // not include values appended since; Run loads before running.
 func (j *JSONL[T]) Records() []T { return j.loaded }
 
-// Append journals one value as a single whole-line write.
-func (j *JSONL[T]) Append(v T) error {
+// EncodeLine returns v's journal line: its JSON encoding and the
+// terminating newline.
+func EncodeLine(v any) ([]byte, error) {
 	b, err := json.Marshal(v)
 	if err != nil {
-		return fmt.Errorf("sweep: marshal record: %w", err)
+		return nil, fmt.Errorf("sweep: marshal record: %w", err)
 	}
-	b = append(b, '\n')
+	return append(b, '\n'), nil
+}
+
+// Append journals one value as a single whole-line write.
+func (j *JSONL[T]) Append(v T) error {
+	line, err := EncodeLine(v)
+	if err != nil {
+		return err
+	}
+	return j.AppendLines(line)
+}
+
+// AppendLines journals already-encoded values — EncodeLine's output for
+// a T, or several of them concatenated — as one write: whole lines or,
+// if the writer dies, a torn tail the next open drops.
+func (j *JSONL[T]) AppendLines(lines []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.Write(b); err != nil {
+	if _, err := j.f.Write(lines); err != nil {
 		return fmt.Errorf("sweep: append record: %w", err)
 	}
 	return nil
@@ -151,8 +189,11 @@ func ReadJSONL[T any](path string) ([]T, error) {
 		return nil, fmt.Errorf("sweep: open journal: %w", err)
 	}
 	defer f.Close()
-	values, _, err := scanJSONL[T](f)
-	if err != nil {
+	var values []T
+	if _, err := scanJSONL(f, func(v T, _ []byte) error {
+		values = append(values, v)
+		return nil
+	}); err != nil {
 		return nil, fmt.Errorf("sweep: read journal %s: %w", path, err)
 	}
 	return values, nil

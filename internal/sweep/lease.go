@@ -3,6 +3,7 @@ package sweep
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 )
 
@@ -32,17 +33,30 @@ type LeaseTable struct {
 
 	seq     uint64 // lease token counter
 	entries map[string]*leaseEntry
-	queue   []string // queued point IDs, FIFO
+
+	// queue[head:] is the FIFO of queued points. It is head-indexed so a
+	// pop does not leak the front capacity (see network.fifo); an entry
+	// removed while queued stays behind as a tombstone (state no longer
+	// stateQueued) that Acquire skips. queued counts the live ones.
+	queue  []*leaseEntry
+	head   int
+	queued int
+	// held is the set of leased entries, unordered (leaseEntry.held is the
+	// index): what Expire and Leases walk instead of every known point.
+	held   []*leaseEntry
+	failed int
 }
 
 // leaseEntry tracks one point known to the table.
 type leaseEntry struct {
+	id      string
 	state   leaseState
 	worker  string
 	token   string
 	expiry  time.Time
 	retries int // expired-lease count so far
 	reason  string
+	held    int // index in LeaseTable.held while stateLeased
 }
 
 type leaseState int
@@ -51,6 +65,7 @@ const (
 	stateQueued leaseState = iota
 	stateLeased
 	stateFailed
+	stateRemoved // retired while queued: a tombstone in the queue
 )
 
 // NewLeaseTable returns an empty table. ttl <= 0 defaults to 10s;
@@ -65,6 +80,29 @@ func NewLeaseTable(ttl time.Duration, maxRetries int) *LeaseTable {
 	return &LeaseTable{TTL: ttl, MaxRetries: maxRetries, entries: map[string]*leaseEntry{}}
 }
 
+// enqueue puts e at the back of the queue. A queue that is never fully
+// drained (Acquire rewinds it then) slides down over its popped front
+// instead of growing past it.
+func (t *LeaseTable) enqueue(e *leaseEntry) {
+	if len(t.queue) == cap(t.queue) && t.head > len(t.queue)/2 {
+		n := copy(t.queue, t.queue[t.head:])
+		clear(t.queue[n:])
+		t.queue, t.head = t.queue[:n], 0
+	}
+	e.state = stateQueued
+	t.queue = append(t.queue, e)
+	t.queued++
+}
+
+// release takes e out of the held set.
+func (t *LeaseTable) release(e *leaseEntry) {
+	last := t.held[len(t.held)-1]
+	t.held[e.held] = last
+	last.held = e.held
+	t.held[len(t.held)-1] = nil
+	t.held = t.held[:len(t.held)-1]
+}
+
 // Add queues a point for execution. Re-adding a known (queued, leased
 // or failed) point is a no-op returning false, so duplicate plan
 // submissions cannot double-queue work.
@@ -72,8 +110,9 @@ func (t *LeaseTable) Add(id string) bool {
 	if _, ok := t.entries[id]; ok {
 		return false
 	}
-	t.entries[id] = &leaseEntry{state: stateQueued}
-	t.queue = append(t.queue, id)
+	e := &leaseEntry{id: id}
+	t.entries[id] = e
+	t.enqueue(e)
 	return true
 }
 
@@ -84,18 +123,29 @@ func (t *LeaseTable) Add(id string) bool {
 // the worker and must accompany Renew; it is an assignment identifier,
 // not a secret.
 func (t *LeaseTable) Acquire(now time.Time, worker string) (id, token string, ok bool) {
-	if len(t.queue) == 0 {
+	var e *leaseEntry
+	for e == nil && t.head < len(t.queue) {
+		if head := t.queue[t.head]; head.state == stateQueued {
+			e = head
+		}
+		t.queue[t.head] = nil
+		t.head++
+	}
+	if t.head == len(t.queue) {
+		t.queue, t.head = t.queue[:0], 0
+	}
+	if e == nil {
 		return "", "", false
 	}
-	id = t.queue[0]
-	t.queue = t.queue[1:]
-	e := t.entries[id]
+	t.queued--
 	t.seq++
 	e.state = stateLeased
 	e.worker = worker
-	e.token = fmt.Sprintf("L%d", t.seq)
+	e.token = "L" + strconv.FormatUint(t.seq, 10)
 	e.expiry = now.Add(t.TTL)
-	return id, e.token, true
+	e.held = len(t.held)
+	t.held = append(t.held, e)
+	return e.id, e.token, true
 }
 
 // Renew extends the lease on id held under token until now+TTL. It
@@ -120,31 +170,32 @@ func (t *LeaseTable) Renew(id, token string, now time.Time) error {
 // failed the points that exhausted MaxRetries instead. Re-queued points
 // go to the back of the queue, behind work never attempted — a point
 // that already burned one worker's lease should not starve fresh
-// points.
+// points. The cost is proportional to the leases held, not to the
+// points known: the coordinator calls it on every request.
 func (t *LeaseTable) Expire(now time.Time) (requeued, failed []string) {
-	// Collect, then sort: map iteration order must not leak into queue
+	// Collect, then sort: the held set's order must not leak into queue
 	// order (the determinism contract extends to lease hand-out order
 	// for a fixed request sequence).
-	var stale []string
-	for id, e := range t.entries {
-		if e.state == stateLeased && now.After(e.expiry) {
-			stale = append(stale, id)
+	var stale []*leaseEntry
+	for _, e := range t.held {
+		if now.After(e.expiry) {
+			stale = append(stale, e)
 		}
 	}
-	sort.Strings(stale)
-	for _, id := range stale {
-		e := t.entries[id]
+	sort.Slice(stale, func(i, j int) bool { return stale[i].id < stale[j].id })
+	for _, e := range stale {
+		t.release(e)
 		e.retries++
 		e.worker, e.token = "", ""
 		if e.retries > t.MaxRetries {
 			e.state = stateFailed
 			e.reason = fmt.Sprintf("lease expired %d times (worker died mid-point?)", e.retries)
-			failed = append(failed, id)
+			t.failed++
+			failed = append(failed, e.id)
 			continue
 		}
-		e.state = stateQueued
-		t.queue = append(t.queue, id)
-		requeued = append(requeued, id)
+		t.enqueue(e)
+		requeued = append(requeued, e.id)
 	}
 	return requeued, failed
 }
@@ -158,13 +209,14 @@ func (t *LeaseTable) Remove(id string) bool {
 		return false
 	}
 	delete(t.entries, id)
-	if e.state == stateQueued {
-		for i, qid := range t.queue {
-			if qid == id {
-				t.queue = append(t.queue[:i], t.queue[i+1:]...)
-				break
-			}
-		}
+	switch e.state {
+	case stateQueued:
+		e.state = stateRemoved
+		t.queued--
+	case stateLeased:
+		t.release(e)
+	case stateFailed:
+		t.failed--
 	}
 	return true
 }
@@ -191,17 +243,7 @@ func (t *LeaseTable) FailReason(id string) string {
 
 // Counts returns how many known points are queued, leased and failed.
 func (t *LeaseTable) Counts() (queued, leased, failed int) {
-	for _, e := range t.entries {
-		switch e.state {
-		case stateQueued:
-			queued++
-		case stateLeased:
-			leased++
-		case stateFailed:
-			failed++
-		}
-	}
-	return queued, leased, failed
+	return t.queued, len(t.held), t.failed
 }
 
 // LeaseInfo is one held lease, as reported by Leases (the /statusz
@@ -221,10 +263,8 @@ type LeaseInfo struct {
 // deterministic output.
 func (t *LeaseTable) Leases() []LeaseInfo {
 	var out []LeaseInfo
-	for id, e := range t.entries {
-		if e.state == stateLeased {
-			out = append(out, LeaseInfo{ID: id, Worker: e.worker, Expiry: e.expiry, Retries: e.retries})
-		}
+	for _, e := range t.held {
+		out = append(out, LeaseInfo{ID: e.id, Worker: e.worker, Expiry: e.expiry, Retries: e.retries})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

@@ -10,9 +10,9 @@
 #   4. drain the queue with two `exit=drain` workers, asserting the
 #      victim's point was reassigned (statusz expired >= 1);
 #   5. submit the identical plan again with no workers alive: it must be
-#      served entirely from the digest-keyed result cache (the
-#      results_accepted counter is frozen, nothing re-queues) and the
-#      CSV must be byte-identical;
+#      served entirely from the digest-keyed result cache (it counts as
+#      one more plan; the points, queued and results_accepted counters
+#      are frozen) and the CSV must be byte-identical;
 #   6. SIGTERM the coordinator, then prove its journal is a standard
 #      sweep journal by rendering the same grid from it with plain
 #      `swsim -checkpoint`, and diff everything against a
@@ -77,11 +77,11 @@ wait "$W2" || die "worker w2 failed"
 [ "$(field done)" -eq 4 ] || die "want 4 completed points, got $(field done)"
 
 echo "# 5. identical plan again, no workers alive: must be pure cache"
-accepted_before="$(field results_accepted)"
+before="$(curl -sf "$URL/statusz" | jq -c '[.plans, .points, .queued, .results_accepted]')"
 "$SW" "${GRID[@]}" -coordinator "$URL" > "$DIR/fleet2.csv" || die "cached re-submission failed"
-[ "$(field results_accepted)" -eq "$accepted_before" ] \
-  || die "repeat plan re-simulated points (results_accepted $accepted_before -> $(field results_accepted))"
-[ "$(field queued)" -eq 0 ] || die "repeat plan re-queued work"
+after="$(curl -sf "$URL/statusz" | jq -c '[.plans, .points, .queued, .results_accepted]')"
+[ "$after" = "$(jq -c '.[0] += 1' <<<"$before")" ] \
+  || die "repeat plan must count as one more plan and move nothing else: [plans,points,queued,results_accepted] $before -> $after"
 diff "$DIR/fleet.csv" "$DIR/fleet2.csv" || die "cached rows diverge from fleet rows"
 
 echo "# 6. graceful shutdown; the journal renders with plain swsim -checkpoint"
