@@ -54,6 +54,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -71,64 +72,70 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("swsim", flag.ContinueOnError)
+	fl.SetOutput(stderr)
 	var (
-		k       = flag.Int("k", 8, "radix (nodes per dimension); shorthand for -topo torus:k=...")
-		n       = flag.Int("n", 2, "dimensions; shorthand for -topo torus:n=...")
-		topo    = flag.String("topo", "", "topology spec from the registry (overrides -k/-n; see -list)")
-		v       = flag.Int("v", 4, "virtual channels per physical channel")
-		m       = flag.Int("m", 32, "message length in flits")
-		buf     = flag.Int("buf", 2, "per-VC buffer depth in flits")
-		lambda  = flag.Float64("lambda", 0.004, "generation rate (messages/node/cycle)")
-		alg     = flag.String("alg", "det", "routing algorithm (see -list)")
-		list    = flag.Bool("list", false, "list registered topologies, algorithms, patterns and sources, then exit")
-		faults  = flag.Int("faults", 0, "random faulty nodes")
-		shape   = flag.String("shape", "", "fault region shape: rect|T|plus|L|U (Fig. 5 configurations)")
-		sched   = flag.String("faults-schedule", "", "dynamic fault schedule spec: trace:file=<f> or mtbf:mtbf=<c>,mttr=<c> (see -list)")
-		pattern = flag.String("pattern", "uniform", "destination pattern spec (see -list)")
-		traf    = flag.String("traffic", "poisson", "arrival process spec (see -list)")
-		wlOut   = flag.String("workload-out", "", "capture the generated workload to this CSV file (replay with -traffic 'replay:file=...')")
-		warmup  = flag.Int("warmup", 1000, "warm-up messages (unmeasured)")
-		measure = flag.Int("measure", 10000, "measured message deliveries")
-		td      = flag.Int64("td", 0, "router decision time (cycles)")
-		delta   = flag.Int64("delta", 0, "software re-injection overhead (cycles)")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		quiet   = flag.Bool("q", false, "print only the CSV row")
-		jsonOut = flag.Bool("json", false, "emit config and results as JSON instead of CSV")
+		k       = fl.Int("k", 8, "radix (nodes per dimension); shorthand for -topo torus:k=...")
+		n       = fl.Int("n", 2, "dimensions; shorthand for -topo torus:n=...")
+		topo    = fl.String("topo", "", "topology spec from the registry (overrides -k/-n; see -list)")
+		v       = fl.Int("v", 4, "virtual channels per physical channel")
+		m       = fl.Int("m", 32, "message length in flits")
+		buf     = fl.Int("buf", 2, "per-VC buffer depth in flits")
+		lambda  = fl.Float64("lambda", 0.004, "generation rate (messages/node/cycle)")
+		alg     = fl.String("alg", "det", "routing algorithm (see -list)")
+		list    = fl.Bool("list", false, "list registered topologies, algorithms, patterns and sources, then exit")
+		faults  = fl.Int("faults", 0, "random faulty nodes")
+		shape   = fl.String("shape", "", "fault region shape: rect|T|plus|L|U (Fig. 5 configurations)")
+		sched   = fl.String("faults-schedule", "", "dynamic fault schedule spec: trace:file=<f> or mtbf:mtbf=<c>,mttr=<c> (see -list)")
+		pattern = fl.String("pattern", "uniform", "destination pattern spec (see -list)")
+		traf    = fl.String("traffic", "poisson", "arrival process spec (see -list)")
+		wlOut   = fl.String("workload-out", "", "capture the generated workload to this CSV file (replay with -traffic 'replay:file=...')")
+		warmup  = fl.Int("warmup", 1000, "warm-up messages (unmeasured)")
+		measure = fl.Int("measure", 10000, "measured message deliveries")
+		td      = fl.Int64("td", 0, "router decision time (cycles)")
+		delta   = fl.Int64("delta", 0, "software re-injection overhead (cycles)")
+		seed    = fl.Uint64("seed", 1, "random seed")
+		quiet   = fl.Bool("q", false, "print only the CSV row")
+		jsonOut = fl.Bool("json", false, "emit config and results as JSON instead of CSV")
 
-		sweepGrid  = flag.String("sweep", "", "λ sweep instead of a single point: comma list '0.002,0.004' or range 'lo:hi:step'")
-		sweepFlags = sweepcli.Register(flag.CommandLine) // -workers -checkpoint -shard -merge -coordinator
-		engWorkers = flag.String("engine-workers", "auto", "engine worker domains per simulation: an integer >= 1, or 'auto' (scales with topology size for single-point runs; sweep modes keep each engine serial and parallelize across points instead)")
-		findSat    = flag.Bool("find-sat", false, "bisection auto-search for the saturation λ instead of a fixed grid")
-		satFactor  = flag.Float64("sat-factor", 3, "saturation threshold as a multiple of zero-load latency (with -find-sat)")
+		sweepGrid  = fl.String("sweep", "", "λ sweep instead of a single point: comma list '0.002,0.004' or range 'lo:hi:step'")
+		sweepFlags = sweepcli.Register(fl) // -workers -checkpoint -shard -merge -coordinator
+		engWorkers = fl.String("engine-workers", "auto", "engine worker domains per simulation: an integer >= 1, or 'auto' (scales with topology size for single-point runs; sweep modes keep each engine serial and parallelize across points instead)")
+		findSat    = fl.Bool("find-sat", false, "bisection auto-search for the saturation λ instead of a fixed grid")
+		satFactor  = fl.Float64("sat-factor", 3, "saturation threshold as a multiple of zero-load latency (with -find-sat)")
 
-		serveSpec  = flag.String("serve", "", "run as a sweep coordinator: 'addr=:8080,checkpoint=coord.jsonl[,lease=15s][,retries=3]' (ignores simulation flags)")
-		workerSpec = flag.String("worker", "", "run as a sweep worker: 'url=http://host:8080[,name=w1][,exit=drain|never][,stall=5s][,engine-workers=N]'")
+		serveSpec  = fl.String("serve", "", "run as a sweep coordinator: 'addr=:8080,checkpoint=coord.jsonl[,lease=15s][,retries=3]' (ignores simulation flags)")
+		workerSpec = fl.String("worker", "", "run as a sweep worker: 'url=http://host:8080[,name=w1][,exit=drain|never][,stall=5s][,engine-workers=N]'")
 
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with 'go tool pprof')")
-		memprofile = flag.String("memprofile", "", "write an end-of-run heap profile to this file (inspect with 'go tool pprof')")
+		cpuprofile = fl.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with 'go tool pprof')")
+		memprofile = fl.String("memprofile", "", "write an end-of-run heap profile to this file (inspect with 'go tool pprof')")
 	)
-	flag.Parse()
+	if err := fl.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	exit := exiter(stderr)
 
 	if *list {
-		core.PrintRegistries(os.Stdout, "")
-		return
+		core.PrintRegistries(stdout, "")
+		return 0
 	}
 
 	// The service modes are standalone processes: they take no simulation
 	// flags (the coordinator never simulates; the worker gets its configs
 	// from leased points).
-	if *serveSpec != "" && *workerSpec != "" {
-		fmt.Fprintln(os.Stderr, "swsim: -serve and -worker are separate processes (start one of each)")
-		os.Exit(2)
-	}
-	if *serveSpec != "" {
-		runServe(*serveSpec)
-		return
-	}
-	if *workerSpec != "" {
-		runWorker(*workerSpec)
-		return
+	switch {
+	case *serveSpec != "" && *workerSpec != "":
+		return exit(2, "-serve and -worker are separate processes (start one of each)")
+	case *serveSpec != "":
+		return runServe(*serveSpec, stderr)
+	case *workerSpec != "":
+		return runWorker(*workerSpec, stderr)
 	}
 
 	cfg := core.DefaultConfig(*k, *n, *lambda)
@@ -155,8 +162,7 @@ func main() {
 	if *shape != "" {
 		spec, ok := fault.PaperFig5Shape(*shape)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "swsim: unknown shape %q (rect|T|plus|L|U)\n", *shape)
-			os.Exit(2)
+			return exit(2, "unknown shape %q (rect|T|plus|L|U)", *shape)
 		}
 		cfg.Faults.Shapes = []core.ShapeStamp{{Spec: spec, DimA: 0, DimB: 1}}
 	}
@@ -164,12 +170,10 @@ func main() {
 	// Validate the flag combination fully before -merge mutates the
 	// checkpoint journal: a rejected invocation must have no side effects.
 	if *wlOut != "" && (*findSat || *sweepGrid != "") {
-		fmt.Fprintln(os.Stderr, "swsim: -workload-out applies to single-point runs only")
-		os.Exit(2)
+		return exit(2, "-workload-out applies to single-point runs only")
 	}
 	if *findSat && *sweepGrid != "" {
-		fmt.Fprintln(os.Stderr, "swsim: -find-sat and -sweep are mutually exclusive (the search picks its own λ probes)")
-		os.Exit(2)
+		return exit(2, "-find-sat and -sweep are mutually exclusive (the search picks its own λ probes)")
 	}
 	mode := sweepcli.Point
 	switch {
@@ -178,117 +182,116 @@ func main() {
 	case *findSat:
 		mode = sweepcli.Search
 	}
-	door, err := sweepFlags.Validate("swsim", mode, os.Stderr)
+	door, err := sweepFlags.Validate("swsim", mode, stderr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
-		os.Exit(2)
+		return exit(2, "%v", err)
 	}
 	var grid []float64
 	if *sweepGrid != "" {
 		grid, err = parseGrid(*sweepGrid)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
-			os.Exit(2)
+			return exit(2, "%v", err)
 		}
 	}
 	topoNet, err := topology.NewNetwork(cfg.Topology)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
-		os.Exit(2)
+		return exit(2, "%v", err)
 	}
 	ew, warn, err := resolveEngineWorkers(*engWorkers, topoNet.Nodes(), *findSat || *sweepGrid != "")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
-		os.Exit(2)
+		return exit(2, "%v", err)
 	}
 	if warn != "" {
-		fmt.Fprintf(os.Stderr, "swsim: warning: %s\n", warn)
+		fmt.Fprintf(stderr, "swsim: warning: %s\n", warn)
 	}
 	cfg.Workers = ew
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := startProfiles(*cpuprofile, *memprofile, stderr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
-		os.Exit(2)
+		return exit(2, "%v", err)
 	}
 	defer stopProfiles()
 
 	runPlan, err := door.Open()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
-		os.Exit(1)
+		return exit(1, "%v", err)
 	}
 	switch {
 	case door.MergeOnly:
-		return
+		return 0
 	case *findSat:
-		runFindSat(cfg, door.Local, *satFactor, *quiet, *jsonOut)
-		return
+		return runFindSat(cfg, door.Local, *satFactor, *quiet, *jsonOut, stdout, stderr)
 	case *sweepGrid != "":
-		runSweepGrid(cfg, grid, runPlan, *quiet, *jsonOut)
-		return
+		return runSweepGrid(cfg, grid, runPlan, *quiet, *jsonOut, stdout, stderr)
 	}
 
 	start := time.Now()
 	res, err := core.Run(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
-		os.Exit(1)
+		return exit(1, "%v", err)
 	}
 	elapsed := time.Since(start)
 
 	if *wlOut != "" {
 		f, err := os.Create(*wlOut)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
-			os.Exit(1)
+			return exit(1, "%v", err)
 		}
 		werr := captured.Write(f)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
 		if werr != nil {
-			fmt.Fprintf(os.Stderr, "swsim: writing workload: %v\n", werr)
-			os.Exit(1)
+			return exit(1, "writing workload: %v", werr)
 		}
-		fmt.Fprintf(os.Stderr, "swsim: captured %d workload records to %s\n", captured.Len(), *wlOut)
+		fmt.Fprintf(stderr, "swsim: captured %d workload records to %s\n", captured.Len(), *wlOut)
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(struct {
 			Config   core.Config
 			Results  any
 			WallTime string
 		}{cfg, res, elapsed.Round(time.Millisecond).String()}); err != nil {
-			fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
-			os.Exit(1)
+			return exit(1, "%v", err)
 		}
-		return
+		return 0
 	}
 
 	if !*quiet {
-		fmt.Printf("# %s, %s routing, V=%d, M=%d flits, λ=%g, traffic=%s, pattern=%s, faults=%d%s\n",
+		fmt.Fprintf(stdout, "# %s, %s routing, V=%d, M=%d flits, λ=%g, traffic=%s, pattern=%s, faults=%d%s\n",
 			cfg.Topology, *alg, *v, *m, *lambda, cfg.TrafficSpec(), cfg.PatternSpec(), *faults, shapeNote(*shape))
-		fmt.Printf("# wall time: %v, simulated cycles: %d\n", elapsed.Round(time.Millisecond), res.Cycles)
-		fmt.Println(csvHeader)
+		fmt.Fprintf(stdout, "# wall time: %v, simulated cycles: %d\n", elapsed.Round(time.Millisecond), res.Cycles)
+		fmt.Fprintln(stdout, csvHeader)
 	}
-	fmt.Println(csvRow(*lambda, res))
+	fmt.Fprintln(stdout, csvRow(*lambda, res))
 	if cfg.FaultSchedule != "" {
 		if !*quiet {
-			fmt.Println(chaosHeader)
+			fmt.Fprintln(stdout, chaosHeader)
 		}
-		fmt.Println(chaosRow(res))
+		fmt.Fprintln(stdout, chaosRow(res))
+	}
+	return 0
+}
+
+// exiter returns the function a mode ends with when it refuses a command
+// line (code 2) or a run fails (code 1): the message goes to stderr, the
+// code back to main.
+func exiter(stderr io.Writer) func(code int, format string, a ...any) int {
+	return func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "swsim: "+format+"\n", a...)
+		return code
 	}
 }
 
 // startProfiles begins CPU profiling and arranges the end-of-run heap
 // profile, both optional (empty path = off). The returned stop function
-// flushes them; main defers it, so the profiles survive every normal exit
-// path — error paths that os.Exit skip the flush, as in go test. The heap
-// profile is taken after a forced GC so it shows live retained memory (the
-// arena, link tables, buffers), not collected garbage.
-func startProfiles(cpu, mem string) (func(), error) {
+// flushes them; run defers it, so the profiles survive every exit path,
+// failed runs included. The heap profile is taken after a forced GC so it
+// shows live retained memory (the arena, link tables, buffers), not
+// collected garbage.
+func startProfiles(cpu, mem string, stderr io.Writer) (func(), error) {
 	var cpuFile *os.File
 	if cpu != "" {
 		f, err := os.Create(cpu)
@@ -305,13 +308,13 @@ func startProfiles(cpu, mem string) (func(), error) {
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
 			if err := cpuFile.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "swsim: closing cpu profile: %v\n", err)
+				fmt.Fprintf(stderr, "swsim: closing cpu profile: %v\n", err)
 			}
 		}
 		if mem != "" {
 			f, err := os.Create(mem)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
+				fmt.Fprintf(stderr, "swsim: %v\n", err)
 				return
 			}
 			runtime.GC()
@@ -320,7 +323,7 @@ func startProfiles(cpu, mem string) (func(), error) {
 				werr = cerr
 			}
 			if werr != nil {
-				fmt.Fprintf(os.Stderr, "swsim: writing heap profile: %v\n", werr)
+				fmt.Fprintf(stderr, "swsim: writing heap profile: %v\n", werr)
 			}
 		}
 	}, nil
@@ -405,35 +408,35 @@ func parseRange(s string) (lo, hi, step float64, err error) {
 // door (locally or on the coordinator fleet — the rows are byte-identical
 // either way) and prints rows in grid order. Points owned by other shards
 // (and absent from the checkpoint) are omitted from the output.
-func runSweepGrid(base core.Config, grid []float64, runPlan func(sweep.Plan) ([]core.PointResult, error), quiet, jsonOut bool) {
+func runSweepGrid(base core.Config, grid []float64, runPlan func(sweep.Plan) ([]core.PointResult, error), quiet, jsonOut bool, stdout, stderr io.Writer) int {
 	plan := sweep.Plan{Name: "swsim", Points: make([]core.Point, len(grid))}
 	for i, l := range grid {
 		cfg := base
 		cfg.Lambda = l
 		plan.Points[i] = core.Point{Label: fmt.Sprintf("swsim|l%g", l), Config: cfg}
 	}
+	exit := exiter(stderr)
 	start := time.Now()
 	results, err := runPlan(plan)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
-		os.Exit(1)
+		return exit(1, "%v", err)
 	}
 	if !quiet && !jsonOut {
-		fmt.Printf("# %s, %s routing, V=%d, M=%d flits, traffic=%s, pattern=%s, faults=%d: %d-point sweep (wall time %v)\n",
+		fmt.Fprintf(stdout, "# %s, %s routing, V=%d, M=%d flits, traffic=%s, pattern=%s, faults=%d: %d-point sweep (wall time %v)\n",
 			base.Topology, base.AlgorithmName(), base.V, base.MsgLen,
 			base.TrafficSpec(), base.PatternSpec(), base.Faults.RandomNodes,
 			len(grid), time.Since(start).Round(time.Millisecond))
-		fmt.Println(csvHeader)
+		fmt.Fprintln(stdout, csvHeader)
 	}
-	enc := json.NewEncoder(os.Stdout)
-	failed := 0
+	enc := json.NewEncoder(stdout)
+	code := 0
 	for i, pr := range results {
 		if errors.Is(pr.Err, sweep.ErrSkipped) {
 			continue
 		}
 		if pr.Err != nil {
-			failed++
-			fmt.Fprintf(os.Stderr, "swsim: point %s: %v\n", pr.Label, pr.Err)
+			code = 1
+			fmt.Fprintf(stderr, "swsim: point %s: %v\n", pr.Label, pr.Err)
 			continue
 		}
 		if jsonOut {
@@ -441,53 +444,50 @@ func runSweepGrid(base core.Config, grid []float64, runPlan func(sweep.Plan) ([]
 				Config  core.Config
 				Results metrics.Results
 			}{pr.Config, pr.Results}); err != nil {
-				fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
-				os.Exit(1)
+				return exit(1, "%v", err)
 			}
 			continue
 		}
-		fmt.Println(csvRow(grid[i], pr.Results))
+		fmt.Fprintln(stdout, csvRow(grid[i], pr.Results))
 	}
-	if failed > 0 {
-		os.Exit(1)
-	}
+	return code
 }
 
 // runFindSat bisects for the saturation λ of the configured point.
-func runFindSat(base core.Config, opt sweep.Options, factor float64, quiet, jsonOut bool) {
+func runFindSat(base core.Config, opt sweep.Options, factor float64, quiet, jsonOut bool, stdout, stderr io.Writer) int {
+	exit := exiter(stderr)
 	sat, err := sweep.FindSaturation("swsim", base, sweep.SaturationOptions{
 		Factor: factor,
 		Run:    opt,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
-		os.Exit(1)
+		return exit(1, "%v", err)
 	}
 	if !sat.Converged {
-		fmt.Fprintf(os.Stderr, "swsim: warning: probe budget exhausted; bracket [%.6g, %.6g] is wider than requested\n", sat.Lo, sat.Hi)
+		fmt.Fprintf(stderr, "swsim: warning: probe budget exhausted; bracket [%.6g, %.6g] is wider than requested\n", sat.Lo, sat.Hi)
 	}
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(sat); err != nil {
-			fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
-			os.Exit(1)
+			return exit(1, "%v", err)
 		}
-		return
+		return 0
 	}
 	if !quiet {
-		fmt.Printf("# %s, %s routing, V=%d, M=%d flits: saturation search (%d probes)\n",
+		fmt.Fprintf(stdout, "# %s, %s routing, V=%d, M=%d flits: saturation search (%d probes)\n",
 			base.Topology, base.AlgorithmName(), base.V, base.MsgLen, len(sat.Probes))
 		for _, pr := range sat.Probes {
 			note := ""
 			if pr.Results.Saturated {
 				note = " (saturated)"
 			}
-			fmt.Printf("#   probe λ=%-10.6g latency %.1f%s\n", pr.Config.Lambda, pr.Results.MeanLatency, note)
+			fmt.Fprintf(stdout, "#   probe λ=%-10.6g latency %.1f%s\n", pr.Config.Lambda, pr.Results.MeanLatency, note)
 		}
-		fmt.Println("saturation_lambda,bracket_lo,bracket_hi,zero_load_latency,threshold")
+		fmt.Fprintln(stdout, "saturation_lambda,bracket_lo,bracket_hi,zero_load_latency,threshold")
 	}
-	fmt.Printf("%.6g,%.6g,%.6g,%.2f,%.2f\n", sat.Lambda, sat.Lo, sat.Hi, sat.ZeroLoad, sat.Threshold)
+	fmt.Fprintf(stdout, "%.6g,%.6g,%.6g,%.2f,%.2f\n", sat.Lambda, sat.Lo, sat.Hi, sat.ZeroLoad, sat.Threshold)
+	return 0
 }
 
 // resolveEngineWorkers turns the -engine-workers spec into a concrete

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -13,19 +12,44 @@ import (
 	"repro/internal/core"
 )
 
+// The goldens under testdata/ were recorded from the swsim binary of the
+// commit before main became run(args, stdout, stderr) (070c164): they pin
+// that program's output and must not be regenerated from this code.
+func TestGoldenOutput(t *testing.T) {
+	for name, args := range map[string][]string{
+		"point":    {"-q", "-k", "8", "-n", "2", "-v", "4", "-lambda", "0.004", "-faults", "3", "-warmup", "100", "-measure", "1000"},
+		"sweep":    {"-q", "-k", "4", "-n", "2", "-warmup", "100", "-measure", "500", "-sweep", "0.002,0.004"},
+		"chaos":    {"-q", "-k", "8", "-n", "2", "-v", "4", "-warmup", "200", "-measure", "2000", "-faults-schedule", "mtbf:mtbf=3000,mttr=400,elems=mixed"},
+		"find-sat": {"-q", "-find-sat", "-k", "4", "-n", "2", "-warmup", "50", "-measure", "500"},
+		"list":     {"-list"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 0 || stdout.String() != string(want) {
+				t.Errorf("exit %d, stdout differs from testdata/%s.golden:\n%s\nstderr:\n%s", code, name, &stdout, &stderr)
+			}
+		})
+	}
+}
+
 // TestRejectedInvocationHasNoSideEffects: every flag rule is checked
 // before -merge appends to the checkpoint, so a refused command line
 // (exit 2) leaves the journal byte-identical, or absent.
 func TestRejectedInvocationHasNoSideEffects(t *testing.T) {
 	dir := t.TempDir()
-	exe := filepath.Join(dir, "swsim")
-	if out, err := exec.Command("go", "build", "-o", exe, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	swsim := func(args ...string) (int, string) {
+		var out bytes.Buffer
+		code := run(args, &out, &out)
+		return code, out.String()
 	}
 	grid := []string{"-q", "-k", "4", "-n", "2", "-warmup", "20", "-measure", "100", "-sweep", "0.002,0.004"}
 	shard := filepath.Join(dir, "s0.jsonl")
-	if out, err := exec.Command(exe, append(grid, "-shard", "0/2", "-checkpoint", shard)...).CombinedOutput(); err != nil {
-		t.Fatalf("shard run: %v\n%s", err, out)
+	if code, out := swsim(append(grid, "-shard", "0/2", "-checkpoint", shard)...); code != 0 {
+		t.Fatalf("shard run: exit %d\n%s", code, out)
 	}
 	ckpt := filepath.Join(dir, "all.jsonl")
 	seed, err := os.ReadFile(shard)
@@ -53,9 +77,8 @@ func TestRejectedInvocationHasNoSideEffects(t *testing.T) {
 				}
 			}
 			before, _ := os.ReadFile(ckpt)
-			out, err := exec.Command(exe, append(tc.args, "-checkpoint", ckpt, "-merge", shard)...).CombinedOutput()
-			if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), tc.stderr) {
-				t.Errorf("%s: err %v, want exit 2 mentioning %q\n%s", tc.name, err, tc.stderr, out)
+			if code, out := swsim(append(tc.args, "-checkpoint", ckpt, "-merge", shard)...); code != 2 || !strings.Contains(out, tc.stderr) {
+				t.Errorf("%s: exit %d, want exit 2 mentioning %q\n%s", tc.name, code, tc.stderr, out)
 			}
 			after, err := os.ReadFile(ckpt)
 			if existing && (err != nil || !bytes.Equal(before, after)) {
@@ -67,8 +90,26 @@ func TestRejectedInvocationHasNoSideEffects(t *testing.T) {
 		}
 	}
 	// The accepted merge-and-exit flow does write it.
-	if out, err := exec.Command(exe, "-checkpoint", ckpt, "-merge", shard).CombinedOutput(); err != nil || !strings.Contains(string(out), "merged into") {
-		t.Fatalf("merge-and-exit: %v\n%s", err, out)
+	if code, out := swsim("-checkpoint", ckpt, "-merge", shard); code != 0 || !strings.Contains(out, "merged into") {
+		t.Fatalf("merge-and-exit: exit %d\n%s", code, out)
+	}
+}
+
+// TestProfilesFlushedOnFailedRun: a run that fails after the profiles
+// started (exit 1) still writes them — the flush is deferred in run, and
+// no error path leaves through os.Exit.
+func TestProfilesFlushedOnFailedRun(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "heap.pprof")
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-q", "-k", "4", "-n", "2", "-v", "1", "-cpuprofile", cpu, "-memprofile", mem}, &stdout, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), "needs V >= 2") {
+		t.Fatalf("exit %d, want 1 from Validate\n%s", code, &stderr)
+	}
+	for _, f := range []string{cpu, mem} {
+		if fi, err := os.Stat(f); err != nil || fi.Size() == 0 {
+			t.Errorf("%s not written on the failed run: %v", filepath.Base(f), err)
+		}
 	}
 }
 

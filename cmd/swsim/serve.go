@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -61,74 +62,69 @@ func signalCtx() (context.Context, context.CancelFunc) {
 // runServe is swsim -serve: the long-running coordinator.
 //
 //	swsim -serve 'addr=:8080,checkpoint=coord.jsonl,lease=15s,retries=3'
-func runServe(spec string) {
+func runServe(spec string, stderr io.Writer) int {
+	exit := exiter(stderr)
 	kv, err := parseKV("serve", spec, "addr", "checkpoint", "lease", "retries")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
-		os.Exit(2)
+		return exit(2, "%v", err)
 	}
 	addr := kv["addr"]
 	if addr == "" {
 		addr = ":8080"
 	}
-	opt := coord.ServerOptions{Checkpoint: kv["checkpoint"], Now: time.Now, Log: os.Stderr}
+	opt := coord.ServerOptions{Checkpoint: kv["checkpoint"], Now: time.Now, Log: stderr}
 	if opt.Checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "swsim: -serve requires checkpoint= (the journal completed records append to)")
-		os.Exit(2)
+		return exit(2, "-serve requires checkpoint= (the journal completed records append to)")
 	}
 	if v := kv["lease"]; v != "" {
 		if opt.LeaseTTL, err = time.ParseDuration(v); err != nil || opt.LeaseTTL <= 0 {
-			fmt.Fprintf(os.Stderr, "swsim: -serve: bad lease=%q (want a positive duration like 15s)\n", v)
-			os.Exit(2)
+			return exit(2, "-serve: bad lease=%q (want a positive duration like 15s)", v)
 		}
 	}
 	opt.MaxRetries = -1 // default unless retries= says otherwise (0 is meaningful: fail on first expiry)
 	if v := kv["retries"]; v != "" {
 		if opt.MaxRetries, err = strconv.Atoi(v); err != nil || opt.MaxRetries < 0 {
-			fmt.Fprintf(os.Stderr, "swsim: -serve: bad retries=%q (want an integer >= 0)\n", v)
-			os.Exit(2)
+			return exit(2, "-serve: bad retries=%q (want an integer >= 0)", v)
 		}
 	}
 
 	s, err := coord.NewServer(opt)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
-		os.Exit(1)
+		return exit(1, "%v", err)
 	}
 	hs := &http.Server{Addr: addr, Handler: s.Handler()}
 	ctx, stop := signalCtx()
 	defer stop()
 	go func() {
 		<-ctx.Done()
-		fmt.Fprintln(os.Stderr, "swsim: coordinator shutting down")
+		fmt.Fprintln(stderr, "swsim: coordinator shutting down")
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = hs.Shutdown(shutdownCtx)
 	}()
-	fmt.Fprintf(os.Stderr, "swsim: coordinator listening on %s (journal %s)\n", addr, opt.Checkpoint)
+	fmt.Fprintf(stderr, "swsim: coordinator listening on %s (journal %s)\n", addr, opt.Checkpoint)
 	err = hs.ListenAndServe()
 	if cerr := s.Close(); err == nil || errors.Is(err, http.ErrServerClosed) {
 		err = cerr
 	}
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
-		os.Exit(1)
+		return exit(1, "%v", err)
 	}
+	return 0
 }
 
 // runWorker is swsim -worker: the pull loop that leases points from a
 // coordinator and simulates them.
 //
 //	swsim -worker 'url=http://host:8080,name=w1,exit=drain'
-func runWorker(spec string) {
+func runWorker(spec string, stderr io.Writer) int {
+	exit := exiter(stderr)
 	kv, err := parseKV("worker", spec, "url", "name", "exit", "stall", "engine-workers")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
-		os.Exit(2)
+		return exit(2, "%v", err)
 	}
 	if kv["url"] == "" {
-		fmt.Fprintln(os.Stderr, "swsim: -worker requires url= (the coordinator address)")
-		os.Exit(2)
+		return exit(2, "-worker requires url= (the coordinator address)")
 	}
 	name := kv["name"]
 	if name == "" {
@@ -138,33 +134,30 @@ func runWorker(spec string) {
 		}
 		name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	w := &coord.Worker{Client: coord.NewClient(kv["url"]), Name: name, Log: os.Stderr}
+	w := &coord.Worker{Client: coord.NewClient(kv["url"]), Name: name, Log: stderr}
 	switch kv["exit"] {
 	case "", "never":
 	case "drain":
 		w.ExitOnDrain = true
 	default:
-		fmt.Fprintf(os.Stderr, "swsim: -worker: bad exit=%q (want drain or never)\n", kv["exit"])
-		os.Exit(2)
+		return exit(2, "-worker: bad exit=%q (want drain or never)", kv["exit"])
 	}
 	if v := kv["stall"]; v != "" {
 		if w.Stall, err = time.ParseDuration(v); err != nil || w.Stall < 0 {
-			fmt.Fprintf(os.Stderr, "swsim: -worker: bad stall=%q (want a duration like 5s)\n", v)
-			os.Exit(2)
+			return exit(2, "-worker: bad stall=%q (want a duration like 5s)", v)
 		}
 	}
 	if v := kv["engine-workers"]; v != "" {
 		if w.EngineWorkers, err = strconv.Atoi(v); err != nil || w.EngineWorkers < 0 {
-			fmt.Fprintf(os.Stderr, "swsim: -worker: bad engine-workers=%q (want an integer >= 0)\n", v)
-			os.Exit(2)
+			return exit(2, "-worker: bad engine-workers=%q (want an integer >= 0)", v)
 		}
 	}
 	ctx, stop := signalCtx()
 	defer stop()
 	n, err := w.Run(ctx)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "swsim: worker %s: %v (after %d points)\n", name, err, n)
-		os.Exit(1)
+		return exit(1, "worker %s: %v (after %d points)", name, err, n)
 	}
-	fmt.Fprintf(os.Stderr, "swsim: worker %s: done (%d points)\n", name, n)
+	fmt.Fprintf(stderr, "swsim: worker %s: done (%d points)\n", name, n)
+	return 0
 }

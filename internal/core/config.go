@@ -123,34 +123,13 @@ type Config struct {
 	// the paper's assumption (g)); CreditDelay the credit return time
 	// (default 1). Ablation knobs for wire-dominated designs.
 	LinkLatency, CreditDelay int64
-	// DenseScan disables the engine's active-set scheduler and visits
-	// every router every cycle. Benchmark/ablation knob: results are
-	// bit-identical either way, only wall-clock cost differs. Implies
-	// DenseVCScan.
-	DenseScan bool
-	// DenseVCScan disables the walk over each visited router's lane sets
-	// and probes all Ports()×V input lanes per busy router.
-	// Benchmark/ablation knob mirroring DenseScan: results are
-	// bit-identical either way, only wall-clock cost differs.
-	DenseVCScan bool
-	// NoLinkCache disables the engine's precomputed per-link geometry
-	// table and dispatches through the topology interface per flit.
-	// Benchmark/ablation knob: results are bit-identical either way, only
-	// Step cost differs.
-	NoLinkCache bool
-	// NoArena disables the message arena and allocates every message on
-	// the garbage-collected heap, as the engine originally did.
-	// Benchmark/ablation knob mirroring DenseScan/NoLinkCache: results are
-	// bit-identical either way, only allocation behaviour differs.
-	NoArena bool
-	// GlobalRNG restores the legacy VC-selection rng: one engine-wide
-	// stream consumed in router-iteration order instead of the per-router
-	// streams that are now the default. Reference/ablation knob. Unlike
-	// the knobs above it changes the draw sequence — each mode is
-	// bit-identical to itself across every scheduler/worker-independent
-	// knob, not to the other mode — so it IS part of the experiment
-	// description (and of sweep identity). Incompatible with Workers > 1.
-	GlobalRNG bool
+	// Retired ablation knobs: each selected a predecessor of the engine's one
+	// scheduler, link lookup, message arena or rng mode, and selects nothing
+	// now — Validate rejects a config that sets one. The names (and their
+	// place in the serialised config, hence in every sweep.PointID) remain
+	// only because the frozen bench/ module copies them
+	// (bench/engine.go:165,188-189); they go with the bench/ unfreeze.
+	DenseScan, DenseVCScan, NoLinkCache, NoArena, GlobalRNG bool
 	// Workers is the engine's stepping-domain count: >1 partitions the
 	// routers into contiguous node-range domains stepped by a worker pool
 	// under a compute/commit barrier. Results are bit-identical for any
@@ -257,8 +236,17 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Td and Delta must be >= 0")
 	case c.Workers < 0:
 		return fmt.Errorf("core: Workers must be >= 0, got %d", c.Workers)
-	case c.GlobalRNG && c.Workers > 1:
-		return fmt.Errorf("core: GlobalRNG (one serial rng stream) is incompatible with Workers > 1")
+	}
+	for _, knob := range []struct {
+		name string
+		set  bool
+	}{
+		{"DenseScan", c.DenseScan}, {"DenseVCScan", c.DenseVCScan}, {"NoLinkCache", c.NoLinkCache},
+		{"NoArena", c.NoArena}, {"GlobalRNG", c.GlobalRNG},
+	} {
+		if knob.set {
+			return fmt.Errorf("core: %s is retired and selects nothing; leave it unset", knob.name)
+		}
 	}
 	if err := c.validateWorkload(net); err != nil {
 		return err

@@ -10,7 +10,10 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/message"
+	"repro/internal/metrics"
+	"repro/internal/network"
 	"repro/internal/rng"
+	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -55,6 +58,45 @@ func TestValidate(t *testing.T) {
 			t.Errorf("mutation %d accepted", i)
 		}
 	}
+}
+
+// TestRetiredKnobsRejected: the five ablation-knob names survive only as
+// compile surface for bench/, and setting one is an error at every layer
+// that still declares it, never a silent no-op.
+func TestRetiredKnobsRejected(t *testing.T) {
+	for name, set := range map[string]func(*Config){
+		"DenseScan":   func(c *Config) { c.DenseScan = true },
+		"DenseVCScan": func(c *Config) { c.DenseVCScan = true },
+		"NoLinkCache": func(c *Config) { c.NoLinkCache = true },
+		"NoArena":     func(c *Config) { c.NoArena = true },
+		"GlobalRNG":   func(c *Config) { c.GlobalRNG = true },
+	} {
+		c := DefaultConfig(4, 2, 0.003)
+		set(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s = true: Validate = %v, want an error naming the field", name, err)
+		}
+	}
+	panics := func(what string, f func()) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	panics("message.NewPool(n, true)", func() { message.NewPool(2, true) })
+	tor := topology.New(4, 2)
+	fs := fault.NewSet(tor)
+	alg, err := routing.New("det", tor, fs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := network.DefaultParams(2)
+	p.DenseScan = true
+	panics("network.New with Params.DenseScan", func() {
+		network.New(tor, fs, alg, nil, metrics.NewCollector(0), p, rng.New(1))
+	})
 }
 
 // TestNonFiniteSpecParametersRejected pins the one place numbers enter a

@@ -125,7 +125,7 @@ func NewEngine(c Config) (*Engine, error) {
 	sources := fs.HealthyNodes()
 	// One pool serves the source (allocation) and the engine (resolution,
 	// recycling); see message.Pool for the determinism contract.
-	pool := message.NewPool(t.N(), c.NoArena)
+	pool := message.NewPool(t.N(), false)
 	gen, err := buildWorkload(c, t, fs, mode, pool, r.Split(1))
 	if err != nil {
 		return nil, err
@@ -139,11 +139,6 @@ func NewEngine(c Config) (*Engine, error) {
 		NoReinjectPriority: c.NoReinjectPriority,
 		LinkLatency:        c.LinkLatency,
 		CreditDelay:        c.CreditDelay,
-		DenseScan:          c.DenseScan,
-		DenseVCScan:        c.DenseVCScan,
-		NoLinkCache:        c.NoLinkCache,
-		NoArena:            c.NoArena,
-		GlobalRNG:          c.GlobalRNG,
 		Workers:            c.Workers,
 		Pool:               pool,
 	}

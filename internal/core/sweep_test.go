@@ -2,7 +2,9 @@ package core
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/message"
@@ -91,6 +93,65 @@ func TestEngineWorkerPanicBecomesPointError(t *testing.T) {
 	}
 	if !strings.Contains(r.Err.Error(), "panic in worker 1") {
 		t.Fatalf("error does not say which worker panicked: %v", r.Err)
+	}
+}
+
+// countingRouter is a routing instance that counts its Route calls and takes
+// its time over each.
+type countingRouter struct {
+	routing.Router
+	calls *atomic.Int64
+}
+
+func (r countingRouter) Route(node topology.NodeID, m *message.Message) routing.Decision {
+	r.calls.Add(1)
+	time.Sleep(time.Millisecond)
+	return r.Router.Route(node, m)
+}
+
+// TestEngineWorkerZeroPanicWaitsForWorkers: when the stepping goroutine's
+// own worker panics (the first routing instance of a Workers=3 point), the
+// panic must still wait at the barrier — it reaches the point's Err naming
+// worker 0, and once the point has returned no other worker is still
+// stepping the abandoned engine.
+func TestEngineWorkerZeroPanicWaitsForWorkers(t *testing.T) {
+	var calls atomic.Int64
+	run := func(Config) (metrics.Results, error) {
+		tor := topology.New(4, 2)
+		fs := fault.NewSet(tor)
+		alg, err := routing.New("det", tor, fs, 2)
+		if err != nil {
+			return metrics.Results{}, err
+		}
+		p := network.DefaultParams(2)
+		p.Workers = 3
+		p.AlgFactory = func() (routing.Router, error) {
+			a, err := routing.New("det", tor, fs, 2)
+			return countingRouter{a, &calls}, err
+		}
+		nw := network.New(tor, fs, panickyRouter{alg}, nil, metrics.NewCollector(0), p, rng.New(1))
+		for src := topology.NodeID(0); int(src) < tor.Nodes(); src++ { // every domain has work
+			dst := (src + 5) % topology.NodeID(tor.Nodes())
+			nw.Enqueue(src, message.New(uint64(src), src, dst, 4, tor.N(), alg.BaseMode(), 0))
+		}
+		nw.Step()
+		return metrics.Results{}, nil
+	}
+	r := RunPointFunc(Point{Label: "poisoned", Config: DefaultConfig(4, 2, 0.01)}, run)
+	after := calls.Load()
+	if r.Err == nil || !strings.Contains(r.Err.Error(), "boom in worker") {
+		t.Fatalf("worker panic not surfaced as the point's error: %v", r.Err)
+	}
+	if !strings.Contains(r.Err.Error(), "panic in worker 0") {
+		t.Errorf("error does not say which worker panicked: %.80s", r.Err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	now := calls.Load()
+	if now != after {
+		t.Errorf("workers still stepping after the point returned: %d Route calls then, %d now", after, now)
+	}
+	if now == 0 {
+		t.Error("the other workers never routed: the test does not exercise the barrier")
 	}
 }
 

@@ -212,46 +212,6 @@ func (s *Set) Disconnects() bool {
 	return reached != healthy
 }
 
-// PlaneConnected reports whether the healthy nodes of the given 2-D plane
-// form a connected subgraph using only in-plane links. SW-Based-2D rerouting
-// operates within a plane, so plane connectivity is the natural sufficient
-// condition for guaranteed in-plane delivery; the routing layer has an
-// out-of-plane escape for the (rare) violation.
-func (s *Set) PlaneConnected(pl topology.Plane) bool {
-	nodes := pl.Nodes()
-	healthy := make(map[topology.NodeID]bool)
-	var start topology.NodeID = -1
-	for _, id := range nodes {
-		if !s.node[id] {
-			healthy[id] = true
-			if start < 0 {
-				start = id
-			}
-		}
-	}
-	if start < 0 {
-		return false
-	}
-	seen := map[topology.NodeID]bool{start: true}
-	queue := []topology.NodeID{start}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, dimDir := range [][2]int{{pl.DimA, 1}, {pl.DimA, -1}, {pl.DimB, 1}, {pl.DimB, -1}} {
-			port := topology.PortFor(dimDir[0], topology.Dir(dimDir[1]))
-			if s.LinkFaulty(cur, port) {
-				continue
-			}
-			nb := s.t.Neighbor(cur, dimDir[0], topology.Dir(dimDir[1]))
-			if healthy[nb] && !seen[nb] {
-				seen[nb] = true
-				queue = append(queue, nb)
-			}
-		}
-	}
-	return len(seen) == len(healthy)
-}
-
 // PathFaultFree reports whether every node and hop of path is healthy.
 // The first node is exempt from the node check when exemptFirst is set (a
 // message can depart from the node it currently occupies).

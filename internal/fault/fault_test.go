@@ -189,28 +189,6 @@ func TestPathFaultFree(t *testing.T) {
 	}
 }
 
-func TestPlaneConnected(t *testing.T) {
-	tor := topology.New(8, 3)
-	s := NewSet(tor)
-	base := tor.FromCoords([]int{0, 0, 2})
-	pl := tor.PlaneThrough(base, 0, 1)
-	if !s.PlaneConnected(pl) {
-		t.Fatal("fault-free plane reported disconnected")
-	}
-	// Ring of faults around (4,4) inside the plane isolates it.
-	for _, c := range [][]int{{3, 4}, {5, 4}, {4, 3}, {4, 5}} {
-		s.MarkNode(pl.Node(c[0], c[1]))
-	}
-	if s.PlaneConnected(pl) {
-		t.Fatal("plane with isolated node reported connected")
-	}
-	// A different parallel plane is unaffected.
-	other := tor.PlaneThrough(tor.FromCoords([]int{0, 0, 5}), 0, 1)
-	if !s.PlaneConnected(other) {
-		t.Fatal("unrelated plane affected")
-	}
-}
-
 func TestPropertyRandomNeverDisconnects(t *testing.T) {
 	tor := topology.New(8, 2)
 	if err := quick.Check(func(seed uint64, nfRaw uint8) bool {

@@ -14,7 +14,6 @@ type Region struct {
 	t topology.Network
 	// Nodes are the member faulty nodes, ascending.
 	Nodes []topology.NodeID
-	set   map[topology.NodeID]bool
 }
 
 // Regions coalesces the fault set's failed nodes into maximal connected
@@ -29,14 +28,13 @@ func (s *Set) Regions() []*Region {
 			continue
 		}
 		// BFS across faulty nodes only.
-		reg := &Region{t: s.t, set: make(map[topology.NodeID]bool)}
+		reg := &Region{t: s.t}
 		queue := []topology.NodeID{seed}
 		visited[seed] = true
 		for len(queue) > 0 {
 			cur := queue[0]
 			queue = queue[1:]
 			reg.Nodes = append(reg.Nodes, cur)
-			reg.set[cur] = true
 			for d := 0; d < s.t.N(); d++ {
 				for _, dir := range []topology.Dir{topology.Plus, topology.Minus} {
 					nb := s.t.Neighbor(cur, d, dir)
@@ -57,24 +55,6 @@ func (s *Set) Regions() []*Region {
 	return regions
 }
 
-// RegionOf returns the coalesced region containing node id, or nil if id is
-// healthy. It is a convenience over Regions for one-off queries; hot paths
-// should precompute a node -> region index (see Index).
-func (s *Set) RegionOf(id topology.NodeID) *Region {
-	if !s.node[id] {
-		return nil
-	}
-	for _, r := range s.Regions() {
-		if r.Contains(id) {
-			return r
-		}
-	}
-	return nil
-}
-
-// Contains reports whether id belongs to the region.
-func (r *Region) Contains(id topology.NodeID) bool { return r.set[id] }
-
 // Size returns the number of faulty nodes in the region.
 func (r *Region) Size() int { return len(r.Nodes) }
 
@@ -91,14 +71,6 @@ func (iv Interval) Len(k int) int {
 		return iv.Hi - iv.Lo + 1
 	}
 	return (k - iv.Lo) + iv.Hi + 1
-}
-
-// ContainsCoord reports whether coordinate c lies in the interval.
-func (iv Interval) ContainsCoord(c int) bool {
-	if !iv.Wraps {
-		return c >= iv.Lo && c <= iv.Hi
-	}
-	return c >= iv.Lo || c <= iv.Hi
 }
 
 // Extent returns the minimal ring interval covering the region's coordinates

@@ -21,15 +21,14 @@ func TestRegionsCoalesceAdjacent(t *testing.T) {
 	if regs[0].Size()+regs[1].Size() != 3 {
 		t.Fatalf("region sizes wrong")
 	}
-	// RegionOf builds fresh Region values per call, so compare membership,
-	// not pointers.
-	if !s.RegionOf(a1).Contains(a2) {
+	idx := NewIndex(s)
+	if idx.Of(a1) != idx.Of(a2) {
 		t.Error("adjacent faults in different regions")
 	}
-	if s.RegionOf(a1).Contains(b) {
+	if idx.Of(a1) == idx.Of(b) {
 		t.Error("distant fault coalesced")
 	}
-	if s.RegionOf(tor.FromCoords([]int{0, 0})) != nil {
+	if idx.Of(tor.FromCoords([]int{0, 0})) != nil {
 		t.Error("healthy node has a region")
 	}
 }
@@ -51,7 +50,7 @@ func TestRegionsCoalesceAcrossWrap(t *testing.T) {
 	if ext.Len(8) != 2 {
 		t.Fatalf("extent len = %d, want 2", ext.Len(8))
 	}
-	if !ext.ContainsCoord(7) || !ext.ContainsCoord(0) || ext.ContainsCoord(3) {
+	if ext.Lo != 7 || ext.Hi != 0 {
 		t.Fatalf("extent membership wrong: %+v", ext)
 	}
 }

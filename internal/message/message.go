@@ -50,18 +50,6 @@ func (m Mode) String() string {
 	return "adaptive"
 }
 
-// FlitType distinguishes the pipeline positions of a worm.
-type FlitType uint8
-
-const (
-	// HeadFlit carries the header and reserves channels.
-	HeadFlit FlitType = iota
-	// BodyFlit follows the head through reserved channels.
-	BodyFlit
-	// TailFlit releases channels as it passes.
-	TailFlit
-)
-
 // tailBit marks the tail flit in Flit's packed seq word, so IsTail needs no
 // pool lookup.
 const tailBit = 1 << 31
@@ -70,9 +58,8 @@ const tailBit = 1 << 31
 // owning message's pool Ref and the flit's sequence number (tail flag packed
 // into the top bit). Flits exist only inside router buffers; Seq runs
 // 0 (head) .. Len-1 (tail). Single-flit messages have a flit that is
-// simultaneously head and tail; Type() reports HeadFlit for it and callers
-// check IsTail separately. Because a Flit holds no pointer, buffered flits
-// are invisible to the garbage collector.
+// simultaneously head and tail. Because a Flit holds no pointer, buffered
+// flits are invisible to the garbage collector.
 type Flit struct {
 	ref Ref
 	seq uint32
@@ -93,18 +80,6 @@ func (f Flit) Ref() Ref { return f.ref }
 
 // Seq returns the flit's position in the worm (0 = head).
 func (f Flit) Seq() int { return int(f.seq &^ tailBit) }
-
-// Type classifies the flit by position.
-func (f Flit) Type() FlitType {
-	switch {
-	case f.seq&^tailBit == 0:
-		return HeadFlit
-	case f.seq&tailBit != 0:
-		return TailFlit
-	default:
-		return BodyFlit
-	}
-}
 
 // IsHead reports whether this is the header flit.
 func (f Flit) IsHead() bool { return f.seq&^tailBit == 0 }
@@ -246,20 +221,8 @@ func (m *Message) Target() topology.NodeID {
 	return m.Dst
 }
 
-// AtFinal reports whether node is the message's final destination.
-func (m *Message) AtFinal(node topology.NodeID) bool { return node == m.Dst }
-
 // PushVia adds an intermediate destination on top of the stack.
 func (m *Message) PushVia(v topology.NodeID) { m.Via = append(m.Via, v) }
-
-// PopVia removes the top intermediate destination. It panics if the stack is
-// empty — popping without a via is a routing-layer bug.
-func (m *Message) PopVia() {
-	if len(m.Via) == 0 {
-		panic("message: PopVia on empty via stack")
-	}
-	m.Via = m.Via[:len(m.Via)-1]
-}
 
 // PopViasAt pops every via entry equal to node (the message may have been
 // handed a chain whose corner it reached).

@@ -9,13 +9,13 @@ import (
 func TestFlitTypes(t *testing.T) {
 	pool := NewPool(2, false)
 	m := pool.New(1, 0, 5, 4, Deterministic, 0)
-	if m.Flit(0).Type() != HeadFlit || !m.Flit(0).IsHead() {
+	if f := m.Flit(0); !f.IsHead() || f.IsTail() {
 		t.Error("flit 0 should be head")
 	}
-	if m.Flit(1).Type() != BodyFlit {
+	if f := m.Flit(1); f.IsHead() || f.IsTail() {
 		t.Error("flit 1 should be body")
 	}
-	if m.Flit(3).Type() != TailFlit || !m.Flit(3).IsTail() {
+	if f := m.Flit(3); f.IsHead() || !f.IsTail() {
 		t.Error("flit 3 should be tail")
 	}
 	single := pool.New(2, 0, 5, 1, Adaptive, 0)
@@ -58,24 +58,14 @@ func TestViaStack(t *testing.T) {
 	if m.Target() != 7 {
 		t.Fatalf("target = %d, want top via 7", m.Target())
 	}
-	m.PopVia()
+	m.PopViasAt(7)
 	if m.Target() != 3 {
 		t.Fatalf("target = %d, want 3", m.Target())
 	}
-	m.PopVia()
+	m.PopViasAt(3)
 	if m.Target() != 9 {
 		t.Fatalf("target = %d, want final 9 after pops", m.Target())
 	}
-}
-
-func TestPopViaEmptyPanics(t *testing.T) {
-	m := New(1, 0, 9, 4, 2, Deterministic, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PopVia on empty stack did not panic")
-		}
-	}()
-	m.PopVia()
 }
 
 func TestPopViasAt(t *testing.T) {
@@ -107,17 +97,6 @@ func TestResetForReinjection(t *testing.T) {
 	}
 	if !m.Reversed[1] || m.DirOverride[1] != topology.Minus {
 		t.Error("rerouting decision must survive re-injection")
-	}
-}
-
-func TestAtFinalIgnoresVia(t *testing.T) {
-	m := New(1, 0, 9, 4, 2, Deterministic, 0)
-	m.PushVia(3)
-	if m.AtFinal(3) {
-		t.Error("via node is not the final destination")
-	}
-	if !m.AtFinal(9) {
-		t.Error("final destination not recognised")
 	}
 }
 

@@ -28,48 +28,38 @@ const chunkSize = 256
 // Recycling preserves determinism by construction: slot assignment is a
 // LIFO over the free-list, every allocation and free happens at a fixed
 // point of the simulation's sequential event order, and no engine decision
-// ever reads a Ref's numeric value — so arena and no-arena runs take
-// bit-identical trajectories (see Config.NoArena and TestArenaMatchesHeap).
-//
-// With noArena set, Free still recycles slots but never storage: every New
-// gets a fresh heap Message, reproducing the collected-per-message
-// behaviour the arena replaces (the ablation baseline).
+// ever reads a Ref's numeric value.
 type Pool struct {
-	n       int
-	noArena bool
 	// slots maps Ref -> live message; freed slots hold nil until reused.
 	slots []*Message
 	// freeSlots is the LIFO free-list of slot indices.
 	freeSlots []Ref
-	// freeMsgs holds recycled arena-owned Message storage (empty in
-	// noArena mode).
+	// freeMsgs holds recycled arena-owned Message storage.
 	freeMsgs []*Message
 	live     int
 	chunks   int
 }
 
 // NewPool builds a pool for messages of an n-dimensional network. noArena
-// selects the heap ablation path (fresh Message per New, nothing recycled
-// but the slot table).
+// selected the retired heap path and must be false; the parameter remains
+// only because the frozen bench/ module passes it (bench/engine.go:165,
+// bench/kernels.go:75,214,248) and goes with the bench/ unfreeze.
 func NewPool(n int, noArena bool) *Pool {
 	if n < 1 || n > MaxDims {
 		panic(fmt.Sprintf("message: pool dimensionality %d outside [1,%d]", n, MaxDims))
 	}
-	return &Pool{n: n, noArena: noArena}
+	if noArena {
+		panic("message: the heap path (noArena) is retired; pass false")
+	}
+	return &Pool{}
 }
-
-// Dims returns the dimensionality the pool was built for.
-func (p *Pool) Dims() int { return p.n }
-
-// NoArena reports whether the pool runs the heap ablation path.
-func (p *Pool) NoArena() bool { return p.noArena }
 
 // Live returns the number of registered (allocated or adopted, not yet
 // freed) messages.
 func (p *Pool) Live() int { return p.live }
 
-// Chunks returns how many arena chunks have been allocated (0 in noArena
-// mode) — growth observability for tests and profiling.
+// Chunks returns how many arena chunks have been allocated — growth
+// observability for tests and profiling.
 func (p *Pool) Chunks() int { return p.chunks }
 
 // Cap returns the slot-table size: the high-water mark of simultaneously
@@ -77,9 +67,9 @@ func (p *Pool) Chunks() int { return p.chunks }
 func (p *Pool) Cap() int { return len(p.slots) }
 
 // New allocates and initialises a message of length flits from src to dst,
-// registered in the pool. In arena mode the storage comes from the
-// free-list (growing the arena by a chunk when exhausted) and the Via
-// backing store is retained from the slot's previous occupant.
+// registered in the pool. The storage comes from the free-list (growing the
+// arena by a chunk when exhausted) and the Via backing store is retained
+// from the slot's previous occupant.
 func (p *Pool) New(id uint64, src, dst topology.NodeID, length int, mode Mode, createdAt int64) *Message {
 	if length < 1 {
 		panic(fmt.Sprintf("message: length must be >= 1, got %d", length))
@@ -97,18 +87,14 @@ func (p *Pool) New(id uint64, src, dst topology.NodeID, length int, mode Mode, c
 		},
 		CreatedAt:   createdAt,
 		DeliveredAt: -1,
-		owned:       !p.noArena,
+		owned:       true,
 	}
 	p.bind(m)
 	return m
 }
 
-// take produces uninitialised message storage: recycled, freshly grown, or
-// (noArena) a fresh heap allocation.
+// take produces uninitialised message storage, recycled or freshly grown.
 func (p *Pool) take() *Message {
-	if p.noArena {
-		return &Message{}
-	}
 	if n := len(p.freeMsgs); n > 0 {
 		m := p.freeMsgs[n-1]
 		p.freeMsgs[n-1] = nil

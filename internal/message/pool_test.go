@@ -42,23 +42,6 @@ func TestPoolRecyclesStorageAndSlots(t *testing.T) {
 	}
 }
 
-func TestPoolNoArenaFreshStorage(t *testing.T) {
-	p := NewPool(2, true)
-	m1 := p.New(1, 0, 5, 4, Deterministic, 0)
-	ref1, _ := m1.Ref()
-	p.Free(ref1)
-	m2 := p.New(2, 0, 5, 4, Deterministic, 0)
-	if m2 == m1 {
-		t.Fatal("noArena pool recycled storage")
-	}
-	if ref2, _ := m2.Ref(); ref2 != ref1 {
-		t.Fatalf("noArena pool must still recycle slots: ref %d, want %d", ref2, ref1)
-	}
-	if p.Chunks() != 0 {
-		t.Fatalf("noArena pool allocated %d arena chunks", p.Chunks())
-	}
-}
-
 func TestPoolViaBackingRetained(t *testing.T) {
 	p := NewPool(2, false)
 	m := p.New(1, 0, 5, 4, Deterministic, 0)

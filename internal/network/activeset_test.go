@@ -1,89 +1,73 @@
 package network
 
 import (
+	"fmt"
 	"math/bits"
-	"reflect"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/rng"
+	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
-// TestActiveSetMatchesDenseScan is the scheduler's equivalence proof at
-// the event level: the active-set engine and the dense-scan engine must
-// produce the exact same trace — every injection, hop, stop, re-injection
-// and delivery at the same cycle — for the same seed, across routing
-// algorithms and fault patterns. Anything weaker (just comparing final
-// means) could hide reordered rng draws that cancel out on average.
-func TestActiveSetMatchesDenseScan(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		alg  string
-		nf   int
-	}{
-		{"det-faultfree", "det", 0},
-		{"det-faults", "det", 6},
-		{"adaptive-faults", "adaptive", 6},
-		{"valiant-faults", "valiant", 4},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			run := func(dense bool) ([]trace.Event, metrics.Results) {
-				tor := topology.New(8, 2)
-				fs := fault.NewSet(tor)
-				if tc.nf > 0 {
-					var err error
-					fs, err = fault.Random(tor, tc.nf, rng.New(77), fault.DefaultRandomOptions())
-					if err != nil {
-						t.Fatal(err)
+// TestSchedulerSetsCoverWork checks, after every Step of every golden-matrix
+// cell, the invariants that let the phases walk sets instead of scanning:
+// a router buffering flits is in its domain's active set, its flit counter
+// is the sum of its lane lengths, its active-lane set is exactly the
+// non-empty lanes, and a parked lane holds an unrouted front. Both levels
+// are walked in ascending order — the order of a dense nested scan — so a
+// set that covers the work visits what the scan would, in the same order.
+func TestSchedulerSetsCoverWork(t *testing.T) {
+	for _, c := range goldenMatrix {
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
+				parked := 0
+				runGolden(t, c, workers, func(nw *Network) {
+					active := activeSet(nw)
+					for id := range nw.routers {
+						rt := &nw.routers[id]
+						if rt.Flits > 0 && !active[id] {
+							t.Fatalf("cycle %d node %d: %d buffered flits on a retired router", nw.Now(), id, rt.Flits)
+						}
+						listed := 0
+						for _, l := range rt.Lanes() {
+							if rt.Len(l) == 0 {
+								t.Fatalf("cycle %d node %d lane %d: empty, yet in the active-lane set", nw.Now(), id, l)
+							}
+							listed++
+						}
+						buffering, sum := 0, 0
+						for l := range rt.In {
+							lane := router.Lane(l)
+							n := rt.Len(lane)
+							sum += n
+							if n > 0 {
+								buffering++
+							}
+							if rt.Blocked(lane) {
+								parked++
+								if n == 0 || rt.HasRoute(lane) {
+									t.Fatalf("cycle %d node %d lane %d: parked with %d flits, routed: %v", nw.Now(), id, l, n, rt.HasRoute(lane))
+								}
+							}
+						}
+						if listed != buffering {
+							t.Fatalf("cycle %d node %d: %d lanes buffer flits, the active-lane set holds %d of them", nw.Now(), id, buffering, listed)
+						}
+						if sum != rt.Flits {
+							t.Fatalf("cycle %d node %d: Flits = %d, lanes hold %d", nw.Now(), id, rt.Flits, sum)
+						}
 					}
+				})
+				if parked == 0 && c.name == "torus-adaptive-saturated" {
+					t.Error("past saturation, yet no lane was ever seen parked")
 				}
-				alg, err := routing.New(tc.alg, tor, fs, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rec := trace.NewRecorder()
-				r := rng.New(123)
-				gen := poissonSource(tor, fs, 0.004, 16, alg.BaseMode(), traffic.NewUniform(fs), r.Split(1))
-				col := metrics.NewCollector(0)
-				p := DefaultParams(4)
-				p.Tracer = rec
-				p.DenseScan = dense
-				nw := New(tor, fs, alg, gen, col, p, r.Split(2))
-				for nw.Now() < 4000 {
-					nw.Step()
-				}
-				nw.StopGeneration()
-				for !nw.Idle() && nw.Now() < 400_000 {
-					nw.Step()
-				}
-				if !nw.Idle() {
-					t.Fatal("network did not drain")
-				}
-				return rec.All(), col.Finalize(nw.Now(), len(fs.HealthyNodes()), false)
-			}
-			evActive, resActive := run(false)
-			evDense, resDense := run(true)
-			if len(evActive) == 0 {
-				t.Fatal("no events traced")
-			}
-			if len(evActive) != len(evDense) {
-				t.Fatalf("event counts differ: active-set %d, dense %d", len(evActive), len(evDense))
-			}
-			for i := range evActive {
-				if evActive[i] != evDense[i] {
-					t.Fatalf("event %d differs:\nactive-set: %+v\ndense-scan: %+v",
-						i, evActive[i], evDense[i])
-				}
-			}
-			if !reflect.DeepEqual(resActive, resDense) {
-				t.Fatalf("results differ:\nactive-set: %+v\ndense-scan: %+v", resActive, resDense)
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package network
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -20,13 +23,13 @@ import (
 // rewrite, and every later engine change, preserves the event sequence.
 type goldenCase struct {
 	name   string
-	net    func() topology.Network
+	net    func(*testing.T) topology.Network
 	alg    string
 	v      int
 	nf     int
 	lambda float64
 	td     int64
-	sched  string // fault-schedule spec; "" for a static run
+	sched  string // fault-schedule spec ($TRACE: a file holding goldenTrace); "" for a static run
 	golden uint64
 }
 
@@ -55,6 +58,17 @@ var goldenMatrix = []goldenCase{
 	{"torus-det-delta5", torus8, "det", 4, 6, 0.004, 0, "", 0x24e403bbf100f558},
 	{"torus-adaptive-lat3-cred2", torus8, "adaptive", 4, 6, 0.004, 0, "", 0x7409126e901b5c2f},
 	{"torus-det-noreinjectprio", torus8, "det", 4, 6, 0.01, 0, "", 0x1d920c251669f2fe},
+	// Recorded from PR 20's parent, the last engine that could be checked
+	// against a dense-scanning copy of itself: the two environments of that
+	// check (mesh edges with absorption; a non-uniform latmap, so arrivals
+	// are inserted at their due position), the remaining topology kind and
+	// registered algorithms, and a trace: schedule.
+	{"mesh-det-faulted", mesh8, "det", 4, 4, 0.004, 0, "", 0x1992c81039ccbfac},
+	{"latmap-torus-det", latmapTorus, "det", 4, 0, 0.02, 0, "", 0x4a80c86ffe4e36ac},
+	{"hypercube-det-faulted", hypercube6, "det", 4, 4, 0.004, 0, "", 0x264e8dd8e634fbf2},
+	{"torus-negfirst-faulted", torus8, "negative-first", 4, 6, 0.004, 0, "", 0x8f97e007f24a90e2},
+	{"torus-valiant-adaptive-faulted", torus8, "valiant-adaptive", 4, 6, 0.004, 0, "", 0x99681a9c2521a430},
+	{"torus-adaptive-trace", torus8, "adaptive", 4, 3, 0.008, 0, "trace:file=$TRACE", 0xf40e25376ccb11a3},
 }
 
 // goldenKnobs holds, by cell name, the Params settings the goldenCase
@@ -67,17 +81,29 @@ var goldenKnobs = map[string]func(*Params){
 	"torus-det-noreinjectprio":  func(p *Params) { p.NoReinjectPriority = true },
 }
 
-func torus8() topology.Network  { return topology.New(8, 2) }
-func torus4() topology.Network  { return topology.New(4, 2) }
-func torus24() topology.Network { return topology.New(24, 2) }
-func mesh8() topology.Network   { return topology.NewMesh(8, 2) }
+func torus8(*testing.T) topology.Network  { return topology.New(8, 2) }
+func torus4(*testing.T) topology.Network  { return topology.New(4, 2) }
+func torus24(*testing.T) topology.Network { return topology.New(24, 2) }
+func mesh8(*testing.T) topology.Network   { return topology.NewMesh(8, 2) }
+
+func hypercube6(t *testing.T) topology.Network {
+	net, err := topology.NewNetwork("hypercube:n=6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// goldenTrace is the schedule file of the trace: cell — a link, then a
+// node, failing and healing inside the generation window.
+const goldenTrace = "1000,fail,link,9,0\n1600,heal,link,9,0\n2200,fail,node,27\n2800,heal,node,27\n"
 
 // runGolden drives one matrix cell: 3000 cycles of Poisson traffic, then a
 // drain, on the given number of engine workers, calling check (when
 // non-nil) after every Step.
 func runGolden(t *testing.T, c goldenCase, workers int, check func(*Network)) []trace.Event {
 	t.Helper()
-	net := c.net()
+	net := c.net(t)
 	fs := fault.NewSet(net)
 	if c.nf > 0 {
 		var err error
@@ -118,7 +144,15 @@ func runGolden(t *testing.T, c goldenCase, workers int, check func(*Network)) []
 	}
 	engine := r.Split(2) // before the schedule stream, as core.NewEngine does
 	if c.sched != "" {
-		p.Schedule, err = fault.NewSchedule(c.sched, fault.ScheduleEnv{
+		spec := c.sched
+		if strings.Contains(spec, "$TRACE") {
+			file := filepath.Join(t.TempDir(), "events.csv")
+			if err := os.WriteFile(file, []byte(goldenTrace), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			spec = strings.Replace(spec, "$TRACE", file, 1)
+		}
+		p.Schedule, err = fault.NewSchedule(spec, fault.ScheduleEnv{
 			T: net, Base: fs, R: r.Split(rng.ScheduleLabel()),
 		})
 		if err != nil {
@@ -146,12 +180,12 @@ func runGolden(t *testing.T, c goldenCase, workers int, check func(*Network)) []
 }
 
 // TestGoldenTraceMatrix holds every matrix cell to its pinned hash on the
-// serial engine and on three worker domains (an odd count, so domain
-// bounds fall mid-row).
+// serial engine, on three worker domains (an odd count, so domain bounds
+// fall mid-row) and on eight.
 func TestGoldenTraceMatrix(t *testing.T) {
 	for _, c := range goldenMatrix {
 		t.Run(c.name, func(t *testing.T) {
-			for _, workers := range []int{1, 3} {
+			for _, workers := range []int{1, 3, 8} {
 				ev := runGolden(t, c, workers, nil)
 				if len(ev) == 0 {
 					t.Fatal("no events traced")

@@ -19,8 +19,7 @@
 // Messages live in a message.Pool: every queue, stream and buffered flit
 // carries a compact message.Ref instead of a pointer, and delivery/drop
 // returns the message to the pool — so a steady-state Step allocates
-// nothing (see the BenchmarkStep* suite and Config.NoArena for the heap
-// ablation).
+// nothing (core.TestStepAllocatesNothing).
 package network
 
 import (
@@ -71,37 +70,12 @@ type Params struct {
 	// Default 1 (visible the next cycle); larger values model pipelined
 	// credit return paths.
 	CreditDelay int64
-	// DenseScan disables the active-set scheduler and visits every router
-	// every cycle, as the engine originally did. Ablation/benchmark knob:
-	// results are bit-identical either way, only Step cost differs.
-	// Implies DenseVCScan: a dense router scan always scans lanes densely.
-	DenseScan bool
-	// DenseVCScan stops the phases walking the set bits of a router's
-	// lane sets and has them probe all Ports()×V input lanes of every
-	// visited router instead, as a dense nested scan would.
-	// Ablation/benchmark knob mirroring DenseScan: results are
-	// bit-identical either way, only Step cost differs.
-	DenseVCScan bool
-	// NoLinkCache disables the engine's precomputed per-link geometry
-	// table and queries the topology interface on every flit transfer
-	// instead. Benchmark/ablation knob guarding the topology-seam
-	// refactor: results are bit-identical either way, only the dispatch
-	// cost differs.
-	NoLinkCache bool
-	// NoArena selects the heap message path: the engine's pool hands out a
-	// fresh garbage-collected Message per allocation instead of recycling
-	// arena storage. Benchmark/ablation knob in the DenseScan family:
-	// results are bit-identical either way, only allocation behaviour
-	// differs. Ignored when Pool is set (the pool carries its own mode).
-	NoArena bool
-	// GlobalRNG restores the legacy VC-selection rng: one engine-wide
-	// stream consumed in router-iteration order, as the engine drew before
-	// per-router streams became the default. Ablation/reference knob in
-	// the DenseScan family. The draw *sequence* necessarily differs from
-	// the per-router default (each mode is bit-identical to itself across
-	// every scheduler knob, not to the other mode), and a global stream
-	// cannot be consumed concurrently, so GlobalRNG requires Workers <= 1.
-	GlobalRNG bool
+	// Retired ablation knobs: each selected a predecessor of the engine's one
+	// scheduler, link lookup, message arena or rng mode, and selects nothing
+	// now — New panics when one is set. The names remain only because the
+	// frozen bench/ module copies them (bench/engine.go:188-189); they go
+	// with the bench/ unfreeze.
+	DenseScan, DenseVCScan, NoLinkCache, NoArena, GlobalRNG bool
 	// Workers is the number of stepping domains: the routers are split
 	// into this many contiguous node-id ranges, each stepped by its own
 	// worker under a compute/commit barrier (see parallel.go). <= 1 runs
@@ -247,10 +221,9 @@ type Network struct {
 	r       *rng.Stream
 
 	// rngs holds each router's VC-selection stream, derived from the
-	// engine stream via Split(rng.RouterLabel(id)) at construction. Under
-	// the GlobalRNG ablation every entry aliases the one engine stream, so
-	// the hot path is branch-free either way. Per-router ownership is what
-	// lets domains draw concurrently without perturbing each other.
+	// engine stream via Split(rng.RouterLabel(id)) at construction.
+	// Per-router ownership is what lets domains draw concurrently without
+	// perturbing each other.
 	rngs []*rng.Stream
 
 	// sw is the serial stepping context: the one worker whose domain is
@@ -278,12 +251,6 @@ type Network struct {
 	// empty a queue and leave the flag set for one more visit — which is
 	// unobservable: active-set membership never reaches a result.
 	soft []bool
-
-	// vcTrack selects the scheduler's second level: a router's phases walk
-	// the set bits of its lane sets (see internal/router) instead of
-	// probing all Ports()×V lanes. Off under either dense knob. The first
-	// level — the active-router set — lives in the workers (worker.act).
-	vcTrack bool
 
 	// Dynamic-fault state (nil/zero for static runs): the schedule driving
 	// transitions, the mutable view over f, and the algorithm's base
@@ -319,9 +286,12 @@ func New(t topology.Network, f *fault.Set, alg routing.Router, gen traffic.Sourc
 	if p.CreditDelay < 1 {
 		p.CreditDelay = 1
 	}
+	if p.DenseScan || p.DenseVCScan || p.NoLinkCache || p.NoArena || p.GlobalRNG {
+		panic("network: DenseScan, DenseVCScan, NoLinkCache, NoArena and GlobalRNG are retired and select nothing; leave them unset")
+	}
 	pool := p.Pool
 	if pool == nil {
-		pool = message.NewPool(t.N(), p.NoArena)
+		pool = message.NewPool(t.N(), false)
 	}
 	n := &Network{
 		t: t, f: f, alg: alg, p: p, pool: pool,
@@ -334,7 +304,6 @@ func New(t topology.Network, f *fault.Set, alg routing.Router, gen traffic.Sourc
 		rrInj:   make([]int, t.Nodes()),
 		soft:    make([]bool, t.Nodes()),
 	}
-	n.vcTrack = !p.DenseScan && !p.DenseVCScan
 	// A node never runs more than V injection streams (one per injection
 	// VC), so every per-node stream slice is carved from one backing array
 	// at its full capacity; likewise the software queues start as small
@@ -352,17 +321,8 @@ func New(t topology.Network, f *fault.Set, alg routing.Router, gen traffic.Sourc
 	}
 	n.buildLinkTable()
 	n.rngs = make([]*rng.Stream, t.Nodes())
-	if p.GlobalRNG {
-		if p.Workers > 1 {
-			panic("network: GlobalRNG is one stream consumed in router-iteration order and cannot be drawn concurrently; use Workers <= 1")
-		}
-		for id := range n.rngs {
-			n.rngs[id] = r
-		}
-	} else {
-		for id := range n.rngs {
-			n.rngs[id] = r.Split(rng.RouterLabel(id))
-		}
+	for id := range n.rngs {
+		n.rngs[id] = r.Split(rng.RouterLabel(id))
 	}
 	if p.Schedule != nil {
 		n.sched = p.Schedule
@@ -395,7 +355,7 @@ func (nw *Network) buildLinkTable() {
 }
 
 // queryLink resolves the geometry of the channel leaving node through port
-// from the topology interface.
+// from the topology interface, for the link table.
 func (nw *Network) queryLink(node topology.NodeID, port topology.Port) link {
 	dim, dir := port.Dim(), port.Dir()
 	lat := nw.t.LinkLatency(node, port)
@@ -410,14 +370,10 @@ func (nw *Network) queryLink(node topology.NodeID, port topology.Port) link {
 	}
 }
 
-// linkFor resolves the geometry of the channel leaving node through port:
-// from the precomputed table, or through the topology interface when the
-// NoLinkCache ablation knob is set.
+// linkFor returns the link-table entry of the channel leaving node through
+// port.
 func (nw *Network) linkFor(node topology.NodeID, port topology.Port) link {
-	if !nw.p.NoLinkCache {
-		return nw.links[int(node)*nw.degree+int(port)]
-	}
-	return nw.queryLink(node, port)
+	return nw.links[int(node)*nw.degree+int(port)]
 }
 
 // markSoft records that something was pushed on one of the node's software
@@ -560,7 +516,7 @@ func (w *worker) visit(node topology.NodeID) bool {
 	nw := w.nw
 	rt := &nw.routers[node]
 	if rt.Flits > 0 {
-		if !nw.vcTrack || rt.Words() > 1 {
+		if rt.Words() > 1 {
 			w.routeNode(node, rt)
 			w.switchNode(node, rt)
 		} else {
@@ -581,21 +537,12 @@ func (w *worker) visit(node topology.NodeID) bool {
 }
 
 // routeNode takes the routing decisions of one router: every lane whose
-// front is an unrouted, unblocked head (router.RouteWord). With the per-VC
-// scheduler it walks the set bits; the dense-VC ablation probes all
-// Ports()×V lanes. Both orders are ascending lane = port-major/VC-minor,
-// so rng draws are identical.
+// front is an unrouted, unblocked head (router.RouteWord), walking the set
+// bits in ascending lane = port-major/VC-minor order — the order rng draws
+// are taken in.
 //
 //simlint:phase compute
 func (w *worker) routeNode(node topology.NodeID, rt *router.Router) {
-	if !w.nw.vcTrack {
-		for l := range rt.In {
-			if rt.RouteWord(l>>6)>>(uint(l)&63)&1 != 0 {
-				w.allocateLane(node, rt, router.Lane(l))
-			}
-		}
-		return
-	}
 	for i := 0; i < rt.Words(); i++ {
 		for m := rt.RouteWord(i); m != 0; m &= m - 1 {
 			w.allocateLane(node, rt, router.Lane(i<<6+bits.TrailingZeros64(m)))
@@ -687,24 +634,13 @@ func (w *worker) allocateLane(node topology.NodeID, rt *router.Router, lane rout
 //
 //simlint:phase compute
 func (w *worker) switchNode(node topology.NodeID, rt *router.Router) {
-	nw := w.nw
 	for i := range w.buckets {
 		w.buckets[i] = w.buckets[i][:0]
 	}
-	// Buffered, routed lanes (router.SwitchWord), ascending: the set bits
-	// under the per-VC scheduler, a probe of every lane under the dense-VC
-	// ablation.
-	if !nw.vcTrack {
-		for l := range rt.In {
-			if rt.SwitchWord(l>>6)>>(uint(l)&63)&1 != 0 {
-				w.gatherLane(node, rt, router.Lane(l))
-			}
-		}
-	} else {
-		for i := 0; i < rt.Words(); i++ {
-			for m := rt.SwitchWord(i); m != 0; m &= m - 1 {
-				w.gatherLane(node, rt, router.Lane(i<<6+bits.TrailingZeros64(m)))
-			}
+	// Buffered, routed lanes (router.SwitchWord), ascending.
+	for i := 0; i < rt.Words(); i++ {
+		for m := rt.SwitchWord(i); m != 0; m &= m - 1 {
+			w.gatherLane(node, rt, router.Lane(i<<6+bits.TrailingZeros64(m)))
 		}
 	}
 	// Network output channels: one flit per physical channel per cycle,

@@ -36,8 +36,8 @@ package network
 // receiver's events in the one-domain relative order (sender-ascending,
 // same due-position insertion), and the remaining same-cycle effects
 // (credit increments, pushes to distinct lanes) commute. Together these
-// make the engine bit-identical for any worker count — the same contract
-// every scheduler ablation honors, enforced by TestParallelMatchesSerial.
+// make the engine bit-identical for any worker count, enforced by
+// TestParallelMatchesSerial and TestGoldenTraceMatrix.
 import (
 	"fmt"
 	"math/bits"
@@ -114,7 +114,7 @@ type worker struct {
 	// software-layer flag down). Each domain owns whole words, so no two
 	// goroutines ever share one. Phase A walks the bits in ascending node
 	// order — the order of a dense scan, which is what makes the scheduler
-	// rng-transparent. With Params.DenseScan every bit stays set.
+	// rng-transparent.
 	act []uint64
 
 	alg routing.Router
@@ -147,11 +147,6 @@ type worker struct {
 func newWorker(nw *Network, id int, direct bool, lo, hi topology.NodeID, alg routing.Router) *worker {
 	w := &worker{nw: nw, id: id, direct: direct, loNode: lo, hiNode: hi, alg: alg}
 	w.act = make([]uint64, (int(hi-lo)+63)/64)
-	if nw.p.DenseScan {
-		for n := lo; n < hi; n++ {
-			w.mark(n)
-		}
-	}
 	lanes := (nw.degree + 1) * nw.p.V
 	backing := make([]router.Lane, nw.degree*lanes)
 	w.buckets = make([][]router.Lane, nw.degree)
@@ -276,40 +271,50 @@ func (w *worker) stageArrival(ev arrivalEvent) {
 	w.outArr[d] = append(w.outArr[d], ev)
 }
 
+// barrier collects the panics of one phase's workers (one heap object per
+// phase).
+type barrier struct {
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	first error
+}
+
+// run executes f on w, keeping the first panic of the phase.
+func (b *barrier) run(w *worker, f func(*worker)) {
+	defer func() {
+		if v := recover(); v != nil {
+			b.mu.Lock()
+			if b.first == nil {
+				b.first = fmt.Errorf("network: panic in worker %d: %v\n%s", w.id, v, debug.Stack())
+			}
+			b.mu.Unlock()
+		}
+	}()
+	f(w)
+}
+
 // runParallel executes f on every worker, worker 0 on the calling
 // goroutine — for the serial engine that is all there is. Goroutines are
 // spawned per phase: the engine holds no long-lived workers, so abandoned
 // engines (sweep instances) need no shutdown and the serial engine pays
-// nothing. A panic in a spawned worker is caught there, and the first one
-// is raised again on the stepping goroutine after the barrier, where the
-// caller's recover (core.runPointSafe) can see it.
+// nothing. A panic in any worker, worker 0 included, is caught where it
+// happens, and the first one is raised again on the stepping goroutine
+// after the barrier — where the caller's recover (core.runPointSafe) can
+// see it, and when no goroutine is stepping the engine any more.
 func (nw *Network) runParallel(f func(*worker)) {
 	if len(nw.doms) == 1 {
 		f(nw.doms[0])
 		return
 	}
-	var b struct { // one heap object per phase
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first error
-	}
+	b := new(barrier)
 	for _, w := range nw.doms[1:] {
 		b.wg.Add(1)
 		go func(w *worker) {
 			defer b.wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					b.mu.Lock()
-					if b.first == nil {
-						b.first = fmt.Errorf("network: panic in worker %d: %v\n%s", w.id, v, debug.Stack())
-					}
-					b.mu.Unlock()
-				}
-			}()
-			f(w)
+			b.run(w, f)
 		}(w)
 	}
-	f(nw.doms[0])
+	b.run(nw.doms[0], f)
 	b.wg.Wait()
 	if b.first != nil {
 		panic(b.first)
@@ -323,10 +328,9 @@ func (nw *Network) runParallel(f func(*worker)) {
 //
 //simlint:phase compute
 func (w *worker) phaseA() {
-	dense := w.nw.p.DenseScan
 	for i, m := range w.act {
 		for ; m != 0; m &= m - 1 {
-			if !w.visit(w.loNode+topology.NodeID(i<<6+bits.TrailingZeros64(m))) && !dense {
+			if !w.visit(w.loNode + topology.NodeID(i<<6+bits.TrailingZeros64(m))) {
 				w.act[i] &^= m & -m
 			}
 		}

@@ -75,10 +75,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 // TestParallelMatchesSerialAblations crosses the parallel engine with the
-// scheduler/storage ablation bits and the timing knobs, on the two
-// environments that exercise every conditional the knobs gate (a faulted
-// mesh and a torus with a non-uniform per-link latency overlay): at
-// workers=4, every knob combination must reproduce its own serial trace.
+// timing knobs, on a faulted mesh and a torus with a non-uniform per-link
+// latency overlay (mesh edges, absorption/re-injection, due-ordered arrival
+// staging): at workers=4, each timing setting must reproduce its own serial
+// trace.
 func TestParallelMatchesSerialAblations(t *testing.T) {
 	for _, env := range []struct {
 		name string
@@ -90,13 +90,8 @@ func TestParallelMatchesSerialAblations(t *testing.T) {
 		{"latmap-torus", latmapTorus, "det", 0},
 	} {
 		t.Run(env.name, func(t *testing.T) {
-			for knobs := 0; knobs < 8; knobs++ {
-				dense := knobs&1 != 0
-				denseVC := knobs&2 != 0
-				timing := knobs&4 != 0 // Td/Δ/link/credit delays + priority off
-				name := fmt.Sprintf("dense=%v,denseVC=%v,timing=%v", dense, denseVC, timing)
+			for _, timing := range []bool{false, true} { // Td/Δ/link/credit delays + priority off
 				apply := func(p *Params) {
-					p.DenseScan, p.DenseVCScan = dense, denseVC
 					if timing {
 						p.Td, p.Delta = 1, 2
 						p.LinkLatency, p.CreditDelay = 2, 2
@@ -115,7 +110,7 @@ func TestParallelMatchesSerialAblations(t *testing.T) {
 					parTweak(p)
 					apply(p)
 				})
-				assertSameRun(t, evS, evP, resS, resP, name)
+				assertSameRun(t, evS, evP, resS, resP, fmt.Sprintf("timing=%v", timing))
 			}
 		})
 	}

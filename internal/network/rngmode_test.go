@@ -42,58 +42,3 @@ func TestPerRouterRNGGolden(t *testing.T) {
 			"if intentional, update the golden and the ARCHITECTURE.md migration note)", h, golden)
 	}
 }
-
-// TestGlobalRNGSelfEquivalent proves the legacy-rng ablation honors the
-// same schedule-transparency contract as every other knob: with GlobalRNG
-// set, the active-set and dense-scan engines consume the one global stream
-// in the same router-iteration order, so their traces are bit-identical.
-func TestGlobalRNGSelfEquivalent(t *testing.T) {
-	run := func(dense bool) ([]trace.Event, bool) {
-		ev, _ := runTraced(t, topology.New(8, 2), "adaptive", 6, func(p *Params) {
-			p.GlobalRNG = true
-			p.DenseScan = dense
-		})
-		return ev, true
-	}
-	evActive, _ := run(false)
-	evDense, _ := run(true)
-	if len(evActive) == 0 {
-		t.Fatal("no events traced")
-	}
-	if len(evActive) != len(evDense) {
-		t.Fatalf("event counts differ: active-set %d, dense %d", len(evActive), len(evDense))
-	}
-	for i := range evActive {
-		if evActive[i] != evDense[i] {
-			t.Fatalf("event %d differs:\nactive-set: %+v\ndense-scan: %+v", i, evActive[i], evDense[i])
-		}
-	}
-}
-
-// TestGlobalRNGIsADistinctMode documents that the ablation really is the
-// legacy draw order, not an alias of the default: on a run where VC choice
-// matters (adaptive routing around faults), the two modes must diverge.
-func TestGlobalRNGIsADistinctMode(t *testing.T) {
-	evDefault, _ := runTraced(t, topology.New(8, 2), "adaptive", 6, nil)
-	evGlobal, _ := runTraced(t, topology.New(8, 2), "adaptive", 6, func(p *Params) {
-		p.GlobalRNG = true
-	})
-	if traceHash(evDefault) == traceHash(evGlobal) {
-		t.Fatal("GlobalRNG produced the per-router trace; the ablation is not exercising the legacy stream")
-	}
-}
-
-// TestGlobalRNGRejectsWorkers pins the incompatibility: a single global
-// stream cannot be consumed concurrently, so the engine must refuse the
-// combination rather than silently de-parallelise or race.
-func TestGlobalRNGRejectsWorkers(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("GlobalRNG + Workers > 1 did not panic")
-		}
-	}()
-	runTraced(t, topology.New(8, 2), "det", 0, func(p *Params) {
-		p.GlobalRNG = true
-		p.Workers = 2
-	})
-}

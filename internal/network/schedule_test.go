@@ -47,7 +47,7 @@ func runScheduled(t *testing.T, net topology.Network, algName string, nf, worker
 		p.AlgFactory = func() (routing.Router, error) { return routing.New(algName, net, fs, 4) }
 	}
 	p.Schedule = fault.NewTraceSchedule(evs)
-	pool := message.NewPool(net.N(), p.NoArena)
+	pool := message.NewPool(net.N(), false)
 	p.Pool = pool
 	gen, err := traffic.NewSource("poisson", traffic.Env{
 		T: net, F: fs, Sources: fs.HealthyNodes(),

@@ -48,11 +48,9 @@ func runTraced(t *testing.T, net topology.Network, algName string, nf int, tweak
 	if tweak != nil {
 		tweak(&p)
 	}
-	// The params tweak settles NoArena before the shared pool is built, so
-	// arena-mode runs genuinely exercise recycling end-to-end (source
-	// allocation through delivery) rather than Adopt-registering foreign
-	// heap messages.
-	pool := message.NewPool(net.N(), p.NoArena)
+	// One pool for source and engine, as core.NewEngine wires it, so runs
+	// exercise recycling end-to-end (source allocation through delivery).
+	pool := message.NewPool(net.N(), false)
 	p.Pool = pool
 	gen, err := traffic.NewSource("poisson", traffic.Env{
 		T: net, F: fs, Sources: fs.HealthyNodes(),
@@ -121,28 +119,6 @@ func TestTopologyRegistryMatchesDirectTorus(t *testing.T) {
 			evReg, resReg := runTraced(t, reg, tc.alg, tc.nf, nil)
 			evDirect, resDirect := runTraced(t, topology.New(8, 2), tc.alg, tc.nf, nil)
 			assertSameRun(t, evReg, evDirect, resReg, resDirect, "registry vs direct")
-		})
-	}
-}
-
-// TestLinkCacheMatchesDispatch proves the engine's precomputed per-link
-// geometry table is purely an optimisation: with NoLinkCache the engine
-// dispatches through the topology interface per flit, and the traces must
-// stay bit-identical on both topology families.
-func TestLinkCacheMatchesDispatch(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		net  func() topology.Network
-		alg  string
-		nf   int
-	}{
-		{"torus", func() topology.Network { return topology.New(8, 2) }, "det", 6},
-		{"mesh", func() topology.Network { return topology.NewMesh(8, 2) }, "det", 4},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			evCache, resCache := runTraced(t, tc.net(), tc.alg, tc.nf, nil)
-			evDisp, resDisp := runTraced(t, tc.net(), tc.alg, tc.nf, func(p *Params) { p.NoLinkCache = true })
-			assertSameRun(t, evCache, evDisp, resCache, resDisp, "cache vs dispatch")
 		})
 	}
 }

@@ -117,13 +117,6 @@ func (r *Stream) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
-}
-
 // Pareto returns a Pareto-distributed value with the given shape alpha and
 // scale (minimum) xm, via the inverse CDF xm·U^(-1/alpha). Heavy-tailed
 // on/off traffic sources draw their phase durations from it; shapes in

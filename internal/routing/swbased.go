@@ -53,16 +53,6 @@ type Planner struct {
 // pattern in the paper while bounding pathological concave combinations.
 const DefaultEscalation = 6
 
-// NewPlanner builds a planner for the given topology and fault
-// configuration. Algorithm embeds one; standalone construction is exposed
-// for tests and analysis tools.
-func NewPlanner(t topology.Network, f *fault.Set, idx *fault.Index) *Planner {
-	if idx == nil {
-		idx = fault.NewIndex(f)
-	}
-	return &Planner{t: t, f: f, idx: idx}
-}
-
 // partner returns the orthogonal dimension paired with d by the SW-Based-nD
 // pairwise plane discipline (the loop "for i = 1..n-1: route2D(dim i, dim
 // i+1)"): the successor dimension, except for the last dimension whose

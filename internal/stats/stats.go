@@ -71,29 +71,6 @@ func (w *Welford) CI95() float64 {
 	return 1.96 * w.Std() / math.Sqrt(float64(w.n))
 }
 
-// Merge folds another accumulator into this one (parallel sweep reduction),
-// using Chan et al.'s pairwise update.
-func (w *Welford) Merge(o *Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += delta * float64(o.n) / float64(n)
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-	w.n = n
-}
-
 func (w *Welford) String() string {
 	return fmt.Sprintf("n=%d mean=%.2f std=%.2f min=%.0f max=%.0f", w.n, w.Mean(), w.Std(), w.Min(), w.Max())
 }
@@ -138,65 +115,4 @@ func (s *Sample) Quantile(q float64) float64 {
 		return s.xs[len(s.xs)-1]
 	}
 	return s.xs[lo]*(1-frac) + s.xs[lo+1]*frac
-}
-
-// Histogram counts observations in fixed-width bins over [0, width*bins);
-// overflow lands in the last bin. It renders compact ASCII for reports.
-type Histogram struct {
-	width float64
-	bins  []uint64
-	total uint64
-}
-
-// NewHistogram builds a histogram with the given bin width and count.
-func NewHistogram(width float64, bins int) *Histogram {
-	if width <= 0 || bins < 1 {
-		panic(fmt.Sprintf("stats: invalid histogram %gx%d", width, bins))
-	}
-	return &Histogram{width: width, bins: make([]uint64, bins)}
-}
-
-// Add counts one observation.
-func (h *Histogram) Add(x float64) {
-	i := int(x / h.width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.bins) {
-		i = len(h.bins) - 1
-	}
-	h.bins[i]++
-	h.total++
-}
-
-// Bin returns the count of bin i.
-func (h *Histogram) Bin(i int) uint64 { return h.bins[i] }
-
-// Total returns the number of observations.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Render draws one line per non-empty bin with a proportional bar.
-func (h *Histogram) Render(barWidth int) string {
-	if h.total == 0 {
-		return "(empty)\n"
-	}
-	var peak uint64
-	for _, b := range h.bins {
-		if b > peak {
-			peak = b
-		}
-	}
-	out := ""
-	for i, b := range h.bins {
-		if b == 0 {
-			continue
-		}
-		n := int(float64(b) / float64(peak) * float64(barWidth))
-		bar := make([]byte, n)
-		for j := range bar {
-			bar[j] = '#'
-		}
-		out += fmt.Sprintf("[%6.0f,%6.0f) %8d %s\n", float64(i)*h.width, float64(i+1)*h.width, b, bar)
-	}
-	return out
 }

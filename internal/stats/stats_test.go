@@ -3,9 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
-
-	"repro/internal/rng"
 )
 
 func almost(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -41,44 +38,6 @@ func TestWelfordEmptyAndSingle(t *testing.T) {
 	w.Add(42)
 	if w.Mean() != 42 || w.Var() != 0 || w.Min() != 42 || w.Max() != 42 {
 		t.Fatal("single observation wrong")
-	}
-}
-
-func TestWelfordMergeEqualsSequential(t *testing.T) {
-	if err := quick.Check(func(seed uint64) bool {
-		r := rng.New(seed)
-		var all, a, b Welford
-		n := 10 + r.Intn(100)
-		for i := 0; i < n; i++ {
-			x := r.Float64()*1000 - 500
-			all.Add(x)
-			if i%2 == 0 {
-				a.Add(x)
-			} else {
-				b.Add(x)
-			}
-		}
-		a.Merge(&b)
-		return a.Count() == all.Count() &&
-			almost(a.Mean(), all.Mean(), 1e-9) &&
-			almost(a.Var(), all.Var(), 1e-6) &&
-			a.Min() == all.Min() && a.Max() == all.Max()
-	}, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestWelfordMergeEmpty(t *testing.T) {
-	var a, b Welford
-	a.Add(1)
-	a.Merge(&b) // merging empty: no-op
-	if a.Count() != 1 {
-		t.Fatal("merge with empty changed count")
-	}
-	var c Welford
-	c.Merge(&a) // merging into empty: copy
-	if c.Count() != 1 || c.Mean() != 1 {
-		t.Fatal("merge into empty failed")
 	}
 }
 
@@ -118,44 +77,5 @@ func TestSampleInterleavedAddQuery(t *testing.T) {
 	s.Add(0.5) // add after query must re-sort
 	if s.Quantile(0) != 0.5 {
 		t.Fatal("re-sort after add failed")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 5)
-	for _, x := range []float64{0, 5, 9.99, 10, 25, 49, 1000, -3} {
-		h.Add(x)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Bin(0) != 4 { // 0, 5, 9.99, -3 (clamped)
-		t.Fatalf("bin0 = %d", h.Bin(0))
-	}
-	if h.Bin(4) != 2 { // 49 and 1000 (overflow clamped)
-		t.Fatalf("bin4 = %d", h.Bin(4))
-	}
-	if h.Render(20) == "" {
-		t.Fatal("render empty")
-	}
-	empty := NewHistogram(1, 1)
-	if empty.Render(10) != "(empty)\n" {
-		t.Fatal("empty render wrong")
-	}
-}
-
-func TestHistogramPanicsOnBadParams(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 5) },
-		func() { NewHistogram(1, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("bad histogram params did not panic")
-				}
-			}()
-			fn()
-		}()
 	}
 }

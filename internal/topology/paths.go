@@ -39,23 +39,6 @@ func (t *Torus) EcubePath(src, dst NodeID) []NodeID {
 	return path
 }
 
-// RingPath returns the nodes visited travelling from src along dim in
-// direction dir until the coordinate in dim equals destCoord, inclusive of
-// both endpoints. Unlike EcubePath it honours a forced (possibly non-minimal)
-// direction, which is exactly what a reversed Software-Based message does.
-func (t *Torus) RingPath(src NodeID, dim int, dir Dir, destCoord int) []NodeID {
-	path := []NodeID{src}
-	cur := src
-	for t.Coord(cur, dim) != destCoord {
-		cur = t.Neighbor(cur, dim, dir)
-		path = append(path, cur)
-		if len(path) > t.k+1 {
-			panic("topology: RingPath failed to terminate (corrupt coordinates)")
-		}
-	}
-	return path
-}
-
 // Plane describes the 2-D sub-grid spanned by dimensions (DimA, DimB)
 // through a base node of any Network: all other coordinates are frozen to
 // the base node's. SW-Based-nD routes every message through a sequence of
@@ -72,11 +55,6 @@ func PlaneOf(net Network, base NodeID, dimA, dimB int) Plane {
 		panic("topology: plane requires two distinct dimensions")
 	}
 	return Plane{net: net, DimA: dimA, DimB: dimB, base: base}
-}
-
-// PlaneThrough returns the plane spanned by (dimA, dimB) through node base.
-func (t *Torus) PlaneThrough(base NodeID, dimA, dimB int) Plane {
-	return PlaneOf(t, base, dimA, dimB)
 }
 
 // Node returns the plane member with coordinates (a, b) along (DimA, DimB).
@@ -99,27 +77,4 @@ func (p Plane) Contains(id NodeID) bool {
 		}
 	}
 	return true
-}
-
-// Nodes enumerates all k*k members of the plane in (a-major, b-minor) order.
-func (p Plane) Nodes() []NodeID {
-	k := p.net.K()
-	out := make([]NodeID, 0, k*k)
-	for a := 0; a < k; a++ {
-		for b := 0; b < k; b++ {
-			out = append(out, p.Node(a, b))
-		}
-	}
-	return out
-}
-
-// Neighbors4 returns the four in-plane neighbours of id (±DimA, ±DimB);
-// entries are -1 where the underlying network has no link (mesh edges).
-func (p Plane) Neighbors4(id NodeID) [4]NodeID {
-	return [4]NodeID{
-		p.net.Neighbor(id, p.DimA, Plus),
-		p.net.Neighbor(id, p.DimA, Minus),
-		p.net.Neighbor(id, p.DimB, Plus),
-		p.net.Neighbor(id, p.DimB, Minus),
-	}
 }

@@ -36,14 +36,6 @@ func (p Port) String() string {
 	return fmt.Sprintf("d%d%s", p.Dim(), p.Dir())
 }
 
-// InjectionPort returns the index of the injection (PE -> router) port for a
-// torus of n dimensions; EjectionPort the (router -> PE) port. They share the
-// index space with network ports so arbiter tables can be flat arrays.
-func InjectionPort(n int) Port { return Port(2 * n) }
-
-// EjectionPort returns the ejection port index for an n-dimensional torus.
-func EjectionPort(n int) Port { return Port(2 * n) }
-
 // ChannelID names a unidirectional physical channel: the output port `Port`
 // of node `Src`. Virtual channels are (ChannelID, vc index) pairs; packages
 // that need them (deadlock analysis) build their own composite keys.
@@ -60,18 +52,6 @@ func (c ChannelID) Dst(net Network) NodeID {
 
 func (c ChannelID) String() string {
 	return fmt.Sprintf("ch[%d:%s]", c.Src, c.Port)
-}
-
-// Channels enumerates every unidirectional network channel of the torus in a
-// deterministic order (node-major, then port).
-func (t *Torus) Channels() []ChannelID {
-	out := make([]ChannelID, 0, t.Nodes()*t.Degree())
-	for id := 0; id < t.Nodes(); id++ {
-		for p := 0; p < t.Degree(); p++ {
-			out = append(out, ChannelID{Src: NodeID(id), Port: Port(p)})
-		}
-	}
-	return out
 }
 
 // ChannelsOf enumerates every unidirectional network channel of net in a

@@ -104,27 +104,6 @@ func (t *Torus) Distance(a, b NodeID) int {
 	return d
 }
 
-// MinimalDirs returns, for each dimension, the direction(s) of minimal
-// progress from src towards dst: Plus, Minus, 0 if the coordinate already
-// matches. When both ways around the ring are equal length (even k, offset
-// exactly k/2), the positive direction is reported; adaptive routers treat
-// either as profitable via BothMinimal.
-func (t *Torus) MinimalDirs(src, dst NodeID) []Dir {
-	dirs := make([]Dir, t.n)
-	for i := 0; i < t.n; i++ {
-		o := t.RingOffset(t.Coord(src, i), t.Coord(dst, i))
-		switch {
-		case o > 0:
-			dirs[i] = Plus
-		case o < 0:
-			dirs[i] = Minus
-		default:
-			dirs[i] = 0
-		}
-	}
-	return dirs
-}
-
 // BothMinimal reports whether, along dimension dim, both ring directions from
 // src to dst are minimal (possible only for even k at offset k/2).
 func (t *Torus) BothMinimal(src, dst NodeID, dim int) bool {

@@ -153,22 +153,6 @@ func TestDistanceMax(t *testing.T) {
 	}
 }
 
-func TestMinimalDirsConsistency(t *testing.T) {
-	tor := New(8, 2)
-	src := tor.FromCoords([]int{1, 1})
-	dst := tor.FromCoords([]int{3, 7})
-	dirs := tor.MinimalDirs(src, dst)
-	if dirs[0] != Plus {
-		t.Errorf("dim0 dir = %v, want +", dirs[0])
-	}
-	if dirs[1] != Minus { // 1 -> 7 is shorter via wraparound (-2) than +6
-		t.Errorf("dim1 dir = %v, want -", dirs[1])
-	}
-	if got := tor.MinimalDirs(src, src); got[0] != 0 || got[1] != 0 {
-		t.Errorf("self dirs = %v, want zeros", got)
-	}
-}
-
 func TestBothMinimal(t *testing.T) {
 	tor := New(8, 2)
 	a := tor.FromCoords([]int{0, 0})
@@ -216,20 +200,6 @@ func TestEcubePathProperties(t *testing.T) {
 	}
 }
 
-func TestRingPathForcedDirection(t *testing.T) {
-	tor := New(8, 2)
-	src := tor.FromCoords([]int{1, 0})
-	// Forced Minus from 1 to destination coordinate 3: must go the long way
-	// (1 -> 0 -> 7 -> ... -> 3), 6 hops.
-	p := tor.RingPath(src, 0, Minus, 3)
-	if len(p)-1 != 6 {
-		t.Fatalf("forced ring path length = %d, want 6", len(p)-1)
-	}
-	if tor.Coord(p[len(p)-1], 0) != 3 {
-		t.Fatalf("forced ring path ends at coord %d, want 3", tor.Coord(p[len(p)-1], 0))
-	}
-}
-
 func TestPortMapping(t *testing.T) {
 	for dim := 0; dim < 4; dim++ {
 		for _, dir := range []Dir{Plus, Minus} {
@@ -246,7 +216,7 @@ func TestPortMapping(t *testing.T) {
 
 func TestChannelsEnumeration(t *testing.T) {
 	tor := New(4, 2)
-	chs := tor.Channels()
+	chs := ChannelsOf(tor)
 	if len(chs) != tor.Nodes()*tor.Degree() {
 		t.Fatalf("channel count = %d, want %d", len(chs), tor.Nodes()*tor.Degree())
 	}
@@ -276,17 +246,16 @@ func TestWrapsAround(t *testing.T) {
 func TestPlane(t *testing.T) {
 	tor := New(4, 3)
 	base := tor.FromCoords([]int{1, 2, 3})
-	pl := tor.PlaneThrough(base, 0, 1)
-	nodes := pl.Nodes()
-	if len(nodes) != 16 {
-		t.Fatalf("plane size = %d, want 16", len(nodes))
-	}
-	for _, id := range nodes {
-		if !pl.Contains(id) {
-			t.Fatalf("plane does not contain its own node %d", id)
-		}
-		if tor.Coord(id, 2) != 3 {
-			t.Fatalf("frozen coordinate violated at node %v", tor.Coords(id))
+	pl := PlaneOf(tor, base, 0, 1)
+	for a := 0; a < 4; a++ {
+		for b := 0; b < 4; b++ {
+			id := pl.Node(a, b)
+			if !pl.Contains(id) {
+				t.Fatalf("plane does not contain its own node %d", id)
+			}
+			if tor.Coord(id, 2) != 3 {
+				t.Fatalf("frozen coordinate violated at node %v", tor.Coords(id))
+			}
 		}
 	}
 	if !pl.Contains(base) {
@@ -299,12 +268,6 @@ func TestPlane(t *testing.T) {
 	got := pl.Node(3, 1)
 	if tor.Coord(got, 0) != 3 || tor.Coord(got, 1) != 1 || tor.Coord(got, 2) != 3 {
 		t.Fatalf("plane Node(3,1) = %v", tor.Coords(got))
-	}
-	nb := pl.Neighbors4(base)
-	for _, x := range nb {
-		if tor.Distance(base, x) != 1 || !pl.Contains(x) {
-			t.Fatalf("bad in-plane neighbour %v", tor.Coords(x))
-		}
 	}
 }
 
