@@ -53,6 +53,8 @@ var commitOnly = map[string]string{
 	"(*" + modulePath + "/internal/network.Network).commitEffects": "the barrier itself; only the step driver may run it",
 	"(*" + modulePath + "/internal/network.Network).Enqueue":       "external injection API; compute code must inject via the staged arrival path",
 	"(*" + modulePath + "/internal/message.Pool).Free":             "slot recycling must happen in serial commit order (fxDeliver/fxDrop effects)",
+	"(*" + modulePath + "/internal/router.Router).Credit":          "stage the credit with worker.returnCredit; applied in phase A it is visible to a router visited later in the same cycle",
+	"(*" + modulePath + "/internal/router.Router).Resync":          "waking every credit-parked lane belongs to the serial transition point (applyTransitions)",
 	"(*" + modulePath + "/internal/metrics.Collector).Delivered":   "metrics mutate shared counters; emit an fxDeliver effect instead",
 	"(*" + modulePath + "/internal/metrics.Collector).Stop":        "metrics mutate shared counters; emit an fxStop effect instead",
 	"(*" + modulePath + "/internal/metrics.Collector).Dropped":     "metrics mutate shared counters; emit an fxDrop effect instead",

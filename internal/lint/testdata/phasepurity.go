@@ -4,6 +4,7 @@ package fixture
 import (
 	"repro/internal/message"
 	"repro/internal/metrics"
+	"repro/internal/router"
 	"repro/internal/trace"
 )
 
@@ -18,6 +19,18 @@ func computeBad(p *message.Pool, c *metrics.Collector, r message.Ref) {
 //simlint:phase compute
 func computeTracer(tr trace.Tracer, ev trace.Event) {
 	tr.Trace(ev) // want `commit-only \(repro/internal/trace.Tracer\).Trace`
+}
+
+//simlint:phase compute
+func computeCredit(rt *router.Router, o int) {
+	rt.Starve(3, o) // parking is the arbiter's, compute-side
+	rt.Credit(o)    // want `commit-only \(\*repro/internal/router.Router\).Credit`
+	rt.Resync()     // want `commit-only \(\*repro/internal/router.Router\).Resync`
+}
+
+//simlint:phase commit
+func commitCredit(rt *router.Router, o int) {
+	rt.Credit(o) // phase B applies credits
 }
 
 //simlint:phase compute

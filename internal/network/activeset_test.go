@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 	"math/bits"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -18,14 +19,20 @@ import (
 // cell, the invariants that let the phases walk sets instead of scanning:
 // a router buffering flits is in its domain's active set, its flit counter
 // is the sum of its lane lengths, its active-lane set is exactly the
-// non-empty lanes, and a parked lane holds an unrouted front. Both levels
-// are walked in ascending order — the order of a dense nested scan — so a
-// set that covers the work visits what the scan would, in the same order.
+// non-empty lanes, a parked lane holds an unrouted front, the request words
+// are the transpose of the held routes, a credit-parked lane and the output
+// VC it waits on point at each other at zero credits, and a stalled
+// software layer really can neither start a stream nor inject a flit. Both
+// levels are walked in ascending order — the order of a dense nested scan —
+// so a set that covers the work visits what the scan would, in the same
+// order; and a parking that only ever skips work that could not have been
+// done leaves no trace.
 func TestSchedulerSetsCoverWork(t *testing.T) {
 	for _, c := range goldenMatrix {
 		for _, workers := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
-				parked := 0
+				parked, starved, stalled := 0, 0, 0
+				var want []uint64 // request words, as the held routes dictate
 				runGolden(t, c, workers, func(nw *Network) {
 					active := activeSet(nw)
 					for id := range nw.routers {
@@ -61,12 +68,80 @@ func TestSchedulerSetsCoverWork(t *testing.T) {
 						if sum != rt.Flits {
 							t.Fatalf("cycle %d node %d: Flits = %d, lanes hold %d", nw.Now(), id, rt.Flits, sum)
 						}
+						// The switch- and inject-side marks: every Step on the
+						// routers about to be visited, every 16th on all of them
+						// (a retired router keeps routes, request bits and marks).
+						if !active[id] && nw.Now()&15 != 0 {
+							continue
+						}
+						ports := rt.InjectionPort() + 1
+						want = append(want[:0], make([]uint64, rt.Words()*ports)...)
+						for l := range rt.In {
+							lane, ivc := router.Lane(l), &rt.In[l]
+							routed := rt.HasRoute(lane)
+							if routed {
+								p := int(ivc.OutPort)
+								if ivc.ToEject {
+									p = rt.InjectionPort()
+								}
+								want[l>>6*ports+p] |= 1 << (uint(l) & 63)
+							}
+							if rt.Starved(lane) {
+								starved++
+								if !routed || ivc.ToEject {
+									t.Fatalf("cycle %d node %d lane %d: credit-parked, routed: %v, to eject: %v", nw.Now(), id, l, routed, ivc.ToEject)
+								}
+								if o := rt.Out[rt.OutIndex(topology.Port(ivc.OutPort), int(ivc.OutVC))]; o.Credits != 0 || !o.Waiting || router.Lane(o.Holder) != lane {
+									t.Fatalf("cycle %d node %d lane %d: credit-parked on output VC %+v", nw.Now(), id, l, o)
+								}
+							}
+						}
+						for i, w := range want {
+							if got := rt.RequestWord(i/ports, i%ports); got != w {
+								t.Fatalf("cycle %d node %d: request word %d of port %d is %#x, the held routes say %#x", nw.Now(), id, i/ports, i%ports, got, w)
+							}
+						}
+						for o, out := range rt.Out {
+							if out.Waiting && (!out.Busy || !rt.Starved(router.Lane(out.Holder))) {
+								t.Fatalf("cycle %d node %d output VC %d: %+v, holder parked: %v", nw.Now(), id, o, out, rt.Starved(router.Lane(out.Holder)))
+							}
+						}
+						if nw.soft[id] == softStalled {
+							stalled++
+							checkStalled(t, nw, topology.NodeID(id))
+						}
 					}
 				})
-				if parked == 0 && c.name == "torus-adaptive-saturated" {
-					t.Error("past saturation, yet no lane was ever seen parked")
+				if strings.Contains(c.name, "saturated") && (parked == 0 || starved == 0 || stalled == 0) {
+					t.Errorf("past saturation, yet lanes seen blocked: %d, lanes seen credit-parked: %d, software layers seen stalled: %d", parked, starved, stalled)
 				}
 			})
+		}
+	}
+}
+
+// checkStalled holds a stalled software layer to what parking it claims:
+// every stream's injection buffer is full, no re-injection is waiting out
+// Δ, and the next eligible message, if there is one, has no free injection
+// VC to start on (a dense scan, as startStreams did before it read the lane
+// sets).
+func checkStalled(t *testing.T, nw *Network, node topology.NodeID) {
+	t.Helper()
+	rt := &nw.routers[node]
+	for _, s := range nw.streams[node] {
+		if lane := rt.LaneOf(rt.InjectionPort(), s.vc); rt.Space(lane) > 0 {
+			t.Fatalf("cycle %d node %d: stalled, yet the stream on injection VC %d has %d free slots", nw.Now(), node, s.vc, rt.Space(lane))
+		}
+	}
+	if q := &nw.reQ[node]; q.Len() > 0 && q.Front().eligibleAt > nw.Now() {
+		t.Fatalf("cycle %d node %d: stalled while a re-injection waits out Δ until cycle %d", nw.Now(), node, q.Front().eligibleAt)
+	}
+	if _, ok := nw.peekQueue(node); !ok {
+		return
+	}
+	for vc := 0; vc < nw.p.V; vc++ {
+		if lane := rt.LaneOf(rt.InjectionPort(), vc); !rt.HasRoute(lane) && rt.Len(lane) == 0 && !nw.streaming(node, vc) {
+			t.Fatalf("cycle %d node %d: stalled with a message to start and injection VC %d free", nw.Now(), node, vc)
 		}
 	}
 }

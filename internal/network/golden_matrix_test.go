@@ -69,6 +69,15 @@ var goldenMatrix = []goldenCase{
 	{"torus-negfirst-faulted", torus8, "negative-first", 4, 6, 0.004, 0, "", 0x8f97e007f24a90e2},
 	{"torus-valiant-adaptive-faulted", torus8, "valiant-adaptive", 4, 6, 0.004, 0, "", 0x99681a9c2521a430},
 	{"torus-adaptive-trace", torus8, "adaptive", 4, 3, 0.008, 0, "trace:file=$TRACE", 0xf40e25376ccb11a3},
+	// Recorded from PR 24's parent, the last engine whose arbiter gathered
+	// its requesters into buckets: the shapes where most routed lanes wait
+	// for a credit and most software layers for an injection buffer — a
+	// saturated deterministic torus, six contended output ports, two-word
+	// lane sets under contention, and purges landing on parked lanes.
+	{"torus-det-saturated", torus8, "det", 4, 6, 0.03, 0, "", 0x23644d5197f35164},
+	{"torus3d-adaptive-saturated", torus4x3, "adaptive", 6, 4, 0.07, 0, "", 0x1ec7617b1f6e5fd2},
+	{"torus4-adaptive-v16-saturated", torus4, "adaptive", 16, 2, 0.15, 0, "", 0x3952943a4e5015e3},
+	{"torus-adaptive-mtbf-saturated", torus8, "adaptive", 4, 3, 0.03, 0, "mtbf:mtbf=1500,mttr=600,elems=mixed", 0xfc3a55b1e2e827a6},
 }
 
 // goldenKnobs holds, by cell name, the Params settings the goldenCase
@@ -81,10 +90,11 @@ var goldenKnobs = map[string]func(*Params){
 	"torus-det-noreinjectprio":  func(p *Params) { p.NoReinjectPriority = true },
 }
 
-func torus8(*testing.T) topology.Network  { return topology.New(8, 2) }
-func torus4(*testing.T) topology.Network  { return topology.New(4, 2) }
-func torus24(*testing.T) topology.Network { return topology.New(24, 2) }
-func mesh8(*testing.T) topology.Network   { return topology.NewMesh(8, 2) }
+func torus8(*testing.T) topology.Network   { return topology.New(8, 2) }
+func torus4(*testing.T) topology.Network   { return topology.New(4, 2) }
+func torus24(*testing.T) topology.Network  { return topology.New(24, 2) }
+func torus4x3(*testing.T) topology.Network { return topology.New(4, 3) }
+func mesh8(*testing.T) topology.Network    { return topology.NewMesh(8, 2) }
 
 func hypercube6(t *testing.T) topology.Network {
 	net, err := topology.NewNetwork("hypercube:n=6")

@@ -144,6 +144,15 @@ type link struct {
 	lat   int64
 }
 
+// softState is a node's software-layer state (see Network.soft).
+type softState uint8
+
+const (
+	softIdle softState = iota
+	softRun
+	softStalled
+)
+
 // pendingMsg is a queued message at a node's software layer.
 type pendingMsg struct {
 	ref        message.Ref
@@ -244,13 +253,16 @@ type Network struct {
 	// Per-node active injection streams, at most one flit/cycle/node.
 	streams [][]stream
 	rrInj   []int
-	// soft[id] is the software-layer occupancy flag: set wherever something
-	// is pushed on newQ/reQ, cleared only by injectNode once it has seen
-	// both queues (not-yet-eligible entries included) and streams empty. A
-	// superset of "queue or stream non-empty" by construction — a purge may
-	// empty a queue and leave the flag set for one more visit — which is
+	// soft[id] is the software-layer state of node id. softRun is the
+	// occupancy flag: raised wherever something is pushed on newQ/reQ,
+	// lowered to softIdle only by injectNode once it has seen both queues
+	// (not-yet-eligible entries included) and streams empty. A superset of
+	// "queue or stream non-empty" by construction — a purge may empty a
+	// queue and leave the flag set for one more visit — which is
 	// unobservable: active-set membership never reaches a result.
-	soft []bool
+	// softStalled parks the inject step of an occupied layer that can
+	// neither start a stream nor inject a flit (see injectNode).
+	soft []softState
 
 	// Dynamic-fault state (nil/zero for static runs): the schedule driving
 	// transitions, the mutable view over f, and the algorithm's base
@@ -302,7 +314,7 @@ func New(t topology.Network, f *fault.Set, alg routing.Router, gen traffic.Sourc
 		reQ:     make([]fifo[pendingMsg], t.Nodes()),
 		streams: make([][]stream, t.Nodes()),
 		rrInj:   make([]int, t.Nodes()),
-		soft:    make([]bool, t.Nodes()),
+		soft:    make([]softState, t.Nodes()),
 	}
 	// A node never runs more than V injection streams (one per injection
 	// VC), so every per-node stream slice is carved from one backing array
@@ -377,12 +389,13 @@ func (nw *Network) linkFor(node topology.NodeID, port topology.Port) link {
 }
 
 // markSoft records that something was pushed on one of the node's software
-// queues: it raises the occupancy flag and puts the router into its
-// domain's active set, so the next phase A visits it. Idempotent. Serial
-// contexts only (Enqueue, pollTraffic, transitions); a worker applying
-// arrivals marks its own set directly (worker.applyArrival).
+// queues: it raises the occupancy flag (waking a stalled layer) and puts
+// the router into its domain's active set, so the next phase A visits it.
+// Idempotent. Serial contexts only (Enqueue, pollTraffic, transitions); a
+// worker applying arrivals marks its own set directly
+// (worker.applyArrival).
 func (nw *Network) markSoft(id topology.NodeID) {
-	nw.soft[id] = true
+	nw.soft[id] = softRun
 	w := nw.sw
 	if nw.par != nil {
 		w = nw.par[nw.dom[id]]
@@ -501,15 +514,16 @@ func (nw *Network) pollTraffic() {
 
 // visit runs one active router's cycle while its state is loaded — route/
 // allocate, switch traversal, software-layer injection — and reports
-// whether the router still has locally visible work (buffered flits, or a
-// raised software-layer flag); everything else re-enters the active set
+// whether the router still has locally visible work (buffered flits, or an
+// occupied software layer); everything else re-enters the active set
 // when an event touches it. Each step costs what the router has to do: the
 // route step runs only with a head to route, a lone switch requester skips
-// arbitration (switchOne), the inject step runs only under the flag. A
-// router's steps touch its own lanes, queues and streams, the headers of
-// worms whose head it holds, and staged queues — the single-owner rule — so
-// running them router-major gives the results of the phase-major order the
-// effect logs are replayed in.
+// arbitration (switchOne), several arbitrate only while one of them is not
+// waiting for a credit, the inject step runs only under a software layer
+// that is occupied and not stalled. A router's steps touch its own lanes, queues and
+// streams, the headers of worms whose head it holds, and staged queues —
+// the single-owner rule — so running them router-major gives the results
+// of the phase-major order the effect logs are replayed in.
 //
 //simlint:phase compute
 func (w *worker) visit(node topology.NodeID) bool {
@@ -518,22 +532,24 @@ func (w *worker) visit(node topology.NodeID) bool {
 	if rt.Flits > 0 {
 		if rt.Words() > 1 {
 			w.routeNode(node, rt)
-			w.switchNode(node, rt)
+			w.switchPorts(node, rt)
 		} else {
 			if rt.RouteWord(0) != 0 {
 				w.routeNode(node, rt)
 			}
 			if m := rt.SwitchWord(0); m&(m-1) != 0 {
-				w.switchNode(node, rt)
+				if rt.ReadyWord(0) != 0 {
+					w.switchPorts(node, rt)
+				}
 			} else if m != 0 {
 				w.switchOne(node, rt, router.Lane(bits.TrailingZeros64(m)))
 			}
 		}
 	}
-	if nw.soft[node] {
+	if nw.soft[node] == softRun {
 		w.injectNode(node)
 	}
-	return rt.Flits > 0 || nw.soft[node]
+	return rt.Flits > 0 || nw.soft[node] != softIdle
 }
 
 // routeNode takes the routing decisions of one router: every lane whose
@@ -623,7 +639,7 @@ func (w *worker) allocateLane(node topology.NodeID, rt *router.Router, lane rout
 	ivc.Owner = front.Ref()
 }
 
-// switchNode performs one router's switch allocation and link/ejection
+// switchPorts performs one router's switch allocation and link/ejection
 // traversal. The paper's router is a full (2n+1)V-way crossbar that "can
 // simultaneously connect multiple input to multiple output virtual
 // channels": any buffered flit may move as long as (a) at most one flit
@@ -632,51 +648,39 @@ func (w *worker) allocateLane(node topology.NodeID, rt *router.Router, lane rout
 // one flit per cycle (assumption (d): messages transfer to the PE as soon
 // as they arrive).
 //
+// The requesters are read, not gathered: the router's per-port request
+// words say which ports have a lane to serve (router.ReadyPorts). Eject
+// lanes drain first, in ascending lane order (per-VC ejection, no
+// arbitration), then each requested network output channel, in port order,
+// carries the flit of the lane its arbiter grants (router.Grant). A move
+// changes nothing another port's arbiter reads, so the port mask taken up
+// front stays good.
+//
 //simlint:phase compute
-func (w *worker) switchNode(node topology.NodeID, rt *router.Router) {
-	for i := range w.buckets {
-		w.buckets[i] = w.buckets[i][:0]
-	}
-	// Buffered, routed lanes (router.SwitchWord), ascending.
-	for i := 0; i < rt.Words(); i++ {
-		for m := rt.SwitchWord(i); m != 0; m &= m - 1 {
-			w.gatherLane(node, rt, router.Lane(i<<6+bits.TrailingZeros64(m)))
-		}
-	}
-	// Network output channels: one flit per physical channel per cycle,
-	// round-robin over the competing input VCs. k walks the candidates
-	// from RROut mod n; both wrap by compare-and-subtract (RROut is below
-	// the previous cycle's n, so the reduction loop rarely runs twice).
-	for out, cands := range w.buckets {
-		n := len(cands)
-		if n == 0 {
-			continue
-		}
-		k := int(rt.RROut[out])
-		for k >= n {
-			k -= n
-		}
-		for i := 0; i < n; i++ {
-			lane := cands[k]
-			if k++; k == n {
-				k = 0
+func (w *worker) switchPorts(node topology.NodeID, rt *router.Router) {
+	ports := rt.ReadyPorts()
+	if eject := uint64(1) << uint(w.nw.degree); ports&eject != 0 {
+		ports &^= eject
+		for g := 0; g < rt.Words(); g++ {
+			for m := rt.EjectWord(g); m != 0; m &= m - 1 {
+				w.moveEject(node, rt, router.Lane(g<<6+bits.TrailingZeros64(m)))
 			}
-			ivc := &rt.In[lane]
-			if rt.Out[rt.OutIndex(topology.Port(ivc.OutPort), int(ivc.OutVC))].Credits == 0 {
-				continue
-			}
+		}
+	}
+	for ; ports != 0; ports &= ports - 1 {
+		if lane, ok := rt.Grant(bits.TrailingZeros64(ports)); ok {
 			w.moveNetwork(node, rt, lane)
-			rt.RROut[out] = int32(k)
-			break
 		}
 	}
 }
 
-// switchOne is switchNode for a router whose only buffered, routed lane is
+// switchOne is switchPorts for a router whose only buffered, routed lane is
 // `lane`: eject, or check the credit and move. With one candidate the
-// arbiter computes k = RROut mod 1 = 0, grants candidate 0 and wraps k+1 to
-// 0, and no grant leaves RROut untouched — so this is bit for bit what the
-// buckets do, without resetting, filling and scanning them.
+// arbiter computes k = RROut mod 1 = 0, grants rank 0 and wraps RROut to 0,
+// and no grant leaves RROut untouched — so this is bit for bit what
+// router.Grant does, without asking every port. It neither reads nor sets
+// the lane's credit-parking mark: one credit check a cycle is all a parked
+// lone lane costs, and the sparse network's visit stays as short as it was.
 //
 //simlint:phase compute
 func (w *worker) switchOne(node topology.NodeID, rt *router.Router, lane router.Lane) {
@@ -691,20 +695,6 @@ func (w *worker) switchOne(node topology.NodeID, rt *router.Router, lane router.
 	}
 	w.moveNetwork(node, rt, lane)
 	rt.RROut[out] = 0
-}
-
-// gatherLane handles one buffered, routed input lane: eject lanes drain
-// immediately (per-VC ejection, no arbitration), network lanes file a
-// crossbar request into their output port's bucket.
-//
-//simlint:phase compute
-func (w *worker) gatherLane(node topology.NodeID, rt *router.Router, lane router.Lane) {
-	ivc := &rt.In[lane]
-	if ivc.ToEject {
-		w.moveEject(node, rt, lane)
-	} else {
-		w.buckets[ivc.OutPort] = append(w.buckets[ivc.OutPort], lane)
-	}
 }
 
 // moveNetwork sends the front flit of an input lane through its allocated
@@ -793,18 +783,23 @@ func (w *worker) moveEject(node topology.NodeID, rt *router.Router, lane router.
 // visit, so raising the flag is enough to keep the router active.
 func (nw *Network) requeue(node topology.NodeID, ref message.Ref) {
 	nw.reQ[node].Push(pendingMsg{ref: ref, eligibleAt: nw.now + nw.p.Delta})
-	nw.soft[node] = true
+	nw.soft[node] = softRun
 }
 
 // returnCredit stages a credit for the upstream output VC feeding an
-// input lane of node. Injection-port buffers are fed by the local source,
-// which checks space directly, so they carry no credits.
+// input lane of node that just popped a flit. Injection-port buffers are
+// fed by the local source, which checks space directly, so they carry no
+// credits: the freed slot wakes a stalled software layer instead, in time
+// for this visit's inject step.
 //
 //simlint:phase compute
 func (w *worker) returnCredit(node topology.NodeID, rt *router.Router, lane router.Lane) {
 	nw := w.nw
 	port, vc := rt.LanePortVC(lane)
 	if port >= nw.degree {
+		if nw.soft[node] == softStalled {
+			nw.soft[node] = softRun
+		}
 		return
 	}
 	lk := nw.linkFor(node, topology.Port(port))
@@ -825,88 +820,91 @@ func (w *worker) returnCredit(node topology.NodeID, rt *router.Router, lane rout
 // port, new streams starting as injection VCs free up. Re-injected
 // (absorbed) messages always start before new messages.
 //
+// A layer that neither started a stream nor moved a flit is stalled: every
+// stream's injection buffer is full, and the next eligible message (if
+// any) found no free injection VC. Unless a re-injection is waiting out Δ —
+// the one input that changes with the clock alone — running the step again
+// gives the same nothing until an injection-port lane pops (returnCredit),
+// a message is pushed (markSoft, requeue) or a fault transition rewrites
+// the layer (applyTransitions), and each of those wakes it; rrInj moves
+// only on a grant, so the skipped steps leave no trace.
+//
 //simlint:phase compute
 func (w *worker) injectNode(node topology.NodeID) {
 	nw := w.nw
-	w.startStreams(node)
+	started := w.startStreams(node)
 	ss := nw.streams[node]
-	if len(ss) == 0 {
-		// Nothing streaming; with both queues empty too (a re-injection
-		// still waiting out Δ counts) the software layer is idle.
-		if nw.newQ[node].Len() == 0 && nw.reQ[node].Len() == 0 {
-			nw.soft[node] = false
-		}
+	n := len(ss)
+	if n == 0 && nw.newQ[node].Len() == 0 && nw.reQ[node].Len() == 0 {
+		// Nothing streaming and both queues empty (a re-injection still
+		// waiting out Δ counts): the software layer is idle.
+		nw.soft[node] = softIdle
 		return
 	}
-	rt := &nw.routers[node]
-	// Round-robin across active streams for the single injection
-	// channel's flit slot (same wrap discipline as switchNode).
-	n := len(ss)
-	k := nw.rrInj[node]
-	for k >= n {
-		k -= n
+	if n > 0 {
+		rt := &nw.routers[node]
+		// Round-robin across active streams for the single injection
+		// channel's flit slot (same wrap discipline as router.Grant).
+		k := nw.rrInj[node]
+		for k >= n {
+			k -= n
+		}
+		for i := 0; i < n; i++ {
+			idx := k
+			if k++; k == n {
+				k = 0
+			}
+			s := &ss[idx]
+			lane := rt.LaneOf(rt.InjectionPort(), s.vc)
+			if rt.Space(lane) == 0 {
+				continue
+			}
+			// Injection is a local wire: always one cycle.
+			w.injArr = append(w.injArr, arrivalEvent{
+				dueAt: nw.now, node: node, lane: lane,
+				flit: message.MakeFlit(s.ref, s.seq, s.len),
+			})
+			s.seq++
+			nw.rrInj[node] = k
+			if s.seq == s.len {
+				// Stream complete; remove, preserving order.
+				nw.streams[node] = append(ss[:idx], ss[idx+1:]...)
+			}
+			return
+		}
 	}
-	for i := 0; i < n; i++ {
-		idx := k
-		if k++; k == n {
-			k = 0
-		}
-		s := &ss[idx]
-		lane := rt.LaneOf(rt.InjectionPort(), s.vc)
-		if rt.Space(lane) == 0 {
-			continue
-		}
-		// Injection is a local wire: always one cycle.
-		w.injArr = append(w.injArr, arrivalEvent{
-			dueAt: nw.now, node: node, lane: lane,
-			flit: message.MakeFlit(s.ref, s.seq, s.len),
-		})
-		s.seq++
-		nw.rrInj[node] = k
-		if s.seq == s.len {
-			// Stream complete; remove, preserving order.
-			nw.streams[node] = append(ss[:idx], ss[idx+1:]...)
-		}
-		break
+	if q := &nw.reQ[node]; !started && (q.Len() == 0 || q.Front().eligibleAt <= nw.now) {
+		nw.soft[node] = softStalled
 	}
 }
 
 // startStreams claims free injection VCs for queued messages, priority
-// queue first. A message's header is validated against the fault set at
-// start time: a blocked first hop is re-planned in software before the worm
-// ever enters the network.
+// queue first, and reports whether it took anything off a queue. A
+// message's header is validated against the fault set at start time: a
+// blocked first hop is re-planned in software before the worm ever enters
+// the network.
 //
 //simlint:phase compute
-func (w *worker) startStreams(node topology.NodeID) {
+func (w *worker) startStreams(node topology.NodeID) (started bool) {
 	nw := w.nw
 	rt := &nw.routers[node]
-	injPort := rt.InjectionPort()
+	inj := rt.LaneOf(rt.InjectionPort(), 0)
+	end := inj + router.Lane(nw.p.V)
 	for {
 		ref, ok := nw.peekQueue(node)
 		if !ok {
-			return
+			return started
 		}
-		// Find a free injection VC: empty buffer and no stream using it.
-		vc := -1
-		for v := 0; v < nw.p.V; v++ {
-			if lane := rt.LaneOf(injPort, v); rt.HasRoute(lane) || rt.Len(lane) > 0 {
-				continue
-			}
-			inUse := false
-			for _, s := range nw.streams[node] {
-				if s.vc == v {
-					inUse = true
-					break
-				}
-			}
-			if !inUse {
-				vc = v
-				break
-			}
+		// Find a free injection VC: the lowest idle injection lane (empty
+		// buffer, no route held) no stream is feeding.
+		lane := rt.IdleLane(inj, end)
+		for lane >= 0 && nw.streaming(node, int(lane-inj)) {
+			lane = rt.IdleLane(lane+1, end)
 		}
-		if vc < 0 {
-			return
+		if lane < 0 {
+			return started
 		}
+		started = true
 		m := nw.pool.At(ref)
 		if !w.prepareForInjection(node, m) {
 			// Undeliverable: drop it and keep scanning the queue.
@@ -915,9 +913,19 @@ func (w *worker) startStreams(node topology.NodeID) {
 			continue
 		}
 		nw.popQueue(node)
-		nw.streams[node] = append(nw.streams[node], stream{ref: ref, len: m.Len, vc: vc})
+		nw.streams[node] = append(nw.streams[node], stream{ref: ref, len: m.Len, vc: int(lane - inj)})
 		w.emit(phInject, fxRec{kind: fxInject, ref: ref, msg: m.ID, node: node})
 	}
+}
+
+// streaming reports whether one of node's streams feeds injection VC vc.
+func (nw *Network) streaming(node topology.NodeID, vc int) bool {
+	for _, s := range nw.streams[node] {
+		if s.vc == vc {
+			return true
+		}
+	}
+	return false
 }
 
 // trace forwards an event to the configured tracer, if any.

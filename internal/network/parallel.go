@@ -46,7 +46,6 @@ import (
 
 	"repro/internal/message"
 	"repro/internal/metrics"
-	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -119,9 +118,7 @@ type worker struct {
 
 	alg routing.Router
 
-	// Per-worker phase scratch: crossbar request buckets (input lanes
-	// asking for each output physical channel) and the candidate-VC buffer.
-	buckets [][]router.Lane
+	// freeVCs is the route step's candidate-VC scratch.
 	freeVCs []routing.CandidateVC
 
 	// fx holds the per-phase effect logs phase A appends to (see emit).
@@ -147,12 +144,6 @@ type worker struct {
 func newWorker(nw *Network, id int, direct bool, lo, hi topology.NodeID, alg routing.Router) *worker {
 	w := &worker{nw: nw, id: id, direct: direct, loNode: lo, hiNode: hi, alg: alg}
 	w.act = make([]uint64, (int(hi-lo)+63)/64)
-	lanes := (nw.degree + 1) * nw.p.V
-	backing := make([]router.Lane, nw.degree*lanes)
-	w.buckets = make([][]router.Lane, nw.degree)
-	for i := range w.buckets {
-		w.buckets[i] = backing[i*lanes : i*lanes : (i+1)*lanes]
-	}
 	return w
 }
 
@@ -389,7 +380,8 @@ func (w *worker) phaseB() {
 	}
 	w.arrQ = sliceTail(w.arrQ, i)
 	// Credits: a constant CreditDelay keeps each queue due-ordered under
-	// plain appends, and same-cycle increments commute.
+	// plain appends, and same-cycle increments commute. A credit wakes the
+	// lane parked on its output VC (router.Credit).
 	for _, src := range nw.par {
 		box := src.outCred[w.id]
 		w.credQ = append(w.credQ, box...)
@@ -398,7 +390,7 @@ func (w *worker) phaseB() {
 	j := 0
 	for ; j < len(w.credQ) && w.credQ[j].dueAt <= nw.now; j++ {
 		c := w.credQ[j]
-		nw.routers[c.node].Out[c.out].Credits++
+		nw.routers[c.node].Credit(int(c.out))
 	}
 	w.credQ = sliceTail(w.credQ, j)
 }

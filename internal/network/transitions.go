@@ -50,9 +50,15 @@ func (nw *Network) applyTransitions() {
 	if changed {
 		nw.refreshRouting()
 		// The fault set is an input of Route: every parked head must ask
-		// again (see allocateLane).
+		// again (see allocateLane). The purge rewrote credit counts, buffers,
+		// queues and streams directly: every credit-parked lane and every
+		// stalled software layer must look again too.
 		for id := range nw.routers {
 			nw.routers[id].Unblock()
+			nw.routers[id].Resync()
+			if nw.soft[id] == softStalled {
+				nw.soft[id] = softRun
+			}
 		}
 	}
 }

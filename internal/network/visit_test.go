@@ -3,7 +3,7 @@ package network
 import (
 	"fmt"
 	"math/bits"
-	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -13,79 +13,155 @@ import (
 	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/topology"
-	"repro/internal/trace"
+	"repro/internal/traffic"
 )
 
-// TestSingleRequesterMatchesArbiter is the equivalence proof of the visit's
-// single-requester switch path: for a router whose only buffered, routed
-// lane is one flit of a three-flit worm, every RROut start value × credit
-// {0, 1} × ToEject {false, true} × flit position leaves the router (buffers,
-// lane sets, credits, arbitration pointers), the worm's header, the staged
-// transfers and credits and the effect logs in the same state through
-// switchOne as through the bucket arbiter of switchNode.
-func TestSingleRequesterMatchesArbiter(t *testing.T) {
-	const (
-		v, msgLen     = 2, 3
-		node          = topology.NodeID(5)
-		inPort, inVC  = 1, 1
-		outPort, outV = 2, 0
-	)
-	type outcome struct {
-		rt     router.Router
-		msg    message.Message
-		arr    []arrivalEvent
-		cred   []creditEvent
-		fx     [numPhases][]fxRec
-		oneBit bool
-	}
-	run := func(start int32, credit int32, eject bool, seq int, one bool) outcome {
-		tor := topology.New(4, 2)
-		fs := fault.NewSet(tor)
-		alg, err := routing.New("det", tor, fs, v)
-		if err != nil {
-			t.Fatal(err)
+// referenceSwitch is the arbiter's specification as a dense scan over the
+// router's lanes: the lanes that eject this cycle, the lanes granted a
+// network output channel (in port order) and every arbitration pointer
+// afterwards. It reads credit counts, never the starved set.
+func referenceSwitch(rt *router.Router) (eject, grant []router.Lane, rr []int32) {
+	rr = slices.Clone(rt.RROut)
+	cands := make([][]router.Lane, len(rr))
+	for l := range rt.In {
+		lane, ivc := router.Lane(l), &rt.In[l]
+		switch {
+		case rt.Len(lane) == 0 || !rt.HasRoute(lane):
+		case ivc.ToEject:
+			eject = append(eject, lane)
+		default:
+			cands[ivc.OutPort] = append(cands[ivc.OutPort], lane)
 		}
-		p := DefaultParams(v)
-		p.Tracer = trace.NewRecorder() // so the Hop of a head flit is staged too
-		nw := New(tor, fs, alg, nil, metrics.NewCollector(0), p, rng.New(1))
-		m := nw.pool.New(7, 0, 10, msgLen, alg.BaseMode(), 0)
-		m.Pending = message.StopDeliver
-		w, rt := nw.sw, &nw.routers[node]
-		lane := rt.LaneOf(inPort, inVC)
-		rt.PushLane(lane, message.MakeFlit(nw.pool.Adopt(m), seq, msgLen))
-		ivc := &rt.In[lane]
-		ivc.ToEject, ivc.OutPort, ivc.OutVC = eject, outPort, outV
-		rt.SetRoute(lane)
-		o := rt.OutIndex(outPort, outV)
-		rt.Out[o].Busy, rt.Out[o].Credits = !eject, credit
-		rt.RROut[outPort] = start
-		sw := rt.SwitchWord(0)
-		if one {
-			w.switchOne(node, rt, lane)
-		} else {
-			w.switchNode(node, rt)
-		}
-		return outcome{*rt, *m, w.arrQ, w.credQ, w.fx, rt.Words() == 1 && sw == 1<<uint(lane)}
 	}
-	lanes := int32((2*2 + 1) * v)
-	for start := int32(0); start < lanes; start++ {
-		for credit := int32(0); credit <= 1; credit++ {
-			for _, eject := range []bool{false, true} {
-				for seq := 0; seq < msgLen; seq++ {
-					name := fmt.Sprintf("rr=%d credit=%d eject=%v seq=%d", start, credit, eject, seq)
-					one, buckets := run(start, credit, eject, seq, true), run(start, credit, eject, seq, false)
-					if !one.oneBit {
-						t.Fatalf("%s: the set-up is not a single-requester router", name)
+	for p, c := range cands {
+		for i := range c {
+			k := (int(rr[p]) + i) % len(c)
+			if ivc := &rt.In[c[k]]; rt.Out[rt.OutIndex(topology.Port(p), int(ivc.OutVC))].Credits > 0 {
+				grant = append(grant, c[k])
+				rr[p] = int32((k + 1) % len(c))
+				break
+			}
+		}
+	}
+	return eject, grant, rr
+}
+
+// TestArbiterMatchesReference drives one router through random switch
+// states — any subset of lanes buffered, routed to ejection or to a random
+// output VC, credits 0..2, arbitration pointers anywhere — on a one-word
+// and a two-word geometry, and holds every visit to referenceSwitch: the
+// same lanes pop, in the same order, and the pointers agree. Every third
+// state populates a lane or two only, so the visit's single-requester path
+// (switchOne) answers to the same reference. Each state is visited three
+// times with random credits returned in between, so lanes parked on one
+// visit are woken (or not) before the next; after every visit a parked
+// lane must really be out of credit.
+func TestArbiterMatchesReference(t *testing.T) {
+	const node, msgLen = topology.NodeID(5), 4
+	for _, v := range []int{3, 16} {
+		t.Run(fmt.Sprintf("v=%d", v), func(t *testing.T) {
+			tor := topology.New(4, 2)
+			fs := fault.NewSet(tor)
+			alg, err := routing.New("adaptive", tor, fs, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rng.New(uint64(v))
+			parked, woken, lone := 0, 0, 0
+			for trial := 0; trial < 400; trial++ {
+				nw := New(tor, fs, alg, nil, metrics.NewCollector(0), DefaultParams(v), rng.New(1))
+				w, rt := nw.sw, &nw.routers[node]
+				for p := range rt.RROut {
+					rt.RROut[p] = int32(r.Intn(len(rt.In)))
+				}
+				outs := r.Perm(len(rt.Out)) // an output VC has one holder
+				for l := range rt.In {
+					lane, ivc := router.Lane(l), &rt.In[l]
+					if trial%3 == 0 && r.Intn(len(rt.In)) > 1 {
+						continue // a sparse state
 					}
-					if !reflect.DeepEqual(one, buckets) {
-						t.Errorf("%s: single-requester path and bucket arbiter disagree:\n one: %+v\nboth: %+v", name, one, buckets)
+					m := nw.pool.New(uint64(l), 0, 10, msgLen, alg.BaseMode(), 0)
+					m.Pending = message.StopDeliver
+					for i, n := 0, r.Intn(3); i < n; i++ {
+						// Body flits mostly, so unrouted lanes give the route
+						// step nothing to do; a tail now and then on routed ones.
+						seq := 1 + r.Intn(msgLen-2)
+						if i == n-1 && r.Intn(4) == 0 {
+							seq = msgLen - 1
+						}
+						rt.PushLane(lane, message.MakeFlit(nw.pool.Adopt(m), seq, msgLen))
 					}
-					if moved, want := one.rt.Flits == 0, eject || credit > 0; moved != want {
-						t.Errorf("%s: flit moved = %v, want %v", name, moved, want)
+					if r.Intn(4) == 0 {
+						continue // unrouted
+					}
+					if l >= len(outs) || r.Intn(5) == 0 {
+						ivc.ToEject = true
+					} else {
+						o := outs[l]
+						ivc.OutPort, ivc.OutVC = uint8(o/v), uint16(o%v)
+						rt.Out[o].Busy = true
+						rt.Out[o].Credits = int32(r.Intn(3))
+					}
+					rt.SetRoute(lane)
+				}
+				for round := 0; round < 3; round++ {
+					eject, grant, rr := referenceSwitch(rt)
+					want := make([]int, len(rt.In))
+					for l := range rt.In {
+						want[l] = rt.Len(router.Lane(l))
+					}
+					var flits []message.Flit
+					for _, l := range grant {
+						f, _ := rt.Front(l)
+						flits = append(flits, f)
+						want[l]--
+					}
+					for _, l := range eject {
+						want[l]--
+					}
+					if len(eject)+len(grant) > 0 && rt.Words() == 1 && bits.OnesCount64(rt.SwitchWord(0)) == 1 {
+						lone++
+					}
+					w.arrQ = w.arrQ[:0]
+					w.visit(node)
+					for l := range rt.In {
+						if got := rt.Len(router.Lane(l)); got != want[l] {
+							t.Fatalf("trial %d round %d lane %d: %d flits left, reference says %d (eject %v, grant %v)", trial, round, l, got, want[l], eject, grant)
+						}
+					}
+					if !slices.Equal(rt.RROut, rr) {
+						t.Fatalf("trial %d round %d: RROut = %v, reference says %v", trial, round, rt.RROut, rr)
+					}
+					if len(w.arrQ) != len(flits) {
+						t.Fatalf("trial %d round %d: %d transfers staged, reference grants %d", trial, round, len(w.arrQ), len(flits))
+					}
+					for i, a := range w.arrQ {
+						if a.flit != flits[i] {
+							t.Fatalf("trial %d round %d: transfer %d carries %v, reference says %v", trial, round, i, a.flit, flits[i])
+						}
+					}
+					for l := range rt.In {
+						if lane := router.Lane(l); rt.Starved(lane) {
+							parked++
+							if o := rt.OutIndex(topology.Port(rt.In[l].OutPort), int(rt.In[l].OutVC)); rt.Out[o].Credits != 0 {
+								t.Fatalf("trial %d round %d lane %d: parked on a VC with %d credits", trial, round, l, rt.Out[o].Credits)
+							}
+						}
+					}
+					for o := range rt.Out {
+						if rt.Out[o].Busy && r.Intn(3) == 0 {
+							if rt.Out[o].Waiting {
+								woken++
+							}
+							rt.Credit(o)
+						}
 					}
 				}
 			}
-		}
+			if parked == 0 || woken == 0 || (v == 3 && lone == 0) {
+				t.Fatalf("%d lanes seen parked, %d woken, %d lone requesters moved: the states do not reach every path", parked, woken, lone)
+			}
+		})
 	}
 }
 
@@ -106,7 +182,8 @@ func TestSoftFlagCoversSoftwareLayer(t *testing.T) {
 				runGolden(t, c, workers, func(nw *Network) {
 					last = nw
 					active := activeSet(nw)
-					for id, up := range nw.soft {
+					for id, st := range nw.soft {
+						up := st != softIdle
 						occupied := nw.newQ[id].Len() > 0 || nw.reQ[id].Len() > 0 || len(nw.streams[id]) > 0
 						if occupied && !up {
 							t.Fatalf("cycle %d node %d: software layer occupied, flag down", nw.Now(), id)
@@ -126,8 +203,8 @@ func TestSoftFlagCoversSoftwareLayer(t *testing.T) {
 				if n := activeRouters(last); n != 0 {
 					t.Errorf("one Step past idle %d routers are still active", n)
 				}
-				for id, up := range last.soft {
-					if up {
+				for id, st := range last.soft {
+					if st != softIdle {
 						t.Errorf("one Step past idle node %d still has its flag raised", id)
 					}
 				}
@@ -159,4 +236,114 @@ func activeSet(nw *Network) []bool {
 		}
 	}
 	return active
+}
+
+// compositionShape is one row of the visit-composition table: bench/'s
+// workload of that name rebuilt on this package's own constructors (same
+// topology, algorithm, V, load, pattern, source and schedule; this test's
+// fault placement and seed).
+type compositionShape struct {
+	name, topo, alg string
+	v, nf           int
+	lambda          float64
+	pattern, source string
+	sched           string
+	cycles          int64
+}
+
+var compositionShapes = []compositionShape{
+	{"fig4-faulted", "torus:k=8,n=3", "det", 6, 12, 0.008, "uniform", "poisson", "", 3000},
+	{"sat-adaptive", "torus:k=16,n=2", "adaptive", 6, 6, 0.014, "hotspot:frac=0.05", "burst:on=50,off=200", "", 3000},
+	{"chaos-sparse", "torus:k=24,n=2", "det", 4, 0, 0.0002, "uniform", "poisson", "mtbf:mtbf=2000,mttr=10000", 30000},
+}
+
+// TestVisitComposition prints (-v) what an active router brings to its
+// visit on the three engine shapes of bench/ — how many switch requesters,
+// how many of the routed lanes are not waiting for a credit, whether the
+// inject step will run or is stalled — and holds the rows to what
+// ARCHITECTURE.md says about them; its table is this test's output. The
+// counts are read off the engine after every Step (the state the next
+// cycle's visits start from), so the visit itself carries no counter.
+func TestVisitComposition(t *testing.T) {
+	t.Logf("| shape | visits | 0 / 1 / 2+ requesters | routed lanes per visit | of them unparked | head to route | inject runs | inject stalled |")
+	t.Logf("|---|---|---|---|---|---|---|---|")
+	for _, s := range compositionShapes {
+		net, err := topology.NewNetwork(s.topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := fault.NewSet(net)
+		if s.nf > 0 {
+			if fs, err = fault.Random(net, s.nf, rng.New(41), fault.DefaultRandomOptions()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		alg, err := routing.New(s.alg, net, fs, s.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pattern, err := traffic.NewPattern(s.pattern, net, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(1)
+		p := DefaultParams(s.v)
+		p.Pool = message.NewPool(net.N(), false)
+		gen, err := traffic.NewSource(s.source, traffic.Env{
+			T: net, F: fs, Sources: fs.HealthyNodes(), Lambda: s.lambda, MsgLen: 32,
+			Mode: alg.BaseMode(), Pattern: pattern, R: r.Split(1), Pool: p.Pool,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine := r.Split(2)
+		if s.sched != "" {
+			if p.Schedule, err = fault.NewSchedule(s.sched, fault.ScheduleEnv{T: net, Base: fs, R: r.Split(rng.ScheduleLabel())}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nw := New(net, fs, alg, gen, metrics.NewCollector(0), p, engine)
+		var visits, routed, unparked, toRoute, run, stalled float64
+		var byReq [3]float64
+		for nw.Now() < s.cycles {
+			nw.Step()
+			for id, on := range activeSet(nw) {
+				if !on {
+					continue
+				}
+				rt := &nw.routers[id]
+				visits++
+				req, heads := 0, false
+				for g := 0; g < rt.Words(); g++ {
+					req += bits.OnesCount64(rt.SwitchWord(g))
+					unparked += float64(bits.OnesCount64(rt.ReadyWord(g)))
+					heads = heads || rt.RouteWord(g) != 0
+				}
+				routed += float64(req)
+				byReq[min(req, 2)]++
+				if heads {
+					toRoute++
+				}
+				switch nw.soft[id] {
+				case softRun:
+					run++
+				case softStalled:
+					stalled++
+				}
+			}
+		}
+		pct := func(x float64) float64 { return 100 * x / visits }
+		t.Logf("| `%s` | %.0f | %.1f / %.1f / %.1f %% | %.2f | %.2f | %.1f %% | %.1f %% | %.1f %% |", s.name, visits,
+			pct(byReq[0]), pct(byReq[1]), pct(byReq[2]), routed/visits, unparked/visits, pct(toRoute), pct(run), pct(stalled))
+		switch s.name {
+		case "sat-adaptive":
+			if byReq[2] < 0.9*visits || unparked > 0.6*routed || stalled < run {
+				t.Errorf("%s: past saturation nine visits in ten should be contended, most routed lanes waiting for a credit and most occupied software layers stalled", s.name)
+			}
+		case "chaos-sparse":
+			if byReq[0]+byReq[1] < 0.9*visits || stalled > 0.01*visits {
+				t.Errorf("%s: a near-idle network should visit lone requesters and stall no software layer", s.name)
+			}
+		}
+	}
 }

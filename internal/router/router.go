@@ -8,9 +8,9 @@
 // lives in internal/network.
 //
 // Storage is an arena: NewSlab carves every router's lanes, output VCs,
-// flit rings, arbitration pointers and lane sets out of a handful of
-// contiguous slabs, so building N routers costs a constant number of
-// allocations and a cycle walks memory in address order. Nothing on a
+// flit rings, arbitration pointers, lane sets and request words out of a
+// handful of contiguous slabs, so building N routers costs a constant
+// number of allocations and a cycle walks memory in address order. Nothing on a
 // per-flit path divides by a runtime value: lanes decode through a shared
 // lookup table and ring indices wrap by compare-and-subtract.
 package router
@@ -51,10 +51,14 @@ type InVC struct {
 
 // OutVC is one output virtual channel: ownership (a worm holds it from head
 // allocation to tail traversal) and the credit count mirroring free space in
-// the downstream input buffer.
+// the downstream input buffer. Waiting records that input lane Holder was
+// parked on this VC at Credits == 0 (Starve); the next Credit wakes it.
+// Holder means nothing while Waiting is down. 8 bytes.
 type OutVC struct {
 	Credits int32
+	Holder  uint16
 	Busy    bool
+	Waiting bool
 }
 
 // Lane identifies one input virtual channel of a router as port*V + vc.
@@ -71,12 +75,13 @@ type portVC struct {
 }
 
 // Lane-set word layout: each 64-lane group owns setStride adjacent words
-// (active, routed, blocked), so a router with up to 64 lanes reads all its
-// scheduling state from one cache line.
+// (active, routed, blocked, starved), so a router with up to 64 lanes reads
+// all its scheduling state from half a cache line, at a power-of-two stride.
 const (
 	setActive = iota
 	setRouted
 	setBlocked
+	setStarved
 	setStride
 )
 
@@ -99,16 +104,27 @@ type Router struct {
 
 	v, depth int
 	buf      []message.Flit // lane l's ring is buf[l*depth : (l+1)*depth]
-	// sets holds three lane sets, interleaved per 64-lane group:
+	// sets holds four lane sets, interleaved per 64-lane group:
 	//   active  — the lane buffers at least one flit (Push sets, the pop
 	//             that drains it clears: always exact, so there is no
 	//             merge or retire step);
 	//   routed  — the front worm holds a route (SetRoute/ClearRoute);
 	//   blocked — the front is a head whose candidates were all busy at
 	//             its last routing attempt (Block); any Release, Unblock
-	//             or FilterLane of the lane clears it.
+	//             or FilterLane of the lane clears it;
+	//   starved — the lane's route leads to an output VC the arbiter found
+	//             at Credits == 0 (Starve); the VC's next Credit, its
+	//             Release, the lane's ClearRoute or a Resync clears it.
 	sets   []uint64
 	decode []portVC
+	// req holds the per-port request words, in a slab of their own so the
+	// lane sets keep their stride: each 64-lane group owns one word per
+	// network output port plus one for ejection (the last), and bit l of
+	// word p is set while lane l holds a route to port p — the transpose of
+	// In[].OutPort/ToEject over the routed set, which is what lets the
+	// arbiter read a port's requesters instead of gathering them. Last, so
+	// the fields a lone flit's hop reads sit where they always did.
+	req []uint64
 }
 
 // NewSlab builds one router per node id 0..nodes-1 of an n-dimensional
@@ -120,7 +136,9 @@ func NewSlab(nodes, n, v, bufDepth int) []Router {
 	}
 	degree := 2 * n
 	lanes := (degree + 1) * v
-	if v < 1 || v > math.MaxUint16 || degree+1 > math.MaxUint8 || bufDepth > math.MaxUint16 {
+	// A lane id must fit OutVC.Holder, the ports (ejection included) one
+	// ReadyPorts mask, a ring index InVC.head.
+	if v < 1 || lanes > math.MaxUint16 || degree+1 > 64 || bufDepth > math.MaxUint16 {
 		panic(fmt.Sprintf("router: unsupported geometry n=%d v=%d bufDepth=%d", n, v, bufDepth))
 	}
 	words := (lanes + 63) / 64
@@ -139,6 +157,7 @@ func NewSlab(nodes, n, v, bufDepth int) []Router {
 	rr := make([]int32, nodes*degree)
 	buf := make([]message.Flit, nodes*lanes*bufDepth)
 	sets := make([]uint64, nodes*words*setStride)
+	req := make([]uint64, nodes*words*(degree+1))
 	for id := range rs {
 		rs[id] = Router{
 			ID:     topology.NodeID(id),
@@ -149,6 +168,7 @@ func NewSlab(nodes, n, v, bufDepth int) []Router {
 			depth:  bufDepth,
 			buf:    window(buf, id, lanes*bufDepth),
 			sets:   window(sets, id, words*setStride),
+			req:    window(req, id, words*(degree+1)),
 			decode: decode,
 		}
 	}
@@ -192,11 +212,120 @@ func (r *Router) RouteWord(i int) uint64 {
 	return s[setActive] &^ s[setRouted] &^ s[setBlocked]
 }
 
-// SwitchWord returns word i of the lanes the switch phase must look at:
-// buffered and routed.
+// SwitchWord returns word i of the lanes that ask for the switch: buffered
+// and routed. A port's arbitration ranks count all of them, credit-parked
+// or not.
 func (r *Router) SwitchWord(i int) uint64 {
 	s := r.sets[i*setStride : i*setStride+setStride]
 	return s[setActive] & s[setRouted]
+}
+
+// ReadyWord returns word i of the lanes the switch phase must look at:
+// buffered, routed, not parked on a credit.
+func (r *Router) ReadyWord(i int) uint64 {
+	s := r.sets[i*setStride : i*setStride+setStride]
+	return s[setActive] & s[setRouted] &^ s[setStarved]
+}
+
+// RequestWord returns word i of the lanes holding a route to output port p;
+// p == InjectionPort() selects the lanes routed to ejection.
+func (r *Router) RequestWord(i, p int) uint64 { return r.req[i*(len(r.RROut)+1)+p] }
+
+// EjectWord returns word i of the lanes that drain to the ejection port
+// this cycle: buffered and routed there (per-VC ejection, no arbitration,
+// no credits).
+func (r *Router) EjectWord(i int) uint64 {
+	return r.SwitchWord(i) & r.RequestWord(i, len(r.RROut))
+}
+
+// ReadyPorts returns the output ports with a requester the switch can
+// serve this cycle — a buffered lane routed there and not parked on a
+// credit — as a bit mask; bit InjectionPort() stands for ejection.
+func (r *Router) ReadyPorts() uint64 {
+	ports, q := uint64(0), 0
+	for g := 0; g < len(r.sets); g += setStride {
+		ready := r.sets[g+setActive] & r.sets[g+setRouted] &^ r.sets[g+setStarved]
+		for p := 0; p <= len(r.RROut); p++ {
+			if ready&r.req[q] != 0 {
+				ports |= 1 << uint(p)
+			}
+			q++
+		}
+	}
+	return ports
+}
+
+// Grant arbitrates output physical channel p for this cycle — one flit per
+// channel per cycle, round-robin over the competing input VCs — and
+// returns the lane that may send its front flit, if any. The requesters
+// are read, not gathered: per 64-lane group, the buffered routed lanes
+// whose request bit for p is set, ranked in ascending lane order, n in all.
+// Credit-parked lanes are counted and ranked — a parked lane still
+// competes, it just cannot win — but never visited: the walk starts at rank
+// k = RROut mod n (RROut is below the previous cycle's n, so the
+// compare-and-subtract rarely runs twice), wraps, parks every candidate it
+// finds without a credit (Starve) and grants the first that has one,
+// leaving RROut just past its rank. With no grant RROut stays. Parking on
+// the failed attempt, not on the debit, keeps a worm streaming at one
+// credit per cycle out of the starved set entirely.
+func (r *Router) Grant(p int) (Lane, bool) {
+	stride := len(r.RROut) + 1
+	n, ready := 0, 0
+	for g, q := 0, p; g < len(r.sets); g, q = g+setStride, q+stride {
+		c := r.sets[g+setActive] & r.sets[g+setRouted] & r.req[q]
+		n += bits.OnesCount64(c)
+		ready += bits.OnesCount64(c &^ r.sets[g+setStarved])
+	}
+	// With one candidate to visit, where the walk starts does not matter.
+	k := 0
+	if ready > 1 {
+		for k = int(r.RROut[p]); k >= n; k -= n {
+		}
+	}
+	if l, ok := r.grantIn(p, k, n, n); ok || k == 0 {
+		return l, ok
+	}
+	return r.grantIn(p, 0, k, n)
+}
+
+// grantIn is one leg of Grant's walk: port p's unparked candidates of rank
+// lo to hi-1 (out of n), in ascending order.
+func (r *Router) grantIn(p, lo, hi, n int) (Lane, bool) {
+	base := 0
+	for g, q := 0, p; g < len(r.sets); g, q = g+setStride, q+len(r.RROut)+1 {
+		c := r.sets[g+setActive] & r.sets[g+setRouted] & r.req[q]
+		for m := c &^ r.sets[g+setStarved]; m != 0; m &= m - 1 {
+			rank := base + bits.OnesCount64(c&(m&-m-1))
+			if rank < lo {
+				continue
+			}
+			if rank >= hi {
+				return 0, false
+			}
+			l := Lane(g/setStride<<6 + bits.TrailingZeros64(m))
+			o := p*r.v + int(r.In[l].OutVC)
+			if r.Out[o].Credits == 0 {
+				r.Starve(l, o)
+				continue
+			}
+			if rank++; rank == n {
+				rank = 0
+			}
+			r.RROut[p] = int32(rank)
+			return l, true
+		}
+		base += bits.OnesCount64(c)
+	}
+	return 0, false
+}
+
+// request returns the request word lane l's route (In[l]) selects.
+func (r *Router) request(l Lane) *uint64 {
+	q, p := &r.In[l], len(r.RROut)
+	if !q.ToEject {
+		p = int(q.OutPort)
+	}
+	return &r.req[int(l>>6)*(len(r.RROut)+1)+p]
 }
 
 // set returns the word of lane set `which` that holds lane l, and l's bit
@@ -212,16 +341,87 @@ func (r *Router) HasRoute(l Lane) bool {
 }
 
 // SetRoute records that lane l's front worm now holds the route described
-// by In[l].
+// by In[l], which must not change until ClearRoute.
 func (r *Router) SetRoute(l Lane) {
 	w, bit := r.set(setRouted, l)
 	*w |= bit
+	*r.request(l) |= bit
 }
 
-// ClearRoute drops lane l's route (the tail left, or the worm was purged).
+// ClearRoute drops lane l's route (the tail left, or the worm was purged),
+// and with it the lane's request bit and credit-parking mark.
 func (r *Router) ClearRoute(l Lane) {
 	w, bit := r.set(setRouted, l)
 	*w &^= bit
+	*r.request(l) &^= bit
+	if r.Starved(l) {
+		r.wake(r.outOf(l))
+	}
+}
+
+// outOf returns the output VC lane l's route (In[l], not ToEject) leads to.
+func (r *Router) outOf(l Lane) *OutVC {
+	return &r.Out[r.OutIndex(topology.Port(r.In[l].OutPort), int(r.In[l].OutVC))]
+}
+
+// Starved reports whether lane l is parked by Starve.
+func (r *Router) Starved(l Lane) bool {
+	w, bit := r.set(setStarved, l)
+	return *w&bit != 0
+}
+
+// Starve parks lane l, whose route leads to output VC o (an OutIndex) the
+// arbiter just found at Credits == 0: the lane cannot move until a credit
+// comes back, and Credit(o) is the one place that happens.
+func (r *Router) Starve(l Lane, o int) {
+	w, bit := r.set(setStarved, l)
+	*w |= bit
+	r.Out[o].Holder, r.Out[o].Waiting = uint16(l), true
+}
+
+// wake drops the credit-parking mark held on output VC v, if any.
+func (r *Router) wake(v *OutVC) {
+	if v.Waiting {
+		v.Waiting = false
+		w, bit := r.set(setStarved, Lane(v.Holder))
+		*w &^= bit
+	}
+}
+
+// Credit returns one credit to output VC o and wakes the lane parked on it.
+// Commit-phase only: a credit applied while routers are being visited would
+// be visible to a later-visited router in the same cycle.
+func (r *Router) Credit(o int) {
+	v := &r.Out[o]
+	v.Credits++
+	r.wake(v)
+}
+
+// Resync wakes every credit-parked lane of the router: the fault-transition
+// purge rewrites credit counts directly, so every parked lane must look at
+// its output VC again.
+func (r *Router) Resync() {
+	for g := setStarved; g < len(r.sets); g += setStride {
+		for m := r.sets[g]; m != 0; m &= m - 1 {
+			r.outOf(Lane(g/setStride<<6 + bits.TrailingZeros64(m))).Waiting = false
+		}
+		r.sets[g] = 0
+	}
+}
+
+// IdleLane returns the first lane in [from, to) that neither buffers a flit
+// nor holds a route, or -1 when there is none.
+func (r *Router) IdleLane(from, to Lane) Lane {
+	for l := from; l < to; l = (l>>6 + 1) << 6 {
+		s := r.sets[int(l>>6)*setStride : int(l>>6)*setStride+setStride]
+		if m := ^(s[setActive] | s[setRouted]) >> (uint(l) & 63); m != 0 {
+			if l += Lane(bits.TrailingZeros64(m)); l < to {
+				return l
+			}
+			return -1
+		}
+	}
+	return -1
 }
 
 // Blocked reports whether lane l is parked by Block.
@@ -246,9 +446,12 @@ func (r *Router) Unblock() {
 }
 
 // Release frees output VC o (as indexed by OutIndex) and wakes the parked
-// lanes: a head blocked on a full VC bank may now find a candidate.
+// lanes: a head blocked on a full VC bank may now find a candidate, and a
+// lane credit-parked on o no longer holds it.
 func (r *Router) Release(o int) {
-	r.Out[o].Busy = false
+	v := &r.Out[o]
+	v.Busy = false
+	r.wake(v)
 	r.Unblock()
 }
 

@@ -121,6 +121,128 @@ func TestRouterLayout(t *testing.T) {
 	if size := unsafe.Sizeof(InVC{}); size > 40 {
 		t.Fatalf("InVC is %d bytes, want <= 40", size)
 	}
+	if size := unsafe.Sizeof(OutVC{}); size != 8 {
+		t.Fatalf("OutVC is %d bytes, want 8", size)
+	}
+}
+
+// TestGeometryLimits checks that NewSlab refuses what its packed fields
+// cannot hold: a lane id beyond OutVC.Holder, more ports than one
+// ReadyPorts mask.
+func TestGeometryLimits(t *testing.T) {
+	for name, build := range map[string]func(){
+		"lanes": func() { NewSlab(1, 2, 65535/5+1, 1) }, // (2·2+1)·V > 65535
+		"ports": func() { NewSlab(1, 32, 1, 1) },        // 64 network ports + ejection
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: unsupported geometry did not panic", name)
+				}
+			}()
+			build()
+		}()
+	}
+	NewSlab(1, 2, 65535/5, 1) // the widest lane id that fits
+}
+
+// TestRequestWordsAndGrant drives the switch allocator by hand on a
+// two-word geometry: request words follow SetRoute/ClearRoute, ReadyPorts
+// sees a port only while an unparked requester is buffered, and Grant
+// serves a port's requesters round-robin by rank — parked ones counted,
+// never granted — parking those it finds without a credit until Credit,
+// Release, ClearRoute or Resync wakes them.
+func TestRequestWordsAndGrant(t *testing.T) {
+	r := New(0, 2, 16, 2) // 80 lanes, 4 network ports
+	m := poolMsg(8)
+	route := func(l Lane, vc int) int { // to output VC (2, vc)
+		r.PushLane(l, m.Flit(1))
+		r.In[l].OutPort, r.In[l].OutVC = 2, uint16(vc)
+		r.SetRoute(l)
+		o := r.OutIndex(2, vc)
+		r.Out[o].Busy = true
+		return o
+	}
+	// Three requesters of port 2, ranks 0..2, across both words; one lane
+	// to eject.
+	o3, o40, o70 := route(3, 0), route(40, 1), route(70, 2)
+	r.PushLane(65, m.Flit(1))
+	r.In[65].ToEject = true
+	r.SetRoute(65)
+	if r.RequestWord(0, 2) != 1<<3|1<<40 || r.RequestWord(1, 2) != 1<<(70-64) || r.EjectWord(1) != 1<<(65-64) {
+		t.Fatalf("request words of port 2 = %#x %#x, eject word 1 = %#x", r.RequestWord(0, 2), r.RequestWord(1, 2), r.EjectWord(1))
+	}
+	if got := r.ReadyPorts(); got != 1<<2|1<<4 {
+		t.Fatalf("ready ports = %#b, want port 2 and ejection", got)
+	}
+	// RROut = 4 reduces to rank 1: lane 40 wins and leaves the pointer at 2.
+	r.RROut[2] = 4
+	if l, ok := r.Grant(2); !ok || l != 40 || r.RROut[2] != 2 {
+		t.Fatalf("grant = lane %d (%v), RROut %d; want lane 40, RROut 2", l, ok, r.RROut[2])
+	}
+	// From rank 2 with lane 70 out of credit: 70 is parked, the walk wraps
+	// to rank 0.
+	r.Out[o70].Credits = 0
+	if l, ok := r.Grant(2); !ok || l != 3 || r.RROut[2] != 1 || !r.Starved(70) {
+		t.Fatalf("grant = lane %d (%v), RROut %d, lane 70 parked %v; want lane 3, RROut 1, parked", l, ok, r.RROut[2], r.Starved(70))
+	}
+	if o := r.Out[o70]; !o.Waiting || o.Holder != 70 {
+		t.Fatalf("output VC of the parked lane = %+v", o)
+	}
+	// Nobody has a credit: everyone parks, no grant, the pointer stays, and
+	// the port drops out of ReadyPorts.
+	r.Out[o3].Credits, r.Out[o40].Credits = 0, 0
+	if l, ok := r.Grant(2); ok || r.RROut[2] != 1 || !r.Starved(3) || !r.Starved(40) {
+		t.Fatalf("grant = lane %d (%v), RROut %d with no credits anywhere", l, ok, r.RROut[2])
+	}
+	if got := r.ReadyPorts(); got != 1<<4 {
+		t.Fatalf("ready ports = %#b with every requester of port 2 parked", got)
+	}
+	// A credit wakes its holder only; the parked lanes keep their ranks, so
+	// lane 40 (rank 1) is the one to win and the pointer moves to 2.
+	r.Credit(o40)
+	if r.Starved(40) || r.Out[o40].Waiting || !r.Starved(3) || !r.Starved(70) {
+		t.Fatal("Credit woke the wrong lanes")
+	}
+	if l, ok := r.Grant(2); !ok || l != 40 || r.RROut[2] != 2 {
+		t.Fatalf("grant = lane %d (%v), RROut %d after the credit", l, ok, r.RROut[2])
+	}
+	// Release, ClearRoute and Resync each drop the mark with the Waiting bit.
+	r.Release(o3)
+	if r.Starved(3) || r.Out[o3].Waiting || r.Out[o3].Busy {
+		t.Fatal("Release left the lane parked")
+	}
+	r.ClearRoute(70)
+	if r.Starved(70) || r.Out[o70].Waiting || r.RequestWord(1, 2) != 0 {
+		t.Fatal("ClearRoute left the lane parked or requesting")
+	}
+	r.Starve(40, o40)
+	r.Resync()
+	if r.Starved(40) || r.Out[o40].Waiting {
+		t.Fatal("Resync left the lane parked")
+	}
+}
+
+// TestIdleLane checks the free-injection-VC scan: the lowest lane of the
+// range that neither buffers a flit nor holds a route, across a word
+// boundary.
+func TestIdleLane(t *testing.T) {
+	r := New(0, 2, 16, 2) // injection lanes 64..79
+	m := poolMsg(8)
+	if l := r.IdleLane(60, 70); l != 60 {
+		t.Fatalf("idle lane of an empty router = %d, want 60", l)
+	}
+	for l := Lane(60); l < 66; l++ {
+		r.PushLane(l, m.Flit(1))
+	}
+	r.In[66].ToEject = true
+	r.SetRoute(66) // routed, drained: still taken
+	if l := r.IdleLane(60, 70); l != 67 {
+		t.Fatalf("idle lane = %d, want 67", l)
+	}
+	if l := r.IdleLane(60, 67); l != -1 {
+		t.Fatalf("idle lane below 67 = %d, want none", l)
+	}
 }
 
 // TestSlabRoutersAreDisjoint checks the arena carving: every router of a

@@ -18,17 +18,21 @@
 # run reports "correct":false, or when a larger share of operations failed
 # on the change. S is BENCHMARK.json's run_seconds. Only same-session pairs
 # mean anything: never compare against numbers from another machine or
-# another day.
+# another day. -o keeps every run's result JSON (one line each, tagged
+# side/workload/pair) in a file: the raw pairs belong there, a CHANGES.md
+# entry quotes the table only.
 #
-# Needs: go, git, jq. Usage: scripts/bench_pairs.sh [-n pairs] <parent-ref> [workload...]
+# Needs: go, git, jq. Usage: scripts/bench_pairs.sh [-n pairs] [-o runs.jsonl] <parent-ref> [workload...]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PAIRS=5 # what CI's bench-harness job runs
-USAGE="usage: $0 [-n pairs] <parent-ref> [workload...]"
-while getopts n: opt; do
+OUT=""
+USAGE="usage: $0 [-n pairs] [-o runs.jsonl] <parent-ref> [workload...]"
+while getopts n:o: opt; do
   case "$opt" in
     n) PAIRS="$OPTARG" ;;
+    o) OUT="$OPTARG" ;;
     *) echo "$USAGE" >&2; exit 2 ;;
   esac
 done
@@ -42,7 +46,9 @@ SECS="$(jq .run_seconds BENCHMARK.json)"
 if [ $# -gt 0 ]; then WORKLOADS=("$@"); else mapfile -t WORKLOADS < <(jq -r '.workloads[].name' BENCHMARK.json); fi
 
 DIR="$(mktemp -d)"
-trap 'rm -rf "$DIR"' EXIT
+# The runs are copied out on any exit, so an out-of-bound verdict (exit 1)
+# or an interrupted session still leaves what was measured.
+trap '[ -z "$OUT" ] || [ ! -f "$DIR/runs.jsonl" ] || cp "$DIR/runs.jsonl" "$OUT"; rm -rf "$DIR"' EXIT
 mkdir "$DIR/parent"
 git archive "$SHA" | tar -x -C "$DIR/parent"
 
