@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// The goldens under testdata/ were recorded from the analyze binary of
-// the commit before main became run(args, stdout, stderr) (3f78b42): they
-// pin that program's output and must not be regenerated from this code.
+// model.golden and livelock.golden were recorded from the analyze binary
+// of the commit before main became run(args, stdout, stderr) (3f78b42):
+// they pin that program's output and must not be regenerated from this
+// code. deadlock.golden is this tree's: the mode reports every registered
+// algorithm's Route-derived graph since internal/deadlock stopped walking
+// e-cube paths of its own.
 func TestGoldenOutput(t *testing.T) {
 	for name, args := range map[string][]string{
 		"deadlock": {"-mode", "deadlock", "-k", "4", "-n", "2", "-faults", "2"},
@@ -26,6 +30,13 @@ func TestGoldenOutput(t *testing.T) {
 				t.Errorf("exit %d, stdout differs from testdata/%s.golden:\n%s\nstderr:\n%s", code, name, &stdout, &stderr)
 			}
 		})
+	}
+}
+
+func TestHelpExitsZero(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "Usage of analyze") {
+		t.Errorf("exit %d, stdout %q, stderr %q; want 0, nothing, the usage", code, &stdout, &stderr)
 	}
 }
 

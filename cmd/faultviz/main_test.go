@@ -50,3 +50,10 @@ func TestRejectedInvocations(t *testing.T) {
 		})
 	}
 }
+
+func TestHelpExitsZero(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "Usage of faultviz") {
+		t.Errorf("exit %d, stdout %q, stderr %q; want 0, nothing, the usage", code, &stdout, &stderr)
+	}
+}

@@ -255,3 +255,10 @@ func TestSatWithCoordinator(t *testing.T) {
 		t.Errorf("want exactly one in-process note on stderr, got:\n%s", stderr)
 	}
 }
+
+func TestHelpExitsZero(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "Usage of figures") {
+		t.Errorf("exit %d, stdout %q, stderr %q; want 0, nothing, the usage", code, &stdout, &stderr)
+	}
+}

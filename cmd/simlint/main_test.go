@@ -73,6 +73,17 @@ func noMaps(s []int, sink func(int)) {
 	}
 }
 
+// TestHelpExitsZero: -h prints the usage on stderr and exits 0 (the flag
+// set is ExitOnError, so it is the binary that is driven, not run).
+func TestHelpExitsZero(t *testing.T) {
+	cmd := exec.Command(buildSimlint(t), "-h")
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil || stdout.Len() != 0 || !strings.Contains(stderr.String(), "usage: simlint") {
+		t.Errorf("err %v, stdout %q, stderr %q; want exit 0, nothing, the usage", err, &stdout, &stderr)
+	}
+}
+
 // TestRealTreeIsClean runs the shipped suite over the whole module — the
 // same gate the simlint CI job applies. A regression here means a contract
 // violation landed without a sorted rewrite or a justified ignore.

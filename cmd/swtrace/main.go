@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -48,6 +49,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list    = fl.Bool("list", false, "list registered topologies, algorithms, patterns and sources, then exit")
 	)
 	if err := fl.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
 	}
 	fail := func(err error) int {

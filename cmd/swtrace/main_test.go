@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -57,5 +58,12 @@ func TestRejectedInvocations(t *testing.T) {
 				t.Errorf("exit %d (want %d)\nstderr: %q\nwant:   %q\nstdout: %q", code, tc.code, &stderr, tc.stderr, &stdout)
 			}
 		})
+	}
+}
+
+func TestHelpExitsZero(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "Usage of swtrace") {
+		t.Errorf("exit %d, stdout %q, stderr %q; want 0, nothing, the usage", code, &stdout, &stderr)
 	}
 }

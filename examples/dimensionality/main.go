@@ -8,12 +8,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
+	"repro/internal/topology"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(stdout io.Writer) error {
 	// Roughly constant node count across dimensionalities: 8^2=64 with 3
 	// faults, 4^3=64 with 3, 4^4=256 with 12 (same ~5% fault rate, scaled).
 	cases := []struct {
@@ -24,7 +33,7 @@ func main() {
 		{4, 3, 3, 0.004},
 		{4, 4, 12, 0.004},
 	}
-	fmt.Println("SW-Based-nD under ~5% node failures, uniform traffic, V=6, M=32:")
+	fmt.Fprintln(stdout, "SW-Based-nD under ~5% node failures, uniform traffic, V=6, M=32:")
 	for _, tc := range cases {
 		for _, alg := range []string{"det", "adaptive"} {
 			cfg := core.DefaultConfig(tc.k, tc.n, tc.lambda)
@@ -36,25 +45,18 @@ func main() {
 			cfg.Seed = 11
 			res, err := core.Run(cfg)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			mode := "det"
 			if alg == "adaptive" {
 				mode = "adp"
 			}
-			fmt.Printf("  %d-ary %d-cube (%3d nodes, nf=%2d) %s: latency %6.1f  delivered %d/%d  dropped %d\n",
-				tc.k, tc.n, pow(tc.k, tc.n), tc.nf, mode,
+			fmt.Fprintf(stdout, "  %d-ary %d-cube (%3d nodes, nf=%2d) %s: latency %6.1f  delivered %d/%d  dropped %d\n",
+				tc.k, tc.n, topology.New(tc.k, tc.n).Nodes(), tc.nf, mode,
 				res.MeanLatency, res.Delivered, res.Generated, res.Dropped)
 		}
 	}
-	fmt.Println("\nEvery message is delivered despite faults — the n-dimensional extension")
-	fmt.Println("keeps the 2-D algorithm's delivery guarantee (paper §4).")
-}
-
-func pow(b, e int) int {
-	out := 1
-	for i := 0; i < e; i++ {
-		out *= b
-	}
-	return out
+	fmt.Fprintln(stdout, "\nEvery message is delivered despite faults — the n-dimensional extension")
+	fmt.Fprintln(stdout, "keeps the 2-D algorithm's delivery guarantee (paper §4).")
+	return nil
 }

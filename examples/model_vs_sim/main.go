@@ -8,8 +8,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math"
+	"os"
 
 	"repro/internal/analytic"
 	"repro/internal/core"
@@ -17,6 +19,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(stdout io.Writer) error {
 	const (
 		k, n = 8, 2
 		v    = 4
@@ -27,8 +35,8 @@ func main() {
 	model := make([]float64, len(lambdas))
 	sim := make([]float64, len(lambdas))
 
-	fmt.Printf("8-ary 2-cube, V=%d, M=%d flits, nf=%d random faults\n\n", v, m, nf)
-	fmt.Printf("%-10s%12s%12s\n", "lambda", "model", "simulator")
+	fmt.Fprintf(stdout, "8-ary 2-cube, V=%d, M=%d flits, nf=%d random faults\n\n", v, m, nf)
+	fmt.Fprintf(stdout, "%-10s%12s%12s\n", "lambda", "model", "simulator")
 	for i, l := range lambdas {
 		mdl := analytic.Model{K: k, N: n, V: v, M: m, Lambda: l, Nf: nf}
 		if lat, err := mdl.MeanLatency(); err == nil {
@@ -46,23 +54,24 @@ func main() {
 		cfg.MeasureMessages = 4000
 		res, err := core.Run(cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if res.Saturated {
 			sim[i] = math.Inf(1)
 		} else {
 			sim[i] = res.MeanLatency
 		}
-		fmt.Printf("%-10g%12s%12s\n", l, cell(model[i]), cell(sim[i]))
+		fmt.Fprintf(stdout, "%-10g%12s%12s\n", l, cell(model[i]), cell(sim[i]))
 	}
 
 	ch := viz.NewChart(lambdas, 7, 14)
 	ch.Add("model", model)
 	ch.Add("sim", sim)
-	fmt.Println()
-	fmt.Print(ch.Render())
-	fmt.Println("\nThe model tracks the simulator until the knee; analytical models of this")
-	fmt.Println("family are used to place the saturation point, not to match exact cycles.")
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, ch.Render())
+	fmt.Fprintln(stdout, "\nThe model tracks the simulator until the knee; analytical models of this")
+	fmt.Fprintln(stdout, "family are used to place the saturation point, not to match exact cycles.")
+	return nil
 }
 
 func cell(v float64) string {

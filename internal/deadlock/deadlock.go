@@ -1,224 +1,177 @@
 // Package deadlock mechanically checks the deadlock-freedom argument of §4
 // of the paper: the (extended) channel dependency graph of the routing
-// relation must be acyclic (Dally & Seitz; Duato).
-//
-// Vertices are (physical channel, virtual-channel class) pairs. A wormhole
-// message holding one channel and requesting the next creates a dependency
-// edge between consecutive (channel, class) pairs along its path. The
-// checker ingests concrete paths — fault-free e-cube paths, reversed ring
-// runs, via-chain segments produced by the Software-Based planner — and
-// reports acyclicity, with a cycle witness for diagnostics.
+// relation must be acyclic (Dally & Seitz; Duato). Build derives the graph
+// from a routing.Router's own decisions, over any topology and fault set;
+// Cycle reports acyclicity with a witness. A cycle is a failed sufficient
+// condition, not a demonstrated deadlock.
 package deadlock
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
+	"repro/internal/message"
+	"repro/internal/routing"
 	"repro/internal/topology"
 )
 
-// VC is a vertex of the extended channel dependency graph: one dateline
-// class bank of one unidirectional physical channel.
+// VC is a vertex of the extended channel dependency graph: one virtual
+// channel of one unidirectional physical channel, as Route names it.
 type VC struct {
 	Ch    topology.ChannelID
-	Class int
+	Index int
 }
 
-func (v VC) String() string { return fmt.Sprintf("%v/c%d", v.Ch, v.Class) }
+func (v VC) String() string { return fmt.Sprintf("%v/vc%d", v.Ch, v.Index) }
 
-// Graph is a channel dependency graph under construction. Not safe for
-// concurrent mutation.
-type Graph struct {
-	adj map[VC]map[VC]struct{}
+func compare(a, b VC) int {
+	return cmp.Or(cmp.Compare(a.Ch.Src, b.Ch.Src), cmp.Compare(a.Ch.Port, b.Ch.Port), cmp.Compare(a.Index, b.Index))
 }
 
-// NewGraph returns an empty dependency graph.
-func NewGraph() *Graph { return &Graph{adj: make(map[VC]map[VC]struct{})} }
+// Graph is a channel dependency graph: the successors of every vertex. Not
+// safe for concurrent mutation.
+type Graph map[VC]map[VC]struct{}
 
 // AddEdge records a dependency a -> b (holding a while requesting b).
-func (g *Graph) AddEdge(a, b VC) {
-	if g.adj[a] == nil {
-		g.adj[a] = make(map[VC]struct{})
+func (g Graph) AddEdge(a, b VC) {
+	g.vertex(a)[b] = struct{}{}
+	g.vertex(b)
+}
+
+func (g Graph) vertex(v VC) map[VC]struct{} {
+	if g[v] == nil {
+		g[v] = make(map[VC]struct{})
 	}
-	g.adj[a][b] = struct{}{}
-	if g.adj[b] == nil {
-		g.adj[b] = make(map[VC]struct{})
-	}
+	return g[v]
 }
 
 // Size returns the number of vertices and edges.
-func (g *Graph) Size() (vertices, edges int) {
-	for _, out := range g.adj {
+func (g Graph) Size() (vertices, edges int) {
+	for _, out := range g {
 		edges += len(out)
 	}
-	return len(g.adj), edges
+	return len(g), edges
 }
 
-// ClassifyPath computes, for each hop of a worm's path, the dateline
-// virtual-channel class the routing algorithms assign: class 0 until the
-// worm crosses a ring's wraparound edge in that dimension, class 1 on and
-// after the crossing. A worm's dateline state is per dimension and resets
-// only at (re-)injection, so a single call corresponds to a single worm
-// segment between software stops.
-func ClassifyPath(t *topology.Torus, path []topology.NodeID) ([]int, error) {
-	classes := make([]int, 0, len(path)-1)
-	crossed := make([]bool, t.N())
-	for i := 1; i < len(path); i++ {
-		dim, dir, ok := hop(t, path[i-1], path[i])
-		if !ok {
-			return nil, fmt.Errorf("deadlock: nodes %d and %d not adjacent", path[i-1], path[i])
+// Build constructs the dependency graph of a's routing relation: every
+// ordered pair of healthy nodes is explored with the stepper routing.Walk
+// runs, branching over every candidate. A decision's vertices are its
+// Fallback candidates where it has any (the escape relation of Duato's
+// protocol) and its Preferred candidates otherwise; a worm holding one on
+// the port it leaves through depends directly on each vertex of its next
+// decision. A software stop takes the worm out of the network and so cuts
+// the chain — the paper's argument. Dependencies through adaptive channels
+// that are not vertices (Duato's indirect ones) are not modelled.
+func Build(a routing.Router) (Graph, error) {
+	b := builder{a: a, g: Graph{}, seen: make(map[routing.WormState][]VC)}
+	var err error
+	routing.EachPair(a, 1, func(m *message.Message) {
+		if err == nil {
+			err = b.explore(m.Src, m, nil, 0, 40*a.Topology().Nodes())
 		}
-		wrap := t.WrapsAround(t.Coord(path[i-1], dim), dir)
-		if crossed[dim] || wrap {
-			classes = append(classes, 1)
-		} else {
-			classes = append(classes, 0)
-		}
-		if wrap {
-			crossed[dim] = true
-		}
-	}
-	return classes, nil
+	})
+	return b.g, err
 }
 
-// AddWormPath ingests a worm segment: consecutive hops become dependency
-// edges between their (channel, class) vertices.
-func (g *Graph) AddWormPath(t *topology.Torus, path []topology.NodeID) error {
-	classes, err := ClassifyPath(t, path)
-	if err != nil {
-		return err
+type builder struct {
+	a routing.Router
+	g Graph
+	// seen maps an explored state to the vertices a worm entering it
+	// requests (none at a software stop or the destination).
+	seen map[routing.WormState][]VC
+}
+
+// explore follows worm m, head at cur and holding one of the held vertices
+// of the port it came through, until every continuation is delivered or
+// meets an explored state.
+func (b *builder) explore(cur topology.NodeID, m *message.Message, held []VC, through topology.Port, budget int) error {
+	if budget == 0 {
+		return fmt.Errorf("deadlock: %s: step budget exhausted towards %d", b.a.Name(), m.Dst)
 	}
-	var prev *VC
-	for i := 1; i < len(path); i++ {
-		dim, dir, _ := hop(t, path[i-1], path[i])
-		v := VC{
-			Ch:    topology.ChannelID{Src: path[i-1], Port: topology.PortFor(dim, dir)},
-			Class: classes[i-1],
+	state := routing.Snapshot(cur, m)
+	requests, seen := b.seen[state]
+	if !seen {
+		dec := b.a.Route(cur, m)
+		if dec.Outcome != routing.Progress {
+			b.seen[state] = nil
+			if dec.Outcome == routing.Deliver {
+				return nil
+			}
+			if !routing.SoftwareStop(b.a, cur, m, dec) {
+				return fmt.Errorf("deadlock: %s: no route from %d to %d", b.a.Name(), cur, m.Dst)
+			}
+			return b.explore(cur, m, nil, 0, budget-1)
 		}
-		if prev != nil {
-			g.AddEdge(*prev, v)
-		} else if g.adj[v] == nil {
-			g.adj[v] = make(map[VC]struct{})
+		relation := dec.Fallback
+		if len(relation) == 0 {
+			relation = dec.Preferred
 		}
-		pv := v
-		prev = &pv
+		for _, c := range relation {
+			requests = append(requests, VC{topology.ChannelID{Src: cur, Port: c.Port}, c.VC})
+			b.g.vertex(requests[len(requests)-1])
+		}
+		b.seen[state] = requests
+		// The worm may leave through any candidate port, escape or not
+		// (copied: Route reuses the decision's storage).
+		cands := slices.Concat(dec.Preferred, dec.Fallback)
+		for i, c := range cands {
+			if slices.ContainsFunc(cands[:i], func(o routing.CandidateVC) bool { return o.Port == c.Port }) {
+				continue
+			}
+			next := *m
+			next.Via = slices.Clone(m.Via)
+			if err := b.explore(routing.Hop(b.a.Topology(), cur, &next, c.Port), &next, requests, c.Port, budget-1); err != nil {
+				return err
+			}
+		}
+	}
+	for _, h := range held {
+		if h.Ch.Port == through {
+			out := b.g.vertex(h) // requests are vertices already
+			for _, r := range requests {
+				out[r] = struct{}{}
+			}
+		}
 	}
 	return nil
-}
-
-func hop(t *topology.Torus, a, b topology.NodeID) (int, topology.Dir, bool) {
-	for d := 0; d < t.N(); d++ {
-		if t.Neighbor(a, d, topology.Plus) == b {
-			return d, topology.Plus, true
-		}
-		if t.Neighbor(a, d, topology.Minus) == b {
-			return d, topology.Minus, true
-		}
-	}
-	return 0, 0, false
 }
 
 // Cycle returns a dependency cycle as a vertex sequence (first == last), or
 // nil if the graph is acyclic. Iteration order is made deterministic by
 // sorting vertices.
-func (g *Graph) Cycle() []VC {
+func (g Graph) Cycle() []VC {
 	const (
 		white = 0
 		grey  = 1
 		black = 2
 	)
-	color := make(map[VC]int, len(g.adj))
-	parent := make(map[VC]VC)
-
-	vertices := make([]VC, 0, len(g.adj))
-	for v := range g.adj {
-		vertices = append(vertices, v)
-	}
-	sort.Slice(vertices, func(i, j int) bool {
-		a, b := vertices[i], vertices[j]
-		if a.Ch.Src != b.Ch.Src {
-			return a.Ch.Src < b.Ch.Src
-		}
-		if a.Ch.Port != b.Ch.Port {
-			return a.Ch.Port < b.Ch.Port
-		}
-		return a.Class < b.Class
-	})
-
-	var cycle []VC
+	color := make(map[VC]int, len(g))
+	var path, cycle []VC // path holds the grey vertices, in edge order
 	var dfs func(v VC) bool
 	dfs = func(v VC) bool {
 		color[v] = grey
-		outs := make([]VC, 0, len(g.adj[v]))
-		for w := range g.adj[v] {
-			outs = append(outs, w)
-		}
-		sort.Slice(outs, func(i, j int) bool {
-			a, b := outs[i], outs[j]
-			if a.Ch.Src != b.Ch.Src {
-				return a.Ch.Src < b.Ch.Src
-			}
-			if a.Ch.Port != b.Ch.Port {
-				return a.Ch.Port < b.Ch.Port
-			}
-			return a.Class < b.Class
-		})
-		for _, w := range outs {
+		path = append(path, v)
+		for _, w := range slices.SortedFunc(maps.Keys(g[v]), compare) {
 			switch color[w] {
 			case white:
-				parent[w] = v
 				if dfs(w) {
 					return true
 				}
 			case grey:
-				// Reconstruct the cycle w -> ... -> v -> w.
-				cycle = []VC{w}
-				for at := v; at != w; at = parent[at] {
-					cycle = append(cycle, at)
-				}
-				cycle = append(cycle, w)
-				// Reverse into forward edge order.
-				for i, j := 0, len(cycle)-1; i < j; i, j = i+1, j-1 {
-					cycle[i], cycle[j] = cycle[j], cycle[i]
-				}
+				cycle = append(slices.Clone(path[slices.Index(path, w):]), w)
 				return true
 			}
 		}
 		color[v] = black
+		path = path[:len(path)-1]
 		return false
 	}
-	for _, v := range vertices {
+	for _, v := range slices.SortedFunc(maps.Keys(g), compare) {
 		if color[v] == white && dfs(v) {
 			return cycle
 		}
 	}
 	return nil
-}
-
-// Acyclic reports whether the dependency graph has no cycle.
-func (g *Graph) Acyclic() bool { return g.Cycle() == nil }
-
-// BuildEcube constructs the full e-cube dependency graph of a torus: every
-// ordered healthy (src, dst) pair contributes its dimension-order path.
-// This is the relation the deterministic algorithm uses between software
-// stops; its acyclicity is the §4 deadlock-freedom claim for the
-// deterministic base.
-func BuildEcube(t *topology.Torus, healthy func(topology.NodeID) bool) (*Graph, error) {
-	g := NewGraph()
-	for s := 0; s < t.Nodes(); s++ {
-		src := topology.NodeID(s)
-		if healthy != nil && !healthy(src) {
-			continue
-		}
-		for d := 0; d < t.Nodes(); d++ {
-			dst := topology.NodeID(d)
-			if src == dst || (healthy != nil && !healthy(dst)) {
-				continue
-			}
-			if err := g.AddWormPath(t, t.EcubePath(src, dst)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return g, nil
 }

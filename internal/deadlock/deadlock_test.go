@@ -1,6 +1,10 @@
 package deadlock
 
 import (
+	"fmt"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -11,17 +15,14 @@ import (
 )
 
 func TestTrivialCycleDetected(t *testing.T) {
-	g := NewGraph()
-	a := VC{Ch: topology.ChannelID{Src: 0, Port: 0}, Class: 0}
-	b := VC{Ch: topology.ChannelID{Src: 1, Port: 0}, Class: 0}
+	g := Graph{}
+	a := VC{Ch: topology.ChannelID{Src: 0, Port: 0}}
+	b := VC{Ch: topology.ChannelID{Src: 1, Port: 0}}
 	g.AddEdge(a, b)
-	if !g.Acyclic() {
+	if g.Cycle() != nil {
 		t.Fatal("single edge reported cyclic")
 	}
 	g.AddEdge(b, a)
-	if g.Acyclic() {
-		t.Fatal("2-cycle not detected")
-	}
 	cyc := g.Cycle()
 	if len(cyc) != 3 || cyc[0] != cyc[len(cyc)-1] {
 		t.Fatalf("cycle witness malformed: %v", cyc)
@@ -29,7 +30,7 @@ func TestTrivialCycleDetected(t *testing.T) {
 }
 
 func TestLongerCycleWitness(t *testing.T) {
-	g := NewGraph()
+	g := Graph{}
 	mk := func(i int) VC { return VC{Ch: topology.ChannelID{Src: topology.NodeID(i), Port: 0}} }
 	for i := 0; i < 5; i++ {
 		g.AddEdge(mk(i), mk((i+1)%5))
@@ -43,177 +44,131 @@ func TestLongerCycleWitness(t *testing.T) {
 	}
 }
 
+// oneVC emulates class-less channels: every candidate of the wrapped
+// router is mapped to VC 0.
+type oneVC struct{ routing.Router }
+
+func (o oneVC) Route(cur topology.NodeID, m *message.Message) routing.Decision {
+	dec := o.Router.Route(cur, m)
+	for i := range dec.Preferred {
+		dec.Preferred[i].VC = 0
+	}
+	return dec
+}
+
 // Without dateline classes a torus ring's e-cube CDG is cyclic; with them it
 // must be acyclic. This is the heart of the Dally-Seitz construction the
 // paper's deterministic base relies on.
 func TestRingWithoutClassesIsCyclic(t *testing.T) {
-	tor := topology.New(4, 1)
-	g := NewGraph()
-	// Force all traffic onto one class: emulate class-less channels by
-	// mapping every hop to class 0 manually.
-	for s := 0; s < 4; s++ {
-		for d := 0; d < 4; d++ {
-			if s == d {
-				continue
-			}
-			path := tor.EcubePath(topology.NodeID(s), topology.NodeID(d))
-			var prev *VC
-			for i := 1; i < len(path); i++ {
-				dimDirPort := func(a, b topology.NodeID) topology.Port {
-					if tor.Neighbor(a, 0, topology.Plus) == b {
-						return topology.PortFor(0, topology.Plus)
-					}
-					return topology.PortFor(0, topology.Minus)
-				}
-				v := VC{Ch: topology.ChannelID{Src: path[i-1], Port: dimDirPort(path[i-1], path[i])}, Class: 0}
-				if prev != nil {
-					g.AddEdge(*prev, v)
-				}
-				pv := v
-				prev = &pv
-			}
-		}
+	ring := topology.New(4, 1)
+	det, err := routing.New("det", ring, fault.NewSet(ring), 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if g.Acyclic() {
-		t.Fatal("class-less ring CDG should be cyclic")
+	if g, err := Build(det); err != nil || g.Cycle() != nil {
+		t.Fatalf("dateline-classed ring: err %v, cycle %v", err, g.Cycle())
+	}
+	g, err := Build(oneVC{det})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cyc := g.Cycle(); len(cyc) != 5 {
+		t.Fatalf("class-less ring CDG should have a 4-channel cycle, got %v", cyc)
 	}
 }
 
-func TestEcubeCDGAcyclicFaultFree(t *testing.T) {
-	for _, tor := range []*topology.Torus{
-		topology.New(4, 1),
-		topology.New(8, 2),
-		topology.New(4, 3),
+// faultSets returns the named fault configurations of one TestRouteCDG
+// row: fault-free, random node faults, and on the 8-ary 2-D networks the
+// five Fig. 5 regions.
+func faultSets(t *testing.T, net topology.Network) (names []string, sets []*fault.Set) {
+	names, sets = []string{"fault-free"}, []*fault.Set{fault.NewSet(net)}
+	if testing.Short() {
+		return names, sets
+	}
+	for _, nf := range []int{3, 6} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			fs, err := fault.Random(net, nf, rng.New(seed), fault.DefaultRandomOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			names, sets = append(names, fmt.Sprintf("random:nf=%d,seed=%d", nf, seed)), append(sets, fs)
+		}
+	}
+	if net.K() == 8 && net.N() == 2 {
+		for shape, spec := range fault.PaperFig5Specs() {
+			fs := fault.NewSet(net)
+			if _, err := fault.StampShape(fs, 0, 0, 1, spec); err != nil {
+				t.Fatal(err)
+			}
+			names, sets = append(names, shape), append(sets, fs)
+		}
+	}
+	return names, sets
+}
+
+// TestRouteCDG builds the dependency graph of every registered algorithm
+// on every topology kind it supports, fault-free and faulted. det and
+// valiant must be acyclic everywhere (§4's claim for the code that runs)
+// and every algorithm fault-free, bar the one cell noted below; every
+// verdict is also pinned in testdata/cdg.golden, where the cyclic cells
+// are findings written up in ROADMAP item 4, not fixed: a routing change
+// that moves one shows as a diff of that file. Run with -v for witnesses.
+func TestRouteCDG(t *testing.T) {
+	golden, err := os.ReadFile("testdata/cdg.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+		cell, verdict, _ := strings.Cut(line, ": ")
+		want[cell] = verdict
+	}
+	var got []string
+	for _, spec := range []string{
+		"torus:k=8,n=2", "torus:k=4,n=3", "torus:k=5,n=2", "mesh:k=8,n=2", "mesh:k=4,n=3", "hypercube:n=5",
 	} {
-		g, err := BuildEcube(tor, nil)
+		net, err := topology.NewNetwork(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cyc := g.Cycle(); cyc != nil {
-			t.Fatalf("%v: e-cube CDG cyclic: %v", tor, cyc)
-		}
-		v, e := g.Size()
-		if v == 0 || e == 0 {
-			t.Fatalf("%v: empty graph", tor)
-		}
-	}
-}
-
-func TestEcubeCDGAcyclicWithFaults(t *testing.T) {
-	tor := topology.New(8, 2)
-	fs, err := fault.Random(tor, 5, rng.New(9), fault.DefaultRandomOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := BuildEcube(tor, func(id topology.NodeID) bool { return !fs.NodeFaulty(id) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cyc := g.Cycle(); cyc != nil {
-		t.Fatalf("faulted e-cube CDG cyclic: %v", cyc)
-	}
-}
-
-func TestClassifyPathWrap(t *testing.T) {
-	tor := topology.New(4, 1)
-	// 2 -> 3 -> 0 -> 1: hops classes 0, 1 (crossing), 1 (after).
-	path := []topology.NodeID{2, 3, 0, 1}
-	classes, err := ClassifyPath(tor, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 1, 1}
-	for i := range want {
-		if classes[i] != want[i] {
-			t.Fatalf("classes = %v, want %v", classes, want)
-		}
-	}
-	if _, err := ClassifyPath(tor, []topology.NodeID{0, 2}); err == nil {
-		t.Fatal("non-adjacent hop not rejected")
-	}
-}
-
-// The strongest empirical check: run the actual Software-Based walker over
-// random fault patterns, collect every in-network worm segment (between
-// software stops), and assert the dependency graph of everything that was
-// actually used stays acyclic.
-func TestSWBasedSegmentsCDGAcyclic(t *testing.T) {
-	tor := topology.New(8, 2)
-	r := rng.New(4242)
-	for trial := 0; trial < 10; trial++ {
-		nf := 1 + r.Intn(8)
-		fs, err := fault.Random(tor, nf, r.Split(uint64(trial)), fault.DefaultRandomOptions())
-		if err != nil {
-			continue
-		}
-		alg, err := routing.NewDeterministic(tor, fs, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := NewGraph()
-		healthy := fs.HealthyNodes()
-		for i := 0; i < 150; i++ {
-			src := healthy[r.Intn(len(healthy))]
-			dst := healthy[r.Intn(len(healthy))]
-			if src == dst {
+		names, sets := faultSets(t, net)
+		for _, info := range routing.Algorithms() {
+			if !info.Supports(net.Kind()) {
 				continue
 			}
-			m := message.New(uint64(i), src, dst, 16, tor.N(), message.Deterministic, 0)
-			segs := collectSegments(t, alg, m, 20*tor.Nodes())
-			for _, seg := range segs {
-				if len(seg) >= 2 {
-					if err := g.AddWormPath(tor, seg); err != nil {
-						t.Fatal(err)
+			for i, fs := range sets {
+				cell := fmt.Sprintf("%s %s %s", info.Name, spec, names[i])
+				alg, err := routing.New(info.Name, net, fs, max(4, info.MinVFor(net)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := Build(alg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				verdict := "acyclic"
+				if cyc := g.Cycle(); cyc != nil {
+					verdict = fmt.Sprintf("cyclic %d", len(cyc)-1)
+					t.Logf("%s: %v", cell, cyc)
+					// planar-adaptive's plane (0,2) shares d1 banks with
+					// plane (1,2) on a 3-D mesh.
+					planes3D := info.Name == "planar-adaptive" && net.N() == 3
+					if info.Name == "det" || info.Name == "valiant" || i == 0 && !planes3D {
+						t.Errorf("%s must be acyclic, found %v", cell, cyc)
 					}
+				}
+				got = append(got, cell+": "+verdict)
+				if verdict != want[cell] {
+					t.Errorf("%s: %s, testdata/cdg.golden says %q", cell, verdict, want[cell])
 				}
 			}
 		}
-		if cyc := g.Cycle(); cyc != nil {
-			t.Fatalf("trial %d (nf=%d): used-segment CDG cyclic: %v", trial, nf, cyc)
-		}
 	}
-}
-
-// collectSegments replays the routing algorithm hop by hop and slices the
-// trajectory at software stops (via arrivals and fault absorptions), where
-// the worm leaves the network and channel dependencies are broken.
-func collectSegments(tb testing.TB, a *routing.Algorithm, m *message.Message, maxSteps int) [][]topology.NodeID {
-	tb.Helper()
-	tor := a.Topology()
-	cur := m.Src
-	seg := []topology.NodeID{cur}
-	var segs [][]topology.NodeID
-	for step := 0; step < maxSteps; step++ {
-		dec := a.Route(cur, m)
-		switch dec.Outcome {
-		case routing.Deliver:
-			segs = append(segs, seg)
-			return segs
-		case routing.ViaArrived:
-			segs = append(segs, seg)
-			seg = []topology.NodeID{cur}
-			m.PopViasAt(cur)
-			m.ResetForReinjection()
-		case routing.AbsorbFault:
-			segs = append(segs, seg)
-			seg = []topology.NodeID{cur}
-			if !a.Plan(cur, m, dec.BlockedDim, dec.BlockedDir) {
-				tb.Fatal("planner failed")
-			}
-			m.ResetForReinjection()
-		case routing.Progress:
-			cand := dec.Preferred
-			if len(cand) == 0 {
-				cand = dec.Fallback
-			}
-			port := cand[0].Port
-			if tor.WrapsAround(tor.Coord(cur, port.Dim()), port.Dir()) {
-				m.Crossed[port.Dim()] = true
-			}
-			cur = tor.Neighbor(cur, port.Dim(), port.Dir())
-			seg = append(seg, cur)
-		}
+	if !testing.Short() && len(got) != len(want) {
+		t.Errorf("testdata/cdg.golden has %d cells, the table %d", len(want), len(got))
 	}
-	tb.Fatal("walker did not finish")
-	return nil
+	if t.Failed() {
+		slices.Sort(got)
+		t.Logf("table as run:\n%s", strings.Join(got, "\n"))
+	}
 }

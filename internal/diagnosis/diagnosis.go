@@ -19,7 +19,9 @@
 package diagnosis
 
 import (
-	"sort"
+	"iter"
+	"maps"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/topology"
@@ -27,15 +29,27 @@ import (
 
 // Protocol is one synchronous flooding instance over a fault configuration.
 type Protocol struct {
-	t     *topology.Torus
+	t     topology.Network
 	f     *fault.Set
 	views []map[topology.NodeID]bool // per node; nil for faulty nodes
 	round int
 }
 
+// neighbours yields the nodes one hop from id: fewer at a mesh edge, the
+// same node twice on a 2-ary ring.
+func neighbours(t topology.Network, id topology.NodeID) iter.Seq[topology.NodeID] {
+	return func(yield func(topology.NodeID) bool) {
+		for p := topology.Port(0); int(p) < t.Degree(); p++ {
+			if t.HasLink(id, p.Dim(), p.Dir()) && !yield(t.Neighbor(id, p.Dim(), p.Dir())) {
+				return
+			}
+		}
+	}
+}
+
 // New initialises the protocol: every healthy node knows exactly the faulty
 // endpoints of its incident links (local failure detection).
-func New(t *topology.Torus, f *fault.Set) *Protocol {
+func New(t topology.Network, f *fault.Set) *Protocol {
 	p := &Protocol{t: t, f: f, views: make([]map[topology.NodeID]bool, t.Nodes())}
 	for id := 0; id < t.Nodes(); id++ {
 		node := topology.NodeID(id)
@@ -43,21 +57,15 @@ func New(t *topology.Torus, f *fault.Set) *Protocol {
 			continue
 		}
 		view := make(map[topology.NodeID]bool)
-		for d := 0; d < t.N(); d++ {
-			for _, dir := range []topology.Dir{topology.Plus, topology.Minus} {
-				nb := t.Neighbor(node, d, dir)
-				if f.NodeFaulty(nb) {
-					view[nb] = true
-				}
+		for nb := range neighbours(t, node) {
+			if f.NodeFaulty(nb) {
+				view[nb] = true
 			}
 		}
 		p.views[node] = view
 	}
 	return p
 }
-
-// Round returns the number of exchange rounds executed so far.
-func (p *Protocol) Round() int { return p.round }
 
 // Step performs one synchronous exchange round: every healthy node merges
 // the previous-round views of its healthy neighbours. It reports whether
@@ -72,20 +80,17 @@ func (p *Protocol) Step() bool {
 			continue
 		}
 		node := topology.NodeID(id)
-		for d := 0; d < p.t.N(); d++ {
-			for _, dir := range []topology.Dir{topology.Plus, topology.Minus} {
-				port := topology.PortFor(d, dir)
-				if p.f.LinkFaulty(node, port) {
-					continue
-				}
-				nb := p.t.Neighbor(node, d, dir)
-				if p.views[nb] == nil {
-					continue
-				}
-				for known := range p.views[nb] {
-					if !p.views[id][known] {
-						incoming[id] = append(incoming[id], known)
-					}
+		for port := topology.Port(0); int(port) < p.t.Degree(); port++ {
+			if p.f.LinkFaulty(node, port) { // a missing mesh-edge link included
+				continue
+			}
+			nb := p.t.Neighbor(node, port.Dim(), port.Dir())
+			if p.views[nb] == nil {
+				continue
+			}
+			for known := range p.views[nb] {
+				if !p.views[id][known] {
+					incoming[id] = append(incoming[id], known)
 				}
 			}
 		}
@@ -115,16 +120,10 @@ func (p *Protocol) Run(maxRounds int) int {
 
 // View returns the faults known to node, ascending. Nil for faulty nodes.
 func (p *Protocol) View(node topology.NodeID) []topology.NodeID {
-	v := p.views[node]
-	if v == nil {
+	if p.views[node] == nil {
 		return nil
 	}
-	out := make([]topology.NodeID, 0, len(v))
-	for id := range v {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(p.views[node]))
 }
 
 // Knows reports whether node's view contains the faulty node q.
@@ -135,21 +134,18 @@ func (p *Protocol) Knows(node, q topology.NodeID) bool {
 
 // BoundaryNodes returns the healthy neighbours of a region — exactly the
 // nodes at which SW-Based messages absorb against it.
-func BoundaryNodes(t *topology.Torus, f *fault.Set, r *fault.Region) []topology.NodeID {
+func BoundaryNodes(t topology.Network, f *fault.Set, r *fault.Region) []topology.NodeID {
 	seen := make(map[topology.NodeID]bool)
 	var out []topology.NodeID
 	for _, id := range r.Nodes {
-		for d := 0; d < t.N(); d++ {
-			for _, dir := range []topology.Dir{topology.Plus, topology.Minus} {
-				nb := t.Neighbor(id, d, dir)
-				if !f.NodeFaulty(nb) && !seen[nb] {
-					seen[nb] = true
-					out = append(out, nb)
-				}
+		for nb := range neighbours(t, id) {
+			if !f.NodeFaulty(nb) && !seen[nb] {
+				seen[nb] = true
+				out = append(out, nb)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -159,20 +155,14 @@ func BoundaryNodes(t *topology.Torus, f *fault.Set, r *fault.Region) []topology.
 // but every per-dimension extent extreme lies on the shell (an extreme
 // member's outward neighbour cannot belong to the same coalesced region,
 // so it is healthy), hence shell extents equal region extents.
-func Shell(t *topology.Torus, f *fault.Set, r *fault.Region) []topology.NodeID {
+func Shell(t topology.Network, f *fault.Set, r *fault.Region) []topology.NodeID {
 	var out []topology.NodeID
 	for _, id := range r.Nodes {
-		onShell := false
-		for d := 0; d < t.N() && !onShell; d++ {
-			for _, dir := range []topology.Dir{topology.Plus, topology.Minus} {
-				if !f.NodeFaulty(t.Neighbor(id, d, dir)) {
-					onShell = true
-					break
-				}
+		for nb := range neighbours(t, id) {
+			if !f.NodeFaulty(nb) {
+				out = append(out, id)
+				break
 			}
-		}
-		if onShell {
-			out = append(out, id)
 		}
 	}
 	return out

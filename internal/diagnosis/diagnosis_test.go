@@ -33,23 +33,49 @@ func TestLocalDetectionAtStart(t *testing.T) {
 }
 
 func TestFloodingReachesEveryone(t *testing.T) {
-	tor := topology.New(8, 2)
-	fs, err := fault.Random(tor, 5, rng.New(3), fault.DefaultRandomOptions())
-	if err != nil {
+	// Convergence within (diameter + 1) rounds of the healthy network; the
+	// fault-free diameters are 8, 14 (a mesh has no short way round) and 5.
+	for spec, maxRounds := range map[string]int{"torus:k=8,n=2": 12, "mesh:k=8,n=2": 18, "hypercube:n=5": 8} {
+		net, err := topology.NewNetwork(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, err := fault.Random(net, 5, rng.New(3), fault.DefaultRandomOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := New(net, fs)
+		if rounds := p.Run(100); rounds > maxRounds {
+			t.Fatalf("%s: converged only after %d rounds", spec, rounds)
+		}
+		for _, h := range fs.HealthyNodes() {
+			view := p.View(h)
+			if len(view) != fs.NumNodeFaults() {
+				t.Fatalf("%s: node %d knows %d faults, want %d", spec, h, len(view), fs.NumNodeFaults())
+			}
+		}
+	}
+}
+
+// A region in a mesh corner: edge nodes have fewer neighbours, so the
+// boundary is smaller than on a torus and nothing may look past the edge.
+func TestMeshCornerRegion(t *testing.T) {
+	mesh := topology.NewMesh(8, 2)
+	fs := fault.NewSet(mesh)
+	if _, err := fault.StampShape(fs, 0, 0, 1, fault.ShapeSpec{Shape: fault.ShapeRect, A: 2, B: 2}); err != nil {
 		t.Fatal(err)
 	}
-	p := New(tor, fs)
-	rounds := p.Run(100)
-	// Convergence within (diameter + 1) rounds of the healthy network;
-	// diameter of the fault-free 8-ary 2-cube is 8.
-	if rounds > 12 {
-		t.Fatalf("converged only after %d rounds", rounds)
+	reg := fs.Regions()[0]
+	if bnd := BoundaryNodes(mesh, fs, reg); len(bnd) != 4 {
+		t.Fatalf("corner 2x2 block boundary = %v, want 4 nodes", bnd)
 	}
-	for _, h := range fs.HealthyNodes() {
-		view := p.View(h)
-		if len(view) != fs.NumNodeFaults() {
-			t.Fatalf("node %d knows %d faults, want %d", h, len(view), fs.NumNodeFaults())
-		}
+	if shell := Shell(mesh, fs, reg); len(shell) != 3 {
+		t.Fatalf("corner 2x2 block shell = %v, want 3 nodes (the corner node is hidden)", shell)
+	}
+	p := New(mesh, fs)
+	p.Run(100)
+	if !p.BoundaryComplete(reg) {
+		t.Fatal("boundary incomplete at convergence")
 	}
 }
 

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/message"
@@ -12,42 +13,29 @@ import (
 type WalkResult struct {
 	// Hops is the number of link traversals.
 	Hops int
-	// Stops is the number of software-layer stops (fault absorptions plus
-	// intermediate-destination arrivals).
+	// Stops is the number of software-layer stops (fault absorptions, which
+	// the message counts itself, plus intermediate-destination arrivals).
 	Stops int
-	// Absorptions is the fault-triggered subset of Stops.
-	Absorptions int
 	// Delivered reports whether the walk reached the destination within
 	// the step budget.
 	Delivered bool
 }
 
 // Walk drives a message from its source to its destination assuming zero
-// contention: Route decides, the walk applies the first candidate, and
+// contention: Route decides, the walk takes the first candidate (Hop), and
 // software stops run the planner exactly as the engine's messaging layer
-// does. It is the algorithm-level executable semantics used by the
-// livelock analysis and the test suite.
+// does (SoftwareStop). It is the algorithm-level executable semantics of
+// the livelock analysis and the test suite; internal/deadlock runs the
+// same two steps over every candidate.
 func Walk(a Router, m *message.Message, maxSteps int) WalkResult {
 	var res WalkResult
-	cur := m.Src
-	t := a.Topology()
+	cur, t := m.Src, a.Topology()
 	for step := 0; step < maxSteps; step++ {
 		dec := a.Route(cur, m)
 		switch dec.Outcome {
 		case Deliver:
 			res.Delivered = true
 			return res
-		case ViaArrived:
-			m.PopViasAt(cur)
-			m.ResetForReinjection()
-			res.Stops++
-		case AbsorbFault:
-			if !a.Plan(cur, m, dec.BlockedDim, dec.BlockedDir) {
-				return res // unroutable; Delivered stays false
-			}
-			m.ResetForReinjection()
-			res.Stops++
-			res.Absorptions++
 		case Progress:
 			cand := dec.Preferred
 			if len(cand) == 0 {
@@ -56,15 +44,75 @@ func Walk(a Router, m *message.Message, maxSteps int) WalkResult {
 			if len(cand) == 0 {
 				return res
 			}
-			port := cand[0].Port
-			if t.WrapsAround(t.Coord(cur, port.Dim()), port.Dir()) {
-				m.Crossed[port.Dim()] = true
-			}
-			cur = t.Neighbor(cur, port.Dim(), port.Dir())
+			cur = Hop(t, cur, m, cand[0].Port)
 			res.Hops++
+		default:
+			if !SoftwareStop(a, cur, m, dec) {
+				return res // unroutable; Delivered stays false
+			}
+			res.Stops++
 		}
 	}
 	return res
+}
+
+// Hop moves the worm's head from cur through port and returns the node it
+// reaches; crossing a wraparound edge marks the dimension's dateline.
+func Hop(t topology.Network, cur topology.NodeID, m *message.Message, port topology.Port) topology.NodeID {
+	if t.WrapsAround(t.Coord(cur, port.Dim()), port.Dir()) {
+		m.Crossed[port.Dim()] = true
+	}
+	return t.Neighbor(cur, port.Dim(), port.Dir())
+}
+
+// SoftwareStop is the messaging layer's half of a ViaArrived or AbsorbFault
+// decision at cur: pop the via or replan, then reset the header, because
+// the worm re-injected is a fresh one (which is what cuts dependency
+// chains at a stop, §4). It reports false when the planner finds no route.
+func SoftwareStop(a Router, cur topology.NodeID, m *message.Message, dec Decision) bool {
+	if dec.Outcome == ViaArrived {
+		m.PopViasAt(cur)
+	} else if !a.Plan(cur, m, dec.BlockedDim, dec.BlockedDir) {
+		return false
+	}
+	m.ResetForReinjection()
+	return true
+}
+
+// WormState is a comparable snapshot of a worm's position and every header
+// field Route and Plan read: the memo key of an exhaustive exploration. The
+// ID is left out so that worms share states; only a worm's first decision
+// may depend on it (valiant's intermediate), and that one sets Detoured.
+type WormState struct {
+	at, dst           topology.NodeID
+	via               string
+	absorptions       int
+	faulted, detoured bool
+	dirOverride       [message.MaxDims]topology.Dir
+	reversed, crossed [message.MaxDims]bool
+}
+
+// Snapshot returns the state of m with its head at cur.
+func Snapshot(cur topology.NodeID, m *message.Message) WormState {
+	var via []byte
+	for _, v := range m.Via {
+		via = binary.AppendUvarint(via, uint64(v))
+	}
+	return WormState{cur, m.Dst, string(via), m.Absorptions, m.Faulted, m.Detoured, m.DirOverride, m.Reversed, m.Crossed}
+}
+
+// EachPair calls fn with a fresh message (IDs count up from 0) for every
+// ordered pair of distinct healthy nodes of the algorithm's network.
+func EachPair(a Router, msgLen int, fn func(m *message.Message)) {
+	healthy, id := a.Faults().HealthyNodes(), uint64(0)
+	for _, src := range healthy {
+		for _, dst := range healthy {
+			if src != dst {
+				fn(message.New(id, src, dst, msgLen, a.Topology().N(), a.BaseMode(), 0))
+				id++
+			}
+		}
+	}
 }
 
 // LivelockReport is the exhaustive bound check behind §4's livelock-freedom
@@ -88,44 +136,28 @@ type LivelockReport struct {
 // network. msgLen only affects header construction, not the walk. maxSteps
 // bounds each walk; 0 derives a generous budget from the network size.
 func AnalyzeLivelock(a Router, msgLen, maxSteps int) LivelockReport {
-	t := a.Topology()
-	f := a.Faults()
 	if maxSteps <= 0 {
-		maxSteps = 40 * t.Nodes()
+		maxSteps = 40 * a.Topology().Nodes()
 	}
-	mode := a.BaseMode()
 	var rep LivelockReport
 	var totStops, totHops int
-	id := uint64(0)
-	for s := 0; s < t.Nodes(); s++ {
-		src := topology.NodeID(s)
-		if f.NodeFaulty(src) {
-			continue
+	EachPair(a, msgLen, func(m *message.Message) {
+		res := Walk(a, m, maxSteps)
+		rep.Pairs++
+		if !res.Delivered {
+			rep.Undelivered++
+			return
 		}
-		for d := 0; d < t.Nodes(); d++ {
-			dst := topology.NodeID(d)
-			if src == dst || f.NodeFaulty(dst) {
-				continue
-			}
-			m := message.New(id, src, dst, msgLen, t.N(), mode, 0)
-			id++
-			res := Walk(a, m, maxSteps)
-			rep.Pairs++
-			if !res.Delivered {
-				rep.Undelivered++
-				continue
-			}
-			totStops += res.Stops
-			totHops += res.Hops
-			if res.Stops > rep.MaxStops {
-				rep.MaxStops = res.Stops
-				rep.WorstSrc, rep.WorstDst = src, dst
-			}
-			if res.Hops > rep.MaxHops {
-				rep.MaxHops = res.Hops
-			}
+		totStops += res.Stops
+		totHops += res.Hops
+		if res.Stops > rep.MaxStops {
+			rep.MaxStops = res.Stops
+			rep.WorstSrc, rep.WorstDst = m.Src, m.Dst
 		}
-	}
+		if res.Hops > rep.MaxHops {
+			rep.MaxHops = res.Hops
+		}
+	})
 	delivered := rep.Pairs - rep.Undelivered
 	if delivered > 0 {
 		rep.MeanStops = float64(totStops) / float64(delivered)

@@ -23,7 +23,7 @@ func TestWalkFaultFreeMatchesDistance(t *testing.T) {
 	if res.Hops != tor.Distance(src, dst) {
 		t.Fatalf("hops = %d, want minimal %d", res.Hops, tor.Distance(src, dst))
 	}
-	if res.Stops != 0 || res.Absorptions != 0 {
+	if res.Stops != 0 || m.Absorptions != 0 {
 		t.Fatal("stops in a fault-free walk")
 	}
 }
