@@ -32,10 +32,7 @@ import (
 	"repro/internal/analytic"
 	"repro/internal/core"
 	"repro/internal/deadlock"
-	"repro/internal/fault"
-	"repro/internal/rng"
 	"repro/internal/routing"
-	"repro/internal/topology"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -60,40 +57,56 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	// One description of the experiment for all three modes: the network,
+	// the fault placement and the routers are the ones swsim builds from
+	// the same -k/-n, -faults, -seed and -v.
+	cfg := core.DefaultConfig(*k, *n, 0)
+	cfg.V = *v
+	cfg.MsgLen = *m
+	cfg.Faults.RandomNodes = *faults
+	cfg.Seed = *seed
+	cfg.WarmupMessages = *measure / 10
+	cfg.MeasureMessages = *measure
+
 	switch *mode {
 	case "deadlock":
-		return analyzeDeadlock(stdout, stderr, *k, *n, *v, *faults, *seed)
+		return analyzeDeadlock(stdout, stderr, cfg)
 	case "model":
-		analyzeModel(stdout, *k, *n, *v, *m, *faults, *seed, *measure)
+		analyzeModel(stdout, cfg, *k, *n)
 		return 0
 	case "livelock":
-		return analyzeLivelock(stdout, stderr, *k, *n, *v, *m, *faults, *seed)
+		return analyzeLivelock(stdout, stderr, cfg)
 	}
 	fmt.Fprintf(stderr, "analyze: unknown mode %q\n", *mode)
 	return 2
 }
 
-// eachAlgorithm places the -faults/-seed random node faults, prints the
-// row report returns for every registered algorithm that supports the
-// network (built with at least v virtual channels), and then the footer;
-// a false return stops with exit status 1.
-func eachAlgorithm(stdout, stderr io.Writer, k, n, v, nf int, seed uint64, footer string, report func(name string, alg routing.Router) (string, bool)) int {
-	t := topology.New(k, n)
-	fs, err := fault.Random(t, nf, rng.New(seed), fault.DefaultRandomOptions())
-	if err != nil {
+// eachAlgorithm builds cfg's network and faults, prints the row report
+// returns for every registered algorithm that supports the network (built
+// with at least cfg.V virtual channels), and then the footer; a false
+// return stops with exit status 1.
+func eachAlgorithm(stdout, stderr io.Writer, cfg core.Config, footer string, report func(name string, alg routing.Router) (string, bool)) int {
+	fail := func(err error) int {
 		fmt.Fprintf(stderr, "analyze: %v\n", err)
 		return 1
 	}
-	if nf > 0 {
+	t, err := cfg.BuildTopology()
+	if err != nil {
+		return fail(err)
+	}
+	fs, err := core.BuildFaults(t, cfg.Faults, cfg.Seed)
+	if err != nil {
+		return fail(err)
+	}
+	if fs.NumNodeFaults() > 0 {
 		fmt.Fprintf(stdout, "faulty nodes: %v\n", fs.FaultyNodes())
 	}
 	for _, info := range routing.Algorithms() {
 		row, ok := fmt.Sprintf("(skipped: %s-only)", strings.Join(info.Topologies, "/")), true
 		if info.Supports(t.Kind()) {
-			alg, err := routing.New(info.Name, t, fs, max(v, info.MinV))
+			alg, err := routing.New(info.Name, t, fs, max(cfg.V, info.MinV))
 			if err != nil {
-				fmt.Fprintf(stderr, "analyze: %v\n", err)
-				return 1
+				return fail(err)
 			}
 			row, ok = report(info.Name, alg)
 		}
@@ -106,9 +119,9 @@ func eachAlgorithm(stdout, stderr io.Writer, k, n, v, nf int, seed uint64, foote
 	return 0
 }
 
-func analyzeDeadlock(stdout, stderr io.Writer, k, n, v, nf int, seed uint64) int {
-	return eachAlgorithm(stdout, stderr, k, n, v, nf, seed,
-		"no cycle where §4 claims none (det, valiant, every fault-free relation); the others are known, see ROADMAP item 4",
+func analyzeDeadlock(stdout, stderr io.Writer, cfg core.Config) int {
+	return eachAlgorithm(stdout, stderr, cfg,
+		"no cycle where §4 claims none (det, valiant, every fault-free relation); the others are known, see ROADMAP item 1",
 		func(name string, alg routing.Router) (string, bool) {
 			g, err := deadlock.Build(alg)
 			if err != nil {
@@ -122,18 +135,18 @@ func analyzeDeadlock(stdout, stderr io.Writer, k, n, v, nf int, seed uint64) int
 			row := fmt.Sprintf("%d vertices, %d edges, cycle of %d: %v", vtx, edges, len(cyc)-1, cyc)
 			// What deadlock.TestRouteCDG asserts; any other cycle is one of
 			// its pinned findings.
-			if nf == 0 || name == "det" || name == "valiant" {
+			if cfg.Faults.Empty() || name == "det" || name == "valiant" {
 				return row + "\nCYCLE FOUND (deadlock possible) in a relation §4 claims acyclic", false
 			}
 			return row, true
 		})
 }
 
-func analyzeLivelock(stdout, stderr io.Writer, k, n, v, m, nf int, seed uint64) int {
-	return eachAlgorithm(stdout, stderr, k, n, v, nf, seed,
+func analyzeLivelock(stdout, stderr io.Writer, cfg core.Config) int {
+	return eachAlgorithm(stdout, stderr, cfg,
 		"all pairs delivered with bounded software stops (livelock-free, §4)",
 		func(_ string, alg routing.Router) (string, bool) {
-			rep := routing.AnalyzeLivelock(alg, m, 0)
+			rep := routing.AnalyzeLivelock(alg, cfg.MsgLen, 0)
 			if rep.Undelivered > 0 {
 				return rep.String() + "\nLIVELOCK/DISCONNECTION SUSPECTED: some pairs undelivered", false
 			}
@@ -141,10 +154,10 @@ func analyzeLivelock(stdout, stderr io.Writer, k, n, v, m, nf int, seed uint64) 
 		})
 }
 
-func analyzeModel(stdout io.Writer, k, n, v, m, nf int, seed uint64, measure int) {
-	fmt.Fprintf(stdout, "analytical model vs flit-level simulation, %d-ary %d-cube, V=%d, M=%d, nf=%d\n", k, n, v, m, nf)
+func analyzeModel(stdout io.Writer, cfg core.Config, k, n int) {
+	mdl := analytic.Model{K: k, N: n, V: cfg.V, M: cfg.MsgLen, Nf: cfg.Faults.RandomNodes}
+	fmt.Fprintf(stdout, "analytical model vs flit-level simulation, %d-ary %d-cube, V=%d, M=%d, nf=%d\n", mdl.K, mdl.N, mdl.V, mdl.M, mdl.Nf)
 	fmt.Fprintf(stdout, "%-10s%14s%14s%12s\n", "lambda", "model", "simulation", "rel.err")
-	mdl := analytic.Model{K: k, N: n, V: v, M: m, Nf: nf}
 	fmt.Fprintf(stdout, "model saturation estimate: λ ≈ %.4f\n", mdl.SaturationRate())
 	for _, lambda := range []float64{0.001, 0.002, 0.004, 0.006, 0.008, 0.010, 0.012} {
 		mdl.Lambda = lambda
@@ -153,13 +166,7 @@ func analyzeModel(stdout io.Writer, k, n, v, m, nf int, seed uint64, measure int
 		if err == nil {
 			modelCell = fmt.Sprintf("%.1f", modelLat)
 		}
-		cfg := core.DefaultConfig(k, n, lambda)
-		cfg.V = v
-		cfg.MsgLen = m
-		cfg.Faults.RandomNodes = nf
-		cfg.Seed = seed
-		cfg.WarmupMessages = measure / 10
-		cfg.MeasureMessages = measure
+		cfg.Lambda = lambda
 		res, rerr := core.Run(cfg)
 		simCell := "err"
 		if rerr == nil {

@@ -8,12 +8,12 @@ import (
 	"testing"
 )
 
-// model.golden and livelock.golden were recorded from the analyze binary
-// of the commit before main became run(args, stdout, stderr) (3f78b42):
-// they pin that program's output and must not be regenerated from this
-// code. deadlock.golden is this tree's: the mode reports every registered
-// algorithm's Route-derived graph since internal/deadlock stopped walking
-// e-cube paths of its own.
+// model.golden was recorded from the analyze binary of the commit before
+// main became run(args, stdout, stderr) (3f78b42): it pins that program's
+// output and must not be regenerated from this code. deadlock.golden and
+// livelock.golden are this tree's: the first since internal/deadlock
+// stopped walking e-cube paths of its own, both since -faults/-seed place
+// the nodes core.BuildFaults places (../tools_test.go holds them to it).
 func TestGoldenOutput(t *testing.T) {
 	for name, args := range map[string][]string{
 		"deadlock": {"-mode", "deadlock", "-k", "4", "-n", "2", "-faults", "2"},

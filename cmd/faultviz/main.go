@@ -1,5 +1,8 @@
 // Command faultviz renders fault configurations of a 2-D torus plane as
-// ASCII art (Fig. 1 of the paper), with coalesced-region summaries.
+// ASCII art (Fig. 1 of the paper), with coalesced-region summaries. The
+// faults are placed by core.BuildFaults: -random N -seed S draws the nodes
+// `swsim -faults N -seed S` fails on the same torus, and a shape that would
+// disconnect the network is refused as swsim refuses it.
 //
 //	faultviz -k 16 -shape U -a 4 -b 5
 //	faultviz -k 8 -random 5 -seed 3
@@ -12,9 +15,8 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/rng"
-	"repro/internal/topology"
 	"repro/internal/viz"
 )
 
@@ -41,46 +43,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	t := topology.New(*k, 2)
-	fs := fault.NewSet(t)
+	cfg := core.DefaultConfig(*k, 2, 0)
+	cfg.Seed = *seed
 	switch {
 	case *random > 0:
-		var err error
-		fs, err = fault.Random(t, *random, rng.New(*seed), fault.DefaultRandomOptions())
-		if err != nil {
-			fmt.Fprintf(stderr, "faultviz: %v\n", err)
-			return 1
-		}
+		cfg.Faults.RandomNodes = *random
 	case *shape != "":
-		sh, ok := shapeByName(*shape)
+		sh, ok := fault.ParseShape(*shape)
 		if !ok {
 			fmt.Fprintf(stderr, "faultviz: unknown shape %q\n", *shape)
 			return 2
 		}
-		spec := fault.ShapeSpec{Shape: sh, A: *a, B: *b, T: *th, AnchorA: *ax, AnchorB: *ay}
-		if _, err := fault.StampShape(fs, 0, 0, 1, spec); err != nil {
-			fmt.Fprintf(stderr, "faultviz: %v\n", err)
-			return 1
-		}
+		cfg.Faults.Shapes = []core.ShapeStamp{{
+			Spec: fault.ShapeSpec{Shape: sh, A: *a, B: *b, T: *th, AnchorA: *ax, AnchorB: *ay},
+			DimA: 0, DimB: 1,
+		}}
 	default:
 		fl.Usage()
 		return 2
 	}
-
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "faultviz: %v\n", err)
+		return 1
+	}
+	t, err := cfg.BuildTopology()
+	if err != nil {
+		return fail(err)
+	}
+	fs, err := core.BuildFaults(t, cfg.Faults, cfg.Seed)
+	if err != nil {
+		return fail(err)
+	}
 	fmt.Fprint(stdout, viz.RenderPlane(fs, 0, 0, 1))
 	fmt.Fprint(stdout, viz.RenderRegions(fs))
-	if fs.Disconnects() {
-		fmt.Fprintln(stdout, "WARNING: this configuration disconnects the network")
-	}
 	return 0
-}
-
-func shapeByName(name string) (fault.Shape, bool) {
-	m := map[string]fault.Shape{
-		"bar": fault.ShapeBar, "doublebar": fault.ShapeDoubleBar,
-		"rect": fault.ShapeRect, "L": fault.ShapeL, "U": fault.ShapeU,
-		"T": fault.ShapeT, "plus": fault.ShapePlus, "H": fault.ShapeH,
-	}
-	s, ok := m[name]
-	return s, ok
 }

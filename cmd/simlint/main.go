@@ -1,10 +1,8 @@
 // Command simlint runs the first-party analyzer suite (internal/lint) that
-// statically enforces the simulator's determinism, arena and registry
-// contracts: maprange, rngpurity, reflife, registerinit, phasepurity.
+// statically enforces the simulator's determinism and arena contracts:
+// maprange, rngpurity, reflife, phasepurity.
 //
-// It loads the named packages itself (go list + the source importer), so
-// every run has the whole-build view that cross-package duplicate
-// registration detection needs:
+// It loads the named packages itself (go list + the source importer):
 //
 //	go run ./cmd/simlint ./...
 //

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -8,15 +9,24 @@ import (
 	"testing"
 )
 
-// buildSimlint compiles the tool once per test binary.
-func buildSimlint(t *testing.T) string {
-	t.Helper()
-	exe := filepath.Join(t.TempDir(), "simlint")
-	cmd := exec.Command("go", "build", "-o", exe, ".")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/simlint: %v\n%s", err, out)
+// simlintExe is the tool, compiled once per test process; every test
+// drives that one binary.
+var simlintExe string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "simlint-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	return exe
+	simlintExe = filepath.Join(dir, "simlint")
+	if out, err := exec.Command("go", "build", "-o", simlintExe, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "go build ./cmd/simlint: %v\n%s", err, out)
+		os.Exit(1)
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
 }
 
 // TestDoctoredViolationFails is the analyzer suite's injected-regression
@@ -24,7 +34,6 @@ func buildSimlint(t *testing.T) string {
 // internal/network package, must fail simlint with exit status 1 and name
 // the maprange analyzer.
 func TestDoctoredViolationFails(t *testing.T) {
-	exe := buildSimlint(t)
 	doctored := filepath.Join(t.TempDir(), "doctored.go")
 	src := `package network
 
@@ -37,7 +46,7 @@ func leakOrder(m map[int]int, sink func(int)) {
 	if err := os.WriteFile(doctored, []byte(src), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(exe, "-pkgpath", "repro/internal/network", doctored)
+	cmd := exec.Command(simlintExe, "-pkgpath", "repro/internal/network", doctored)
 	out, err := cmd.CombinedOutput()
 	ee, ok := err.(*exec.ExitError)
 	if !ok {
@@ -54,7 +63,6 @@ func leakOrder(m map[int]int, sink func(int)) {
 // TestCleanFileExitsZero: the same file is clean once the iteration is
 // removed, and clean runs exit 0.
 func TestCleanFileExitsZero(t *testing.T) {
-	exe := buildSimlint(t)
 	clean := filepath.Join(t.TempDir(), "clean.go")
 	src := `package network
 
@@ -67,7 +75,7 @@ func noMaps(s []int, sink func(int)) {
 	if err := os.WriteFile(clean, []byte(src), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(exe, "-pkgpath", "repro/internal/network", clean)
+	cmd := exec.Command(simlintExe, "-pkgpath", "repro/internal/network", clean)
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("clean run: %v\n%s", err, out)
 	}
@@ -76,7 +84,7 @@ func noMaps(s []int, sink func(int)) {
 // TestHelpExitsZero: -h prints the usage on stderr and exits 0 (the flag
 // set is ExitOnError, so it is the binary that is driven, not run).
 func TestHelpExitsZero(t *testing.T) {
-	cmd := exec.Command(buildSimlint(t), "-h")
+	cmd := exec.Command(simlintExe, "-h")
 	var stdout, stderr strings.Builder
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	if err := cmd.Run(); err != nil || stdout.Len() != 0 || !strings.Contains(stderr.String(), "usage: simlint") {
@@ -91,8 +99,7 @@ func TestRealTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-tree typecheck is slow; run without -short")
 	}
-	exe := buildSimlint(t)
-	cmd := exec.Command(exe, "./...")
+	cmd := exec.Command(simlintExe, "./...")
 	cmd.Dir = moduleRoot(t)
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("simlint ./... on the real tree failed: %v\n%s", err, out)

@@ -3,6 +3,14 @@
 // via stops, re-injections and delivery. It is the debugging lens onto the
 // Software-Based algorithm's behaviour around a specific fault pattern.
 //
+// The network, the faults and the router are the ones swsim builds from
+// the same -topo/-k/-n, -faults, -shape, -seed, -alg and -v (a core.Config
+// through BuildTopology, core.BuildFaults and routing.New): -shape and
+// -faults combine as they do there, and a random placement is not steered
+// around -src/-dst — the lens must show the run, not a friendlier one. An
+// endpoint that lands on a failed node is refused ("source or destination
+// is faulty"); pick another endpoint or -seed.
+//
 //	swtrace -k 8 -n 2 -faults 5 -seed 4 -src 0,0 -dst 5,5
 //	swtrace -k 8 -n 2 -shape U -src 0,3 -dst 4,3 -alg adaptive
 //	swtrace -topo mesh:k=8,n=2 -alg planar-adaptive -faults 4 -src 0,0 -dst 7,7
@@ -64,11 +72,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	spec := *topo
-	if spec == "" {
-		spec = fmt.Sprintf("torus:k=%d,n=%d", *k, *n)
+	cfg := core.DefaultConfig(*k, *n, 0)
+	if *topo != "" {
+		cfg.Topology = *topo
 	}
-	t, err := topology.NewNetwork(spec)
+	cfg.V = *v
+	cfg.MsgLen = *m
+	cfg.Algorithm = *algFlag
+	cfg.Seed = *seed
+	cfg.Faults.RandomNodes = *faults
+	t, err := cfg.BuildTopology()
 	if err != nil {
 		return fail(err)
 	}
@@ -80,30 +93,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(fmt.Errorf("need -dst: %w", err))
 	}
-
-	fs := fault.NewSet(t)
-	switch {
-	case *shape != "":
+	if *shape != "" {
 		spec, ok := fault.PaperFig5Shape(*shape)
 		if !ok {
 			return fail(fmt.Errorf("unknown shape %q", *shape))
 		}
-		if _, err := fault.StampShape(fs, 0, 0, 1, spec); err != nil {
-			return fail(err)
-		}
-	case *faults > 0:
-		fs, err = fault.Random(t, *faults, rng.New(*seed), fault.RandomOptions{
-			KeepConnected: true, Avoid: []topology.NodeID{src, dst},
-		})
-		if err != nil {
-			return fail(err)
-		}
+		cfg.Faults.Shapes = []core.ShapeStamp{{Spec: spec, DimA: 0, DimB: 1}}
+	}
+	fs, err := core.BuildFaults(t, cfg.Faults, cfg.Seed)
+	if err != nil {
+		return fail(err)
 	}
 	if fs.NodeFaulty(src) || fs.NodeFaulty(dst) {
 		return fail(fmt.Errorf("source or destination is faulty"))
 	}
-
-	alg, err := routing.New(*algFlag, t, fs, *v)
+	alg, err := routing.New(cfg.AlgorithmName(), t, fs, cfg.V)
 	if err != nil {
 		return fail(err)
 	}
@@ -114,14 +118,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprint(stdout, viz.RenderRegions(fs))
 	fmt.Fprintf(stdout, "tracing %s -> %s (%s, M=%d, V=%d)\n\n",
-		t.FormatNode(src), t.FormatNode(dst), mode, *m, *v)
+		t.FormatNode(src), t.FormatNode(dst), mode, cfg.MsgLen, cfg.V)
 
 	rec := trace.NewRecorder()
 	col := metrics.NewCollector(0)
-	p := network.DefaultParams(*v)
+	p := network.DefaultParams(cfg.V)
 	p.Tracer = rec
-	nw := network.New(t, fs, alg, nil, col, p, rng.New(*seed))
-	msg := message.New(0, src, dst, *m, t.N(), mode, 0)
+	nw := network.New(t, fs, alg, nil, col, p, rng.New(cfg.Seed))
+	msg := message.New(0, src, dst, cfg.MsgLen, t.N(), mode, 0)
 	col.Generated(msg)
 	nw.Enqueue(src, msg)
 	for msg.DeliveredAt < 0 && nw.Now() < 1_000_000 {
@@ -132,7 +136,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprint(stdout, rec.Render(t, 0))
 	fmt.Fprintf(stdout, "\nlatency: %d cycles (minimal distance %d, length %d flits, %d absorption(s))\n",
-		msg.DeliveredAt-msg.CreatedAt, t.Distance(src, dst), *m, msg.Absorptions)
+		msg.DeliveredAt-msg.CreatedAt, t.Distance(src, dst), cfg.MsgLen, msg.Absorptions)
 	return 0
 }
 

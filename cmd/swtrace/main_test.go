@@ -8,14 +8,18 @@ import (
 	"testing"
 )
 
-// The goldens under testdata/ were recorded from the swtrace binary of
-// the commit before main became run(args, stdout, stderr) (3f78b42): they
-// pin that program's output and must not be regenerated from this code.
+// shape-U.golden was recorded from the swtrace binary of the commit before
+// main became run(args, stdout, stderr) (3f78b42): it pins that program's
+// output and must not be regenerated from this code. The three rows with
+// -faults are this tree's, recorded when random placement became
+// core.BuildFaults' (../tools_test.go holds them to it); shape-U-faulted is
+// the combination the old either-or switch dropped -faults from.
 func TestGoldenOutput(t *testing.T) {
 	for name, args := range map[string][]string{
-		"torus-faulted": {"-k", "8", "-n", "2", "-faults", "5", "-seed", "4", "-src", "0,0", "-dst", "5,5", "-alg", "det"},
-		"mesh":          {"-topo", "mesh:k=8,n=2", "-alg", "planar-adaptive", "-faults", "4", "-src", "0,0", "-dst", "7,7"},
-		"shape-U":       {"-k", "8", "-n", "2", "-shape", "U", "-src", "0,3", "-dst", "4,3", "-alg", "adaptive"},
+		"torus-faulted":   {"-k", "8", "-n", "2", "-faults", "5", "-seed", "4", "-src", "0,0", "-dst", "5,5", "-alg", "det"},
+		"mesh":            {"-topo", "mesh:k=8,n=2", "-alg", "planar-adaptive", "-faults", "4", "-src", "0,0", "-dst", "7,7"},
+		"shape-U":         {"-k", "8", "-n", "2", "-shape", "U", "-src", "0,3", "-dst", "4,3", "-alg", "adaptive"},
+		"shape-U-faulted": {"-k", "8", "-n", "2", "-shape", "U", "-faults", "2", "-seed", "2", "-src", "0,3", "-dst", "4,3", "-alg", "adaptive"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
@@ -50,6 +54,9 @@ func TestRejectedInvocations(t *testing.T) {
 		{"wrong-arity", []string{"-dst", "1"}, 1, "swtrace: need -dst: got 1 coordinates, topology has 2 dimensions\n"},
 		{"unknown-shape", []string{"-shape", "Z", "-dst", "1,1"}, 1, "swtrace: unknown shape \"Z\"\n"},
 		{"faulty-endpoint", []string{"-shape", "U", "-src", "3,2", "-dst", "4,3"}, 1, "swtrace: source or destination is faulty\n"},
+		// Seed 4 fails node (7,7): placement is the engine's, not steered
+		// around the endpoints.
+		{"random-fault-on-endpoint", []string{"-faults", "5", "-seed", "4", "-src", "7,7", "-dst", "0,0"}, 1, "swtrace: source or destination is faulty\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

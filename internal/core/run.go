@@ -16,13 +16,14 @@ import (
 // BuildFaults materialises a fault specification on the network. Random
 // placement derives its stream from seed; stamped shapes are deterministic.
 // The resulting configuration is rejected if it names nonexistent links or
-// disconnects the network.
+// disconnects the network. It is the tree's one fault placement: what
+// "nf random faults, seed s" means to the engine is what it means to every
+// tool that analyses, draws or traces a faulted network.
 func BuildFaults(t topology.Network, spec FaultSpec, seed uint64) (*fault.Set, error) {
-	r := rng.New(seed).Split(0xfa017)
 	var fs *fault.Set
-	if spec.RandomNodes > 0 {
+	if spec.RandomNodes != 0 { // a negative count is fault.Random's to refuse
 		var err error
-		fs, err = fault.Random(t, spec.RandomNodes, r, fault.DefaultRandomOptions())
+		fs, err = fault.Random(t, spec.RandomNodes, rng.New(seed).Split(0xfa017), fault.DefaultRandomOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -111,16 +112,24 @@ func NewEngine(c Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	alg, err := routing.New(c.AlgorithmName(), t, fs, c.V)
+	// One recipe for the engine's router and for every worker's clone:
+	// decision scratch is per-goroutine, so each extra engine worker gets
+	// an instance of its own, configured identically.
+	newRouter := func() (routing.Router, error) {
+		a, err := routing.New(c.AlgorithmName(), t, fs, c.V)
+		if err != nil {
+			return nil, err
+		}
+		if es, ok := a.(routing.EscalationSetter); ok && c.Escalation > 0 {
+			es.SetEscalation(c.Escalation)
+		}
+		return a, nil
+	}
+	alg, err := newRouter()
 	if err != nil {
 		return nil, err
 	}
 	mode := alg.BaseMode()
-	if c.Escalation > 0 {
-		if es, ok := alg.(routing.EscalationSetter); ok {
-			es.SetEscalation(c.Escalation)
-		}
-	}
 	r := rng.New(c.Seed)
 	sources := fs.HealthyNodes()
 	// One pool serves the source (allocation) and the engine (resolution,
@@ -143,21 +152,7 @@ func NewEngine(c Config) (*Engine, error) {
 		Pool:               pool,
 	}
 	if c.Workers > 1 {
-		// Each extra engine worker needs its own routing instance (decision
-		// scratch is per-goroutine); clones are configured identically to
-		// alg, so any worker reaches the same decisions.
-		params.AlgFactory = func() (routing.Router, error) {
-			a, err := routing.New(c.AlgorithmName(), t, fs, c.V)
-			if err != nil {
-				return nil, err
-			}
-			if c.Escalation > 0 {
-				if es, ok := a.(routing.EscalationSetter); ok {
-					es.SetEscalation(c.Escalation)
-				}
-			}
-			return a, nil
-		}
+		params.AlgFactory = newRouter
 	}
 	// The engine stream MUST split before the schedule stream: Split
 	// advances the parent, so deriving the schedule stream first would

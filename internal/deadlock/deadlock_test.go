@@ -7,9 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/message"
-	"repro/internal/rng"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
@@ -79,28 +79,29 @@ func TestRingWithoutClassesIsCyclic(t *testing.T) {
 
 // faultSets returns the named fault configurations of one TestRouteCDG
 // row: fault-free, random node faults, and on the 8-ary 2-D networks the
-// five Fig. 5 regions.
+// five Fig. 5 regions. Each is a core.FaultSpec placed by core.BuildFaults,
+// so the cell "random:nf=3,seed=1" is the fault set `swsim -faults 3
+// -seed 1` simulates on that network.
 func faultSets(t *testing.T, net topology.Network) (names []string, sets []*fault.Set) {
-	names, sets = []string{"fault-free"}, []*fault.Set{fault.NewSet(net)}
+	add := func(name string, spec core.FaultSpec, seed uint64) {
+		fs, err := core.BuildFaults(net, spec, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, sets = append(names, name), append(sets, fs)
+	}
+	add("fault-free", core.FaultSpec{}, 0)
 	if testing.Short() {
 		return names, sets
 	}
 	for _, nf := range []int{3, 6} {
 		for seed := uint64(1); seed <= 3; seed++ {
-			fs, err := fault.Random(net, nf, rng.New(seed), fault.DefaultRandomOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			names, sets = append(names, fmt.Sprintf("random:nf=%d,seed=%d", nf, seed)), append(sets, fs)
+			add(fmt.Sprintf("random:nf=%d,seed=%d", nf, seed), core.FaultSpec{RandomNodes: nf}, seed)
 		}
 	}
 	if net.K() == 8 && net.N() == 2 {
 		for shape, spec := range fault.PaperFig5Specs() {
-			fs := fault.NewSet(net)
-			if _, err := fault.StampShape(fs, 0, 0, 1, spec); err != nil {
-				t.Fatal(err)
-			}
-			names, sets = append(names, shape), append(sets, fs)
+			add(shape, core.FaultSpec{Shapes: []core.ShapeStamp{{Spec: spec, DimA: 0, DimB: 1}}}, 0)
 		}
 	}
 	return names, sets
@@ -111,7 +112,7 @@ func faultSets(t *testing.T, net topology.Network) (names []string, sets []*faul
 // valiant must be acyclic everywhere (§4's claim for the code that runs)
 // and every algorithm fault-free, bar the one cell noted below; every
 // verdict is also pinned in testdata/cdg.golden, where the cyclic cells
-// are findings written up in ROADMAP item 4, not fixed: a routing change
+// are findings written up in ROADMAP item 1, not fixed: a routing change
 // that moves one shows as a diff of that file. Run with -v for witnesses.
 func TestRouteCDG(t *testing.T) {
 	golden, err := os.ReadFile("testdata/cdg.golden")
@@ -127,7 +128,7 @@ func TestRouteCDG(t *testing.T) {
 	for _, spec := range []string{
 		"torus:k=8,n=2", "torus:k=4,n=3", "torus:k=5,n=2", "mesh:k=8,n=2", "mesh:k=4,n=3", "hypercube:n=5",
 	} {
-		net, err := topology.NewNetwork(spec)
+		net, err := core.Config{Topology: spec}.BuildTopology()
 		if err != nil {
 			t.Fatal(err)
 		}

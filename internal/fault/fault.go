@@ -269,8 +269,6 @@ type RandomOptions struct {
 	// Avoid lists nodes that must stay healthy (e.g. sources/sinks used by a
 	// specific experiment).
 	Avoid []topology.NodeID
-	// MaxAttempts bounds the rejection-sampling loop; 0 means 1000.
-	MaxAttempts int
 }
 
 // DefaultRandomOptions matches the paper's assumptions.
@@ -290,10 +288,7 @@ func Random(t topology.Network, nf int, r *rng.Stream, opts RandomOptions) (*Set
 	for _, id := range opts.Avoid {
 		avoid[id] = true
 	}
-	maxAttempts := opts.MaxAttempts
-	if maxAttempts == 0 {
-		maxAttempts = 1000
-	}
+	const maxAttempts = 1000 // bounds the rejection-sampling loop
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		s := NewSet(t)
 		perm := r.Perm(t.Nodes())

@@ -126,24 +126,19 @@ func (r *Region) Convex() bool {
 // Index maps every faulty node to its coalesced region for O(1) lookup in
 // the rerouting hot path.
 type Index struct {
-	regions []*Region
-	byNode  map[topology.NodeID]*Region
+	byNode map[topology.NodeID]*Region
 }
 
 // NewIndex precomputes the region index for a fault set.
 func NewIndex(s *Set) *Index {
 	idx := &Index{byNode: make(map[topology.NodeID]*Region)}
-	idx.regions = s.Regions()
-	for _, r := range idx.regions {
+	for _, r := range s.Regions() {
 		for _, id := range r.Nodes {
 			idx.byNode[id] = r
 		}
 	}
 	return idx
 }
-
-// Regions returns all coalesced regions.
-func (ix *Index) Regions() []*Region { return ix.regions }
 
 // Of returns the region containing id, or nil for healthy nodes.
 func (ix *Index) Of(id topology.NodeID) *Region { return ix.byNode[id] }

@@ -129,11 +129,12 @@ func TestIndexLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := NewIndex(s)
-	if len(ix.Regions()) != 1 {
-		t.Fatalf("index regions = %d", len(ix.Regions()))
+	reg := ix.Of(nodes[0])
+	if reg == nil || len(reg.Nodes) != len(nodes) {
+		t.Fatalf("index region of %d = %v, want the %d-node U", nodes[0], reg, len(nodes))
 	}
 	for _, id := range nodes {
-		if ix.Of(id) != ix.Regions()[0] {
+		if ix.Of(id) != reg {
 			t.Fatalf("index lookup failed for %d", id)
 		}
 	}
@@ -217,5 +218,20 @@ func TestShapeStrings(t *testing.T) {
 	}
 	if Shape(42).String() != "shape(42)" {
 		t.Errorf("unknown shape string: %q", Shape(42).String())
+	}
+	// ParseShape inverts String for every shape, takes the one alias the
+	// CLIs have always listed, and nothing else.
+	for sh := ShapeBar; sh <= ShapeH; sh++ {
+		if got, ok := ParseShape(sh.String()); !ok || got != sh {
+			t.Errorf("ParseShape(%q) = %v, %v", sh.String(), got, ok)
+		}
+	}
+	if got, ok := ParseShape("doublebar"); !ok || got != ShapeDoubleBar {
+		t.Errorf("ParseShape(doublebar) = %v, %v", got, ok)
+	}
+	for _, bad := range []string{"", "Z", "shape(42)", "Bar"} {
+		if _, ok := ParseShape(bad); ok {
+			t.Errorf("ParseShape(%q) accepted", bad)
+		}
 	}
 }

@@ -32,7 +32,9 @@ const (
 	ShapeH
 )
 
-var shapeNames = map[Shape]string{
+// shapeNames is the one shape-name table: String reads it forwards,
+// ParseShape backwards.
+var shapeNames = [...]string{
 	ShapeBar:       "bar",
 	ShapeDoubleBar: "double-bar",
 	ShapeRect:      "rect",
@@ -44,10 +46,24 @@ var shapeNames = map[Shape]string{
 }
 
 func (s Shape) String() string {
-	if n, ok := shapeNames[s]; ok {
-		return n
+	if s >= 0 && int(s) < len(shapeNames) {
+		return shapeNames[s]
 	}
 	return fmt.Sprintf("shape(%d)", int(s))
+}
+
+// ParseShape is the inverse of Shape.String; "doublebar" is accepted as an
+// alias of "double-bar".
+func ParseShape(name string) (Shape, bool) {
+	if name == "doublebar" {
+		name = "double-bar"
+	}
+	for s, n := range shapeNames {
+		if n == name {
+			return Shape(s), true
+		}
+	}
+	return 0, false
 }
 
 // Concave reports whether the silhouette is concave (U/+/T/H/L) rather than

@@ -69,14 +69,6 @@ func TestRefLifeExemptInMessage(t *testing.T) {
 	}
 }
 
-// TestRegisterInit loads two fixture packages together so the
-// cross-package duplicate-name check sees both sides.
-func TestRegisterInit(t *testing.T) {
-	linttest.Run(t, "testdata", []*lint.Analyzer{lint.RegisterInit},
-		linttest.Fixture{Path: "repro/internal/fixturea", Files: []string{"registerinit_a.go"}},
-		linttest.Fixture{Path: "repro/internal/fixtureb", Files: []string{"registerinit_b.go"}})
-}
-
 func TestPhasePurity(t *testing.T) {
 	linttest.Run(t, "testdata", []*lint.Analyzer{lint.PhasePurity},
 		linttest.Fixture{Path: "repro/internal/network", Files: []string{"phasepurity.go"}})

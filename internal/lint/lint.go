@@ -1,8 +1,8 @@
 // Package lint is simlint's analyzer suite: first-party static analysis
-// that turns the simulator's determinism, arena and registry contracts from
-// "proven by golden-trace tests" into "rejected at vet time".
+// that turns the simulator's determinism and arena contracts from "proven
+// by golden-trace tests" into "rejected at vet time".
 //
-// The five analyzers:
+// The four analyzers:
 //
 //   - maprange: no `for range` over a map in determinism-critical packages
 //     (iteration order would leak into traces and metrics).
@@ -11,8 +11,6 @@
 //     flows through the namespaced split streams.
 //   - reflife: *message.Message pointers from the arena are call-local;
 //     message.Ref is the only durable handle.
-//   - registerinit: registry Register calls live in init() with
-//     string-literal names, unique across the whole build.
 //   - phasepurity: functions marked `//simlint:phase compute` never call
 //     commit-only engine APIs directly, keeping the two-phase barrier honest.
 //
@@ -49,9 +47,8 @@ type Analyzer struct {
 	// Doc is the one-paragraph contract the analyzer enforces.
 	Doc string
 	// Run performs the check on one package, reporting findings through
-	// pass.Reportf. The optional result is collected by the driver for
-	// cross-package checks (registerinit returns its []RegEntry).
-	Run func(pass *Pass) (any, error)
+	// pass.Reportf.
+	Run func(pass *Pass) error
 }
 
 // A Pass is one analyzer's view of one type-checked package.
@@ -87,7 +84,7 @@ func (d Diagnostic) String() string {
 
 // All returns the full suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{MapRange, RNGPurity, RefLife, RegisterInit, PhasePurity}
+	return []*Analyzer{MapRange, RNGPurity, RefLife, PhasePurity}
 }
 
 // modulePath is the import-path root of this repository; the analyzers key

@@ -39,8 +39,7 @@ type Fixture struct {
 }
 
 // Run loads each fixture as one package, runs the analyzers over all of
-// them together (so cross-package checks see the full set), and diffs the
-// diagnostics against the fixtures' want comments.
+// them, and diffs the diagnostics against the fixtures' want comments.
 func Run(t *testing.T, dir string, analyzers []*lint.Analyzer, fixtures ...Fixture) {
 	t.Helper()
 	loader := lint.NewLoader()

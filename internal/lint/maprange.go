@@ -30,9 +30,9 @@ var MapRange = &Analyzer{
 	Run:  runMapRange,
 }
 
-func runMapRange(pass *Pass) (any, error) {
+func runMapRange(pass *Pass) error {
 	if !criticalPackages[pass.Pkg.Path()] {
-		return nil, nil
+		return nil
 	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -59,7 +59,7 @@ func runMapRange(pass *Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }
 
 // isKeyCollect recognises `for k := range m { s = append(s, k) }` (value

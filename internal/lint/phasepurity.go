@@ -63,7 +63,7 @@ var commitOnly = map[string]string{
 	"(" + modulePath + "/internal/trace.Tracer).Trace":             "tracer calls must go through worker.emitTrace to preserve the serial event order",
 }
 
-func runPhasePurity(pass *Pass) (any, error) {
+func runPhasePurity(pass *Pass) error {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -104,5 +104,5 @@ func runPhasePurity(pass *Pass) (any, error) {
 			})
 		}
 	}
-	return nil, nil
+	return nil
 }

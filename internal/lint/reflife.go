@@ -31,10 +31,10 @@ var RefLife = &Analyzer{
 	Run:  runRefLife,
 }
 
-func runRefLife(pass *Pass) (any, error) {
+func runRefLife(pass *Pass) error {
 	path := pass.Pkg.Path()
 	if !internalPkg(path) || path == modulePath+"/internal/message" {
-		return nil, nil
+		return nil
 	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -104,7 +104,7 @@ func runRefLife(pass *Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }
 
 // isMessagePtr reports whether t is exactly *message.Message.

@@ -35,10 +35,10 @@ var bannedCalls = map[string]map[string]bool{
 	"os":   {"Getpid": true, "Getppid": true, "Environ": true},
 }
 
-func runRNGPurity(pass *Pass) (any, error) {
+func runRNGPurity(pass *Pass) error {
 	path := pass.Pkg.Path()
 	if !internalPkg(path) || path == modulePath+"/internal/rng" {
-		return nil, nil
+		return nil
 	}
 	for _, file := range pass.Files {
 		for _, imp := range file.Imports {
@@ -69,5 +69,5 @@ func runRNGPurity(pass *Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }

@@ -3,16 +3,13 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"sort"
 )
 
 // Run executes the analyzers over the packages, applies //simlint:ignore
-// suppression, folds in the cross-package registry duplicate check, and
-// returns position-sorted diagnostics. A non-nil error means an analyzer
-// itself failed, not that it found something.
+// suppression, and returns position-sorted diagnostics. A non-nil error
+// means an analyzer itself failed, not that it found something.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	var entries []RegEntry
 	filesByName := map[string][]*ast.File{}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -28,47 +25,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				TypesInfo: pkg.Info,
 				diags:     &diags,
 			}
-			res, err := a.Run(pass)
-			if err != nil {
+			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s on %s: %v", a.Name, pkg.Path, err)
 			}
-			if regs, ok := res.([]RegEntry); ok {
-				entries = append(entries, regs...)
-			}
 		}
 	}
-	diags = append(diags, RegistryDuplicates(entries)...)
 	return suppress(pkgs[0].Fset, filesByName, diags), nil
-}
-
-// RegistryDuplicates reports every registry name registered more than once
-// across the analyzed packages: at runtime a duplicate either panics or
-// silently shadows, depending on package initialisation order.
-func RegistryDuplicates(entries []RegEntry) []Diagnostic {
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.Registry != b.Registry {
-			return a.Registry < b.Registry
-		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		return a.Pos.Line < b.Pos.Line
-	})
-	var out []Diagnostic
-	for i := 1; i < len(entries); i++ {
-		prev, cur := entries[i-1], entries[i]
-		if cur.Registry == prev.Registry && cur.Name == prev.Name {
-			out = append(out, Diagnostic{
-				Analyzer: RegisterInit.Name,
-				Pos:      cur.Pos,
-				Message: fmt.Sprintf("duplicate %s registration %q (first registered at %s); initialisation order decides which wins",
-					cur.Registry, cur.Name, prev.Pos),
-			})
-		}
-	}
-	return out
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"repro/internal/message"
-	"repro/internal/stats"
 )
 
 // StopKind classifies software-layer stops for the queued counter.
@@ -33,9 +32,8 @@ const (
 type Collector struct {
 	warmup uint64
 
-	latency    stats.Welford
-	sample     stats.Sample
-	hops       stats.Welford
+	latency    Welford
+	sample     Sample
 	generated  uint64
 	delivered  uint64
 	measuredAt int64 // cycle the measurement window opened (first measured generation)

@@ -1,14 +1,13 @@
-// Package stats provides the small statistical toolkit the simulator's
-// metrics are built on: numerically stable streaming moments (Welford),
-// normal-approximation confidence intervals, and exact quantiles over
-// retained samples.
-package stats
+package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
+
+// The small statistical toolkit the collectors are built on: numerically
+// stable streaming moments (Welford), normal-approximation confidence
+// intervals, and exact quantiles over retained samples.
 
 // Welford accumulates count, mean and variance in one pass using Welford's
 // online algorithm, which stays numerically stable for the long latency
@@ -17,30 +16,19 @@ type Welford struct {
 	n    uint64
 	mean float64
 	m2   float64
-	min  float64
 	max  float64
 }
 
 // Add folds one observation into the accumulator.
 func (w *Welford) Add(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
+	if w.n == 1 || x > w.max {
+		w.max = x
 	}
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
 	w.m2 += delta * (x - w.mean)
 }
-
-// Count returns the number of observations.
-func (w *Welford) Count() uint64 { return w.n }
 
 // Mean returns the sample mean (0 for an empty accumulator).
 func (w *Welford) Mean() float64 { return w.mean }
@@ -56,9 +44,6 @@ func (w *Welford) Var() float64 {
 // Std returns the sample standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
 
-// Min returns the smallest observation (0 when empty).
-func (w *Welford) Min() float64 { return w.min }
-
 // Max returns the largest observation (0 when empty).
 func (w *Welford) Max() float64 { return w.max }
 
@@ -69,10 +54,6 @@ func (w *Welford) CI95() float64 {
 		return 0
 	}
 	return 1.96 * w.Std() / math.Sqrt(float64(w.n))
-}
-
-func (w *Welford) String() string {
-	return fmt.Sprintf("n=%d mean=%.2f std=%.2f min=%.0f max=%.0f", w.n, w.Mean(), w.Std(), w.Min(), w.Max())
 }
 
 // Sample retains observations for exact quantile queries. For the
@@ -88,9 +69,6 @@ func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
 	s.sorted = false
 }
-
-// Count returns the number of retained observations.
-func (s *Sample) Count() int { return len(s.xs) }
 
 // Quantile returns the q-quantile (0 <= q <= 1) using nearest-rank
 // interpolation; 0 when empty.

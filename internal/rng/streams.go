@@ -5,8 +5,8 @@ package rng
 // Split(label) derives a child from (parent state, label), so two children
 // drawn from the SAME parent state collide exactly when their labels are
 // equal. Subsystems that hand out many children from one parent therefore
-// need label spaces that cannot overlap — a per-router stream and a future
-// per-source stream for the same node id must not be the same stream.
+// need label spaces that cannot overlap — a per-router stream and any other
+// per-node stream for the same node id must not be the same stream.
 //
 // The scheme: the top byte of the 64-bit label is a namespace tag owned by
 // one subsystem, the low 32 bits carry the entity id (node ids in every
@@ -19,7 +19,7 @@ package rng
 // Current assignments:
 //
 //	0x01  per-router VC-selection streams (engine stream → RouterLabel)
-//	0x02  reserved: per-source traffic streams (SourceLabel)
+//	0x02  unassigned (once reserved for per-source traffic streams; never drawn)
 //	0x03  the fault-schedule stream (run stream → ScheduleLabel)
 //
 // New subsystems take the next free tag; never reuse a retired one, since
@@ -29,10 +29,6 @@ const (
 	// nsRouter tags the engine's per-router VC-selection streams, derived
 	// in node-id order from the engine stream at construction.
 	nsRouter uint64 = 0x01 << nsShift
-	// nsSource is reserved for per-source traffic streams (not yet drawn;
-	// reserving the tag now keeps future streams collision-free against
-	// the per-router family without a migration).
-	nsSource uint64 = 0x02 << nsShift
 	// nsSchedule tags the fault-schedule stream that drives generative
 	// MTBF/MTTR fault processes (see internal/fault). One stream per run,
 	// entity id 0.
@@ -42,11 +38,6 @@ const (
 // RouterLabel returns the Split label of node id's VC-selection stream.
 // Panics on negative ids; ids are limited to 32 bits by the scheme.
 func RouterLabel(id int) uint64 { return nsRouter | entity(id) }
-
-// SourceLabel returns the Split label reserved for node id's traffic
-// stream. No current code draws from it; it exists so per-source streams
-// added later cannot collide with the per-router family.
-func SourceLabel(id int) uint64 { return nsSource | entity(id) }
 
 // ScheduleLabel returns the Split label of the run's fault-schedule
 // stream. The engine derives it from the run stream strictly after the

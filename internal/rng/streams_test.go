@@ -39,26 +39,21 @@ func TestSplitLabelCollision(t *testing.T) {
 	}
 }
 
-// TestStreamLabelNamespaces checks the derivation scheme: router and
-// source labels are injective over ids, never collide across namespaces,
-// and stay clear of the small run-level split literals.
+// TestStreamLabelNamespaces checks the derivation scheme: router labels
+// are injective over ids, never collide with the schedule label, and all
+// stay clear of the small run-level split literals.
 func TestStreamLabelNamespaces(t *testing.T) {
-	seen := map[uint64]string{}
+	seen := map[uint64]int{ScheduleLabel(): -1}
 	for id := 0; id < 4096; id++ {
-		for _, l := range []struct {
-			name  string
-			label uint64
-		}{
-			{"router", RouterLabel(id)},
-			{"source", SourceLabel(id)},
-		} {
-			if prev, dup := seen[l.label]; dup {
-				t.Fatalf("label %#x assigned to both %s(%d) and %s", l.label, l.name, id, prev)
-			}
-			seen[l.label] = l.name
-			if l.label < 1<<56 {
-				t.Fatalf("%s(%d) = %#x below the namespace floor; collides with ad-hoc run-level labels", l.name, id, l.label)
-			}
+		l := RouterLabel(id)
+		if prev, dup := seen[l]; dup {
+			t.Fatalf("label %#x assigned to both router(%d) and %d (-1 = schedule)", l, id, prev)
+		}
+		seen[l] = id
+	}
+	for l := range seen {
+		if l < 1<<56 {
+			t.Fatalf("label %#x below the namespace floor; collides with ad-hoc run-level labels", l)
 		}
 	}
 	// The boundary ids of the 32-bit entity range are accepted...
