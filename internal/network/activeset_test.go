@@ -19,7 +19,8 @@ import (
 // cell, the invariants that let the phases walk sets instead of scanning:
 // a router buffering flits is in its domain's active set, its flit counter
 // is the sum of its lane lengths, its active-lane set is exactly the
-// non-empty lanes, a parked lane holds an unrouted front, the request words
+// non-empty lanes, a parked lane holds an unrouted head whose every candidate
+// is busy and registered (checkBlocked), the request words
 // are the transpose of the held routes, a credit-parked lane and the output
 // VC it waits on point at each other at zero credits, and a stalled
 // software layer really can neither start a stream nor inject a flit. Both
@@ -60,6 +61,7 @@ func TestSchedulerSetsCoverWork(t *testing.T) {
 								if n == 0 || rt.HasRoute(lane) {
 									t.Fatalf("cycle %d node %d lane %d: parked with %d flits, routed: %v", nw.Now(), id, l, n, rt.HasRoute(lane))
 								}
+								checkBlocked(t, nw, topology.NodeID(id), lane)
 							}
 						}
 						if listed != buffering {
@@ -116,6 +118,34 @@ func TestSchedulerSetsCoverWork(t *testing.T) {
 					t.Errorf("past saturation, yet lanes seen blocked: %d, lanes seen credit-parked: %d, software layers seen stalled: %d", parked, starved, stalled)
 				}
 			})
+		}
+	}
+}
+
+// checkBlocked holds a parked head to what parking it claims: asked again,
+// Route names candidates that are all busy, and the lane is registered for
+// each of them, so whichever is released first wakes it. (Asking is safe:
+// the engine's own wasted looks are this very call.)
+func checkBlocked(t *testing.T, nw *Network, node topology.NodeID, lane router.Lane) {
+	t.Helper()
+	rt := &nw.routers[node]
+	front, _ := rt.Front(lane)
+	if !front.IsHead() {
+		t.Fatalf("cycle %d node %d lane %d: parked on a body flit", nw.Now(), node, lane)
+	}
+	dec := nw.alg.Route(node, nw.pool.At(front.Ref()))
+	if dec.Outcome != routing.Progress {
+		t.Fatalf("cycle %d node %d lane %d: parked, yet Route says outcome %v", nw.Now(), node, lane, dec.Outcome)
+	}
+	for _, candidates := range [][]routing.CandidateVC{dec.Preferred, dec.Fallback} {
+		for _, c := range candidates {
+			o := rt.OutIndex(c.Port, c.VC)
+			if !rt.Out[o].Busy {
+				t.Fatalf("cycle %d node %d lane %d: parked with candidate output VC %d free", nw.Now(), node, lane, o)
+			}
+			if rt.In[lane].Waits&router.WaitBit(o) == 0 {
+				t.Fatalf("cycle %d node %d lane %d: parked, not registered for candidate output VC %d (waits %#x)", nw.Now(), node, lane, o, rt.In[lane].Waits)
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 // countingRouter wraps a routing.Router and counts Route calls per message
@@ -195,5 +196,165 @@ func TestPurgedBlockedHeadDoesNotLeakMark(t *testing.T) {
 	}
 	if !s.rt.Out[s.out].Busy {
 		t.Fatal("A's tail passed before C allocated; the test proved nothing")
+	}
+}
+
+// enqueue places one more worm on a node's software queue.
+func (s *blockedScene) enqueue(id uint64, src topology.NodeID, dst []int, length int) *message.Message {
+	m := message.New(id, src, s.tor.FromCoords(dst), length, 2, message.Deterministic, 0)
+	s.col.Generated(m)
+	s.nw.Enqueue(src, m)
+	return m
+}
+
+// TestBlockedHeadIgnoresOtherReleases: the release of an output VC that is
+// not among a parked head's candidates is none of its business — it stays
+// parked and is not asked again. Worm C crosses router (1,0) along +y while
+// B waits there for (+x, VC 0); under a wake-all rule C's tail would have
+// cost B one Route call.
+func TestBlockedHeadIgnoresOtherReleases(t *testing.T) {
+	s := newBlockedScene(t, []int{3, 0}, nil)
+	asked := s.alg.routes[s.b.ID]
+	c := s.enqueue(3, s.tor.FromCoords([]int{1, 7}), []int{1, 2}, 8)
+	up := s.rt.OutIndex(topology.PortFor(1, topology.Plus), 0)
+	held, released := false, false
+	for s.col.DeliveredCount() < 1 {
+		s.step(t)
+		busy := s.rt.Out[up].Busy || s.rt.Out[up+1].Busy
+		released = released || held && !busy
+		held = busy
+		if !s.rt.Blocked(s.lane) {
+			t.Fatalf("cycle %d: B woken while its one candidate is still held (+y released: %v)", s.nw.Now(), released)
+		}
+	}
+	if !released || s.alg.routes[c.ID] == 0 || !s.rt.Out[s.out].Busy {
+		t.Fatal("scene broken: C should have taken and released a +y VC of router (1,0) under A's worm")
+	}
+	if got := s.alg.routes[s.b.ID]; got != asked {
+		t.Fatalf("B was routed %d times for a release it cannot use, want 0", got-asked)
+	}
+}
+
+// TestBlockedHeadsShareOneRelease: two heads parked on the same output VC
+// are both woken by its release; the lower lane takes it, the other parks
+// again — one Route call, registered afresh — and is woken by the next
+// release of that VC.
+func TestBlockedHeadsShareOneRelease(t *testing.T) {
+	s := newBlockedScene(t, []int{3, 0}, nil)
+	d := s.enqueue(3, s.mid, []int{4, 0}, 8)
+	laneD := s.lane + 1
+	for !s.rt.Blocked(laneD) {
+		s.step(t)
+	}
+	askedB, askedD := s.alg.routes[s.b.ID], s.alg.routes[d.ID]
+	for s.rt.Out[s.out].Busy {
+		s.step(t)
+	}
+	if s.rt.Blocked(s.lane) || s.rt.Blocked(laneD) {
+		t.Fatal("the release did not wake both heads registered for the VC")
+	}
+	s.step(t)
+	if !s.rt.HasRoute(s.lane) || !s.rt.Blocked(laneD) {
+		t.Fatalf("after the release: B routed %v, D parked %v; want B on the VC and D parked again", s.rt.HasRoute(s.lane), s.rt.Blocked(laneD))
+	}
+	if b, d := s.alg.routes[s.b.ID]-askedB, s.alg.routes[d.ID]-askedD; b != 1 || d != 1 {
+		t.Fatalf("the release cost B %d and D %d Route calls, want 1 and 1", b, d)
+	}
+	for s.rt.Blocked(laneD) {
+		if !s.rt.Out[s.out].Busy {
+			t.Fatal("the VC is free and D still parked")
+		}
+		s.step(t)
+	}
+	if got := s.alg.routes[d.ID] - askedD; got != 1 {
+		t.Fatalf("D was routed %d times while B held the VC, want only the one that re-parked it", got)
+	}
+	s.step(t)
+	if !s.rt.HasRoute(laneD) || s.alg.routes[d.ID]-askedD != 2 {
+		t.Fatal("D did not allocate on the cycle after B's tail left")
+	}
+	for s.col.DeliveredCount() < 3 {
+		s.step(t)
+	}
+}
+
+// TestBlockedHeadSpuriousWakeLeavesNoTrace: a head's registration is one bit per
+// candidate and output VCs 32 apart share a bit (router.WaitBit), so on a
+// router with 64 of them a release can wake a head that cannot use it. The
+// head looks once — one Route call — and parks again, having drawn no random
+// number and traced nothing: the skipped asks and the wasted one are equally
+// invisible. A release under none of its bits leaves it parked; a candidate's
+// release lets it through.
+func TestBlockedHeadSpuriousWakeLeavesNoTrace(t *testing.T) {
+	const v = 16
+	tor := topology.New(8, 2)
+	fs := fault.NewSet(tor)
+	det, err := routing.NewDeterministic(tor, fs, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg := &countingRouter{Router: det, routes: map[uint64]int{}}
+	rec := trace.NewRecorder()
+	p := DefaultParams(v)
+	p.Tracer = rec
+	col := metrics.NewCollector(0)
+	nw := New(tor, fs, alg, nil, col, p, rng.New(3))
+	mid := tor.FromCoords([]int{1, 0})
+	rt := &nw.routers[mid]
+	lane := rt.LaneOf(rt.InjectionPort(), 0)
+	b := message.New(1, mid, tor.FromCoords([]int{3, 0}), 8, 2, message.Deterministic, 0)
+	// Every VC B could take is held (by hand: nobody will release them but
+	// this test).
+	cands := det.Route(mid, b)
+	waits := waitBits(rt, cands.Preferred) | waitBits(rt, cands.Fallback)
+	for _, candidates := range [][]routing.CandidateVC{cands.Preferred, cands.Fallback} {
+		for _, c := range candidates {
+			rt.Out[rt.OutIndex(c.Port, c.VC)].Busy = true
+		}
+	}
+	col.Generated(b)
+	nw.Enqueue(mid, b)
+	for !rt.Blocked(lane) {
+		if nw.Now() > 20 {
+			t.Fatal("B never parked")
+		}
+		nw.Step()
+	}
+	release := func(o int) {
+		rt.Out[o].Busy = true
+		rt.Release(o)
+	}
+	asked, drawn, traced := alg.routes[b.ID], *nw.rngs[mid], rec.Count()
+
+	// Neither a candidate nor under one of its bits: B sleeps on.
+	quiet := -1
+	for o := range rt.Out {
+		if router.WaitBit(o)&waits == 0 {
+			quiet = o
+		}
+	}
+	release(quiet)
+	nw.Step()
+	if !rt.Blocked(lane) || alg.routes[b.ID] != asked {
+		t.Fatalf("release of output VC %d (no bit of B's): parked %v, %d Route calls", quiet, rt.Blocked(lane), alg.routes[b.ID]-asked)
+	}
+	// Under a candidate's bit, but not a candidate: one wasted look.
+	first := rt.OutIndex(cands.Preferred[0].Port, cands.Preferred[0].VC)
+	release(first + 32)
+	if rt.Blocked(lane) {
+		t.Fatal("scene broken: the release 32 output VCs away should share B's bit")
+	}
+	nw.Step()
+	if !rt.Blocked(lane) || alg.routes[b.ID] != asked+1 {
+		t.Fatalf("spurious wake: parked again %v, %d Route calls, want parked after exactly 1", rt.Blocked(lane), alg.routes[b.ID]-asked)
+	}
+	if *nw.rngs[mid] != drawn || rec.Count() != traced {
+		t.Fatalf("the wasted look drew a random number or traced an event (%d new events)", rec.Count()-traced)
+	}
+	// A candidate: B takes it on the next cycle.
+	rt.Release(first)
+	nw.Step()
+	if !rt.HasRoute(lane) || !rt.Out[first].Busy || alg.routes[b.ID] != asked+2 {
+		t.Fatal("B did not allocate the candidate released to it")
 	}
 }

@@ -279,6 +279,35 @@ type Network struct {
 	dropped   uint64
 
 	genStopped bool
+
+	// stepClock, when non-nil, is told every time Step passes one of its
+	// marks. Nil outside TestPhaseTable, which reads a clock there — time the
+	// engine itself never sees, so none of it can reach a result.
+	stepClock func(stepMark)
+}
+
+// stepMark names the points of Step the stepClock hook is told about: the
+// start, the end of each stage, and (on several workers) the moment the
+// stepping goroutine has finished its own domain's share of a phase and
+// starts waiting for the others.
+type stepMark uint8
+
+const (
+	markStart stepMark = iota
+	markTransition
+	markPoll
+	markPhaseA
+	markCommit
+	markPhaseB
+	markOwnShare
+	numMarks
+)
+
+// stamp reports a mark to the stepClock hook, if one is installed.
+func (nw *Network) stamp(m stepMark) {
+	if nw.stepClock != nil {
+		nw.stepClock(m)
+	}
 }
 
 // New builds an engine. alg must be bound to the same topology and fault
@@ -478,11 +507,17 @@ func (nw *Network) Idle() bool {
 // serial engine is the one-domain case of the same loop (see parallel.go).
 func (nw *Network) Step() {
 	nw.now++
+	nw.stamp(markStart)
 	nw.applyTransitions()
+	nw.stamp(markTransition)
 	nw.pollTraffic()
+	nw.stamp(markPoll)
 	nw.runParallel((*worker).phaseA)
+	nw.stamp(markPhaseA)
 	nw.commitEffects()
+	nw.stamp(markCommit)
 	nw.runParallel((*worker).phaseB)
+	nw.stamp(markPhaseB)
 }
 
 // pollTraffic pulls newly generated messages into source queues. Messages
@@ -572,16 +607,18 @@ func (w *worker) routeNode(node topology.NodeID, rt *router.Router) {
 // router's own stream (see Network.rngs).
 //
 // A head that finds every candidate output VC busy is parked
-// (router.Block) and not asked again until the answer can differ. That is
-// exact, not a heuristic: Route is a pure function of (node, header, fault
-// set) — a repeated call returns the same candidates, including Valiant's
-// via, which the first call already pushed — a blocked outcome draws no
-// random number, and Busy only turns true in this phase. So the outcome
-// can change only when one of this router's output VCs is released (the
-// tail leaves in moveNetwork; a purge frees it) or the fault set changes
-// (applyTransitions), and each of those wakes the lane; the mark itself
-// dies with the lane's front flit (router.FilterLane). The state is
-// router-owned, so the parallel engine's single-owner rule holds.
+// (router.Block), registered against the candidates Route just returned,
+// and not asked again until the answer can differ. That is exact, not a
+// heuristic: Route is a pure function of (node, header, fault set) — a
+// repeated call returns the same candidates, including Valiant's via, which
+// the first call already pushed — a blocked outcome draws no random number,
+// and Busy only turns true in this phase. So the outcome can change only
+// when one of those candidates is released (the tail leaves in moveNetwork;
+// a purge frees it) or the fault set changes (applyTransitions), and each
+// of those wakes the lane; a wake-up for any other reason re-parks it with
+// nothing drawn and nothing traced. The mark itself dies with the lane's
+// front flit (router.FilterLane). The state is router-owned, so the
+// parallel engine's single-owner rule holds.
 //
 //simlint:phase compute
 func (w *worker) allocateLane(node topology.NodeID, rt *router.Router, lane router.Lane) {
@@ -624,7 +661,8 @@ func (w *worker) allocateLane(node topology.NodeID, rt *router.Router, lane rout
 		}
 		w.freeVCs = free
 		if len(free) == 0 {
-			rt.Block(lane) // all candidate VCs owned; wait for a release
+			// All candidate VCs owned: wait for the release of one of them.
+			rt.Block(lane, waitBits(rt, dec.Preferred)|waitBits(rt, dec.Fallback))
 			return
 		}
 		pick := free[nw.rngs[node].Intn(len(free))]
@@ -637,6 +675,16 @@ func (w *worker) allocateLane(node topology.NodeID, rt *router.Router, lane rout
 	// fault-transition purge.
 	rt.SetRoute(lane)
 	ivc.Owner = front.Ref()
+}
+
+// waitBits returns the registration (router.WaitBit) of a blocked head's
+// candidates.
+func waitBits(rt *router.Router, candidates []routing.CandidateVC) uint32 {
+	waits := uint32(0)
+	for _, c := range candidates {
+		waits |= router.WaitBit(rt.OutIndex(c.Port, c.VC))
+	}
+	return waits
 }
 
 // switchPorts performs one router's switch allocation and link/ejection

@@ -306,6 +306,7 @@ func (nw *Network) runParallel(f func(*worker)) {
 		}(w)
 	}
 	b.run(nw.doms[0], f)
+	nw.stamp(markOwnShare)
 	b.wg.Wait()
 	if b.first != nil {
 		panic(b.first)

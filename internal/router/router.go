@@ -47,6 +47,10 @@ type InVC struct {
 	// ToEject routes the worm to the local ejection port (delivery or
 	// software absorption); OutPort/OutVC are meaningful otherwise.
 	ToEject bool
+	// Waits names, while the lane is blocked, the output VCs its head waits
+	// on: bit WaitBit(o) for every candidate o of the head's last routing
+	// attempt (Block). Lives in what was the struct's padding.
+	Waits uint32
 }
 
 // OutVC is one output virtual channel: ownership (a worm holds it from head
@@ -110,8 +114,8 @@ type Router struct {
 	//             merge or retire step);
 	//   routed  — the front worm holds a route (SetRoute/ClearRoute);
 	//   blocked — the front is a head whose candidates were all busy at
-	//             its last routing attempt (Block); any Release, Unblock
-	//             or FilterLane of the lane clears it;
+	//             its last routing attempt (Block); the Release of one of
+	//             them, Unblock or FilterLane of the lane clears it;
 	//   starved — the lane's route leads to an output VC the arbiter found
 	//             at Credits == 0 (Starve); the VC's next Credit, its
 	//             Release, the lane's ClearRoute or a Resync clears it.
@@ -261,62 +265,125 @@ func (r *Router) ReadyPorts() uint64 {
 // are read, not gathered: per 64-lane group, the buffered routed lanes
 // whose request bit for p is set, ranked in ascending lane order, n in all.
 // Credit-parked lanes are counted and ranked — a parked lane still
-// competes, it just cannot win — but never visited: the walk starts at rank
+// competes, it just cannot win — but never visited. The walk starts at rank
 // k = RROut mod n (RROut is below the previous cycle's n, so the
-// compare-and-subtract rarely runs twice), wraps, parks every candidate it
-// finds without a credit (Starve) and grants the first that has one,
-// leaving RROut just past its rank. With no grant RROut stays. Parking on
-// the failed attempt, not on the debit, keeps a worm streaming at one
-// credit per cycle out of the starved set entirely.
+// compare-and-subtract rarely runs twice) and wraps: the k lowest
+// requesters are peeled off the word holding rank k, which splits its
+// unparked candidates into those to visit first and those to visit last,
+// and every candidate is then visited once, in walk order. The walk parks
+// each candidate it finds without a credit (Starve) and grants the first
+// that has one — the only one whose rank is computed — leaving RROut just
+// past it. With no grant RROut stays. With at most one candidate to visit
+// the start does not matter and nothing is peeled. Parking on the failed
+// attempt, not on the debit, keeps a worm streaming at one credit per cycle
+// out of the starved set entirely.
 func (r *Router) Grant(p int) (Lane, bool) {
-	stride := len(r.RROut) + 1
-	n, ready := 0, 0
-	for g, q := 0, p; g < len(r.sets); g, q = g+setStride, q+stride {
-		c := r.sets[g+setActive] & r.sets[g+setRouted] & r.req[q]
-		n += bits.OnesCount64(c)
-		ready += bits.OnesCount64(c &^ r.sets[g+setStarved])
+	if len(r.sets) != setStride {
+		return r.grantWords(p)
 	}
-	// With one candidate to visit, where the walk starts does not matter.
-	k := 0
-	if ready > 1 {
-		for k = int(r.RROut[p]); k >= n; k -= n {
+	// At most 64 lanes — every paper geometry: the walk, straight-line.
+	s := r.sets[:setStride]
+	c := s[setActive] & s[setRouted] & r.req[p]
+	// m holds the candidates to visit now, last those below rank k.
+	m, last := c&^s[setStarved], uint64(0)
+	n := bits.OnesCount64(c)
+	if m&(m-1) != 0 {
+		k := int(r.RROut[p])
+		for k >= n {
+			k -= n
 		}
+		x := c
+		for ; k > 0; k-- {
+			x &= x - 1
+		}
+		below := x&-x - 1
+		m, last = m&^below, m&below
 	}
-	if l, ok := r.grantIn(p, k, n, n); ok || k == 0 {
-		return l, ok
-	}
-	return r.grantIn(p, 0, k, n)
-}
-
-// grantIn is one leg of Grant's walk: port p's unparked candidates of rank
-// lo to hi-1 (out of n), in ascending order.
-func (r *Router) grantIn(p, lo, hi, n int) (Lane, bool) {
-	base := 0
-	for g, q := 0, p; g < len(r.sets); g, q = g+setStride, q+len(r.RROut)+1 {
-		c := r.sets[g+setActive] & r.sets[g+setRouted] & r.req[q]
-		for m := c &^ r.sets[g+setStarved]; m != 0; m &= m - 1 {
-			rank := base + bits.OnesCount64(c&(m&-m-1))
-			if rank < lo {
-				continue
-			}
-			if rank >= hi {
-				return 0, false
-			}
-			l := Lane(g/setStride<<6 + bits.TrailingZeros64(m))
+	for {
+		for ; m != 0; m &= m - 1 {
+			l := Lane(bits.TrailingZeros64(m))
 			o := p*r.v + int(r.In[l].OutVC)
 			if r.Out[o].Credits == 0 {
 				r.Starve(l, o)
 				continue
 			}
-			if rank++; rank == n {
+			rank := bits.OnesCount64(c&(m&-m-1)) + 1
+			if rank == n {
 				rank = 0
 			}
 			r.RROut[p] = int32(rank)
 			return l, true
 		}
-		base += bits.OnesCount64(c)
+		if last == 0 {
+			return 0, false
+		}
+		m, last = last, 0
+	}
+}
+
+// grantWords is Grant's walk over any number of lane-set words.
+func (r *Router) grantWords(p int) (Lane, bool) {
+	words := len(r.sets) / setStride
+	n, ready := 0, 0
+	for w := 0; w < words; w++ {
+		c := r.requesters(w, p)
+		n += bits.OnesCount64(c)
+		ready += bits.OnesCount64(c &^ r.sets[w*setStride+setStarved])
+	}
+	// The walk starts in word w0, above its `below` bits, and ends on them.
+	w0, below := 0, uint64(0)
+	if ready > 1 {
+		k := int(r.RROut[p])
+		for k >= n {
+			k -= n
+		}
+		c := r.requesters(0, p)
+		for cnt := bits.OnesCount64(c); k >= cnt; cnt = bits.OnesCount64(c) {
+			k -= cnt
+			w0++
+			c = r.requesters(w0, p)
+		}
+		for ; k > 0; k-- {
+			c &= c - 1
+		}
+		below = c&-c - 1
+	}
+	for leg, w := 0, w0; leg <= words; leg++ {
+		c := r.requesters(w, p)
+		m := c &^ r.sets[w*setStride+setStarved]
+		if leg == 0 {
+			m &^= below
+		} else if leg == words {
+			m &= below
+		}
+		for ; m != 0; m &= m - 1 {
+			l := Lane(w<<6 + bits.TrailingZeros64(m))
+			o := p*r.v + int(r.In[l].OutVC)
+			if r.Out[o].Credits == 0 {
+				r.Starve(l, o)
+				continue
+			}
+			rank := bits.OnesCount64(c&(m&-m-1)) + 1
+			for i := 0; i < w; i++ {
+				rank += bits.OnesCount64(r.requesters(i, p))
+			}
+			if rank == n {
+				rank = 0
+			}
+			r.RROut[p] = int32(rank)
+			return l, true
+		}
+		if w++; w == words {
+			w = 0
+		}
 	}
 	return 0, false
+}
+
+// requesters returns word w of the lanes competing for output port p:
+// buffered, routed there, credit-parked or not.
+func (r *Router) requesters(w, p int) uint64 {
+	return r.sets[w*setStride+setActive] & r.sets[w*setStride+setRouted] & r.req[w*(len(r.RROut)+1)+p]
 }
 
 // request returns the request word lane l's route (In[l]) selects.
@@ -430,12 +497,20 @@ func (r *Router) Blocked(l Lane) bool {
 	return *w&bit != 0
 }
 
+// WaitBit returns output VC o's bit (o an OutIndex) in a blocked lane's
+// registration. Output VCs 32 apart share a bit, so a router with at most 32
+// of them — every 2-D geometry up to V = 8 — registers exactly, and a larger
+// one wakes a head now and then for a VC it cannot use.
+func WaitBit(o int) uint32 { return 1 << (uint(o) & 31) }
+
 // Block parks lane l: its head found every candidate output VC busy, and
-// asking again can only give a different answer after one of this router's
-// output VCs is released (Release) or the fault set changes (Unblock).
-func (r *Router) Block(l Lane) {
+// asking again can only give a different answer after one of those
+// candidates is released (Release) or the fault set changes (Unblock).
+// waits registers the candidates, WaitBit(o) for each.
+func (r *Router) Block(l Lane, waits uint32) {
 	w, bit := r.set(setBlocked, l)
 	*w |= bit
+	r.In[l].Waits = waits
 }
 
 // Unblock wakes every parked lane of the router.
@@ -445,14 +520,21 @@ func (r *Router) Unblock() {
 	}
 }
 
-// Release frees output VC o (as indexed by OutIndex) and wakes the parked
-// lanes: a head blocked on a full VC bank may now find a candidate, and a
-// lane credit-parked on o no longer holds it.
+// Release frees output VC o (as indexed by OutIndex) and wakes the lanes
+// parked on it: the heads blocked with o among their candidates may now
+// take it, and a lane credit-parked on o no longer holds it.
 func (r *Router) Release(o int) {
 	v := &r.Out[o]
 	v.Busy = false
 	r.wake(v)
-	r.Unblock()
+	bit := WaitBit(o)
+	for g := setBlocked; g < len(r.sets); g += setStride {
+		for m := r.sets[g]; m != 0; m &= m - 1 {
+			if r.In[g/setStride<<6+bits.TrailingZeros64(m)].Waits&bit != 0 {
+				r.sets[g] &^= m & -m
+			}
+		}
+	}
 }
 
 // Lanes iterates the active lanes (those buffering flits) in ascending

@@ -118,8 +118,8 @@ func TestRouterLayout(t *testing.T) {
 	if len(r.RROut) != 6 { // one arbiter per network output port
 		t.Fatalf("rr slots = %d", len(r.RROut))
 	}
-	if size := unsafe.Sizeof(InVC{}); size > 40 {
-		t.Fatalf("InVC is %d bytes, want <= 40", size)
+	if size := unsafe.Sizeof(InVC{}); size != 24 {
+		t.Fatalf("InVC is %d bytes, want 24 (the waiter mask sits in its padding)", size)
 	}
 	if size := unsafe.Sizeof(OutVC{}); size != 8 {
 		t.Fatalf("OutVC is %d bytes, want 8", size)
@@ -256,7 +256,7 @@ func TestSlabRoutersAreDisjoint(t *testing.T) {
 		mid.PushLane(Lane(l), m.Flit(0))
 		mid.PushLane(Lane(l), m.Flit(1))
 		mid.SetRoute(Lane(l))
-		mid.Block(Lane(l))
+		mid.Block(Lane(l), ^uint32(0))
 	}
 	for o := range mid.Out {
 		mid.Out[o].Busy = true
@@ -373,12 +373,13 @@ func TestLaneSetSpansWords(t *testing.T) {
 		t.Fatalf("LanePortVC(79) = (%d,%d), want (4,15)", port, vc)
 	}
 
-	// Route two lanes (one per word), block two others: the route phase
-	// must see exactly the remaining two, the switch phase the routed two.
+	// Route two lanes (one per word), block two others — lane 63 on output
+	// VCs 3 and 40, lane 79 on 40 alone: the route phase must see exactly the
+	// remaining two, the switch phase the routed two.
 	r.SetRoute(17)
 	r.SetRoute(64)
-	r.Block(63)
-	r.Block(79)
+	r.Block(63, WaitBit(3)|WaitBit(40))
+	r.Block(79, WaitBit(40))
 	if r.RouteWord(0) != 1<<0 || r.RouteWord(1) != 1<<(65-64) {
 		t.Fatalf("route words = %#x %#x", r.RouteWord(0), r.RouteWord(1))
 	}
@@ -386,14 +387,42 @@ func TestLaneSetSpansWords(t *testing.T) {
 		t.Fatalf("switch words = %#x %#x", r.SwitchWord(0), r.SwitchWord(1))
 	}
 
-	// A release wakes the blocked lanes of both words.
-	r.Out[3].Busy = true
+	// A release wakes the lanes registered for that output VC, in either
+	// word, and nobody else: VC 5 has no waiter, VC 3 only lane 63.
+	for _, o := range []int{5, 3, 40} {
+		r.Out[o].Busy = true
+	}
+	r.Release(5)
+	if r.Out[5].Busy || !r.Blocked(63) || !r.Blocked(79) {
+		t.Fatal("releasing a VC nobody waits on left it busy or woke a lane")
+	}
 	r.Release(3)
-	if r.Out[3].Busy || r.Blocked(63) || r.Blocked(79) {
-		t.Fatal("release left a VC busy or a lane blocked")
+	if r.Blocked(63) || !r.Blocked(79) {
+		t.Fatalf("release of VC 3: lane 63 blocked %v, lane 79 blocked %v; want woken, parked", r.Blocked(63), r.Blocked(79))
+	}
+	if r.RouteWord(0) != 1<<0|1<<63 || r.RouteWord(1) != 1<<(65-64) {
+		t.Fatalf("route words after the first release = %#x %#x", r.RouteWord(0), r.RouteWord(1))
+	}
+	// Both registered on one VC: its release wakes both. A lane that parks
+	// again registers afresh, so the old candidates no longer wake it.
+	r.Block(63, WaitBit(3)|WaitBit(40))
+	r.Release(40)
+	if r.Blocked(63) || r.Blocked(79) {
+		t.Fatal("release of VC 40 left a lane registered for it blocked")
+	}
+	r.Block(79, WaitBit(7))
+	r.Release(40)
+	if !r.Blocked(79) {
+		t.Fatal("a lane re-parked on VC 7 was woken through its previous registration")
+	}
+	// Output VCs 32 apart share a registration bit: a wake-up the head cannot
+	// use, which only costs it one more look.
+	r.Release(7 + 32)
+	if r.Blocked(79) {
+		t.Fatal("release of VC 39 did not wake the lane registered under the same bit")
 	}
 	if r.RouteWord(0) != 1<<0|1<<63 || r.RouteWord(1) != 1<<(65-64)|1<<(79-64) {
-		t.Fatalf("route words after release = %#x %#x", r.RouteWord(0), r.RouteWord(1))
+		t.Fatalf("route words after the releases = %#x %#x", r.RouteWord(0), r.RouteWord(1))
 	}
 
 	// Drain in an arbitrary order; the survivors stay ascending throughout.
@@ -428,7 +457,7 @@ func TestFilterLane(t *testing.T) {
 	for _, f := range []message.Flit{a.Flit(2), b.Flit(0), a.Flit(3), b.Flit(1)} {
 		r.PushLane(5, f)
 	}
-	r.Block(5)
+	r.Block(5, WaitBit(0))
 	dropA := func(f message.Flit) bool { return f.Ref() == refA }
 	if n := r.FilterLane(5, dropA); n != 2 {
 		t.Fatalf("removed %d flits, want 2", n)
@@ -449,7 +478,7 @@ func TestFilterLane(t *testing.T) {
 	}
 	// A filter that removes nothing must leave a blocked mark alone.
 	r.PushLane(5, b.Flit(0))
-	r.Block(5)
+	r.Block(5, WaitBit(0))
 	if n := r.FilterLane(5, func(message.Flit) bool { return false }); n != 0 || !r.Blocked(5) {
 		t.Fatalf("no-op filter removed %d flits, blocked %v", n, r.Blocked(5))
 	}

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -13,6 +14,10 @@ type grid struct {
 	n int // number of dimensions
 	// pow[i] = k^i, cached for fast address arithmetic.
 	pow []int
+	// digits tabulates every address, n digits per node: routing asks for a
+	// handful of them per head flit, and a load is cheaper than two
+	// divisions by runtime values. Nil when a digit does not fit (k > 32767).
+	digits []int16
 }
 
 // newGrid panics on degenerate parameters (k < 2 or n < 1): those are
@@ -29,7 +34,21 @@ func newGrid(k, n int) grid {
 	for i := 1; i <= n; i++ {
 		pow[i] = pow[i-1] * k
 	}
-	return grid{k: k, n: n, pow: pow}
+	g := grid{k: k, n: n, pow: pow}
+	if k <= math.MaxInt16 {
+		g.digits = make([]int16, pow[n]*n)
+		for i := n; i < len(g.digits); i += n {
+			// The next address: the previous one plus one, with carry.
+			copy(g.digits[i:i+n], g.digits[i-n:i])
+			for d := i; ; d++ {
+				if g.digits[d]++; int(g.digits[d]) < k {
+					break
+				}
+				g.digits[d] = 0
+			}
+		}
+	}
+	return g
 }
 
 // K returns the radix (nodes per dimension).
@@ -47,6 +66,9 @@ func (g *grid) Degree() int { return 2 * g.n }
 
 // Coord returns the address digit of node id along dimension dim.
 func (g *grid) Coord(id NodeID, dim int) int {
+	if g.digits != nil {
+		return int(g.digits[int(id)*g.n+dim])
+	}
 	return (int(id) / g.pow[dim]) % g.k
 }
 

@@ -36,16 +36,20 @@ func TestNodesAndDegree(t *testing.T) {
 	}
 }
 
+// TestCoordsRoundTrip holds Coord — a load from the digit table — to Coords'
+// division, on every node of grids with a binary, an odd and an even radix
+// and of a ring too wide for the table (Coord divides there).
 func TestCoordsRoundTrip(t *testing.T) {
-	tor := New(5, 3)
-	for id := 0; id < tor.Nodes(); id++ {
-		c := tor.Coords(NodeID(id))
-		if got := tor.FromCoords(c); got != NodeID(id) {
-			t.Fatalf("roundtrip %d -> %v -> %d", id, c, got)
-		}
-		for d := 0; d < 3; d++ {
-			if tor.Coord(NodeID(id), d) != c[d] {
-				t.Fatalf("Coord(%d,%d) = %d, Coords gave %d", id, d, tor.Coord(NodeID(id), d), c[d])
+	for _, tor := range []*Torus{New(5, 3), New(2, 10), New(16, 2), New(40000, 1)} {
+		for id := 0; id < tor.Nodes(); id++ {
+			c := tor.Coords(NodeID(id))
+			if got := tor.FromCoords(c); got != NodeID(id) {
+				t.Fatalf("%v: roundtrip %d -> %v -> %d", tor, id, c, got)
+			}
+			for d := range c {
+				if tor.Coord(NodeID(id), d) != c[d] {
+					t.Fatalf("%v: Coord(%d,%d) = %d, Coords gave %d", tor, id, d, tor.Coord(NodeID(id), d), c[d])
+				}
 			}
 		}
 	}
