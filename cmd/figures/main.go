@@ -11,16 +11,14 @@
 // Scales: quick (2k measured messages/point), default (10k), full (90k —
 // the paper's 100,000-message protocol).
 //
-// Long runs checkpoint and shard through the sweep subsystem: with
-// -checkpoint, every completed point is journalled and a re-run (after a
-// crash, SIGKILL, or preemption) resumes instead of recomputing; with
-// -shard i/n, independent processes or hosts each run a slice of the
-// same figure; -merge combines shard journals, after which a final run
-// renders the complete tables entirely from the checkpoint:
+// Long runs checkpoint through the sweep subsystem: with -checkpoint,
+// every completed point is journalled and a re-run (after a crash,
+// SIGKILL, or preemption) resumes instead of recomputing. With
+// -coordinator, the grid sweeps run on a coordinator fleet (swsim -serve
+// and -worker on any number of hosts) and a re-render is pure cache:
 //
-//	figures -fig 3 -scale full -shard 0/2 -checkpoint s0.jsonl   # host A
-//	figures -fig 3 -scale full -shard 1/2 -checkpoint s1.jsonl   # host B
-//	figures -fig 3 -scale full -checkpoint all.jsonl -merge s0.jsonl,s1.jsonl
+//	figures -fig 3 -scale full -checkpoint fig3.jsonl
+//	figures -fig 3 -scale full -coordinator http://host:8080
 //
 // Every figure table is a declaration (a table value: plan name, title,
 // x-axis and one series per column); harness.render is the one path that
@@ -87,8 +85,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Everything is validated before the door opens: -merge appends to the
-	// checkpoint, and a rejected invocation must have no side effects.
 	sc, ok := scales[*scale]
 	if !ok {
 		return usage("unknown scale %q", *scale)
@@ -104,19 +100,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	mode := sweepcli.Grid
 	if *fig == "sat" {
-		mode = sweepcli.Searches
+		mode = sweepcli.Search
 	}
-	door, err := sweepFlags.Validate("figures", mode, stderr)
+	door, runPlan, err := sweepFlags.Validate(mode, stderr)
 	if err != nil {
 		return usage("%v", err)
 	}
 	if door.Fleet && *fig == "all" {
 		fmt.Fprintln(stderr, "figures: the -fig sat saturation searches run in-process, not on the -coordinator fleet (their probes are sequential)")
-	}
-	runPlan, err := door.Open()
-	if err != nil {
-		fmt.Fprintf(stderr, "figures: %v\n", err)
-		return 1
 	}
 	h := &harness{scale: sc, seeds: *seeds, csv: *csv, plot: *plot, topo: *topo,
 		local: door.Local, runPlan: runPlan, stdout: stdout, stderr: stderr}
@@ -124,10 +115,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	start := time.Now()
 	for _, f := range draw {
 		f(h)
-	}
-	if shard := door.Local.Shard; shard.Count > 1 {
-		fmt.Fprintf(stderr, "figures: shard %s complete; until the other shards' journals are merged (-merge), cells they own render as %q and cells averaged from this shard's placements only are marked %q\n",
-			shard, skippedCell, partialMark)
 	}
 	h.printf("\n(total wall time %v)\n", time.Since(start).Round(time.Second))
 	return 0
@@ -158,9 +145,9 @@ type harness struct {
 	// truthful labels.
 	topo string
 	// runPlan is the sweep front door every table's plan goes through
-	// (resumable via -checkpoint, splittable via -shard, fleet-served via
-	// -coordinator); local holds the in-process options the saturation
-	// searches of figSat take instead, and the shard they split by.
+	// (resumable via -checkpoint, fleet-served via -coordinator); local
+	// holds the in-process options the saturation searches of figSat take
+	// instead.
 	runPlan func(sweep.Plan) ([]core.PointResult, error)
 	local   sweep.Options
 
@@ -273,16 +260,6 @@ func latencyTable(plan, title string, grid []float64) table {
 	return table{plan: plan, title: title, xhead: "lambda", xw: 10, xs: grid, metric: latency}
 }
 
-// skippedCell marks a table cell whose points all belong to another
-// shard and have not been merged into this run's checkpoint yet;
-// partialMark is appended to a cell averaged over only the placements
-// this shard owns (a shard splits each cell's seeds, so the value will
-// shift once the other shards' journals are merged in).
-const (
-	skippedCell = "-"
-	partialMark = "?"
-)
-
 // cell is one table entry: a metric averaged over the cell's seeded
 // fault placements ("to make the results independent of relative
 // positions of failures", §5.2).
@@ -290,27 +267,21 @@ type cell struct {
 	results   []core.PointResult // one per placement, in seed order
 	mean      float64            // over the placements that ran; NaN if none did
 	saturated bool               // at least half of those saturated
-	skipped   int                // placements owned by other shards
-	failed    int                // placements that ran and failed
 }
 
 func aggregate(results []core.PointResult, m metric) cell {
 	c := cell{results: results}
 	sum, n, sat := 0.0, 0, 0
 	for _, r := range results {
-		switch {
-		case r.Err == nil:
-			if v, ok := m.value(r.Results); ok {
-				sum += v
-				n++
-				if r.Results.Saturated {
-					sat++
-				}
+		if r.Err != nil {
+			continue
+		}
+		if v, ok := m.value(r.Results); ok {
+			sum += v
+			n++
+			if r.Results.Saturated {
+				sat++
 			}
-		case errors.Is(r.Err, sweep.ErrSkipped):
-			c.skipped++
-		default:
-			c.failed++
 		}
 	}
 	c.mean = math.NaN()
@@ -320,27 +291,16 @@ func aggregate(results []core.PointResult, m metric) cell {
 	return c
 }
 
-// text renders the cell, shard states included: skippedCell when every
-// missing placement belongs to another shard ("-" promises the merge will
-// fill the cell in, so a real failure among the owned points stays
-// "err"), and a partialMark suffix when the average covers only this
-// shard's placements.
+// text renders the cell: "err" when no placement produced a value.
 func (c cell) text(m metric) string {
 	if math.IsNaN(c.mean) {
-		if c.skipped > 0 && c.failed == 0 {
-			return skippedCell
-		}
 		return "err"
 	}
 	format := m.format
 	if c.saturated && m.satFormat != "" {
 		format = m.satFormat
 	}
-	s := fmt.Sprintf(format, c.mean)
-	if c.skipped > 0 {
-		s += partialMark
-	}
-	return s
+	return fmt.Sprintf(format, c.mean)
 }
 
 // render is the one path from a table declaration to its printed form:
@@ -362,7 +322,7 @@ func (h *harness) render(t table) [][]cell {
 		os.Exit(1)
 	}
 	for _, r := range res {
-		if r.Err != nil && !errors.Is(r.Err, sweep.ErrSkipped) {
+		if r.Err != nil {
 			fmt.Fprintf(h.stderr, "figures: point %s: %v\n", r.Label, r.Err)
 		}
 		if h.csv && r.Err == nil {

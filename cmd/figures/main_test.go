@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
 	"net/http/httptest"
@@ -56,9 +57,7 @@ func skipSlow(t *testing.T, fig string) {
 }
 
 // TestGoldenOutput pins every -fig value's stdout at the tiny scale with
-// two placements per cell, unsharded and as shard 0 of 2 (whose tables
-// carry the "-" other-shard and "?" partial cells), plus the -csv and
-// -plot renderings.
+// two placements per cell, plus the -csv and -plot renderings.
 func TestGoldenOutput(t *testing.T) {
 	for _, fig := range figNames {
 		t.Run(fig, func(t *testing.T) {
@@ -66,14 +65,6 @@ func TestGoldenOutput(t *testing.T) {
 			got, stderr, code := figuresRun(t, "-fig", fig, "-scale", "tiny", "-seeds", "2")
 			if code != 0 || got != golden(t, fig+".golden") {
 				t.Errorf("exit %d, stdout differs from testdata/%s.golden:\n%s\nstderr:\n%s", code, fig, got, stderr)
-			}
-		})
-		t.Run(fig+"/shard0of2", func(t *testing.T) {
-			skipSlow(t, fig)
-			got, stderr, code := figuresRun(t, "-fig", fig, "-scale", "tiny", "-seeds", "2",
-				"-shard", "0/2", "-checkpoint", filepath.Join(t.TempDir(), "s0.jsonl"))
-			if code != 0 || got != golden(t, fig+".shard0of2.golden") {
-				t.Errorf("exit %d, stdout differs from testdata/%s.shard0of2.golden:\n%s\nstderr:\n%s", code, fig, got, stderr)
 			}
 		})
 	}
@@ -91,6 +82,8 @@ func TestGoldenOutput(t *testing.T) {
 	}
 }
 
+var errNotSimulated = errors.New("not simulated")
+
 // planLines draws one figure against a front door that simulates nothing
 // and returns a "plan name · label · PointID" line per point, in plan
 // order.
@@ -101,7 +94,7 @@ func planLines(fig string, scale scaleSpec, seeds int) string {
 			res := make([]core.PointResult, len(plan.Points))
 			for i, pt := range plan.Points {
 				fmt.Fprintf(&b, "%s · %s · %s\n", plan.Name, pt.Label, sweep.PointID(pt))
-				res[i] = core.PointResult{Point: pt, Err: sweep.ErrSkipped}
+				res[i] = core.PointResult{Point: pt, Err: errNotSimulated}
 			}
 			return res, nil
 		}}
@@ -162,15 +155,9 @@ func TestPlanIdentity(t *testing.T) {
 }
 
 // TestRejectedInvocationHasNoSideEffects: a refused command line must
-// leave the -checkpoint journal byte-identical (or absent). Before the
-// shared front door, figures merged first and rejected afterwards.
+// leave the -checkpoint journal byte-identical (or absent).
 func TestRejectedInvocationHasNoSideEffects(t *testing.T) {
-	dir := t.TempDir()
-	shard := filepath.Join(dir, "s0.jsonl")
-	if _, stderr, code := figuresRun(t, "-fig", "churn", "-scale", "tiny", "-shard", "0/2", "-checkpoint", shard); code != 0 {
-		t.Fatalf("shard run: exit %d\n%s", code, stderr)
-	}
-	ckpt := filepath.Join(dir, "all.jsonl")
+	ckpt := filepath.Join(t.TempDir(), "all.jsonl")
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -178,7 +165,9 @@ func TestRejectedInvocationHasNoSideEffects(t *testing.T) {
 		{"unknown figure", []string{"-fig", "8"}},
 		{"unknown scale", []string{"-fig", "churn", "-scale", "huge"}},
 		{"coordinator conflict", []string{"-fig", "churn", "-coordinator", "http://127.0.0.1:1"}},
-		{"bad shard", []string{"-fig", "churn", "-shard", "2/2"}},
+		{"negative workers", []string{"-fig", "churn", "-workers", "-3"}},
+		{"removed shard flag", []string{"-fig", "churn", "-shard", "0/2"}},
+		{"removed merge flag", []string{"-fig", "churn", "-merge", "a.jsonl"}},
 	} {
 		for _, existing := range []bool{false, true} {
 			os.Remove(ckpt)
@@ -188,7 +177,7 @@ func TestRejectedInvocationHasNoSideEffects(t *testing.T) {
 				}
 			}
 			before, _ := os.ReadFile(ckpt)
-			_, stderr, code := figuresRun(t, append(tc.args, "-checkpoint", ckpt, "-merge", shard)...)
+			_, stderr, code := figuresRun(t, append(tc.args, "-checkpoint", ckpt)...)
 			if code != 2 {
 				t.Errorf("%s: exit %d, want 2\n%s", tc.name, code, stderr)
 			}

@@ -17,19 +17,11 @@ import (
 func (h *harness) figSat() {
 	h.printf("\n===== Saturation points: λ* by algorithm and V, 8-ary 2-cube, M=32 (auto-search) =====\n")
 	h.printf("\n%-10s%-6s%14s%14s%14s%10s\n", "alg", "V", "sat λ*", "zero-load", "threshold", "probes")
-	combo := 0
 	for _, algName := range []string{"det", "adaptive"} {
 		for _, v := range []int{4, 6, 10} {
-			// A search's probes are sequential (each depends on the last),
-			// so -shard splits whole (alg, V) searches, not probes. With a
-			// checkpoint, a merged render replays every search from the
-			// journal and fills the skipped rows in.
-			mine := h.local.Shard.Owns(combo)
-			combo++
-			if !mine {
-				h.printf("%-10s%-6d%14s%14s%14s%10s\n", algName, v, skippedCell, skippedCell, skippedCell, skippedCell)
-				continue
-			}
+			// The six searches run one after another in this process: a
+			// search's probes are sequential (each depends on the last).
+			// With -checkpoint, a re-run replays every finished probe.
 			base := h.base(8, 2, 0.001) // λ is owned by the search
 			base.V = v
 			base.MsgLen = 32
@@ -53,9 +45,5 @@ func (h *harness) figSat() {
 	}
 	h.printf("\n(λ* = load where mean latency crosses 3x zero-load latency; bisection to 5%% brackets,\n")
 	h.printf(" ~ marks a search that ran out of probes before reaching that width.\n")
-	if h.local.Shard.Count > 1 {
-		h.printf(" - rows belong to other shards; after merging journals, re-run -fig sat without\n")
-		h.printf(" -shard to replay every search from the checkpoint and fill them in.\n")
-	}
 	h.printf(" Fig. 6's offered load λ=0.012 sits above the V=6 16-ary saturation point by design.)\n")
 }

@@ -33,14 +33,14 @@
 // in sweep modes, which parallelize across points instead.
 //
 // With -sweep, swsim runs one point per λ of a grid through the sweep
-// subsystem: -checkpoint makes the run resumable after interruption,
-// -shard splits it across processes, and -merge combines shard journals:
+// subsystem: -checkpoint makes the run resumable after interruption, and
+// -coordinator splits it across a fleet of -worker processes on any hosts:
 //
 //	swsim -sweep 0.002:0.014:0.002 -k 8 -n 2 -v 4
 //	swsim -sweep 0.002:0.014:0.002 -checkpoint sweep.jsonl   # kill and re-run freely
-//	swsim -sweep 0.002:0.014:0.002 -shard 0/2 -checkpoint s0.jsonl &
-//	swsim -sweep 0.002:0.014:0.002 -shard 1/2 -checkpoint s1.jsonl &
-//	swsim -sweep 0.002:0.014:0.002 -checkpoint all.jsonl -merge s0.jsonl,s1.jsonl
+//	swsim -serve addr=:8080,checkpoint=coord.jsonl &
+//	swsim -worker url=http://localhost:8080 &
+//	swsim -sweep 0.002:0.014:0.002 -coordinator http://localhost:8080
 //
 // -find-sat replaces the λ grid with a bisection auto-search for the
 // saturation point (the λ where mean latency crosses -sat-factor times
@@ -102,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jsonOut = fl.Bool("json", false, "emit config and results as JSON instead of CSV")
 
 		sweepGrid  = fl.String("sweep", "", "λ sweep instead of a single point: comma list '0.002,0.004' or range 'lo:hi:step'")
-		sweepFlags = sweepcli.Register(fl) // -workers -checkpoint -shard -merge -coordinator
+		sweepFlags = sweepcli.Register(fl) // -workers -checkpoint -coordinator
 		engWorkers = fl.String("engine-workers", "auto", "engine worker domains per simulation: an integer >= 1, or 'auto' (scales with topology size for single-point runs; sweep modes keep each engine serial and parallelize across points instead)")
 		findSat    = fl.Bool("find-sat", false, "bisection auto-search for the saturation λ instead of a fixed grid")
 		satFactor  = fl.Float64("sat-factor", 3, "saturation threshold as a multiple of zero-load latency (with -find-sat)")
@@ -167,8 +167,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Faults.Shapes = []core.ShapeStamp{{Spec: spec, DimA: 0, DimB: 1}}
 	}
 
-	// Validate the flag combination fully before -merge mutates the
-	// checkpoint journal: a rejected invocation must have no side effects.
 	if *wlOut != "" && (*findSat || *sweepGrid != "") {
 		return exit(2, "-workload-out applies to single-point runs only")
 	}
@@ -182,7 +180,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *findSat:
 		mode = sweepcli.Search
 	}
-	door, err := sweepFlags.Validate("swsim", mode, stderr)
+	door, runPlan, err := sweepFlags.Validate(mode, stderr)
 	if err != nil {
 		return exit(2, "%v", err)
 	}
@@ -211,13 +209,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer stopProfiles()
 
-	runPlan, err := door.Open()
-	if err != nil {
-		return exit(1, "%v", err)
-	}
 	switch {
-	case door.MergeOnly:
-		return 0
 	case *findSat:
 		return runFindSat(cfg, door.Local, *satFactor, *quiet, *jsonOut, stdout, stderr)
 	case *sweepGrid != "":
@@ -330,8 +322,8 @@ func startProfiles(cpu, mem string, stderr io.Writer) (func(), error) {
 }
 
 // csvHeader and csvRow define the one-row-per-point output format shared
-// by single-point and sweep modes, so a sharded-and-merged sweep's
-// output diffs clean against a single-process run.
+// by single-point and sweep modes, so a fleet-served sweep's output
+// diffs clean against a single-process run.
 const csvHeader = "lambda,mean_latency,ci95,p50,p95,p99,throughput,accepted,delivered,queued_fault,queued_via,saturated"
 
 func csvRow(lambda float64, res metrics.Results) string {
@@ -406,8 +398,7 @@ func parseRange(s string) (lo, hi, step float64, err error) {
 
 // runSweepGrid runs one point per λ of the grid through the sweep front
 // door (locally or on the coordinator fleet — the rows are byte-identical
-// either way) and prints rows in grid order. Points owned by other shards
-// (and absent from the checkpoint) are omitted from the output.
+// either way) and prints rows in grid order.
 func runSweepGrid(base core.Config, grid []float64, runPlan func(sweep.Plan) ([]core.PointResult, error), quiet, jsonOut bool, stdout, stderr io.Writer) int {
 	plan := sweep.Plan{Name: "swsim", Points: make([]core.Point, len(grid))}
 	for i, l := range grid {
@@ -431,9 +422,6 @@ func runSweepGrid(base core.Config, grid []float64, runPlan func(sweep.Plan) ([]
 	enc := json.NewEncoder(stdout)
 	code := 0
 	for i, pr := range results {
-		if errors.Is(pr.Err, sweep.ErrSkipped) {
-			continue
-		}
 		if pr.Err != nil {
 			code = 1
 			fmt.Fprintf(stderr, "swsim: point %s: %v\n", pr.Label, pr.Err)

@@ -37,25 +37,16 @@ func TestGoldenOutput(t *testing.T) {
 }
 
 // TestRejectedInvocationHasNoSideEffects: every flag rule is checked
-// before -merge appends to the checkpoint, so a refused command line
-// (exit 2) leaves the journal byte-identical, or absent.
+// before a sweep opens the checkpoint, so a refused command line (exit 2)
+// leaves the journal byte-identical, or absent.
 func TestRejectedInvocationHasNoSideEffects(t *testing.T) {
-	dir := t.TempDir()
 	swsim := func(args ...string) (int, string) {
 		var out bytes.Buffer
 		code := run(args, &out, &out)
 		return code, out.String()
 	}
 	grid := []string{"-q", "-k", "4", "-n", "2", "-warmup", "20", "-measure", "100", "-sweep", "0.002,0.004"}
-	shard := filepath.Join(dir, "s0.jsonl")
-	if code, out := swsim(append(grid, "-shard", "0/2", "-checkpoint", shard)...); code != 0 {
-		t.Fatalf("shard run: exit %d\n%s", code, out)
-	}
-	ckpt := filepath.Join(dir, "all.jsonl")
-	seed, err := os.ReadFile(shard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ckpt := filepath.Join(t.TempDir(), "all.jsonl")
 	for _, tc := range []struct {
 		name   string
 		args   []string
@@ -68,16 +59,20 @@ func TestRejectedInvocationHasNoSideEffects(t *testing.T) {
 		{"bad grid", []string{"-sweep", "0.01:0.001:0.002"}, "bad sweep range"},
 		{"bad topology", append(grid, "-topo", "moebius"), "moebius"},
 		{"bad engine workers", append(grid, "-engine-workers", "0"), "bad -engine-workers"},
+		{"negative workers", append(grid, "-workers", "-3"), "bad -workers -3"},
+		{"checkpoint without sweep", []string{"-q"}, "-checkpoint applies to -sweep and -find-sat modes only"},
+		{"removed shard flag", append(grid, "-shard", "0/2"), "flag provided but not defined: -shard"},
+		{"removed merge flag", []string{"-merge", "a.jsonl"}, "flag provided but not defined: -merge"},
 	} {
 		for _, existing := range []bool{false, true} {
 			os.Remove(ckpt)
 			if existing {
-				if err := os.WriteFile(ckpt, seed[:bytes.IndexByte(seed, '\n')+1], 0o644); err != nil {
+				if err := os.WriteFile(ckpt, []byte("{\"id\":\"0123456789abcdef\",\"label\":\"x\",\"results\":{}}\n"), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
 			before, _ := os.ReadFile(ckpt)
-			if code, out := swsim(append(tc.args, "-checkpoint", ckpt, "-merge", shard)...); code != 2 || !strings.Contains(out, tc.stderr) {
+			if code, out := swsim(append(tc.args, "-checkpoint", ckpt)...); code != 2 || !strings.Contains(out, tc.stderr) {
 				t.Errorf("%s: exit %d, want exit 2 mentioning %q\n%s", tc.name, code, tc.stderr, out)
 			}
 			after, err := os.ReadFile(ckpt)
@@ -88,10 +83,6 @@ func TestRejectedInvocationHasNoSideEffects(t *testing.T) {
 				t.Errorf("%s: rejected invocation created the checkpoint", tc.name)
 			}
 		}
-	}
-	// The accepted merge-and-exit flow does write it.
-	if code, out := swsim("-checkpoint", ckpt, "-merge", shard); code != 0 || !strings.Contains(out, "merged into") {
-		t.Fatalf("merge-and-exit: exit %d\n%s", code, out)
 	}
 }
 

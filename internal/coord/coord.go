@@ -17,8 +17,9 @@
 //   - Completed records append to a standard JSONL checkpoint journal
 //     (single writer, O_APPEND, torn-tail recovery), so a coordinator
 //     journal is a sweep journal: renderable by swsim/figures
-//     -checkpoint, mergeable by MergeJournals. The journal line is also
-//     the cache entry and the bytes on the wire, encoded once.
+//     -checkpoint. The journal line is also the cache entry and the
+//     bytes on the wire, encoded once. The fleet is the tree's one way to
+//     split a sweep across processes or hosts.
 //   - Result consistency is sweep.RecordsAgree — engine runs are
 //     deterministic, so two workers computing one point must agree
 //     bit-for-bit; a conflicting submission is rejected as a

@@ -336,7 +336,7 @@ func journalLines(t *testing.T, path string) []string {
 // TestCoordinatorJournalIsASweepJournal: the bytes the coordinator
 // journals, caches and serves are the bytes sweep.Run journals for the
 // same plan — the same lines, in completion order instead of plan order
-// — and MergeJournals takes the two as agreeing.
+// — and RecordsAgree takes the two as agreeing, point by point.
 func TestCoordinatorJournalIsASweepJournal(t *testing.T) {
 	plan := sweep.Plan{Name: "journal"}
 	for _, lambda := range []float64{0.002, 0.004, 0.006} {
@@ -378,8 +378,25 @@ func TestCoordinatorJournalIsASweepJournal(t *testing.T) {
 	if got, want := journalLines(t, fleet), journalLines(t, local); !reflect.DeepEqual(got, want) {
 		t.Fatalf("coordinator journal differs from sweep.Run's:\n got %q\nwant %q", got, want)
 	}
-	if n, err := sweep.MergeJournals(filepath.Join(dir, "merged.jsonl"), local, fleet); err != nil || n != len(plan.Points) {
-		t.Fatalf("MergeJournals = %d, %v; want %d agreeing points", n, err, len(plan.Points))
+	localRecs, err := sweep.ReadJournal(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleetRecs, err := sweep.ReadJournal(fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := map[string]sweep.Record{}
+	for _, rec := range localRecs {
+		byID[rec.ID] = rec
+	}
+	for _, rec := range fleetRecs {
+		if prev, ok := byID[rec.ID]; !ok || !sweep.RecordsAgree(prev, rec) {
+			t.Fatalf("fleet record %s (%q) has no agreeing local record", rec.ID, rec.Label)
+		}
+	}
+	if len(byID) != len(plan.Points) || len(fleetRecs) != len(plan.Points) {
+		t.Fatalf("%d local and %d fleet records, want %d each", len(byID), len(fleetRecs), len(plan.Points))
 	}
 }
 

@@ -3,9 +3,10 @@
 // workload, measurement protocol), a Run function executing it on the
 // flit-level engine, and the parallel worker pool (RunSweepFunc) behind
 // the multi-point parameter sweeps of every figure of the paper. Plan
-// identity, checkpoint/resume, sharding and saturation search live a
-// layer up, in the sweep subsystem (repro/internal/sweep), which drives
-// the pool through RunSweepFunc.
+// identity, checkpoint/resume and saturation search live a layer up, in
+// the sweep subsystem (repro/internal/sweep), which drives the pool
+// through RunSweepFunc; multi-process sweeps go through the coordinator
+// fleet (repro/internal/coord).
 package core
 
 import (

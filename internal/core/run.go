@@ -23,7 +23,7 @@ func BuildFaults(t topology.Network, spec FaultSpec, seed uint64) (*fault.Set, e
 	var fs *fault.Set
 	if spec.RandomNodes != 0 { // a negative count is fault.Random's to refuse
 		var err error
-		fs, err = fault.Random(t, spec.RandomNodes, rng.New(seed).Split(0xfa017), fault.DefaultRandomOptions())
+		fs, err = fault.Random(t, spec.RandomNodes, rng.New(seed).Split(0xfa017))
 		if err != nil {
 			return nil, err
 		}

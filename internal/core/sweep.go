@@ -34,7 +34,7 @@ type PointResult struct {
 // done (when non-nil) is invoked once per point as it finishes, with the
 // point's index into points and its result. Calls to done are serialized
 // (never concurrent), but arrive in completion order, not index order — the
-// sweep subsystem (internal/sweep: named plans, checkpoint/resume, sharding,
+// sweep subsystem (internal/sweep: named plans, checkpoint/resume,
 // saturation search) uses this to journal each result the moment it exists,
 // so an interrupted sweep loses at most the points in flight.
 func RunSweepFunc(points []Point, workers int, done func(int, PointResult)) []PointResult {

@@ -40,7 +40,7 @@ func TestFloodingReachesEveryone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs, err := fault.Random(net, 5, rng.New(3), fault.DefaultRandomOptions())
+		fs, err := fault.Random(net, 5, rng.New(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestBoundaryCompleteAtConvergence(t *testing.T) {
 func TestShellExtentsEqualRegionExtents(t *testing.T) {
 	tor := topology.New(8, 2)
 	for seed := uint64(0); seed < 15; seed++ {
-		fs, err := fault.Random(tor, 3+int(seed%8), rng.New(seed), fault.DefaultRandomOptions())
+		fs, err := fault.Random(tor, 3+int(seed%8), rng.New(seed))
 		if err != nil {
 			continue
 		}

@@ -27,8 +27,8 @@ import (
 // Sets are built once before a simulation starts and, in the paper's static
 // fault model (MTTR >> simulation horizon), never change afterwards, so all
 // query methods are safe for concurrent readers. Dynamic-fault runs mutate
-// a Set through a View (see view.go), which the engine drives only at the
-// serial transition point of a cycle — between cycles every reader still
+// a Set through Apply (see transition.go), which the engine calls only at
+// the serial transition point of a cycle — between cycles every reader still
 // sees a frozen Set.
 type Set struct {
 	t     topology.Network
@@ -99,7 +99,7 @@ func (s *Set) MarkLink(src topology.NodeID, port topology.Port) {
 	s.link[topology.ChannelID{Src: dst, Port: port.Opposite()}] = true
 }
 
-// healNode clears a node failure. View-only: heals apply at the engine's
+// healNode clears a node failure. Apply-only: heals apply at the engine's
 // serial transition point.
 func (s *Set) healNode(id topology.NodeID) {
 	if !s.node[id] {
@@ -114,7 +114,7 @@ func (s *Set) healNode(id topology.NodeID) {
 	}
 }
 
-// healLink clears an individual link failure in both directions. View-only.
+// healLink clears an individual link failure in both directions. Apply-only.
 func (s *Set) healLink(src topology.NodeID, port topology.Port) {
 	ch := topology.ChannelID{Src: src, Port: port}
 	if !s.link[ch] {
@@ -261,53 +261,21 @@ func hopDir(t topology.Network, a, b topology.NodeID) (int, topology.Dir, bool) 
 	return 0, 0, false
 }
 
-// RandomOptions tunes random fault placement.
-type RandomOptions struct {
-	// KeepConnected retries placements that disconnect the healthy network
-	// (paper assumption (h)). Default true via DefaultRandomOptions.
-	KeepConnected bool
-	// Avoid lists nodes that must stay healthy (e.g. sources/sinks used by a
-	// specific experiment).
-	Avoid []topology.NodeID
-}
-
-// DefaultRandomOptions matches the paper's assumptions.
-func DefaultRandomOptions() RandomOptions {
-	return RandomOptions{KeepConnected: true}
-}
-
 // Random places nf random node faults ("Random faulty nodes are determined
-// using a uniform random number generator", §5.2), rejecting configurations
-// that disconnect the network when opts.KeepConnected is set. It returns the
+// using a uniform random number generator", §5.2), rejecting placements
+// that disconnect the network (paper assumption (h)). It returns the
 // resulting fault set or an error if no admissible placement was found.
-func Random(t topology.Network, nf int, r *rng.Stream, opts RandomOptions) (*Set, error) {
+func Random(t topology.Network, nf int, r *rng.Stream) (*Set, error) {
 	if nf < 0 || nf >= t.Nodes() {
 		return nil, fmt.Errorf("fault: cannot place %d faults in %d nodes", nf, t.Nodes())
-	}
-	avoid := make(map[topology.NodeID]bool, len(opts.Avoid))
-	for _, id := range opts.Avoid {
-		avoid[id] = true
 	}
 	const maxAttempts = 1000 // bounds the rejection-sampling loop
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		s := NewSet(t)
-		perm := r.Perm(t.Nodes())
-		placed := 0
-		for _, v := range perm {
-			if placed == nf {
-				break
-			}
-			id := topology.NodeID(v)
-			if avoid[id] {
-				continue
-			}
-			s.MarkNode(id)
-			placed++
+		for _, v := range r.Perm(t.Nodes())[:nf] {
+			s.MarkNode(topology.NodeID(v))
 		}
-		if placed < nf {
-			return nil, fmt.Errorf("fault: avoid-list leaves no room for %d faults", nf)
-		}
-		if !opts.KeepConnected || !s.Disconnects() {
+		if !s.Disconnects() {
 			return s, nil
 		}
 	}

@@ -92,7 +92,7 @@ func TestRandomPlacesExactCount(t *testing.T) {
 	tor := topology.New(8, 2)
 	r := rng.New(1)
 	for _, nf := range []int{0, 1, 3, 5, 12} {
-		s, err := Random(tor, nf, r, DefaultRandomOptions())
+		s, err := Random(tor, nf, r)
 		if err != nil {
 			t.Fatalf("nf=%d: %v", nf, err)
 		}
@@ -105,38 +105,21 @@ func TestRandomPlacesExactCount(t *testing.T) {
 	}
 }
 
-func TestRandomHonoursAvoid(t *testing.T) {
-	tor := topology.New(4, 2)
-	r := rng.New(2)
-	avoid := []topology.NodeID{0, 1, 2, 3}
-	for trial := 0; trial < 20; trial++ {
-		s, err := Random(tor, 5, r, RandomOptions{KeepConnected: true, Avoid: avoid})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range avoid {
-			if s.NodeFaulty(id) {
-				t.Fatalf("avoided node %d failed", id)
-			}
-		}
-	}
-}
-
 func TestRandomRejectsImpossible(t *testing.T) {
 	tor := topology.New(2, 1)
 	r := rng.New(3)
-	if _, err := Random(tor, 2, r, DefaultRandomOptions()); err == nil {
+	if _, err := Random(tor, 2, r); err == nil {
 		t.Fatal("expected error when nf >= node count")
 	}
 }
 
 func TestRandomDeterministicGivenSeed(t *testing.T) {
 	tor := topology.New(8, 3)
-	a, err := Random(tor, 12, rng.New(77), DefaultRandomOptions())
+	a, err := Random(tor, 12, rng.New(77))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Random(tor, 12, rng.New(77), DefaultRandomOptions())
+	b, err := Random(tor, 12, rng.New(77))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +176,7 @@ func TestPropertyRandomNeverDisconnects(t *testing.T) {
 	tor := topology.New(8, 2)
 	if err := quick.Check(func(seed uint64, nfRaw uint8) bool {
 		nf := int(nfRaw) % 10
-		s, err := Random(tor, nf, rng.New(seed), DefaultRandomOptions())
+		s, err := Random(tor, nf, rng.New(seed))
 		if err != nil {
 			return false
 		}

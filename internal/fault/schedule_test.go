@@ -165,10 +165,10 @@ func canonChan(t topology.Network, ch topology.ChannelID) topology.ChannelID {
 	return ch
 }
 
-// TestViewNetEffectProperty is the mutable view's correctness property:
-// after any interleaving of fail/heal transitions (including redundant
-// ones Apply rejects), the live set must equal a fresh Set built from
-// the net effect alone. A drift here — a heal that forgets a direction,
+// TestViewNetEffectProperty is Set.Apply's correctness property (the name
+// predates Apply's move off the View wrapper): after any interleaving of
+// fail/heal transitions (including redundant ones Apply rejects), the
+// live set must equal a fresh Set built from the net effect alone. A drift here — a heal that forgets a direction,
 // a fail that leaks state — would silently corrupt every dynamic run
 // that re-fails a healed element.
 func TestViewNetEffectProperty(t *testing.T) {
@@ -177,21 +177,20 @@ func TestViewNetEffectProperty(t *testing.T) {
 	r := rng.New(77)
 	for trial := 0; trial < 50; trial++ {
 		live := NewSet(tor)
-		view := NewView(live)
 		nodes := map[topology.NodeID]bool{}
 		links := map[topology.ChannelID]bool{}
 		for step := 0; step < 120; step++ {
 			fail := r.Bool()
 			if r.Bool() {
 				n := topology.NodeID(r.Intn(tor.Nodes()))
-				if view.Apply(Transition{Fail: fail, Node: n}) != (nodes[n] != fail) {
+				if live.Apply(Transition{Fail: fail, Node: n}) != (nodes[n] != fail) {
 					t.Fatalf("trial %d step %d: node %d fail=%v: change report disagrees with model", trial, step, n, fail)
 				}
 				nodes[n] = fail
 			} else {
 				ch := chans[r.Intn(len(chans))]
 				key := canonChan(tor, ch)
-				if view.Apply(Transition{Fail: fail, IsLink: true, Link: ch}) != (links[key] != fail) {
+				if live.Apply(Transition{Fail: fail, IsLink: true, Link: ch}) != (links[key] != fail) {
 					t.Fatalf("trial %d step %d: link %v fail=%v: change report disagrees with model", trial, step, ch, fail)
 				}
 				links[key] = fail
@@ -228,14 +227,13 @@ func TestMTBFScheduleDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		view := NewView(base)
 		var all []Transition
 		for now := int64(0); now < 20000; now++ {
 			for _, tr := range sched.Advance(now, base) {
 				if tr.Cycle > now {
 					t.Fatalf("transition %v emitted before its cycle (now %d)", tr, now)
 				}
-				if !view.Apply(tr) {
+				if !base.Apply(tr) {
 					continue
 				}
 				all = append(all, tr)

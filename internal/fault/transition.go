@@ -31,30 +31,16 @@ func (tr Transition) String() string {
 	return fmt.Sprintf("@%d %s node %d", tr.Cycle, op, tr.Node)
 }
 
-// View is the engine's mutable handle over a run's fault Set. All readers
-// (routing, the planner, traffic sources) keep their *Set pointer; the View
-// mutates that same Set in place, strictly at the engine's serial
-// transition point, so between transitions the Set behaves exactly like
-// the static model it was.
-type View struct {
-	s *Set
-}
-
-// NewView wraps a live fault set for dynamic mutation.
-func NewView(s *Set) *View { return &View{s: s} }
-
-// Set returns the wrapped live fault set.
-func (v *View) Set() *Set { return v.s }
-
-// Apply performs one transition on the live set. It reports whether the
-// state actually changed: failing an already-faulty element or healing a
-// healthy one is a no-op (false), so replayed traces are idempotent and a
-// generative schedule's heal of a since-re-failed element cannot corrupt
-// state. Link transitions on nonexistent channels (mesh edges) are
-// rejected as no-ops too — parsers validate against the topology, so this
-// is pure defence.
-func (v *View) Apply(tr Transition) bool {
-	s := v.s
+// Apply performs one transition on the set, in place: the engine calls it
+// strictly at its serial transition point, so between transitions every
+// reader (routing, the planner, traffic sources) still sees a frozen Set.
+// It reports whether the state actually changed: failing an already-faulty
+// element or healing a healthy one is a no-op (false), so replayed traces
+// are idempotent and a generative schedule's heal of a since-re-failed
+// element cannot corrupt state. Link transitions on nonexistent channels
+// (mesh edges) are rejected as no-ops too — parsers validate against the
+// topology, so this is pure defence.
+func (s *Set) Apply(tr Transition) bool {
 	if tr.IsLink {
 		ch := tr.Link
 		if !s.t.Valid(ch.Src) || !s.t.HasLink(ch.Src, ch.Port.Dim(), ch.Port.Dir()) {

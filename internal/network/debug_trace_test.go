@@ -21,7 +21,7 @@ func TestDebugPathologicalTrace(t *testing.T) {
 		t.Skip("diagnostic")
 	}
 	tor := topology.New(8, 2)
-	fs, err := fault.Random(tor, 3, rng.New(1000).Split(0xfa017), fault.DefaultRandomOptions())
+	fs, err := fault.Random(tor, 3, rng.New(1000).Split(0xfa017))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestPropertyEngineConservation(t *testing.T) {
 		tor := topology.New(k, n)
 		nf := int(nfRaw) % (tor.Nodes() / 8)
 		r := rng.New(seed)
-		fs, err := fault.Random(tor, nf, r.Split(1), fault.DefaultRandomOptions())
+		fs, err := fault.Random(tor, nf, r.Split(1))
 		if err != nil {
 			return true // impossible placement; skip
 		}

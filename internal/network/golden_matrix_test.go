@@ -117,7 +117,7 @@ func runGolden(t *testing.T, c goldenCase, workers int, check func(*Network)) []
 	fs := fault.NewSet(net)
 	if c.nf > 0 {
 		var err error
-		fs, err = fault.Random(net, c.nf, rng.New(41), fault.DefaultRandomOptions())
+		fs, err = fault.Random(net, c.nf, rng.New(41))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -98,8 +98,8 @@ type Params struct {
 	Pool *message.Pool
 	// Schedule, when non-nil, makes the run dynamic: the engine advances
 	// the schedule once per cycle at the serial transition point and
-	// applies its fail/heal transitions through a fault.View over the
-	// shared fault set (see transitions.go). The schedule must be built
+	// applies its fail/heal transitions to the shared fault set in place
+	// (fault.Set.Apply; see transitions.go). The schedule must be built
 	// over the same fault set the engine and algorithm share.
 	Schedule fault.Schedule
 }
@@ -265,12 +265,11 @@ type Network struct {
 	soft []softState
 
 	// Dynamic-fault state (nil/zero for static runs): the schedule driving
-	// transitions, the mutable view over f, and the algorithm's base
+	// transitions (applied to f in place) and the algorithm's base
 	// routing mode, restored to purged worms when they restart from their
 	// source (accumulated rerouting state is meaningless once the fault
 	// pattern that caused it has changed).
 	sched    fault.Schedule
-	view     *fault.View
 	baseMode message.Mode
 
 	now       int64
@@ -367,7 +366,6 @@ func New(t topology.Network, f *fault.Set, alg routing.Router, gen traffic.Sourc
 	}
 	if p.Schedule != nil {
 		n.sched = p.Schedule
-		n.view = fault.NewView(f)
 		n.baseMode = alg.BaseMode()
 	}
 	n.sw = newWorker(n, 0, true, 0, topology.NodeID(t.Nodes()), alg)
@@ -530,7 +528,7 @@ func (nw *Network) pollTraffic() {
 	for _, m := range nw.gen.Poll(nw.now) {
 		nw.col.Generated(m)
 		nw.generated++
-		if nw.view != nil && (nw.f.NodeFaulty(m.Src) || nw.f.NodeFaulty(m.Dst)) {
+		if nw.sched != nil && (nw.f.NodeFaulty(m.Src) || nw.f.NodeFaulty(m.Dst)) {
 			// An endpoint failed mid-run (sources draw their layout from the
 			// static set and cannot know): the offered message is lost,
 			// counted against availability. Routing assumes healthy

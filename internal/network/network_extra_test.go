@@ -42,7 +42,7 @@ func TestConservationWithLinkFaults(t *testing.T) {
 
 func TestConservation4DTorus(t *testing.T) {
 	tor := topology.New(4, 4) // 256 nodes
-	fs, err := fault.Random(tor, 8, rng.New(23), fault.DefaultRandomOptions())
+	fs, err := fault.Random(tor, 8, rng.New(23))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestRouterDecisionTimeTd(t *testing.T) {
 
 func TestTransposePatternWithFaults(t *testing.T) {
 	tor := topology.New(8, 2)
-	fs, err := fault.Random(tor, 4, rng.New(41), fault.DefaultRandomOptions())
+	fs, err := fault.Random(tor, 4, rng.New(41))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestTransposePatternWithFaults(t *testing.T) {
 // changes fairness, not safety).
 func TestNoReinjectPriorityStillDelivers(t *testing.T) {
 	tor := topology.New(8, 2)
-	fs, err := fault.Random(tor, 5, rng.New(47), fault.DefaultRandomOptions())
+	fs, err := fault.Random(tor, 5, rng.New(47))
 	if err != nil {
 		t.Fatal(err)
 	}

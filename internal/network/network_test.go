@@ -121,7 +121,7 @@ func TestSingleMessageLatency(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() (uint64, float64, int64) {
-		fs, err := fault.Random(topology.New(8, 2), 3, rng.New(11), fault.DefaultRandomOptions())
+		fs, err := fault.Random(topology.New(8, 2), 3, rng.New(11))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestConservationFaultFree(t *testing.T) {
 
 func TestConservationWithFaultsDeterministic(t *testing.T) {
 	tor := topology.New(8, 2)
-	fs, err := fault.Random(tor, 5, rng.New(5), fault.DefaultRandomOptions())
+	fs, err := fault.Random(tor, 5, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestConservationWithFaultsDeterministic(t *testing.T) {
 
 func TestConservationWithFaultsAdaptive(t *testing.T) {
 	tor := topology.New(8, 2)
-	fs, err := fault.Random(tor, 5, rng.New(6), fault.DefaultRandomOptions())
+	fs, err := fault.Random(tor, 5, rng.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestAdaptiveQueuesLessThanDeterministic(t *testing.T) {
 	// The core Fig. 7 qualitative claim: adaptive routing absorbs far fewer
 	// messages than deterministic under the same faults.
 	tor := topology.New(8, 2)
-	fs, err := fault.Random(tor, 5, rng.New(21), fault.DefaultRandomOptions())
+	fs, err := fault.Random(tor, 5, rng.New(21))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func workersTweak(t *testing.T, net topology.Network, algName string, nf, worker
 		fs := fault.NewSet(net)
 		if nf > 0 {
 			var err error
-			fs, err = fault.Random(net, nf, rng.New(41), fault.DefaultRandomOptions())
+			fs, err = fault.Random(net, nf, rng.New(41))
 			if err != nil {
 				t.Fatal(err)
 			}

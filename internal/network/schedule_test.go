@@ -24,7 +24,7 @@ func runScheduled(t *testing.T, net topology.Network, algName string, nf, worker
 	fs := fault.NewSet(net)
 	if nf > 0 {
 		var err error
-		fs, err = fault.Random(net, nf, rng.New(41), fault.DefaultRandomOptions())
+		fs, err = fault.Random(net, nf, rng.New(41))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func healthyNode(t *testing.T, net topology.Network, nf int, want topology.NodeI
 	fs := fault.NewSet(net)
 	if nf > 0 {
 		var err error
-		fs, err = fault.Random(net, nf, rng.New(41), fault.DefaultRandomOptions())
+		fs, err = fault.Random(net, nf, rng.New(41))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,7 @@ func TestEngineTraceInvariants(t *testing.T) {
 			var fs *fault.Set
 			var err error
 			if tc.nf > 0 {
-				fs, err = fault.Random(tor, tc.nf, rng.New(31), fault.DefaultRandomOptions())
+				fs, err = fault.Random(tor, tc.nf, rng.New(31))
 				if err != nil {
 					t.Fatal(err)
 				}

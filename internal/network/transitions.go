@@ -33,12 +33,12 @@ import (
 // applyTransitions drives the fault schedule for this cycle. No-op (two
 // loads and a compare) for static runs.
 func (nw *Network) applyTransitions() {
-	if nw.view == nil {
+	if nw.sched == nil {
 		return
 	}
 	changed := false
 	for _, tr := range nw.sched.Advance(nw.now, nw.f) {
-		if !nw.view.Apply(tr) {
+		if !nw.f.Apply(tr) {
 			continue // no-op transition (replayed trace, stale heal)
 		}
 		changed = true

@@ -267,7 +267,7 @@ func (s compositionShape) build(t *testing.T, workers int, wrap func(routing.Rou
 	}
 	fs := fault.NewSet(net)
 	if s.nf > 0 {
-		if fs, err = fault.Random(net, s.nf, rng.New(41), fault.DefaultRandomOptions()); err != nil {
+		if fs, err = fault.Random(net, s.nf, rng.New(41)); err != nil {
 			t.Fatal(err)
 		}
 	}

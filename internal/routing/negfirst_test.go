@@ -81,7 +81,7 @@ func TestNegativeFirstFaultFreeWalks(t *testing.T) {
 func TestNegativeFirstFaultedWalks(t *testing.T) {
 	for _, seed := range []uint64{3, 11, 29} {
 		tor := topology.New(8, 2)
-		f, err := fault.Random(tor, 6, rng.New(seed), fault.DefaultRandomOptions())
+		f, err := fault.Random(tor, 6, rng.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}

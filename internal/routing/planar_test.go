@@ -105,7 +105,7 @@ func TestPlanarAdaptiveFaultFreeWalks(t *testing.T) {
 func TestPlanarAdaptiveFaultedWalks(t *testing.T) {
 	for _, seed := range []uint64{3, 11, 29} {
 		msh := topology.NewMesh(8, 2)
-		f, err := fault.Random(msh, 5, rng.New(seed), fault.DefaultRandomOptions())
+		f, err := fault.Random(msh, 5, rng.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -231,7 +231,7 @@ func TestValiantDetourInstalledOnce(t *testing.T) {
 
 func mustRandomFaults(t *testing.T, tor topology.Network, nf int, seed uint64) *fault.Set {
 	t.Helper()
-	fs, err := fault.Random(tor, nf, rng.New(seed), fault.DefaultRandomOptions())
+	fs, err := fault.Random(tor, nf, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,7 +155,7 @@ func newAlgorithm(t topology.Network, f *fault.Set, v int, adaptive bool) *Algor
 func (a *Algorithm) SetEscalation(n int) { a.planner.escalateAfter = n }
 
 // RefreshFaults rebuilds the fault-region index after a dynamic transition
-// mutated the shared fault set (see fault.View). The planner holds the
+// mutated the shared fault set (see fault.Set.Apply). The planner holds the
 // same index, so both re-derive their view of the regions together.
 func (a *Algorithm) RefreshFaults() {
 	a.idx = fault.NewIndex(a.f)

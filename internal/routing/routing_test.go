@@ -382,7 +382,7 @@ func TestPropertyDeliveryUnderRandomFaults(t *testing.T) {
 		tor := tors[int(pick)%len(tors)]
 		r := rng.New(seed)
 		nf := int(nfRaw) % 13
-		fs, err := fault.Random(tor, nf, r, fault.DefaultRandomOptions())
+		fs, err := fault.Random(tor, nf, r)
 		if err != nil {
 			return true // impossible placement; skip
 		}

@@ -113,7 +113,7 @@ func TestPlanAroundLinkFault(t *testing.T) {
 // bounds.
 func TestEscalationOverride(t *testing.T) {
 	tor := topology.New(8, 2)
-	fs, err := fault.Random(tor, 10, rng.New(5), fault.DefaultRandomOptions())
+	fs, err := fault.Random(tor, 10, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestOneDimensionalTorus(t *testing.T) {
 // comfort zone.
 func TestOddRadixDelivery(t *testing.T) {
 	tor := topology.New(5, 2)
-	fs, err := fault.Random(tor, 3, rng.New(4), fault.DefaultRandomOptions())
+	fs, err := fault.Random(tor, 3, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestAnalyzeLivelockBounded(t *testing.T) {
 	tor := topology.New(8, 2)
 	for seed := uint64(0); seed < 6; seed++ {
 		nf := 3 + int(seed)
-		fs, err := fault.Random(tor, nf, rng.New(100+seed), fault.DefaultRandomOptions())
+		fs, err := fault.Random(tor, nf, rng.New(100+seed))
 		if err != nil {
 			continue
 		}

@@ -50,7 +50,7 @@ type JSONL[T any] struct {
 // appends start on a clean line boundary. The file is opened with
 // O_APPEND so every write lands at end-of-file rather than at a stale
 // tracked offset. A file still has exactly one writer at a time —
-// shards journal into separate files — because the recovery truncate on
+// a fleet's one writer is its coordinator — because the recovery truncate on
 // open can clip another writer's in-flight record; O_APPEND merely
 // bounds the damage of a mistaken double-open to torn lines instead of
 // interleaved overwrites.
@@ -177,67 +177,19 @@ func OpenJournal(path string) (*Journal, error) {
 // opening it for writing; a torn final line is silently dropped, as in
 // OpenJournal.
 func ReadJournal(path string) ([]Record, error) {
-	return ReadJSONL[Record](path)
-}
-
-// ReadJSONL loads the valid values of the JSONL file at path without
-// opening it for writing; a torn final line is silently dropped, as in
-// OpenJSONL.
-func ReadJSONL[T any](path string) ([]T, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: open journal: %w", err)
 	}
 	defer f.Close()
-	var values []T
-	if _, err := scanJSONL(f, func(v T, _ []byte) error {
-		values = append(values, v)
+	var records []Record
+	if _, err := scanJSONL(f, func(rec Record, _ []byte) error {
+		records = append(records, rec)
 		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("sweep: read journal %s: %w", path, err)
 	}
-	return values, nil
-}
-
-// MergeJournals combines the records of srcs into the journal at dst
-// (appending to whatever valid records dst already holds) and reports
-// how many distinct points dst holds afterwards. Records are
-// deduplicated by point ID; two successful records for the same ID must
-// agree exactly — engine runs are deterministic, so a disagreement
-// means the journals came from diverging code or data and the merge
-// fails rather than silently picking one. Two *failed* records for one
-// ID are treated as agreeing regardless of message text, because error
-// strings legitimately vary between runs of the same deterministic
-// failure (panic reports embed stack addresses); the first is kept.
-func MergeJournals(dst string, srcs ...string) (int, error) {
-	j, err := OpenJournal(dst)
-	if err != nil {
-		return 0, err
-	}
-	defer j.Close()
-	seen := map[string]Record{}
-	for _, rec := range j.Records() {
-		seen[rec.ID] = rec
-	}
-	for _, src := range srcs {
-		records, err := ReadJournal(src)
-		if err != nil {
-			return 0, err
-		}
-		for _, rec := range records {
-			if prev, ok := seen[rec.ID]; ok {
-				if !RecordsAgree(prev, rec) {
-					return 0, fmt.Errorf("sweep: merge %s: conflicting results for point %s (%q)", src, rec.ID, rec.Label)
-				}
-				continue
-			}
-			if err := j.Append(rec); err != nil {
-				return 0, err
-			}
-			seen[rec.ID] = rec
-		}
-	}
-	return len(seen), nil
+	return records, nil
 }
 
 // RecordsAgree reports whether two records for the same point ID are
@@ -248,8 +200,8 @@ func MergeJournals(dst string, srcs ...string) (int, error) {
 // records agree regardless of message text, because error strings
 // legitimately vary between runs of the same deterministic failure
 // (panic reports embed stack addresses). A disagreement means the
-// records came from diverging code or data; MergeJournals fails the
-// merge on one, and the sweep coordinator rejects the later submission.
+// records came from diverging code or data; the sweep coordinator
+// rejects the later submission.
 func RecordsAgree(a, b Record) bool {
 	if a.Err != "" && b.Err != "" {
 		return true

@@ -111,56 +111,3 @@ func TestJournalRejectsMidFileCorruption(t *testing.T) {
 		t.Fatalf("mid-file corruption not rejected: %v", err)
 	}
 }
-
-func TestMergeJournals(t *testing.T) {
-	dir := t.TempDir()
-	a := filepath.Join(dir, "a.jsonl")
-	b := filepath.Join(dir, "b.jsonl")
-	dst := filepath.Join(dir, "m.jsonl")
-	writeJournal(t, a, rec("aa", 1), rec("bb", 2))
-	writeJournal(t, b, rec("bb", 2), rec("cc", 3)) // bb duplicated, identical
-
-	n, err := MergeJournals(dst, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("merged %d distinct points, want 3", n)
-	}
-	got, err := ReadJournal(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0].ID != "aa" || got[1].ID != "bb" || got[2].ID != "cc" {
-		t.Fatalf("merged journal: %+v", got)
-	}
-
-	// Merging is idempotent: repeating adds nothing.
-	n, err = MergeJournals(dst, a, b)
-	if err != nil || n != 3 {
-		t.Fatalf("re-merge: n=%d err=%v", n, err)
-	}
-
-	// A conflicting record for a known ID must fail the merge.
-	c := filepath.Join(dir, "c.jsonl")
-	writeJournal(t, c, rec("bb", 99))
-	if _, err := MergeJournals(dst, c); err == nil || !strings.Contains(err.Error(), "conflicting") {
-		t.Fatalf("conflicting merge not rejected: %v", err)
-	}
-
-	// Two failed records for one ID agree regardless of message text:
-	// error strings of the same deterministic failure vary between runs
-	// (panic reports embed stack addresses). The first is kept.
-	e1 := filepath.Join(dir, "e1.jsonl")
-	e2 := filepath.Join(dir, "e2.jsonl")
-	writeJournal(t, e1, Record{ID: "ff", Label: "pt-ff", Err: "panicked at 0xc0000a1234"})
-	writeJournal(t, e2, Record{ID: "ff", Label: "pt-ff", Err: "panicked at 0xc0000b9876"})
-	edst := filepath.Join(dir, "em.jsonl")
-	if n, err := MergeJournals(edst, e1, e2); err != nil || n != 1 {
-		t.Fatalf("errored-record merge: n=%d err=%v", n, err)
-	}
-	got, err = ReadJournal(edst)
-	if err != nil || len(got) != 1 || got[0].Err != "panicked at 0xc0000a1234" {
-		t.Fatalf("errored-record merge kept wrong record: %+v (err %v)", got, err)
-	}
-}

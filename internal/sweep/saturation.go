@@ -85,8 +85,7 @@ type Saturation struct {
 // The probe sequence is a deterministic function of base and opt, so a
 // search given a checkpoint journal (opt.Run.Checkpoint) is resumable:
 // re-running replays finished probes from the journal and continues
-// where it was killed. (Sharding does not apply — each probe depends on
-// the previous one; opt.Run.Shard is ignored.)
+// where it was killed.
 func FindSaturation(name string, base core.Config, opt SaturationOptions) (Saturation, error) {
 	opt = opt.withDefaults()
 	sat := Saturation{}
@@ -97,13 +96,11 @@ func FindSaturation(name string, base core.Config, opt SaturationOptions) (Satur
 		return sat, fmt.Errorf("sweep: %s: LambdaMax %g must exceed LambdaMin %g", name, opt.LambdaMax, opt.LambdaMin)
 	}
 
-	runOpt := opt.Run
-	runOpt.Shard = Shard{} // meaningless for a sequential search
 	probe := func(lambda float64) (core.PointResult, error) {
 		cfg := base
 		cfg.Lambda = lambda
 		pt := core.Point{Label: fmt.Sprintf("%s|sat|l%g", name, lambda), Config: cfg}
-		res, err := Run(Plan{Name: name + "|sat", Points: []core.Point{pt}}, runOpt)
+		res, err := Run(Plan{Name: name + "|sat", Points: []core.Point{pt}}, opt.Run)
 		if err != nil {
 			return core.PointResult{}, err
 		}

@@ -1,9 +1,9 @@
 // Package sweep is the multi-point experiment subsystem: named sweep
 // plans with stable point identities, a JSONL checkpoint journal that
-// makes long sweeps resumable after a crash or SIGKILL, deterministic
-// sharding so independent processes or hosts split one plan, a merge
-// step that combines shard journals into one result set, and a
-// bisection saturation auto-search for capacity figures.
+// makes long sweeps resumable after a crash or SIGKILL, and a bisection
+// saturation auto-search for capacity figures. Splitting one sweep
+// across processes or hosts is the coordinator's job (repro/internal/coord),
+// built on the same identities and journal.
 //
 // The execution model is core.RunSweepFunc's: every point is an
 // independent, single-goroutine, deterministic engine run, fanned out over
@@ -19,22 +19,16 @@
 //     re-run with the same journal skips every recorded point, so an
 //     interrupted sweep resumes instead of recomputing; recovery
 //     tolerates a torn final line (crash mid-write).
-//   - A shard (Options.Shard, "i/n") deterministically owns every n-th
-//     point of the plan. Shards journal into separate files;
-//     MergeJournals combines them, after which a render run finds every
-//     point cached and touches no simulator.
 //
-// Because engine runs are deterministic for a fixed seed, a resumed or
-// sharded-and-merged sweep is bit-identical to an uninterrupted
-// single-process run — the package's tests assert this through real
-// SIGKILLs and torn journals.
+// Because engine runs are deterministic for a fixed seed, a resumed
+// sweep is bit-identical to an uninterrupted run — the package's tests
+// assert this through real SIGKILLs and torn journals.
 package sweep
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 
@@ -55,7 +49,7 @@ type Plan struct {
 // digest of the point's label and its full serialised configuration.
 // Two processes that generate the same plan — or the same process after
 // a restart — derive the same IDs, which is what lets checkpoint
-// journals be resumed and shard journals be merged. Any change to the
+// journals be resumed and coordinator caches serve. Any change to the
 // label or to any Config field changes the ID, so a stale journal can
 // never satisfy a semantically different point.
 func PointID(pt core.Point) string {
@@ -80,12 +74,6 @@ func (p Plan) IDs() []string {
 	return ids
 }
 
-// ErrSkipped marks a point that this invocation did not run and had no
-// checkpoint record for: it belongs to another shard. Callers rendering
-// partial (single-shard) results should treat such points as absent,
-// not failed; errors.Is(err, ErrSkipped) distinguishes the two.
-var ErrSkipped = errors.New("sweep: point not run (outside this shard, no checkpoint record)")
-
 // Options configures one Run invocation.
 type Options struct {
 	// Workers is the worker-pool width; <= 0 means GOMAXPROCS.
@@ -94,16 +82,13 @@ type Options struct {
 	// journalled points are skipped and each newly completed point is
 	// appended as it finishes. Empty disables checkpointing.
 	Checkpoint string
-	// Shard restricts execution to a deterministic subset of the plan
-	// (see Shard). The zero value runs everything.
-	Shard Shard
-	// Log, when non-nil, receives one-line progress notes (resume and
-	// shard skip counts). Typically os.Stderr in CLIs.
+	// Log, when non-nil, receives one-line progress notes (resume
+	// counts). Typically os.Stderr in CLIs.
 	Log io.Writer
 
 	// runSweepFunc lets tests substitute the execution pool (and hence
-	// the simulator) without touching the checkpoint/shard logic. Nil
-	// uses core.RunSweepFunc.
+	// the simulator) without touching the checkpoint logic. Nil uses
+	// core.RunSweepFunc.
 	runSweepFunc func([]core.Point, int, func(int, core.PointResult)) []core.PointResult
 }
 
@@ -114,21 +99,15 @@ func (o Options) logf(format string, args ...any) {
 }
 
 // Run executes the plan and returns one result per plan point, in plan
-// order. For each point, in priority order:
-//
-//   - a valid checkpoint record satisfies it without running anything
-//     (regardless of which shard or host produced the record);
-//   - otherwise, if the configured shard owns it, it is executed on the
-//     worker pool and — when checkpointing — journalled on completion;
-//   - otherwise its result carries ErrSkipped.
+// order. A valid checkpoint record satisfies its point without running
+// anything (whichever process or host produced the record); every other
+// point is executed on the worker pool and — when checkpointing —
+// journalled on completion.
 //
 // Run returns an error only for journal I/O failures; per-point
 // simulation errors and panics travel in PointResult.Err exactly as
 // with core.RunSweepFunc.
 func Run(plan Plan, opt Options) ([]core.PointResult, error) {
-	if err := opt.Shard.validate(); err != nil {
-		return nil, err
-	}
 	ids := plan.IDs()
 	results := make([]core.PointResult, len(plan.Points))
 
@@ -147,23 +126,16 @@ func Run(plan Plan, opt Options) ([]core.PointResult, error) {
 	}
 
 	var toRun []int // plan indices this invocation must execute
-	nCached, nSkipped := 0, 0
 	for i := range plan.Points {
 		if rec, ok := cached[ids[i]]; ok {
 			results[i] = rec.Result(plan.Points[i])
-			nCached++
-			continue
-		}
-		if !opt.Shard.Owns(i) {
-			results[i] = core.PointResult{Point: plan.Points[i], Err: ErrSkipped}
-			nSkipped++
 			continue
 		}
 		toRun = append(toRun, i)
 	}
-	if nCached > 0 || nSkipped > 0 {
-		opt.logf("sweep %s: %d points (%d from checkpoint, %d other shards, %d to run)",
-			plan.Name, len(plan.Points), nCached, nSkipped, len(toRun))
+	if nCached := len(plan.Points) - len(toRun); nCached > 0 {
+		opt.logf("sweep %s: %d points (%d from checkpoint, %d to run)",
+			plan.Name, len(plan.Points), nCached, len(toRun))
 	}
 	if len(toRun) == 0 {
 		return results, nil

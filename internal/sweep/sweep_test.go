@@ -3,7 +3,6 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -74,78 +73,9 @@ func TestPointIDStableAndDistinct(t *testing.T) {
 	}
 }
 
-func TestParseShard(t *testing.T) {
-	for _, tc := range []struct {
-		in      string
-		want    Shard
-		wantErr bool
-	}{
-		{"", Shard{}, false},
-		{"0/2", Shard{0, 2}, false},
-		{"1/2", Shard{1, 2}, false},
-		{"3/4", Shard{3, 4}, false},
-		{"2/2", Shard{}, true},
-		{"-1/2", Shard{}, true},
-		{"1/-2", Shard{}, true},
-		{"1", Shard{}, true},
-		{"a/b", Shard{}, true},
-		{"1/2/3", Shard{}, true},
-	} {
-		got, err := ParseShard(tc.in)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("ParseShard(%q): want error, got %v", tc.in, got)
-			}
-			continue
-		}
-		if err != nil || got != tc.want {
-			t.Errorf("ParseShard(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-}
-
-func TestShardPartition(t *testing.T) {
-	// Every point is owned by exactly one of the n shards.
-	const points, n = 7, 3
-	for i := 0; i < points; i++ {
-		owners := 0
-		for s := 0; s < n; s++ {
-			if (Shard{Index: s, Count: n}).Owns(i) {
-				owners++
-			}
-		}
-		if owners != 1 {
-			t.Fatalf("point %d owned by %d shards", i, owners)
-		}
-	}
-	if !(Shard{}).Owns(5) || !(Shard{0, 1}).Owns(5) {
-		t.Fatal("unsharded must own everything")
-	}
-}
-
-func TestRunShardSkipsForeignPoints(t *testing.T) {
-	plan := testPlan(5)
-	res, err := Run(plan, Options{Shard: Shard{Index: 1, Count: 2}, runSweepFunc: fakePool(lambdaRunner)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range res {
-		mine := i%2 == 1
-		if mine && r.Err != nil {
-			t.Fatalf("point %d: owned point failed: %v", i, r.Err)
-		}
-		if !mine && !errors.Is(r.Err, ErrSkipped) {
-			t.Fatalf("point %d: foreign point not marked skipped: %v", i, r.Err)
-		}
-		if r.Label != plan.Points[i].Label {
-			t.Fatalf("point %d: result misaligned with plan", i)
-		}
-	}
-}
-
-// TestRunCheckpointResume interrupts a sweep (by sharding it) and
-// resumes with the same journal: only missing points run, and the final
-// results equal an uninterrupted run exactly.
+// TestRunCheckpointResume resumes a sweep interrupted after half its
+// points (the even ones journalled): only missing points run, and the
+// final results equal an uninterrupted run exactly.
 func TestRunCheckpointResume(t *testing.T) {
 	plan := testPlan(6)
 	ckpt := filepath.Join(t.TempDir(), "ckpt.jsonl")
@@ -154,9 +84,8 @@ func TestRunCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(plan, Options{Checkpoint: ckpt, Shard: Shard{0, 2}, runSweepFunc: fakePool(lambdaRunner)}); err != nil {
-		t.Fatal(err)
-	}
+	ids := plan.IDs()
+	writeJournal(t, ckpt, NewRecord(ids[0], full[0]), NewRecord(ids[2], full[2]), NewRecord(ids[4], full[4]))
 	var ran []string
 	counting := fakePool(lambdaRunner)
 	resumed, err := Run(plan, Options{Checkpoint: ckpt, runSweepFunc: func(pts []core.Point, w int, done func(int, core.PointResult)) []core.PointResult {
@@ -183,57 +112,6 @@ func TestRunCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameResults(t, full, again)
-}
-
-// TestShardMergeMatchesUnsharded is the sharding acceptance test:
-// -shard 0/2 and -shard 1/2 journals, merged, satisfy the whole plan
-// with results identical to an unsharded run — with the real simulator.
-func TestShardMergeMatchesUnsharded(t *testing.T) {
-	plan := realPlan(5)
-	dir := t.TempDir()
-	j0 := filepath.Join(dir, "s0.jsonl")
-	j1 := filepath.Join(dir, "s1.jsonl")
-	merged := filepath.Join(dir, "merged.jsonl")
-
-	unsharded, err := Run(plan, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(plan, Options{Checkpoint: j0, Shard: Shard{0, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(plan, Options{Checkpoint: j1, Shard: Shard{1, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	n, err := MergeJournals(merged, j0, j1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(plan.Points) {
-		t.Fatalf("merged %d points, want %d", n, len(plan.Points))
-	}
-	got, err := Run(plan, Options{Checkpoint: merged, runSweepFunc: func(pts []core.Point, w int, done func(int, core.PointResult)) []core.PointResult {
-		t.Fatalf("merged journal incomplete: would re-run %d points", len(pts))
-		return nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResults(t, unsharded, got)
-}
-
-// realPlan builds n small but real simulation points (4-ary 2-cube, a
-// few hundred messages each).
-func realPlan(n int) Plan {
-	points := make([]core.Point, n)
-	for i := range points {
-		c := core.DefaultConfig(4, 2, 0.004+0.002*float64(i))
-		c.WarmupMessages = 50
-		c.MeasureMessages = 400
-		c.Seed = uint64(10 + i)
-		points[i] = core.Point{Label: fmt.Sprintf("real%d", i), Config: c}
-	}
-	return Plan{Name: "real", Points: points}
 }
 
 // assertSameResults compares two result sets bit-for-bit via their

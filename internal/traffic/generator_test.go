@@ -112,7 +112,7 @@ func TestPoissonMatchesReferenceGenerator(t *testing.T) {
 			fs := fault.NewSet(tor)
 			if tc.nf > 0 {
 				var err error
-				fs, err = fault.Random(tor, tc.nf, rng.New(41), fault.DefaultRandomOptions())
+				fs, err = fault.Random(tor, tc.nf, rng.New(41))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -10,6 +10,39 @@ import (
 	"repro/internal/topology"
 )
 
+// TestPickAllocsEveryPattern holds every registered pattern to the
+// engine's zero-allocation hot path — Pick runs once per generated
+// message — on a fault-free and a faulted 8-ary 2-cube, from every
+// healthy source.
+func TestPickAllocsEveryPattern(t *testing.T) {
+	specs := map[string]string{"weights": "weights:3=2,rest=1"} // needs an entry
+	tor := topology.New(8, 2)
+	faulted, err := fault.Random(tor, 5, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range Patterns() {
+		t.Run(info.Name, func(t *testing.T) {
+			spec := info.Name
+			if s, ok := specs[spec]; ok {
+				spec = s
+			}
+			for _, f := range []*fault.Set{fault.NewSet(tor), faulted} {
+				p, err := NewPattern(spec, tor, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := rng.New(1)
+				for _, src := range f.HealthyNodes() {
+					if allocs := testing.AllocsPerRun(20, func() { p.Pick(src, r) }); allocs != 0 {
+						t.Fatalf("%d faults, src %d: %v allocs/Pick, want 0", f.NumNodeFaults(), src, allocs)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestBitReversalPermutation(t *testing.T) {
 	tor := topology.New(8, 2) // 64 nodes, 6 bits
 	fs := fault.NewSet(tor)

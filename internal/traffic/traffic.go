@@ -78,23 +78,29 @@ type Transpose struct {
 	t        topology.Network
 	f        *fault.Set
 	fallback *Uniform
+	k        int // radix
+	top      int // k^(n-1), the place value of the last address digit
 }
 
 // NewTranspose builds the transpose pattern.
 func NewTranspose(t topology.Network, f *fault.Set) *Transpose {
-	return &Transpose{t: t, f: f, fallback: NewUniform(f)}
+	top := 1
+	for i := 1; i < t.N(); i++ {
+		top *= t.K()
+	}
+	return &Transpose{t: t, f: f, fallback: NewUniform(f), k: t.K(), top: top}
 }
 
 // Name implements Pattern.
 func (p *Transpose) Name() string { return "transpose" }
 
-// Pick implements Pattern.
+// Pick implements Pattern. An address is the radix-k number a0 + k·a1 +
+// … + k^(n-1)·a(n-1), so the rotation drops a0 off the bottom and puts it
+// on top — arithmetic instead of the Coords/FromCoords slices, which would
+// allocate on every generated message.
 func (p *Transpose) Pick(src topology.NodeID, r *rng.Stream) topology.NodeID {
-	c := p.t.Coords(src)
-	rot := make([]int, len(c))
-	copy(rot, c[1:])
-	rot[len(c)-1] = c[0]
-	dst := p.t.FromCoords(rot)
+	a0 := p.t.Coord(src, 0)
+	dst := topology.NodeID((int(src)-a0)/p.k + a0*p.top)
 	if dst == src || p.f.NodeFaulty(dst) {
 		return p.fallback.Pick(src, r)
 	}

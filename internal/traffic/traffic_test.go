@@ -12,7 +12,7 @@ import (
 
 func TestUniformNeverSelfOrFaulty(t *testing.T) {
 	tor := topology.New(8, 2)
-	fs, err := fault.Random(tor, 5, rng.New(1), fault.DefaultRandomOptions())
+	fs, err := fault.Random(tor, 5, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
