@@ -14,11 +14,19 @@
 //     registry, and reports the worst-case number of software stops — the
 //     empirical content of §4's livelock-freedom claim.
 //
+// The flags that pick the network, faults and routers are swsim's
+// (core.BindFlags), so every mode looks at what swsim simulates, on any
+// -topo and with any -shape. -alg narrows the deadlock and livelock walks
+// to one algorithm (default: every registered one). -mode model refuses a
+// non-torus -topo: analytic.Model is a k-ary n-cube model.
+//
 // Examples:
 //
 //	analyze -mode deadlock -k 8 -n 2 -faults 5
+//	analyze -mode deadlock -topo mesh:k=4,n=3
+//	analyze -mode deadlock -k 8 -n 2 -shape U -alg adaptive
 //	analyze -mode model -k 8 -n 2 -v 4 -m 32 -faults 3
-//	analyze -mode livelock -k 8 -n 2 -faults 8 -seed 4
+//	analyze -mode livelock -topo mesh:k=8,n=2 -faults 8 -seed 4
 package main
 
 import (
@@ -33,6 +41,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/deadlock"
 	"repro/internal/routing"
+	"repro/internal/topology"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -41,14 +50,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("analyze", flag.ContinueOnError)
 	fl.SetOutput(stderr)
 	var (
+		config  = core.BindFlags(fl, core.DefaultConfig(8, 2, 0)) // -topo -k -n -alg -v -m -faults -shape -seed
 		mode    = fl.String("mode", "deadlock", "analysis: deadlock|model|livelock")
-		k       = fl.Int("k", 8, "radix")
-		n       = fl.Int("n", 2, "dimensions")
-		v       = fl.Int("v", 4, "virtual channels")
-		m       = fl.Int("m", 32, "message length (flits)")
-		faults  = fl.Int("faults", 0, "random faulty nodes")
-		seed    = fl.Uint64("seed", 1, "seed")
 		measure = fl.Int("measure", 5000, "measured messages per simulated point (model mode)")
+		list    = fl.Bool("list", false, "list registered topologies, algorithms, patterns and sources, then exit")
 	)
 	if err := fl.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -56,43 +61,45 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-
-	// One description of the experiment for all three modes: the network,
-	// the fault placement and the routers are the ones swsim builds from
-	// the same -k/-n, -faults, -seed and -v.
-	cfg := core.DefaultConfig(*k, *n, 0)
-	cfg.V = *v
-	cfg.MsgLen = *m
-	cfg.Faults.RandomNodes = *faults
-	cfg.Seed = *seed
+	if *list {
+		core.PrintRegistries(stdout, "swsim ")
+		return 0
+	}
+	cfg, t, err := config()
 	cfg.WarmupMessages = *measure / 10
 	cfg.MeasureMessages = *measure
-
-	switch *mode {
-	case "deadlock":
-		return analyzeDeadlock(stdout, stderr, cfg)
-	case "model":
-		analyzeModel(stdout, cfg, *k, *n)
+	switch {
+	case err != nil:
+	case *mode == "deadlock":
+		return analyzeDeadlock(stdout, stderr, cfg, t)
+	case *mode == "livelock":
+		return analyzeLivelock(stdout, stderr, cfg, t)
+	case *mode != "model":
+		err = fmt.Errorf("unknown mode %q", *mode)
+	case t.Kind() != "torus":
+		err = fmt.Errorf("-mode model takes a torus (analytic.Model is a k-ary n-cube model), not %s", cfg.Topology)
+	default:
+		analyzeModel(stdout, cfg, t)
 		return 0
-	case "livelock":
-		return analyzeLivelock(stdout, stderr, cfg)
 	}
-	fmt.Fprintf(stderr, "analyze: unknown mode %q\n", *mode)
+	fmt.Fprintf(stderr, "analyze: %v\n", err)
 	return 2
 }
 
-// eachAlgorithm builds cfg's network and faults, prints the row report
-// returns for every registered algorithm that supports the network (built
-// with at least cfg.V virtual channels), and then the footer; a false
-// return stops with exit status 1.
-func eachAlgorithm(stdout, stderr io.Writer, cfg core.Config, footer string, report func(name string, alg routing.Router) (string, bool)) int {
+// eachAlgorithm places cfg's faults on t, prints the row report returns for
+// every registered algorithm -alg selects (all of them when empty) that
+// supports the network (built with at least cfg.V virtual channels), and
+// then the footer; a false return stops with exit status 1.
+func eachAlgorithm(stdout, stderr io.Writer, cfg core.Config, t topology.Network, footer string, report func(name string, alg routing.Router) (string, bool)) int {
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "analyze: %v\n", err)
 		return 1
 	}
-	t, err := cfg.BuildTopology()
-	if err != nil {
-		return fail(err)
+	algs := routing.Algorithms()
+	if info, ok := routing.Lookup(cfg.Algorithm); ok {
+		algs = []routing.Info{info}
+	} else if cfg.Algorithm != "" {
+		return fail(fmt.Errorf("unknown routing algorithm %q (registered: %v)", cfg.Algorithm, routing.Names()))
 	}
 	fs, err := core.BuildFaults(t, cfg.Faults, cfg.Seed)
 	if err != nil {
@@ -101,10 +108,10 @@ func eachAlgorithm(stdout, stderr io.Writer, cfg core.Config, footer string, rep
 	if fs.NumNodeFaults() > 0 {
 		fmt.Fprintf(stdout, "faulty nodes: %v\n", fs.FaultyNodes())
 	}
-	for _, info := range routing.Algorithms() {
+	for _, info := range algs {
 		row, ok := fmt.Sprintf("(skipped: %s-only)", strings.Join(info.Topologies, "/")), true
 		if info.Supports(t.Kind()) {
-			alg, err := routing.New(info.Name, t, fs, max(cfg.V, info.MinV))
+			alg, err := routing.New(info.Name, t, fs, max(cfg.V, info.MinVFor(t)))
 			if err != nil {
 				return fail(err)
 			}
@@ -119,8 +126,8 @@ func eachAlgorithm(stdout, stderr io.Writer, cfg core.Config, footer string, rep
 	return 0
 }
 
-func analyzeDeadlock(stdout, stderr io.Writer, cfg core.Config) int {
-	return eachAlgorithm(stdout, stderr, cfg,
+func analyzeDeadlock(stdout, stderr io.Writer, cfg core.Config, t topology.Network) int {
+	return eachAlgorithm(stdout, stderr, cfg, t,
 		"no cycle where §4 claims none (det, valiant, every fault-free relation); the others are known, see ROADMAP item 1",
 		func(name string, alg routing.Router) (string, bool) {
 			g, err := deadlock.Build(alg)
@@ -135,15 +142,15 @@ func analyzeDeadlock(stdout, stderr io.Writer, cfg core.Config) int {
 			row := fmt.Sprintf("%d vertices, %d edges, cycle of %d: %v", vtx, edges, len(cyc)-1, cyc)
 			// What deadlock.TestRouteCDG asserts; any other cycle is one of
 			// its pinned findings.
-			if cfg.Faults.Empty() || name == "det" || name == "valiant" {
+			if deadlock.MustBeAcyclic(name, t, cfg.Faults.Empty()) {
 				return row + "\nCYCLE FOUND (deadlock possible) in a relation §4 claims acyclic", false
 			}
 			return row, true
 		})
 }
 
-func analyzeLivelock(stdout, stderr io.Writer, cfg core.Config) int {
-	return eachAlgorithm(stdout, stderr, cfg,
+func analyzeLivelock(stdout, stderr io.Writer, cfg core.Config, t topology.Network) int {
+	return eachAlgorithm(stdout, stderr, cfg, t,
 		"all pairs delivered with bounded software stops (livelock-free, §4)",
 		func(_ string, alg routing.Router) (string, bool) {
 			rep := routing.AnalyzeLivelock(alg, cfg.MsgLen, 0)
@@ -154,8 +161,8 @@ func analyzeLivelock(stdout, stderr io.Writer, cfg core.Config) int {
 		})
 }
 
-func analyzeModel(stdout io.Writer, cfg core.Config, k, n int) {
-	mdl := analytic.Model{K: k, N: n, V: cfg.V, M: cfg.MsgLen, Nf: cfg.Faults.RandomNodes}
+func analyzeModel(stdout io.Writer, cfg core.Config, t topology.Network) {
+	mdl := analytic.Model{K: t.K(), N: t.N(), V: cfg.V, M: cfg.MsgLen, Nf: cfg.Faults.RandomNodes}
 	fmt.Fprintf(stdout, "analytical model vs flit-level simulation, %d-ary %d-cube, V=%d, M=%d, nf=%d\n", mdl.K, mdl.N, mdl.V, mdl.M, mdl.Nf)
 	fmt.Fprintf(stdout, "%-10s%14s%14s%12s\n", "lambda", "model", "simulation", "rel.err")
 	fmt.Fprintf(stdout, "model saturation estimate: λ ≈ %.4f\n", mdl.SaturationRate())

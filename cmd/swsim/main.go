@@ -64,11 +64,9 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/sweep"
 	"repro/internal/sweepcli"
-	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -77,18 +75,13 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("swsim", flag.ContinueOnError)
 	fl.SetOutput(stderr)
+	def := core.DefaultConfig(8, 2, 0)
+	def.Algorithm = "det"
 	var (
-		k       = fl.Int("k", 8, "radix (nodes per dimension); shorthand for -topo torus:k=...")
-		n       = fl.Int("n", 2, "dimensions; shorthand for -topo torus:n=...")
-		topo    = fl.String("topo", "", "topology spec from the registry (overrides -k/-n; see -list)")
-		v       = fl.Int("v", 4, "virtual channels per physical channel")
-		m       = fl.Int("m", 32, "message length in flits")
+		config  = core.BindFlags(fl, def) // -topo -k -n -alg -v -m -faults -shape -seed
 		buf     = fl.Int("buf", 2, "per-VC buffer depth in flits")
 		lambda  = fl.Float64("lambda", 0.004, "generation rate (messages/node/cycle)")
-		alg     = fl.String("alg", "det", "routing algorithm (see -list)")
 		list    = fl.Bool("list", false, "list registered topologies, algorithms, patterns and sources, then exit")
-		faults  = fl.Int("faults", 0, "random faulty nodes")
-		shape   = fl.String("shape", "", "fault region shape: rect|T|plus|L|U (Fig. 5 configurations)")
 		sched   = fl.String("faults-schedule", "", "dynamic fault schedule spec: trace:file=<f> or mtbf:mtbf=<c>,mttr=<c> (see -list)")
 		pattern = fl.String("pattern", "uniform", "destination pattern spec (see -list)")
 		traf    = fl.String("traffic", "poisson", "arrival process spec (see -list)")
@@ -97,7 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		measure = fl.Int("measure", 10000, "measured message deliveries")
 		td      = fl.Int64("td", 0, "router decision time (cycles)")
 		delta   = fl.Int64("delta", 0, "software re-injection overhead (cycles)")
-		seed    = fl.Uint64("seed", 1, "random seed")
 		quiet   = fl.Bool("q", false, "print only the CSV row")
 		jsonOut = fl.Bool("json", false, "emit config and results as JSON instead of CSV")
 
@@ -138,14 +130,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runWorker(*workerSpec, stderr)
 	}
 
-	cfg := core.DefaultConfig(*k, *n, *lambda)
-	if *topo != "" {
-		cfg.Topology = *topo
+	cfg, topoNet, err := config()
+	if err != nil {
+		return exit(2, "%v", err)
 	}
-	cfg.V = *v
-	cfg.MsgLen = *m
+	cfg.Lambda = *lambda
 	cfg.BufDepth = *buf
-	cfg.Algorithm = *alg
 	cfg.Pattern = *pattern
 	cfg.Traffic = *traf
 	var captured trace.Workload
@@ -156,16 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.MeasureMessages = *measure
 	cfg.Td = *td
 	cfg.Delta = *delta
-	cfg.Seed = *seed
-	cfg.Faults.RandomNodes = *faults
 	cfg.FaultSchedule = *sched
-	if *shape != "" {
-		spec, ok := fault.PaperFig5Shape(*shape)
-		if !ok {
-			return exit(2, "unknown shape %q (rect|T|plus|L|U)", *shape)
-		}
-		cfg.Faults.Shapes = []core.ShapeStamp{{Spec: spec, DimA: 0, DimB: 1}}
-	}
 
 	if *wlOut != "" && (*findSat || *sweepGrid != "") {
 		return exit(2, "-workload-out applies to single-point runs only")
@@ -190,10 +171,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return exit(2, "%v", err)
 		}
-	}
-	topoNet, err := topology.NewNetwork(cfg.Topology)
-	if err != nil {
-		return exit(2, "%v", err)
 	}
 	ew, warn, err := resolveEngineWorkers(*engWorkers, topoNet.Nodes(), *findSat || *sweepGrid != "")
 	if err != nil {
@@ -253,11 +230,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if !*quiet {
 		fmt.Fprintf(stdout, "# %s, %s routing, V=%d, M=%d flits, λ=%g, traffic=%s, pattern=%s, faults=%d%s\n",
-			cfg.Topology, *alg, *v, *m, *lambda, cfg.TrafficSpec(), cfg.PatternSpec(), *faults, shapeNote(*shape))
+			cfg.Topology, cfg.Algorithm, cfg.V, cfg.MsgLen, cfg.Lambda, cfg.TrafficSpec(), cfg.PatternSpec(), cfg.Faults.RandomNodes, shapeNote(cfg.Faults))
 		fmt.Fprintf(stdout, "# wall time: %v, simulated cycles: %d\n", elapsed.Round(time.Millisecond), res.Cycles)
 		fmt.Fprintln(stdout, csvHeader)
 	}
-	fmt.Fprintln(stdout, csvRow(*lambda, res))
+	fmt.Fprintln(stdout, csvRow(cfg.Lambda, res))
 	if cfg.FaultSchedule != "" {
 		if !*quiet {
 			fmt.Fprintln(stdout, chaosHeader)
@@ -503,9 +480,9 @@ func resolveEngineWorkers(spec string, nodes int, multiPoint bool) (workers int,
 	return w, warn, nil
 }
 
-func shapeNote(s string) string {
-	if s == "" {
+func shapeNote(f core.FaultSpec) string {
+	if len(f.Shapes) == 0 {
 		return ""
 	}
-	return ", region=" + s
+	return ", region=" + f.Shapes[0].Spec.Shape.String()
 }

@@ -4,16 +4,17 @@
 // Software-Based algorithm's behaviour around a specific fault pattern.
 //
 // The network, the faults and the router are the ones swsim builds from
-// the same -topo/-k/-n, -faults, -shape, -seed, -alg and -v (a core.Config
-// through BuildTopology, core.BuildFaults and routing.New): -shape and
-// -faults combine as they do there, and a random placement is not steered
-// around -src/-dst — the lens must show the run, not a friendlier one. An
-// endpoint that lands on a failed node is refused ("source or destination
-// is faulty"); pick another endpoint or -seed.
+// the same command line: -topo/-k/-n, -faults, -shape, -seed, -alg, -v and
+// -m are core.BindFlags' in both tools. -shape and -faults combine, and a
+// random placement is not steered around -src/-dst — the lens must show
+// the run, not a friendlier one. An endpoint that lands on a failed node is
+// refused ("source or destination is faulty"); pick another endpoint or
+// -seed.
 //
 //	swtrace -k 8 -n 2 -faults 5 -seed 4 -src 0,0 -dst 5,5
 //	swtrace -k 8 -n 2 -shape U -src 0,3 -dst 4,3 -alg adaptive
 //	swtrace -topo mesh:k=8,n=2 -alg planar-adaptive -faults 4 -src 0,0 -dst 7,7
+//	swtrace -topo mesh:k=4,n=3 -alg planar-adaptive -src 0,0,0 -dst 3,3,3
 package main
 
 import (
@@ -26,7 +27,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/message"
 	"repro/internal/metrics"
 	"repro/internal/network"
@@ -42,18 +42,12 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("swtrace", flag.ContinueOnError)
 	fl.SetOutput(stderr)
+	def := core.DefaultConfig(8, 2, 0)
+	def.Algorithm, def.MsgLen = "det", 16
 	var (
-		k       = fl.Int("k", 8, "radix; shorthand for -topo torus:k=...")
-		n       = fl.Int("n", 2, "dimensions; shorthand for -topo torus:n=...")
-		topo    = fl.String("topo", "", "topology spec from the registry (overrides -k/-n; see -list)")
-		v       = fl.Int("v", 4, "virtual channels")
-		m       = fl.Int("m", 16, "message length (flits)")
-		faults  = fl.Int("faults", 0, "random faulty nodes")
-		shape   = fl.String("shape", "", "stamp a Fig. 5 region instead: rect|T|plus|L|U")
-		seed    = fl.Uint64("seed", 1, "seed for fault placement")
+		config  = core.BindFlags(fl, def) // -topo -k -n -alg -v -m -faults -shape -seed
 		srcFlag = fl.String("src", "0,0", "source coordinates, comma-separated")
 		dstFlag = fl.String("dst", "", "destination coordinates (required)")
-		algFlag = fl.String("alg", "det", "routing algorithm from the registry")
 		list    = fl.Bool("list", false, "list registered topologies, algorithms, patterns and sources, then exit")
 	)
 	if err := fl.Parse(args); err != nil {
@@ -72,18 +66,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	cfg := core.DefaultConfig(*k, *n, 0)
-	if *topo != "" {
-		cfg.Topology = *topo
-	}
-	cfg.V = *v
-	cfg.MsgLen = *m
-	cfg.Algorithm = *algFlag
-	cfg.Seed = *seed
-	cfg.Faults.RandomNodes = *faults
-	t, err := cfg.BuildTopology()
+	cfg, t, err := config()
 	if err != nil {
-		return fail(err)
+		fmt.Fprintf(stderr, "swtrace: %v\n", err)
+		return 2
 	}
 	src, err := parseCoords(t, *srcFlag)
 	if err != nil {
@@ -92,13 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dst, err := parseCoords(t, *dstFlag)
 	if err != nil {
 		return fail(fmt.Errorf("need -dst: %w", err))
-	}
-	if *shape != "" {
-		spec, ok := fault.PaperFig5Shape(*shape)
-		if !ok {
-			return fail(fmt.Errorf("unknown shape %q", *shape))
-		}
-		cfg.Faults.Shapes = []core.ShapeStamp{{Spec: spec, DimA: 0, DimB: 1}}
 	}
 	fs, err := core.BuildFaults(t, cfg.Faults, cfg.Seed)
 	if err != nil {

@@ -52,7 +52,9 @@ func TestRejectedInvocations(t *testing.T) {
 			"swtrace: coordinate -1 in \"0,-1\" is outside [0, 8)\n"},
 		{"missing-dst", nil, 1, "swtrace: need -dst: empty coordinates\n"},
 		{"wrong-arity", []string{"-dst", "1"}, 1, "swtrace: need -dst: got 1 coordinates, topology has 2 dimensions\n"},
-		{"unknown-shape", []string{"-shape", "Z", "-dst", "1,1"}, 1, "swtrace: unknown shape \"Z\"\n"},
+		{"unknown-shape", []string{"-shape", "Z", "-dst", "1,1"}, 2, "swtrace: unknown shape \"Z\" (rect|T|plus|L|U)\n"},
+		{"unknown-topology", []string{"-topo", "moebius", "-dst", "1,1"}, 2,
+			"swtrace: topology: unknown topology \"moebius\" (registered: [hypercube mesh torus])\n"},
 		{"faulty-endpoint", []string{"-shape", "U", "-src", "3,2", "-dst", "4,3"}, 1, "swtrace: source or destination is faulty\n"},
 		// Seed 4 fails node (7,7): placement is the engine's, not steered
 		// around the endpoints.

@@ -52,7 +52,7 @@ func TestToolsPlaceTheEnginesFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			drawn := viz.RenderPlane(want, 0, 0, 1) + viz.RenderRegions(want)
-			k, n, nf, seed := strconv.Itoa(net.K()), strconv.Itoa(net.N()), strconv.Itoa(tc.nf), strconv.FormatUint(tc.seed, 10)
+			k, nf, seed := strconv.Itoa(net.K()), strconv.Itoa(tc.nf), strconv.FormatUint(tc.seed, 10)
 
 			// swtrace refuses a faulty endpoint: trace between healthy ones.
 			healthy := want.HealthyNodes()
@@ -64,12 +64,12 @@ func TestToolsPlaceTheEnginesFaults(t *testing.T) {
 			if !strings.HasPrefix(got, drawn) {
 				t.Errorf("swtrace -topo %s -faults %s -seed %s traces through\n%s\nthe engine runs\n%s", tc.spec, nf, seed, got, drawn)
 			}
-			if net.Kind() != "torus" {
-				return // analyze and faultviz take -k/-n only
-			}
 			line := fmt.Sprintf("faulty nodes: %v\n", want.FaultyNodes())
-			if got := tool(t, "analyze", "-mode", "livelock", "-k", k, "-n", n, "-faults", nf, "-seed", seed); !strings.HasPrefix(got, line) {
-				t.Errorf("analyze -mode livelock -faults %s -seed %s starts\n%s\nthe engine runs\n%s", nf, seed, got, line)
+			if got := tool(t, "analyze", "-mode", "livelock", "-topo", tc.spec, "-faults", nf, "-seed", seed); !strings.HasPrefix(got, line) {
+				t.Errorf("analyze -mode livelock -topo %s -faults %s -seed %s starts\n%s\nthe engine runs\n%s", tc.spec, nf, seed, got, line)
+			}
+			if net.Kind() != "torus" {
+				return // faultviz takes -k only
 			}
 			if got := tool(t, "faultviz", "-k", k, "-random", nf, "-seed", seed); got != drawn {
 				t.Errorf("faultviz -random %s -seed %s draws\n%s\nthe engine runs\n%s", nf, seed, got, drawn)

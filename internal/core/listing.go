@@ -1,6 +1,7 @@
 package core
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"strings"
@@ -41,5 +42,38 @@ func PrintRegistries(w io.Writer, prefix string) {
 	fmt.Fprintf(w, "\nfault schedules (%s-faults-schedule):\n", prefix)
 	for _, info := range fault.Schedules() {
 		fmt.Fprintf(w, "  %-44s %s\n", info.Usage, info.Description)
+	}
+}
+
+// BindFlags defines on fs the nine flags that decide what network, faults
+// and router a run builds (-topo -k -n -alg -v -m -faults -shape -seed),
+// defaulting to def's values, and returns the function that, after
+// fs.Parse, yields def with them applied and the network it names. -topo
+// overrides -k/-n (a torus); -shape stamps a Fig. 5 preset into plane
+// (0,1). The function's errors are usage errors (exit 2).
+func BindFlags(fs *flag.FlagSet, def Config) func() (Config, topology.Network, error) {
+	cfg := def
+	net, _ := def.BuildTopology() // def is the caller's literal
+	k := fs.Int("k", net.K(), "radix (nodes per dimension); shorthand for -topo torus:k=...")
+	n := fs.Int("n", net.N(), "dimensions; shorthand for -topo torus:n=...")
+	topo := fs.String("topo", "", "topology spec from the registry (overrides -k/-n; see -list)")
+	fs.StringVar(&cfg.Algorithm, "alg", def.Algorithm, "routing algorithm (see -list)")
+	fs.IntVar(&cfg.V, "v", def.V, "virtual channels per physical channel")
+	fs.IntVar(&cfg.MsgLen, "m", def.MsgLen, "message length in flits")
+	fs.IntVar(&cfg.Faults.RandomNodes, "faults", def.Faults.RandomNodes, "random faulty nodes")
+	shape := fs.String("shape", "", "fault region shape: rect|T|plus|L|U (Fig. 5 configurations)")
+	fs.Uint64Var(&cfg.Seed, "seed", def.Seed, "random seed")
+	return func() (Config, topology.Network, error) {
+		cfg.Topology = fmt.Sprintf("torus:k=%d,n=%d", *k, *n)
+		if *topo != "" {
+			cfg.Topology = *topo
+		}
+		if spec, ok := fault.PaperFig5Shape(*shape); ok {
+			cfg.Faults.Shapes = []ShapeStamp{{Spec: spec, DimA: 0, DimB: 1}}
+		} else if *shape != "" {
+			return cfg, nil, fmt.Errorf("unknown shape %q (rect|T|plus|L|U)", *shape)
+		}
+		net, err := topology.NewNetwork(cfg.Topology)
+		return cfg, net, err
 	}
 }

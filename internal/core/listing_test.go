@@ -2,8 +2,13 @@ package core
 
 import (
 	"bytes"
+	"flag"
+	"io"
 	"os"
+	"reflect"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 // TestPrintRegistriesGolden pins the CLIs' -list output byte for byte:
@@ -19,5 +24,55 @@ func TestPrintRegistriesGolden(t *testing.T) {
 	PrintRegistries(&got, "")
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("-list output drifted from testdata/list.golden:\n%s", got.String())
+	}
+}
+
+// TestBindFlags maps command lines to the Config the binder yields: -topo
+// overrides -k/-n, -shape names a Fig. 5 preset in plane (0,1), and every
+// flag left unset keeps def's value — -k/-n included, read back from
+// def's network.
+func TestBindFlags(t *testing.T) {
+	def := DefaultConfig(4, 3, 0.01)
+	def.Algorithm, def.MsgLen, def.Seed, def.Faults.RandomNodes = "adaptive", 16, 9, 2
+	with := func(f func(*Config)) Config {
+		c := def
+		f(&c)
+		return c
+	}
+	uSpec, _ := fault.PaperFig5Shape("U")
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		want    Config
+		wantErr string
+	}{
+		{"defaults from def", nil, def, ""},
+		{"-k alone keeps def's n", []string{"-k", "6"}, with(func(c *Config) { c.Topology = "torus:k=6,n=3" }), ""},
+		{"-topo overrides -k/-n", []string{"-k", "6", "-n", "2", "-topo", "mesh:k=4,n=3"},
+			with(func(c *Config) { c.Topology = "mesh:k=4,n=3" }), ""},
+		{"the other six", []string{"-alg", "det", "-v", "6", "-m", "64", "-faults", "0", "-seed", "3"},
+			with(func(c *Config) { c.Algorithm, c.V, c.MsgLen, c.Faults.RandomNodes, c.Seed = "det", 6, 64, 0, 3 }), ""},
+		{"-shape U", []string{"-shape", "U"},
+			with(func(c *Config) { c.Faults.Shapes = []ShapeStamp{{Spec: uSpec, DimA: 0, DimB: 1}} }), ""},
+		{"-shape Z", []string{"-shape", "Z"}, Config{}, `unknown shape "Z" (rect|T|plus|L|U)`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := flag.NewFlagSet("t", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			config := BindFlags(fs, def)
+			if err := fs.Parse(tc.args); err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := config()
+			if tc.wantErr != "" {
+				if err == nil || err.Error() != tc.wantErr {
+					t.Fatalf("err %v, want %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil || !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("got %+v, %v\nwant %+v", got, err, tc.want)
+			}
+		})
 	}
 }

@@ -110,7 +110,7 @@ func faultSets(t *testing.T, net topology.Network) (names []string, sets []*faul
 // TestRouteCDG builds the dependency graph of every registered algorithm
 // on every topology kind it supports, fault-free and faulted. det and
 // valiant must be acyclic everywhere (§4's claim for the code that runs)
-// and every algorithm fault-free, bar the one cell noted below; every
+// and every algorithm fault-free, bar the cell MustBeAcyclic names; every
 // verdict is also pinned in testdata/cdg.golden, where the cyclic cells
 // are findings written up in ROADMAP item 1, not fixed: a routing change
 // that moves one shows as a diff of that file. Run with -v for witnesses.
@@ -151,10 +151,7 @@ func TestRouteCDG(t *testing.T) {
 				if cyc := g.Cycle(); cyc != nil {
 					verdict = fmt.Sprintf("cyclic %d", len(cyc)-1)
 					t.Logf("%s: %v", cell, cyc)
-					// planar-adaptive's plane (0,2) shares d1 banks with
-					// plane (1,2) on a 3-D mesh.
-					planes3D := info.Name == "planar-adaptive" && net.N() == 3
-					if info.Name == "det" || info.Name == "valiant" || i == 0 && !planes3D {
+					if MustBeAcyclic(info.Name, net, i == 0) {
 						t.Errorf("%s must be acyclic, found %v", cell, cyc)
 					}
 				}
