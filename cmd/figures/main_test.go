@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -104,6 +105,38 @@ func planLines(fig string, scale scaleSpec, seeds int) string {
 		}
 	}
 	return b.String()
+}
+
+// TestLargestPlanUploadFitsTheCoordinator holds coord.MaxRequestBytes to
+// its derivation: the largest body the tree sends a coordinator is one
+// figure plan with every definition attached, at -scale full and the
+// paper's five placements, and the ceiling leaves that eight times over.
+func TestLargestPlanUploadFitsTheCoordinator(t *testing.T) {
+	largest, name := 0, ""
+	h := &harness{scale: scales["full"], seeds: 5, topo: "torus", stdout: io.Discard, stderr: io.Discard,
+		runPlan: func(plan sweep.Plan) ([]core.PointResult, error) {
+			body, err := json.Marshal(coord.PlanRequest{Name: plan.Name, IDs: plan.IDs(), Points: plan.Wire()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(body) > largest {
+				largest, name = len(body), plan.Name
+			}
+			res := make([]core.PointResult, len(plan.Points))
+			for i, pt := range plan.Points {
+				res[i] = core.PointResult{Point: pt, Err: errNotSimulated}
+			}
+			return res, nil
+		}}
+	for _, f := range figures {
+		if f.name != "sat" {
+			f.draw(h)
+		}
+	}
+	t.Logf("largest plan upload: %q, %d bytes", name, largest)
+	if 8*largest > coord.MaxRequestBytes {
+		t.Fatalf("plan %q uploads %d bytes; coord.MaxRequestBytes = %d leaves less than 8x headroom", name, largest, coord.MaxRequestBytes)
+	}
 }
 
 // TestPlanIdentity proves that every figure still generates the same

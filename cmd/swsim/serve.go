@@ -92,7 +92,9 @@ func runServe(spec string, stderr io.Writer) int {
 	if err != nil {
 		return exit(1, "%v", err)
 	}
-	hs := &http.Server{Addr: addr, Handler: s.Handler()}
+	// Headers arrive within ten seconds, so a trickling client cannot hold
+	// a connection; bodies are bounded by coord.MaxRequestBytes.
+	hs := &http.Server{Addr: addr, Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	ctx, stop := signalCtx()
 	defer stop()
 	go func() {

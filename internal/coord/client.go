@@ -68,16 +68,10 @@ func (c *Client) logf(format string, args ...any) {
 	}
 }
 
-// maxDrain bounds what do reads past the reply it decoded (or ignored)
-// to reach EOF: the transport only reuses a connection whose body was
-// read to the end, and a reply longer than this is cheaper to drop with
-// its connection than to read.
-const maxDrain = 256 << 10
-
 // do sends one request — req as a JSON POST body, or a GET when req is
-// nil — and decodes the reply into resp (nil ignores it). A non-200
-// reply becomes an *APIError. The body is drained and closed on every
-// path, so the connection goes back to the pool.
+// nil — reads the reply whole, which hands the connection back to the
+// pool, and decodes it into resp (nil ignores it). A non-200 reply
+// becomes an *APIError.
 func (c *Client) do(path string, req, resp any) error {
 	hc := c.HTTP
 	if hc == nil {
@@ -97,25 +91,23 @@ func (c *Client) do(path string, req, resp any) error {
 	if err != nil {
 		return fmt.Errorf("coord: %s: %w", path, err)
 	}
-	defer func() {
-		_, _ = io.CopyN(io.Discard, r.Body, maxDrain) // best-effort: only connection reuse is at stake
-		_ = r.Body.Close()
-	}()
+	body, err := readBody(r.Body, r.ContentLength)
+	_ = r.Body.Close() // read, not written: nothing to report
 	if r.StatusCode != http.StatusOK {
 		var e struct {
 			Error string `json:"error"`
 		}
 		msg := fmt.Sprintf("%s: unexpected status", path)
-		if json.NewDecoder(r.Body).Decode(&e) == nil && e.Error != "" {
+		if json.Unmarshal(body, &e) == nil && e.Error != "" {
 			msg = e.Error
 		}
 		return &APIError{StatusCode: r.StatusCode, Msg: msg}
 	}
-	if resp == nil {
-		return nil
+	if err == nil && resp != nil {
+		err = decode(body, resp)
 	}
-	if err := json.NewDecoder(r.Body).Decode(resp); err != nil {
-		return fmt.Errorf("coord: %s: decode response: %w", path, err)
+	if err != nil {
+		return fmt.Errorf("coord: %s: read response: %w", path, err)
 	}
 	return nil
 }

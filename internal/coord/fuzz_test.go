@@ -7,11 +7,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sweep"
 )
 
@@ -20,11 +22,11 @@ import (
 // escapes on its own, and nothing at all.
 var hostileIDs = []string{`quo"te`, `back\slash\\`, "ctl\x00\x01\n\r\t\x1f\x7f", "\xff\xfe\xc0", "sep\u2028\u2029<&>", ""}
 
-// fuzzHandler is a coordinator whose every table holds something — a
+// fuzzServer is a coordinator whose every table holds something — a
 // cached record, a failed point, a queued one — and whose cache,
 // recovered from a journal no coordinator wrote, is also keyed by the
 // hostile IDs, so the hand-assembled replies have them to encode.
-func fuzzHandler(f *testing.F) (http.Handler, sweep.Plan) {
+func fuzzServer(f *testing.F) (*Server, sweep.Plan) {
 	f.Helper()
 	checkpoint := filepath.Join(f.TempDir(), "coord.jsonl")
 	var journal []byte
@@ -54,7 +56,7 @@ func fuzzHandler(f *testing.F) (http.Handler, sweep.Plan) {
 	}
 	s.Lease(LeaseRequest{Worker: "crashy"})
 	clock.Advance(2 * time.Second) // with no retries, the second point is now failed
-	return s.Handler(), plan
+	return s, plan
 }
 
 // postBody drives one body through the handler and holds the reply to
@@ -101,10 +103,12 @@ func addBodies(f *testing.F, plan sweep.Plan) {
 
 // FuzzResultsRequest hardens /v1/results, whose reply is assembled by
 // hand: any body gets a 400 or a 200, never a panic; the reply is valid
-// JSON of exactly its Content-Length; and when the body was a request,
-// the reply accounts for every ID in it, however it has to be escaped.
+// JSON of exactly its Content-Length, which the client's walk reads as
+// encoding/json does; and when the body was a request, the reply
+// accounts for every ID in it, however it has to be escaped.
 func FuzzResultsRequest(f *testing.F) {
-	h, plan := fuzzHandler(f)
+	s, plan := fuzzServer(f)
+	h := s.Handler()
 	addBodies(f, plan)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		w := postBody(t, h, "/v1/results", body)
@@ -118,9 +122,12 @@ func FuzzResultsRequest(f *testing.F) {
 		if cl := w.Header().Get("Content-Length"); cl != strconv.Itoa(w.Body.Len()) {
 			t.Fatalf("Content-Length %q for a %d-byte reply", cl, w.Body.Len())
 		}
-		var got ResultsResponse
+		var got, walked ResultsResponse
 		if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
 			t.Fatalf("reply does not decode: %v\n%s", err, w.Body)
+		}
+		if decodeFast(w.Body.Bytes(), &walked) && !reflect.DeepEqual(walked, got) {
+			t.Fatalf("the reply walks to\n %+v\nencoding/json reads\n %+v", walked, got)
 		}
 		pending := map[string]bool{}
 		for _, id := range got.Pending {
@@ -140,7 +147,8 @@ func FuzzResultsRequest(f *testing.F) {
 // definitions: any body gets a 400 or a 200, never a panic, the reply is
 // valid JSON, and an accepted submission accounts for every point.
 func FuzzPlanRequest(f *testing.F) {
-	h, plan := fuzzHandler(f)
+	s, plan := fuzzServer(f)
+	h := s.Handler()
 	addBodies(f, plan)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		w := postBody(t, h, "/v1/plan", body)
@@ -153,6 +161,70 @@ func FuzzPlanRequest(f *testing.F) {
 		}
 		if got.Total != got.Done+got.Queued+got.Failed+len(got.Unknown) {
 			t.Fatalf("reply does not add up: %+v", got)
+		}
+	})
+}
+
+// FuzzResultRequest hardens /v1/result, the body that carries a record
+// into the journal: any body gets a 200, 400, 404, 409 or 413 — never a
+// 500 or a panic — with a JSON reply; the checkpoint journal grows by one
+// line exactly when the reply says "accepted"; and a body the
+// layout-checked walk reads, it reads as encoding/json does.
+func FuzzResultRequest(f *testing.F) {
+	s, plan := fuzzServer(f)
+	h := s.Handler()
+	ids := plan.IDs()
+	ran := sweep.NewRecord(ids[2], core.RunPointFunc(plan.Points[2], core.Run))
+	worker, _ := json.Marshal(ResultRequest{ID: ids[2], Token: "t", Record: ran})
+	reordered := bytes.Replace(worker, []byte(`"record":{"id":"`+ids[2]+`","label":"pt",`), []byte(`"record":{"label":"pt","id":"`+ids[2]+`",`), 1)
+	if bytes.Equal(reordered, worker) || !decodeFast(worker, new(ResultRequest)) || decodeFast(reordered, new(ResultRequest)) {
+		f.Fatalf("want a worker body the walk reads and a reordered one it declines:\n%s\n%s", worker, reordered)
+	}
+	for _, seed := range [][]byte{
+		worker, worker[:len(worker)/2], append(worker, "trailing"...), append(worker, '\n'), reordered,
+		bytes.Replace(worker, []byte(`{"id":`), []byte(`{"token":"t","id":`), 1),
+		[]byte(strings.Repeat(`{"record":`, 1000)),
+		[]byte(`{"id":"` + ids[2] + `","record":{"id":"other"}}`),
+		[]byte(`{"id":"feedfacefeedface","token":"t","record":{}}`),
+		[]byte(`{"id":"quo\"te","record":{"id":"quo\"te","results":{"MeanLatency":1,"Delivered":100}}}`),
+		[]byte(`{}`), []byte(`null`), []byte(``),
+	} {
+		f.Add(seed)
+	}
+	for _, id := range ids {
+		for _, latency := range []float64{1, 2, 12.5} {
+			body, _ := json.Marshal(ResultRequest{ID: id, Token: "t", Record: record(id, latency)})
+			f.Add(body)
+		}
+	}
+	lines := func(t *testing.T) int {
+		b, err := os.ReadFile(s.opt.Checkpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Count(b, []byte("\n"))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		before := lines(t)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/result", bytes.NewReader(body)))
+		switch w.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusNotFound, http.StatusConflict, http.StatusRequestEntityTooLarge:
+		default:
+			t.Fatalf("status %d\n%s", w.Code, w.Body)
+		}
+		var resp ResultResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("reply is not JSON: %v\n%s", err, w.Body)
+		}
+		if grew := lines(t) - before; grew != 0 && (grew != 1 || resp.Status != "accepted") || resp.Status == "accepted" && grew != 1 {
+			t.Fatalf("the journal grew by %d lines on a %d %q reply", grew, w.Code, w.Body)
+		}
+		var walked, want ResultRequest
+		if decodeFast(body, &walked) {
+			if err := json.Unmarshal(body, &want); err != nil || !reflect.DeepEqual(walked, want) {
+				t.Fatalf("the body walks to\n %+v\nencoding/json reads\n %+v, %v", walked, want, err)
+			}
 		}
 	})
 }

@@ -2,7 +2,9 @@ package coord
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -147,8 +149,14 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// post registers a JSON POST endpoint: decode Req, call fn, encode Resp
-// or the error.
+// MaxRequestBytes bounds a request body: a larger one gets a 413 and
+// changes nothing. It is over eight times the largest body the tree
+// sends, a -scale full figure plan with its definitions (134 KB, Fig. 7;
+// TestLargestPlanUploadFitsTheCoordinator in cmd/figures).
+const MaxRequestBytes = 8 << 20
+
+// post registers a JSON POST endpoint: read the body whole (413 past
+// MaxRequestBytes), decode Req, call fn, encode Resp or the error.
 func post[Req, Resp any](mux *http.ServeMux, path string, fn func(Req) (Resp, error)) {
 	mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -156,7 +164,16 @@ func post[Req, Resp any](mux *http.ServeMux, path string, fn func(Req) (Resp, er
 			return
 		}
 		var req Req
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		body, err := readBody(http.MaxBytesReader(w, r.Body, MaxRequestBytes), r.ContentLength)
+		if err == nil {
+			err = decode(body, &req)
+		}
+		if errors.As(err, &tooBig) {
+			writeError(w, &httpError{http.StatusRequestEntityTooLarge, fmt.Sprintf("coord: request body over %d bytes", tooBig.Limit)})
+			return
+		}
+		if err != nil {
 			writeError(w, &httpError{http.StatusBadRequest, fmt.Sprintf("coord: bad request body: %v", err)})
 			return
 		}
@@ -205,10 +222,69 @@ func appendJSONString(buf []byte, s string) []byte {
 // recovery, so a failure is a bug, not bad input.
 func decodeOwn[T any](b []byte) T {
 	var v T
-	if err := json.Unmarshal(b, &v); err != nil {
+	if err := decode(b, &v); err != nil {
 		panic(fmt.Sprintf("coord: undecodable journal-derived JSON: %v", err))
 	}
 	return v
+}
+
+// decode is json.Unmarshal, by decodeFast where it applies.
+func decode(b []byte, v any) error {
+	if decodeFast(b, v) {
+		return nil
+	}
+	return json.Unmarshal(b, v)
+}
+
+// decodeFast reads what carries checkpoint lines — a record, a result
+// submission, a /v1/results reply — by walking the layout json.Marshal
+// and resultsJSON write (sweep.Walker), and reports whether b was in it.
+// If not, v is untouched, for encoding/json to decode b into.
+func decodeFast(b []byte, v any) bool {
+	w := sweep.NewWalker(b)
+	switch v := v.(type) {
+	case *sweep.Record:
+		return walked(&w, v, w.Record(""))
+	case *ResultRequest:
+		req := ResultRequest{ID: w.Str(`{"id":`), Token: w.Str(`,"token":`), Record: w.Record(`,"record":`)}
+		w.Lit("}")
+		return walked(&w, v, req)
+	case *ResultsResponse:
+		resp := ResultsResponse{Records: map[string]sweep.Record{}}
+		w.Lit(`{"records":{`)
+		w.Each("}", func() { resp.Records[w.Str("")] = w.Record(":") })
+		if w.Opt(`,"failed":{`) {
+			resp.Failed = map[string]string{}
+			w.Each("}", func() { resp.Failed[w.Str("")] = w.Str(":") })
+		}
+		if w.Opt(`,"pending":[`) {
+			resp.Pending = []string{}
+			w.Each("]", func() { resp.Pending = append(resp.Pending, w.Str("")) })
+		}
+		w.Lit("}")
+		return walked(&w, v, resp)
+	}
+	return false
+}
+
+// walked stores got in v if w read its input to the end.
+func walked[T any](w *sweep.Walker, v *T, got T) bool {
+	if w.End() {
+		*v = got
+	}
+	return w.End()
+}
+
+// readBody reads a body whole into a buffer of its declared size. An
+// unknown size (-1) or one past MaxRequestBytes is read as it comes, so
+// a declared length never allocates more than arrives.
+func readBody(r io.Reader, size int64) ([]byte, error) {
+	if size < 0 || size > MaxRequestBytes {
+		return io.ReadAll(r)
+	}
+	b := make([]byte, size)
+	_, err := io.ReadFull(r, b)
+	return b, err
 }
 
 func writeError(w http.ResponseWriter, err error) {

@@ -25,15 +25,16 @@ import (
 )
 
 // recorder is the request-recording RoundTripper of the wire-contract
-// tests: what a Client really put on the wire, path and body.
+// tests: what a Client really put on the wire, path and body, and the
+// reply it got.
 type recorder struct {
 	mu   sync.Mutex
 	reqs []recorded
 }
 
 type recorded struct {
-	path string
-	body []byte
+	path        string
+	body, reply []byte
 }
 
 func (rec *recorder) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -45,10 +46,20 @@ func (rec *recorder) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 		req.Body = io.NopCloser(bytes.NewReader(body))
 	}
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	reply, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(reply))
 	rec.mu.Lock()
-	rec.reqs = append(rec.reqs, recorded{req.URL.Path, body})
+	rec.reqs = append(rec.reqs, recorded{req.URL.Path, body, reply})
 	rec.mu.Unlock()
-	return http.DefaultTransport.RoundTrip(req)
+	return resp, nil
 }
 
 // plans decodes every /v1/plan body recorded so far and forgets them.
@@ -458,5 +469,120 @@ func TestResultsWireMatchesTyped(t *testing.T) {
 	}
 	if after := journalLines(t, s.opt.Checkpoint); !reflect.DeepEqual(after, journalBefore) || len(after) != 1 {
 		t.Fatalf("serving results changed the journal: %q -> %q", journalBefore, after)
+	}
+}
+
+// TestFleetPathStaysOnTheFastPath: over a RunPlan of real points — a
+// chaos run, whose record carries windows, a failing point, whose record
+// carries err, and labels in UTF-8 — and a cached resubmission, every
+// /v1/result body a worker sent and every /v1/results reply the client
+// read is in the layout decodeFast walks: none went to encoding/json.
+func TestFleetPathStaysOnTheFastPath(t *testing.T) {
+	_, c, rec := serve(t, filepath.Join(t.TempDir(), "coord.jsonl"))
+	plan := sweep.Plan{Name: "fast"}
+	for i, schedule := range []string{"", "mtbf:mtbf=400,mttr=150,elems=links", ""} {
+		cfg := core.DefaultConfig(4, 2, 0.004)
+		cfg.WarmupMessages, cfg.MeasureMessages, cfg.FaultSchedule = 20, 200, schedule
+		if i == 2 {
+			cfg.V = 1 // below every algorithm's MinV: the run fails
+		}
+		plan.Points = append(plan.Points, core.Point{Label: fmt.Sprintf("λ=0.004 · %d", i), Config: cfg})
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _ = (&Worker{Client: c, Name: "real", IdlePoll: time.Millisecond}).Run(ctx)
+	}()
+	var got []core.PointResult
+	for pass := 0; pass < 2; pass++ {
+		var err error
+		if got, err = c.RunPlan(ctx, plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cancel()
+	<-done
+	if got[0].Err != nil || len(got[1].Results.Windows) == 0 || got[2].Err == nil {
+		t.Fatalf("results = %+v; want a plain point, a chaos point with windows and a failed point", got)
+	}
+	walked := map[string]int{}
+	for _, r := range rec.reqs {
+		var ok bool
+		switch r.path {
+		case "/v1/result":
+			ok = decodeFast(r.body, new(ResultRequest))
+		case "/v1/results":
+			ok = decodeFast(r.reply, new(ResultsResponse))
+		default:
+			continue
+		}
+		if !ok {
+			t.Fatalf("%s went to encoding/json:\nbody  %s\nreply %s", r.path, r.body, r.reply)
+		}
+		walked[r.path]++
+	}
+	if walked["/v1/result"] != len(plan.Points) || walked["/v1/results"] < 2 {
+		t.Fatalf("walked %v; want one /v1/result per point and a /v1/results reply per pass", walked)
+	}
+}
+
+// TestOversizedBodyRefused: a /v1/result or /v1/plan body one byte over
+// MaxRequestBytes, of declared length or chunked, gets a 413 and changes
+// nothing — /statusz and both journals are byte-identical after — where
+// the same body with a short label or name is served.
+func TestOversizedBodyRefused(t *testing.T) {
+	s := newTestServer(t, newFakeClock(), time.Second, 0)
+	plan := testPlan(t, 2)
+	mustSubmitPlan(t, s, plan)
+	id := plan.IDs()[0]
+	h := s.Handler()
+	bodies := func(pad string) map[string][]byte {
+		result, _ := json.Marshal(ResultRequest{ID: id, Record: sweep.Record{ID: id, Label: pad}})
+		plan, _ := json.Marshal(PlanRequest{Name: pad, IDs: plan.IDs()})
+		return map[string][]byte{"/v1/result": result, "/v1/plan": plan}
+	}
+	state := func() string {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/statusz", nil))
+		var b strings.Builder
+		b.Write(w.Body.Bytes())
+		for _, path := range []string{s.opt.Checkpoint, s.opt.Checkpoint + ".plan"} {
+			journal, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Write(journal)
+		}
+		return b.String()
+	}
+	before := state()
+	for path, body := range bodies("") {
+		oversized := bodies(strings.Repeat("x", MaxRequestBytes+1-len(body)))[path]
+		for _, chunked := range []bool{false, true} {
+			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(oversized))
+			if chunked {
+				req.ContentLength = -1
+			}
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			if w.Code != http.StatusRequestEntityTooLarge || !json.Valid(w.Body.Bytes()) {
+				t.Fatalf("POST %s of %d bytes (chunked %v): %d %s", path, MaxRequestBytes+1, chunked, w.Code, w.Body)
+			}
+			if state() != before {
+				t.Fatalf("a refused POST %s changed the coordinator's state", path)
+			}
+		}
+	}
+	for path, body := range bodies("short") {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("POST %s with a short pad: %d %s", path, w.Code, w.Body)
+		}
+	}
+	if state() == before {
+		t.Fatal("the short bodies changed nothing either")
 	}
 }

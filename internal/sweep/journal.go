@@ -91,9 +91,10 @@ func OpenJSONLFunc[T any](path string, visit func(v T, line []byte) error) (*JSO
 	return &JSONL[T]{f: f}, nil
 }
 
-// scanJSONL parses newline-terminated values from r, hands each to
-// visit with its line (newline stripped) and returns the byte offset
-// just past the last valid one. A final line that is unterminated or
+// scanJSONL parses newline-terminated values from r (Records by
+// DecodeRecord), hands each to visit with its line (newline stripped)
+// and returns the byte offset just past the last valid one. A final
+// line that is unterminated or
 // fails to parse — a writer died mid-append — is dropped. A malformed
 // line in the middle of the file is corruption, not a torn write, and
 // is an error.
@@ -109,7 +110,13 @@ func scanJSONL[T any](r io.Reader, visit func(v T, line []byte) error) (valid in
 			return 0, err
 		}
 		var v T
-		if jerr := json.Unmarshal(line, &v); jerr != nil {
+		var jerr error
+		if rec, ok := any(&v).(*Record); ok {
+			*rec, jerr = DecodeRecord(line)
+		} else {
+			jerr = json.Unmarshal(line, &v)
+		}
+		if jerr != nil {
 			if _, peekErr := br.ReadByte(); peekErr == io.EOF {
 				// Torn final line that happens to end in '\n' garbage is
 				// indistinguishable from corruption; but a parse failure on
