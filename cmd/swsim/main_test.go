@@ -86,6 +86,45 @@ func TestRejectedInvocationHasNoSideEffects(t *testing.T) {
 	}
 }
 
+// TestServiceSpecRejected: a -serve or -worker spec the registry grammar
+// or a setting refuses exits 2 with the reason on stderr, before the
+// coordinator opens its checkpoint= journal.
+func TestServiceSpecRejected(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "co.jsonl")
+	serve := "addr=127.0.0.1:-1,checkpoint=" + ckpt // an address no listener takes, should a case get that far
+	worker := "url=http://127.0.0.1:1,exit=drain"
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		stderr string
+	}{
+		{"unknown key", []string{"-serve", serve + ",lase=5s"}, `unknown parameter "lase"`},
+		{"duplicate key", []string{"-serve", serve + ",lease=5s,lease=6s"}, `duplicate parameter "lease"`},
+		{"zero lease", []string{"-serve", serve + ",lease=0s"}, `lease="0s" is not a duration >= 1ns`},
+		{"bad lease", []string{"-serve", serve + ",lease=x"}, `lease="x" is not a duration`},
+		{"negative retries", []string{"-serve", serve + ",retries=-1"}, "retries must be >= 0"},
+		{"missing checkpoint", []string{"-serve", "addr=127.0.0.1:-1"}, "-serve requires checkpoint="},
+		{"empty value", []string{"-serve", serve + ",lease="}, `bad parameter "lease="`},
+		{"empty pair", []string{"-serve", serve + ",,lease=5s"}, `bad parameter ""`},
+		{"bad stall", []string{"-worker", worker + ",stall=x"}, `stall="x" is not a duration`},
+		{"negative engine workers", []string{"-worker", worker + ",engine-workers=-1"}, "engine-workers must be >= 0"},
+		{"duplicate worker key", []string{"-worker", worker + ",exit=sometimes"}, "duplicate parameter \"exit\""},
+		{"bad exit value", []string{"-worker", "url=http://127.0.0.1:1,exit=sometimes"}, `bad exit="sometimes"`},
+		{"missing url", []string{"-worker", "name=w1"}, "-worker requires url="},
+		{"worker given a checkpoint", []string{"-worker", worker + ",checkpoint=" + ckpt}, `unknown parameter "checkpoint"`},
+		{"serve with worker", []string{"-serve", serve, "-worker", worker}, "-serve and -worker are separate processes"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), tc.stderr) {
+			t.Errorf("%s: exit %d, want exit 2 mentioning %q\n%s", tc.name, code, tc.stderr, &stderr)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Fatalf("%s: rejected spec created %s", tc.name, entries[0].Name())
+		}
+	}
+}
+
 // TestProfilesFlushedOnFailedRun: a run that fails after the profiles
 // started (exit 1) still writes them — the flush is deferred in run, and
 // no error path leaves through os.Exit.

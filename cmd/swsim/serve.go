@@ -8,47 +8,35 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/coord"
+	"repro/internal/registry"
 )
 
-// parseKV parses a comma-separated key=value spec ("addr=:8080,
-// checkpoint=coord.jsonl"). Values may contain '=' (only the first one
-// splits) and the allowed key set is closed, so a typo fails loudly
-// instead of being silently ignored.
-func parseKV(flagName, spec string, allowed ...string) (map[string]string, error) {
-	kv := map[string]string{}
-	for _, pair := range strings.Split(spec, ",") {
-		pair = strings.TrimSpace(pair)
-		if pair == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(pair, "=")
-		if !ok || key == "" {
-			return nil, fmt.Errorf("-%s: bad pair %q (want key=value)", flagName, pair)
-		}
-		found := false
-		for _, a := range allowed {
-			if key == a {
-				found = true
-				break
-			}
-		}
-		if !found {
-			sort.Strings(allowed)
-			return nil, fmt.Errorf("-%s: unknown key %q (allowed: %s)", flagName, key, strings.Join(allowed, ", "))
-		}
-		if _, dup := kv[key]; dup {
-			return nil, fmt.Errorf("-%s: duplicate key %q", flagName, key)
-		}
-		kv[key] = val
+// serviceArgs parses a -serve/-worker spec ("addr=:8080,checkpoint=c.jsonl")
+// with the registry grammar every seam's spec uses, named after its mode:
+// the key set is closed, so a typo fails loudly instead of being ignored.
+func serviceArgs(mode, spec string) (*registry.Args, error) {
+	s, err := registry.Parse(mode + ":" + spec)
+	if err != nil {
+		return nil, fmt.Errorf("-%s: %w", mode, err)
 	}
-	return kv, nil
+	return registry.NewArgs("-"+mode, s), nil
+}
+
+// duration reads key as a duration of at least lo, or 0 when absent.
+func duration(a *registry.Args, key string, lo time.Duration) time.Duration {
+	s := a.Str(key, "")
+	if s == "" {
+		return 0
+	}
+	d, err := time.ParseDuration(s)
+	if err != nil || d < lo {
+		a.Failf("parameter %s=%q is not a duration >= %v", key, s, lo)
+	}
+	return d
 }
 
 // signalCtx is the graceful-shutdown context shared by the service
@@ -64,28 +52,23 @@ func signalCtx() (context.Context, context.CancelFunc) {
 //	swsim -serve 'addr=:8080,checkpoint=coord.jsonl,lease=15s,retries=3'
 func runServe(spec string, stderr io.Writer) int {
 	exit := exiter(stderr)
-	kv, err := parseKV("serve", spec, "addr", "checkpoint", "lease", "retries")
+	a, err := serviceArgs("serve", spec)
 	if err != nil {
 		return exit(2, "%v", err)
 	}
-	addr := kv["addr"]
-	if addr == "" {
-		addr = ":8080"
+	addr := a.Str("addr", ":8080")
+	opt := coord.ServerOptions{
+		Checkpoint: a.Str("checkpoint", ""),
+		LeaseTTL:   duration(a, "lease", time.Nanosecond),
+		MaxRetries: a.NonNegativeInt("retries", -1), // 0 is meaningful: fail on first expiry
+		Now:        time.Now,
+		Log:        stderr,
 	}
-	opt := coord.ServerOptions{Checkpoint: kv["checkpoint"], Now: time.Now, Log: stderr}
+	if err := a.Finish(); err != nil {
+		return exit(2, "%v", err)
+	}
 	if opt.Checkpoint == "" {
 		return exit(2, "-serve requires checkpoint= (the journal completed records append to)")
-	}
-	if v := kv["lease"]; v != "" {
-		if opt.LeaseTTL, err = time.ParseDuration(v); err != nil || opt.LeaseTTL <= 0 {
-			return exit(2, "-serve: bad lease=%q (want a positive duration like 15s)", v)
-		}
-	}
-	opt.MaxRetries = -1 // default unless retries= says otherwise (0 is meaningful: fail on first expiry)
-	if v := kv["retries"]; v != "" {
-		if opt.MaxRetries, err = strconv.Atoi(v); err != nil || opt.MaxRetries < 0 {
-			return exit(2, "-serve: bad retries=%q (want an integer >= 0)", v)
-		}
 	}
 
 	s, err := coord.NewServer(opt)
@@ -121,14 +104,26 @@ func runServe(spec string, stderr io.Writer) int {
 //	swsim -worker 'url=http://host:8080,name=w1,exit=drain'
 func runWorker(spec string, stderr io.Writer) int {
 	exit := exiter(stderr)
-	kv, err := parseKV("worker", spec, "url", "name", "exit", "stall", "engine-workers")
+	a, err := serviceArgs("worker", spec)
 	if err != nil {
 		return exit(2, "%v", err)
 	}
-	if kv["url"] == "" {
+	url, name, exitMode := a.Str("url", ""), a.Str("name", ""), a.Str("exit", "never")
+	if exitMode != "drain" && exitMode != "never" {
+		a.Failf("bad exit=%q (want drain or never)", exitMode)
+	}
+	w := &coord.Worker{
+		ExitOnDrain:   exitMode == "drain",
+		Stall:         duration(a, "stall", 0),
+		EngineWorkers: a.NonNegativeInt("engine-workers", 0),
+		Log:           stderr,
+	}
+	if err := a.Finish(); err != nil {
+		return exit(2, "%v", err)
+	}
+	if url == "" {
 		return exit(2, "-worker requires url= (the coordinator address)")
 	}
-	name := kv["name"]
 	if name == "" {
 		host, _ := os.Hostname()
 		if host == "" {
@@ -136,24 +131,7 @@ func runWorker(spec string, stderr io.Writer) int {
 		}
 		name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	w := &coord.Worker{Client: coord.NewClient(kv["url"]), Name: name, Log: stderr}
-	switch kv["exit"] {
-	case "", "never":
-	case "drain":
-		w.ExitOnDrain = true
-	default:
-		return exit(2, "-worker: bad exit=%q (want drain or never)", kv["exit"])
-	}
-	if v := kv["stall"]; v != "" {
-		if w.Stall, err = time.ParseDuration(v); err != nil || w.Stall < 0 {
-			return exit(2, "-worker: bad stall=%q (want a duration like 5s)", v)
-		}
-	}
-	if v := kv["engine-workers"]; v != "" {
-		if w.EngineWorkers, err = strconv.Atoi(v); err != nil || w.EngineWorkers < 0 {
-			return exit(2, "-worker: bad engine-workers=%q (want an integer >= 0)", v)
-		}
-	}
+	w.Client, w.Name = coord.NewClient(url), name
 	ctx, stop := signalCtx()
 	defer stop()
 	n, err := w.Run(ctx)

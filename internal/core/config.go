@@ -13,9 +13,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"strconv"
+	"slices"
 
 	"repro/internal/fault"
+	"repro/internal/message"
 	"repro/internal/registry"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -225,8 +226,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: algorithm %q needs V >= %d on %s, got %d", name, minV, net, c.V)
 	case c.BufDepth < 1:
 		return fmt.Errorf("core: BufDepth must be >= 1, got %d", c.BufDepth)
-	case c.MsgLen < 1:
-		return fmt.Errorf("core: MsgLen must be >= 1, got %d", c.MsgLen)
+	case c.MsgLen < 1 || c.MsgLen > message.MaxLen:
+		return fmt.Errorf("core: MsgLen must be in [1,%d], got %d", message.MaxLen, c.MsgLen)
 	case !(c.Lambda > 0) || math.IsInf(c.Lambda, 0): // negated to reject NaN
 		return fmt.Errorf("core: Lambda must be positive and finite, got %g", c.Lambda)
 	case c.MeasureMessages < 1:
@@ -319,25 +320,16 @@ func (c Config) validateWorkload(net topology.Network) error {
 // the decimal-keyed per-node parameters plus the parameters the registry
 // declares as node-valued (Info.NodeIDKeys) — against the network size.
 func checkSpecNodeIDs(spec registry.Spec, info traffic.Info, total int) error {
-	inRange := func(s string) error {
-		id, err := strconv.Atoi(s)
-		if err != nil || id < 0 || id >= total {
-			return fmt.Errorf("node id %q out of range [0,%d)", s, total)
-		}
-		return nil
-	}
 	for _, p := range spec.Params {
-		if registry.IsNodeKey(p.Key) {
-			if err := inRange(p.Key); err != nil {
-				return err
+		id := p.Key
+		if !registry.IsNodeKey(id) {
+			if !slices.Contains(info.NodeIDKeys, p.Key) {
+				continue
 			}
+			id = p.Value
 		}
-	}
-	for _, key := range info.NodeIDKeys {
-		if s, ok := spec.Get(key); ok {
-			if err := inRange(s); err != nil {
-				return err
-			}
+		if _, err := registry.IntField("node id", id, 0, int64(total)-1); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -32,6 +32,7 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.V = 2; c.Algorithm = "adaptive" },
 		func(c *Config) { c.BufDepth = 0 },
 		func(c *Config) { c.MsgLen = 0 },
+		func(c *Config) { c.MsgLen = message.MaxLen + 1 }, // flit MaxLen+1 would read as a head
 		func(c *Config) { c.Lambda = 0 },
 		func(c *Config) { c.Lambda = math.NaN() }, // NaN compares false against every bound
 		func(c *Config) { c.Lambda = math.Inf(1) },

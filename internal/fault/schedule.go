@@ -4,7 +4,7 @@ package fault
 // fault Set, selected by internal/registry's "name:key=val,..." spec
 // grammar like every other seam. Two schedules are built in:
 //
-//	trace:file=<events>     replay a CSV/JSONL event file
+//	trace:file=<events>     replay a CSV event file
 //	mtbf:mtbf=<c>,mttr=<c>  generative MTBF/MTTR renewal process
 //
 // The engine calls Advance exactly once per cycle, serially, before any
@@ -16,15 +16,11 @@ package fault
 // internal/metrics.
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/registry"
 	"repro/internal/rng"
@@ -127,175 +123,61 @@ func NewTraceSchedule(evs []Transition) Schedule {
 	return &traceSchedule{evs: evs}
 }
 
-// ParseScheduleTrace reads a fault-transition event file and validates it
-// against the topology. Two line formats may be mixed freely:
+// ParseScheduleTrace reads a fault-transition event file, one CSV record
+// per line through registry.ReadRecords (blank and '#' lines skipped):
 //
-//	CSV:    cycle,fail|heal,node,<id>
-//	        cycle,fail|heal,link,<src>,<port>
-//	JSONL:  {"cycle":N,"op":"fail","elem":"node","id":5}
-//	        {"cycle":N,"op":"heal","elem":"link","src":3,"port":1}
+//	cycle,fail|heal,node,<id>
+//	cycle,fail|heal,link,<src>,<port>
 //
-// Blank lines and '#' comments are skipped. Cycles must be >= 0 and
+// and validates it against the topology. Cycles must be >= 0 and
 // non-decreasing; node ids must be in range; link channels must exist on
-// the topology. Violations are reported as errors with line numbers —
-// never panics — so untrusted trace files fail closed.
+// the topology. Violations are reported as errors naming the line — never
+// panics — so untrusted trace files fail closed.
 func ParseScheduleTrace(r io.Reader, t topology.Network) ([]Transition, error) {
 	var out []Transition
-	sc := bufio.NewScanner(r)
-	lastCycle := int64(-1)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		var tr Transition
-		var err error
-		if strings.HasPrefix(line, "{") {
-			tr, err = parseTraceJSON(line, t)
-		} else {
-			tr, err = parseTraceCSV(line, t)
-		}
+	err := registry.ReadRecords(r, func(f []string) error {
+		tr, err := parseTraceRecord(f, t)
 		if err != nil {
-			return nil, fmt.Errorf("fault: schedule trace line %d: %w", lineNo, err)
+			return err
 		}
-		if tr.Cycle < lastCycle {
-			return nil, fmt.Errorf("fault: schedule trace line %d: cycle %d out of order (previous %d)", lineNo, tr.Cycle, lastCycle)
+		if n := len(out); n > 0 && tr.Cycle < out[n-1].Cycle {
+			return fmt.Errorf("cycle %d out of order (previous %d)", tr.Cycle, out[n-1].Cycle)
 		}
-		lastCycle = tr.Cycle
 		out = append(out, tr)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fault: schedule trace: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-func parseTraceOp(op string) (fail bool, err error) {
-	switch op {
-	case "fail":
-		return true, nil
-	case "heal":
-		return false, nil
+func parseTraceRecord(f []string, t topology.Network) (Transition, error) {
+	if len(f) != 4 && len(f) != 5 {
+		return Transition{}, fmt.Errorf("torn record of %d fields (want cycle,op,node,<id> or cycle,op,link,<src>,<port>)", len(f))
 	}
-	return false, fmt.Errorf("bad op %q (want fail|heal)", op)
-}
-
-func traceNode(t topology.Network, id int64) (topology.NodeID, error) {
-	if id < 0 || id >= int64(t.Nodes()) {
-		return 0, fmt.Errorf("node id %d out of range [0,%d)", id, t.Nodes())
-	}
-	return topology.NodeID(id), nil
-}
-
-func traceLink(t topology.Network, src, port int64) (topology.ChannelID, error) {
-	if src < 0 || src >= int64(t.Nodes()) {
-		return topology.ChannelID{}, fmt.Errorf("link source %d out of range [0,%d)", src, t.Nodes())
-	}
-	if port < 0 || port >= int64(t.Degree()) {
-		return topology.ChannelID{}, fmt.Errorf("link port %d out of range [0,%d)", port, t.Degree())
-	}
-	p := topology.Port(port)
-	if !t.HasLink(topology.NodeID(src), p.Dim(), p.Dir()) {
-		return topology.ChannelID{}, fmt.Errorf("link %v does not exist on %s",
-			topology.ChannelID{Src: topology.NodeID(src), Port: p}, t)
-	}
-	return topology.ChannelID{Src: topology.NodeID(src), Port: p}, nil
-}
-
-func parseTraceCSV(line string, t topology.Network) (Transition, error) {
-	fields := strings.Split(line, ",")
-	for i := range fields {
-		fields[i] = strings.TrimSpace(fields[i])
-	}
-	if len(fields) < 4 {
-		return Transition{}, fmt.Errorf("torn record %q (want cycle,op,node,<id> or cycle,op,link,<src>,<port>)", line)
-	}
-	cycle, err := strconv.ParseInt(fields[0], 10, 64)
-	if err != nil || cycle < 0 {
-		return Transition{}, fmt.Errorf("bad cycle %q", fields[0])
-	}
-	fail, err := parseTraceOp(fields[1])
+	cycle, err := registry.IntField("cycle", f[0], 0, math.MaxInt64)
 	if err != nil {
 		return Transition{}, err
 	}
-	tr := Transition{Cycle: cycle, Fail: fail}
-	switch fields[2] {
-	case "node":
-		if len(fields) != 4 {
-			return Transition{}, fmt.Errorf("node record %q has %d fields (want 4)", line, len(fields))
-		}
-		id, err := strconv.ParseInt(fields[3], 10, 64)
-		if err != nil {
-			return Transition{}, fmt.Errorf("bad node id %q", fields[3])
-		}
-		tr.Node, err = traceNode(t, id)
+	tr := Transition{Cycle: cycle, Fail: f[1] == "fail"}
+	if !tr.Fail && f[1] != "heal" {
+		return Transition{}, fmt.Errorf("bad op %q (want fail|heal)", f[1])
+	}
+	switch {
+	case f[2] == "node" && len(f) == 4:
+		id, err := registry.IntField("node id", f[3], 0, int64(t.Nodes())-1)
 		if err != nil {
 			return Transition{}, err
 		}
-	case "link":
-		if len(fields) != 5 {
-			return Transition{}, fmt.Errorf("link record %q has %d fields (want 5)", line, len(fields))
-		}
-		src, err1 := strconv.ParseInt(fields[3], 10, 64)
-		port, err2 := strconv.ParseInt(fields[4], 10, 64)
-		if err1 != nil || err2 != nil {
-			return Transition{}, fmt.Errorf("bad link endpoint in %q", line)
-		}
+		tr.Node = topology.NodeID(id)
+	case f[2] == "link" && len(f) == 5:
 		tr.IsLink = true
-		tr.Link, err = traceLink(t, src, port)
-		if err != nil {
+		if tr.Link, err = topology.ParseChannel(t, f[3], f[4]); err != nil {
 			return Transition{}, err
 		}
 	default:
-		return Transition{}, fmt.Errorf("bad element %q (want node|link)", fields[2])
-	}
-	return tr, nil
-}
-
-func parseTraceJSON(line string, t topology.Network) (Transition, error) {
-	var rec struct {
-		Cycle *int64 `json:"cycle"`
-		Op    string `json:"op"`
-		Elem  string `json:"elem"`
-		ID    *int64 `json:"id"`
-		Src   *int64 `json:"src"`
-		Port  *int64 `json:"port"`
-	}
-	dec := json.NewDecoder(strings.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rec); err != nil {
-		return Transition{}, fmt.Errorf("bad JSON record: %v", err)
-	}
-	if rec.Cycle == nil || *rec.Cycle < 0 {
-		return Transition{}, fmt.Errorf("missing or negative cycle")
-	}
-	fail, err := parseTraceOp(rec.Op)
-	if err != nil {
-		return Transition{}, err
-	}
-	tr := Transition{Cycle: *rec.Cycle, Fail: fail}
-	switch rec.Elem {
-	case "node":
-		if rec.ID == nil {
-			return Transition{}, fmt.Errorf("node record missing id")
-		}
-		tr.Node, err = traceNode(t, *rec.ID)
-		if err != nil {
-			return Transition{}, err
-		}
-	case "link":
-		if rec.Src == nil || rec.Port == nil {
-			return Transition{}, fmt.Errorf("link record missing src/port")
-		}
-		tr.IsLink = true
-		tr.Link, err = traceLink(t, *rec.Src, *rec.Port)
-		if err != nil {
-			return Transition{}, err
-		}
-	default:
-		return Transition{}, fmt.Errorf("bad element %q (want node|link)", rec.Elem)
+		return Transition{}, fmt.Errorf("bad element %q in a %d-field record (want node,<id> or link,<src>,<port>)", f[2], len(f))
 	}
 	return tr, nil
 }
@@ -415,7 +297,7 @@ func init() {
 	RegisterSchedule(registry.Info{
 		Name:        "trace",
 		Usage:       "trace:file=<events>",
-		Description: "replay fail/heal events from a CSV/JSONL file (cycle,fail|heal,node,<id> / ...,link,<src>,<port>)",
+		Description: "replay fail/heal events from a CSV file (cycle,fail|heal,node,<id> / ...,link,<src>,<port>)",
 	}, func(spec registry.Spec) (ScheduleBuilder, error) {
 		a := schedules.Args(spec)
 		file := a.Str("file", "")
@@ -430,7 +312,7 @@ func init() {
 			defer f.Close()
 			evs, err := ParseScheduleTrace(f, env.T)
 			if err != nil {
-				return nil, fmt.Errorf("%s: %w", file, err)
+				return nil, fmt.Errorf("fault: schedule trace %s: %w", file, err)
 			}
 			return NewTraceSchedule(evs), nil
 		}, a.Finish()

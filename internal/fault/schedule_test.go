@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -71,17 +73,25 @@ func TestCheckScheduleSpec(t *testing.T) {
 	if _, err := NewSchedule("trace:file=/definitely/not/there.csv", ScheduleEnv{T: topology.New(4, 2)}); err == nil {
 		t.Fatal("NewSchedule accepted a nonexistent trace file")
 	}
+	// A bad record is reported as <file>: line N.
+	file := filepath.Join(t.TempDir(), "events.csv")
+	if err := os.WriteFile(file, []byte("# events\n100,fail,node,5\n200,heal,node,99\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSchedule("trace:file="+file, ScheduleEnv{T: topology.New(4, 2)}); err == nil || !strings.Contains(err.Error(), file+": line 3: node id 99") {
+		t.Fatalf("got %v, want an error naming %s: line 3", err, file)
+	}
 }
 
 func TestParseScheduleTrace(t *testing.T) {
 	tor := topology.New(4, 2)
 	in := strings.Join([]string{
-		"# mixed CSV and JSONL, comments and blanks skipped",
+		"# comments and blanks skipped",
 		"",
 		"100,fail,node,5",
 		"150,fail,link,3,1",
-		`{"cycle":200,"op":"heal","elem":"node","id":5}`,
-		`{"cycle":220,"op":"heal","elem":"link","src":3,"port":1}`,
+		" 200 , heal , node , 5 ",
+		"220,heal,link,3,1\r",
 	}, "\n")
 	evs, err := ParseScheduleTrace(strings.NewReader(in), tor)
 	if err != nil {
@@ -97,21 +107,22 @@ func TestParseScheduleTrace(t *testing.T) {
 		t.Fatalf("parsed %+v, want %+v", evs, want)
 	}
 	for _, bad := range []string{
-		"100,fail,node",                                      // torn record
-		"100,fail,node,99",                                   // node out of range
-		"100,fail,link,3,9",                                  // port out of range
-		"100,fail,link,3",                                    // torn link record
-		"100,explode,node,5",                                 // bad op
-		"-5,fail,node,1",                                     // negative cycle
-		"200,fail,node,1\n100,fail,node,2",                   // out-of-order cycles
-		`{"cycle":100,"op":"fail","elem":"node"}`,            // missing id
-		`{"cycle":100,"op":"fail","elem":"node","id":1,`,     // torn JSON
-		`{"op":"fail","elem":"node","id":1}`,                 // missing cycle
-		`{"cycle":1,"op":"fail","elem":"node","id":1,"x":2}`, // unknown field
+		"100,fail,node",                    // torn record
+		"100,fail,node,99",                 // node out of range
+		"100,fail,link,3,9",                // port out of range
+		"100,fail,link,3",                  // torn link record
+		"100,explode,node,5",               // bad op
+		"-5,fail,node,1",                   // negative cycle
+		"200,fail,node,1\n100,fail,node,2", // out-of-order cycles
 	} {
 		if _, err := ParseScheduleTrace(strings.NewReader(bad), tor); err == nil {
 			t.Fatalf("ParseScheduleTrace accepted %q", bad)
 		}
+	}
+	// The JSONL dialect is gone: such a line is a bad record, named by line.
+	jsonl := "100,fail,node,5\n\n" + `{"cycle":200,"op":"heal","elem":"node","id":5}`
+	if _, err := ParseScheduleTrace(strings.NewReader(jsonl), tor); err == nil || !strings.HasPrefix(err.Error(), "line 3: ") {
+		t.Fatalf("JSONL line: got %v, want an error naming line 3", err)
 	}
 	// Mesh edge channels do not exist and must be rejected, not panic.
 	msh := topology.NewMesh(4, 2)
@@ -137,6 +148,11 @@ func FuzzParseScheduleTrace(f *testing.F) {
 		evs, err := ParseScheduleTrace(strings.NewReader(in), tor)
 		if err != nil {
 			return
+		}
+		for _, line := range strings.Split(in, "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "{") {
+				t.Fatalf("accepted a JSONL line %q", line)
+			}
 		}
 		last := int64(-1)
 		for _, tr := range evs {

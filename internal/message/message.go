@@ -54,6 +54,11 @@ func (m Mode) String() string {
 // pool lookup.
 const tailBit = 1 << 31
 
+// MaxLen is the longest worm a Flit can number: seq shares its uint32 with
+// the tail flag, so flit 1<<31 of a longer worm would read as a second head.
+// Every path a length enters by (Config.MsgLen, workload records) checks it.
+const MaxLen = 1<<31 - 1
+
 // Flit is one flow-control digit of a message: an 8-byte value carrying the
 // owning message's pool Ref and the flit's sequence number (tail flag packed
 // into the top bit). Flits exist only inside router buffers; Seq runs

@@ -19,6 +19,12 @@ type Args struct {
 	err  error
 }
 
+// NewArgs returns an accessor over a spec no Table owns (a service mode's
+// settings); pkg prefixes its errors.
+func NewArgs(pkg string, spec Spec) *Args {
+	return &Args{pkg: pkg, spec: spec, used: make([]bool, len(spec.Params))}
+}
+
 // Failf records a parameter error (the first one wins), prefixed with the
 // owning package and the spec.
 func (a *Args) Failf(format string, v ...any) {
@@ -113,13 +119,18 @@ func (a *Args) Int(key string, def int) int {
 }
 
 // PositiveInt is Int restricted to values >= 1 when present.
-func (a *Args) PositiveInt(key string, def int) int {
+func (a *Args) PositiveInt(key string, def int) int { return a.intAtLeast(key, def, 1) }
+
+// NonNegativeInt is Int restricted to values >= 0 when present.
+func (a *Args) NonNegativeInt(key string, def int) int { return a.intAtLeast(key, def, 0) }
+
+func (a *Args) intAtLeast(key string, def, lo int) int {
 	v, ok := a.integer(key)
 	if !ok {
 		return def
 	}
-	if v < 1 {
-		a.Failf("parameter %s must be >= 1, got %d", key, v)
+	if v < lo {
+		a.Failf("parameter %s must be >= %d, got %d", key, lo, v)
 	}
 	return v
 }

@@ -3,12 +3,16 @@
 // arrival sources, fault schedules): the "name[:key=val,...]" spec grammar
 // (Spec, Parse), the typed parameter accessor factories and static checks
 // share (Args), and the name+alias table with its sorted listing (Table).
-// It is a leaf package; each seam keeps only its typed Register/New/Check
-// entry points.
+// Beside the grammar sits the one reader for the comma-separated files the
+// simulator is handed (ReadRecords, IntField). It is a leaf package; each
+// seam keeps only its typed Register/New/Check entry points.
 package registry
 
 import (
+	"bufio"
 	"fmt"
+	"io"
+	"strconv"
 	"strings"
 )
 
@@ -109,4 +113,41 @@ func Parse(s string) (Spec, error) {
 		spec.Params = append(spec.Params, Param{Key: key, Value: val})
 	}
 	return spec, nil
+}
+
+// ReadRecords is the one tokeniser for the files the simulator is handed
+// (fault traces, workloads, latency maps): each line is trimmed, blank and
+// '#' lines are skipped, and the rest is split on commas with every field
+// trimmed before fn sees it. An error from fn comes back prefixed with
+// "line N: "; a file opener puts the file's name in front of that.
+func ReadRecords(r io.Reader, fn func(fields []string) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	for n := 1; sc.Scan(); n++ {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Split(line, ",")
+		for i := range fields {
+			fields[i] = strings.TrimSpace(fields[i])
+		}
+		if err := fn(fields); err != nil {
+			return fmt.Errorf("line %d: %w", n, err)
+		}
+	}
+	return sc.Err()
+}
+
+// IntField parses a record's decimal integer field, which must lie in
+// [lo, hi]; name says which field in the error.
+func IntField(name, s string, lo, hi int64) (int64, error) {
+	v, err := strconv.ParseInt(s, 10, 64)
+	switch {
+	case err != nil:
+		return 0, fmt.Errorf("%s %q is not a decimal int64", name, s)
+	case v < lo || v > hi:
+		return 0, fmt.Errorf("%s %d out of range [%d,%d]", name, v, lo, hi)
+	}
+	return v, nil
 }

@@ -113,5 +113,5 @@ func (t *Table[E]) Resolve(specStr string) (E, Spec, error) {
 // Args returns a typed accessor over spec whose errors carry the table's
 // package prefix.
 func (t *Table[E]) Args(spec Spec) *Args {
-	return &Args{pkg: t.pkg, spec: spec, used: make([]bool, len(spec.Params))}
+	return NewArgs(t.pkg, spec)
 }

@@ -1,11 +1,11 @@
 package topology
 
 import (
-	"bufio"
+	"cmp"
 	"fmt"
+	"io"
+	"math"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/registry"
 )
@@ -102,8 +102,9 @@ func Register(info registry.Info, factory Factory) {
 
 // NewNetwork builds the network described by a spec string ("torus:k=8,n=2",
 // "mesh:k=8,n=2", "hypercube:n=10"). The reserved latmap=<file> parameter
-// applies a per-link latency overlay to any topology and is consumed here,
-// before the factory sees the spec.
+// applies a per-link latency overlay to any topology (ReadLatencyOverlay;
+// errors name the file and line) and is consumed here, before the factory
+// sees the spec.
 func NewNetwork(specStr string) (Network, error) {
 	factory, spec, err := topologies.Resolve(specStr)
 	if err != nil {
@@ -123,10 +124,20 @@ func NewNetwork(specStr string) (Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	if latmap != "" {
-		return LoadLatencyOverlay(net, latmap)
+	if latmap == "" {
+		return net, nil
 	}
-	return net, nil
+	f, err := os.Open(latmap)
+	if err != nil {
+		return nil, fmt.Errorf("topology: latmap: %w", err)
+	}
+	defer f.Close()
+	ov, err := ReadLatencyOverlay(net, f)
+	if err != nil {
+		return nil, fmt.Errorf("topology: latmap %s: %w", latmap, err)
+	}
+	ov.file = latmap
+	return ov, nil
 }
 
 // Topologies returns the Info of every registered topology, sorted by
@@ -220,62 +231,53 @@ type LatencyOverlay struct {
 	file string
 }
 
-// NewLatencyOverlay wraps base with explicit per-link latencies. Every
-// mapped channel must exist in base and carry a latency >= 1.
-func NewLatencyOverlay(base Network, lat map[ChannelID]int64) (*LatencyOverlay, error) {
-	for ch, l := range lat {
-		if !base.Valid(ch.Src) || !base.HasLink(ch.Src, ch.Port.Dim(), ch.Port.Dir()) {
-			return nil, fmt.Errorf("topology: latmap names nonexistent channel %v", ch)
+// MaxLinkLatency is the slowest wire a latmap may name. The engine schedules
+// an arrival at now+latency-1 in int64 cycles; capping latencies at 2^31-1
+// leaves every reachable cycle count 2^63-2^31 of headroom, so that sum
+// cannot wrap and turn a slow wire into an instant one.
+const MaxLinkLatency = math.MaxInt32
+
+// ReadLatencyOverlay reads latmap records ("src,port,latency", through
+// registry.ReadRecords) and wraps base with them. Each record sets the
+// latency of the unidirectional channel leaving node src through port; the
+// channel must exist on base (ParseChannel) and be listed once, and the
+// latency must lie in [1, MaxLinkLatency].
+func ReadLatencyOverlay(base Network, r io.Reader) (*LatencyOverlay, error) {
+	lat := make(map[ChannelID]int64)
+	err := registry.ReadRecords(r, func(f []string) error {
+		if len(f) != 3 {
+			return fmt.Errorf("want src,port,latency, got %d fields", len(f))
 		}
-		if l < 1 {
-			return nil, fmt.Errorf("topology: latmap channel %v: latency must be >= 1, got %d", ch, l)
+		ch, err1 := ParseChannel(base, f[0], f[1])
+		l, err2 := registry.IntField("latency", f[2], 1, MaxLinkLatency)
+		if err := cmp.Or(err1, err2); err != nil {
+			return err
 		}
+		if _, dup := lat[ch]; dup {
+			return fmt.Errorf("channel %v listed twice", ch)
+		}
+		lat[ch] = l
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &LatencyOverlay{Network: base, lat: lat}, nil
 }
 
-// LoadLatencyOverlay reads a latmap CSV (lines "src,port,latency"; '#'
-// comments and blank lines ignored) and wraps base with it. Each line sets
-// the latency of the unidirectional channel leaving node src through port.
-func LoadLatencyOverlay(base Network, file string) (*LatencyOverlay, error) {
-	f, err := os.Open(file)
-	if err != nil {
-		return nil, fmt.Errorf("topology: latmap: %w", err)
+// ParseChannel reads a record's src and port fields as the channel leaving
+// node src through port, which must exist on t.
+func ParseChannel(t Network, src, port string) (ChannelID, error) {
+	s, err1 := registry.IntField("src", src, 0, int64(t.Nodes())-1)
+	p, err2 := registry.IntField("port", port, 0, int64(t.Degree())-1)
+	if err := cmp.Or(err1, err2); err != nil {
+		return ChannelID{}, err
 	}
-	defer f.Close()
-	lat := make(map[ChannelID]int64)
-	sc := bufio.NewScanner(f)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		parts := strings.Split(line, ",")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("topology: latmap %s:%d: want src,port,latency", file, lineNo)
-		}
-		src, err1 := strconv.Atoi(strings.TrimSpace(parts[0]))
-		port, err2 := strconv.Atoi(strings.TrimSpace(parts[1]))
-		l, err3 := strconv.ParseInt(strings.TrimSpace(parts[2]), 10, 64)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("topology: latmap %s:%d: want integer src,port,latency", file, lineNo)
-		}
-		if port < 0 || port >= base.Degree() {
-			return nil, fmt.Errorf("topology: latmap %s:%d: port %d out of range [0,%d)", file, lineNo, port, base.Degree())
-		}
-		lat[ChannelID{Src: NodeID(src), Port: Port(port)}] = l
+	ch := ChannelID{Src: NodeID(s), Port: Port(p)}
+	if !t.HasLink(ch.Src, ch.Port.Dim(), ch.Port.Dir()) {
+		return ChannelID{}, fmt.Errorf("channel %v does not exist on %s", ch, t)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("topology: latmap: %w", err)
-	}
-	ov, err := NewLatencyOverlay(base, lat)
-	if err != nil {
-		return nil, err
-	}
-	ov.file = file
-	return ov, nil
+	return ch, nil
 }
 
 // LinkLatency returns the mapped latency, or 0 (engine default) for

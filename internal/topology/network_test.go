@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -199,6 +200,72 @@ func TestLatencyOverlay(t *testing.T) {
 	if _, err := NewNetwork("torus:k=8,n=2,latmap=" + zero); err == nil {
 		t.Error("zero latency accepted")
 	}
+}
+
+// TestLatencyOverlayLimits: a latency the engine's int64 arrival arithmetic
+// could wrap on, or a channel listed twice, is refused, and the error names
+// the file and line.
+func TestLatencyOverlayLimits(t *testing.T) {
+	dir := t.TempDir()
+	for i, tc := range []struct{ content, want string }{
+		{"5,0,3\n5,0,9223372036854775807\n", "line 2: latency 9223372036854775807 out of range"},
+		{"5,0,2147483648\n", "line 1: latency 2147483648 out of range"},
+		{"# src,port,latency\n5,0,3\n5,1,4\n5,0,4\n", "line 4: channel"},
+	} {
+		file := filepath.Join(dir, fmt.Sprintf("lat%d.csv", i))
+		if err := os.WriteFile(file, []byte(tc.content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := NewNetwork("torus:k=4,n=2,latmap=" + file)
+		if err == nil || !strings.Contains(err.Error(), file+": "+tc.want) {
+			t.Errorf("%q: got %v, want an error containing %q", tc.content, err, file+": "+tc.want)
+		}
+	}
+	ov, err := ReadLatencyOverlay(New(4, 2), strings.NewReader("5,0,2147483647"))
+	if err != nil || ov.LinkLatency(5, 0) != MaxLinkLatency {
+		t.Errorf("MaxLinkLatency refused: %v", err)
+	}
+}
+
+// FuzzLatencyMap hardens the latmap reader: any input is either an error
+// or an overlay of existing channels, each listed once with a latency in
+// [1, MaxLinkLatency].
+func FuzzLatencyMap(f *testing.F) {
+	for _, seed := range []string{
+		"# src,port,latency\n5,0,3\n5,1,4\n\n12,2,7",
+		"0,0,9223372036854775807", // wraps now+latency-1
+		"0,0,2147483648",          // one past MaxLinkLatency
+		"+1,0,3", "01,0,3", "1,0,1.0",
+		"1,0,3\r\n2,1,3\r\n",
+		`{"src":1,"port":0,"latency":3}`,
+		"☃,0,3", "1,0,3\xff",
+		"1,0", "1,0,3,4",
+		"5,0,3\n5,0,4", // a channel twice
+	} {
+		f.Add(seed)
+	}
+	base := New(4, 2)
+	f.Fuzz(func(t *testing.T, in string) {
+		ov, err := ReadLatencyOverlay(base, strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		records := 0
+		if err := registry.ReadRecords(strings.NewReader(in), func([]string) error { records++; return nil }); err != nil {
+			t.Fatalf("%q: the overlay accepted what the reader refuses: %v", in, err)
+		}
+		if records != len(ov.lat) {
+			t.Fatalf("%q: %d records but %d channels: one was listed twice", in, records, len(ov.lat))
+		}
+		for ch, l := range ov.lat {
+			if !base.Valid(ch.Src) || !base.HasLink(ch.Src, ch.Port.Dim(), ch.Port.Dir()) {
+				t.Fatalf("%q: accepted nonexistent channel %v", in, ch)
+			}
+			if l < 1 || l > MaxLinkLatency {
+				t.Fatalf("%q: channel %v latency %d outside [1,%d]", in, ch, l, MaxLinkLatency)
+			}
+		}
+	})
 }
 
 // TestHypercubeIsBinaryTorus pins the alias semantics: a hypercube:n spec

@@ -2,11 +2,13 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
+	"math"
 
+	"repro/internal/message"
+	"repro/internal/registry"
 	"repro/internal/topology"
 )
 
@@ -48,40 +50,27 @@ func (w *Workload) Write(out io.Writer) error {
 	return bw.Flush()
 }
 
-// ParseWorkload reads the CSV format Write produces. Blank lines and lines
-// starting with '#' are skipped.
+// ParseWorkload reads the CSV format Write produces, through the shared
+// record reader (registry.ReadRecords: blank and '#' lines skipped, errors
+// name the line). A length must lie in [1, message.MaxLen].
 func ParseWorkload(in io.Reader) (*Workload, error) {
 	var w Workload
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	err := registry.ReadRecords(in, func(f []string) error {
+		if len(f) != 4 {
+			return fmt.Errorf("want cycle,src,dst,len, got %d fields", len(f))
 		}
-		fields := strings.Split(line, ",")
-		if len(fields) != 4 {
-			return nil, fmt.Errorf("trace: workload line %d: want cycle,src,dst,len, got %q", lineNo, line)
+		cycle, err1 := registry.IntField("cycle", f[0], 0, math.MaxInt64)
+		src, err2 := registry.IntField("src", f[1], 0, math.MaxInt)
+		dst, err3 := registry.IntField("dst", f[2], 0, math.MaxInt)
+		n, err4 := registry.IntField("len", f[3], 1, message.MaxLen)
+		if err := cmp.Or(err1, err2, err3, err4); err != nil {
+			return err
 		}
-		var vals [4]int64
-		for i, f := range fields {
-			v, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
-			if err != nil || v < 0 {
-				return nil, fmt.Errorf("trace: workload line %d: bad field %q", lineNo, f)
-			}
-			vals[i] = v
-		}
-		w.Append(WorkloadRecord{
-			Cycle: vals[0],
-			Src:   topology.NodeID(vals[1]),
-			Dst:   topology.NodeID(vals[2]),
-			Len:   int(vals[3]),
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: reading workload: %w", err)
+		w.Append(WorkloadRecord{Cycle: cycle, Src: topology.NodeID(src), Dst: topology.NodeID(dst), Len: int(n)})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &w, nil
 }

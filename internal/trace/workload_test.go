@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -41,15 +42,57 @@ func TestParseWorkloadSkipsCommentsAndBlanks(t *testing.T) {
 
 func TestParseWorkloadErrors(t *testing.T) {
 	for _, in := range []string{
-		"1,2,3",     // too few fields
-		"1,2,3,4,5", // too many fields
-		"x,2,3,4",   // not a number
-		"-1,2,3,4",  // negative cycle
-		"1,-2,3,4",  // negative node
-		"1,2,3,4.5", // non-integer length
+		"1,2,3",                               // too few fields
+		"1,2,3,4,5",                           // too many fields
+		"x,2,3,4",                             // not a number
+		"-1,2,3,4",                            // negative cycle
+		"1,-2,3,4",                            // negative node
+		"1,2,3,4.5",                           // non-integer length
+		"1,2,3,0",                             // empty worm
+		"1,2,3,2147483648",                    // message.MaxLen+1: flit 1<<31 would read as a head
+		"1,2,3,9223372036854775807",           // the longest int64 length
+		`{"cycle":1,"src":2,"dst":3,"len":4}`, // JSONL is not a workload
 	} {
 		if _, err := ParseWorkload(strings.NewReader(in)); err == nil {
 			t.Errorf("%q accepted", in)
 		}
 	}
+	// Errors name the line; the longest legal worm is accepted.
+	if _, err := ParseWorkload(strings.NewReader("# h\n1,2,3,4\n\n5,6,7\n")); err == nil || !strings.HasPrefix(err.Error(), "line 4: ") {
+		t.Errorf("got %v, want an error naming line 4", err)
+	}
+	if w, err := ParseWorkload(strings.NewReader("1,2,3,2147483647")); err != nil || w.Records[0].Len != 1<<31-1 {
+		t.Errorf("message.MaxLen rejected: %v", err)
+	}
+}
+
+// FuzzParseWorkload hardens the workload reader: any input is either an
+// error or a workload that survives Write and a second parse unchanged.
+func FuzzParseWorkload(f *testing.F) {
+	for _, seed := range []string{
+		"# workload: cycle,src,dst,len\n1,0,5,32\n9,63,2,8",
+		"1,0,5,2147483648",          // one past message.MaxLen
+		"1,0,5,9223372036854775807", // the longest int64 length
+		"+1,0,5,4", "01,0,5,4", "1.0,0,5,4",
+		"1,0,5,4\r\n2,1,6,4\r\n",
+		`{"cycle":1,"src":0,"dst":5,"len":4}`,
+		"☃,0,5,4", "1,0,5\xff,4",
+		"1,0,5", "1,0,5,4,9",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		w, err := ParseWorkload(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var b strings.Builder
+		if err := w.Write(&b); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseWorkload(strings.NewReader(b.String()))
+		if err != nil || !reflect.DeepEqual(again, w) {
+			t.Fatalf("%q parsed to %+v, but its rendering %q parses to %+v, %v", in, w, b.String(), again, err)
+		}
+	})
 }

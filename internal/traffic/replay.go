@@ -45,8 +45,8 @@ func NewReplay(t topology.Network, f *fault.Set, w *trace.Workload, mode message
 			return nil, fmt.Errorf("traffic: replay record %d: endpoints %d->%d out of range [0,%d)", i, r.Src, r.Dst, total)
 		case r.Src == r.Dst:
 			return nil, fmt.Errorf("traffic: replay record %d: self-addressed message at node %d", i, r.Src)
-		case r.Len < 1:
-			return nil, fmt.Errorf("traffic: replay record %d: message length %d < 1", i, r.Len)
+		case r.Len < 1 || r.Len > message.MaxLen:
+			return nil, fmt.Errorf("traffic: replay record %d: message length %d not in [1,%d]", i, r.Len, message.MaxLen)
 		}
 		if f != nil && (f.NodeFaulty(r.Src) || f.NodeFaulty(r.Dst)) {
 			return nil, fmt.Errorf("traffic: replay record %d: endpoint of %d->%d is faulty", i, r.Src, r.Dst)

@@ -387,7 +387,7 @@ func init() {
 			defer f.Close()
 			w, err := trace.ParseWorkload(f)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("traffic: replay %s: %w", file, err)
 			}
 			return NewReplay(env.T, env.F, w, env.Mode)
 		}, a.Finish()

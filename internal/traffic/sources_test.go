@@ -2,10 +2,13 @@ package traffic
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/message"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -214,11 +217,12 @@ func TestReplayValidatesRecords(t *testing.T) {
 	fs := fault.NewSet(tor)
 	fs.MarkNode(5)
 	for _, rec := range []trace.WorkloadRecord{
-		{Cycle: -1, Src: 0, Dst: 1, Len: 4}, // negative cycle
-		{Cycle: 1, Src: 0, Dst: 99, Len: 4}, // out of range
-		{Cycle: 1, Src: 2, Dst: 2, Len: 4},  // self-addressed
-		{Cycle: 1, Src: 0, Dst: 1, Len: 0},  // zero length
-		{Cycle: 1, Src: 5, Dst: 1, Len: 4},  // faulty endpoint
+		{Cycle: -1, Src: 0, Dst: 1, Len: 4},                 // negative cycle
+		{Cycle: 1, Src: 0, Dst: 99, Len: 4},                 // out of range
+		{Cycle: 1, Src: 2, Dst: 2, Len: 4},                  // self-addressed
+		{Cycle: 1, Src: 0, Dst: 1, Len: 0},                  // zero length
+		{Cycle: 1, Src: 0, Dst: 1, Len: message.MaxLen + 1}, // flit 1<<31 would read as a head
+		{Cycle: 1, Src: 5, Dst: 1, Len: 4},                  // faulty endpoint
 	} {
 		w := &trace.Workload{}
 		w.Append(rec)
@@ -228,6 +232,19 @@ func TestReplayValidatesRecords(t *testing.T) {
 	}
 	if _, err := NewReplay(tor, fs, &trace.Workload{}, 0); err == nil {
 		t.Error("empty workload accepted")
+	}
+}
+
+// TestReplayFileErrorNamesFileAndLine: a bad record in a replay file is
+// reported as <file>: line N.
+func TestReplayFileErrorNamesFileAndLine(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "w.csv")
+	if err := os.WriteFile(file, []byte("# cycle,src,dst,len\n1,0,5,4\n2,0,5,2147483648\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := NewSource("replay:file="+file, testEnv(t, 1))
+	if err == nil || !strings.Contains(err.Error(), file+": line 3: len") {
+		t.Fatalf("got %v, want an error naming %s: line 3", err, file)
 	}
 }
 
