@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/analytic"
 	"repro/internal/core"
@@ -87,9 +86,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // eachAlgorithm places cfg's faults on t, prints the row report returns for
-// every registered algorithm -alg selects (all of them when empty) that
-// supports the network (built with at least cfg.V virtual channels), and
-// then the footer; a false return stops with exit status 1.
+// every registered algorithm -alg selects (all of them when empty), built
+// with at least cfg.V virtual channels, and then the footer; a false
+// return stops with exit status 1.
 func eachAlgorithm(stdout, stderr io.Writer, cfg core.Config, t topology.Network, footer string, report func(name string, alg routing.Router) (string, bool)) int {
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "analyze: %v\n", err)
@@ -109,14 +108,11 @@ func eachAlgorithm(stdout, stderr io.Writer, cfg core.Config, t topology.Network
 		fmt.Fprintf(stdout, "faulty nodes: %v\n", fs.FaultyNodes())
 	}
 	for _, info := range algs {
-		row, ok := fmt.Sprintf("(skipped: %s-only)", strings.Join(info.Topologies, "/")), true
-		if info.Supports(t.Kind()) {
-			alg, err := routing.New(info.Name, t, fs, max(cfg.V, info.MinVFor(t)))
-			if err != nil {
-				return fail(err)
-			}
-			row, ok = report(info.Name, alg)
+		alg, err := routing.New(info.Name, t, fs, max(cfg.V, info.MinVFor(t)))
+		if err != nil {
+			return fail(err)
 		}
+		row, ok := report(info.Name, alg)
 		fmt.Fprintf(stdout, "%-18s %s\n", info.Name+":", row)
 		if !ok {
 			return 1
@@ -142,7 +138,7 @@ func analyzeDeadlock(stdout, stderr io.Writer, cfg core.Config, t topology.Netwo
 			row := fmt.Sprintf("%d vertices, %d edges, cycle of %d: %v", vtx, edges, len(cyc)-1, cyc)
 			// What deadlock.TestRouteCDG asserts; any other cycle is one of
 			// its pinned findings.
-			if deadlock.MustBeAcyclic(name, t, cfg.Faults.Empty()) {
+			if deadlock.MustBeAcyclic(name, cfg.Faults.Empty()) {
 				return row + "\nCYCLE FOUND (deadlock possible) in a relation §4 claims acyclic", false
 			}
 			return row, true

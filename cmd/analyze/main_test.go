@@ -18,9 +18,8 @@ import (
 // recorded when analyze took core.BindFlags' -topo and -shape; their
 // verdicts were checked by hand against ../../internal/deadlock/testdata/
 // cdg.golden's "mesh:k=4,n=3 fault-free" and "torus:k=8,n=2 U-shaped"
-// rows (planar-adaptive cyclic 10, the rest acyclic; adaptive and
-// valiant-adaptive cyclic 8, negative-first cyclic 16, det and valiant
-// acyclic, planar-adaptive skipped).
+// rows (all acyclic; adaptive and valiant-adaptive cyclic 8, det and
+// valiant acyclic).
 func TestGoldenOutput(t *testing.T) {
 	for name, args := range map[string][]string{
 		"deadlock":       {"-mode", "deadlock", "-k", "4", "-n", "2", "-faults", "2"},
@@ -72,7 +71,7 @@ func TestRejectedInvocations(t *testing.T) {
 		{"unknown-topology", []string{"-topo", "moebius"}, 2,
 			"analyze: topology: unknown topology \"moebius\" (registered: [hypercube mesh torus])\n"},
 		{"unknown-alg", []string{"-alg", "nope"}, 1,
-			"analyze: unknown routing algorithm \"nope\" (registered: [adaptive det negative-first planar-adaptive valiant valiant-adaptive])\n"},
+			"analyze: unknown routing algorithm \"nope\" (registered: [adaptive det valiant valiant-adaptive])\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

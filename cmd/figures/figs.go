@@ -175,10 +175,11 @@ func (h *harness) fig6() {
 
 // fig7: number of messages queued (absorbed) vs number of random faulty
 // nodes in an 8-ary 3-cube (M=32, V=10) for two generation rates. The
-// paper's "generation rate = g" is read as g messages per node per 10,000
+// paper gives "generation rate = g" no unit; as messages per node per
+// cycle, 70 and 100 would be far past saturation, so g is read per 10,000
 // cycles (λ = g/10000), which keeps rate 100 above rate 70 as in the
-// paper's legend (see EXPERIMENTS.md); counts are scaled to the paper's
-// 100,000-message protocol for comparability.
+// paper's legend. Counts are scaled to the paper's 100,000-message
+// protocol for comparability.
 func (h *harness) fig7() {
 	h.printf("\n===== Fig. 7: messages queued vs faulty nodes, 8-ary 3-cube, M=32, V=10 =====\n")
 	t := table{

@@ -6,7 +6,7 @@
 // Examples:
 //
 //	swsim -k 8 -n 2 -v 4 -m 32 -lambda 0.006 -faults 3
-//	swsim -topo mesh:k=8,n=2 -alg planar-adaptive -v 4 -lambda 0.004
+//	swsim -topo mesh:k=8,n=2 -alg adaptive -v 4 -lambda 0.004
 //	swsim -topo hypercube:n=6 -v 4 -lambda 0.004
 //	swsim -topo 'torus:k=8,n=2,latmap=lat.csv' -v 4 -lambda 0.004
 //	swsim -k 8 -n 3 -v 10 -m 32 -lambda 0.01 -faults 12 -alg adaptive

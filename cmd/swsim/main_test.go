@@ -99,7 +99,7 @@ func TestServiceSpecRejected(t *testing.T) {
 		args   []string
 		stderr string
 	}{
-		{"unknown key", []string{"-serve", serve + ",lase=5s"}, `unknown parameter "lase"`},
+		{"unknown key", []string{"-serve", serve + ",lase=5s"}, `unknown parameter "lase" (accepted: addr, checkpoint, lease, retries)`},
 		{"duplicate key", []string{"-serve", serve + ",lease=5s,lease=6s"}, `duplicate parameter "lease"`},
 		{"zero lease", []string{"-serve", serve + ",lease=0s"}, `lease="0s" is not a duration >= 1ns`},
 		{"bad lease", []string{"-serve", serve + ",lease=x"}, `lease="x" is not a duration`},
@@ -112,7 +112,7 @@ func TestServiceSpecRejected(t *testing.T) {
 		{"duplicate worker key", []string{"-worker", worker + ",exit=sometimes"}, "duplicate parameter \"exit\""},
 		{"bad exit value", []string{"-worker", "url=http://127.0.0.1:1,exit=sometimes"}, `bad exit="sometimes"`},
 		{"missing url", []string{"-worker", "name=w1"}, "-worker requires url="},
-		{"worker given a checkpoint", []string{"-worker", worker + ",checkpoint=" + ckpt}, `unknown parameter "checkpoint"`},
+		{"worker given a checkpoint", []string{"-worker", worker + ",checkpoint=" + ckpt}, `unknown parameter "checkpoint" (accepted: url, name, exit, stall, engine-workers)`},
 		{"serve with worker", []string{"-serve", serve, "-worker", worker}, "-serve and -worker are separate processes"},
 	} {
 		var stdout, stderr bytes.Buffer

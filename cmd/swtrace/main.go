@@ -13,8 +13,8 @@
 //
 //	swtrace -k 8 -n 2 -faults 5 -seed 4 -src 0,0 -dst 5,5
 //	swtrace -k 8 -n 2 -shape U -src 0,3 -dst 4,3 -alg adaptive
-//	swtrace -topo mesh:k=8,n=2 -alg planar-adaptive -faults 4 -src 0,0 -dst 7,7
-//	swtrace -topo mesh:k=4,n=3 -alg planar-adaptive -src 0,0,0 -dst 3,3,3
+//	swtrace -topo mesh:k=8,n=2 -alg adaptive -faults 4 -src 0,0 -dst 7,7
+//	swtrace -topo mesh:k=4,n=3 -alg adaptive -src 0,0,0 -dst 3,3,3
 package main
 
 import (

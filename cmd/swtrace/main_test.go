@@ -12,12 +12,13 @@ import (
 // main became run(args, stdout, stderr) (3f78b42): it pins that program's
 // output and must not be regenerated from this code. The three rows with
 // -faults are this tree's, recorded when random placement became
-// core.BuildFaults' (../tools_test.go holds them to it); shape-U-faulted is
-// the combination the old either-or switch dropped -faults from.
+// core.BuildFaults' (../tools_test.go holds them to it), mesh's again when
+// it moved to -alg adaptive; shape-U-faulted is the combination the old
+// either-or switch dropped -faults from.
 func TestGoldenOutput(t *testing.T) {
 	for name, args := range map[string][]string{
 		"torus-faulted":   {"-k", "8", "-n", "2", "-faults", "5", "-seed", "4", "-src", "0,0", "-dst", "5,5", "-alg", "det"},
-		"mesh":            {"-topo", "mesh:k=8,n=2", "-alg", "planar-adaptive", "-faults", "4", "-src", "0,0", "-dst", "7,7"},
+		"mesh":            {"-topo", "mesh:k=8,n=2", "-alg", "adaptive", "-faults", "4", "-src", "0,0", "-dst", "7,7"},
 		"shape-U":         {"-k", "8", "-n", "2", "-shape", "U", "-src", "0,3", "-dst", "4,3", "-alg", "adaptive"},
 		"shape-U-faulted": {"-k", "8", "-n", "2", "-shape", "U", "-faults", "2", "-seed", "2", "-src", "0,3", "-dst", "4,3", "-alg", "adaptive"},
 	} {
@@ -46,7 +47,7 @@ func TestRejectedInvocations(t *testing.T) {
 	}{
 		{"dst-out-of-range", []string{"-k", "4", "-n", "2", "-dst", "9,9"}, 1,
 			"swtrace: need -dst: coordinate 9 in \"9,9\" is outside [0, 4)\n"},
-		{"dst-out-of-range-mesh", []string{"-topo", "mesh:k=4,n=2", "-alg", "planar-adaptive", "-dst", "3,7"}, 1,
+		{"dst-out-of-range-mesh", []string{"-topo", "mesh:k=4,n=2", "-alg", "adaptive", "-dst", "3,7"}, 1,
 			"swtrace: need -dst: coordinate 7 in \"3,7\" is outside [0, 4)\n"},
 		{"src-negative", []string{"-src", "0,-1", "-dst", "1,1"}, 1,
 			"swtrace: coordinate -1 in \"0,-1\" is outside [0, 8)\n"},

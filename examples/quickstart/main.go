@@ -30,9 +30,6 @@ func run(stdout io.Writer) error {
 	cfg.Seed = 42
 
 	for _, info := range routing.Algorithms() {
-		if !info.Supports("torus") {
-			continue // e.g. planar-adaptive runs on meshes only
-		}
 		cfg.Algorithm = info.Name
 		res, err := core.Run(cfg)
 		if err != nil {

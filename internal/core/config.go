@@ -201,8 +201,8 @@ func (c Config) AlgorithmName() string {
 }
 
 // Validate checks the configuration for consistency: registered algorithm,
-// buildable topology, an algorithm/topology pairing the routing registry
-// admits, well-formed workload specs with in-range node ids, and a fault
+// buildable topology, cycle counts the engine can add without wrapping,
+// well-formed workload specs with in-range node ids, and a fault
 // specification that fits the selected network (plane dimensions, base
 // nodes, link existence, silhouette extents — a mesh rejects shapes that
 // would wrap).
@@ -215,10 +215,6 @@ func (c Config) Validate() error {
 	net, err := c.BuildTopology()
 	if err != nil {
 		return err
-	}
-	if !info.Supports(net.Kind()) {
-		return fmt.Errorf("core: algorithm %q supports topologies %v, not %q (topology %s)",
-			name, info.Topologies, net.Kind(), net.Spec())
 	}
 	minV := info.MinVFor(net)
 	switch {
@@ -236,6 +232,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: WarmupMessages must be >= 0, got %d", c.WarmupMessages)
 	case c.Td < 0 || c.Delta < 0:
 		return fmt.Errorf("core: Td and Delta must be >= 0")
+	case max(c.Td, c.Delta, c.LinkLatency, c.CreditDelay) > topology.MaxLinkLatency:
+		// The engine adds each to the current cycle; the cap keeps that sum
+		// from wrapping, as it does for a latmap's latencies.
+		return fmt.Errorf("core: Td, Delta, LinkLatency and CreditDelay must be <= %d, got %d, %d, %d, %d",
+			topology.MaxLinkLatency, c.Td, c.Delta, c.LinkLatency, c.CreditDelay)
 	case c.Workers < 0:
 		return fmt.Errorf("core: Workers must be >= 0, got %d", c.Workers)
 	}

@@ -24,6 +24,11 @@ func TestValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
+	slow := good
+	slow.Td, slow.Delta, slow.LinkLatency, slow.CreditDelay = topology.MaxLinkLatency, topology.MaxLinkLatency, topology.MaxLinkLatency, topology.MaxLinkLatency
+	if err := slow.Validate(); err != nil {
+		t.Fatalf("cycle counts at topology.MaxLinkLatency refused: %v", err)
+	}
 	bad := []func(c *Config){
 		func(c *Config) { c.Topology = "" },          // no default topology
 		func(c *Config) { c.Topology = "torus:k=1" }, // radix below 2
@@ -39,6 +44,10 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.MeasureMessages = 0 },
 		func(c *Config) { c.WarmupMessages = -1 },
 		func(c *Config) { c.Td = -1 },
+		func(c *Config) { c.Td = math.MaxInt64 }, // now+1+Td wrapped negative: no decision time at all
+		func(c *Config) { c.Delta = topology.MaxLinkLatency + 1 },
+		func(c *Config) { c.LinkLatency = topology.MaxLinkLatency + 1 },
+		func(c *Config) { c.CreditDelay = topology.MaxLinkLatency + 1 },
 		func(c *Config) { c.Pattern = "bursty" },                       // a source name, not a pattern
 		func(c *Config) { c.Pattern = "hotspot:frac=1.5" },             // fraction out of (0,1]
 		func(c *Config) { c.Pattern = "hotspot:node=64" },              // node outside the 8x8 torus

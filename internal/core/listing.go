@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/fault"
 	"repro/internal/routing"
@@ -25,11 +24,7 @@ func PrintRegistries(w io.Writer, prefix string) {
 	fmt.Fprintln(w, "  every topology accepts a ,latmap=<file> per-link latency overlay (CSV: src,port,latency)")
 	fmt.Fprintln(w, "\nrouting algorithms (-alg):")
 	for _, info := range routing.Algorithms() {
-		scope := ""
-		if len(info.Topologies) > 0 {
-			scope = " [" + strings.Join(info.Topologies, ",") + " only]"
-		}
-		fmt.Fprintf(w, "  %-18s V>=%d  %s%s\n", info.Name, info.MinV, info.Description, scope)
+		fmt.Fprintf(w, "  %-18s V>=%d  %s\n", info.Name, info.MinV, info.Description)
 	}
 	fmt.Fprintf(w, "\ndestination patterns (%s-pattern):\n", prefix)
 	for _, info := range traffic.Patterns() {

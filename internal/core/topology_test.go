@@ -28,9 +28,8 @@ func TestTopologySpecDefaultsToLegacyTorus(t *testing.T) {
 	}
 }
 
-// TestRunOnMesh exercises the full stack on a mesh: det and adaptive over
-// the SW-Based machinery, and planar-adaptive through its registry entry,
-// all with faults where supported.
+// TestRunOnMesh exercises the full stack on a mesh: det, adaptive and
+// valiant over the SW-Based machinery, fault-free and faulted.
 func TestRunOnMesh(t *testing.T) {
 	for _, tc := range []struct {
 		alg string
@@ -38,9 +37,9 @@ func TestRunOnMesh(t *testing.T) {
 	}{
 		{"det", 0},
 		{"det", 3},
+		{"adaptive", 0},
 		{"adaptive", 2},
-		{"planar-adaptive", 0},
-		{"planar-adaptive", 3},
+		{"valiant", 3},
 	} {
 		cfg := DefaultConfig(4, 2, 0.004)
 		cfg.Topology = "mesh:k=4,n=2"
@@ -94,9 +93,8 @@ func TestMeshVsTorusSmokeSweep(t *testing.T) {
 }
 
 // TestValidateTopology pins the topology-aware validation added with the
-// seam: unknown topologies, algorithm/topology mismatches, and fault
-// specifications that do not fit the selected network are all rejected
-// before a run starts.
+// seam: unknown topologies and fault specifications that do not fit the
+// selected network are all rejected before a run starts.
 func TestValidateTopology(t *testing.T) {
 	base := func() Config {
 		cfg := DefaultConfig(8, 2, 0.004)
@@ -110,7 +108,6 @@ func TestValidateTopology(t *testing.T) {
 	}{
 		{"unknown topology", func(c *Config) { c.Topology = "moebius" }, "unknown topology"},
 		{"bad spec parameter", func(c *Config) { c.Topology = "torus:k=1" }, "radix"},
-		{"planar on torus", func(c *Config) { c.Algorithm = "planar-adaptive" }, "supports topologies"},
 		{"hotspot node beyond mesh", func(c *Config) {
 			c.Topology = "mesh:k=2,n=2"
 			c.Pattern = "hotspot:node=60"

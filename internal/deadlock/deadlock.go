@@ -139,11 +139,10 @@ func (b *builder) explore(cur topology.NodeID, m *message.Message, held []VC, th
 }
 
 // MustBeAcyclic reports whether §4 claims the relation of algorithm alg
-// (its primary name) acyclic on net: det's and valiant's everywhere, and
-// every one fault-free but planar-adaptive's on a 3-D mesh (plane (0,2)
-// shares d1 banks with plane (1,2); pinned in testdata/cdg.golden).
-func MustBeAcyclic(alg string, net topology.Network, faultFree bool) bool {
-	return alg == "det" || alg == "valiant" || faultFree && !(alg == "planar-adaptive" && net.N() == 3)
+// (its primary name) acyclic: det's and valiant's everywhere, and every
+// one fault-free.
+func MustBeAcyclic(alg string, faultFree bool) bool {
+	return alg == "det" || alg == "valiant" || faultFree
 }
 
 // Cycle returns a dependency cycle as a vertex sequence (first == last), or

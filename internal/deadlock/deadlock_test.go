@@ -108,10 +108,9 @@ func faultSets(t *testing.T, net topology.Network) (names []string, sets []*faul
 }
 
 // TestRouteCDG builds the dependency graph of every registered algorithm
-// on every topology kind it supports, fault-free and faulted. det and
+// on tori, meshes and a hypercube, fault-free and faulted. det and
 // valiant must be acyclic everywhere (§4's claim for the code that runs)
-// and every algorithm fault-free, bar the cell MustBeAcyclic names; every
-// verdict is also pinned in testdata/cdg.golden, where the cyclic cells
+// and every algorithm fault-free (MustBeAcyclic); every verdict is also pinned in testdata/cdg.golden, where the cyclic cells
 // are findings written up in ROADMAP item 1, not fixed: a routing change
 // that moves one shows as a diff of that file. Run with -v for witnesses.
 func TestRouteCDG(t *testing.T) {
@@ -134,9 +133,6 @@ func TestRouteCDG(t *testing.T) {
 		}
 		names, sets := faultSets(t, net)
 		for _, info := range routing.Algorithms() {
-			if !info.Supports(net.Kind()) {
-				continue
-			}
 			for i, fs := range sets {
 				cell := fmt.Sprintf("%s %s %s", info.Name, spec, names[i])
 				alg, err := routing.New(info.Name, net, fs, max(4, info.MinVFor(net)))
@@ -151,7 +147,7 @@ func TestRouteCDG(t *testing.T) {
 				if cyc := g.Cycle(); cyc != nil {
 					verdict = fmt.Sprintf("cyclic %d", len(cyc)-1)
 					t.Logf("%s: %v", cell, cyc)
-					if MustBeAcyclic(info.Name, net, i == 0) {
+					if MustBeAcyclic(info.Name, i == 0) {
 						t.Errorf("%s must be acyclic, found %v", cell, cyc)
 					}
 				}

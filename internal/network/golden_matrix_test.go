@@ -45,8 +45,6 @@ var goldenMatrix = []goldenCase{
 	{"torus-adaptive-faulted", torus8, "adaptive", 4, 6, 0.004, 0, "", 0x1b740ce4f0915e2a},
 	{"torus-valiant-faultfree", torus8, "valiant", 4, 0, 0.004, 0, "", 0xf38b2293504343bd},
 	{"torus-valiant-faulted", torus8, "valiant", 4, 6, 0.004, 0, "", 0x5d3ed1f3164a0a95},
-	{"mesh-planar-faultfree", mesh8, "planar-adaptive", 4, 0, 0.004, 0, "", 0xa3c209bde88d3c8c},
-	{"mesh-planar-faulted", mesh8, "planar-adaptive", 4, 4, 0.004, 0, "", 0x5ccc433d01433c89},
 	{"torus-adaptive-saturated", torus8, "adaptive", 4, 6, 0.03, 0, "", 0xbf61f48071f817e2},
 	{"torus-adaptive-td2", torus8, "adaptive", 4, 6, 0.004, 2, "", 0xe464afea45da808c},
 	{"torus-adaptive-mtbf", torus8, "adaptive", 4, 3, 0.02, 0, "mtbf:mtbf=1500,mttr=600,elems=mixed", 0x8db03665454a4e44},
@@ -66,7 +64,6 @@ var goldenMatrix = []goldenCase{
 	{"mesh-det-faulted", mesh8, "det", 4, 4, 0.004, 0, "", 0x1992c81039ccbfac},
 	{"latmap-torus-det", latmapTorus, "det", 4, 0, 0.02, 0, "", 0x4a80c86ffe4e36ac},
 	{"hypercube-det-faulted", hypercube6, "det", 4, 4, 0.004, 0, "", 0x264e8dd8e634fbf2},
-	{"torus-negfirst-faulted", torus8, "negative-first", 4, 6, 0.004, 0, "", 0x8f97e007f24a90e2},
 	{"torus-valiant-adaptive-faulted", torus8, "valiant-adaptive", 4, 6, 0.004, 0, "", 0x99681a9c2521a430},
 	{"torus-adaptive-trace", torus8, "adaptive", 4, 3, 0.008, 0, "trace:file=$TRACE", 0xf40e25376ccb11a3},
 	// Recorded from PR 24's parent, the last engine whose arbiter gathered

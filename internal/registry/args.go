@@ -3,20 +3,24 @@ package registry
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
+	"strings"
 )
 
 // Args is the typed accessor over a Spec's parameters, obtained from the
 // owning Table. Every accessor marks its key as consumed and records the
 // first conversion or range error; Finish reports that error, or complains
-// about keys no accessor asked for. A seam's parameter extraction is one
-// function over an Args, used both as its static check and by its factory,
-// so validation and construction cannot drift.
+// about keys no accessor asked for and names the ones they did. A seam's
+// parameter extraction is one function over an Args, used both as its
+// static check and by its factory, so validation and construction cannot
+// drift.
 type Args struct {
-	pkg  string
-	spec Spec
-	used []bool // parallel to spec.Params
-	err  error
+	pkg   string
+	spec  Spec
+	used  []bool   // parallel to spec.Params
+	asked []string // the keys the accessors looked up, in first-asked order
+	err   error
 }
 
 // NewArgs returns an accessor over a spec no Table owns (a service mode's
@@ -34,6 +38,7 @@ func (a *Args) Failf(format string, v ...any) {
 }
 
 func (a *Args) lookup(key string) (string, bool) {
+	a.ask(key)
 	for i, p := range a.spec.Params {
 		if p.Key == key {
 			a.used[i] = true
@@ -143,9 +148,16 @@ func (a *Args) Str(key, def string) string {
 	return def
 }
 
+func (a *Args) ask(key string) {
+	if !slices.Contains(a.asked, key) {
+		a.asked = append(a.asked, key)
+	}
+}
+
 // NodeFloats consumes every decimal-keyed parameter as a node id -> float
 // entry (finite values >= 0 only).
 func (a *Args) NodeFloats() map[int]float64 {
+	a.ask("<node>")
 	out := map[int]float64{}
 	for i, p := range a.spec.Params {
 		if !IsNodeKey(p.Key) {
@@ -168,14 +180,18 @@ func (a *Args) NodeFloats() map[int]float64 {
 }
 
 // Finish returns the first recorded error, or an unknown-parameter error
-// for any key no accessor consumed.
+// for any key no accessor consumed, listing the keys they asked for.
 func (a *Args) Finish() error {
 	if a.err != nil {
 		return a.err
 	}
 	for i, p := range a.spec.Params {
 		if !a.used[i] {
-			a.Failf("unknown parameter %q", p.Key)
+			accepted := "none"
+			if len(a.asked) > 0 {
+				accepted = strings.Join(a.asked, ", ")
+			}
+			a.Failf("unknown parameter %q (accepted: %s)", p.Key, accepted)
 			break
 		}
 	}

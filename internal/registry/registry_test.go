@@ -177,7 +177,10 @@ func TestArgsErrors(t *testing.T) {
 		{"x:5=nan", func(a *Args) { a.NodeFloats() }, "finite number >= 0"},
 		{"x:5=Inf", func(a *Args) { a.NodeFloats() }, "finite number >= 0"},
 		{"x:99999999999999999999=1", func(a *Args) { a.NodeFloats() }, "bad node id"},
-		{"x:f=1,typo=2", func(a *Args) { a.Float("f", 0) }, `unknown parameter "typo"`},
+		{"x:f=1,typo=2", func(a *Args) { a.Float("f", 0) }, `unknown parameter "typo" (accepted: f)`},
+		{"x:f=1,typo=2", func(a *Args) { a.Int("i", 0); a.Float("f", 0); a.Int("i", 0) }, `unknown parameter "typo" (accepted: i, f)`},
+		{"x:5=1,typo=2", func(a *Args) { a.NodeFloats(); a.Str("rest", "") }, `unknown parameter "typo" (accepted: <node>, rest)`},
+		{"x:typo=2", func(*Args) {}, `unknown parameter "typo" (accepted: none)`},
 		{"x:f=1", func(a *Args) { a.Failf("f and g are exclusive") }, "f and g are exclusive"},
 		// The first error wins over later ones and over unknown keys.
 		{"x:f=abc,g=0,typo=1", func(a *Args) { a.Float("f", 0); a.PositiveFloat("g", 1) }, "not a finite number"},

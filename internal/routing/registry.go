@@ -20,9 +20,7 @@ import (
 //     start in (it parameterises the traffic generator);
 //   - Topology/Faults expose the bound network for analysis tools.
 //
-// Algorithms are built against any registered topology.Network; an
-// algorithm that only supports some topology families declares them in
-// Info.Topologies and New rejects the rest.
+// Algorithms are built against any registered topology.Network.
 //
 // Implementations must be stateless with respect to messages (all
 // per-message state lives in the header) so a single-threaded engine and
@@ -73,9 +71,6 @@ type Info struct {
 	Description string
 	// Aliases are additional keys resolving to the same factory.
 	Aliases []string
-	// Topologies lists the topology kinds (topology.Network.Kind values)
-	// the algorithm supports; empty means every registered topology.
-	Topologies []string
 }
 
 // MinVFor returns the smallest legal virtual-channel count on the given
@@ -86,19 +81,6 @@ func (i Info) MinVFor(t topology.Network) int {
 		return i.MinVNoWrap
 	}
 	return i.MinV
-}
-
-// Supports reports whether the algorithm runs on the given topology kind.
-func (i Info) Supports(kind string) bool {
-	if len(i.Topologies) == 0 {
-		return true
-	}
-	for _, k := range i.Topologies {
-		if k == kind {
-			return true
-		}
-	}
-	return false
 }
 
 type algorithm struct {
@@ -121,16 +103,11 @@ func Register(info Info, factory Factory) {
 
 // New builds the registered algorithm called name (primary or alias) over
 // the given topology, fault set and virtual-channel count. Unknown names
-// report the available set; algorithms that declare supported topologies
-// reject networks outside them.
+// report the available set.
 func New(name string, t topology.Network, f *fault.Set, v int) (Router, error) {
 	a, ok := algorithms.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("routing: unknown algorithm %q (registered: %v)", name, Names())
-	}
-	if !a.info.Supports(t.Kind()) {
-		return nil, fmt.Errorf("routing: algorithm %q supports topologies %v, not %q",
-			name, a.info.Topologies, t.Kind())
 	}
 	return a.factory(t, f, v)
 }

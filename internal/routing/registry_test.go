@@ -64,18 +64,9 @@ func TestRegistryAliases(t *testing.T) {
 	}
 }
 
-// testNetFor returns a network the algorithm declares support for: the
-// torus by default, a same-sized mesh for mesh-only algorithms.
-func testNetFor(info Info, k, n int) topology.Network {
-	if info.Supports("torus") {
-		return topology.New(k, n)
-	}
-	return topology.NewMesh(k, n)
-}
-
 func TestRegistryMinVEnforced(t *testing.T) {
 	for _, info := range Algorithms() {
-		net := testNetFor(info, 4, 2)
+		net := topology.New(4, 2)
 		f := fault.NewSet(net)
 		if _, err := New(info.Name, net, f, info.MinV-1); err == nil {
 			t.Errorf("%s: V=%d below MinV=%d accepted", info.Name, info.MinV-1, info.MinV)
@@ -93,13 +84,13 @@ func TestRegistryMinVEnforced(t *testing.T) {
 
 // TestRegistryAllRouteFaultFree is the registry's executable contract:
 // every registered algorithm must route every (src, dst) pair of a
-// fault-free 8-ary 2-grid of a topology it supports to delivery within
-// the walker's step budget (no livelock), with zero fault absorptions.
+// fault-free 8-ary 2-cube to delivery within the walker's step budget
+// (no livelock), with zero fault absorptions.
 func TestRegistryAllRouteFaultFree(t *testing.T) {
 	for _, info := range Algorithms() {
 		info := info
 		t.Run(info.Name, func(t *testing.T) {
-			net := testNetFor(info, 8, 2)
+			net := topology.New(8, 2)
 			f := fault.NewSet(net)
 			v := info.MinV
 			if v < 4 {
@@ -139,7 +130,7 @@ func TestRegistryAllRouteWithFaults(t *testing.T) {
 	for _, info := range Algorithms() {
 		info := info
 		t.Run(info.Name, func(t *testing.T) {
-			net := testNetFor(info, 8, 2)
+			net := topology.New(8, 2)
 			f := mustRandomFaults(t, net, 5, 9)
 			v := info.MinV
 			if v < 4 {
@@ -160,13 +151,13 @@ func TestRegistryAllRouteWithFaults(t *testing.T) {
 
 // TestRouteAllocsEveryAlgorithm holds ARCHITECTURE.md's "the steady-state
 // hot path allocates nothing" at the Route seam for every registered
-// algorithm, on a topology it supports, fault-free and faulted: the
+// algorithm, on an 8-ary 2-cube, fault-free and faulted: the
 // candidate lists live in the Algorithm's reused scratch, never in a
 // per-call slice.
 func TestRouteAllocsEveryAlgorithm(t *testing.T) {
 	for _, info := range Algorithms() {
 		t.Run(info.Name, func(t *testing.T) {
-			net := testNetFor(info, 8, 2)
+			net := topology.New(8, 2)
 			for _, f := range []*fault.Set{fault.NewSet(net), mustRandomFaults(t, net, 5, 9)} {
 				a, err := New(info.Name, net, f, max(info.MinV, 4))
 				if err != nil {

@@ -275,19 +275,15 @@ func (a *Algorithm) Route(cur topology.NodeID, m *message.Message) Decision {
 	return a.routeDeterministic(cur, m)
 }
 
+// routeDeterministic is the decision for the e-cube move from cur: absorb
+// if its link is faulty, else progress on every VC of the move's dateline
+// class.
 func (a *Algorithm) routeDeterministic(cur topology.NodeID, m *message.Message) Decision {
 	dim, dir, ok := detNextMove(a.t, cur, m.Target(), &m.DirOverride)
 	if !ok {
 		// Defensive: Target checks above make this unreachable.
 		return Decision{Outcome: ViaArrived}
 	}
-	return a.moveAlong(cur, m, dim, dir)
-}
-
-// moveAlong is the decision for the single move (dim, dir) of a
-// deterministic discipline: absorb if the link is faulty, else progress on
-// every VC of the move's dateline class.
-func (a *Algorithm) moveAlong(cur topology.NodeID, m *message.Message, dim int, dir topology.Dir) Decision {
 	port := topology.PortFor(dim, dir)
 	if a.f.LinkFaulty(cur, port) {
 		return Decision{Outcome: AbsorbFault, BlockedDim: dim, BlockedDir: dir}
