@@ -78,8 +78,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case t.Kind() != "torus":
 		err = fmt.Errorf("-mode model takes a torus (analytic.Model is a k-ary n-cube model), not %s", cfg.Topology)
 	default:
-		analyzeModel(stdout, cfg, t)
-		return 0
+		if err = analyzeModel(stdout, cfg, t); err == nil {
+			return 0
+		}
+		fmt.Fprintf(stderr, "analyze: %v\n", err)
+		return 1
 	}
 	fmt.Fprintf(stderr, "analyze: %v\n", err)
 	return 2
@@ -124,7 +127,7 @@ func eachAlgorithm(stdout, stderr io.Writer, cfg core.Config, t topology.Network
 
 func analyzeDeadlock(stdout, stderr io.Writer, cfg core.Config, t topology.Network) int {
 	return eachAlgorithm(stdout, stderr, cfg, t,
-		"no cycle where §4 claims none (det, valiant, every fault-free relation); the others are known, see ROADMAP item 1",
+		"no cycle where §4 claims none (det, valiant, every fault-free relation); the others are known, see internal/deadlock/testdata/cdg.golden",
 		func(name string, alg routing.Router) (string, bool) {
 			g, err := deadlock.Build(alg)
 			if err != nil {
@@ -157,8 +160,14 @@ func analyzeLivelock(stdout, stderr io.Writer, cfg core.Config, t topology.Netwo
 		})
 }
 
-func analyzeModel(stdout io.Writer, cfg core.Config, t topology.Network) {
-	mdl := analytic.Model{K: t.K(), N: t.N(), V: cfg.V, M: cfg.MsgLen, Nf: cfg.Faults.RandomNodes}
+// analyzeModel models the node faults the simulator places: the random
+// ones and every -shape region's.
+func analyzeModel(stdout io.Writer, cfg core.Config, t topology.Network) error {
+	fs, err := core.BuildFaults(t, cfg.Faults, cfg.Seed)
+	if err != nil {
+		return err
+	}
+	mdl := analytic.Model{K: t.K(), N: t.N(), V: cfg.V, M: cfg.MsgLen, Nf: fs.NumNodeFaults()}
 	fmt.Fprintf(stdout, "analytical model vs flit-level simulation, %d-ary %d-cube, V=%d, M=%d, nf=%d\n", mdl.K, mdl.N, mdl.V, mdl.M, mdl.Nf)
 	fmt.Fprintf(stdout, "%-10s%14s%14s%12s\n", "lambda", "model", "simulation", "rel.err")
 	fmt.Fprintf(stdout, "model saturation estimate: λ ≈ %.4f\n", mdl.SaturationRate())
@@ -185,4 +194,5 @@ func analyzeModel(stdout io.Writer, cfg core.Config, t topology.Network) {
 		}
 		fmt.Fprintf(stdout, "%-10g%14s%14s%12s\n", lambda, modelCell, simCell, rel)
 	}
+	return nil
 }

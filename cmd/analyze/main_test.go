@@ -19,9 +19,14 @@ import (
 // verdicts were checked by hand against ../../internal/deadlock/testdata/
 // cdg.golden's "mesh:k=4,n=3 fault-free" and "torus:k=8,n=2 U-shaped"
 // rows (all acyclic; adaptive and valiant-adaptive cyclic 8, det and
-// valiant acyclic).
+// valiant acyclic). model-vs-sim and model-shape are this tree's: the
+// first's model column (47.6 … 89.1) was checked against the model_vs_sim
+// example's golden it replaces; the second's header must read nf=8, the
+// nodes a U region fails, which the model counts as the simulator does.
 func TestGoldenOutput(t *testing.T) {
 	for name, args := range map[string][]string{
+		"model-vs-sim":   {"-mode", "model", "-k", "8", "-n", "2", "-v", "4", "-m", "32", "-faults", "3", "-measure", "200"},
+		"model-shape":    {"-mode", "model", "-k", "8", "-n", "2", "-shape", "U", "-measure", "300"},
 		"deadlock":       {"-mode", "deadlock", "-k", "4", "-n", "2", "-faults", "2"},
 		"deadlock-mesh":  {"-mode", "deadlock", "-topo", "mesh:k=4,n=3"},
 		"deadlock-shape": {"-mode", "deadlock", "-k", "8", "-n", "2", "-shape", "U"},

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -60,12 +61,13 @@ func fuzzServer(f *testing.F) (*Server, sweep.Plan) {
 }
 
 // postBody drives one body through the handler and holds the reply to
-// what every reply owes: a 200 or a 400, and valid JSON either way.
-func postBody(t *testing.T, h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+// what every reply owes: a 200, a 400 or one of the also statuses, and
+// valid JSON either way.
+func postBody(t *testing.T, h http.Handler, path string, body []byte, also ...int) *httptest.ResponseRecorder {
 	t.Helper()
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-	if w.Code != http.StatusOK && w.Code != http.StatusBadRequest {
+	if w.Code != http.StatusOK && w.Code != http.StatusBadRequest && !slices.Contains(also, w.Code) {
 		t.Fatalf("POST %s: status %d\n%s", path, w.Code, w.Body)
 	}
 	if !json.Valid(w.Body.Bytes()) {
@@ -225,6 +227,102 @@ func FuzzResultRequest(f *testing.F) {
 			if err := json.Unmarshal(body, &want); err != nil || !reflect.DeepEqual(walked, want) {
 				t.Fatalf("the body walks to\n %+v\nencoding/json reads\n %+v, %v", walked, want, err)
 			}
+		}
+	})
+}
+
+// workerBodies are lease and renew bodies: every hostile string as each
+// field, and the shapes a JSON decoder must refuse.
+func workerBodies(f *testing.F, fields ...string) {
+	f.Helper()
+	for _, v := range hostileIDs {
+		for _, field := range fields {
+			b, _ := json.Marshal(map[string]string{field: v})
+			f.Add(b)
+		}
+	}
+	for _, seed := range [][]byte{
+		[]byte(`{}`), []byte(`null`), []byte(``), []byte(`[]`), []byte(`"w"`), []byte(`{"worker":1}`),
+		[]byte(`{"id":"a","id":"b"}`), []byte(`{"ID":"a","Token":"b"}`), []byte(`{"worker":"w"} trailing`),
+		[]byte(`{"worker":"\ud800"}`), []byte("{\"worker\":\"\xff\"}"), []byte(strings.Repeat(`{"worker":`, 1000)),
+	} {
+		f.Add(seed)
+	}
+}
+
+// FuzzLeaseRequest hardens /v1/lease: any body gets a 200 when
+// encoding/json reads it as a LeaseRequest and a 400 (413 past
+// MaxRequestBytes) when not, never a 5xx or a panic. The hand-assembled
+// reply is valid JSON of exactly its Content-Length, which decodeFast
+// reads as encoding/json does; a reply that carries a point carries a
+// verifiable definition, leased under the worker name the body gave.
+func FuzzLeaseRequest(f *testing.F) {
+	s, _ := fuzzServer(f)
+	h := s.Handler()
+	workerBodies(f, "worker")
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := postBody(t, h, "/v1/lease", body, http.StatusRequestEntityTooLarge)
+		var req LeaseRequest
+		if err := json.Unmarshal(body, &req); (err == nil) != (w.Code == http.StatusOK) {
+			t.Fatalf("status %d for a body encoding/json reads with error %v", w.Code, err)
+		}
+		if w.Code != http.StatusOK {
+			return
+		}
+		if cl := w.Header().Get("Content-Length"); cl != strconv.Itoa(w.Body.Len()) {
+			t.Fatalf("Content-Length %q for a %d-byte reply", cl, w.Body.Len())
+		}
+		var got, walked LeaseResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
+			t.Fatalf("reply does not decode: %v\n%s", err, w.Body)
+		}
+		if decodeFast(w.Body.Bytes(), &walked) && !reflect.DeepEqual(walked, got) {
+			t.Fatalf("the reply walks to\n %+v\nencoding/json reads\n %+v", walked, got)
+		}
+		if got.Point == nil {
+			return
+		}
+		if err := got.Point.Verify(); err != nil || got.Token == "" {
+			t.Fatalf("leased %+v, token %q: %v", got.Point, got.Token, err)
+		}
+		if req.Worker == "" {
+			req.Worker = "anonymous"
+		}
+		if worker, token, held := s.leases.Holder(got.Point.ID); !held || worker != req.Worker || token != got.Token {
+			t.Fatalf("point %s held=%v by %q under %q; want %q under %q", got.Point.ID, held, worker, token, req.Worker, got.Token)
+		}
+	})
+}
+
+// FuzzRenewRequest hardens /v1/renew, the worker heartbeat: any body gets
+// a 200 exactly when encoding/json reads it as the live lease's ID and
+// token, a 409 when it names anything else, and a 400 (413 past
+// MaxRequestBytes) when it does not decode — never a 5xx or a panic —
+// with a JSON reply.
+func FuzzRenewRequest(f *testing.F) {
+	s, _ := fuzzServer(f)
+	h := s.Handler()
+	live := s.Lease(LeaseRequest{Worker: "w"})
+	if live.Point == nil {
+		f.Fatal("fuzzServer queued no point to lease")
+	}
+	workerBodies(f, "id", "token")
+	for _, req := range []RenewRequest{{live.Point.ID, live.Token}, {live.Point.ID, ""}, {"", live.Token}, {live.Token, live.Point.ID}} {
+		b, _ := json.Marshal(req)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := postBody(t, h, "/v1/renew", body, http.StatusConflict, http.StatusRequestEntityTooLarge)
+		var req RenewRequest
+		want := http.StatusConflict
+		switch err := json.Unmarshal(body, &req); {
+		case err != nil:
+			want = http.StatusBadRequest
+		case req.ID == live.Point.ID && req.Token == live.Token:
+			want = http.StatusOK
+		}
+		if w.Code != want {
+			t.Fatalf("status %d, want %d: %s", w.Code, want, w.Body)
 		}
 	})
 }

@@ -64,22 +64,40 @@ func (g Graph) Size() (vertices, edges int) {
 // decision. A software stop takes the worm out of the network and so cuts
 // the chain — the paper's argument. Dependencies through adaptive channels
 // that are not vertices (Duato's indirect ones) are not modelled.
+//
+// Pairs are explored destination by destination. A state names its
+// destination, so no state is met again once its destination is done, and
+// the memo holds one destination's states at a time.
 func Build(a routing.Router) (Graph, error) {
 	b := builder{a: a, g: Graph{}, seen: make(map[routing.WormState][]VC)}
-	var err error
-	routing.EachPair(a, 1, func(m *message.Message) {
-		if err == nil {
-			err = b.explore(m.Src, m, nil, 0, 40*a.Topology().Nodes())
+	t, healthy := a.Topology(), a.Faults().HealthyNodes()
+	for j, dst := range healthy {
+		for i, src := range healthy {
+			if i == j {
+				continue
+			}
+			// The ID routing.EachPair's src-major order gives the pair:
+			// valiant draws its intermediate node from it.
+			id := uint64(i*(len(healthy)-1) + j)
+			if j > i {
+				id--
+			}
+			m := message.New(id, src, dst, 1, t.N(), a.BaseMode(), 0)
+			if err := b.explore(src, m, nil, 0, 40*t.Nodes()); err != nil {
+				return b.g, err
+			}
 		}
-	})
-	return b.g, err
+		clear(b.seen)
+	}
+	return b.g, nil
 }
 
 type builder struct {
 	a routing.Router
 	g Graph
-	// seen maps an explored state to the vertices a worm entering it
-	// requests (none at a software stop or the destination).
+	// seen maps an explored state of the current destination to the
+	// vertices a worm entering it requests (none at a software stop or the
+	// destination).
 	seen map[routing.WormState][]VC
 }
 

@@ -110,9 +110,10 @@ func faultSets(t *testing.T, net topology.Network) (names []string, sets []*faul
 // TestRouteCDG builds the dependency graph of every registered algorithm
 // on tori, meshes and a hypercube, fault-free and faulted. det and
 // valiant must be acyclic everywhere (§4's claim for the code that runs)
-// and every algorithm fault-free (MustBeAcyclic); every verdict is also pinned in testdata/cdg.golden, where the cyclic cells
-// are findings written up in ROADMAP item 1, not fixed: a routing change
-// that moves one shows as a diff of that file. Run with -v for witnesses.
+// and every algorithm fault-free (MustBeAcyclic); every verdict is also
+// pinned in testdata/cdg.golden, where the cyclic cells are known
+// findings, not fixed: a routing change that moves one shows as a diff of
+// that file. Run with -v for witnesses.
 func TestRouteCDG(t *testing.T) {
 	golden, err := os.ReadFile("testdata/cdg.golden")
 	if err != nil {

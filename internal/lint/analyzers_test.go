@@ -73,3 +73,23 @@ func TestPhasePurity(t *testing.T) {
 	linttest.Run(t, "testdata", []*lint.Analyzer{lint.PhasePurity},
 		linttest.Fixture{Path: "repro/internal/network", Files: []string{"phasepurity.go"}})
 }
+
+// TestTreeIsClean runs the whole suite over every package of the module. A
+// failure means a contract violation landed without a sorted rewrite or a
+// justified //simlint:ignore; each diagnostic names its analyzer.
+func TestTreeIsClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-tree typecheck is slow; run without -short")
+	}
+	pkgs, err := lint.NewLoader().Load("repro/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := lint.Run(pkgs, lint.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Error(d)
+	}
+}

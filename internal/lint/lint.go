@@ -1,6 +1,9 @@
-// Package lint is simlint's analyzer suite: first-party static analysis
-// that turns the simulator's determinism and arena contracts from "proven
-// by golden-trace tests" into "rejected at vet time".
+// Package lint is the simulator's analyzer suite (simlint): first-party
+// static analysis that turns the determinism and arena contracts from
+// "proven by golden-trace tests" into "rejected at test time".
+// TestTreeIsClean runs it over the whole module:
+//
+//	go test ./internal/lint
 //
 // The four analyzers:
 //
@@ -44,8 +47,6 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //simlint:ignore directives.
 	Name string
-	// Doc is the one-paragraph contract the analyzer enforces.
-	Doc string
 	// Run performs the check on one package, reporting findings through
 	// pass.Reportf.
 	Run func(pass *Pass) error

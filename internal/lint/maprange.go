@@ -26,7 +26,6 @@ import (
 // `//simlint:ignore maprange -- <reason>` directive.
 var MapRange = &Analyzer{
 	Name: "maprange",
-	Doc:  "forbid nondeterministic map iteration in determinism-critical packages",
 	Run:  runMapRange,
 }
 

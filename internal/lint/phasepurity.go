@@ -25,7 +25,6 @@ import (
 // calls should carry the marker themselves.
 var PhasePurity = &Analyzer{
 	Name: "phasepurity",
-	Doc:  "//simlint:phase compute functions must not call commit-only engine APIs",
 	Run:  runPhasePurity,
 }
 

@@ -27,7 +27,6 @@ import (
 // and carry `//simlint:ignore reflife -- ...` directives.
 var RefLife = &Analyzer{
 	Name: "reflife",
-	Doc:  "arena *message.Message pointers must stay call-local; message.Ref is the durable handle",
 	Run:  runRefLife,
 }
 

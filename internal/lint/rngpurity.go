@@ -17,7 +17,6 @@ import (
 // test files are all out of scope.)
 var RNGPurity = &Analyzer{
 	Name: "rngpurity",
-	Doc:  "forbid ambient entropy outside internal/rng",
 	Run:  runRNGPurity,
 }
 
