@@ -152,7 +152,7 @@ func analyzeLivelock(stdout, stderr io.Writer, cfg core.Config, t topology.Netwo
 	return eachAlgorithm(stdout, stderr, cfg, t,
 		"all pairs delivered with bounded software stops (livelock-free, §4)",
 		func(_ string, alg routing.Router) (string, bool) {
-			rep := routing.AnalyzeLivelock(alg, cfg.MsgLen, 0)
+			rep := routing.AnalyzeLivelock(alg)
 			if rep.Undelivered > 0 {
 				return rep.String() + "\nLIVELOCK/DISCONNECTION SUSPECTED: some pairs undelivered", false
 			}

@@ -74,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	fmt.Fprint(stdout, viz.RenderPlane(fs, 0, 0, 1))
+	fmt.Fprint(stdout, viz.RenderPlane(fs))
 	fmt.Fprint(stdout, viz.RenderRegions(fs))
 	return 0
 }

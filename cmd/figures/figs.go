@@ -36,7 +36,7 @@ func (h *harness) fig1() {
 			h.printf("%s: %v\n", ex.name, err)
 			continue
 		}
-		h.printf("\n-- %s --\n%s%s", ex.name, viz.RenderPlane(fs, 0, 0, 1), viz.RenderRegions(fs))
+		h.printf("\n-- %s --\n%s%s", ex.name, viz.RenderPlane(fs), viz.RenderRegions(fs))
 	}
 }
 
@@ -76,7 +76,7 @@ func (h *harness) latencyFigure(figName string, k, n int, vs []int, ms []int, nf
 			}
 			cells := h.render(t)
 			if h.plot {
-				ch := viz.NewChart(t.xs, 6, 14)
+				ch := viz.NewChart(t.xs)
 				for si, curve := range cells {
 					ys := make([]float64, len(curve))
 					for xi, c := range curve {

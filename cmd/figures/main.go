@@ -89,6 +89,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !ok {
 		return usage("unknown scale %q", *scale)
 	}
+	if *seeds < 1 {
+		return usage("bad -seeds %d (want at least one fault placement)", *seeds)
+	}
 	var draw []func(*harness)
 	for _, f := range figures {
 		if *fig == "all" || *fig == f.name {

@@ -197,6 +197,8 @@ func TestRejectedInvocationHasNoSideEffects(t *testing.T) {
 	}{
 		{"unknown figure", []string{"-fig", "8"}},
 		{"unknown scale", []string{"-fig", "churn", "-scale", "huge"}},
+		{"no seeds", []string{"-fig", "6", "-scale", "quick", "-seeds", "0"}},
+		{"negative seeds", []string{"-fig", "6", "-scale", "quick", "-seeds", "-1"}},
 		{"coordinator conflict", []string{"-fig", "churn", "-coordinator", "http://127.0.0.1:1"}},
 		{"negative workers", []string{"-fig", "churn", "-workers", "-3"}},
 		{"removed shard flag", []string{"-fig", "churn", "-shard", "0/2"}},

@@ -29,21 +29,16 @@ func (h *harness) figSat() {
 			base.Seed = 1001
 			sat, err := sweep.FindSaturation(
 				fmt.Sprintf("sat|%s|v%d", algName, v), base,
-				sweep.SaturationOptions{Tol: 0.05, Run: h.local})
+				sweep.SaturationOptions{Run: h.local})
 			if err != nil {
 				fmt.Fprintf(h.stderr, "figures: saturation %s V=%d: %v\n", algName, v, err)
 				h.printf("%-10s%-6d%14s%14s%14s%10s\n", algName, v, "err", "", "", "")
 				continue
 			}
-			lstar := fmt.Sprintf("%.5f", sat.Lambda)
-			if !sat.Converged {
-				lstar += "~" // probe budget exhausted: bracket wider than Tol
-			}
-			h.printf("%-10s%-6d%14s%14.1f%14.1f%10d\n",
-				algName, v, lstar, sat.ZeroLoad, sat.Threshold, len(sat.Probes))
+			h.printf("%-10s%-6d%14.5f%14.1f%14.1f%10d\n",
+				algName, v, sat.Lambda, sat.ZeroLoad, sat.Threshold, len(sat.Probes))
 		}
 	}
 	h.printf("\n(λ* = load where mean latency crosses 3x zero-load latency; bisection to 5%% brackets,\n")
-	h.printf(" ~ marks a search that ran out of probes before reaching that width.\n")
 	h.printf(" Fig. 6's offered load λ=0.012 sits above the V=6 16-ary saturation point by design.)\n")
 }

@@ -154,6 +154,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *findSat && *sweepGrid != "" {
 		return exit(2, "-find-sat and -sweep are mutually exclusive (the search picks its own λ probes)")
 	}
+	// Negated so NaN is refused too.
+	if *findSat && !(*satFactor > 1) {
+		return exit(2, "bad -sat-factor %g (want a multiple of zero-load latency above 1)", *satFactor)
+	}
 	mode := sweepcli.Point
 	switch {
 	case *sweepGrid != "":
@@ -319,6 +323,10 @@ func chaosRow(res metrics.Results) string {
 		res.Transitions, res.Reinjected, res.Lost, res.MeanConvergence, res.MinAvailability)
 }
 
+// maxGridPoints bounds a -sweep range: a step too small for its span
+// would otherwise ask for more points than any sweep could run.
+const maxGridPoints = 10000
+
 // parseGrid parses the -sweep argument: either an explicit comma list
 // ("0.002,0.004,0.006") or an inclusive range with step ("lo:hi:step").
 func parseGrid(s string) ([]float64, error) {
@@ -327,16 +335,16 @@ func parseGrid(s string) ([]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		var grid []float64
-		// Generate from integer multiples so float accumulation error
-		// cannot drop or duplicate the final point; the epsilon only
-		// absorbs rounding, never admits a point past hi.
-		for i := 0; ; i++ {
-			l := lo + float64(i)*step
-			if l > hi+step*1e-9 {
-				break
-			}
-			grid = append(grid, l)
+		// Count the points first: a step below lo's float resolution never
+		// advances. The epsilon absorbs rounding, never admits a point past
+		// hi; points are integer multiples of step, so none drops or doubles.
+		n := math.Floor((hi-lo)/step+1e-9) + 1
+		if n > maxGridPoints {
+			return nil, fmt.Errorf("bad sweep range %q (%g points, more than %d)", s, n, maxGridPoints)
+		}
+		grid := make([]float64, int(n))
+		for i := range grid {
+			grid[i] = lo + float64(i)*step
 		}
 		return grid, nil
 	}
@@ -427,9 +435,6 @@ func runFindSat(base core.Config, opt sweep.Options, factor float64, quiet, json
 	})
 	if err != nil {
 		return exit(1, "%v", err)
-	}
-	if !sat.Converged {
-		fmt.Fprintf(stderr, "swsim: warning: probe budget exhausted; bracket [%.6g, %.6g] is wider than requested\n", sat.Lo, sat.Hi)
 	}
 	if jsonOut {
 		enc := json.NewEncoder(stdout)

@@ -74,6 +74,8 @@ func TestRejectedInvocationHasNoSideEffects(t *testing.T) {
 		{"find-sat with coordinator", []string{"-find-sat", "-coordinator", "http://127.0.0.1:1"}, "-coordinator applies to -sweep mode only"},
 		{"find-sat with sweep", append(grid, "-find-sat"), "mutually exclusive"},
 		{"bad grid", []string{"-sweep", "0.01:0.001:0.002"}, "bad sweep range"},
+		{"sat factor zero", []string{"-find-sat", "-sat-factor", "0"}, "bad -sat-factor 0"},
+		{"sat factor one", []string{"-find-sat", "-sat-factor", "1"}, "bad -sat-factor 1"},
 		{"bad topology", append(grid, "-topo", "moebius"), "moebius"},
 		{"bad engine workers", append(grid, "-engine-workers", "0"), "bad -engine-workers"},
 		{"negative workers", append(grid, "-workers", "-3"), "bad -workers -3"},
@@ -207,6 +209,9 @@ func TestParseGrid(t *testing.T) {
 		// hi not on the grid: stop below it, never overshoot.
 		{in: "0.002:0.009:0.004", want: []float64{0.002, 0.006}},
 		{in: "0.005:0.005:0.001", want: []float64{0.005}},
+		// A step below lo's float resolution: lo + i·step == lo for every i.
+		{in: "0.001:0.001:1e-300", want: []float64{0.001}},
+		{in: "0.001:0.5:1e-300", wantErr: true}, // 5e297 points
 		{in: "", wantErr: true},
 		{in: "0", wantErr: true},
 		{in: "-0.004", wantErr: true},

@@ -93,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	mode := alg.BaseMode()
 
 	if t.N() == 2 {
-		fmt.Fprint(stdout, viz.RenderPlane(fs, 0, 0, 1))
+		fmt.Fprint(stdout, viz.RenderPlane(fs))
 	}
 	fmt.Fprint(stdout, viz.RenderRegions(fs))
 	fmt.Fprintf(stdout, "tracing %s -> %s (%s, M=%d, V=%d)\n\n",

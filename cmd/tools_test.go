@@ -51,7 +51,7 @@ func TestToolsPlaceTheEnginesFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			drawn := viz.RenderPlane(want, 0, 0, 1) + viz.RenderRegions(want)
+			drawn := viz.RenderPlane(want) + viz.RenderRegions(want)
 			k, nf, seed := strconv.Itoa(net.K()), strconv.Itoa(tc.nf), strconv.FormatUint(tc.seed, 10)
 
 			// swtrace refuses a faulty endpoint: trace between healthy ones.

@@ -60,8 +60,8 @@ import (
 // promptly.
 const DefaultLeaseTTL = 15 * time.Second
 
-// DefaultMaxRetries is the default bound on lease re-assignments per
-// point (ServerOptions.MaxRetries < 0 selects it... see field doc).
+// DefaultMaxRetries is the bound on lease re-assignments per point when
+// ServerOptions.MaxRetries is negative.
 const DefaultMaxRetries = 3
 
 // ServerOptions configures a coordinator.

@@ -161,8 +161,8 @@ type Results struct {
 }
 
 // Finalize computes the summary at cycle now for a network of nodes traffic
-// sources. generatedMeasured is the number of measured messages generated
-// (for the accepted fraction).
+// sources; saturated marks a run its saturation guard stopped. Generated
+// and AcceptedFraction count only messages generated after warm-up.
 func (c *Collector) Finalize(now int64, nodes int, saturated bool) Results {
 	window := int64(0)
 	if c.measuredAt >= 0 && now > c.measuredAt {

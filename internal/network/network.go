@@ -50,9 +50,6 @@ type Params struct {
 	// Delta is the software re-injection overhead in cycles (assumption
 	// (i); the paper's experiments use 0).
 	Delta int64
-	// SaturationBacklog stops the run early and marks it saturated once the
-	// summed source queues exceed this many messages (0 disables).
-	SaturationBacklog int
 	// Tracer, when non-nil, receives per-message events (injections, hops,
 	// stops, deliveries). Used by debugging tools and invariant tests.
 	Tracer trace.Tracer
@@ -107,7 +104,7 @@ type Params struct {
 // DefaultParams returns the paper's configuration: Td = 0, Δ = 0,
 // 2-flit VC buffers.
 func DefaultParams(v int) Params {
-	return Params{V: v, BufDepth: 2, SaturationBacklog: 0}
+	return Params{V: v, BufDepth: 2}
 }
 
 // arrivalEvent is a staged flit transfer into input lane `lane` of node,

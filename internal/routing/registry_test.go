@@ -100,7 +100,7 @@ func TestRegistryAllRouteFaultFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep := AnalyzeLivelock(a, 16, 0)
+			rep := AnalyzeLivelock(a)
 			if rep.Pairs == 0 {
 				t.Fatal("no pairs walked")
 			}
@@ -140,7 +140,7 @@ func TestRegistryAllRouteWithFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep := AnalyzeLivelock(a, 16, 0)
+			rep := AnalyzeLivelock(a)
 			if rep.Undelivered > 0 {
 				t.Fatalf("%d/%d pairs undelivered: worst %d->%d",
 					rep.Undelivered, rep.Pairs, rep.WorstSrc, rep.WorstDst)

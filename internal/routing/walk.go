@@ -101,14 +101,16 @@ func Snapshot(cur topology.NodeID, m *message.Message) WormState {
 	return WormState{cur, m.Dst, string(via), m.Absorptions, m.Faulted, m.Detoured, m.DirOverride, m.Reversed, m.Crossed}
 }
 
-// EachPair calls fn with a fresh message (IDs count up from 0) for every
-// ordered pair of distinct healthy nodes of the algorithm's network.
-func EachPair(a Router, msgLen int, fn func(m *message.Message)) {
+// EachPair calls fn with a fresh one-flit message (IDs count up from 0)
+// for every ordered pair of distinct healthy nodes of the algorithm's
+// network. Routing never reads a message's length, so one flit stands for
+// any.
+func EachPair(a Router, fn func(m *message.Message)) {
 	healthy, id := a.Faults().HealthyNodes(), uint64(0)
 	for _, src := range healthy {
 		for _, dst := range healthy {
 			if src != dst {
-				fn(message.New(id, src, dst, msgLen, a.Topology().N(), a.BaseMode(), 0))
+				fn(message.New(id, src, dst, 1, a.Topology().N(), a.BaseMode(), 0))
 				id++
 			}
 		}
@@ -133,15 +135,12 @@ type LivelockReport struct {
 }
 
 // AnalyzeLivelock walks every healthy ordered pair of the algorithm's
-// network. msgLen only affects header construction, not the walk. maxSteps
-// bounds each walk; 0 derives a generous budget from the network size.
-func AnalyzeLivelock(a Router, msgLen, maxSteps int) LivelockReport {
-	if maxSteps <= 0 {
-		maxSteps = 40 * a.Topology().Nodes()
-	}
+// network, each within a step budget of 40 per node.
+func AnalyzeLivelock(a Router) LivelockReport {
+	maxSteps := 40 * a.Topology().Nodes()
 	var rep LivelockReport
 	var totStops, totHops int
-	EachPair(a, msgLen, func(m *message.Message) {
+	EachPair(a, func(m *message.Message) {
 		res := Walk(a, m, maxSteps)
 		rep.Pairs++
 		if !res.Delivered {

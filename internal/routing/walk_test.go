@@ -46,7 +46,7 @@ func TestAnalyzeLivelockBounded(t *testing.T) {
 			} else {
 				a = mustDet(t, tor, fs, 4)
 			}
-			rep := AnalyzeLivelock(a, 16, 0)
+			rep := AnalyzeLivelock(a)
 			if rep.Undelivered != 0 {
 				t.Fatalf("seed %d nf=%d adaptive=%v: %d pairs undelivered",
 					seed, nf, adaptive, rep.Undelivered)
@@ -72,7 +72,7 @@ func TestAnalyzeLivelockRegionWorseThanRandom(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := mustDet(t, tor, fs, 4)
-	rep := AnalyzeLivelock(a, 16, 0)
+	rep := AnalyzeLivelock(a)
 	if rep.Undelivered != 0 {
 		t.Fatalf("undelivered pairs: %v", rep)
 	}

@@ -68,15 +68,10 @@ const (
 	stateRemoved // retired while queued: a tombstone in the queue
 )
 
-// NewLeaseTable returns an empty table. ttl <= 0 defaults to 10s;
-// maxRetries < 0 defaults to 3 (0 is honoured: fail on first expiry).
+// NewLeaseTable returns an empty table whose leases last ttl (> 0) and
+// whose points fail after maxRetries (>= 0) re-assignments; 0 fails a
+// point on its first expiry. coord.NewServer owns the defaults.
 func NewLeaseTable(ttl time.Duration, maxRetries int) *LeaseTable {
-	if ttl <= 0 {
-		ttl = 10 * time.Second
-	}
-	if maxRetries < 0 {
-		maxRetries = 3
-	}
 	return &LeaseTable{TTL: ttl, MaxRetries: maxRetries, entries: map[string]*leaseEntry{}}
 }
 

@@ -154,12 +154,6 @@ type refLeaseEntry struct {
 }
 
 func newRefLeaseTable(ttl time.Duration, maxRetries int) *refLeaseTable {
-	if ttl <= 0 {
-		ttl = 10 * time.Second
-	}
-	if maxRetries < 0 {
-		maxRetries = 3
-	}
 	return &refLeaseTable{TTL: ttl, MaxRetries: maxRetries, entries: map[string]*refLeaseEntry{}}
 }
 

@@ -6,8 +6,19 @@ import (
 	"repro/internal/core"
 )
 
-// SaturationOptions tunes FindSaturation. The zero value uses the
-// defaults documented on each field.
+// The search's probe range and stopping width. Bracketing doubles λ from
+// lambdaMin and probes lambdaMax (messages/node/cycle: far past any
+// wormhole network's capacity) last; bisection stops when (hi-lo)/hi <=
+// tol. With these values no search takes more than 18 probes: one
+// zero-load probe, at most 13 doublings and 5 bisections
+// (TestFindSaturationProbeBound).
+const (
+	lambdaMin = 1e-4
+	lambdaMax = 0.5
+	tol       = 0.05
+)
+
+// SaturationOptions tunes FindSaturation.
 type SaturationOptions struct {
 	// Factor is the latency threshold as a multiple of the zero-load
 	// latency: the search finds the λ where mean latency first exceeds
@@ -15,42 +26,11 @@ type SaturationOptions struct {
 	// default, 3; an explicit Factor must exceed 1 (a threshold at or
 	// below zero-load latency is crossed before the search starts).
 	Factor float64
-	// LambdaMin is the probe that measures zero-load latency L₀ and the
-	// initial lower bracket. Default 1e-4.
-	LambdaMin float64
-	// LambdaMax caps the upward bracketing phase; if latency never
-	// crosses the threshold below it, the search fails. Default 0.5
-	// (messages/node/cycle — far past any wormhole network's capacity).
-	LambdaMax float64
-	// Tol is the relative width of the final bracket: bisection stops
-	// when (hi-lo)/hi <= Tol. Default 0.05.
-	Tol float64
-	// MaxProbes caps the total number of simulation points. Default 32.
-	MaxProbes int
 	// Run passes checkpoint/worker options through to each probe. The
 	// probe sequence is deterministic, so a checkpointed search resumes
 	// after interruption exactly like a grid sweep: finished probes are
 	// replayed from the journal, unfinished ones re-run.
 	Run Options
-}
-
-func (o SaturationOptions) withDefaults() SaturationOptions {
-	if o.Factor == 0 {
-		o.Factor = 3
-	}
-	if o.LambdaMin <= 0 {
-		o.LambdaMin = 1e-4
-	}
-	if o.LambdaMax <= 0 {
-		o.LambdaMax = 0.5
-	}
-	if o.Tol <= 0 {
-		o.Tol = 0.05
-	}
-	if o.MaxProbes <= 0 {
-		o.MaxProbes = 32
-	}
-	return o
 }
 
 // Saturation is the result of a saturation-point auto-search.
@@ -61,39 +41,33 @@ type Saturation struct {
 	// Lo and Hi bound the crossing: the highest λ probed below the
 	// threshold and the lowest probed above (or saturated).
 	Lo, Hi float64
-	// ZeroLoad is the zero-load latency L₀ measured at LambdaMin.
+	// ZeroLoad is the zero-load latency L₀ measured at λ = 1e-4.
 	ZeroLoad float64
 	// Threshold is the latency bound used, Factor × L₀.
 	Threshold float64
-	// Converged reports that the final bracket reached the requested
-	// relative width Tol. False means the probe budget ran out first:
-	// Lambda is still the best available estimate, but its bracket is
-	// wider than asked for.
-	Converged bool
 	// Probes are every simulation point run, in probe order.
 	Probes []core.PointResult
 }
 
 // FindSaturation locates the knee of the latency-vs-load curve for one
 // configuration by adaptive probing instead of a fixed λ grid: it
-// measures zero-load latency at LambdaMin, grows λ geometrically until
-// mean latency crosses Factor × L₀ (or the engine's saturation guard
-// trips), then bisects the bracket to relative width Tol. base supplies
-// every Config field except Lambda, which the search owns; name labels
-// the probes ("name|sat|l<λ>") in journals and logs.
+// measures zero-load latency at λ = 1e-4, doubles λ until mean latency
+// crosses Factor × L₀ (or the engine's saturation guard trips), probing
+// λ = 0.5 last, then bisects the bracket to a relative width of 5 %.
+// base supplies every Config field except Lambda, which the search
+// owns; name labels the probes ("name|sat|l<λ>") in journals and logs.
 //
 // The probe sequence is a deterministic function of base and opt, so a
 // search given a checkpoint journal (opt.Run.Checkpoint) is resumable:
 // re-running replays finished probes from the journal and continues
 // where it was killed.
 func FindSaturation(name string, base core.Config, opt SaturationOptions) (Saturation, error) {
-	opt = opt.withDefaults()
+	if opt.Factor == 0 {
+		opt.Factor = 3
+	}
 	sat := Saturation{}
 	if opt.Factor <= 1 {
 		return sat, fmt.Errorf("sweep: %s: Factor %g must exceed 1 (threshold is Factor × zero-load latency)", name, opt.Factor)
-	}
-	if opt.LambdaMax <= opt.LambdaMin {
-		return sat, fmt.Errorf("sweep: %s: LambdaMax %g must exceed LambdaMin %g", name, opt.LambdaMax, opt.LambdaMin)
 	}
 
 	probe := func(lambda float64) (core.PointResult, error) {
@@ -118,7 +92,7 @@ func FindSaturation(name string, base core.Config, opt SaturationOptions) (Satur
 		return r.Results.Saturated || r.Results.MeanLatency > sat.Threshold, nil
 	}
 
-	r0, err := probe(opt.LambdaMin)
+	r0, err := probe(lambdaMin)
 	if err != nil {
 		return sat, err
 	}
@@ -126,22 +100,19 @@ func FindSaturation(name string, base core.Config, opt SaturationOptions) (Satur
 		return sat, fmt.Errorf("sweep: zero-load probe %s: %w", r0.Label, r0.Err)
 	}
 	if r0.Results.Saturated {
-		return sat, fmt.Errorf("sweep: %s already saturated at λ=%g; lower LambdaMin", name, opt.LambdaMin)
+		return sat, fmt.Errorf("sweep: %s already saturated at the zero-load probe λ=%g", name, lambdaMin)
 	}
 	sat.ZeroLoad = r0.Results.MeanLatency
 	sat.Threshold = opt.Factor * sat.ZeroLoad
 
 	// Bracket: grow λ geometrically until the curve crosses the
-	// threshold. The last step clamps to LambdaMax so the whole range up
+	// threshold. The last step clamps to lambdaMax so the whole range up
 	// to (and including) the cap is actually probed before giving up.
-	lo := opt.LambdaMin
-	hi := 2 * opt.LambdaMin
+	lo := lambdaMin
+	hi := 2 * lambdaMin
 	for {
-		if hi > opt.LambdaMax {
-			hi = opt.LambdaMax
-		}
-		if len(sat.Probes) >= opt.MaxProbes {
-			return sat, fmt.Errorf("sweep: %s: probe budget %d exhausted while bracketing", name, opt.MaxProbes)
+		if hi > lambdaMax {
+			hi = lambdaMax
 		}
 		r, err := probe(hi)
 		if err != nil {
@@ -154,16 +125,16 @@ func FindSaturation(name string, base core.Config, opt SaturationOptions) (Satur
 		if crossed {
 			break
 		}
-		if hi >= opt.LambdaMax {
+		if hi >= lambdaMax {
 			return sat, fmt.Errorf("sweep: %s not saturated up to λ=%g (latency never crossed %.1f)",
-				name, opt.LambdaMax, sat.Threshold)
+				name, lambdaMax, sat.Threshold)
 		}
 		lo = hi
 		hi *= 2
 	}
 
 	// Bisect [lo, hi]: lo is always below the threshold, hi above.
-	for (hi-lo)/hi > opt.Tol && len(sat.Probes) < opt.MaxProbes {
+	for (hi-lo)/hi > tol {
 		mid := (lo + hi) / 2
 		r, err := probe(mid)
 		if err != nil {
@@ -181,6 +152,5 @@ func FindSaturation(name string, base core.Config, opt SaturationOptions) (Satur
 	}
 	sat.Lo, sat.Hi = lo, hi
 	sat.Lambda = (lo + hi) / 2
-	sat.Converged = (hi-lo)/hi <= opt.Tol
 	return sat, nil
 }

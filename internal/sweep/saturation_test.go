@@ -25,8 +25,8 @@ func TestFindSaturationBracketsKnee(t *testing.T) {
 	const l0, lambdaC = 20.0, 0.01
 	base := core.DefaultConfig(8, 2, 0.001)
 	sat, err := FindSaturation("fake", base, SaturationOptions{
-		Factor: 3, LambdaMin: 1e-4, Tol: 0.02,
-		Run: Options{runSweepFunc: fakePool(queueCurve(l0, lambdaC))},
+		Factor: 3,
+		Run:    Options{runSweepFunc: fakePool(queueCurve(l0, lambdaC))},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -36,8 +36,8 @@ func TestFindSaturationBracketsKnee(t *testing.T) {
 	if sat.Lo > want || want > sat.Hi {
 		t.Fatalf("bracket [%g, %g] misses true crossing %g", sat.Lo, sat.Hi, want)
 	}
-	if (sat.Hi-sat.Lo)/sat.Hi > 0.02 {
-		t.Fatalf("bracket [%g, %g] wider than Tol", sat.Lo, sat.Hi)
+	if (sat.Hi-sat.Lo)/sat.Hi > tol {
+		t.Fatalf("bracket [%g, %g] wider than tol", sat.Lo, sat.Hi)
 	}
 	if math.Abs(sat.Lambda-want)/want > 0.03 {
 		t.Fatalf("λ* = %g, want ≈ %g", sat.Lambda, want)
@@ -48,8 +48,39 @@ func TestFindSaturationBracketsKnee(t *testing.T) {
 	if sat.Threshold != 3*sat.ZeroLoad {
 		t.Fatalf("threshold %g, want %g", sat.Threshold, 3*sat.ZeroLoad)
 	}
-	if len(sat.Probes) > 32 {
-		t.Fatalf("probe budget exceeded: %d", len(sat.Probes))
+}
+
+// TestFindSaturationProbeBound is why the search needs no probe budget:
+// over a dense grid of step-curve knees in (lambdaMin, lambdaMax] — and
+// just above every doubling probe, where bisection starts widest — every
+// search ends within 18 probes with its bracket at tol.
+func TestFindSaturationProbeBound(t *testing.T) {
+	base := core.DefaultConfig(8, 2, 0.001)
+	knees := []float64{lambdaMax}
+	for l := 2 * lambdaMin; l < lambdaMax; l *= 2 {
+		knees = append(knees, l, math.Nextafter(l, 1))
+	}
+	const n = 2000
+	for i := 1; i < n; i++ { // geometric, strictly inside (lambdaMin, lambdaMax)
+		knees = append(knees, lambdaMin*math.Pow(lambdaMax/lambdaMin, float64(i)/n))
+	}
+	for _, knee := range knees {
+		step := func(c core.Config) (metrics.Results, error) {
+			if c.Lambda >= knee {
+				return metrics.Results{MeanLatency: 1e6, Saturated: true}, nil
+			}
+			return metrics.Results{MeanLatency: 20}, nil
+		}
+		sat, err := FindSaturation("step", base, SaturationOptions{Run: Options{runSweepFunc: fakePool(step)}})
+		if err != nil {
+			t.Fatalf("knee %g: %v", knee, err)
+		}
+		if len(sat.Probes) > 18 {
+			t.Errorf("knee %g: %d probes, want <= 18", knee, len(sat.Probes))
+		}
+		if sat.Lo >= knee || knee > sat.Hi || (sat.Hi-sat.Lo)/sat.Hi > tol {
+			t.Errorf("knee %g: bracket [%g, %g] misses it or is wider than %g", knee, sat.Lo, sat.Hi, tol)
+		}
 	}
 }
 
@@ -79,37 +110,39 @@ func TestFindSaturationResumes(t *testing.T) {
 	}
 }
 
-// TestFindSaturationProbesUpToLambdaMax pins the bracketing clamp: a
-// knee between the last geometric probe and LambdaMax must be found by
-// probing LambdaMax itself, not reported as "not saturated".
-func TestFindSaturationProbesUpToLambdaMax(t *testing.T) {
-	// Crossing at 2/3·λc = 0.008 — inside (0.0064, 0.01], the gap the
-	// geometric doubling from 1e-4 would skip without the clamp.
+// TestFindSaturationProbesUpToCap pins the bracketing clamp: a
+// knee between the last doubling probe (0.4096) and lambdaMax must be
+// found by probing lambdaMax itself, not reported as "not saturated".
+func TestFindSaturationProbesUpToCap(t *testing.T) {
+	// Crossing at 2/3·λc = 0.45 — inside (0.4096, 0.5], the gap the
+	// doubling from 1e-4 would skip without the clamp.
 	sat, err := FindSaturation("clamp", core.DefaultConfig(8, 2, 0.001), SaturationOptions{
-		LambdaMax: 0.01, Tol: 0.02,
-		Run: Options{runSweepFunc: fakePool(queueCurve(20, 0.012))},
+		Run: Options{runSweepFunc: fakePool(queueCurve(20, 0.675))},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 0.012 * 2 / 3
+	want := 0.675 * 2 / 3
 	if sat.Lo > want || want > sat.Hi {
-		t.Fatalf("bracket [%g, %g] misses crossing %g near LambdaMax", sat.Lo, sat.Hi, want)
+		t.Fatalf("bracket [%g, %g] misses crossing %g near lambdaMax", sat.Lo, sat.Hi, want)
 	}
 }
 
 func TestFindSaturationErrors(t *testing.T) {
 	base := core.DefaultConfig(8, 2, 0.001)
-	// Flat curve: never saturates below LambdaMax.
+	// Flat curve: never saturates, so the search gives up at the cap
+	// after probing it.
 	flat := func(core.Config) (metrics.Results, error) {
 		return metrics.Results{MeanLatency: 20}, nil
 	}
-	_, err := FindSaturation("flat", base, SaturationOptions{
-		LambdaMax: 0.01,
-		Run:       Options{runSweepFunc: fakePool(flat)},
+	sat, err := FindSaturation("flat", base, SaturationOptions{
+		Run: Options{runSweepFunc: fakePool(flat)},
 	})
-	if err == nil || !strings.Contains(err.Error(), "not saturated") {
+	if err == nil || !strings.Contains(err.Error(), "not saturated up to λ=0.5") {
 		t.Fatalf("flat curve: %v", err)
+	}
+	if last := sat.Probes[len(sat.Probes)-1].Config.Lambda; last != lambdaMax {
+		t.Fatalf("flat curve: last probe λ=%g, want the cap %g", last, lambdaMax)
 	}
 	// Saturated from the very first probe.
 	drowned := func(core.Config) (metrics.Results, error) {
@@ -131,27 +164,6 @@ func TestFindSaturationErrors(t *testing.T) {
 	}
 }
 
-// TestFindSaturationReportsNonConvergence pins the Converged flag: a
-// probe budget too small to bisect to Tol must be visible to callers.
-func TestFindSaturationReportsNonConvergence(t *testing.T) {
-	base := core.DefaultConfig(8, 2, 0.001)
-	run := Options{runSweepFunc: fakePool(queueCurve(20, 0.01))}
-	tight, err := FindSaturation("tight", base, SaturationOptions{Tol: 0.001, MaxProbes: 9, Run: run})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tight.Converged {
-		t.Fatalf("9 probes cannot bisect to 0.1%%: %+v", tight)
-	}
-	loose, err := FindSaturation("loose", base, SaturationOptions{Tol: 0.05, Run: run})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !loose.Converged {
-		t.Fatalf("default budget should converge at 5%%: %+v", loose)
-	}
-}
-
 // TestFindSaturationReal smoke-tests the search against the actual
 // simulator on a small network; the only assertions are that it
 // converges and lands in a plausible band, since the exact knee is what
@@ -164,13 +176,11 @@ func TestFindSaturationReal(t *testing.T) {
 	base.WarmupMessages = 100
 	base.MeasureMessages = 1000
 	base.Seed = 3
-	sat, err := FindSaturation("real", base, SaturationOptions{
-		LambdaMin: 0.001, Tol: 0.1, MaxProbes: 16,
-	})
+	sat, err := FindSaturation("real", base, SaturationOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sat.Lambda <= 0.001 || sat.Lambda >= 0.5 {
+	if sat.Lambda <= lambdaMin || sat.Lambda >= lambdaMax {
 		t.Fatalf("implausible saturation rate %g", sat.Lambda)
 	}
 	if sat.ZeroLoad <= 0 {

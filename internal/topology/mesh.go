@@ -19,9 +19,6 @@ func NewMesh(k, n int) *Mesh { return &Mesh{newGrid(k, n)} }
 // Kind implements Network.
 func (m *Mesh) Kind() string { return "mesh" }
 
-// Spec implements Network.
-func (m *Mesh) Spec() string { return fmt.Sprintf("mesh:k=%d,n=%d", m.k, m.n) }
-
 // Wraps implements Network: meshes have no wraparound links.
 func (m *Mesh) Wraps() bool { return false }
 

@@ -30,9 +30,6 @@ type Network interface {
 	// Kind is the primary registry name of the topology family ("torus",
 	// "mesh"); aliases (hypercube) report their underlying family.
 	Kind() string
-	// Spec renders the canonical spec string reconstructing this network,
-	// e.g. "torus:k=8,n=2".
-	Spec() string
 	// K is the radix (nodes per dimension) and N the number of dimensions.
 	K() int
 	N() int
@@ -136,7 +133,6 @@ func NewNetwork(specStr string) (Network, error) {
 	if err != nil {
 		return nil, fmt.Errorf("topology: latmap %s: %w", latmap, err)
 	}
-	ov.file = latmap
 	return ov, nil
 }
 
@@ -227,8 +223,7 @@ func init() {
 // configured default.
 type LatencyOverlay struct {
 	Network
-	lat  map[ChannelID]int64
-	file string
+	lat map[ChannelID]int64
 }
 
 // MaxLinkLatency is the slowest wire a latmap may name. The engine schedules
@@ -284,14 +279,6 @@ func ParseChannel(t Network, src, port string) (ChannelID, error) {
 // unmapped links.
 func (o *LatencyOverlay) LinkLatency(src NodeID, port Port) int64 {
 	return o.lat[ChannelID{Src: src, Port: port}]
-}
-
-// Spec renders the base spec with the latmap parameter re-attached.
-func (o *LatencyOverlay) Spec() string {
-	if o.file == "" {
-		return o.Network.Spec()
-	}
-	return o.Network.Spec() + ",latmap=" + o.file
 }
 
 // String summarises the base network plus the overlay size.

@@ -47,9 +47,6 @@ func New(k, n int) *Torus { return &Torus{newGrid(k, n)} }
 // Kind implements Network.
 func (t *Torus) Kind() string { return "torus" }
 
-// Spec implements Network.
-func (t *Torus) Spec() string { return fmt.Sprintf("torus:k=%d,n=%d", t.k, t.n) }
-
 // Wraps implements Network: tori close every ring with wraparound links,
 // which is what makes the dateline virtual-channel classes necessary.
 func (t *Torus) Wraps() bool { return true }

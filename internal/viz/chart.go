@@ -13,26 +13,21 @@ import (
 type Chart struct {
 	xs     []float64
 	series []chartSeries
-	width  int
-	height int
 }
+
+const (
+	colWidth = 6  // columns per x point
+	rows     = 14 // plot rows
+)
 
 type chartSeries struct {
 	name string
 	ys   []float64 // NaN = missing; +Inf = saturated
 }
 
-// NewChart creates a chart over the given x grid. Width is per-point column
-// count (total = len(xs)*width); height is the number of plot rows.
-func NewChart(xs []float64, width, height int) *Chart {
-	if width < 1 {
-		width = 3
-	}
-	if height < 4 {
-		height = 12
-	}
-	return &Chart{xs: xs, width: width, height: height}
-}
+// NewChart creates a chart over the given x grid, 6 columns per x point
+// and 14 rows high.
+func NewChart(xs []float64) *Chart { return &Chart{xs: xs} }
 
 // Add appends a series. ys must align with the x grid; use math.NaN for
 // missing points and math.Inf(1) for saturated ones.
@@ -61,15 +56,15 @@ func (c *Chart) Render() string {
 	if hi <= lo {
 		hi = lo + 1
 	}
-	cols := len(c.xs) * c.width
-	grid := make([][]byte, c.height)
+	cols := len(c.xs) * colWidth
+	grid := make([][]byte, rows)
 	for r := range grid {
 		grid[r] = []byte(strings.Repeat(" ", cols))
 	}
 	mark := func(i int) byte { return byte('a' + i%26) }
 	for si, s := range c.series {
 		for xi, y := range s.ys {
-			col := xi*c.width + c.width/2
+			col := xi*colWidth + colWidth/2
 			switch {
 			case math.IsNaN(y):
 				continue
@@ -77,12 +72,12 @@ func (c *Chart) Render() string {
 				grid[0][col] = '^'
 			default:
 				frac := (y - lo) / (hi - lo)
-				row := int(math.Round(float64(c.height-1) * (1 - frac)))
+				row := int(math.Round(float64(rows-1) * (1 - frac)))
 				if row < 0 {
 					row = 0
 				}
-				if row >= c.height {
-					row = c.height - 1
+				if row >= rows {
+					row = rows - 1
 				}
 				if grid[row][col] == ' ' || grid[row][col] == '^' {
 					grid[row][col] = mark(si)
@@ -93,8 +88,8 @@ func (c *Chart) Render() string {
 		}
 	}
 	var b strings.Builder
-	for r := 0; r < c.height; r++ {
-		yVal := hi - (hi-lo)*float64(r)/float64(c.height-1)
+	for r := 0; r < rows; r++ {
+		yVal := hi - (hi-lo)*float64(r)/float64(rows-1)
 		fmt.Fprintf(&b, "%8.1f |%s\n", yVal, string(grid[r]))
 	}
 	b.WriteString(strings.Repeat(" ", 9) + "+" + strings.Repeat("-", cols) + "\n")
@@ -105,7 +100,7 @@ func (c *Chart) Render() string {
 	}
 	place := func(xi int) {
 		s := trimFloat(c.xs[xi])
-		at := 10 + xi*c.width
+		at := 10 + xi*colWidth
 		copy(lbl[min(at, len(lbl)-len(s)):], s)
 	}
 	place(0)
@@ -125,11 +120,4 @@ func (c *Chart) Render() string {
 
 func trimFloat(v float64) string {
 	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.4f", v), "0"), ".")
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -8,7 +8,7 @@ import (
 
 func TestChartRendersSeries(t *testing.T) {
 	xs := []float64{0.002, 0.004, 0.006, 0.008}
-	ch := NewChart(xs, 4, 10)
+	ch := NewChart(xs)
 	ch.Add("det", []float64{40, 55, 80, 200})
 	ch.Add("adp", []float64{38, 45, 60, 90})
 	out := ch.Render()
@@ -29,7 +29,7 @@ func TestChartRendersSeries(t *testing.T) {
 
 func TestChartSaturatedAndMissing(t *testing.T) {
 	xs := []float64{0.01, 0.02}
-	ch := NewChart(xs, 3, 6)
+	ch := NewChart(xs)
 	ch.Add("s", []float64{100, math.Inf(1)})
 	ch.Add("m", []float64{math.NaN(), 120})
 	out := ch.Render()
@@ -40,7 +40,7 @@ func TestChartSaturatedAndMissing(t *testing.T) {
 
 func TestChartAllSaturated(t *testing.T) {
 	xs := []float64{1, 2}
-	ch := NewChart(xs, 3, 6)
+	ch := NewChart(xs)
 	ch.Add("x", []float64{math.Inf(1), math.Inf(1)})
 	out := ch.Render() // must not panic on empty finite range
 	if out == "" {
@@ -54,5 +54,5 @@ func TestChartMismatchedSeriesPanics(t *testing.T) {
 			t.Fatal("mismatched series did not panic")
 		}
 	}()
-	NewChart([]float64{1, 2}, 3, 6).Add("bad", []float64{1})
+	NewChart([]float64{1, 2}).Add("bad", []float64{1})
 }

@@ -11,16 +11,17 @@ import (
 	"repro/internal/topology"
 )
 
-// RenderPlane draws the (dimA, dimB) plane through base. Faulty nodes print
-// as '#', healthy as '.', with dimA across and dimB down (origin top-left).
-func RenderPlane(fs *fault.Set, base topology.NodeID, dimA, dimB int) string {
+// RenderPlane draws the (dim0, dim1) plane through node 0. Faulty nodes
+// print as '#', healthy as '.', with dim0 across and dim1 down (origin
+// top-left).
+func RenderPlane(fs *fault.Set) string {
 	t := fs.Net()
-	pl := topology.PlaneOf(t, base, dimA, dimB)
+	pl := topology.PlaneOf(t, 0, 0, 1)
 	var b strings.Builder
-	fmt.Fprintf(&b, "    dim%d ->\n", dimA)
+	b.WriteString("    dim0 ->\n")
 	for y := 0; y < t.K(); y++ {
 		if y == 0 {
-			fmt.Fprintf(&b, "dim%d ", dimB)
+			b.WriteString("dim1 ")
 		} else {
 			b.WriteString("     ")
 		}

@@ -12,7 +12,7 @@ func TestRenderPlaneMarksFaults(t *testing.T) {
 	tor := topology.New(8, 2)
 	fs := fault.NewSet(tor)
 	fs.MarkNode(tor.FromCoords([]int{2, 3}))
-	out := RenderPlane(fs, 0, 0, 1)
+	out := RenderPlane(fs)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 9 { // header + 8 rows
 		t.Fatalf("line count = %d", len(lines))
@@ -31,10 +31,9 @@ func TestRenderPlaneMarksFaults(t *testing.T) {
 func TestRenderPlaneHigherDims(t *testing.T) {
 	tor := topology.New(4, 3)
 	fs := fault.NewSet(tor)
-	base := tor.FromCoords([]int{0, 0, 2})
-	fs.MarkNode(tor.FromCoords([]int{1, 1, 2}))
-	fs.MarkNode(tor.FromCoords([]int{1, 1, 0})) // different plane: invisible
-	out := RenderPlane(fs, base, 0, 1)
+	fs.MarkNode(tor.FromCoords([]int{1, 1, 0}))
+	fs.MarkNode(tor.FromCoords([]int{1, 1, 2})) // different plane: invisible
+	out := RenderPlane(fs)
 	if strings.Count(out, "#") != 1 {
 		t.Fatalf("plane slicing broken:\n%s", out)
 	}
