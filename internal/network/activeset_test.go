@@ -27,14 +27,17 @@ import (
 // levels are walked in ascending order — the order of a dense nested scan —
 // so a set that covers the work visits what the scan would, in the same
 // order; and a parking that only ever skips work that could not have been
-// done leaves no trace.
+// done leaves no trace. Credit flow is conserved on every channel
+// (checkCredits).
 func TestSchedulerSetsCoverWork(t *testing.T) {
 	for _, c := range goldenMatrix {
 		for _, workers := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
 				parked, starved, stalled := 0, 0, 0
 				var want []uint64 // request words, as the held routes dictate
+				var staged []int  // checkCredits' scratch
 				runGolden(t, c, workers, func(nw *Network) {
+					staged = checkCredits(t, nw, staged)
 					active := activeSet(nw)
 					for id := range nw.routers {
 						rt := &nw.routers[id]
@@ -122,6 +125,48 @@ func TestSchedulerSetsCoverWork(t *testing.T) {
 	}
 }
 
+// checkCredits holds every output VC of every wired channel, dead ones
+// included, to the credit-flow law: its credits, the flits buffered in the
+// downstream lane it feeds, the credits staged back to it and the flits
+// staged on it sum to the buffer depth. staged is scratch, returned for
+// reuse.
+func checkCredits(t *testing.T, nw *Network, staged []int) []int {
+	t.Helper()
+	v := nw.p.V
+	if n := len(nw.links) * v; len(staged) != n {
+		staged = make([]int, n)
+	}
+	clear(staged)
+	for _, w := range nw.doms {
+		for _, c := range w.credQ {
+			staged[int(c.node)*nw.degree*v+int(c.out)]++
+		}
+		for _, a := range w.arrQ {
+			if ch, ok := nw.arrivalChannel(a); ok {
+				_, vc := nw.routers[a.node].LanePortVC(a.lane)
+				staged[(int(ch.Src)*nw.degree+int(ch.Port))*v+vc]++
+			}
+		}
+	}
+	for i, lk := range nw.links {
+		if lk.dst < 0 {
+			continue
+		}
+		node, port := topology.NodeID(i/nw.degree), topology.Port(i%nw.degree)
+		rt, down := &nw.routers[node], &nw.routers[lk.dst]
+		for vc := 0; vc < v; vc++ {
+			o := rt.OutIndex(port, vc)
+			credits := int(rt.Out[o].Credits)
+			held := down.Len(router.Lane(lk.back) + router.Lane(vc))
+			if sum := credits + held + staged[i*v+vc]; sum != nw.p.BufDepth {
+				t.Fatalf("cycle %d channel %v VC %d: %d credits + %d buffered downstream + %d staged = %d, want %d",
+					nw.Now(), topology.ChannelID{Src: node, Port: port}, vc, credits, held, staged[i*v+vc], sum, nw.p.BufDepth)
+			}
+		}
+	}
+	return staged
+}
+
 // checkBlocked holds a parked head to what parking it claims: asked again,
 // Route names candidates that are all busy, and the lane is registered for
 // each of them, so whichever is released first wakes it. (Asking is safe:
@@ -159,7 +204,7 @@ func checkStalled(t *testing.T, nw *Network, node topology.NodeID) {
 	t.Helper()
 	rt := &nw.routers[node]
 	for _, s := range nw.streams[node] {
-		if lane := rt.LaneOf(rt.InjectionPort(), s.vc); rt.Space(lane) > 0 {
+		if lane := rt.LaneOf(rt.InjectionPort(), int(s.vc)); rt.Space(lane) > 0 {
 			t.Fatalf("cycle %d node %d: stalled, yet the stream on injection VC %d has %d free slots", nw.Now(), node, s.vc, rt.Space(lane))
 		}
 	}

@@ -324,7 +324,7 @@ func TestBlockedHeadSpuriousWakeLeavesNoTrace(t *testing.T) {
 		rt.Out[o].Busy = true
 		rt.Release(o)
 	}
-	asked, drawn, traced := alg.routes[b.ID], *nw.rngs[mid], rec.Count()
+	asked, drawn, traced := alg.routes[b.ID], nw.rngs[mid], rec.Count()
 
 	// Neither a candidate nor under one of its bits: B sleeps on.
 	quiet := -1
@@ -348,7 +348,7 @@ func TestBlockedHeadSpuriousWakeLeavesNoTrace(t *testing.T) {
 	if !rt.Blocked(lane) || alg.routes[b.ID] != asked+1 {
 		t.Fatalf("spurious wake: parked again %v, %d Route calls, want parked after exactly 1", rt.Blocked(lane), alg.routes[b.ID]-asked)
 	}
-	if *nw.rngs[mid] != drawn || rec.Count() != traced {
+	if nw.rngs[mid] != drawn || rec.Count() != traced {
 		t.Fatalf("the wasted look drew a random number or traced an event (%d new events)", rec.Count()-traced)
 	}
 	// A candidate: B takes it on the next cycle.
@@ -356,5 +356,80 @@ func TestBlockedHeadSpuriousWakeLeavesNoTrace(t *testing.T) {
 	nw.Step()
 	if !rt.HasRoute(lane) || !rt.Out[first].Busy || alg.routes[b.ID] != asked+2 {
 		t.Fatal("B did not allocate the candidate released to it")
+	}
+}
+
+// TestPurgeSurfacedHeadWaitsDecisionTime: a purge that removes a doomed
+// worm's tail from the front of a lane surfaces the live head queued
+// behind it, and under a decision time Td that head takes its first
+// routing decision exactly Td cycles after the purge — as if it had
+// arrived at the end of the previous cycle. Worm Z (60 flits) holds output
+// (+x, VC 0) of router (2,0); worm X (3 flits, (0,0) → (3,0)) parks its
+// head there, leaving its tail in router (1,0)'s lane from -x; worm Y,
+// bound for (1,1), follows X out of (0,0) into the slot behind that tail.
+// Failing link (1,0) +x dooms X (its tail holds a route into it) and
+// leaves Y alive.
+func TestPurgeSurfacedHeadWaitsDecisionTime(t *testing.T) {
+	const td, failAt = 2, 40
+	tor := topology.New(8, 2)
+	fs := fault.NewSet(tor)
+	det, err := routing.NewDeterministic(tor, fs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg := &countingRouter{Router: det, routes: map[uint64]int{}}
+	col := metrics.NewCollector(0)
+	mid := tor.FromCoords([]int{1, 0})
+	p := DefaultParams(2)
+	p.Td = td
+	p.Schedule = fault.NewTraceSchedule([]fault.Transition{
+		{Cycle: failAt, Fail: true, IsLink: true, Link: topology.ChannelID{Src: mid, Port: topology.PortFor(0, topology.Plus)}},
+	})
+	nw := New(tor, fs, alg, nil, col, p, rng.New(3))
+	enqueue := func(id uint64, src, dst []int, length int) *message.Message {
+		m := message.New(id, tor.FromCoords(src), tor.FromCoords(dst), length, 2, message.Deterministic, 0)
+		col.Generated(m)
+		nw.Enqueue(m.Src, m)
+		return m
+	}
+	enqueue(1, []int{2, 0}, []int{4, 0}, 60)
+	x := enqueue(2, []int{0, 0}, []int{3, 0}, 3)
+	y := enqueue(3, []int{0, 0}, []int{1, 1}, 4)
+	for nw.Now() < failAt-1 {
+		nw.Step()
+	}
+	// The scene: some lane of (1,0) holds X's tail, then Y's head.
+	rt := &nw.routers[mid]
+	lane := router.Lane(-1)
+	for l := range rt.In {
+		var ids []uint64
+		rt.Each(router.Lane(l), func(f message.Flit) { ids = append(ids, nw.pool.At(f.Ref()).ID) })
+		if len(ids) == 2 && ids[0] == x.ID && ids[1] == y.ID {
+			lane = router.Lane(l)
+		}
+	}
+	if lane < 0 || !rt.HasRoute(lane) {
+		t.Fatalf("scene broken at cycle %d: no routed lane of router (1,0) holds X's tail ahead of Y's head", nw.Now())
+	}
+	asked := alg.routes[y.ID]
+	for nw.Now() < failAt+td-1 {
+		nw.Step()
+		if got := alg.routes[y.ID]; got != asked || rt.HasRoute(lane) {
+			t.Fatalf("cycle %d: Y routed %d times (route held: %v) before the decision time ran out at cycle %d",
+				nw.Now(), got-asked, rt.HasRoute(lane), failAt+td)
+		}
+		if f, ok := rt.Front(lane); !ok || !f.IsHead() || nw.pool.At(f.Ref()).ID != y.ID {
+			t.Fatalf("cycle %d: Y's head is not the front of the purged lane", nw.Now())
+		}
+	}
+	nw.Step()
+	if got := alg.routes[y.ID]; got != asked+1 || !rt.HasRoute(lane) {
+		t.Fatalf("cycle %d: Y routed %d times (route held: %v), want its first decision now", nw.Now(), got-asked, rt.HasRoute(lane))
+	}
+	for col.DeliveredCount() < 2 && nw.Now() < 500 {
+		nw.Step()
+	}
+	if y.DeliveredAt < 0 {
+		t.Fatal("Y was not delivered")
 	}
 }

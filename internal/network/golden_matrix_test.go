@@ -75,6 +75,11 @@ var goldenMatrix = []goldenCase{
 	{"torus3d-adaptive-saturated", torus4x3, "adaptive", 6, 4, 0.07, 0, "", 0x1ec7617b1f6e5fd2},
 	{"torus4-adaptive-v16-saturated", torus4, "adaptive", 16, 2, 0.15, 0, "", 0x3952943a4e5015e3},
 	{"torus-adaptive-mtbf-saturated", torus8, "adaptive", 4, 3, 0.03, 0, "mtbf:mtbf=1500,mttr=600,elems=mixed", 0xfc3a55b1e2e827a6},
+	// Recorded from the parent of the change that moved the decision time
+	// out of the lane: purges under a nonzero decision time that find
+	// staged arrivals due in later cycles (link latency 3), so they filter
+	// in-flight transfers and restore their credits.
+	{"torus-adaptive-td2-lat3-mtbf", torus8, "adaptive", 4, 3, 0.008, 2, "mtbf:mtbf=1500,mttr=600,elems=mixed", 0x3ef9497047b6f4fb},
 }
 
 // goldenKnobs holds, by cell name, the Params settings the goldenCase
@@ -82,9 +87,10 @@ var goldenMatrix = []goldenCase{
 // entries, staged events not due in their own cycle, and fresh traffic
 // served ahead of re-injections.
 var goldenKnobs = map[string]func(*Params){
-	"torus-det-delta5":          func(p *Params) { p.Delta = 5 },
-	"torus-adaptive-lat3-cred2": func(p *Params) { p.LinkLatency, p.CreditDelay = 3, 2 },
-	"torus-det-noreinjectprio":  func(p *Params) { p.NoReinjectPriority = true },
+	"torus-det-delta5":             func(p *Params) { p.Delta = 5 },
+	"torus-adaptive-lat3-cred2":    func(p *Params) { p.LinkLatency, p.CreditDelay = 3, 2 },
+	"torus-adaptive-td2-lat3-mtbf": func(p *Params) { p.LinkLatency, p.CreditDelay = 3, 2 },
+	"torus-det-noreinjectprio":     func(p *Params) { p.NoReinjectPriority = true },
 }
 
 func torus8(*testing.T) topology.Network   { return topology.New(8, 2) }

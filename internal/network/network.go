@@ -24,6 +24,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -110,10 +111,10 @@ func DefaultParams(v int) Params {
 // arrivalEvent is a staged flit transfer into input lane `lane` of node,
 // applied when dueAt <= now (at cycle end). Events are enqueued in
 // non-decreasing dueAt order because the link latency is constant, so a
-// FIFO suffices.
+// FIFO suffices. Node ids fit 32 bits (New refuses larger networks).
 type arrivalEvent struct {
 	dueAt int64
-	node  topology.NodeID
+	node  int32
 	lane  router.Lane
 	flit  message.Flit
 }
@@ -122,7 +123,7 @@ type arrivalEvent struct {
 // router.OutIndex) of node, applied when dueAt <= now.
 type creditEvent struct {
 	dueAt int64
-	node  topology.NodeID
+	node  int32
 	out   int32
 }
 
@@ -133,12 +134,14 @@ type creditEvent struct {
 // channel, which is also the neighbour's first output VC feeding our input
 // port, so both flit transfers and credit returns address the far side as
 // back + vc. Routing only ever allocates existing healthy channels, so the
-// dst of an unwired mesh-edge port (-1) is never read.
+// dst of an unwired mesh-edge port (-1) is never read. Node ids and
+// latencies fit 32 bits (New refuses larger networks;
+// topology.MaxLinkLatency bounds a latency).
 type link struct {
-	dst   topology.NodeID
+	dst   int32
 	wraps bool
 	back  int32
-	lat   int64
+	lat   int32
 }
 
 // softState is a node's software-layer state (see Network.soft).
@@ -158,12 +161,13 @@ type pendingMsg struct {
 
 // stream is a message currently trickling through a node's injection
 // channel into an injection-port virtual channel. len caches the worm
-// length so per-flit injection needs no pool lookup.
+// length (at most message.MaxLen) so per-flit injection needs no pool
+// lookup.
 type stream struct {
 	ref message.Ref
-	len int
-	vc  int
-	seq int
+	len int32
+	vc  int32
+	seq int32
 }
 
 // fifo is a head-indexed FIFO whose backing array is reused: popping
@@ -227,10 +231,18 @@ type Network struct {
 	r       *rng.Stream
 
 	// rngs holds each router's VC-selection stream, derived from the
-	// engine stream via Split(rng.RouterLabel(id)) at construction.
+	// engine stream via SplitValue(rng.RouterLabel(id)) at construction.
 	// Per-router ownership is what lets domains draw concurrently without
 	// perturbing each other.
-	rngs []*rng.Stream
+	rngs []rng.Stream
+
+	// readyAt[node·lanes + lane] is the earliest cycle the head at the
+	// front of a lane may take its routing decision: the decision time Td
+	// of assumption (f), restarted wherever a head becomes a front (see
+	// holdHead). Nil when Td = 0, where the wait is always over by the
+	// first look: a head surfacing in phase B or the switch step is first
+	// routed next cycle, one a purge surfaces this cycle.
+	readyAt []int64
 
 	// sw is the serial stepping context: the one worker whose domain is
 	// every router, staging transfers on its own queues (see worker). par,
@@ -326,6 +338,9 @@ func New(t topology.Network, f *fault.Set, alg routing.Router, gen traffic.Sourc
 	if p.DenseScan || p.DenseVCScan || p.NoLinkCache || p.NoArena || p.GlobalRNG {
 		panic("network: DenseScan, DenseVCScan, NoLinkCache, NoArena and GlobalRNG are retired and select nothing; leave them unset")
 	}
+	if t.Nodes() > math.MaxInt32 || p.LinkLatency > topology.MaxLinkLatency {
+		panic(fmt.Sprintf("network: %d nodes or link latency %d does not fit the engine's 32-bit records", t.Nodes(), p.LinkLatency))
+	}
 	pool := p.Pool
 	if pool == nil {
 		pool = message.NewPool(t.N(), false)
@@ -357,9 +372,12 @@ func New(t topology.Network, f *fault.Set, alg routing.Router, gen traffic.Sourc
 		n.reQ[id].items = reBacking[id*queueCap : id*queueCap : (id+1)*queueCap]
 	}
 	n.buildLinkTable()
-	n.rngs = make([]*rng.Stream, t.Nodes())
+	n.rngs = make([]rng.Stream, t.Nodes())
 	for id := range n.rngs {
-		n.rngs[id] = r.Split(rng.RouterLabel(id))
+		n.rngs[id] = r.SplitValue(rng.RouterLabel(id))
+	}
+	if p.Td > 0 {
+		n.readyAt = make([]int64, t.Nodes()*(n.degree+1)*p.V)
 	}
 	if p.Schedule != nil {
 		n.sched = p.Schedule
@@ -384,7 +402,7 @@ func (nw *Network) buildLinkTable() {
 			continue
 		}
 		nw.links[i] = nw.queryLink(id, port)
-		if nw.links[i].lat != nw.p.LinkLatency {
+		if int64(nw.links[i].lat) != nw.p.LinkLatency {
 			nw.uniformLat = false
 		}
 	}
@@ -399,10 +417,10 @@ func (nw *Network) queryLink(node topology.NodeID, port topology.Port) link {
 		lat = nw.p.LinkLatency
 	}
 	return link{
-		dst:   nw.t.Neighbor(node, dim, dir),
+		dst:   int32(nw.t.Neighbor(node, dim, dir)),
 		wraps: nw.t.WrapsAround(nw.t.Coord(node, dim), dir),
 		back:  int32(int(port.Opposite()) * nw.p.V),
-		lat:   lat,
+		lat:   int32(lat),
 	}
 }
 
@@ -620,7 +638,7 @@ func (w *worker) allocateLane(node topology.NodeID, rt *router.Router, lane rout
 	nw := w.nw
 	ivc := &rt.In[lane]
 	front, ok := rt.Front(lane)
-	if !ok || !front.IsHead() || nw.now < ivc.ReadyAt {
+	if !ok || !front.IsHead() || nw.readyAt != nil && nw.now < nw.readyAt[int(node)*len(rt.In)+int(lane)] {
 		return
 	}
 	m := nw.pool.At(front.Ref())
@@ -757,10 +775,10 @@ func (w *worker) moveNetwork(node topology.NodeID, rt *router.Router, lane route
 		if lk.wraps {
 			m.Crossed[outPort.Dim()] = true
 		}
-		w.emitTrace(phSwitch, trace.Hop, m.ID, lk.dst)
+		w.emitTrace(phSwitch, trace.Hop, m.ID, topology.NodeID(lk.dst))
 	}
 	w.stageArrival(arrivalEvent{
-		dueAt: nw.now + lk.lat - 1,
+		dueAt: nw.now + int64(lk.lat) - 1,
 		node:  lk.dst,
 		lane:  router.Lane(lk.back) + router.Lane(ivc.OutVC),
 		flit:  f,
@@ -777,7 +795,15 @@ func (w *worker) moveNetwork(node topology.NodeID, rt *router.Router, lane route
 // becomes the buffer front after the previous tail left.
 func (nw *Network) refreshReady(rt *router.Router, lane router.Lane) {
 	if nf, ok := rt.Front(lane); ok && nf.IsHead() {
-		rt.In[lane].ReadyAt = nw.now + 1 + nw.p.Td
+		nw.holdHead(rt, lane, nw.now+1)
+	}
+}
+
+// holdHead starts the decision time of the head that just became the front
+// of a lane: it may route from cycle from + Td on. No-op when Td = 0.
+func (nw *Network) holdHead(rt *router.Router, lane router.Lane, from int64) {
+	if nw.readyAt != nil {
+		nw.readyAt[int(rt.ID)*len(rt.In)+int(lane)] = from + nw.p.Td
 	}
 }
 
@@ -898,14 +924,14 @@ func (w *worker) injectNode(node topology.NodeID) {
 				k = 0
 			}
 			s := &ss[idx]
-			lane := rt.LaneOf(rt.InjectionPort(), s.vc)
+			lane := rt.LaneOf(rt.InjectionPort(), int(s.vc))
 			if rt.Space(lane) == 0 {
 				continue
 			}
 			// Injection is a local wire: always one cycle.
 			w.injArr = append(w.injArr, arrivalEvent{
-				dueAt: nw.now, node: node, lane: lane,
-				flit: message.MakeFlit(s.ref, s.seq, s.len),
+				dueAt: nw.now, node: int32(node), lane: lane,
+				flit: message.MakeFlit(s.ref, int(s.seq), int(s.len)),
 			})
 			s.seq++
 			nw.rrInj[node] = k
@@ -956,7 +982,7 @@ func (w *worker) startStreams(node topology.NodeID) (started bool) {
 			continue
 		}
 		nw.popQueue(node)
-		nw.streams[node] = append(nw.streams[node], stream{ref: ref, len: m.Len, vc: int(lane - inj)})
+		nw.streams[node] = append(nw.streams[node], stream{ref: ref, len: int32(m.Len), vc: int32(lane - inj)})
 		w.emit(phInject, fxRec{kind: fxInject, ref: ref, msg: m.ID, node: node})
 	}
 }
@@ -964,7 +990,7 @@ func (w *worker) startStreams(node topology.NodeID) (started bool) {
 // streaming reports whether one of node's streams feeds injection VC vc.
 func (nw *Network) streaming(node topology.NodeID, vc int) bool {
 	for _, s := range nw.streams[node] {
-		if s.vc == vc {
+		if int(s.vc) == vc {
 			return true
 		}
 	}
@@ -1069,10 +1095,10 @@ func (w *worker) applyArrival(a arrivalEvent) {
 	nw := w.nw
 	rt := &nw.routers[a.node]
 	rt.PushLane(a.lane, a.flit)
-	w.mark(a.node)
+	w.mark(topology.NodeID(a.node))
 	if a.flit.IsHead() && rt.Len(a.lane) == 1 {
 		// Became front: routing decision earliest next cycle.
-		rt.In[a.lane].ReadyAt = nw.now + 1 + nw.p.Td
+		nw.holdHead(rt, a.lane, nw.now+1)
 	}
 }
 

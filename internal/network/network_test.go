@@ -1,7 +1,9 @@
 package network
 
 import (
+	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/fault"
 	"repro/internal/message"
@@ -345,4 +347,53 @@ func TestParamValidation(t *testing.T) {
 		}
 	}()
 	New(tor, fs, alg, nil, metrics.NewCollector(0), DefaultParams(2), rng.New(1))
+}
+
+// hugeNet claims more nodes than the engine's 32-bit records can name.
+type hugeNet struct{ topology.Network }
+
+func (hugeNet) Nodes() int { return math.MaxInt32 + 1 }
+
+// TestRecordLayout pins the engine's per-link, per-stream and per-event
+// records at the sizes their 32-bit fields give them, and New's refusal of
+// a network or a latency those fields cannot hold.
+func TestRecordLayout(t *testing.T) {
+	for _, c := range []struct {
+		what       string
+		size, want uintptr
+	}{
+		{"link", unsafe.Sizeof(link{}), 16},
+		{"stream", unsafe.Sizeof(stream{}), 16},
+		{"arrivalEvent", unsafe.Sizeof(arrivalEvent{}), 24},
+		{"creditEvent", unsafe.Sizeof(creditEvent{}), 16},
+	} {
+		if c.size != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.what, c.size, c.want)
+		}
+	}
+	tor := topology.New(4, 2)
+	fs := fault.NewSet(tor)
+	alg, err := routing.NewDeterministic(tor, fs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := DefaultParams(4)
+	slow.LinkLatency = topology.MaxLinkLatency + 1
+	for _, c := range []struct {
+		what string
+		net  topology.Network
+		p    Params
+	}{
+		{"2^31 nodes", hugeNet{tor}, DefaultParams(4)},
+		{"2^31 latency", tor, slow},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted %s", c.what)
+				}
+			}()
+			New(c.net, fs, alg, nil, metrics.NewCollector(0), c.p, rng.New(1))
+		}()
+	}
 }

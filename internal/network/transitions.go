@@ -155,7 +155,7 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 			lane, ivc := router.Lane(l), &rt.In[l]
 			removed := rt.FilterLane(lane, func(f message.Flit) bool { return aff[f.Ref()] })
 			if p, vc := rt.LanePortVC(lane); removed > 0 && p < nw.degree {
-				feed := topology.ChannelID{Src: nw.linkFor(node, topology.Port(p)).dst, Port: topology.Port(p).Opposite()}
+				feed := topology.ChannelID{Src: topology.NodeID(nw.linkFor(node, topology.Port(p)).dst), Port: topology.Port(p).Opposite()}
 				if !dead[feed] {
 					up := &nw.routers[feed.Src]
 					up.Out[up.OutIndex(feed.Port, vc)].Credits += int32(removed)
@@ -173,7 +173,7 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 				// A surviving worm's head may have surfaced; treat it
 				// like an arrival at the end of the previous cycle.
 				if nf, ok := rt.Front(lane); ok && nf.IsHead() && !rt.HasRoute(lane) {
-					ivc.ReadyAt = nw.now + nw.p.Td
+					nw.holdHead(rt, lane, nw.now)
 				}
 			}
 		}
@@ -309,8 +309,8 @@ func (nw *Network) arrivalChannel(ev arrivalEvent) (topology.ChannelID, bool) {
 	if port >= nw.degree {
 		return topology.ChannelID{}, false // injection transfer: no link
 	}
-	up := nw.linkFor(ev.node, topology.Port(port)).dst
-	return topology.ChannelID{Src: up, Port: topology.Port(port).Opposite()}, true
+	up := nw.linkFor(topology.NodeID(ev.node), topology.Port(port)).dst
+	return topology.ChannelID{Src: topology.NodeID(up), Port: topology.Port(port).Opposite()}, true
 }
 
 // filterArrivals removes in-flight transfers of affected worms from one
@@ -338,7 +338,7 @@ func (nw *Network) pendingCredits(node topology.NodeID, out int) int {
 	n := 0
 	for _, w := range nw.doms {
 		for _, c := range w.credQ {
-			if c.node == node && int(c.out) == out {
+			if topology.NodeID(c.node) == node && int(c.out) == out {
 				n++
 			}
 		}

@@ -46,8 +46,14 @@ func New(seed uint64) *Stream {
 // labels from the same state never collide, and splitting does not disturb
 // the parent's own sequence beyond a single state advance.
 func (r *Stream) Split(label uint64) *Stream {
-	mix := r.Uint64() ^ bits.RotateLeft64(label, 32) ^ 0xa0761d6478bd642f
-	return New(mix)
+	st := r.SplitValue(label)
+	return &st
+}
+
+// SplitValue is Split returning the child by value, so a caller deriving
+// many streams can keep them in one slice instead of one object each.
+func (r *Stream) SplitValue(label uint64) Stream {
+	return *New(r.Uint64() ^ bits.RotateLeft64(label, 32) ^ 0xa0761d6478bd642f)
 }
 
 // Uint64 returns the next 64 bits from the stream.

@@ -87,3 +87,18 @@ func TestRouterStreamsIndependent(t *testing.T) {
 		firsts[v] = id
 	}
 }
+
+// TestSplitValueIsSplit: the by-value split derives the very child Split
+// does, and advances the parent the same way.
+func TestSplitValueIsSplit(t *testing.T) {
+	a, b := New(42), New(42)
+	for label := uint64(0); label < 4; label++ {
+		ptr, val := a.Split(RouterLabel(int(label))), b.SplitValue(RouterLabel(int(label)))
+		if *ptr != val {
+			t.Fatalf("label %d: SplitValue's child differs from Split's", label)
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("SplitValue left the parent in another state than Split")
+	}
+}

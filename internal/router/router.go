@@ -30,11 +30,9 @@ import (
 // persists from head-flit allocation until the tail flit leaves (wormhole
 // channel reservation); whether one is held is the router's routed set
 // (HasRoute), not a field, so a phase can select its lanes a word at a
-// time. 24 bytes per lane.
+// time. The engine keeps the decision time Td of assumption (f), and only
+// when Td > 0. 16 bytes per lane.
 type InVC struct {
-	// ReadyAt is the earliest cycle the head may take its routing decision
-	// (models the router decision time Td of assumption (f)).
-	ReadyAt int64
 	// Owner is the worm holding the route — valid only while HasRoute. The
 	// fault-transition purge uses it to find every lane a dying worm has
 	// reserved; steady-state routing never reads it.
@@ -49,7 +47,7 @@ type InVC struct {
 	ToEject bool
 	// Waits names, while the lane is blocked, the output VCs its head waits
 	// on: bit WaitBit(o) for every candidate o of the head's last routing
-	// attempt (Block). Lives in what was the struct's padding.
+	// attempt (Block).
 	Waits uint32
 }
 

@@ -118,11 +118,14 @@ func TestRouterLayout(t *testing.T) {
 	if len(r.RROut) != 6 { // one arbiter per network output port
 		t.Fatalf("rr slots = %d", len(r.RROut))
 	}
-	if size := unsafe.Sizeof(InVC{}); size != 24 {
-		t.Fatalf("InVC is %d bytes, want 24 (the waiter mask sits in its padding)", size)
+	if size := unsafe.Sizeof(InVC{}); size != 16 {
+		t.Fatalf("InVC is %d bytes, want 16 (the decision time lives in the engine, not the lane)", size)
 	}
 	if size := unsafe.Sizeof(OutVC{}); size != 8 {
 		t.Fatalf("OutVC is %d bytes, want 8", size)
+	}
+	if size := unsafe.Sizeof(Router{}); size != 200 {
+		t.Fatalf("Router is %d bytes, want 200", size)
 	}
 }
 

@@ -58,6 +58,7 @@ func newSched(name string, env Env) (*schedSource, error) {
 // initHeap schedules the first arrival of every node. first returns the
 // node's initial arrival cycle (clamped to >= 1).
 func (s *schedSource) initHeap(first func(idx int) int64) {
+	s.heap = make(arrivalHeap, 0, len(s.sources))
 	for i, src := range s.sources {
 		at := first(i)
 		if at < 1 {

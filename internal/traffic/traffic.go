@@ -21,6 +21,7 @@ package traffic
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/rng"
@@ -39,15 +40,16 @@ type Pattern interface {
 // than the source — the paper's workload.
 type Uniform struct {
 	healthy []topology.NodeID
-	index   map[topology.NodeID]int
+	// index[id] is node id's position in healthy, -1 for a faulty node.
+	index []int32
 }
 
 // NewUniform builds the uniform pattern over the healthy nodes of f.
 func NewUniform(f *fault.Set) *Uniform {
 	h := f.HealthyNodes()
-	idx := make(map[topology.NodeID]int, len(h))
+	idx := slices.Repeat([]int32{-1}, f.Net().Nodes())
 	for i, id := range h {
-		idx[id] = i
+		idx[id] = int32(i)
 	}
 	return &Uniform{healthy: h, index: idx}
 }
@@ -60,8 +62,8 @@ func (u *Uniform) Name() string { return "uniform" }
 // and uniform.
 func (u *Uniform) Pick(src topology.NodeID, r *rng.Stream) topology.NodeID {
 	n := len(u.healthy)
-	si, srcHealthy := u.index[src]
-	if !srcHealthy {
+	si := int(u.index[src])
+	if si < 0 {
 		return u.healthy[r.Intn(n)]
 	}
 	j := r.Intn(n - 1)
