@@ -136,6 +136,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg.Lambda = *lambda
 	cfg.BufDepth = *buf
+	if err := core.CheckLaneWidths(cfg.V, cfg.BufDepth); err != nil {
+		return exit(2, "%v", err)
+	}
 	cfg.Pattern = *pattern
 	cfg.Traffic = *traf
 	var captured trace.Workload

@@ -82,6 +82,8 @@ func TestRejectedInvocationHasNoSideEffects(t *testing.T) {
 		{"checkpoint without sweep", []string{"-q"}, "-checkpoint applies to -sweep and -find-sat modes only"},
 		{"removed shard flag", append(grid, "-shard", "0/2"), "flag provided but not defined: -shard"},
 		{"removed merge flag", []string{"-merge", "a.jsonl"}, "flag provided but not defined: -merge"},
+		{"too many VCs", append(grid, "-v", "20000"), "V must be <= 255"},
+		{"too deep a buffer", append(grid, "-buf", "70000"), "BufDepth <= 255, got 4 and 70000"},
 	} {
 		for _, existing := range []bool{false, true} {
 			os.Remove(ckpt)

@@ -18,6 +18,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/message"
 	"repro/internal/registry"
+	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -200,6 +201,15 @@ func (c Config) AlgorithmName() string {
 	return c.Algorithm
 }
 
+// CheckLaneWidths refuses a V or BufDepth beyond the router's byte-wide
+// lane fields (router.MaxV, router.MaxDepth; the paper uses V <= 10, depth 2).
+func CheckLaneWidths(v, bufDepth int) error {
+	if v > router.MaxV || bufDepth > router.MaxDepth {
+		return fmt.Errorf("core: V must be <= %d and BufDepth <= %d, got %d and %d", router.MaxV, router.MaxDepth, v, bufDepth)
+	}
+	return nil
+}
+
 // Validate checks the configuration for consistency: registered algorithm,
 // buildable topology, cycle counts the engine can add without wrapping,
 // well-formed workload specs with in-range node ids, and a fault
@@ -222,6 +232,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: algorithm %q needs V >= %d on %s, got %d", name, minV, net, c.V)
 	case c.BufDepth < 1:
 		return fmt.Errorf("core: BufDepth must be >= 1, got %d", c.BufDepth)
+	case CheckLaneWidths(c.V, c.BufDepth) != nil:
+		return CheckLaneWidths(c.V, c.BufDepth)
 	case c.MsgLen < 1 || c.MsgLen > message.MaxLen:
 		return fmt.Errorf("core: MsgLen must be in [1,%d], got %d", message.MaxLen, c.MsgLen)
 	case !(c.Lambda > 0) || math.IsInf(c.Lambda, 0): // negated to reject NaN

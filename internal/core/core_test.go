@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/rng"
+	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -36,6 +38,8 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.V = 1 },
 		func(c *Config) { c.V = 2; c.Algorithm = "adaptive" },
 		func(c *Config) { c.BufDepth = 0 },
+		func(c *Config) { c.BufDepth = router.MaxDepth + 1 }, // a lane's ring indices are bytes
+		func(c *Config) { c.V = router.MaxV + 1 },            // a route's output VC is a byte
 		func(c *Config) { c.MsgLen = 0 },
 		func(c *Config) { c.MsgLen = message.MaxLen + 1 }, // flit MaxLen+1 would read as a head
 		func(c *Config) { c.Lambda = 0 },
@@ -440,6 +444,35 @@ func TestNewEngineAllocationsPerNode(t *testing.T) {
 	t.Logf("NewEngine on %s, V=%d: %.0f allocations, %.2f per node", c.Topology, c.V, allocs, allocs/nodes)
 	if perNode := allocs / nodes; perNode > 0.1 {
 		t.Fatalf("NewEngine allocates %.2f objects per node, want <= 0.1 (%.0f total)", perNode, allocs)
+	}
+}
+
+// TestNewEngineBytesPerNode bounds the heap a fresh engine retains per
+// node on the shape of TestNewEngineAllocationsPerNode: lanes and their
+// flit slots, output VCs, the router headers, the link table, the software
+// layer and the rng streams, almost all of it proportional to the node
+// count. The bound sits just above the current reading, so a per-node
+// record that grows fails here and not only in the benchmark's peak RSS.
+func TestNewEngineBytesPerNode(t *testing.T) {
+	c := DefaultConfig(0, 0, 0.001)
+	c.Topology = "torus:k=16,n=3"
+	c.V = 4
+	const nodes = 16 * 16 * 16
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e, err := NewEngine(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(e)
+	perNode := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / nodes
+	t.Logf("NewEngine on %s, V=%d: %.0f bytes retained per node", c.Topology, c.V, perNode)
+	const bound = 1560 // the reading is 1 517 on go1.24
+	if perNode > bound {
+		t.Fatalf("NewEngine retains %.0f bytes per node, want <= %d", perNode, bound)
 	}
 }
 

@@ -45,7 +45,8 @@ func PrintRegistries(w io.Writer, prefix string) {
 // defaulting to def's values, and returns the function that, after
 // fs.Parse, yields def with them applied and the network it names. -topo
 // overrides -k/-n (a torus); -shape stamps a Fig. 5 preset into plane
-// (0,1). The function's errors are usage errors (exit 2).
+// (0,1). The function's errors are usage errors (exit 2), -v above
+// router.MaxV among them.
 func BindFlags(fs *flag.FlagSet, def Config) func() (Config, topology.Network, error) {
 	cfg := def
 	net, _ := def.BuildTopology() // def is the caller's literal
@@ -67,6 +68,9 @@ func BindFlags(fs *flag.FlagSet, def Config) func() (Config, topology.Network, e
 			cfg.Faults.Shapes = []ShapeStamp{{Spec: spec, DimA: 0, DimB: 1}}
 		} else if *shape != "" {
 			return cfg, nil, fmt.Errorf("unknown shape %q (rect|T|plus|L|U)", *shape)
+		}
+		if err := CheckLaneWidths(cfg.V, cfg.BufDepth); err != nil {
+			return cfg, nil, err
 		}
 		net, err := topology.NewNetwork(cfg.Topology)
 		return cfg, net, err

@@ -32,6 +32,8 @@ const chunkSize = 256
 type Pool struct {
 	// slots maps Ref -> live message; freed slots hold nil until reused.
 	slots []*Message
+	// links[ref] threads slot ref through the Queue holding it.
+	links []link
 	// freeSlots is the LIFO free-list of slot indices.
 	freeSlots []Ref
 	// freeMsgs holds recycled arena-owned Message storage.
@@ -119,6 +121,7 @@ func (p *Pool) bind(m *Message) Ref {
 	} else {
 		ref = Ref(len(p.slots))
 		p.slots = append(p.slots, m)
+		p.links = append(p.links, link{})
 	}
 	m.refp1 = int32(ref) + 1
 	p.live++
@@ -166,4 +169,71 @@ func NewIn(pool *Pool, id uint64, src, dst topology.NodeID, length, n int, mode 
 		return New(id, src, dst, length, n, mode, createdAt)
 	}
 	return pool.New(id, src, dst, length, mode, createdAt)
+}
+
+// link is a slot's place in a Queue: the Ref queued after it (plus one, 0
+// ending the queue) and the cycle its message becomes eligible.
+type link struct {
+	next       Ref
+	eligibleAt int64
+}
+
+// Queue is a FIFO of messages threaded through their pool slots (see
+// link), so a queue is two Refs and queueing allocates nothing once the
+// slot table has grown. A message sits in at most one queue at a time, and
+// must leave it before Free. The zero Queue is empty.
+type Queue struct {
+	// first and last are Refs plus one; 0 means the queue is empty.
+	first, last Ref
+}
+
+// Empty reports whether the queue holds no message.
+func (q Queue) Empty() bool { return q.first == 0 }
+
+// Enqueue appends message ref to q, eligible from cycle eligibleAt on.
+func (p *Pool) Enqueue(q *Queue, ref Ref, eligibleAt int64) {
+	p.links[ref] = link{eligibleAt: eligibleAt}
+	if q.last == 0 {
+		q.first = ref + 1
+	} else {
+		p.links[q.last-1].next = ref + 1
+	}
+	q.last = ref + 1
+}
+
+// Head returns the front message of a non-empty queue and the cycle it
+// becomes eligible.
+func (p *Pool) Head(q Queue) (Ref, int64) { return q.first - 1, p.links[q.first-1].eligibleAt }
+
+// Dequeue removes the front message of a non-empty queue.
+func (p *Pool) Dequeue(q *Queue) {
+	if q.first = p.links[q.first-1].next; q.first == 0 {
+		q.last = 0
+	}
+}
+
+// QueueLen returns the number of messages in q.
+func (p *Pool) QueueLen(q Queue) int {
+	n := 0
+	for r := q.first; r != 0; r = p.links[r-1].next {
+		n++
+	}
+	return n
+}
+
+// FilterQueue removes every message drop reports true for, preserving the
+// order of the survivors, and returns the removed ones in queue order.
+func (p *Pool) FilterQueue(q *Queue, drop func(Ref) bool) (removed []Ref) {
+	var kept Queue
+	for !q.Empty() {
+		ref, at := p.Head(*q)
+		p.Dequeue(q)
+		if drop(ref) {
+			removed = append(removed, ref)
+		} else {
+			p.Enqueue(&kept, ref, at)
+		}
+	}
+	*q = kept
+	return removed
 }

@@ -1,6 +1,10 @@
 package message
 
-import "testing"
+import (
+	"slices"
+	"testing"
+	"testing/quick"
+)
 
 func TestPoolRecyclesStorageAndSlots(t *testing.T) {
 	p := NewPool(2, false)
@@ -159,5 +163,74 @@ func TestNewPoolValidatesDims(t *testing.T) {
 			}()
 			NewPool(n, false)
 		}()
+	}
+}
+
+// TestQueueMatchesSlices drives random Enqueue/Dequeue/FilterQueue
+// sequences on three queues threaded through one pool against one slice
+// per queue, checking Head, Empty and QueueLen after every operation.
+func TestQueueMatchesSlices(t *testing.T) {
+	type entry struct {
+		ref Ref
+		at  int64
+	}
+	if err := quick.Check(func(ops []uint16) bool {
+		p := NewPool(2, false)
+		var qs [3]Queue
+		var ref [3][]entry
+		var free []Ref // messages in no queue
+		for i := 0; i < 12; i++ {
+			m, _ := p.New(uint64(i), 0, 1, 1, Deterministic, 0).Ref()
+			free = append(free, m)
+		}
+		for i, op := range ops {
+			q := int(op>>2) % 3
+			switch op & 3 {
+			case 0, 1:
+				if len(free) == 0 {
+					continue
+				}
+				e := entry{free[len(free)-1], int64(i)}
+				free = free[:len(free)-1]
+				p.Enqueue(&qs[q], e.ref, e.at)
+				ref[q] = append(ref[q], e)
+			case 2:
+				if len(ref[q]) == 0 {
+					continue
+				}
+				p.Dequeue(&qs[q])
+				free = append(free, ref[q][0].ref)
+				ref[q] = ref[q][1:]
+			case 3:
+				drop := func(r Ref) bool { return int(r)%3 == int(op>>4)%3 }
+				var kept []entry
+				var want []Ref
+				for _, e := range ref[q] {
+					if drop(e.ref) {
+						want = append(want, e.ref)
+					} else {
+						kept = append(kept, e)
+					}
+				}
+				if got := p.FilterQueue(&qs[q], drop); !slices.Equal(got, want) {
+					return false
+				}
+				free = append(free, want...)
+				ref[q] = kept
+			}
+			for q := range qs {
+				if qs[q].Empty() != (len(ref[q]) == 0) || p.QueueLen(qs[q]) != len(ref[q]) {
+					return false
+				}
+				if len(ref[q]) > 0 {
+					if r, at := p.Head(qs[q]); r != ref[q][0].ref || at != ref[q][0].at {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }

@@ -41,8 +41,8 @@ func TestSchedulerSetsCoverWork(t *testing.T) {
 					active := activeSet(nw)
 					for id := range nw.routers {
 						rt := &nw.routers[id]
-						if rt.Flits > 0 && !active[id] {
-							t.Fatalf("cycle %d node %d: %d buffered flits on a retired router", nw.Now(), id, rt.Flits)
+						if rt.Buffered() && !active[id] {
+							t.Fatalf("cycle %d node %d: buffered flits on a retired router", nw.Now(), id)
 						}
 						listed := 0
 						for _, l := range rt.Lanes() {
@@ -70,8 +70,8 @@ func TestSchedulerSetsCoverWork(t *testing.T) {
 						if listed != buffering {
 							t.Fatalf("cycle %d node %d: %d lanes buffer flits, the active-lane set holds %d of them", nw.Now(), id, buffering, listed)
 						}
-						if sum != rt.Flits {
-							t.Fatalf("cycle %d node %d: Flits = %d, lanes hold %d", nw.Now(), id, rt.Flits, sum)
+						if rt.Buffered() != (sum > 0) {
+							t.Fatalf("cycle %d node %d: Buffered = %v, lanes hold %d", nw.Now(), id, rt.Buffered(), sum)
 						}
 						// The switch- and inject-side marks: every Step on the
 						// routers about to be visited, every 16th on all of them
@@ -85,16 +85,12 @@ func TestSchedulerSetsCoverWork(t *testing.T) {
 							lane, ivc := router.Lane(l), &rt.In[l]
 							routed := rt.HasRoute(lane)
 							if routed {
-								p := int(ivc.OutPort)
-								if ivc.ToEject {
-									p = rt.InjectionPort()
-								}
-								want[l>>6*ports+p] |= 1 << (uint(l) & 63)
+								want[l>>6*ports+int(ivc.OutPort)] |= 1 << (uint(l) & 63)
 							}
 							if rt.Starved(lane) {
 								starved++
-								if !routed || ivc.ToEject {
-									t.Fatalf("cycle %d node %d lane %d: credit-parked, routed: %v, to eject: %v", nw.Now(), id, l, routed, ivc.ToEject)
+								if !routed || rt.ToEject(lane) {
+									t.Fatalf("cycle %d node %d lane %d: credit-parked, routed: %v, to eject: %v", nw.Now(), id, l, routed, rt.ToEject(lane))
 								}
 								if o := rt.Out[rt.OutIndex(topology.Port(ivc.OutPort), int(ivc.OutVC))]; o.Credits != 0 || !o.Waiting || router.Lane(o.Holder) != lane {
 									t.Fatalf("cycle %d node %d lane %d: credit-parked on output VC %+v", nw.Now(), id, l, o)
@@ -157,7 +153,7 @@ func checkCredits(t *testing.T, nw *Network, staged []int) []int {
 		for vc := 0; vc < v; vc++ {
 			o := rt.OutIndex(port, vc)
 			credits := int(rt.Out[o].Credits)
-			held := down.Len(router.Lane(lk.back) + router.Lane(vc))
+			held := down.Len(router.Lane(nw.back(port) + vc))
 			if sum := credits + held + staged[i*v+vc]; sum != nw.p.BufDepth {
 				t.Fatalf("cycle %d channel %v VC %d: %d credits + %d buffered downstream + %d staged = %d, want %d",
 					nw.Now(), topology.ChannelID{Src: node, Port: port}, vc, credits, held, staged[i*v+vc], sum, nw.p.BufDepth)
@@ -203,15 +199,17 @@ func checkBlocked(t *testing.T, nw *Network, node topology.NodeID, lane router.L
 func checkStalled(t *testing.T, nw *Network, node topology.NodeID) {
 	t.Helper()
 	rt := &nw.routers[node]
-	for _, s := range nw.streams[node] {
+	for _, s := range nw.streamsOf(node) {
 		if lane := rt.LaneOf(rt.InjectionPort(), int(s.vc)); rt.Space(lane) > 0 {
 			t.Fatalf("cycle %d node %d: stalled, yet the stream on injection VC %d has %d free slots", nw.Now(), node, s.vc, rt.Space(lane))
 		}
 	}
-	if q := &nw.reQ[node]; q.Len() > 0 && q.Front().eligibleAt > nw.Now() {
-		t.Fatalf("cycle %d node %d: stalled while a re-injection waits out Δ until cycle %d", nw.Now(), node, q.Front().eligibleAt)
+	if q := nw.reQ[node]; !q.Empty() {
+		if _, at := nw.pool.Head(q); at > nw.Now() {
+			t.Fatalf("cycle %d node %d: stalled while a re-injection waits out Δ until cycle %d", nw.Now(), node, at)
+		}
 	}
-	if _, ok := nw.peekQueue(node); !ok {
+	if nw.nextQueue(node) == nil {
 		return
 	}
 	for vc := 0; vc < nw.p.V; vc++ {

@@ -80,6 +80,11 @@ var goldenMatrix = []goldenCase{
 	// staged arrivals due in later cycles (link latency 3), so they filter
 	// in-flight transfers and restore their credits.
 	{"torus-adaptive-td2-lat3-mtbf", torus8, "adaptive", 4, 3, 0.008, 2, "mtbf:mtbf=1500,mttr=600,elems=mixed", 0x3ef9497047b6f4fb},
+	// Recorded from the parent of the change that moved a lane's first two
+	// flit slots into its record: four-flit buffers under saturation and
+	// fault churn, so lanes fill past the inline slots and purges filter
+	// worms out of the overflow ones. Every other cell runs at depth <= 3.
+	{"torus-adaptive-buf4-mtbf-saturated", torus8, "adaptive", 4, 3, 0.03, 0, "mtbf:mtbf=1500,mttr=600,elems=mixed", 0xe150455d183ca106},
 }
 
 // goldenKnobs holds, by cell name, the Params settings the goldenCase
@@ -87,10 +92,11 @@ var goldenMatrix = []goldenCase{
 // entries, staged events not due in their own cycle, and fresh traffic
 // served ahead of re-injections.
 var goldenKnobs = map[string]func(*Params){
-	"torus-det-delta5":             func(p *Params) { p.Delta = 5 },
-	"torus-adaptive-lat3-cred2":    func(p *Params) { p.LinkLatency, p.CreditDelay = 3, 2 },
-	"torus-adaptive-td2-lat3-mtbf": func(p *Params) { p.LinkLatency, p.CreditDelay = 3, 2 },
-	"torus-det-noreinjectprio":     func(p *Params) { p.NoReinjectPriority = true },
+	"torus-det-delta5":                   func(p *Params) { p.Delta = 5 },
+	"torus-adaptive-lat3-cred2":          func(p *Params) { p.LinkLatency, p.CreditDelay = 3, 2 },
+	"torus-adaptive-td2-lat3-mtbf":       func(p *Params) { p.LinkLatency, p.CreditDelay = 3, 2 },
+	"torus-det-noreinjectprio":           func(p *Params) { p.NoReinjectPriority = true },
+	"torus-adaptive-buf4-mtbf-saturated": func(p *Params) { p.BufDepth = 4 },
 }
 
 func torus8(*testing.T) topology.Network   { return topology.New(8, 2) }

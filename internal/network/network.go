@@ -128,20 +128,18 @@ type creditEvent struct {
 }
 
 // link is one precomputed entry of the engine's per-(node, port) geometry
-// table: the downstream router, whether the hop crosses the dateline, the
-// effective flit latency (per-link overlay or the global default), and
-// back = Opposite(port)·V — the neighbour's first input lane fed by this
-// channel, which is also the neighbour's first output VC feeding our input
-// port, so both flit transfers and credit returns address the far side as
-// back + vc. Routing only ever allocates existing healthy channels, so the
-// dst of an unwired mesh-edge port (-1) is never read. Node ids and
-// latencies fit 32 bits (New refuses larger networks;
-// topology.MaxLinkLatency bounds a latency).
+// table: the downstream router and whether the hop crosses the dateline.
+// The far side of the channel is addressed from the port alone: the
+// neighbour's first input lane fed by it, which is also the neighbour's
+// first output VC feeding our input port, is back(port) = Opposite(port)·V,
+// so flit transfers and credit returns both go to back + vc. The flit
+// latency is Params.LinkLatency unless a latency overlay makes it vary
+// (Network.lat). Routing only ever allocates existing healthy channels, so
+// the dst of an unwired mesh-edge port (-1) is never read. Node ids fit 32
+// bits (New refuses larger networks). 8 bytes.
 type link struct {
 	dst   int32
 	wraps bool
-	back  int32
-	lat   int32
 }
 
 // softState is a node's software-layer state (see Network.soft).
@@ -152,12 +150,6 @@ const (
 	softRun
 	softStalled
 )
-
-// pendingMsg is a queued message at a node's software layer.
-type pendingMsg struct {
-	ref        message.Ref
-	eligibleAt int64
-}
 
 // stream is a message currently trickling through a node's injection
 // channel into an injection-port virtual channel. len caches the worm
@@ -170,43 +162,6 @@ type stream struct {
 	seq int32
 }
 
-// fifo is a head-indexed FIFO whose backing array is reused: popping
-// advances the head, and full drains rewind it, so steady-state traffic
-// stops allocating (a plain q = q[1:] pop leaks the front capacity and
-// reallocates forever).
-type fifo[T any] struct {
-	items []T
-	head  int
-}
-
-func (q *fifo[T]) Len() int { return len(q.items) - q.head }
-func (q *fifo[T]) Push(v T) { q.items = append(q.items, v) }
-func (q *fifo[T]) Front() T { return q.items[q.head] }
-func (q *fifo[T]) Pop() {
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-}
-
-// Filter removes every queued entry drop reports true for, preserving
-// the order of the survivors, and returns the removed entries in queue
-// order. Used by dynamic fault transitions; never on the hot path.
-func (q *fifo[T]) Filter(drop func(T) bool) []T {
-	var removed []T
-	kept := q.items[:q.head]
-	for _, v := range q.items[q.head:] {
-		if drop(v) {
-			removed = append(removed, v)
-		} else {
-			kept = append(kept, v)
-		}
-	}
-	q.items = kept
-	return removed
-}
-
 // Network is the simulation engine.
 type Network struct {
 	t    topology.Network
@@ -215,13 +170,13 @@ type Network struct {
 	p    Params
 	pool *message.Pool
 
-	// links is the geometry/latency table (see link), indexed
-	// node*degree + port; uniformLat records whether every link shares the
-	// default latency, in which case staged arrivals are naturally
-	// FIFO-ordered by due cycle.
-	links      []link
-	degree     int
-	uniformLat bool
+	// links is the geometry table (see link), indexed node*degree + port.
+	// lat is its latency column, kept only when a latency overlay makes
+	// some link differ from Params.LinkLatency; while it is nil, staged
+	// arrivals are naturally FIFO-ordered by due cycle.
+	links  []link
+	lat    []int32
+	degree int
 
 	// routers is the lane arena (router.NewSlab): one Router value per
 	// node, all state in shared slabs.
@@ -254,14 +209,19 @@ type Network struct {
 	doms []*worker
 	dom  []int32
 
-	// Per-node software queues: fresh traffic and re-injections (the latter
-	// have absolute priority, §4 "Absorbed messages have priority over new
-	// messages to prevent starvation").
-	newQ []fifo[message.Ref]
-	reQ  []fifo[pendingMsg]
-	// Per-node active injection streams, at most one flit/cycle/node.
-	streams [][]stream
-	rrInj   []int
+	// Per-node software queues, threaded through the message pool: fresh
+	// traffic and re-injections (the latter have absolute priority, §4
+	// "Absorbed messages have priority over new messages to prevent
+	// starvation"; a re-injection becomes eligible Δ after its absorption).
+	newQ []message.Queue
+	reQ  []message.Queue
+	// Per-node active injection streams, at most one flit/cycle/node: those
+	// of node id are streams[id·V : id·V+nstreams[id]], in start order (a
+	// node never runs more than V, one per injection VC). rrInj is the
+	// node's round-robin pointer over them.
+	streams  []stream
+	nstreams []uint8
+	rrInj    []uint8
 	// soft[id] is the software-layer state of node id. softRun is the
 	// occupancy flag: raised wherever something is pushed on newQ/reQ,
 	// lowered to softIdle only by injectNode once it has seen both queues
@@ -350,26 +310,12 @@ func New(t topology.Network, f *fault.Set, alg routing.Router, gen traffic.Sourc
 		routers: router.NewSlab(t.Nodes(), t.N(), p.V, p.BufDepth),
 		degree:  t.Degree(),
 		gen:     gen, col: col, r: r,
-		newQ:    make([]fifo[message.Ref], t.Nodes()),
-		reQ:     make([]fifo[pendingMsg], t.Nodes()),
-		streams: make([][]stream, t.Nodes()),
-		rrInj:   make([]int, t.Nodes()),
-		soft:    make([]softState, t.Nodes()),
-	}
-	// A node never runs more than V injection streams (one per injection
-	// VC), so every per-node stream slice is carved from one backing array
-	// at its full capacity; likewise the software queues start as small
-	// windows of one slab each. Without this, the first message reaching
-	// each of tens of thousands of nodes triggers an append growth long
-	// after warm-up — the allocations the zero-alloc Step gate would flag.
-	const queueCap = 4
-	streamBacking := make([]stream, t.Nodes()*p.V)
-	newBacking := make([]message.Ref, t.Nodes()*queueCap)
-	reBacking := make([]pendingMsg, t.Nodes()*queueCap)
-	for id := 0; id < t.Nodes(); id++ {
-		n.streams[id] = streamBacking[id*p.V : id*p.V : (id+1)*p.V]
-		n.newQ[id].items = newBacking[id*queueCap : id*queueCap : (id+1)*queueCap]
-		n.reQ[id].items = reBacking[id*queueCap : id*queueCap : (id+1)*queueCap]
+		newQ:     make([]message.Queue, t.Nodes()),
+		reQ:      make([]message.Queue, t.Nodes()),
+		streams:  make([]stream, t.Nodes()*p.V),
+		nstreams: make([]uint8, t.Nodes()),
+		rrInj:    make([]uint8, t.Nodes()),
+		soft:     make([]softState, t.Nodes()),
 	}
 	n.buildLinkTable()
 	n.rngs = make([]rng.Stream, t.Nodes())
@@ -393,34 +339,32 @@ func New(t topology.Network, f *fault.Set, alg routing.Router, gen traffic.Sourc
 // effective latency for every (node, port) so the per-flit hot path never
 // dispatches through the topology interface.
 func (nw *Network) buildLinkTable() {
-	nw.uniformLat = true
+	uniform := true
 	nw.links = make([]link, nw.t.Nodes()*nw.degree)
 	for i := range nw.links {
 		id, port := topology.NodeID(i/nw.degree), topology.Port(i%nw.degree)
-		if !nw.t.HasLink(id, port.Dim(), port.Dir()) {
+		dim, dir := port.Dim(), port.Dir()
+		if !nw.t.HasLink(id, dim, dir) {
 			nw.links[i] = link{dst: -1}
 			continue
 		}
-		nw.links[i] = nw.queryLink(id, port)
-		if int64(nw.links[i].lat) != nw.p.LinkLatency {
-			nw.uniformLat = false
+		nw.links[i] = link{
+			dst:   int32(nw.t.Neighbor(id, dim, dir)),
+			wraps: nw.t.WrapsAround(nw.t.Coord(id, dim), dir),
+		}
+		if lat := nw.t.LinkLatency(id, port); lat != 0 && lat != nw.p.LinkLatency {
+			uniform = false
 		}
 	}
-}
-
-// queryLink resolves the geometry of the channel leaving node through port
-// from the topology interface, for the link table.
-func (nw *Network) queryLink(node topology.NodeID, port topology.Port) link {
-	dim, dir := port.Dim(), port.Dir()
-	lat := nw.t.LinkLatency(node, port)
-	if lat == 0 {
-		lat = nw.p.LinkLatency
+	if uniform {
+		return
 	}
-	return link{
-		dst:   int32(nw.t.Neighbor(node, dim, dir)),
-		wraps: nw.t.WrapsAround(nw.t.Coord(node, dim), dir),
-		back:  int32(int(port.Opposite()) * nw.p.V),
-		lat:   int32(lat),
+	nw.lat = make([]int32, len(nw.links))
+	for i := range nw.lat {
+		nw.lat[i] = int32(nw.p.LinkLatency)
+		if lat := nw.t.LinkLatency(topology.NodeID(i/nw.degree), topology.Port(i%nw.degree)); lat != 0 {
+			nw.lat[i] = int32(lat)
+		}
 	}
 }
 
@@ -428,6 +372,18 @@ func (nw *Network) queryLink(node topology.NodeID, port topology.Port) link {
 // port.
 func (nw *Network) linkFor(node topology.NodeID, port topology.Port) link {
 	return nw.links[int(node)*nw.degree+int(port)]
+}
+
+// back returns the first lane (and output VC) of the far end of the channel
+// leaving through port: the neighbour's input port facing it, times V.
+func (nw *Network) back(port topology.Port) int {
+	return int(port.Opposite()) * nw.p.V
+}
+
+// streamsOf returns node's active injection streams.
+func (nw *Network) streamsOf(node topology.NodeID) []stream {
+	b := int(node) * nw.p.V
+	return nw.streams[b : b+int(nw.nstreams[node])]
 }
 
 // markSoft records that something was pushed on one of the node's software
@@ -468,7 +424,7 @@ func (nw *Network) Workers() int {
 func (nw *Network) Backlog() int {
 	total := 0
 	for id := range nw.newQ {
-		total += nw.newQ[id].Len() + nw.reQ[id].Len() + len(nw.streams[id])
+		total += nw.pool.QueueLen(nw.newQ[id]) + nw.pool.QueueLen(nw.reQ[id]) + int(nw.nstreams[id])
 	}
 	return total
 }
@@ -488,7 +444,7 @@ func (nw *Network) Enqueue(node topology.NodeID, m *message.Message) {
 	if nw.f.NodeFaulty(node) {
 		panic(fmt.Sprintf("network: enqueue at faulty node %d", node))
 	}
-	nw.newQ[node].Push(nw.pool.Adopt(m))
+	nw.pool.Enqueue(&nw.newQ[node], nw.pool.Adopt(m), 0)
 	nw.markSoft(node)
 }
 
@@ -505,7 +461,7 @@ func (nw *Network) Idle() bool {
 		}
 	}
 	for id := range nw.routers {
-		if nw.routers[id].Flits > 0 {
+		if nw.routers[id].Buffered() {
 			return false
 		}
 	}
@@ -555,7 +511,7 @@ func (nw *Network) pollTraffic() {
 			nw.pool.Free(nw.pool.Adopt(m))
 			continue
 		}
-		nw.newQ[m.Src].Push(nw.pool.Adopt(m))
+		nw.pool.Enqueue(&nw.newQ[m.Src], nw.pool.Adopt(m), 0)
 		nw.markSoft(m.Src)
 	}
 }
@@ -577,7 +533,7 @@ func (nw *Network) pollTraffic() {
 func (w *worker) visit(node topology.NodeID) bool {
 	nw := w.nw
 	rt := &nw.routers[node]
-	if rt.Flits > 0 {
+	if rt.Buffered() {
 		if rt.Words() > 1 {
 			w.routeNode(node, rt)
 			w.switchPorts(node, rt)
@@ -597,7 +553,7 @@ func (w *worker) visit(node topology.NodeID) bool {
 	if nw.soft[node] == softRun {
 		w.injectNode(node)
 	}
-	return rt.Flits > 0 || nw.soft[node] != softIdle
+	return rt.Buffered() || nw.soft[node] != softIdle
 }
 
 // routeNode takes the routing decisions of one router: every lane whose
@@ -646,10 +602,10 @@ func (w *worker) allocateLane(node topology.NodeID, rt *router.Router, lane rout
 	switch dec.Outcome {
 	case routing.Deliver:
 		m.Pending = message.StopDeliver
-		ivc.ToEject = true
+		ivc.OutPort = uint8(rt.EjectPort())
 	case routing.ViaArrived:
 		m.Pending = message.StopVia
-		ivc.ToEject = true
+		ivc.OutPort = uint8(rt.EjectPort())
 	case routing.AbsorbFault:
 		w.emitTrace(phRoute, trace.AbsorbStart, m.ID, node)
 		if w.alg.Plan(node, m, dec.BlockedDim, dec.BlockedDir) {
@@ -657,7 +613,7 @@ func (w *worker) allocateLane(node topology.NodeID, rt *router.Router, lane rout
 		} else {
 			m.Pending = message.StopDrop
 		}
-		ivc.ToEject = true
+		ivc.OutPort = uint8(rt.EjectPort())
 	case routing.Progress:
 		free := w.freeVCs[:0]
 		for _, c := range dec.Preferred {
@@ -680,8 +636,7 @@ func (w *worker) allocateLane(node topology.NodeID, rt *router.Router, lane rout
 		}
 		pick := free[nw.rngs[node].Intn(len(free))]
 		rt.Out[rt.OutIndex(pick.Port, pick.VC)].Busy = true
-		ivc.ToEject = false
-		ivc.OutPort, ivc.OutVC = uint8(pick.Port), uint16(pick.VC)
+		ivc.OutPort, ivc.OutVC = uint8(pick.Port), uint8(pick.VC)
 	}
 	// Every case above that falls through has allocated a route (Progress
 	// returns early otherwise); record the owning worm for the
@@ -746,7 +701,7 @@ func (w *worker) switchPorts(node topology.NodeID, rt *router.Router) {
 //simlint:phase compute
 func (w *worker) switchOne(node topology.NodeID, rt *router.Router, lane router.Lane) {
 	ivc := &rt.In[lane]
-	if ivc.ToEject {
+	if rt.ToEject(lane) {
 		w.moveEject(node, rt, lane)
 		return
 	}
@@ -769,7 +724,10 @@ func (w *worker) moveNetwork(node topology.NodeID, rt *router.Router, lane route
 	outPort := topology.Port(ivc.OutPort)
 	o := rt.OutIndex(outPort, int(ivc.OutVC))
 	rt.Out[o].Credits--
-	lk := nw.linkFor(node, outPort)
+	lk, lat := nw.linkFor(node, outPort), nw.p.LinkLatency
+	if nw.lat != nil {
+		lat = int64(nw.lat[int(node)*nw.degree+int(outPort)])
+	}
 	if f.IsHead() {
 		m := nw.pool.At(f.Ref())
 		if lk.wraps {
@@ -778,9 +736,9 @@ func (w *worker) moveNetwork(node topology.NodeID, rt *router.Router, lane route
 		w.emitTrace(phSwitch, trace.Hop, m.ID, topology.NodeID(lk.dst))
 	}
 	w.stageArrival(arrivalEvent{
-		dueAt: nw.now + int64(lk.lat) - 1,
+		dueAt: nw.now + lat - 1,
 		node:  lk.dst,
-		lane:  router.Lane(lk.back) + router.Lane(ivc.OutVC),
+		lane:  router.Lane(nw.back(outPort) + int(ivc.OutVC)),
 		flit:  f,
 	})
 	w.returnCredit(node, rt, lane)
@@ -851,7 +809,7 @@ func (w *worker) moveEject(node topology.NodeID, rt *router.Router, lane router.
 // queue, eligible after the software overhead Δ. Runs inside the node's own
 // visit, so raising the flag is enough to keep the router active.
 func (nw *Network) requeue(node topology.NodeID, ref message.Ref) {
-	nw.reQ[node].Push(pendingMsg{ref: ref, eligibleAt: nw.now + nw.p.Delta})
+	nw.pool.Enqueue(&nw.reQ[node], ref, nw.now+nw.p.Delta)
 	nw.soft[node] = softRun
 }
 
@@ -875,7 +833,7 @@ func (w *worker) returnCredit(node topology.NodeID, rt *router.Router, lane rout
 	ev := creditEvent{
 		dueAt: nw.now + nw.p.CreditDelay - 1,
 		node:  lk.dst,
-		out:   lk.back + int32(vc),
+		out:   int32(nw.back(topology.Port(port)) + vc),
 	}
 	if w.direct {
 		w.credQ = append(w.credQ, ev)
@@ -902,9 +860,9 @@ func (w *worker) returnCredit(node topology.NodeID, rt *router.Router, lane rout
 func (w *worker) injectNode(node topology.NodeID) {
 	nw := w.nw
 	started := w.startStreams(node)
-	ss := nw.streams[node]
+	ss := nw.streamsOf(node)
 	n := len(ss)
-	if n == 0 && nw.newQ[node].Len() == 0 && nw.reQ[node].Len() == 0 {
+	if n == 0 && nw.newQ[node].Empty() && nw.reQ[node].Empty() {
 		// Nothing streaming and both queues empty (a re-injection still
 		// waiting out Δ counts): the software layer is idle.
 		nw.soft[node] = softIdle
@@ -914,7 +872,7 @@ func (w *worker) injectNode(node topology.NodeID) {
 		rt := &nw.routers[node]
 		// Round-robin across active streams for the single injection
 		// channel's flit slot (same wrap discipline as router.Grant).
-		k := nw.rrInj[node]
+		k := int(nw.rrInj[node])
 		for k >= n {
 			k -= n
 		}
@@ -934,15 +892,16 @@ func (w *worker) injectNode(node topology.NodeID) {
 				flit: message.MakeFlit(s.ref, int(s.seq), int(s.len)),
 			})
 			s.seq++
-			nw.rrInj[node] = k
+			nw.rrInj[node] = uint8(k)
 			if s.seq == s.len {
 				// Stream complete; remove, preserving order.
-				nw.streams[node] = append(ss[:idx], ss[idx+1:]...)
+				copy(ss[idx:], ss[idx+1:])
+				nw.nstreams[node]--
 			}
 			return
 		}
 	}
-	if q := &nw.reQ[node]; !started && (q.Len() == 0 || q.Front().eligibleAt <= nw.now) {
+	if !started && (nw.reQ[node].Empty() || nw.reReady(node)) {
 		nw.soft[node] = softStalled
 	}
 }
@@ -960,10 +919,11 @@ func (w *worker) startStreams(node topology.NodeID) (started bool) {
 	inj := rt.LaneOf(rt.InjectionPort(), 0)
 	end := inj + router.Lane(nw.p.V)
 	for {
-		ref, ok := nw.peekQueue(node)
-		if !ok {
+		q := nw.nextQueue(node)
+		if q == nil {
 			return started
 		}
+		ref, _ := nw.pool.Head(*q)
 		// Find a free injection VC: the lowest idle injection lane (empty
 		// buffer, no route held) no stream is feeding.
 		lane := rt.IdleLane(inj, end)
@@ -975,21 +935,21 @@ func (w *worker) startStreams(node topology.NodeID) (started bool) {
 		}
 		started = true
 		m := nw.pool.At(ref)
+		nw.pool.Dequeue(q)
 		if !w.prepareForInjection(node, m) {
 			// Undeliverable: drop it and keep scanning the queue.
-			nw.popQueue(node)
 			w.emit(phInject, fxRec{kind: fxDropInject, ref: ref, msg: m.ID, node: node})
 			continue
 		}
-		nw.popQueue(node)
-		nw.streams[node] = append(nw.streams[node], stream{ref: ref, len: int32(m.Len), vc: int32(lane - inj)})
+		nw.streams[int(node)*nw.p.V+int(nw.nstreams[node])] = stream{ref: ref, len: int32(m.Len), vc: int32(lane - inj)}
+		nw.nstreams[node]++
 		w.emit(phInject, fxRec{kind: fxInject, ref: ref, msg: m.ID, node: node})
 	}
 }
 
 // streaming reports whether one of node's streams feeds injection VC vc.
 func (nw *Network) streaming(node topology.NodeID, vc int) bool {
-	for _, s := range nw.streams[node] {
+	for _, s := range nw.streamsOf(node) {
 		if int(s.vc) == vc {
 			return true
 		}
@@ -1004,46 +964,32 @@ func (nw *Network) trace(kind trace.Kind, msg uint64, node topology.NodeID) {
 	}
 }
 
-// peekQueue returns the next eligible message's Ref at node without
-// removing it. Re-injections normally have absolute priority; with
-// NoReinjectPriority set, fresh traffic is served first (the starvation
-// ablation).
-func (nw *Network) peekQueue(node topology.NodeID) (message.Ref, bool) {
-	reReady := nw.reQ[node].Len() > 0 && nw.reQ[node].Front().eligibleAt <= nw.now
-	if nw.p.NoReinjectPriority {
-		if nw.newQ[node].Len() > 0 {
-			return nw.newQ[node].Front(), true
-		}
-		if reReady {
-			return nw.reQ[node].Front().ref, true
-		}
-		return message.NilRef, false
+// nextQueue returns the queue of node whose front message injects next, or
+// nil when neither has an eligible one. Re-injections normally have
+// absolute priority; with NoReinjectPriority set, fresh traffic is served
+// first (the starvation ablation).
+func (nw *Network) nextQueue(node topology.NodeID) *message.Queue {
+	newQ := &nw.newQ[node]
+	if nw.p.NoReinjectPriority && !newQ.Empty() {
+		return newQ
 	}
-	if reReady {
-		return nw.reQ[node].Front().ref, true
+	if nw.reReady(node) {
+		return &nw.reQ[node]
 	}
-	if nw.newQ[node].Len() > 0 {
-		return nw.newQ[node].Front(), true
+	if !nw.p.NoReinjectPriority && !newQ.Empty() {
+		return newQ
 	}
-	return message.NilRef, false
+	return nil
 }
 
-// popQueue removes the message peekQueue returned.
-func (nw *Network) popQueue(node topology.NodeID) {
-	reReady := nw.reQ[node].Len() > 0 && nw.reQ[node].Front().eligibleAt <= nw.now
-	if nw.p.NoReinjectPriority {
-		if nw.newQ[node].Len() > 0 {
-			nw.newQ[node].Pop()
-			return
-		}
-		nw.reQ[node].Pop()
-		return
+// reReady reports whether the front of node's re-injection queue has
+// waited out Δ.
+func (nw *Network) reReady(node topology.NodeID) bool {
+	if q := nw.reQ[node]; !q.Empty() {
+		_, at := nw.pool.Head(q)
+		return at <= nw.now
 	}
-	if reReady {
-		nw.reQ[node].Pop()
-		return
-	}
-	nw.newQ[node].Pop()
+	return false
 }
 
 // prepareForInjection runs the injection-time fault check: if the message's

@@ -354,15 +354,16 @@ type hugeNet struct{ topology.Network }
 
 func (hugeNet) Nodes() int { return math.MaxInt32 + 1 }
 
-// TestRecordLayout pins the engine's per-link, per-stream and per-event
-// records at the sizes their 32-bit fields give them, and New's refusal of
-// a network or a latency those fields cannot hold.
+// TestRecordLayout pins the engine's per-link, per-stream, per-queue and
+// per-event records at the sizes their 32-bit fields give them, and New's
+// refusal of a network or a latency those fields cannot hold.
 func TestRecordLayout(t *testing.T) {
 	for _, c := range []struct {
 		what       string
 		size, want uintptr
 	}{
-		{"link", unsafe.Sizeof(link{}), 16},
+		{"link", unsafe.Sizeof(link{}), 8},
+		{"message.Queue", unsafe.Sizeof(message.Queue{}), 8},
 		{"stream", unsafe.Sizeof(stream{}), 16},
 		{"arrivalEvent", unsafe.Sizeof(arrivalEvent{}), 24},
 		{"creditEvent", unsafe.Sizeof(creditEvent{}), 16},

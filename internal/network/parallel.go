@@ -255,7 +255,7 @@ func (nw *Network) applyFx(r fxRec) {
 // queue, or into the mailbox of the destination router's domain.
 func (w *worker) stageArrival(ev arrivalEvent) {
 	if w.direct {
-		w.arrQ = queueArrival(w.arrQ, ev, w.nw.uniformLat)
+		w.arrQ = queueArrival(w.arrQ, ev, w.nw.lat == nil)
 		return
 	}
 	d := w.nw.dom[ev.node]
@@ -371,7 +371,7 @@ func (w *worker) phaseB() {
 	for _, src := range nw.par {
 		box := src.outArr[w.id]
 		for _, ev := range box {
-			w.arrQ = queueArrival(w.arrQ, ev, nw.uniformLat)
+			w.arrQ = queueArrival(w.arrQ, ev, nw.lat == nil)
 		}
 		src.outArr[w.id] = box[:0]
 	}

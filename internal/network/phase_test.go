@@ -10,7 +10,9 @@ import (
 func buffered(nw *Network) int {
 	n := 0
 	for id := range nw.routers {
-		n += nw.routers[id].Flits
+		for _, l := range nw.routers[id].Lanes() {
+			n += nw.routers[id].Len(l)
+		}
 	}
 	return n
 }

@@ -116,7 +116,7 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 					}
 				})
 			}
-			if rt.HasRoute(lane) && !ivc.ToEject && dead[topology.ChannelID{Src: node, Port: topology.Port(ivc.OutPort)}] {
+			if rt.HasRoute(lane) && !rt.ToEject(lane) && dead[topology.ChannelID{Src: node, Port: topology.Port(ivc.OutPort)}] {
 				aff[ivc.Owner] = true
 			}
 		}
@@ -134,8 +134,8 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 		markArrivals(w.arrQ)
 	}
 	if deadNode >= 0 {
-		for id := range nw.streams {
-			for _, s := range nw.streams[id] {
+		for id := range nw.nstreams {
+			for _, s := range nw.streamsOf(topology.NodeID(id)) {
 				if topology.NodeID(id) == deadNode || dstDead(s.ref) {
 					aff[s.ref] = true
 				}
@@ -158,12 +158,12 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 				feed := topology.ChannelID{Src: topology.NodeID(nw.linkFor(node, topology.Port(p)).dst), Port: topology.Port(p).Opposite()}
 				if !dead[feed] {
 					up := &nw.routers[feed.Src]
-					up.Out[up.OutIndex(feed.Port, vc)].Credits += int32(removed)
+					up.Out[up.OutIndex(feed.Port, vc)].Credits += int16(removed)
 				}
 			}
 			cleared := false
 			if rt.HasRoute(lane) && aff[ivc.Owner] {
-				if !ivc.ToEject {
+				if !rt.ToEject(lane) {
 					rt.Release(rt.OutIndex(topology.Port(ivc.OutPort), int(ivc.OutVC)))
 				}
 				rt.ClearRoute(lane)
@@ -210,7 +210,7 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 		for vc := 0; vc < nw.p.V; vc++ {
 			o := rt.OutIndex(ch.Port, vc)
 			rt.Release(o)
-			rt.Out[o].Credits = int32(nw.p.BufDepth - down.Len(router.Lane(lk.back)+router.Lane(vc)) - nw.pendingCredits(ch.Src, o))
+			rt.Out[o].Credits = int16(nw.p.BufDepth - down.Len(router.Lane(nw.back(ch.Port)+vc)) - nw.pendingCredits(ch.Src, o))
 		}
 	}
 
@@ -225,32 +225,29 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 	if deadNode >= 0 {
 		for id := range nw.newQ {
 			node := topology.NodeID(id)
-			doomed := node == deadNode
-			for _, ref := range nw.newQ[id].Filter(func(ref message.Ref) bool {
-				return doomed || dstDead(ref)
-			}) {
+			doomed := func(ref message.Ref) bool { return node == deadNode || dstDead(ref) }
+			for _, ref := range nw.pool.FilterQueue(&nw.newQ[id], doomed) {
 				nw.col.Lost(nw.pool.At(ref))
 				nw.pool.Free(ref)
 			}
-			for _, pm := range nw.reQ[id].Filter(func(pm pendingMsg) bool {
-				return doomed || dstDead(pm.ref)
-			}) {
-				m := nw.pool.At(pm.ref)
+			for _, ref := range nw.pool.FilterQueue(&nw.reQ[id], doomed) {
+				m := nw.pool.At(ref)
 				nw.trace(trace.Purge, m.ID, node)
 				nw.trace(trace.Drop, m.ID, node)
 				nw.col.Lost(m)
-				nw.pool.Free(pm.ref)
+				nw.pool.Free(ref)
 			}
 		}
 	}
-	for id := range nw.streams {
-		ss := nw.streams[id][:0]
-		for _, s := range nw.streams[id] {
+	for id := range nw.nstreams {
+		ss := nw.streamsOf(topology.NodeID(id))
+		kept := ss[:0]
+		for _, s := range ss {
 			if !aff[s.ref] {
-				ss = append(ss, s)
+				kept = append(kept, s)
 			}
 		}
-		nw.streams[id] = ss
+		nw.nstreams[id] = uint8(len(kept))
 	}
 
 	// Pass 6: finalise the affected worms in message-ID order (the
@@ -274,7 +271,7 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 		}
 		m.ResetForRequeue(nw.baseMode)
 		nw.col.Reinjected(m)
-		nw.reQ[m.Src].Push(pendingMsg{ref: ref, eligibleAt: nw.now + nw.p.Delta})
+		nw.pool.Enqueue(&nw.reQ[m.Src], ref, nw.now+nw.p.Delta)
 		nw.markSoft(m.Src)
 	}
 }

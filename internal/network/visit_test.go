@@ -27,7 +27,7 @@ func referenceSwitch(rt *router.Router) (eject, grant []router.Lane, rr []int32)
 		lane, ivc := router.Lane(l), &rt.In[l]
 		switch {
 		case rt.Len(lane) == 0 || !rt.HasRoute(lane):
-		case ivc.ToEject:
+		case rt.ToEject(lane):
 			eject = append(eject, lane)
 		default:
 			cands[ivc.OutPort] = append(cands[ivc.OutPort], lane)
@@ -95,12 +95,12 @@ func TestArbiterMatchesReference(t *testing.T) {
 						continue // unrouted
 					}
 					if l >= len(outs) || r.Intn(5) == 0 {
-						ivc.ToEject = true
+						ivc.OutPort = uint8(rt.EjectPort())
 					} else {
 						o := outs[l]
-						ivc.OutPort, ivc.OutVC = uint8(o/v), uint16(o%v)
+						ivc.OutPort, ivc.OutVC = uint8(o/v), uint8(o%v)
 						rt.Out[o].Busy = true
-						rt.Out[o].Credits = int32(r.Intn(3))
+						rt.Out[o].Credits = int16(r.Intn(3))
 					}
 					rt.SetRoute(lane)
 				}
@@ -184,7 +184,7 @@ func TestSoftFlagCoversSoftwareLayer(t *testing.T) {
 					active := activeSet(nw)
 					for id, st := range nw.soft {
 						up := st != softIdle
-						occupied := nw.newQ[id].Len() > 0 || nw.reQ[id].Len() > 0 || len(nw.streams[id]) > 0
+						occupied := !nw.newQ[id].Empty() || !nw.reQ[id].Empty() || nw.nstreams[id] > 0
 						if occupied && !up {
 							t.Fatalf("cycle %d node %d: software layer occupied, flag down", nw.Now(), id)
 						}

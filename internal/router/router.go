@@ -8,9 +8,11 @@
 // lives in internal/network.
 //
 // Storage is an arena: NewSlab carves every router's lanes, output VCs,
-// flit rings, arbitration pointers, lane sets and request words out of a
-// handful of contiguous slabs, so building N routers costs a constant
-// number of allocations and a cycle walks memory in address order. Nothing on a
+// arbitration pointers, lane sets and request words out of a handful of
+// contiguous slabs, so building N routers costs a constant number of
+// allocations and a cycle walks memory in address order. A lane's record
+// carries the first two slots of its flit ring inline — the whole buffer at
+// the paper's depth of 2 — so a hop touches one record per lane. Nothing on a
 // per-flit path divides by a runtime value: lanes decode through a shared
 // lookup table and ring indices wrap by compare-and-subtract.
 package router
@@ -25,39 +27,48 @@ import (
 	"repro/internal/topology"
 )
 
-// InVC is one input virtual channel: the ring indices of its flit buffer
-// plus the route held by the worm currently at its front. The route
-// persists from head-flit allocation until the tail flit leaves (wormhole
-// channel reservation); whether one is held is the router's routed set
-// (HasRoute), not a field, so a phase can select its lanes a word at a
-// time. The engine keeps the decision time Td of assumption (f), and only
-// when Td > 0. 16 bytes per lane.
+// inline is the number of flit slots a lane record carries.
+const inline = 2
+
+// MaxV and MaxDepth bound the VCs per port and the flits per lane: a lane's
+// route names its output VC, and its ring its head and size, in a byte each.
+const (
+	MaxV     = math.MaxUint8
+	MaxDepth = math.MaxUint8
+)
+
+// InVC is one input virtual channel: its flit ring — the first two slots
+// inline, the rest in the router's overflow window — plus the route held by
+// the worm currently at its front. The route persists from head-flit
+// allocation until the tail flit leaves (wormhole channel reservation);
+// whether one is held is the router's routed set (HasRoute), not a field,
+// so a phase can select its lanes a word at a time. 32 bytes per lane.
 type InVC struct {
 	// Owner is the worm holding the route — valid only while HasRoute. The
 	// fault-transition purge uses it to find every lane a dying worm has
 	// reserved; steady-state routing never reads it.
 	Owner message.Ref
-	// OutVC/OutPort are the allocated route while HasRoute && !ToEject.
-	OutVC uint16
-	// head/size index the lane's ring inside the router's flit slab.
-	head, size uint16
-	OutPort    uint8
-	// ToEject routes the worm to the local ejection port (delivery or
-	// software absorption); OutPort/OutVC are meaningful otherwise.
-	ToEject bool
 	// Waits names, while the lane is blocked, the output VCs its head waits
 	// on: bit WaitBit(o) for every candidate o of the head's last routing
 	// attempt (Block).
 	Waits uint32
+	// OutPort/OutVC are the allocated route while HasRoute. OutPort ==
+	// EjectPort() routes the worm to the local ejection port (delivery or
+	// software absorption), and OutVC is then meaningless.
+	OutPort, OutVC uint8
+	// head/size index the ring: slots below inline are slot, the rest ovf.
+	head, size uint8
+	slot       [inline]message.Flit
+	_          [4]byte // two records a cache line, none straddling one
 }
 
 // OutVC is one output virtual channel: ownership (a worm holds it from head
 // allocation to tail traversal) and the credit count mirroring free space in
 // the downstream input buffer. Waiting records that input lane Holder was
 // parked on this VC at Credits == 0 (Starve); the next Credit wakes it.
-// Holder means nothing while Waiting is down. 8 bytes.
+// Holder means nothing while Waiting is down. 6 bytes.
 type OutVC struct {
-	Credits int32
+	Credits int16
 	Holder  uint16
 	Busy    bool
 	Waiting bool
@@ -71,10 +82,7 @@ type OutVC struct {
 type Lane int32
 
 // portVC is one entry of the shared lane → (port, vc) decode table.
-type portVC struct {
-	port uint8
-	vc   uint16
-}
+type portVC struct{ port, vc uint8 }
 
 // Lane-set word layout: each 64-lane group owns setStride adjacent words
 // (active, routed, blocked, starved), so a router with up to 64 lanes reads
@@ -90,13 +98,12 @@ const (
 // Router is the per-node switching element. Ports are indexed as in
 // internal/topology: network ports 0..2n-1, then the injection input port
 // (index 2n). The ejection output port needs no per-VC state (it drains to
-// the PE) and is represented implicitly. Every slice is a window into a
-// slab shared with the other routers of the same NewSlab call.
+// the PE) and is represented implicitly; it shares index 2n (EjectPort)
+// with the injection port, which is input-only. Every slice is a window
+// into a slab shared with the other routers of the same NewSlab call.
+// 160 bytes.
 type Router struct {
 	ID topology.NodeID
-	// Flits counts buffered flits across all input VCs — the activity
-	// signal the engine uses to skip and retire idle routers.
-	Flits int
 	// In is indexed by Lane; the last V lanes are the injection port's.
 	In []InVC
 	// Out is indexed by port*V + vc (OutIndex); network ports only.
@@ -104,12 +111,14 @@ type Router struct {
 	// RROut holds the round-robin arbitration pointer per output port.
 	RROut []int32
 
-	v, depth int
-	buf      []message.Flit // lane l's ring is buf[l*depth : (l+1)*depth]
+	v, depth int32
+	// ovf holds ring slots inline.. of every lane: lane l's are
+	// ovf[l*(depth-inline) : (l+1)*(depth-inline)]. Nil at depth <= inline.
+	ovf []message.Flit
 	// sets holds four lane sets, interleaved per 64-lane group:
 	//   active  — the lane buffers at least one flit (Push sets, the pop
 	//             that drains it clears: always exact, so there is no
-	//             merge or retire step);
+	//             merge or retire step, and no flit count besides);
 	//   routed  — the front worm holds a route (SetRoute/ClearRoute);
 	//   blocked — the front is a head whose candidates were all busy at
 	//             its last routing attempt (Block); the Release of one of
@@ -117,16 +126,15 @@ type Router struct {
 	//   starved — the lane's route leads to an output VC the arbiter found
 	//             at Credits == 0 (Starve); the VC's next Credit, its
 	//             Release, the lane's ClearRoute or a Resync clears it.
+	// Past its length, up to its capacity, the window continues with the
+	// per-port request words (reqs), after the sets so they keep their
+	// stride: each 64-lane group owns one word per network output port plus
+	// one for ejection (the last), and bit l of word p is set while lane l
+	// holds a route to port p — the transpose of In[].OutPort over the
+	// routed set, which is what lets the arbiter read a port's requesters
+	// instead of gathering them.
 	sets   []uint64
 	decode []portVC
-	// req holds the per-port request words, in a slab of their own so the
-	// lane sets keep their stride: each 64-lane group owns one word per
-	// network output port plus one for ejection (the last), and bit l of
-	// word p is set while lane l holds a route to port p — the transpose of
-	// In[].OutPort/ToEject over the routed set, which is what lets the
-	// arbiter read a port's requesters instead of gathering them. Last, so
-	// the fields a lone flit's hop reads sit where they always did.
-	req []uint64
 }
 
 // NewSlab builds one router per node id 0..nodes-1 of an n-dimensional
@@ -138,15 +146,15 @@ func NewSlab(nodes, n, v, bufDepth int) []Router {
 	}
 	degree := 2 * n
 	lanes := (degree + 1) * v
-	// A lane id must fit OutVC.Holder, the ports (ejection included) one
-	// ReadyPorts mask, a ring index InVC.head.
-	if v < 1 || lanes > math.MaxUint16 || degree+1 > 64 || bufDepth > math.MaxUint16 {
+	// A VC and a ring index must fit a byte of InVC, the ports (ejection
+	// included) one ReadyPorts mask; a lane id then fits OutVC.Holder.
+	if v < 1 || v > MaxV || degree+1 > 64 || bufDepth > MaxDepth {
 		panic(fmt.Sprintf("router: unsupported geometry n=%d v=%d bufDepth=%d", n, v, bufDepth))
 	}
 	words := (lanes + 63) / 64
 	decode := make([]portVC, lanes)
 	for l := range decode {
-		decode[l] = portVC{port: uint8(l / v), vc: uint16(l % v)}
+		decode[l] = portVC{port: uint8(l / v), vc: uint8(l % v)}
 	}
 	rs := make([]Router, nodes)
 	in := make([]InVC, nodes*lanes)
@@ -154,24 +162,28 @@ func NewSlab(nodes, n, v, bufDepth int) []Router {
 	for i := range out {
 		// Credits start at the downstream buffer depth; symmetric network,
 		// so it equals our own bufDepth.
-		out[i].Credits = int32(bufDepth)
+		out[i].Credits = int16(bufDepth)
 	}
 	rr := make([]int32, nodes*degree)
-	buf := make([]message.Flit, nodes*lanes*bufDepth)
-	sets := make([]uint64, nodes*words*setStride)
-	req := make([]uint64, nodes*words*(degree+1))
+	var ovf []message.Flit
+	if bufDepth > inline {
+		ovf = make([]message.Flit, nodes*lanes*(bufDepth-inline))
+	}
+	setWords, win := words*setStride, words*(setStride+degree+1)
+	sets := make([]uint64, nodes*win)
 	for id := range rs {
 		rs[id] = Router{
 			ID:     topology.NodeID(id),
 			In:     window(in, id, lanes),
 			Out:    window(out, id, degree*v),
 			RROut:  window(rr, id, degree),
-			v:      v,
-			depth:  bufDepth,
-			buf:    window(buf, id, lanes*bufDepth),
-			sets:   window(sets, id, words*setStride),
-			req:    window(req, id, words*(degree+1)),
+			v:      int32(v),
+			depth:  int32(bufDepth),
+			sets:   sets[id*win : id*win+setWords : (id+1)*win],
 			decode: decode,
+		}
+		if ovf != nil {
+			rs[id].ovf = window(ovf, id, lanes*(bufDepth-inline))
 		}
 	}
 	return rs
@@ -191,11 +203,19 @@ func New(id topology.NodeID, n, v, bufDepth int) *Router {
 // InjectionPort returns the index of this router's injection input port.
 func (r *Router) InjectionPort() int { return len(r.RROut) }
 
+// EjectPort is the OutPort of a lane routed to the local ejection port; it
+// is also the port index RequestWord reads ejection under.
+func (r *Router) EjectPort() int { return len(r.RROut) }
+
+// ToEject reports whether lane l's route (valid while HasRoute) leads to
+// the ejection port.
+func (r *Router) ToEject(l Lane) bool { return int(r.In[l].OutPort) == len(r.RROut) }
+
 // LaneOf encodes (port, vc) as a lane id.
-func (r *Router) LaneOf(port, vc int) Lane { return Lane(port*r.v + vc) }
+func (r *Router) LaneOf(port, vc int) Lane { return Lane(port*int(r.v) + vc) }
 
 // OutIndex is the index into Out of output VC (port, vc).
-func (r *Router) OutIndex(port topology.Port, vc int) int { return int(port)*r.v + vc }
+func (r *Router) OutIndex(port topology.Port, vc int) int { return int(port)*int(r.v) + vc }
 
 // LanePortVC decodes a lane id into its (port, vc) pair.
 func (r *Router) LanePortVC(l Lane) (port, vc int) {
@@ -229,9 +249,12 @@ func (r *Router) ReadyWord(i int) uint64 {
 	return s[setActive] & s[setRouted] &^ s[setStarved]
 }
 
+// reqs returns the router's request words (see sets).
+func (r *Router) reqs() []uint64 { return r.sets[len(r.sets):cap(r.sets)] }
+
 // RequestWord returns word i of the lanes holding a route to output port p;
-// p == InjectionPort() selects the lanes routed to ejection.
-func (r *Router) RequestWord(i, p int) uint64 { return r.req[i*(len(r.RROut)+1)+p] }
+// p == EjectPort() selects the lanes routed to ejection.
+func (r *Router) RequestWord(i, p int) uint64 { return r.reqs()[i*(len(r.RROut)+1)+p] }
 
 // EjectWord returns word i of the lanes that drain to the ejection port
 // this cycle: buffered and routed there (per-VC ejection, no arbitration,
@@ -244,11 +267,11 @@ func (r *Router) EjectWord(i int) uint64 {
 // serve this cycle — a buffered lane routed there and not parked on a
 // credit — as a bit mask; bit InjectionPort() stands for ejection.
 func (r *Router) ReadyPorts() uint64 {
-	ports, q := uint64(0), 0
+	ports, q, req := uint64(0), 0, r.reqs()
 	for g := 0; g < len(r.sets); g += setStride {
 		ready := r.sets[g+setActive] & r.sets[g+setRouted] &^ r.sets[g+setStarved]
 		for p := 0; p <= len(r.RROut); p++ {
-			if ready&r.req[q] != 0 {
+			if ready&req[q] != 0 {
 				ports |= 1 << uint(p)
 			}
 			q++
@@ -280,8 +303,8 @@ func (r *Router) Grant(p int) (Lane, bool) {
 		return r.grantWords(p)
 	}
 	// At most 64 lanes — every paper geometry: the walk, straight-line.
-	s := r.sets[:setStride]
-	c := s[setActive] & s[setRouted] & r.req[p]
+	s := r.sets[:cap(r.sets)]
+	c := s[setActive] & s[setRouted] & s[setStride+p]
 	// m holds the candidates to visit now, last those below rank k.
 	m, last := c&^s[setStarved], uint64(0)
 	n := bits.OnesCount64(c)
@@ -300,7 +323,7 @@ func (r *Router) Grant(p int) (Lane, bool) {
 	for {
 		for ; m != 0; m &= m - 1 {
 			l := Lane(bits.TrailingZeros64(m))
-			o := p*r.v + int(r.In[l].OutVC)
+			o := p*int(r.v) + int(r.In[l].OutVC)
 			if r.Out[o].Credits == 0 {
 				r.Starve(l, o)
 				continue
@@ -356,7 +379,7 @@ func (r *Router) grantWords(p int) (Lane, bool) {
 		}
 		for ; m != 0; m &= m - 1 {
 			l := Lane(w<<6 + bits.TrailingZeros64(m))
-			o := p*r.v + int(r.In[l].OutVC)
+			o := p*int(r.v) + int(r.In[l].OutVC)
 			if r.Out[o].Credits == 0 {
 				r.Starve(l, o)
 				continue
@@ -381,16 +404,12 @@ func (r *Router) grantWords(p int) (Lane, bool) {
 // requesters returns word w of the lanes competing for output port p:
 // buffered, routed there, credit-parked or not.
 func (r *Router) requesters(w, p int) uint64 {
-	return r.sets[w*setStride+setActive] & r.sets[w*setStride+setRouted] & r.req[w*(len(r.RROut)+1)+p]
+	return r.sets[w*setStride+setActive] & r.sets[w*setStride+setRouted] & r.RequestWord(w, p)
 }
 
 // request returns the request word lane l's route (In[l]) selects.
 func (r *Router) request(l Lane) *uint64 {
-	q, p := &r.In[l], len(r.RROut)
-	if !q.ToEject {
-		p = int(q.OutPort)
-	}
-	return &r.req[int(l>>6)*(len(r.RROut)+1)+p]
+	return &r.reqs()[int(l>>6)*(len(r.RROut)+1)+int(r.In[l].OutPort)]
 }
 
 // set returns the word of lane set `which` that holds lane l, and l's bit
@@ -424,7 +443,8 @@ func (r *Router) ClearRoute(l Lane) {
 	}
 }
 
-// outOf returns the output VC lane l's route (In[l], not ToEject) leads to.
+// outOf returns the output VC lane l's route (In[l], not to ejection) leads
+// to.
 func (r *Router) outOf(l Lane) *OutVC {
 	return &r.Out[r.OutIndex(topology.Port(r.In[l].OutPort), int(r.In[l].OutVC))]
 }
@@ -568,59 +588,66 @@ func (r *Router) EnableLaneTracking() {}
 func (r *Router) MergeLanes()         {}
 func (r *Router) RetireLanes() int    { return r.LaneCount() }
 
+// Buffered reports whether any lane of the router holds a flit — the
+// activity signal the engine uses to skip and retire idle routers.
+func (r *Router) Buffered() bool {
+	return r.sets[setActive] != 0 || len(r.sets) > setStride && r.LaneCount() > 0
+}
+
 // Len returns the number of flits buffered in lane l.
 func (r *Router) Len(l Lane) int { return int(r.In[l].size) }
 
 // Space returns the number of free slots in lane l.
-func (r *Router) Space(l Lane) int { return r.depth - int(r.In[l].size) }
+func (r *Router) Space(l Lane) int { return int(r.depth) - int(r.In[l].size) }
 
 // Front returns the flit at the head of lane l without removing it; ok is
 // false when the lane is empty.
 func (r *Router) Front(l Lane) (message.Flit, bool) {
-	q := &r.In[l]
-	if q.size == 0 {
+	if r.In[l].size == 0 {
 		return message.Flit{}, false
 	}
-	return r.buf[int(l)*r.depth+int(q.head)], true
+	return *r.at(l, 0), true
 }
 
-// at returns the ring slot of lane l's i-th buffered flit.
+// at returns the ring slot of lane l's i-th buffered flit: inline in the
+// lane record, or in the lane's overflow window.
 func (r *Router) at(l Lane, i int) *message.Flit {
-	i += int(r.In[l].head)
-	if i >= r.depth {
-		i -= r.depth
+	q := &r.In[l]
+	i += int(q.head)
+	if i >= int(r.depth) {
+		i -= int(r.depth)
 	}
-	return &r.buf[int(l)*r.depth+i]
+	if i < inline {
+		return &q.slot[i]
+	}
+	return &r.ovf[int(l)*(int(r.depth)-inline)+i-inline]
 }
 
-// PushLane appends a flit to lane l, updating the activity counter and the
-// active set; it panics on overflow (credits must prevent it).
+// PushLane appends a flit to lane l and updates the active set; it panics
+// on overflow (credits must prevent it).
 func (r *Router) PushLane(l Lane, f message.Flit) {
 	q := &r.In[l]
-	if int(q.size) == r.depth {
+	if int32(q.size) == r.depth {
 		panic("router: flit buffer overflow (credit accounting broken)")
 	}
 	*r.at(l, int(q.size)) = f
 	q.size++
-	r.Flits++
 	w, bit := r.set(setActive, l)
 	*w |= bit
 }
 
-// PopLane removes and returns the front flit of lane l, updating the
-// activity counter and, when the lane drains, the active set; it panics
-// when empty.
+// PopLane removes and returns the front flit of lane l and, when the lane
+// drains, clears it from the active set; it panics when empty.
 func (r *Router) PopLane(l Lane) message.Flit {
 	q := &r.In[l]
 	if q.size == 0 {
 		panic("router: pop from empty flit buffer")
 	}
-	f := r.buf[int(l)*r.depth+int(q.head)]
-	if q.head++; int(q.head) == r.depth {
+	f := *r.at(l, 0)
+	if q.head++; int32(q.head) == r.depth {
 		q.head = 0
 	}
 	q.size--
-	r.Flits--
 	if q.size == 0 {
 		w, bit := r.set(setActive, l)
 		*w &^= bit
@@ -659,8 +686,7 @@ func (r *Router) FilterLane(l Lane, drop func(message.Flit) bool) int {
 	if removed == 0 {
 		return 0
 	}
-	q.size = uint16(kept)
-	r.Flits -= removed
+	q.size = uint8(kept)
 	w, bit := r.set(setBlocked, l)
 	*w &^= bit
 	if kept == 0 {

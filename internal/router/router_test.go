@@ -19,6 +19,15 @@ func poolMsg(length int) *message.Message {
 // (0, 0) as a bare FIFO of the given capacity.
 func ring(capacity int) *Router { return New(0, 1, 1, capacity) }
 
+// flits counts the flits buffered across the router's lanes.
+func flits(r *Router) int {
+	n := 0
+	for l := range r.In {
+		n += r.Len(Lane(l))
+	}
+	return n
+}
+
 func TestFlitQueueFIFO(t *testing.T) {
 	r := ring(4)
 	m := poolMsg(4)
@@ -118,24 +127,28 @@ func TestRouterLayout(t *testing.T) {
 	if len(r.RROut) != 6 { // one arbiter per network output port
 		t.Fatalf("rr slots = %d", len(r.RROut))
 	}
-	if size := unsafe.Sizeof(InVC{}); size != 16 {
-		t.Fatalf("InVC is %d bytes, want 16 (the decision time lives in the engine, not the lane)", size)
+	if size := unsafe.Sizeof(InVC{}); size != 32 {
+		t.Fatalf("InVC is %d bytes, want 32 (12 of header, two 8-byte flit slots, 4 of padding)", size)
 	}
-	if size := unsafe.Sizeof(OutVC{}); size != 8 {
-		t.Fatalf("OutVC is %d bytes, want 8", size)
+	if size := unsafe.Sizeof(OutVC{}); size != 6 {
+		t.Fatalf("OutVC is %d bytes, want 6", size)
 	}
-	if size := unsafe.Sizeof(Router{}); size != 200 {
-		t.Fatalf("Router is %d bytes, want 200", size)
+	if size := unsafe.Sizeof(Router{}); size > 160 {
+		t.Fatalf("Router is %d bytes, want <= 160", size)
+	}
+	if r.ovf != nil || New(0, 3, 10, 3).ovf == nil {
+		t.Fatal("overflow window: want none at depth 2, one at depth 3")
 	}
 }
 
 // TestGeometryLimits checks that NewSlab refuses what its packed fields
-// cannot hold: a lane id beyond OutVC.Holder, more ports than one
+// cannot hold: a VC or a ring index beyond a byte, more ports than one
 // ReadyPorts mask.
 func TestGeometryLimits(t *testing.T) {
 	for name, build := range map[string]func(){
-		"lanes": func() { NewSlab(1, 2, 65535/5+1, 1) }, // (2·2+1)·V > 65535
-		"ports": func() { NewSlab(1, 32, 1, 1) },        // 64 network ports + ejection
+		"vcs":   func() { NewSlab(1, 2, MaxV+1, 1) },
+		"depth": func() { NewSlab(1, 2, 1, MaxDepth+1) },
+		"ports": func() { NewSlab(1, 32, 1, 1) }, // 64 network ports + ejection
 	} {
 		func() {
 			defer func() {
@@ -146,7 +159,10 @@ func TestGeometryLimits(t *testing.T) {
 			build()
 		}()
 	}
-	NewSlab(1, 2, 65535/5, 1) // the widest lane id that fits
+	r := New(0, 31, MaxV, MaxDepth) // the widest geometry that fits
+	if l := Lane(len(r.In) - 1); r.LaneOf(r.InjectionPort(), MaxV-1) != l {
+		t.Fatalf("last lane id = %d, want %d", r.LaneOf(r.InjectionPort(), MaxV-1), l)
+	}
 }
 
 // TestRequestWordsAndGrant drives the switch allocator by hand on a
@@ -160,7 +176,7 @@ func TestRequestWordsAndGrant(t *testing.T) {
 	m := poolMsg(8)
 	route := func(l Lane, vc int) int { // to output VC (2, vc)
 		r.PushLane(l, m.Flit(1))
-		r.In[l].OutPort, r.In[l].OutVC = 2, uint16(vc)
+		r.In[l].OutPort, r.In[l].OutVC = 2, uint8(vc)
 		r.SetRoute(l)
 		o := r.OutIndex(2, vc)
 		r.Out[o].Busy = true
@@ -170,7 +186,7 @@ func TestRequestWordsAndGrant(t *testing.T) {
 	// to eject.
 	o3, o40, o70 := route(3, 0), route(40, 1), route(70, 2)
 	r.PushLane(65, m.Flit(1))
-	r.In[65].ToEject = true
+	r.In[65].OutPort = uint8(r.EjectPort())
 	r.SetRoute(65)
 	if r.RequestWord(0, 2) != 1<<3|1<<40 || r.RequestWord(1, 2) != 1<<(70-64) || r.EjectWord(1) != 1<<(65-64) {
 		t.Fatalf("request words of port 2 = %#x %#x, eject word 1 = %#x", r.RequestWord(0, 2), r.RequestWord(1, 2), r.EjectWord(1))
@@ -238,7 +254,7 @@ func TestIdleLane(t *testing.T) {
 	for l := Lane(60); l < 66; l++ {
 		r.PushLane(l, m.Flit(1))
 	}
-	r.In[66].ToEject = true
+	r.In[66].OutPort = uint8(r.EjectPort())
 	r.SetRoute(66) // routed, drained: still taken
 	if l := r.IdleLane(60, 70); l != 67 {
 		t.Fatalf("idle lane = %d, want 67", l)
@@ -269,8 +285,8 @@ func TestSlabRoutersAreDisjoint(t *testing.T) {
 		if int(r.ID) != id {
 			t.Fatalf("router %d has id %d", id, r.ID)
 		}
-		if r.Flits != 0 || r.LaneCount() != 0 {
-			t.Fatalf("router %d: neighbour's pushes leaked in (flits %d, lanes %d)", id, r.Flits, r.LaneCount())
+		if r.Buffered() || r.LaneCount() != 0 {
+			t.Fatalf("router %d: neighbour's pushes leaked in (flits %d, lanes %d)", id, flits(r), r.LaneCount())
 		}
 		for l := range r.In {
 			if r.HasRoute(Lane(l)) || r.Blocked(Lane(l)) || r.Len(Lane(l)) != 0 {
@@ -285,20 +301,26 @@ func TestSlabRoutersAreDisjoint(t *testing.T) {
 	}
 }
 
+// TestActivityCounter checks the activity signal: a router is Buffered
+// exactly while one of its lanes holds a flit.
 func TestActivityCounter(t *testing.T) {
 	r := New(0, 2, 4, 2)
 	m := poolMsg(4)
-	if r.Flits != 0 {
+	if r.Buffered() {
 		t.Fatal("new router not idle")
 	}
 	r.Push(0, 1, m.Flit(0))
 	r.Push(2, 3, m.Flit(1))
-	if r.Flits != 2 {
-		t.Fatalf("flits = %d, want 2", r.Flits)
+	if !r.Buffered() || flits(r) != 2 {
+		t.Fatalf("flits = %d, want 2", flits(r))
 	}
 	r.Pop(0, 1)
-	if r.Flits != 1 {
-		t.Fatalf("flits = %d, want 1", r.Flits)
+	if !r.Buffered() || flits(r) != 1 {
+		t.Fatalf("flits = %d, want 1", flits(r))
+	}
+	r.Pop(2, 3)
+	if r.Buffered() {
+		t.Fatal("drained router still buffered")
 	}
 }
 
@@ -465,8 +487,8 @@ func TestFilterLane(t *testing.T) {
 	if n := r.FilterLane(5, dropA); n != 2 {
 		t.Fatalf("removed %d flits, want 2", n)
 	}
-	if r.Flits != 2 || r.Len(5) != 2 || r.Blocked(5) {
-		t.Fatalf("after filter: flits %d, len %d, blocked %v", r.Flits, r.Len(5), r.Blocked(5))
+	if flits(r) != 2 || r.Len(5) != 2 || r.Blocked(5) {
+		t.Fatalf("after filter: flits %d, len %d, blocked %v", flits(r), r.Len(5), r.Blocked(5))
 	}
 	var seqs []int
 	r.Each(5, func(f message.Flit) { seqs = append(seqs, f.Seq()) })
@@ -476,8 +498,8 @@ func TestFilterLane(t *testing.T) {
 	if n := r.FilterLane(5, func(message.Flit) bool { return true }); n != 2 {
 		t.Fatalf("removed %d flits, want 2", n)
 	}
-	if r.Flits != 0 || r.LaneCount() != 0 {
-		t.Fatalf("emptied lane still counted: flits %d, lanes %d", r.Flits, r.LaneCount())
+	if r.Buffered() || r.LaneCount() != 0 {
+		t.Fatalf("emptied lane still counted: flits %d, lanes %d", flits(r), r.LaneCount())
 	}
 	// A filter that removes nothing must leave a blocked mark alone.
 	r.PushLane(5, b.Flit(0))
@@ -537,8 +559,71 @@ func TestFlitQueuePropertyConservation(t *testing.T) {
 				popped++
 			}
 		}
-		return r.Len(0) == pushed-popped && r.Flits == r.Len(0)
+		return r.Len(0) == pushed-popped && flits(r) == r.Len(0) && r.Buffered() == (r.Len(0) > 0)
 	}, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLaneMatchesSliceFIFO drives random PushLane/PopLane/FilterLane/Front
+// sequences on every lane of a small router at depths 1 to 5 — inline
+// slots only, and rings continuing into the overflow window — against one
+// slice FIFO per lane.
+func TestLaneMatchesSliceFIFO(t *testing.T) {
+	pool := message.NewPool(2, false)
+	msgs := make([]*message.Message, 4)
+	for i := range msgs {
+		msgs[i] = pool.New(uint64(i), 0, 1, 64, message.Deterministic, 0)
+	}
+	if err := quick.Check(func(ops []uint16, depthRaw uint8) bool {
+		depth := 1 + int(depthRaw)%5
+		r := New(0, 1, 2, depth) // 3 ports × 2 VCs: 6 lanes
+		ref := make([][]message.Flit, len(r.In))
+		for i, op := range ops {
+			l := Lane(int(op>>2) % len(r.In))
+			switch op & 3 {
+			case 0, 1:
+				if len(ref[l]) == depth {
+					continue
+				}
+				f := msgs[int(op>>5)%len(msgs)].Flit(i % 64)
+				r.PushLane(l, f)
+				ref[l] = append(ref[l], f)
+			case 2:
+				if len(ref[l]) == 0 {
+					continue
+				}
+				if r.PopLane(l) != ref[l][0] {
+					return false
+				}
+				ref[l] = ref[l][1:]
+			case 3:
+				drop := msgs[int(op>>5)%len(msgs)].Flit(0).Ref()
+				kept := ref[l][:0:0]
+				for _, f := range ref[l] {
+					if f.Ref() != drop {
+						kept = append(kept, f)
+					}
+				}
+				if r.FilterLane(l, func(f message.Flit) bool { return f.Ref() == drop }) != len(ref[l])-len(kept) {
+					return false
+				}
+				ref[l] = kept
+			}
+			for l := range r.In {
+				front, ok := r.Front(Lane(l))
+				if r.Len(Lane(l)) != len(ref[l]) || r.Space(Lane(l)) != depth-len(ref[l]) || ok != (len(ref[l]) > 0) || ok && front != ref[l][0] {
+					return false
+				}
+				var got []message.Flit
+				r.Each(Lane(l), func(f message.Flit) { got = append(got, f) })
+				if !slices.Equal(got, ref[l]) {
+					return false
+				}
+			}
+		}
+		return r.Buffered() == (flits(r) > 0)
+	}, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -35,7 +35,7 @@ type LeaseTable struct {
 	entries map[string]*leaseEntry
 
 	// queue[head:] is the FIFO of queued points. It is head-indexed so a
-	// pop does not leak the front capacity (see network.fifo); an entry
+	// pop does not leak the front capacity (as q = q[1:] would); an entry
 	// removed while queued stays behind as a tombstone (state no longer
 	// stateQueued) that Acquire skips. queued counts the live ones.
 	queue  []*leaseEntry

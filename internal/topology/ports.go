@@ -29,8 +29,8 @@ func (p Port) Dir() Dir {
 }
 
 // Opposite returns the port on the neighbouring router that receives what
-// this output port sends (same dimension, reverse direction).
-func (p Port) Opposite() Port { return PortFor(p.Dim(), p.Dir().Opposite()) }
+// this output port sends: same dimension, reverse direction (2d ⇄ 2d+1).
+func (p Port) Opposite() Port { return p ^ 1 }
 
 func (p Port) String() string {
 	return fmt.Sprintf("d%d%s", p.Dim(), p.Dir())
