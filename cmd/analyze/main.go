@@ -78,6 +78,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case t.Kind() != "torus":
 		err = fmt.Errorf("-mode model takes a torus (analytic.Model is a k-ary n-cube model), not %s", cfg.Topology)
 	default:
+		// Checked once, before the header: a usage error, not seven err cells.
+		cfg.Lambda = modelLambdas[0]
+		if err = cfg.Validate(); err != nil {
+			break
+		}
 		if err = analyzeModel(stdout, cfg, t); err == nil {
 			return 0
 		}
@@ -160,6 +165,9 @@ func analyzeLivelock(stdout, stderr io.Writer, cfg core.Config, t topology.Netwo
 		})
 }
 
+// modelLambdas is -mode model's traffic sweep.
+var modelLambdas = []float64{0.001, 0.002, 0.004, 0.006, 0.008, 0.010, 0.012}
+
 // analyzeModel models the node faults the simulator places: the random
 // ones and every -shape region's.
 func analyzeModel(stdout io.Writer, cfg core.Config, t topology.Network) error {
@@ -171,7 +179,7 @@ func analyzeModel(stdout io.Writer, cfg core.Config, t topology.Network) error {
 	fmt.Fprintf(stdout, "analytical model vs flit-level simulation, %d-ary %d-cube, V=%d, M=%d, nf=%d\n", mdl.K, mdl.N, mdl.V, mdl.M, mdl.Nf)
 	fmt.Fprintf(stdout, "%-10s%14s%14s%12s\n", "lambda", "model", "simulation", "rel.err")
 	fmt.Fprintf(stdout, "model saturation estimate: λ ≈ %.4f\n", mdl.SaturationRate())
-	for _, lambda := range []float64{0.001, 0.002, 0.004, 0.006, 0.008, 0.010, 0.012} {
+	for _, lambda := range modelLambdas {
 		mdl.Lambda = lambda
 		modelLat, err := mdl.MeanLatency()
 		modelCell := "sat"

@@ -17,22 +17,22 @@ import (
 func (h *harness) fig1() {
 	h.printf("\n===== Fig. 1: coalesced fault regions in a 2-D torus =====\n")
 	t := topology.New(16, 2)
-	examples := []struct {
-		name string
-		spec fault.ShapeSpec
-	}{
-		{"|-shaped (convex)", fault.ShapeSpec{Shape: fault.ShapeBar, A: 4, AnchorA: 2, AnchorB: 2}},
-		{"||-shaped (convex x2)", fault.ShapeSpec{Shape: fault.ShapeDoubleBar, A: 4, AnchorA: 2, AnchorB: 2}},
-		{"square-shaped (convex)", fault.ShapeSpec{Shape: fault.ShapeRect, A: 3, B: 3, AnchorA: 2, AnchorB: 2}},
-		{"L-shaped (concave)", fault.ShapeSpec{Shape: fault.ShapeL, A: 4, B: 4, AnchorA: 2, AnchorB: 2}},
-		{"U-shaped (concave)", fault.ShapeSpec{Shape: fault.ShapeU, A: 4, B: 5, AnchorA: 2, AnchorB: 2}},
-		{"+-shaped (concave)", fault.ShapeSpec{Shape: fault.ShapePlus, A: 5, B: 5, AnchorA: 2, AnchorB: 2}},
-		{"T-shaped (concave)", fault.ShapeSpec{Shape: fault.ShapeT, A: 5, B: 3, AnchorA: 2, AnchorB: 2}},
-		{"H-shaped (concave)", fault.ShapeSpec{Shape: fault.ShapeH, A: 5, B: 5, AnchorA: 2, AnchorB: 2}},
-	}
-	for _, ex := range examples {
+	for _, ex := range []struct{ name, spec string }{
+		{"|-shaped (convex)", "bar:a=4"},
+		{"||-shaped (convex x2)", "double-bar:a=4"},
+		{"square-shaped (convex)", "rect:a=3,b=3"},
+		{"L-shaped (concave)", "L:a=4,b=4"},
+		{"U-shaped (concave)", "U:a=4,b=5"},
+		{"+-shaped (concave)", "plus:a=5,b=5,t=1,ax=2,ay=2"},
+		{"T-shaped (concave)", "T:a=5,b=3,ax=2"},
+		{"H-shaped (concave)", "H:a=5,b=5"},
+	} {
 		fs := fault.NewSet(t)
-		if _, err := fault.StampShape(fs, 0, 0, 1, ex.spec); err != nil {
+		sp, err := fault.ParseShapeSpec(ex.spec)
+		if err == nil {
+			_, err = fault.StampShape(fs, 0, 0, 1, sp)
+		}
+		if err != nil {
 			h.printf("%s: %v\n", ex.name, err)
 			continue
 		}
@@ -110,13 +110,13 @@ func (h *harness) fig4() {
 // (8-ary 2-cube, M=32, V=10, deterministic and adaptive).
 func (h *harness) fig5() {
 	h.printf("\n===== Fig. 5: latency vs traffic with fault regions, 8-ary 2-cube, M=32, V=10 =====\n")
-	specs := fault.PaperFig5Specs()
 	t := latencyTable("Fig 5 shapes", "Fig 5: mean latency (cycles; * = saturated)", h.lambdaGrid(10))
 	for _, algName := range []string{"det", "adaptive"} {
-		for _, shape := range []struct{ name, tag string }{
-			{"rect-shaped", "rect"}, {"T-shaped", "T"}, {"Plus-shaped", "+"}, {"L-shaped", "L"}, {"U-shaped", "U"},
+		for _, shape := range []struct{ spec, name, tag string }{
+			{"rect", "rect-shaped", "rect"}, {"T", "T-shaped", "T"}, {"plus", "Plus-shaped", "+"},
+			{"L", "L-shaped", "L"}, {"U", "U-shaped", "U"},
 		} {
-			spec := specs[shape.name]
+			spec, _ := fault.ParseShapeSpec(shape.spec) // a bare Fig. 5 name always parses
 			nf, _ := spec.CellCount()
 			t.series = append(t.series, series{
 				col: fmt.Sprintf("%s %s(%d)", algTag[algName], shape.tag, nf), seeds: 1,

@@ -136,7 +136,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg.Lambda = *lambda
 	cfg.BufDepth = *buf
-	if err := core.CheckLaneWidths(cfg.V, cfg.BufDepth); err != nil {
+	if err := cfg.CheckWidths(); err != nil {
 		return exit(2, "%v", err)
 	}
 	cfg.Pattern = *pattern

@@ -9,12 +9,14 @@
 // random placement is not steered around -src/-dst — the lens must show
 // the run, not a friendlier one. An endpoint that lands on a failed node is
 // refused ("source or destination is faulty"); pick another endpoint or
-// -seed.
+// -seed. Without -dst there is no message to follow: swtrace draws the
+// fault plane (on a 2-D network) and the coalesced regions, and exits.
 //
 //	swtrace -k 8 -n 2 -faults 5 -seed 4 -src 0,0 -dst 5,5
 //	swtrace -k 8 -n 2 -shape U -src 0,3 -dst 4,3 -alg adaptive
 //	swtrace -topo mesh:k=8,n=2 -alg adaptive -faults 4 -src 0,0 -dst 7,7
 //	swtrace -topo mesh:k=4,n=3 -alg adaptive -src 0,0,0 -dst 3,3,3
+//	swtrace -k 16 -n 2 -shape U:a=4,b=5
 package main
 
 import (
@@ -27,6 +29,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/message"
 	"repro/internal/metrics"
 	"repro/internal/network"
@@ -47,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		config  = core.BindFlags(fl, def) // -topo -k -n -alg -v -m -faults -shape -seed
 		srcFlag = fl.String("src", "0,0", "source coordinates, comma-separated")
-		dstFlag = fl.String("dst", "", "destination coordinates (required)")
+		dstFlag = fl.String("dst", "", "destination coordinates (empty: draw the faults and exit)")
 		list    = fl.Bool("list", false, "list registered topologies, algorithms, patterns and sources, then exit")
 	)
 	if err := fl.Parse(args); err != nil {
@@ -71,6 +74,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "swtrace: %v\n", err)
 		return 2
 	}
+	fs, err := core.BuildFaults(t, cfg.Faults, cfg.Seed)
+	if err != nil {
+		return fail(err)
+	}
+	if *dstFlag == "" { // no message to follow: draw the faults
+		drawFaults(stdout, t, fs)
+		return 0
+	}
 	src, err := parseCoords(t, *srcFlag)
 	if err != nil {
 		return fail(err)
@@ -78,10 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dst, err := parseCoords(t, *dstFlag)
 	if err != nil {
 		return fail(fmt.Errorf("need -dst: %w", err))
-	}
-	fs, err := core.BuildFaults(t, cfg.Faults, cfg.Seed)
-	if err != nil {
-		return fail(err)
 	}
 	if fs.NodeFaulty(src) || fs.NodeFaulty(dst) {
 		return fail(fmt.Errorf("source or destination is faulty"))
@@ -92,10 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	mode := alg.BaseMode()
 
-	if t.N() == 2 {
-		fmt.Fprint(stdout, viz.RenderPlane(fs))
-	}
-	fmt.Fprint(stdout, viz.RenderRegions(fs))
+	drawFaults(stdout, t, fs)
 	fmt.Fprintf(stdout, "tracing %s -> %s (%s, M=%d, V=%d)\n\n",
 		t.FormatNode(src), t.FormatNode(dst), mode, cfg.MsgLen, cfg.V)
 
@@ -117,6 +121,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "\nlatency: %d cycles (minimal distance %d, length %d flits, %d absorption(s))\n",
 		msg.DeliveredAt-msg.CreatedAt, t.Distance(src, dst), cfg.MsgLen, msg.Absorptions)
 	return 0
+}
+
+// drawFaults prints a 2-D network's fault plane and any network's regions.
+func drawFaults(w io.Writer, t topology.Network, fs *fault.Set) {
+	if t.N() == 2 {
+		fmt.Fprint(w, viz.RenderPlane(fs))
+	}
+	fmt.Fprint(w, viz.RenderRegions(fs))
 }
 
 // parseCoords reads a comma-separated node address. FromCoords reduces

@@ -1,5 +1,5 @@
-// Package cmd_test holds the one check that spans the commands: the three
-// tools that look at a faulted network look at the network the engine runs.
+// Package cmd_test holds the one check that spans the commands: the tools
+// that look at a faulted network look at the network the engine runs.
 package cmd_test
 
 import (
@@ -16,14 +16,14 @@ import (
 
 // TestToolsPlaceTheEnginesFaults: "nf random faults, seed s" on one network
 // is one fault set. The faulty-node list `analyze -mode livelock` prints,
-// the plane and regions `faultviz -random` draws and the ones `swtrace
-// -faults` traces through must all be core.BuildFaults' for the same
+// the plane and regions `swtrace -faults` draws without -dst and the ones
+// it traces through with one must all be core.BuildFaults' for the same
 // (spec, nf, seed) — the set NewEngine hands the engine. Before the tools
 // were built on core.Config they drew from rng.New(seed) instead of the
 // engine's Split(0xfa017) and every row here differed.
 func TestToolsPlaceTheEnginesFaults(t *testing.T) {
 	bin := t.TempDir()
-	if out, err := exec.Command("go", "build", "-o", bin+"/", "./analyze", "./faultviz", "./swtrace").CombinedOutput(); err != nil {
+	if out, err := exec.Command("go", "build", "-o", bin+"/", "./analyze", "./swtrace").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	tool := func(t *testing.T, name string, args ...string) string {
@@ -52,7 +52,7 @@ func TestToolsPlaceTheEnginesFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			drawn := viz.RenderPlane(want) + viz.RenderRegions(want)
-			k, nf, seed := strconv.Itoa(net.K()), strconv.Itoa(tc.nf), strconv.FormatUint(tc.seed, 10)
+			nf, seed := strconv.Itoa(tc.nf), strconv.FormatUint(tc.seed, 10)
 
 			// swtrace refuses a faulty endpoint: trace between healthy ones.
 			healthy := want.HealthyNodes()
@@ -68,11 +68,8 @@ func TestToolsPlaceTheEnginesFaults(t *testing.T) {
 			if got := tool(t, "analyze", "-mode", "livelock", "-topo", tc.spec, "-faults", nf, "-seed", seed); !strings.HasPrefix(got, line) {
 				t.Errorf("analyze -mode livelock -topo %s -faults %s -seed %s starts\n%s\nthe engine runs\n%s", tc.spec, nf, seed, got, line)
 			}
-			if net.Kind() != "torus" {
-				return // faultviz takes -k only
-			}
-			if got := tool(t, "faultviz", "-k", k, "-random", nf, "-seed", seed); got != drawn {
-				t.Errorf("faultviz -random %s -seed %s draws\n%s\nthe engine runs\n%s", nf, seed, got, drawn)
+			if got := tool(t, "swtrace", "-topo", tc.spec, "-faults", nf, "-seed", seed); got != drawn {
+				t.Errorf("swtrace -topo %s -faults %s -seed %s draws\n%s\nthe engine runs\n%s", tc.spec, nf, seed, got, drawn)
 			}
 		})
 	}

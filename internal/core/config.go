@@ -201,11 +201,15 @@ func (c Config) AlgorithmName() string {
 	return c.Algorithm
 }
 
-// CheckLaneWidths refuses a V or BufDepth beyond the router's byte-wide
-// lane fields (router.MaxV, router.MaxDepth; the paper uses V <= 10, depth 2).
-func CheckLaneWidths(v, bufDepth int) error {
-	if v > router.MaxV || bufDepth > router.MaxDepth {
-		return fmt.Errorf("core: V must be <= %d and BufDepth <= %d, got %d and %d", router.MaxV, router.MaxDepth, v, bufDepth)
+// CheckWidths refuses a V or BufDepth beyond the router's byte-wide lane
+// fields (router.MaxV, router.MaxDepth; the paper uses V <= 10, depth 2)
+// and a MsgLen outside the [1, message.MaxLen] a flit can number.
+func (c Config) CheckWidths() error {
+	switch {
+	case c.V > router.MaxV || c.BufDepth > router.MaxDepth:
+		return fmt.Errorf("core: V must be <= %d and BufDepth <= %d, got %d and %d", router.MaxV, router.MaxDepth, c.V, c.BufDepth)
+	case c.MsgLen < 1 || c.MsgLen > message.MaxLen:
+		return fmt.Errorf("core: MsgLen must be in [1,%d], got %d", message.MaxLen, c.MsgLen)
 	}
 	return nil
 }
@@ -232,10 +236,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: algorithm %q needs V >= %d on %s, got %d", name, minV, net, c.V)
 	case c.BufDepth < 1:
 		return fmt.Errorf("core: BufDepth must be >= 1, got %d", c.BufDepth)
-	case CheckLaneWidths(c.V, c.BufDepth) != nil:
-		return CheckLaneWidths(c.V, c.BufDepth)
-	case c.MsgLen < 1 || c.MsgLen > message.MaxLen:
-		return fmt.Errorf("core: MsgLen must be in [1,%d], got %d", message.MaxLen, c.MsgLen)
+	case c.CheckWidths() != nil:
+		return c.CheckWidths()
 	case !(c.Lambda > 0) || math.IsInf(c.Lambda, 0): // negated to reject NaN
 		return fmt.Errorf("core: Lambda must be positive and finite, got %g", c.Lambda)
 	case c.MeasureMessages < 1:
@@ -280,19 +282,17 @@ func (c Config) Validate() error {
 // topology: total fault count below the network size, every explicit link
 // existing, and every shape stamp fitting its plane. Shape checks dry-run
 // the real StampShape into a scratch set so validation and construction
-// cannot drift.
+// cannot drift, and count the nodes it stamps: it refuses an oversized
+// silhouette within k² cells, where CellCount would enumerate all of it.
 func (c Config) validateFaults(net topology.Network) error {
 	faulty := c.Faults.RandomNodes
 	scratch := fault.NewSet(net)
 	for _, s := range c.Faults.Shapes {
-		n, err := s.Spec.CellCount()
+		nodes, err := fault.StampShape(scratch, s.Base, s.DimA, s.DimB, s.Spec)
 		if err != nil {
 			return fmt.Errorf("core: bad shape: %w", err)
 		}
-		faulty += n
-		if _, err := fault.StampShape(scratch, s.Base, s.DimA, s.DimB, s.Spec); err != nil {
-			return fmt.Errorf("core: bad shape: %w", err)
-		}
+		faulty += len(nodes)
 	}
 	for _, l := range c.Faults.Links {
 		if err := checkFaultLink(net, l.Src, l.Port); err != nil {

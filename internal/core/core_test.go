@@ -64,6 +64,9 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.Traffic = "nodemap:default=0.001,64=0.1" }, // node out of range
 		func(c *Config) { c.Traffic = "replay" },                       // missing file=
 		func(c *Config) { c.Faults.RandomNodes = 64 },
+		func(c *Config) { // an anchor StampShape would reduce to a negative coordinate
+			c.Faults.Shapes = []ShapeStamp{{Spec: fault.ShapeSpec{Shape: fault.ShapeBar, A: 2, AnchorA: -1}, DimA: 0, DimB: 1}}
+		},
 	}
 	for i, mutate := range bad {
 		c := DefaultConfig(8, 2, 0.003)
@@ -71,6 +74,25 @@ func TestValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
+	}
+}
+
+// TestValidateRefusesOversizedShapeCheaply: a silhouette larger than its
+// plane is refused within the plane's k² cells. Validate once counted the
+// cells first, enumerating all A·B of them (a bar of 4 000 000 peaked at
+// 212 MiB before it was called self-overlapping).
+func TestValidateRefusesOversizedShapeCheaply(t *testing.T) {
+	c := DefaultConfig(8, 2, 0.003)
+	c.Faults.Shapes = []ShapeStamp{{Spec: fault.ShapeSpec{Shape: fault.ShapeBar, A: 1 << 30}, DimA: 0, DimB: 1}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := c.Validate()
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "self-overlaps") {
+		t.Errorf("Validate of a bar of 2^30 on %s: %v, want a self-overlap error", c.Topology, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("Validate allocated %d bytes refusing it, want < 1 MiB", alloc)
 	}
 }
 

@@ -44,9 +44,9 @@ func PrintRegistries(w io.Writer, prefix string) {
 // and router a run builds (-topo -k -n -alg -v -m -faults -shape -seed),
 // defaulting to def's values, and returns the function that, after
 // fs.Parse, yields def with them applied and the network it names. -topo
-// overrides -k/-n (a torus); -shape stamps a Fig. 5 preset into plane
-// (0,1). The function's errors are usage errors (exit 2), -v above
-// router.MaxV among them.
+// overrides -k/-n (a torus); -shape stamps a fault.ParseShapeSpec region
+// into plane (0,1). The function's errors are usage errors (exit 2), a bad
+// -shape and Config.CheckWidths' -v and -m among them.
 func BindFlags(fs *flag.FlagSet, def Config) func() (Config, topology.Network, error) {
 	cfg := def
 	net, _ := def.BuildTopology() // def is the caller's literal
@@ -57,19 +57,21 @@ func BindFlags(fs *flag.FlagSet, def Config) func() (Config, topology.Network, e
 	fs.IntVar(&cfg.V, "v", def.V, "virtual channels per physical channel")
 	fs.IntVar(&cfg.MsgLen, "m", def.MsgLen, "message length in flits")
 	fs.IntVar(&cfg.Faults.RandomNodes, "faults", def.Faults.RandomNodes, "random faulty nodes")
-	shape := fs.String("shape", "", "fault region shape: rect|T|plus|L|U (Fig. 5 configurations)")
+	shape := fs.String("shape", "", "fault region in plane (0,1): bar|doublebar|rect|L|U|T|plus|H[:a=,b=,t=,ax=,ay=] (bare rect|T|plus|L|U: its Fig. 5 region)")
 	fs.Uint64Var(&cfg.Seed, "seed", def.Seed, "random seed")
 	return func() (Config, topology.Network, error) {
 		cfg.Topology = fmt.Sprintf("torus:k=%d,n=%d", *k, *n)
 		if *topo != "" {
 			cfg.Topology = *topo
 		}
-		if spec, ok := fault.PaperFig5Shape(*shape); ok {
+		if *shape != "" {
+			spec, err := fault.ParseShapeSpec(*shape)
+			if err != nil {
+				return cfg, nil, err
+			}
 			cfg.Faults.Shapes = []ShapeStamp{{Spec: spec, DimA: 0, DimB: 1}}
-		} else if *shape != "" {
-			return cfg, nil, fmt.Errorf("unknown shape %q (rect|T|plus|L|U)", *shape)
 		}
-		if err := CheckLaneWidths(cfg.V, cfg.BufDepth); err != nil {
+		if err := cfg.CheckWidths(); err != nil {
 			return cfg, nil, err
 		}
 		net, err := topology.NewNetwork(cfg.Topology)

@@ -28,9 +28,10 @@ func TestPrintRegistriesGolden(t *testing.T) {
 }
 
 // TestBindFlags maps command lines to the Config the binder yields: -topo
-// overrides -k/-n, -shape names a Fig. 5 preset in plane (0,1), and every
-// flag left unset keeps def's value — -k/-n included, read back from
-// def's network.
+// overrides -k/-n, -shape is a fault.ParseShapeSpec region in plane (0,1)
+// (a bare Fig. 5 name its paper configuration), every flag left unset keeps
+// def's value — -k/-n included, read back from def's network — and -m
+// outside [1, message.MaxLen] is refused.
 func TestBindFlags(t *testing.T) {
 	def := DefaultConfig(4, 3, 0.01)
 	def.Algorithm, def.MsgLen, def.Seed, def.Faults.RandomNodes = "adaptive", 16, 9, 2
@@ -39,7 +40,7 @@ func TestBindFlags(t *testing.T) {
 		f(&c)
 		return c
 	}
-	uSpec, _ := fault.PaperFig5Shape("U")
+	uSpec := fault.ShapeSpec{Shape: fault.ShapeU, A: 3, B: 4, AnchorA: 2, AnchorB: 2} // Fig. 5's U
 	for _, tc := range []struct {
 		name    string
 		args    []string
@@ -54,7 +55,14 @@ func TestBindFlags(t *testing.T) {
 			with(func(c *Config) { c.Algorithm, c.V, c.MsgLen, c.Faults.RandomNodes, c.Seed = "det", 6, 64, 0, 3 }), ""},
 		{"-shape U", []string{"-shape", "U"},
 			with(func(c *Config) { c.Faults.Shapes = []ShapeStamp{{Spec: uSpec, DimA: 0, DimB: 1}} }), ""},
-		{"-shape Z", []string{"-shape", "Z"}, Config{}, `unknown shape "Z" (rect|T|plus|L|U)`},
+		{"-shape U:a=4,ax=1", []string{"-shape", "U:a=4,ax=1"},
+			with(func(c *Config) {
+				c.Faults.Shapes = []ShapeStamp{{Spec: fault.ShapeSpec{Shape: fault.ShapeU, A: 4, B: 4, AnchorA: 1, AnchorB: 2}, DimA: 0, DimB: 1}}
+			}), ""},
+		{"-shape Z", []string{"-shape", "Z"}, Config{}, `fault: unknown shape "Z" (bar|double-bar|rect|L|U|T|plus|H)`},
+		{"-shape bar", []string{"-shape", "bar"}, Config{}, "fault: invalid bar shape: length 0"},
+		{"-m 0", []string{"-m", "0"}, Config{}, "core: MsgLen must be in [1,2147483647], got 0"},
+		{"-m -4", []string{"-m", "-4"}, Config{}, "core: MsgLen must be in [1,2147483647], got -4"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := flag.NewFlagSet("t", flag.ContinueOnError)

@@ -44,15 +44,19 @@ func TestScenarioConcaveBeatsConvexInPain(t *testing.T) {
 		cfg.WarmupMessages = 300
 		cfg.MeasureMessages = 5000
 		cfg.Seed = 2
-		cfg.Faults.Shapes = []ShapeStamp{{Spec: fault.PaperFig5Specs()[shape], DimA: 0, DimB: 1}}
+		spec, err := fault.ParseShapeSpec(shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Faults.Shapes = []ShapeStamp{{Spec: spec, DimA: 0, DimB: 1}}
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.MeanLatency
 	}
-	rect := lat("rect-shaped")
-	u := lat("U-shaped")
+	rect := lat("rect")
+	u := lat("U")
 	if u <= rect {
 		t.Fatalf("U (8 faults) latency %v not above rect (20 faults) %v", u, rect)
 	}

@@ -100,8 +100,14 @@ func faultSets(t *testing.T, net topology.Network) (names []string, sets []*faul
 		}
 	}
 	if net.K() == 8 && net.N() == 2 {
-		for shape, spec := range fault.PaperFig5Specs() {
-			add(shape, core.FaultSpec{Shapes: []core.ShapeStamp{{Spec: spec, DimA: 0, DimB: 1}}}, 0)
+		for _, shape := range []struct{ spec, cell string }{
+			{"rect", "rect-shaped"}, {"T", "T-shaped"}, {"plus", "Plus-shaped"}, {"L", "L-shaped"}, {"U", "U-shaped"},
+		} {
+			spec, err := fault.ParseShapeSpec(shape.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			add(shape.cell, core.FaultSpec{Shapes: []core.ShapeStamp{{Spec: spec, DimA: 0, DimB: 1}}}, 0)
 		}
 	}
 	return names, sets

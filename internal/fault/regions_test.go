@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/topology"
@@ -143,16 +144,16 @@ func TestIndexLookup(t *testing.T) {
 	}
 }
 
-func TestPaperFig5SpecCounts(t *testing.T) {
-	want := map[string]int{
-		"rect-shaped": 20,
-		"T-shaped":    10,
-		"Plus-shaped": 16,
-		"L-shaped":    9,
-		"U-shaped":    8,
-	}
+// TestFig5SpecCounts: a bare Fig. 5 name is the paper's region, with the
+// paper's faulty-node count.
+func TestFig5SpecCounts(t *testing.T) {
+	want := map[string]int{"rect": 20, "T": 10, "plus": 16, "L": 9, "U": 8}
 	tor := topology.New(8, 2)
-	for name, spec := range PaperFig5Specs() {
+	for name := range want {
+		spec, err := ParseShapeSpec(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		n, err := spec.CellCount()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -219,19 +220,88 @@ func TestShapeStrings(t *testing.T) {
 	if Shape(42).String() != "shape(42)" {
 		t.Errorf("unknown shape string: %q", Shape(42).String())
 	}
-	// ParseShape inverts String for every shape, takes the one alias the
-	// CLIs have always listed, and nothing else.
+	// ParseShapeSpec inverts String for every shape, takes the one alias
+	// the CLIs have always listed, and nothing else.
 	for sh := ShapeBar; sh <= ShapeH; sh++ {
-		if got, ok := ParseShape(sh.String()); !ok || got != sh {
-			t.Errorf("ParseShape(%q) = %v, %v", sh.String(), got, ok)
+		if got, err := ParseShapeSpec(sh.String() + ":a=4,b=4"); err != nil || got.Shape != sh {
+			t.Errorf("ParseShapeSpec(%q) = %v, %v", sh.String(), got.Shape, err)
 		}
 	}
-	if got, ok := ParseShape("doublebar"); !ok || got != ShapeDoubleBar {
-		t.Errorf("ParseShape(doublebar) = %v, %v", got, ok)
+	if got, err := ParseShapeSpec("doublebar:a=4"); err != nil || got.Shape != ShapeDoubleBar {
+		t.Errorf("ParseShapeSpec(doublebar) = %v, %v", got.Shape, err)
 	}
-	for _, bad := range []string{"", "Z", "shape(42)", "Bar"} {
-		if _, ok := ParseShape(bad); ok {
-			t.Errorf("ParseShape(%q) accepted", bad)
+	for _, bad := range []string{"", "Z", "shape(42)", "Bar", "xdoublebar", "doublebarx"} {
+		if _, err := ParseShapeSpec(bad + ":a=4,b=4"); err == nil || !strings.Contains(err.Error(), "unknown shape") {
+			t.Errorf("ParseShapeSpec(%q) error %v, want unknown shape", bad, err)
 		}
 	}
+}
+
+// TestParseShapeSpec pins the fault-region grammar: Shape's names, a bare
+// Fig. 5 name as the paper's region with keys overriding it, the other
+// shapes at anchor (2,2) with no size, and sizes checked at parse time.
+func TestParseShapeSpec(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want ShapeSpec
+	}{
+		{"U", ShapeSpec{Shape: ShapeU, A: 3, B: 4, AnchorA: 2, AnchorB: 2}},
+		{"plus:a=7", ShapeSpec{Shape: ShapePlus, A: 7, B: 5, T: 2, AnchorA: 1, AnchorB: 1}},
+		{"doublebar:a=4", ShapeSpec{Shape: ShapeDoubleBar, A: 4, AnchorA: 2, AnchorB: 2}},
+		{"double-bar:a=4", ShapeSpec{Shape: ShapeDoubleBar, A: 4, AnchorA: 2, AnchorB: 2}},
+		{" T:a=5, b=3 ,ax=2", ShapeSpec{Shape: ShapeT, A: 5, B: 3, AnchorA: 2, AnchorB: 2}},
+		{"H:a=5,b=5,ax=0,ay=3", ShapeSpec{Shape: ShapeH, A: 5, B: 5, AnchorA: 0, AnchorB: 3}},
+		{"bar:a=1073741824", ShapeSpec{Shape: ShapeBar, A: 1 << 30, AnchorA: 2, AnchorB: 2}},
+	} {
+		if got, err := ParseShapeSpec(tc.in); err != nil || got != tc.want {
+			t.Errorf("ParseShapeSpec(%q) = %+v, %v; want %+v", tc.in, got, err, tc.want)
+		}
+	}
+	for in, want := range map[string]string{
+		"Z":          `fault: unknown shape "Z" (bar|double-bar|rect|L|U|T|plus|H)`,
+		"u":          `fault: unknown shape "u"`,
+		"bar":        "fault: invalid bar shape: length 0",
+		"H":          "fault: invalid H shape: bars height 0, rung span 0",
+		"plus:t=4":   "fault: invalid plus shape: bars 5x5 thickness 4",
+		"U:":         "empty parameter list",
+		"U:c=1":      `fault: spec "U:c=1": unknown parameter "c" (accepted: a, b, t, ax, ay)`,
+		"U:a=x":      `parameter a="x" is not an integer`,
+		"U:ax=-1":    "parameter ax must be >= 0, got -1",
+		"U:a=3,a=4":  `duplicate parameter "a"`,
+		"rect:a=0,b": "bad parameter",
+	} {
+		if _, err := ParseShapeSpec(in); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseShapeSpec(%q) error %v, want it to contain %q", in, err, want)
+		}
+	}
+}
+
+// FuzzShapeSpec: no input panics the grammar or the stamp, and a spec that
+// stamps on the paper's 8-ary 2-cube fails CellCount nodes. An accepted
+// spec's sizes are unbounded, so StampShape must refuse an oversized one
+// without enumerating it (the last seed).
+func FuzzShapeSpec(f *testing.F) {
+	for _, s := range []string{
+		"bar", "double-bar", "doublebar", "rect", "L", "U", "T", "plus", "H",
+		"bar:a=4", "double-bar:a=4", "rect:a=3,b=3", "L:a=4,b=4", "U:a=4,b=5", // cmd/figures' Fig. 1
+		"plus:a=5,b=5,t=1,ax=2,ay=2", "T:a=5,b=3,ax=2", "H:a=5,b=5",
+		"bar:a=1073741824",
+	} {
+		f.Add(s)
+	}
+	tor := topology.New(8, 2)
+	f.Fuzz(func(t *testing.T, s string) {
+		sp, err := ParseShapeSpec(s)
+		if err != nil {
+			return
+		}
+		fs := NewSet(tor)
+		nodes, err := StampShape(fs, 0, 0, 1, sp)
+		if err != nil {
+			return
+		}
+		if n, err := sp.CellCount(); err != nil || n != len(nodes) || fs.NumNodeFaults() != n {
+			t.Fatalf("%q stamped %d nodes (%d faults); CellCount %d, %v", s, len(nodes), fs.NumNodeFaults(), n, err)
+		}
+	})
 }

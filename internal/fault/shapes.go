@@ -2,7 +2,10 @@ package fault
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
+	"repro/internal/registry"
 	"repro/internal/topology"
 )
 
@@ -33,7 +36,7 @@ const (
 )
 
 // shapeNames is the one shape-name table: String reads it forwards,
-// ParseShape backwards.
+// ParseShapeSpec backwards.
 var shapeNames = [...]string{
 	ShapeBar:       "bar",
 	ShapeDoubleBar: "double-bar",
@@ -50,20 +53,6 @@ func (s Shape) String() string {
 		return shapeNames[s]
 	}
 	return fmt.Sprintf("shape(%d)", int(s))
-}
-
-// ParseShape is the inverse of Shape.String; "doublebar" is accepted as an
-// alias of "double-bar".
-func ParseShape(name string) (Shape, bool) {
-	if name == "doublebar" {
-		name = "double-bar"
-	}
-	for s, n := range shapeNames {
-		if n == name {
-			return Shape(s), true
-		}
-	}
-	return 0, false
 }
 
 // Concave reports whether the silhouette is concave (U/+/T/H/L) rather than
@@ -91,142 +80,132 @@ type ShapeSpec struct {
 	T int
 }
 
-// cells enumerates a silhouette as (a, b) offsets from the anchor. Offsets
-// stay small relative to k so the stamped region never self-wraps.
-func (sp ShapeSpec) cells() ([][2]int, error) {
-	a, b := sp.A, sp.B
-	bad := func(cond bool, form string, args ...any) error {
-		if cond {
-			return fmt.Errorf("fault: invalid %v shape: "+form, append([]any{sp.Shape}, args...)...)
-		}
-		return nil
+// check refuses sizes that make no silhouette.
+func (sp ShapeSpec) check() error {
+	a, b, th := sp.A, sp.B, max(sp.T, 1)
+	ok, form, sizes := false, "", []any{a, b}
+	switch sp.Shape {
+	case ShapeBar, ShapeDoubleBar:
+		ok, form, sizes = a >= 1, "length %d", sizes[:1]
+	case ShapeRect:
+		ok, form = a >= 1 && b >= 1, "size %dx%d"
+	case ShapeL:
+		ok, form = a >= 2 && b >= 2, "arms %dx%d"
+	case ShapeU:
+		ok, form = a >= 2 && b >= 3, "arms height %d, width %d"
+	case ShapeT:
+		ok, form = a >= 3 && b >= 1, "bar %d, stem %d"
+	case ShapePlus:
+		ok, form, sizes = a >= 3 && b >= 3 && th <= a-2 && th <= b-2, "bars %dx%d thickness %d", append(sizes, th)
+	case ShapeH:
+		ok, form = a >= 3 && b >= 3, "bars height %d, rung span %d"
+	default:
+		return fmt.Errorf("fault: unknown shape %v", sp.Shape)
 	}
-	var out [][2]int
-	add := func(x, y int) { out = append(out, [2]int{x, y}) }
+	if !ok {
+		return fmt.Errorf("fault: invalid %v shape: "+form, append([]any{sp.Shape}, sizes...)...)
+	}
+	return nil
+}
+
+// cells hands yield the silhouette of checked sizes as (a, b) offsets from
+// the anchor until it returns false. Every loop step yields a cell or skips
+// a run, so a caller that stops at the first overlapping or misplaced cell
+// does work bounded by its plane, however large the sizes.
+func (sp ShapeSpec) cells(yield func(a, b int) bool) {
+	a, b, more := sp.A, sp.B, true
+	add := func(x, y int) { more = more && yield(x, y) }
 	switch sp.Shape {
 	case ShapeBar: // A = length (vertical bar of height A)
-		if err := bad(a < 1, "length %d", a); err != nil {
-			return nil, err
-		}
-		for i := 0; i < a; i++ {
+		for i := 0; i < a && more; i++ {
 			add(0, i)
 		}
 	case ShapeDoubleBar: // A = length of each bar, gap of one column
-		if err := bad(a < 1, "length %d", a); err != nil {
-			return nil, err
-		}
-		for i := 0; i < a; i++ {
+		for i := 0; i < a && more; i++ {
 			add(0, i)
 			add(2, i)
 		}
 	case ShapeRect: // A×B solid block
-		if err := bad(a < 1 || b < 1, "size %dx%d", a, b); err != nil {
-			return nil, err
-		}
-		for x := 0; x < a; x++ {
-			for y := 0; y < b; y++ {
+		for x := 0; x < a && more; x++ {
+			for y := 0; y < b && more; y++ {
 				add(x, y)
 			}
 		}
 	case ShapeL: // vertical arm height A, horizontal arm width B, sharing the corner
-		if err := bad(a < 2 || b < 2, "arms %dx%d", a, b); err != nil {
-			return nil, err
-		}
-		for y := 0; y < a; y++ {
+		for y := 0; y < a && more; y++ {
 			add(0, y)
 		}
-		for x := 1; x < b; x++ {
+		for x := 1; x < b && more; x++ {
 			add(x, 0)
 		}
 	case ShapeU: // two vertical arms height A, bottom bar width B (>= 2 columns apart)
-		if err := bad(a < 2 || b < 3, "arms height %d, width %d", a, b); err != nil {
-			return nil, err
-		}
-		for x := 0; x < b; x++ {
+		for x := 0; x < b && more; x++ {
 			add(x, 0)
 		}
-		for y := 1; y < a; y++ {
+		for y := 1; y < a && more; y++ {
 			add(0, y)
 			add(b-1, y)
 		}
 	case ShapeT: // top bar width A (odd preferred), stem height B below the centre
-		if err := bad(a < 3 || b < 1, "bar %d, stem %d", a, b); err != nil {
-			return nil, err
-		}
-		for x := 0; x < a; x++ {
+		for x := 0; x < a && more; x++ {
 			add(x, b)
 		}
 		mid := a / 2
-		for y := 0; y < b; y++ {
+		for y := 0; y < b && more; y++ {
 			add(mid, y)
 		}
 	case ShapePlus: // horizontal bar width A, vertical bar height B, thickness T, crossing at centres
-		th := sp.T
-		if th < 1 {
-			th = 1
-		}
-		if err := bad(a < 3 || b < 3 || th > a-2 || th > b-2, "bars %dx%d thickness %d", a, b, th); err != nil {
-			return nil, err
-		}
-		cy := (b - th) / 2
-		cx := (a - th) / 2
-		seen := make(map[[2]int]bool)
-		dedupAdd := func(x, y int) {
-			if !seen[[2]int{x, y}] {
-				seen[[2]int{x, y}] = true
-				add(x, y)
+		th := max(sp.T, 1)
+		cx, cy := (a-th)/2, (b-th)/2
+		for x := 0; x < a && more; x++ {
+			for dy := 0; dy < th && more; dy++ {
+				add(x, cy+dy)
 			}
 		}
-		for x := 0; x < a; x++ {
-			for dy := 0; dy < th; dy++ {
-				dedupAdd(x, cy+dy)
+		for y := 0; y < b && more; y++ {
+			if y == cy {
+				y += th - 1 // the crossing: the horizontal bar stamped it
+				continue
 			}
-		}
-		for y := 0; y < b; y++ {
-			for dx := 0; dx < th; dx++ {
-				dedupAdd(cx+dx, y)
+			for dx := 0; dx < th && more; dx++ {
+				add(cx+dx, y)
 			}
 		}
 	case ShapeH: // two vertical bars height A, middle rung width B between them
-		if err := bad(a < 3 || b < 3, "bars height %d, rung span %d", a, b); err != nil {
-			return nil, err
-		}
-		for y := 0; y < a; y++ {
+		for y := 0; y < a && more; y++ {
 			add(0, y)
 			add(b-1, y)
 		}
 		ry := a / 2
-		for x := 1; x < b-1; x++ {
+		for x := 1; x < b-1 && more; x++ {
 			add(x, ry)
 		}
-	default:
-		return nil, fmt.Errorf("fault: unknown shape %v", sp.Shape)
 	}
-	return out, nil
 }
 
 // CellCount returns the number of faulty nodes the spec stamps (the paper's
 // nf for region experiments), without touching a torus.
 func (sp ShapeSpec) CellCount() (int, error) {
-	cs, err := sp.cells()
-	if err != nil {
+	if err := sp.check(); err != nil {
 		return 0, err
 	}
-	return len(cs), nil
+	n := 0
+	sp.cells(func(int, int) bool { n++; return true })
+	return n, nil
 }
 
 // StampShape marks the silhouette into the fault set, within the plane
 // spanned by (dimA, dimB) through base. The plane dimensions must be
-// distinct and inside the network's dimensionality, and base a valid node.
-// On wrapping topologies (torus) coordinates are taken mod k; on meshes,
-// where relocating an overflowing cell across the missing wraparound edge
-// would tear the region apart, the silhouette must fit inside [0, k) along
-// both axes. It returns the stamped nodes, or an error for invalid
-// parameters, a silhouette that self-overlaps after wrapping (shape larger
-// than the ring), or one that does not fit the selected topology.
+// distinct and inside the network's dimensionality, base a valid node and
+// the anchor non-negative. On wrapping topologies (torus) coordinates are
+// taken mod k; on meshes, where relocating an overflowing cell across the
+// missing wraparound edge would tear the region apart, the silhouette must
+// fit inside [0, k) along both axes. It returns the stamped nodes, or an
+// error for invalid parameters, a silhouette that self-overlaps after
+// wrapping (shape larger than the ring), or one that does not fit the
+// selected topology, found by its (k²+1)-th cell at the latest.
 func StampShape(s *Set, base topology.NodeID, dimA, dimB int, sp ShapeSpec) ([]topology.NodeID, error) {
-	cs, err := sp.cells()
-	if err != nil {
+	if err := sp.check(); err != nil {
 		return nil, err
 	}
 	t := s.Net()
@@ -239,46 +218,81 @@ func StampShape(s *Set, base topology.NodeID, dimA, dimB int, sp ShapeSpec) ([]t
 	if !t.Valid(base) {
 		return nil, fmt.Errorf("fault: shape base node %d out of range [0,%d)", base, t.Nodes())
 	}
+	if sp.AnchorA < 0 || sp.AnchorB < 0 {
+		return nil, fmt.Errorf("fault: shape %v anchor (%d,%d) is negative", sp.Shape, sp.AnchorA, sp.AnchorB)
+	}
+	k := t.K()
 	pl := topology.PlaneOf(t, base, dimA, dimB)
-	seen := make(map[topology.NodeID]bool, len(cs))
-	out := make([]topology.NodeID, 0, len(cs))
-	for _, c := range cs {
-		a, b := sp.AnchorA+c[0], sp.AnchorB+c[1]
-		if !t.Wraps() && (a < 0 || a >= t.K() || b < 0 || b >= t.K()) {
-			return nil, fmt.Errorf("fault: shape %v at (%d,%d) does not fit %s (cell (%d,%d) outside [0,%d))",
-				sp.Shape, sp.AnchorA, sp.AnchorB, t, a, b, t.K())
+	seen := make(map[topology.NodeID]bool)
+	var out []topology.NodeID
+	var err error
+	sp.cells(func(x, y int) bool {
+		if !t.Wraps() && (x >= k-sp.AnchorA || y >= k-sp.AnchorB) {
+			err = fmt.Errorf("fault: shape %v at (%d,%d) does not fit %s (cell (%d,%d) outside [0,%d))",
+				sp.Shape, sp.AnchorA, sp.AnchorB, t, sp.AnchorA+x, sp.AnchorB+y, k)
+			return false
 		}
-		id := pl.Node(a%t.K(), b%t.K())
+		id := pl.Node((sp.AnchorA%k+x%k)%k, (sp.AnchorB%k+y%k)%k)
 		if seen[id] {
-			return nil, fmt.Errorf("fault: shape %v at (%d,%d) self-overlaps after wraparound (k=%d)",
-				sp.Shape, sp.AnchorA, sp.AnchorB, t.K())
+			err = fmt.Errorf("fault: shape %v at (%d,%d) self-overlaps after wraparound (k=%d)",
+				sp.Shape, sp.AnchorA, sp.AnchorB, k)
+			return false
 		}
 		seen[id] = true
 		out = append(out, id)
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	s.MarkNodes(out)
 	return out, nil
 }
 
-// PaperFig5Specs returns the five fault-region configurations evaluated in
-// Fig. 5 of the paper with their exact faulty-node counts:
-// rect-shaped nf=20, T-shaped nf=10, +-shaped nf=16, L-shaped nf=9,
-// U-shaped nf=8.
-func PaperFig5Specs() map[string]ShapeSpec {
-	return map[string]ShapeSpec{
-		"rect-shaped": {Shape: ShapeRect, A: 5, B: 4, AnchorA: 2, AnchorB: 2},       // 20
-		"T-shaped":    {Shape: ShapeT, A: 7, B: 3, AnchorA: 1, AnchorB: 2},          // 7 + 3 = 10
-		"Plus-shaped": {Shape: ShapePlus, A: 5, B: 5, T: 2, AnchorA: 1, AnchorB: 1}, // 5*2 + 5*2 - 4 = 16
-		"L-shaped":    {Shape: ShapeL, A: 5, B: 5, AnchorA: 2, AnchorB: 2},          // 5 + 4 = 9
-		"U-shaped":    {Shape: ShapeU, A: 3, B: 4, AnchorA: 2, AnchorB: 2},          // 4 + 2*2 = 8
-	}
+// fig5 holds the five fault regions of the paper's Fig. 5, placed in its
+// 8-ary 2-cube, with their faulty-node counts.
+var fig5 = map[Shape]ShapeSpec{
+	ShapeRect: {Shape: ShapeRect, A: 5, B: 4, AnchorA: 2, AnchorB: 2},       // 20
+	ShapeT:    {Shape: ShapeT, A: 7, B: 3, AnchorA: 1, AnchorB: 2},          // 7 + 3 = 10
+	ShapePlus: {Shape: ShapePlus, A: 5, B: 5, T: 2, AnchorA: 1, AnchorB: 1}, // 5*2 + 5*2 - 4 = 16
+	ShapeL:    {Shape: ShapeL, A: 5, B: 5, AnchorA: 2, AnchorB: 2},          // 5 + 4 = 9
+	ShapeU:    {Shape: ShapeU, A: 3, B: 4, AnchorA: 2, AnchorB: 2},          // 4 + 2*2 = 8
 }
 
-// PaperFig5Shape looks a Fig. 5 region up by the short name the CLIs take
-// (rect|T|plus|L|U).
-func PaperFig5Shape(short string) (ShapeSpec, bool) {
-	spec, ok := PaperFig5Specs()[map[string]string{
-		"rect": "rect-shaped", "T": "T-shaped", "plus": "Plus-shaped", "L": "L-shaped", "U": "U-shaped",
-	}[short]]
-	return spec, ok
+// ParseShapeSpec reads the fault-region grammar the command lines share: a
+// Shape name ("doublebar" is the alias of "double-bar"), optionally
+// followed by ":" and the sizes a, b (per shape, see cells), t (plus
+// thickness, 0 = 1) and the anchor ax, ay. A bare Fig. 5 name (rect, T,
+// plus, L, U) is the paper's region and the keys override it; bar,
+// double-bar and H start at anchor (2,2) with no size. Sizes that make no
+// silhouette are refused here; whether one fits a network is StampShape's
+// to say.
+func ParseShapeSpec(s string) (ShapeSpec, error) {
+	s = strings.TrimSpace(s)
+	name, _, _ := strings.Cut(s, ":")
+	sh := Shape(slices.Index(shapeNames[:], name))
+	if name == "doublebar" {
+		sh = ShapeDoubleBar
+	}
+	if sh < 0 {
+		return ShapeSpec{}, fmt.Errorf("fault: unknown shape %q (bar|double-bar|rect|L|U|T|plus|H)", name)
+	}
+	sp, ok := fig5[sh]
+	if !ok {
+		sp = ShapeSpec{Shape: sh, AnchorA: 2, AnchorB: 2}
+	}
+	// Registry names are lower-case: the name is matched above, and the
+	// parser reads the parameter list behind a stand-in.
+	spec, err := registry.Parse("shape" + s[len(name):])
+	if err != nil {
+		return ShapeSpec{}, fmt.Errorf("fault: %w", err)
+	}
+	spec.Name = name
+	args := registry.NewArgs("fault", spec)
+	sp.A, sp.B, sp.T = args.Int("a", sp.A), args.Int("b", sp.B), args.NonNegativeInt("t", sp.T)
+	sp.AnchorA, sp.AnchorB = args.NonNegativeInt("ax", sp.AnchorA), args.NonNegativeInt("ay", sp.AnchorB)
+	if err := args.Finish(); err != nil {
+		return ShapeSpec{}, err
+	}
+	return sp, sp.check()
 }

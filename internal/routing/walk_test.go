@@ -68,7 +68,11 @@ func TestAnalyzeLivelockRegionWorseThanRandom(t *testing.T) {
 	// Concave U region: the worst-case stop count must exceed the
 	// fault-free case (0) and stay bounded.
 	fs := fault.NewSet(tor)
-	if _, err := fault.StampShape(fs, 0, 0, 1, fault.PaperFig5Specs()["U-shaped"]); err != nil {
+	u, err := fault.ParseShapeSpec("U")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fault.StampShape(fs, 0, 0, 1, u); err != nil {
 		t.Fatal(err)
 	}
 	a := mustDet(t, tor, fs, 4)
