@@ -165,15 +165,17 @@ func TestInvalidParams(t *testing.T) {
 }
 
 // The headline validation: the model must track the simulator below
-// saturation. We allow a generous envelope (40% relative error) — models of
-// this family predict trends and knee positions, not exact cycle counts.
+// saturation. The runs are deterministic; model vs sim read 44.01/43.27
+// (1.70 %), 52.18/51.18 (1.96 %) and 60.66/60.53 (0.21 %) at λ 0.002,
+// 0.004 and 0.006. Each λ is bounded at max(3 × observed, 1 %), so a
+// change that moves either side by a few percent fails here.
 func TestModelTracksSimulator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation comparison")
 	}
 	for _, tc := range []struct {
-		lambda float64
-	}{{0.002}, {0.004}, {0.006}} {
+		lambda, maxErr float64
+	}{{0.002, 0.051}, {0.004, 0.0588}, {0.006, 0.01}} {
 		cfg := core.DefaultConfig(8, 2, tc.lambda)
 		cfg.V = 4
 		cfg.WarmupMessages = 300
@@ -188,9 +190,10 @@ func TestModelTracksSimulator(t *testing.T) {
 			t.Fatalf("model saturated at λ=%v where simulator did not", tc.lambda)
 		}
 		relErr := math.Abs(lat-res.MeanLatency) / res.MeanLatency
-		if relErr > 0.40 {
-			t.Errorf("λ=%v: model %v vs sim %v (rel err %.0f%%)",
-				tc.lambda, lat, res.MeanLatency, relErr*100)
+		t.Logf("λ=%v: model %.2f vs sim %.2f (rel err %.2f%%)", tc.lambda, lat, res.MeanLatency, relErr*100)
+		if relErr > tc.maxErr {
+			t.Errorf("λ=%v: model %v vs sim %v (rel err %.2f%%, bound %.1f%%)",
+				tc.lambda, lat, res.MeanLatency, relErr*100, tc.maxErr*100)
 		}
 	}
 }

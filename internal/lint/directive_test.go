@@ -11,15 +11,11 @@ import (
 // nothing and is reported itself, and //simlint:phase with an unknown
 // phase is reported.
 func TestMalformedDirectives(t *testing.T) {
-	loader := lint.NewLoader()
 	pkg, err := loader.LoadFiles("repro/internal/network", "testdata/bad_directive.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{lint.MapRange, lint.PhasePurity})
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{lint.MapRange, lint.PhasePurity})
 	want := map[string]string{
 		"maprange":    "nondeterministic order",     // the reasonless ignore must not suppress
 		"directive":   "malformed //simlint:ignore", // and is itself a finding

@@ -17,10 +17,10 @@
 //   - phasepurity: functions marked `//simlint:phase compute` never call
 //     commit-only engine APIs directly, keeping the two-phase barrier honest.
 //
-// The framework deliberately mirrors golang.org/x/tools/go/analysis
-// (Analyzer / Pass / Diagnostic, a multichecker driver, analysistest-style
-// fixture tests) but is built on the standard library only — the module has
-// no dependencies and stays that way.
+// The framework is built on the standard library only (the module has no
+// dependencies and stays that way): a Loader that type-checks the module's
+// packages against the compiler's export data, and four Analyzers run over
+// each Package.
 //
 // Findings are suppressed line-by-line with a justified directive:
 //
@@ -32,24 +32,23 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
-// An Analyzer describes one static check. The shape mirrors
-// golang.org/x/tools/go/analysis.Analyzer so the suite can migrate to the
-// upstream framework wholesale if the module ever takes the dependency.
+// An Analyzer describes one static check.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //simlint:ignore directives.
 	Name string
 	// Run performs the check on one package, reporting findings through
 	// pass.Reportf.
-	Run func(pass *Pass) error
+	Run func(pass *Pass)
 }
 
 // A Pass is one analyzer's view of one type-checked package.
@@ -103,6 +102,7 @@ var criticalPackages = map[string]bool{
 	modulePath + "/internal/traffic": true,
 	modulePath + "/internal/core":    true,
 	modulePath + "/internal/metrics": true,
+	modulePath + "/internal/trace":   true,
 }
 
 // internalPkg reports whether path is under the module's internal/ tree.
@@ -176,33 +176,33 @@ func onlyIndentBefore(fset *token.FileSet, file *ast.File, c *ast.Comment) bool 
 	return standing
 }
 
-// suppress filters diags through the files' ignore directives, and turns
-// malformed directives (no analyzer name, or no `-- reason`) into findings
-// of their own. Returned diagnostics are position-sorted.
-func suppress(fset *token.FileSet, filesByName map[string][]*ast.File, diags []Diagnostic) []Diagnostic {
-	type fileKey struct{ name string }
-	ignores := map[fileKey]map[int]*ignoreDirective{}
-	var out []Diagnostic
-	for name, files := range filesByName {
-		merged := map[int]*ignoreDirective{}
-		for _, f := range files {
-			for line, d := range parseIgnores(fset, f) {
-				merged[line] = d
-			}
+// Run executes the analyzers over the packages, filters their findings
+// through the files' //simlint:ignore directives, turns malformed
+// directives (no analyzer name, or no `-- reason`) into findings of their
+// own, and returns the diagnostics position-sorted.
+func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	var diags, out []Diagnostic
+	ignores := map[string]map[int]*ignoreDirective{}
+	for _, pkg := range pkgs {
+		for _, a := range analyzers {
+			a.Run(&Pass{Analyzer: a, Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, TypesInfo: pkg.Info, diags: &diags})
 		}
-		ignores[fileKey{name}] = merged
-		for _, d := range merged {
-			if len(d.names) == 0 || !d.hasReason {
-				out = append(out, Diagnostic{
-					Analyzer: "directive",
-					Pos:      d.pos,
-					Message:  "malformed //simlint:ignore: want `//simlint:ignore <analyzer>[,...] -- <reason>`",
-				})
+		for _, f := range pkg.Files {
+			m := parseIgnores(pkg.Fset, f)
+			ignores[pkg.Fset.Position(f.Pos()).Filename] = m
+			for _, d := range m {
+				if len(d.names) == 0 || !d.hasReason {
+					out = append(out, Diagnostic{
+						Analyzer: "directive",
+						Pos:      d.pos,
+						Message:  "malformed //simlint:ignore: want `//simlint:ignore <analyzer>[,...] -- <reason>`",
+					})
+				}
 			}
 		}
 	}
 	covered := func(d Diagnostic) bool {
-		m := ignores[fileKey{d.Pos.Filename}]
+		m := ignores[d.Pos.Filename]
 		if ig := m[d.Pos.Line]; ig != nil && ig.hasReason && ig.names[d.Analyzer] {
 			return true
 		}
@@ -216,36 +216,27 @@ func suppress(fset *token.FileSet, filesByName map[string][]*ast.File, diags []D
 			out = append(out, d)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Pos, out[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Column != b.Column {
-			return a.Column < b.Column
-		}
-		return out[i].Analyzer < out[j].Analyzer
+	slices.SortFunc(out, func(a, b Diagnostic) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column), strings.Compare(a.Analyzer, b.Analyzer))
 	})
 	return out
 }
 
 // funcObj resolves the called function/method object of a call expression,
 // or nil for builtins, conversions and indirect calls through variables.
+// A selector's Sel is recorded in Uses for qualified identifiers and method
+// selections alike.
 func funcObj(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		f, _ := info.Uses[fun].(*types.Func)
-		return f
+		id = fun
 	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			f, _ := sel.Obj().(*types.Func)
-			return f
-		}
-		f, _ := info.Uses[fun.Sel].(*types.Func)
-		return f
+		id = fun.Sel
+	default:
+		return nil
 	}
-	return nil
+	f, _ := info.Uses[id].(*types.Func)
+	return f
 }

@@ -29,9 +29,9 @@ var MapRange = &Analyzer{
 	Run:  runMapRange,
 }
 
-func runMapRange(pass *Pass) error {
+func runMapRange(pass *Pass) {
 	if !criticalPackages[pass.Pkg.Path()] {
-		return nil
+		return
 	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -58,7 +58,6 @@ func runMapRange(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // isKeyCollect recognises `for k := range m { s = append(s, k) }` (value

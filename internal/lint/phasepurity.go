@@ -48,21 +48,20 @@ func phaseDirective(doc *ast.CommentGroup) (string, *ast.Comment) {
 var commitOnly = map[string]string{
 	"(*" + modulePath + "/internal/network.Network).applyFx":       "stage the effect with worker.emit; applyFx is replayed only at commit",
 	"(*" + modulePath + "/internal/network.Network).trace":         "stage the event with worker.emitTrace; direct emission bypasses the serial replay order",
-	"(*" + modulePath + "/internal/network.Network).stageArrival":  "route transfers through worker.stageArrivalW so they land in the receiver's mailbox",
 	"(*" + modulePath + "/internal/network.Network).commitEffects": "the barrier itself; only the step driver may run it",
 	"(*" + modulePath + "/internal/network.Network).Enqueue":       "external injection API; compute code must inject via the staged arrival path",
-	"(*" + modulePath + "/internal/message.Pool).Free":             "slot recycling must happen in serial commit order (fxDeliver/fxDrop effects)",
+	"(*" + modulePath + "/internal/message.Pool).Free":             "slot recycling must happen in serial commit order (fxDeliver/fxDropEject/fxDropInject effects)",
 	"(*" + modulePath + "/internal/router.Router).Credit":          "stage the credit with worker.returnCredit; applied in phase A it is visible to a router visited later in the same cycle",
 	"(*" + modulePath + "/internal/router.Router).Resync":          "waking every credit-parked lane belongs to the serial transition point (applyTransitions)",
 	"(*" + modulePath + "/internal/metrics.Collector).Delivered":   "metrics mutate shared counters; emit an fxDeliver effect instead",
-	"(*" + modulePath + "/internal/metrics.Collector).Stop":        "metrics mutate shared counters; emit an fxStop effect instead",
-	"(*" + modulePath + "/internal/metrics.Collector).Dropped":     "metrics mutate shared counters; emit an fxDrop effect instead",
+	"(*" + modulePath + "/internal/metrics.Collector).Stop":        "metrics mutate shared counters; emit an fxStopVia or fxStopFault effect instead",
+	"(*" + modulePath + "/internal/metrics.Collector).Dropped":     "metrics mutate shared counters; emit an fxDropEject or fxDropInject effect instead",
 	"(*" + modulePath + "/internal/metrics.Collector).Reinjected":  "metrics mutate shared counters; stage through the worker effect log",
 	"(*" + modulePath + "/internal/metrics.Collector).Lost":        "metrics mutate shared counters; stage through the worker effect log",
 	"(" + modulePath + "/internal/trace.Tracer).Trace":             "tracer calls must go through worker.emitTrace to preserve the serial event order",
 }
 
-func runPhasePurity(pass *Pass) error {
+func runPhasePurity(pass *Pass) {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -103,5 +102,4 @@ func runPhasePurity(pass *Pass) error {
 			})
 		}
 	}
-	return nil
 }

@@ -30,10 +30,10 @@ var RefLife = &Analyzer{
 	Run:  runRefLife,
 }
 
-func runRefLife(pass *Pass) error {
+func runRefLife(pass *Pass) {
 	path := pass.Pkg.Path()
 	if !internalPkg(path) || path == modulePath+"/internal/message" {
-		return nil
+		return
 	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -103,7 +103,6 @@ func runRefLife(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // isMessagePtr reports whether t is exactly *message.Message.

@@ -12,9 +12,11 @@ import (
 // silently decouples a run from its seed.
 //
 // Banned: importing math/rand, math/rand/v2 or crypto/rand, and calling
-// time.Now / time.Since / time.Until or os.Getpid / os.Getppid /
-// os.Environ. (time.Duration arithmetic, timers in CLIs under cmd/, and
-// test files are all out of scope.)
+// time.Now / time.Since / time.Until, os.Getpid / os.Getppid, or the
+// environment readers os.Environ / os.Getenv / os.LookupEnv — a run is
+// configured by its Config, never by the process environment.
+// (time.Duration arithmetic, timers in CLIs under cmd/, and test files are
+// all out of scope.)
 var RNGPurity = &Analyzer{
 	Name: "rngpurity",
 	Run:  runRNGPurity,
@@ -31,21 +33,17 @@ var bannedImports = map[string]bool{
 // machine state (wall clock, pid, environment).
 var bannedCalls = map[string]map[string]bool{
 	"time": {"Now": true, "Since": true, "Until": true},
-	"os":   {"Getpid": true, "Getppid": true, "Environ": true},
+	"os":   {"Getpid": true, "Getppid": true, "Environ": true, "Getenv": true, "LookupEnv": true},
 }
 
-func runRNGPurity(pass *Pass) error {
+func runRNGPurity(pass *Pass) {
 	path := pass.Pkg.Path()
 	if !internalPkg(path) || path == modulePath+"/internal/rng" {
-		return nil
+		return
 	}
 	for _, file := range pass.Files {
 		for _, imp := range file.Imports {
-			p, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				continue
-			}
-			if bannedImports[p] {
+			if p, _ := strconv.Unquote(imp.Path.Value); bannedImports[p] {
 				pass.Reportf(imp.Pos(),
 					"import of %s in %s: ambient entropy is forbidden under internal/; draw from a repro/internal/rng split stream instead",
 					p, path)
@@ -68,5 +66,4 @@ func runRNGPurity(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }

@@ -23,6 +23,12 @@ func pid() int {
 	return os.Getpid() // want `call to os.Getpid`
 }
 
+func environment() (string, bool) {
+	home := os.Getenv("HOME")                 // want `call to os.Getenv`
+	_, set := os.LookupEnv("SEED")            // want `call to os.LookupEnv`
+	return home, set && len(os.Environ()) > 0 // want `call to os.Environ`
+}
+
 // Duration arithmetic and formatting use the time package without reading
 // the wall clock; only Now/Since/Until are ambient.
 func allowedDuration(d time.Duration) string {

@@ -7,7 +7,7 @@ package trace
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/topology"
@@ -106,16 +106,21 @@ func (r *Recorder) Messages() int { return len(r.byMsg) }
 // order (within a message, arrival order). The ordering is deterministic,
 // which makes All suitable for whole-run equivalence assertions.
 func (r *Recorder) All() []Event {
+	out := make([]Event, 0, r.count)
+	for _, id := range r.ids() {
+		out = append(out, r.byMsg[id]...)
+	}
+	return out
+}
+
+// ids returns the traced message IDs in ascending order.
+func (r *Recorder) ids() []uint64 {
 	ids := make([]uint64, 0, len(r.byMsg))
 	for id := range r.byMsg {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]Event, 0, r.count)
-	for _, id := range ids {
-		out = append(out, r.byMsg[id]...)
-	}
-	return out
+	slices.Sort(ids)
+	return ids
 }
 
 // Count returns the total number of events.
@@ -144,9 +149,11 @@ func (r *Recorder) Render(t topology.Network, msg uint64) string {
 //     requeued, the loss point otherwise) — later events continue there,
 //   - cycles are non-decreasing.
 //
-// It returns the first violation found, or nil.
+// Messages are checked in ascending ID order; it returns the first
+// violation found, or nil.
 func (r *Recorder) Verify(t topology.Network) error {
-	for id, evs := range r.byMsg {
+	for _, id := range r.ids() {
+		evs := r.byMsg[id]
 		if evs[0].Kind != Inject {
 			return fmt.Errorf("msg#%d: first event %v, want inject", id, evs[0].Kind)
 		}

@@ -77,6 +77,24 @@ func TestVerifyRejectsBadHistories(t *testing.T) {
 	}
 }
 
+// TestVerifyReportsLowestID: with two malformed messages, Verify reports
+// the lower ID every time, whatever order the messages were traced in.
+func TestVerifyReportsLowestID(t *testing.T) {
+	tor := topology.New(8, 2)
+	n0 := tor.FromCoords([]int{0, 0})
+	r := NewRecorder()
+	for _, msg := range []uint64{9, 4} {
+		r.Trace(Event{Cycle: 1, Msg: msg, Kind: Hop, Node: n0})
+		r.Trace(Event{Cycle: 2, Msg: msg, Kind: Deliver, Node: n0})
+	}
+	for i := 0; i < 20; i++ {
+		err := r.Verify(tor)
+		if err == nil || !strings.HasPrefix(err.Error(), "msg#4:") {
+			t.Fatalf("call %d: Verify = %v, want the msg#4 violation", i, err)
+		}
+	}
+}
+
 func TestRender(t *testing.T) {
 	tor := topology.New(4, 2)
 	r := NewRecorder()
