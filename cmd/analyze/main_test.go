@@ -74,7 +74,7 @@ func TestRejectedInvocations(t *testing.T) {
 			"analyze: -mode model takes a torus (analytic.Model is a k-ary n-cube model), not mesh:k=8,n=2\n"},
 		{"unknown-shape", []string{"-shape", "Z"}, 2,
 			"analyze: fault: unknown shape \"Z\" (bar|double-bar|rect|L|U|T|plus|H)\n"},
-		{"zero-length", []string{"-m", "0"}, 2, "analyze: core: MsgLen must be in [1,2147483647], got 0\n"},
+		{"zero-length", []string{"-m", "0"}, 2, "analyze: core: MsgLen must be in [1,32767], got 0\n"},
 		// -mode model validates once, before its header, instead of
 		// printing seven err cells and exiting 0.
 		{"model-zero-measure", []string{"-mode", "model", "-measure", "0"}, 2,
@@ -84,7 +84,7 @@ func TestRejectedInvocations(t *testing.T) {
 		{"model-one-vc", []string{"-mode", "model", "-v", "1"}, 2,
 			"analyze: core: algorithm \"det\" needs V >= 2 on 8-ary 2-cube (64 nodes), got 1\n"},
 		{"model-zero-length", []string{"-mode", "model", "-m", "0"}, 2,
-			"analyze: core: MsgLen must be in [1,2147483647], got 0\n"},
+			"analyze: core: MsgLen must be in [1,32767], got 0\n"},
 		{"unknown-topology", []string{"-topo", "moebius"}, 2,
 			"analyze: topology: unknown topology \"moebius\" (registered: [hypercube mesh torus])\n"},
 		{"unknown-alg", []string{"-alg", "nope"}, 1,

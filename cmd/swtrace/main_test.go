@@ -74,8 +74,8 @@ func TestRejectedInvocations(t *testing.T) {
 		// enumerated (a bar of 4 000 000 once peaked at 212 MiB).
 		{"oversized-shape", []string{"-shape", "bar:a=1073741824"}, 1,
 			"swtrace: fault: shape bar at (2,2) self-overlaps after wraparound (k=8)\n"},
-		{"zero-length", []string{"-m", "0", "-dst", "1,1"}, 2, "swtrace: core: MsgLen must be in [1,2147483647], got 0\n"},
-		{"negative-length", []string{"-m", "-4"}, 2, "swtrace: core: MsgLen must be in [1,2147483647], got -4\n"},
+		{"zero-length", []string{"-m", "0", "-dst", "1,1"}, 2, "swtrace: core: MsgLen must be in [1,32767], got 0\n"},
+		{"negative-length", []string{"-m", "-4"}, 2, "swtrace: core: MsgLen must be in [1,32767], got -4\n"},
 		{"unknown-topology", []string{"-topo", "moebius", "-dst", "1,1"}, 2,
 			"swtrace: topology: unknown topology \"moebius\" (registered: [hypercube mesh torus])\n"},
 		{"faulty-endpoint", []string{"-shape", "U", "-src", "3,2", "-dst", "4,3"}, 1, "swtrace: source or destination is faulty\n"},

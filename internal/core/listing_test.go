@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/message"
 )
 
 // TestPrintRegistriesGolden pins the CLIs' -list output byte for byte:
@@ -61,8 +62,10 @@ func TestBindFlags(t *testing.T) {
 			}), ""},
 		{"-shape Z", []string{"-shape", "Z"}, Config{}, `fault: unknown shape "Z" (bar|double-bar|rect|L|U|T|plus|H)`},
 		{"-shape bar", []string{"-shape", "bar"}, Config{}, "fault: invalid bar shape: length 0"},
-		{"-m 0", []string{"-m", "0"}, Config{}, "core: MsgLen must be in [1,2147483647], got 0"},
-		{"-m -4", []string{"-m", "-4"}, Config{}, "core: MsgLen must be in [1,2147483647], got -4"},
+		{"-m 0", []string{"-m", "0"}, Config{}, "core: MsgLen must be in [1,32767], got 0"},
+		{"-m -4", []string{"-m", "-4"}, Config{}, "core: MsgLen must be in [1,32767], got -4"},
+		{"-m MaxLen", []string{"-m", "32767"}, with(func(c *Config) { c.MsgLen = message.MaxLen }), ""},
+		{"-m MaxLen+1", []string{"-m", "32768"}, Config{}, "core: MsgLen must be in [1,32767], got 32768"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := flag.NewFlagSet("t", flag.ContinueOnError)

@@ -28,7 +28,10 @@
 //
 // The directive must name the analyzer(s) and carry a `-- reason`; a bare
 // ignore is itself a finding. A directive suppresses findings on its own
-// line or, when it stands alone, on the line below.
+// line or, when it stands alone, on the line below. Each name must be a
+// registered analyzer's, and must suppress a finding of that analyzer when
+// it runs over the package: a stale directive is a finding too, so none is
+// left lying in wait to hide a later one.
 package lint
 
 import (
@@ -37,6 +40,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"slices"
 	"strings"
 )
@@ -46,6 +50,9 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //simlint:ignore directives.
 	Name string
+	// Scope reports whether the analyzer applies to the package of the
+	// given import path; nil means every package.
+	Scope func(path string) bool
 	// Run performs the check on one package, reporting findings through
 	// pass.Reportf.
 	Run func(pass *Pass)
@@ -123,6 +130,8 @@ type ignoreDirective struct {
 	hasReason bool            // a `-- reason` tail is present
 	standing  bool            // comment stands alone on its line
 	pos       token.Position
+	ran       map[string]bool // analyzers run over the directive's package
+	used      map[string]bool // names that suppressed a finding
 }
 
 // parseIgnores extracts every //simlint:ignore directive of a file, keyed
@@ -139,7 +148,7 @@ func parseIgnores(fset *token.FileSet, file *ast.File) map[int]*ignoreDirective 
 			if verb != ignoreVerb {
 				continue
 			}
-			d := &ignoreDirective{names: map[string]bool{}, pos: fset.Position(c.Pos())}
+			d := &ignoreDirective{names: map[string]bool{}, pos: fset.Position(c.Pos()), used: map[string]bool{}}
 			spec, reason, found := strings.Cut(rest, "--")
 			d.hasReason = found && strings.TrimSpace(reason) != ""
 			for _, n := range strings.FieldsFunc(spec, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' }) {
@@ -176,49 +185,86 @@ func onlyIndentBefore(fset *token.FileSet, file *ast.File, c *ast.Comment) bool 
 	return standing
 }
 
-// Run executes the analyzers over the packages, filters their findings
-// through the files' //simlint:ignore directives, turns malformed
-// directives (no analyzer name, or no `-- reason`) into findings of their
-// own, and returns the diagnostics position-sorted.
+// Run executes the analyzers over the packages in their scope, filters
+// their findings through the files' //simlint:ignore directives, turns
+// malformed directives (no analyzer name, or no `-- reason`), names no
+// registered analyzer owns, and names of an analyzer that ran but had no
+// finding there to suppress into findings of their own, and returns the
+// diagnostics position-sorted.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags, out []Diagnostic
+	var all []*ignoreDirective
 	ignores := map[string]map[int]*ignoreDirective{}
 	for _, pkg := range pkgs {
+		ran := map[string]bool{}
 		for _, a := range analyzers {
-			a.Run(&Pass{Analyzer: a, Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, TypesInfo: pkg.Info, diags: &diags})
+			if a.Scope == nil || a.Scope(pkg.Types.Path()) {
+				ran[a.Name] = true
+				a.Run(&Pass{Analyzer: a, Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, TypesInfo: pkg.Info, diags: &diags})
+			}
 		}
 		for _, f := range pkg.Files {
 			m := parseIgnores(pkg.Fset, f)
 			ignores[pkg.Fset.Position(f.Pos()).Filename] = m
 			for _, d := range m {
-				if len(d.names) == 0 || !d.hasReason {
-					out = append(out, Diagnostic{
-						Analyzer: "directive",
-						Pos:      d.pos,
-						Message:  "malformed //simlint:ignore: want `//simlint:ignore <analyzer>[,...] -- <reason>`",
-					})
-				}
+				d.ran = ran
+				all = append(all, d)
 			}
 		}
 	}
-	covered := func(d Diagnostic) bool {
+	// suppressor returns the well-formed directive that covers d, if any.
+	suppressor := func(d Diagnostic) *ignoreDirective {
 		m := ignores[d.Pos.Filename]
 		if ig := m[d.Pos.Line]; ig != nil && ig.hasReason && ig.names[d.Analyzer] {
-			return true
+			return ig
 		}
 		if ig := m[d.Pos.Line-1]; ig != nil && ig.standing && ig.hasReason && ig.names[d.Analyzer] {
-			return true
+			return ig
 		}
-		return false
+		return nil
 	}
 	for _, d := range diags {
-		if !covered(d) {
+		if ig := suppressor(d); ig != nil {
+			ig.used[d.Analyzer] = true
+		} else {
 			out = append(out, d)
+		}
+	}
+	registered := map[string]bool{}
+	var names []string
+	for _, a := range All() {
+		registered[a.Name] = true
+		names = append(names, a.Name)
+	}
+	for _, d := range all {
+		if len(d.names) == 0 || !d.hasReason {
+			out = append(out, Diagnostic{
+				Analyzer: "directive",
+				Pos:      d.pos,
+				Message:  "malformed //simlint:ignore: want `//simlint:ignore <analyzer>[,...] -- <reason>`",
+			})
+			continue
+		}
+		for _, n := range slices.Sorted(maps.Keys(d.names)) {
+			switch {
+			case !registered[n]:
+				out = append(out, Diagnostic{
+					Analyzer: "directive",
+					Pos:      d.pos,
+					Message:  fmt.Sprintf("//simlint:ignore names no analyzer %q (registered: %s)", n, strings.Join(names, ", ")),
+				})
+			case d.ran[n] && !d.used[n]:
+				out = append(out, Diagnostic{
+					Analyzer: "directive",
+					Pos:      d.pos,
+					Message:  fmt.Sprintf("stale //simlint:ignore: no %s finding here to suppress", n),
+				})
+			}
 		}
 	}
 	slices.SortFunc(out, func(a, b Diagnostic) int {
 		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line),
-			cmp.Compare(a.Pos.Column, b.Pos.Column), strings.Compare(a.Analyzer, b.Analyzer))
+			cmp.Compare(a.Pos.Column, b.Pos.Column), strings.Compare(a.Analyzer, b.Analyzer), strings.Compare(a.Message, b.Message))
 	})
 	return out
 }

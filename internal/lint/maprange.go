@@ -25,14 +25,12 @@ import (
 // Everything else needs either the sorted-keys rewrite or a justified
 // `//simlint:ignore maprange -- <reason>` directive.
 var MapRange = &Analyzer{
-	Name: "maprange",
-	Run:  runMapRange,
+	Name:  "maprange",
+	Scope: func(path string) bool { return criticalPackages[path] },
+	Run:   runMapRange,
 }
 
 func runMapRange(pass *Pass) {
-	if !criticalPackages[pass.Pkg.Path()] {
-		return
-	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			rng, ok := n.(*ast.RangeStmt)

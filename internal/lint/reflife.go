@@ -26,15 +26,12 @@ import (
 // sources before Network.Enqueue adopts them) are the legitimate exception
 // and carry `//simlint:ignore reflife -- ...` directives.
 var RefLife = &Analyzer{
-	Name: "reflife",
-	Run:  runRefLife,
+	Name:  "reflife",
+	Scope: func(path string) bool { return internalPkg(path) && path != modulePath+"/internal/message" },
+	Run:   runRefLife,
 }
 
 func runRefLife(pass *Pass) {
-	path := pass.Pkg.Path()
-	if !internalPkg(path) || path == modulePath+"/internal/message" {
-		return
-	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {

@@ -18,8 +18,9 @@ import (
 // (time.Duration arithmetic, timers in CLIs under cmd/, and test files are
 // all out of scope.)
 var RNGPurity = &Analyzer{
-	Name: "rngpurity",
-	Run:  runRNGPurity,
+	Name:  "rngpurity",
+	Scope: func(path string) bool { return internalPkg(path) && path != modulePath+"/internal/rng" },
+	Run:   runRNGPurity,
 }
 
 // bannedImports are package imports that smuggle unseeded entropy.
@@ -38,9 +39,6 @@ var bannedCalls = map[string]map[string]bool{
 
 func runRNGPurity(pass *Pass) {
 	path := pass.Pkg.Path()
-	if !internalPkg(path) || path == modulePath+"/internal/rng" {
-		return
-	}
 	for _, file := range pass.Files {
 		for _, imp := range file.Imports {
 			if p, _ := strconv.Unquote(imp.Path.Value); bannedImports[p] {

@@ -52,12 +52,12 @@ func (m Mode) String() string {
 
 // tailBit marks the tail flit in Flit's packed seq word, so IsTail needs no
 // pool lookup.
-const tailBit = 1 << 31
+const tailBit = 1 << 15
 
-// MaxLen is the longest worm a Flit can number: seq shares its uint32 with
-// the tail flag, so flit 1<<31 of a longer worm would read as a second head.
+// MaxLen is the longest worm a Flit can number: seq shares its uint16 with
+// the tail flag, so flit 1<<15 of a longer worm would read as a second head.
 // Every path a length enters by (Config.MsgLen, workload records) checks it.
-const MaxLen = 1<<31 - 1
+const MaxLen = 1<<15 - 1
 
 // Flit is one flow-control digit of a message: an 8-byte value carrying the
 // owning message's pool Ref and the flit's sequence number (tail flag packed
@@ -67,21 +67,28 @@ const MaxLen = 1<<31 - 1
 // flits are invisible to the garbage collector.
 type Flit struct {
 	ref Ref
-	seq uint32
+	seq uint16
 }
 
 // MakeFlit materialises flit seq of a worm of msgLen flits registered under
 // ref.
 func MakeFlit(ref Ref, seq, msgLen int) Flit {
-	s := uint32(seq)
+	s := uint16(seq)
 	if seq == msgLen-1 {
 		s |= tailBit
 	}
 	return Flit{ref: ref, seq: s}
 }
 
+// PackedFlit rebuilds the flit whose Ref and Packed word are given: a
+// router that stores the two apart puts a flit back together with it.
+func PackedFlit(ref Ref, packed uint16) Flit { return Flit{ref: ref, seq: packed} }
+
 // Ref returns the pool handle of the owning message.
 func (f Flit) Ref() Ref { return f.ref }
+
+// Packed returns the flit's sequence word: Seq, the tail flag on top.
+func (f Flit) Packed() uint16 { return f.seq }
 
 // Seq returns the flit's position in the worm (0 = head).
 func (f Flit) Seq() int { return int(f.seq &^ tailBit) }

@@ -15,10 +15,16 @@ type Ref int32
 // NilRef is the invalid handle.
 const NilRef Ref = -1
 
-// chunkSize is the arena growth quantum: Messages are allocated in chunks
-// of this many so pool growth is O(live worms / chunkSize) allocations over
-// a run, and recycled messages stay cache-adjacent.
-const chunkSize = 256
+// The arena grows by chunks of Messages, so pool growth is a handful of
+// allocations over a run and recycled messages stay cache-adjacent. The
+// first chunk holds firstChunk messages and each of the next doublings
+// twice as many as the one before (16, 32, 64, 128, then 256 for good): a
+// point that never has more than a few dozen worms alive allocates a few
+// KiB, not 256 messages' worth.
+const (
+	firstChunk = 16
+	doublings  = 4
+)
 
 // Pool is an index-addressed message arena with a free-list. One Pool
 // serves one engine run: the traffic source allocates from it (Pool.New),
@@ -103,9 +109,9 @@ func (p *Pool) take() *Message {
 		p.freeMsgs = p.freeMsgs[:n-1]
 		return m
 	}
-	chunk := make([]Message, chunkSize)
+	chunk := make([]Message, firstChunk<<min(p.chunks, doublings))
 	p.chunks++
-	for i := chunkSize - 1; i > 0; i-- {
+	for i := len(chunk) - 1; i > 0; i-- {
 		p.freeMsgs = append(p.freeMsgs, &chunk[i])
 	}
 	return &chunk[0]

@@ -69,17 +69,29 @@ func TestPoolViaBackingRetained(t *testing.T) {
 	}
 }
 
+// TestPoolChunkExhaustionGrows holds the arena to its growth schedule —
+// chunks of 16, 32, 64, 128, then 256 messages — and to reuse: freeing every
+// message and allocating as many again grows nothing.
 func TestPoolChunkExhaustionGrows(t *testing.T) {
 	p := NewPool(2, false)
-	live := make([]*Message, 0, chunkSize+1)
-	for i := 0; i <= chunkSize; i++ {
+	// ends[c] is the live count that fills chunk c+1.
+	ends := []int{16, 48, 112, 240, 496, 752}
+	const n = 753
+	live := make([]*Message, 0, n)
+	for i := 0; i < n; i++ {
 		live = append(live, p.New(uint64(i), 0, 5, 4, Deterministic, 0))
+		want := 1
+		for _, end := range ends {
+			if i+1 > end {
+				want++
+			}
+		}
+		if p.Chunks() != want {
+			t.Fatalf("chunks = %d after %d live messages, want %d", p.Chunks(), i+1, want)
+		}
 	}
-	if p.Chunks() != 2 {
-		t.Fatalf("chunks = %d after %d live messages, want 2", p.Chunks(), chunkSize+1)
-	}
-	if p.Live() != chunkSize+1 || p.Cap() != chunkSize+1 {
-		t.Fatalf("live/cap = %d/%d, want %d/%d", p.Live(), p.Cap(), chunkSize+1, chunkSize+1)
+	if p.Live() != n || p.Cap() != n {
+		t.Fatalf("live/cap = %d/%d, want %d/%d", p.Live(), p.Cap(), n, n)
 	}
 	// Distinct storage for every live message.
 	seen := make(map[*Message]bool, len(live))
@@ -94,10 +106,10 @@ func TestPoolChunkExhaustionGrows(t *testing.T) {
 		ref, _ := m.Ref()
 		p.Free(ref)
 	}
-	for i := 0; i <= chunkSize; i++ {
+	for i := 0; i < n; i++ {
 		p.New(uint64(i), 0, 5, 4, Deterministic, 0)
 	}
-	if p.Chunks() != 2 || p.Cap() != chunkSize+1 {
+	if p.Chunks() != len(ends)+1 || p.Cap() != n {
 		t.Fatalf("pool grew on reuse: chunks=%d cap=%d", p.Chunks(), p.Cap())
 	}
 }

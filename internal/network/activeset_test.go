@@ -92,7 +92,7 @@ func TestSchedulerSetsCoverWork(t *testing.T) {
 								if !routed || rt.ToEject(lane) {
 									t.Fatalf("cycle %d node %d lane %d: credit-parked, routed: %v, to eject: %v", nw.Now(), id, l, routed, rt.ToEject(lane))
 								}
-								if o := rt.Out[rt.OutIndex(topology.Port(ivc.OutPort), int(ivc.OutVC))]; o.Credits != 0 || !o.Waiting || router.Lane(o.Holder) != lane {
+								if o := rt.Out[rt.OutIndex(topology.Port(ivc.OutPort), int(ivc.OutVC))]; o.Credits != 0 || !o.Waiting() || router.Lane(o.Holder) != lane {
 									t.Fatalf("cycle %d node %d lane %d: credit-parked on output VC %+v", nw.Now(), id, l, o)
 								}
 							}
@@ -103,7 +103,7 @@ func TestSchedulerSetsCoverWork(t *testing.T) {
 							}
 						}
 						for o, out := range rt.Out {
-							if out.Waiting && (!out.Busy || !rt.Starved(router.Lane(out.Holder))) {
+							if out.Waiting() && (!out.Busy || !rt.Starved(router.Lane(out.Holder))) {
 								t.Fatalf("cycle %d node %d output VC %d: %+v, holder parked: %v", nw.Now(), id, o, out, rt.Starved(router.Lane(out.Holder)))
 							}
 						}
@@ -184,8 +184,8 @@ func checkBlocked(t *testing.T, nw *Network, node topology.NodeID, lane router.L
 			if !rt.Out[o].Busy {
 				t.Fatalf("cycle %d node %d lane %d: parked with candidate output VC %d free", nw.Now(), node, lane, o)
 			}
-			if rt.In[lane].Waits&router.WaitBit(o) == 0 {
-				t.Fatalf("cycle %d node %d lane %d: parked, not registered for candidate output VC %d (waits %#x)", nw.Now(), node, lane, o, rt.In[lane].Waits)
+			if rt.Cold[lane].Waits&router.WaitBit(o) == 0 {
+				t.Fatalf("cycle %d node %d lane %d: parked, not registered for candidate output VC %d (waits %#x)", nw.Now(), node, lane, o, rt.Cold[lane].Waits)
 			}
 		}
 	}

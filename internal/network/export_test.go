@@ -138,7 +138,7 @@ func Knot(nw *Network) []KnotLane {
 			k.Front = nw.pool.At(f.Ref())
 		}
 		if rt.HasRoute(lane) {
-			k.Owner = nw.pool.At(rt.In[lane].Owner)
+			k.Owner = nw.pool.At(rt.Cold[lane].Owner)
 			if !rt.ToEject(lane) {
 				k.OutVC = int(rt.In[lane].OutVC)
 			}

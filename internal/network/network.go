@@ -642,7 +642,7 @@ func (w *worker) allocateLane(node topology.NodeID, rt *router.Router, lane rout
 	// returns early otherwise); record the owning worm for the
 	// fault-transition purge.
 	rt.SetRoute(lane)
-	ivc.Owner = front.Ref()
+	rt.Cold[lane].Owner = front.Ref()
 }
 
 // waitBits returns the registration (router.WaitBit) of a blocked head's

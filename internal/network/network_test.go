@@ -121,6 +121,34 @@ func TestSingleMessageLatency(t *testing.T) {
 	}
 }
 
+// TestLongestWormDelivered sends one message.MaxLen-flit worm across a quiet
+// 4-ary 2-cube: every flit's seq fits its lane slot's 15 bits, no body flit
+// reads as a head, the last one reads as the tail, and the network drains.
+func TestLongestWormDelivered(t *testing.T) {
+	tor := topology.New(4, 2)
+	fs := fault.NewSet(tor)
+	alg, err := routing.NewDeterministic(tor, fs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := metrics.NewCollector(0)
+	nw := New(tor, fs, alg, nil, col, DefaultParams(4), rng.New(3))
+	src, dst := tor.FromCoords([]int{0, 0}), tor.FromCoords([]int{2, 1})
+	m := message.New(0, src, dst, message.MaxLen, 2, message.Deterministic, 0)
+	col.Generated(m)
+	nw.Enqueue(src, m)
+	min := int64(tor.Distance(src, dst)) + message.MaxLen
+	for m.DeliveredAt < 0 && nw.Now() < 2*min {
+		nw.Step()
+	}
+	if lat := m.DeliveredAt - m.CreatedAt; m.DeliveredAt < 0 || lat < min || lat > min+8 {
+		t.Fatalf("delivered at %d (latency %d), want latency in [%d, %d]", m.DeliveredAt, lat, min, min+8)
+	}
+	if nw.InFlight() != 0 || !nw.Idle() || col.DeliveredCount() != 1 {
+		t.Fatalf("after delivery: in flight %d, idle %v, delivered %d", nw.InFlight(), nw.Idle(), col.DeliveredCount())
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	run := func() (uint64, float64, int64) {
 		fs, err := fault.Random(topology.New(8, 2), 3, rng.New(11))

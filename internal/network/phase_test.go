@@ -47,7 +47,7 @@ func (c *phaseClock) mark(m stepMark) {
 	c.last = time.Now()
 }
 
-// TestPhaseTable prints (-v) where a Step's time goes on the three engine
+// TestPhaseTable prints (-v) where a Step's time goes on the four engine
 // shapes of bench/, serial and on two workers: the shares of the serial
 // transition point (fault schedule + replan, traffic poll), phase A (the
 // router visits), the effect-log replay, phase B (staged arrivals and
@@ -60,7 +60,7 @@ func (c *phaseClock) mark(m stepMark) {
 // run nothing; the runs are deterministic, so they are the same moves.
 func TestPhaseTable(t *testing.T) {
 	if testing.Short() {
-		t.Skip("times six 3000- to 30000-cycle runs")
+		t.Skip("times eight runs of 200 to 30000 cycles")
 	}
 	t.Logf("| shape | workers | µs per Step | transition + replan | traffic poll | phase A | effect replay | phase B | barrier wait | ns per flit move |")
 	t.Logf("|---|---|---|---|---|---|---|---|---|---|")

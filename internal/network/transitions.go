@@ -105,7 +105,7 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 			if node == deadNode {
 				rt.Each(lane, func(f message.Flit) { aff[f.Ref()] = true })
 				if rt.HasRoute(lane) {
-					aff[ivc.Owner] = true
+					aff[rt.Cold[l].Owner] = true
 				}
 				continue
 			}
@@ -117,7 +117,7 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 				})
 			}
 			if rt.HasRoute(lane) && !rt.ToEject(lane) && dead[topology.ChannelID{Src: node, Port: topology.Port(ivc.OutPort)}] {
-				aff[ivc.Owner] = true
+				aff[rt.Cold[l].Owner] = true
 			}
 		}
 	}
@@ -158,11 +158,11 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 				feed := topology.ChannelID{Src: topology.NodeID(nw.linkFor(node, topology.Port(p)).dst), Port: topology.Port(p).Opposite()}
 				if !dead[feed] {
 					up := &nw.routers[feed.Src]
-					up.Out[up.OutIndex(feed.Port, vc)].Credits += int16(removed)
+					up.Out[up.OutIndex(feed.Port, vc)].Credits += uint8(removed)
 				}
 			}
 			cleared := false
-			if rt.HasRoute(lane) && aff[ivc.Owner] {
+			if rt.HasRoute(lane) && aff[rt.Cold[l].Owner] {
 				if !rt.ToEject(lane) {
 					rt.Release(rt.OutIndex(topology.Port(ivc.OutPort), int(ivc.OutVC)))
 				}
@@ -210,7 +210,7 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 		for vc := 0; vc < nw.p.V; vc++ {
 			o := rt.OutIndex(ch.Port, vc)
 			rt.Release(o)
-			rt.Out[o].Credits = int16(nw.p.BufDepth - down.Len(router.Lane(nw.back(ch.Port)+vc)) - nw.pendingCredits(ch.Src, o))
+			rt.Out[o].Credits = uint8(nw.p.BufDepth - down.Len(router.Lane(nw.back(ch.Port)+vc)) - nw.pendingCredits(ch.Src, o))
 		}
 	}
 

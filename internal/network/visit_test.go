@@ -100,7 +100,7 @@ func TestArbiterMatchesReference(t *testing.T) {
 						o := outs[l]
 						ivc.OutPort, ivc.OutVC = uint8(o/v), uint8(o%v)
 						rt.Out[o].Busy = true
-						rt.Out[o].Credits = int16(r.Intn(3))
+						rt.Out[o].Credits = uint8(r.Intn(3))
 					}
 					rt.SetRoute(lane)
 				}
@@ -150,7 +150,7 @@ func TestArbiterMatchesReference(t *testing.T) {
 					}
 					for o := range rt.Out {
 						if rt.Out[o].Busy && r.Intn(3) == 0 {
-							if rt.Out[o].Waiting {
+							if rt.Out[o].Waiting() {
 								woken++
 							}
 							rt.Credit(o)
@@ -255,6 +255,7 @@ var compositionShapes = []compositionShape{
 	{"fig4-faulted", "torus:k=8,n=3", "det", 6, 12, 0.008, "uniform", "poisson", "", 3000},
 	{"sat-adaptive", "torus:k=16,n=2", "adaptive", 6, 6, 0.014, "hotspot:frac=0.05", "burst:on=50,off=200", "", 3000},
 	{"chaos-sparse", "torus:k=24,n=2", "det", 4, 0, 0.0002, "uniform", "poisson", "mtbf:mtbf=2000,mttr=10000", 30000},
+	{"scale-par", "torus:k=32,n=3", "det", 4, 0, 0.0005, "uniform", "poisson", "", 200},
 }
 
 // build assembles the shape's engine on the given number of workers; wrap,
@@ -374,7 +375,7 @@ func (c *askCounter) settle() {
 }
 
 // TestVisitComposition prints (-v) what an active router brings to its
-// visit on the three engine shapes of bench/ — how many switch requesters,
+// visit on the four engine shapes of bench/ — how many switch requesters,
 // how many of the routed lanes are not waiting for a credit, whether the
 // inject step will run or is stalled — and what the route step's Route
 // calls were worth (askCounter), and holds the rows to what

@@ -12,9 +12,11 @@
 // contiguous slabs, so building N routers costs a constant number of
 // allocations and a cycle walks memory in address order. A lane's record
 // carries the first two slots of its flit ring inline — the whole buffer at
-// the paper's depth of 2 — so a hop touches one record per lane. Nothing on a
-// per-flit path divides by a runtime value: lanes decode through a shared
-// lookup table and ring indices wrap by compare-and-subtract.
+// the paper's depth of 2 — so a hop touches one 16-byte record per lane;
+// what only a blocked head or the fault-transition purge reads lives in a
+// cold record beside it. Nothing on a per-flit path divides by a runtime
+// value: lanes decode through a shared lookup table and ring indices wrap by
+// compare-and-subtract.
 package router
 
 import (
@@ -31,7 +33,8 @@ import (
 const inline = 2
 
 // MaxV and MaxDepth bound the VCs per port and the flits per lane: a lane's
-// route names its output VC, and its ring its head and size, in a byte each.
+// route names its output VC, its ring its head and size, and an output VC
+// its credits, in a byte each.
 const (
 	MaxV     = math.MaxUint8
 	MaxDepth = math.MaxUint8
@@ -42,37 +45,51 @@ const (
 // the worm currently at its front. The route persists from head-flit
 // allocation until the tail flit leaves (wormhole channel reservation);
 // whether one is held is the router's routed set (HasRoute), not a field,
-// so a phase can select its lanes a word at a time. 32 bytes per lane.
+// so a phase can select its lanes a word at a time. An inline slot is a
+// flit taken apart: its Ref in ref, its packed sequence word in seq.
+// 16 bytes per lane: four records a cache line, none straddling one.
 type InVC struct {
-	// Owner is the worm holding the route — valid only while HasRoute. The
-	// fault-transition purge uses it to find every lane a dying worm has
-	// reserved; steady-state routing never reads it.
+	ref [inline]message.Ref
+	seq [inline]uint16
+	// OutPort/OutVC are the allocated route while HasRoute. OutPort ==
+	// EjectPort() routes the worm to the local ejection port (delivery or
+	// software absorption), and OutVC is then meaningless.
+	OutPort, OutVC uint8
+	// head/size index the ring: slots below inline are inline, the rest in
+	// the overflow window.
+	head, size uint8
+}
+
+// Cold is the part of a lane's state the per-flit paths never read, kept in
+// a slab of its own (Router.Cold, indexed by Lane) so it costs the hot
+// records nothing. 8 bytes per lane.
+type Cold struct {
+	// Owner is the worm holding the lane's route — valid only while
+	// HasRoute. The fault-transition purge uses it to find every lane a
+	// dying worm has reserved; steady-state routing never reads it.
 	Owner message.Ref
 	// Waits names, while the lane is blocked, the output VCs its head waits
 	// on: bit WaitBit(o) for every candidate o of the head's last routing
 	// attempt (Block).
 	Waits uint32
-	// OutPort/OutVC are the allocated route while HasRoute. OutPort ==
-	// EjectPort() routes the worm to the local ejection port (delivery or
-	// software absorption), and OutVC is then meaningless.
-	OutPort, OutVC uint8
-	// head/size index the ring: slots below inline are slot, the rest ovf.
-	head, size uint8
-	slot       [inline]message.Flit
-	_          [4]byte // two records a cache line, none straddling one
 }
+
+// NoHolder is OutVC.Holder while no lane is parked on the VC.
+const NoHolder = math.MaxUint16
 
 // OutVC is one output virtual channel: ownership (a worm holds it from head
 // allocation to tail traversal) and the credit count mirroring free space in
-// the downstream input buffer. Waiting records that input lane Holder was
-// parked on this VC at Credits == 0 (Starve); the next Credit wakes it.
-// Holder means nothing while Waiting is down. 6 bytes.
+// the downstream input buffer — at most MaxDepth, so a byte. Holder is the
+// input lane parked on this VC at Credits == 0 (Starve), NoHolder when none
+// is; the next Credit wakes it. 4 bytes.
 type OutVC struct {
-	Credits int16
-	Holder  uint16
+	Credits uint8
 	Busy    bool
-	Waiting bool
+	Holder  uint16
 }
+
+// Waiting reports whether a lane is parked on the VC.
+func (v OutVC) Waiting() bool { return v.Holder != NoHolder }
 
 // Lane identifies one input virtual channel of a router as port*V + vc.
 // The encoding makes ascending lane order identical to the
@@ -100,21 +117,18 @@ const (
 // (index 2n). The ejection output port needs no per-VC state (it drains to
 // the PE) and is represented implicitly; it shares index 2n (EjectPort)
 // with the injection port, which is input-only. Every slice is a window
-// into a slab shared with the other routers of the same NewSlab call.
-// 160 bytes.
+// into a slab shared with the other routers of the same NewSlab call, and
+// what is not a per-router window is reached through shared. 152 bytes.
 type Router struct {
 	ID topology.NodeID
 	// In is indexed by Lane; the last V lanes are the injection port's.
 	In []InVC
+	// Cold is indexed by Lane, beside In.
+	Cold []Cold
 	// Out is indexed by port*V + vc (OutIndex); network ports only.
 	Out []OutVC
 	// RROut holds the round-robin arbitration pointer per output port.
 	RROut []int32
-
-	v, depth int32
-	// ovf holds ring slots inline.. of every lane: lane l's are
-	// ovf[l*(depth-inline) : (l+1)*(depth-inline)]. Nil at depth <= inline.
-	ovf []message.Flit
 	// sets holds four lane sets, interleaved per 64-lane group:
 	//   active  — the lane buffers at least one flit (Push sets, the pop
 	//             that drains it clears: always exact, so there is no
@@ -134,7 +148,20 @@ type Router struct {
 	// routed set, which is what lets the arbiter read a port's requesters
 	// instead of gathering them.
 	sets   []uint64
+	shared *shared
+	v      int32
+	depth  int32
+	// base is the slab index of In[0]: lane l's overflow slots start at
+	// shared.ovf[(base+l)*(depth-inline)].
+	base int32
+}
+
+// shared is what every router of one NewSlab call reads alike.
+type shared struct {
 	decode []portVC
+	// ovf holds ring slots inline.. of every lane of the slab, depth-inline
+	// per lane. Nil at depth <= inline.
+	ovf []message.Flit
 }
 
 // NewSlab builds one router per node id 0..nodes-1 of an n-dimensional
@@ -146,8 +173,9 @@ func NewSlab(nodes, n, v, bufDepth int) []Router {
 	}
 	degree := 2 * n
 	lanes := (degree + 1) * v
-	// A VC and a ring index must fit a byte of InVC, the ports (ejection
-	// included) one ReadyPorts mask; a lane id then fits OutVC.Holder.
+	// A VC and a ring index must fit a byte of InVC, a credit count one of
+	// OutVC, the ports (ejection included) one ReadyPorts mask; a lane id
+	// then fits OutVC.Holder below NoHolder.
 	if v < 1 || v > MaxV || degree+1 > 64 || bufDepth > MaxDepth {
 		panic(fmt.Sprintf("router: unsupported geometry n=%d v=%d bufDepth=%d", n, v, bufDepth))
 	}
@@ -156,34 +184,34 @@ func NewSlab(nodes, n, v, bufDepth int) []Router {
 	for l := range decode {
 		decode[l] = portVC{port: uint8(l / v), vc: uint8(l % v)}
 	}
+	sh := &shared{decode: decode}
+	if bufDepth > inline {
+		sh.ovf = make([]message.Flit, nodes*lanes*(bufDepth-inline))
+	}
 	rs := make([]Router, nodes)
 	in := make([]InVC, nodes*lanes)
+	cold := make([]Cold, nodes*lanes)
 	out := make([]OutVC, nodes*degree*v)
 	for i := range out {
 		// Credits start at the downstream buffer depth; symmetric network,
 		// so it equals our own bufDepth.
-		out[i].Credits = int16(bufDepth)
+		out[i] = OutVC{Credits: uint8(bufDepth), Holder: NoHolder}
 	}
 	rr := make([]int32, nodes*degree)
-	var ovf []message.Flit
-	if bufDepth > inline {
-		ovf = make([]message.Flit, nodes*lanes*(bufDepth-inline))
-	}
 	setWords, win := words*setStride, words*(setStride+degree+1)
 	sets := make([]uint64, nodes*win)
 	for id := range rs {
 		rs[id] = Router{
 			ID:     topology.NodeID(id),
 			In:     window(in, id, lanes),
+			Cold:   window(cold, id, lanes),
 			Out:    window(out, id, degree*v),
 			RROut:  window(rr, id, degree),
+			sets:   sets[id*win : id*win+setWords : (id+1)*win],
+			shared: sh,
 			v:      int32(v),
 			depth:  int32(bufDepth),
-			sets:   sets[id*win : id*win+setWords : (id+1)*win],
-			decode: decode,
-		}
-		if ovf != nil {
-			rs[id].ovf = window(ovf, id, lanes*(bufDepth-inline))
+			base:   int32(id * lanes),
 		}
 	}
 	return rs
@@ -219,7 +247,7 @@ func (r *Router) OutIndex(port topology.Port, vc int) int { return int(port)*int
 
 // LanePortVC decodes a lane id into its (port, vc) pair.
 func (r *Router) LanePortVC(l Lane) (port, vc int) {
-	d := r.decode[l]
+	d := r.shared.decode[l]
 	return int(d.port), int(d.vc)
 }
 
@@ -461,15 +489,15 @@ func (r *Router) Starved(l Lane) bool {
 func (r *Router) Starve(l Lane, o int) {
 	w, bit := r.set(setStarved, l)
 	*w |= bit
-	r.Out[o].Holder, r.Out[o].Waiting = uint16(l), true
+	r.Out[o].Holder = uint16(l)
 }
 
 // wake drops the credit-parking mark held on output VC v, if any.
 func (r *Router) wake(v *OutVC) {
-	if v.Waiting {
-		v.Waiting = false
+	if v.Waiting() {
 		w, bit := r.set(setStarved, Lane(v.Holder))
 		*w &^= bit
+		v.Holder = NoHolder
 	}
 }
 
@@ -488,7 +516,7 @@ func (r *Router) Credit(o int) {
 func (r *Router) Resync() {
 	for g := setStarved; g < len(r.sets); g += setStride {
 		for m := r.sets[g]; m != 0; m &= m - 1 {
-			r.outOf(Lane(g/setStride<<6 + bits.TrailingZeros64(m))).Waiting = false
+			r.outOf(Lane(g/setStride<<6 + bits.TrailingZeros64(m))).Holder = NoHolder
 		}
 		r.sets[g] = 0
 	}
@@ -528,7 +556,7 @@ func WaitBit(o int) uint32 { return 1 << (uint(o) & 31) }
 func (r *Router) Block(l Lane, waits uint32) {
 	w, bit := r.set(setBlocked, l)
 	*w |= bit
-	r.In[l].Waits = waits
+	r.Cold[l].Waits = waits
 }
 
 // Unblock wakes every parked lane of the router.
@@ -548,7 +576,7 @@ func (r *Router) Release(o int) {
 	bit := WaitBit(o)
 	for g := setBlocked; g < len(r.sets); g += setStride {
 		for m := r.sets[g]; m != 0; m &= m - 1 {
-			if r.In[g/setStride<<6+bits.TrailingZeros64(m)].Waits&bit != 0 {
+			if r.Cold[g/setStride<<6+bits.TrailingZeros64(m)].Waits&bit != 0 {
 				r.sets[g] &^= m & -m
 			}
 		}
@@ -606,21 +634,41 @@ func (r *Router) Front(l Lane) (message.Flit, bool) {
 	if r.In[l].size == 0 {
 		return message.Flit{}, false
 	}
-	return *r.at(l, 0), true
+	return r.get(l, 0), true
 }
 
-// at returns the ring slot of lane l's i-th buffered flit: inline in the
-// lane record, or in the lane's overflow window.
-func (r *Router) at(l Lane, i int) *message.Flit {
-	q := &r.In[l]
-	i += int(q.head)
+// slot returns the ring index of lane l's i-th buffered flit: below inline
+// it is in the lane record, from inline on in the lane's overflow window.
+func (r *Router) slot(l Lane, i int) int {
+	i += int(r.In[l].head)
 	if i >= int(r.depth) {
 		i -= int(r.depth)
 	}
-	if i < inline {
-		return &q.slot[i]
+	return i
+}
+
+// overflow returns ring slot i (at least inline) of lane l.
+func (r *Router) overflow(l Lane, i int) *message.Flit {
+	return &r.shared.ovf[(int(r.base)+int(l))*(int(r.depth)-inline)+i-inline]
+}
+
+// get returns lane l's i-th buffered flit.
+func (r *Router) get(l Lane, i int) message.Flit {
+	if i = r.slot(l, i); i < inline {
+		q := &r.In[l]
+		return message.PackedFlit(q.ref[i], q.seq[i])
 	}
-	return &r.ovf[int(l)*(int(r.depth)-inline)+i-inline]
+	return *r.overflow(l, i)
+}
+
+// put stores f as lane l's i-th buffered flit.
+func (r *Router) put(l Lane, i int, f message.Flit) {
+	if i = r.slot(l, i); i < inline {
+		q := &r.In[l]
+		q.ref[i], q.seq[i] = f.Ref(), f.Packed()
+		return
+	}
+	*r.overflow(l, i) = f
 }
 
 // PushLane appends a flit to lane l and updates the active set; it panics
@@ -630,7 +678,7 @@ func (r *Router) PushLane(l Lane, f message.Flit) {
 	if int32(q.size) == r.depth {
 		panic("router: flit buffer overflow (credit accounting broken)")
 	}
-	*r.at(l, int(q.size)) = f
+	r.put(l, int(q.size), f)
 	q.size++
 	w, bit := r.set(setActive, l)
 	*w |= bit
@@ -643,7 +691,7 @@ func (r *Router) PopLane(l Lane) message.Flit {
 	if q.size == 0 {
 		panic("router: pop from empty flit buffer")
 	}
-	f := *r.at(l, 0)
+	f := r.get(l, 0)
 	if q.head++; int32(q.head) == r.depth {
 		q.head = 0
 	}
@@ -664,7 +712,7 @@ func (r *Router) Pop(port, vc int) message.Flit { return r.PopLane(r.LaneOf(port
 // Each calls fn on every flit buffered in lane l, in FIFO order.
 func (r *Router) Each(l Lane, fn func(message.Flit)) {
 	for i := 0; i < int(r.In[l].size); i++ {
-		fn(*r.at(l, i))
+		fn(r.get(l, i))
 	}
 }
 
@@ -677,8 +725,8 @@ func (r *Router) FilterLane(l Lane, drop func(message.Flit) bool) int {
 	q := &r.In[l]
 	kept := 0
 	for i := 0; i < int(q.size); i++ {
-		if f := *r.at(l, i); !drop(f) {
-			*r.at(l, kept) = f
+		if f := r.get(l, i); !drop(f) {
+			r.put(l, kept, f)
 			kept++
 		}
 	}

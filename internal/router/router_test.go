@@ -120,23 +120,29 @@ func TestRouterLayout(t *testing.T) {
 		if r.Out[o].Credits != 2 {
 			t.Fatalf("initial credits = %d, want bufDepth 2", r.Out[o].Credits)
 		}
-		if r.Out[o].Busy {
-			t.Fatal("output VC born busy")
+		if r.Out[o].Busy || r.Out[o].Waiting() {
+			t.Fatal("output VC born busy or with a parked lane")
 		}
 	}
 	if len(r.RROut) != 6 { // one arbiter per network output port
 		t.Fatalf("rr slots = %d", len(r.RROut))
 	}
-	if size := unsafe.Sizeof(InVC{}); size != 32 {
-		t.Fatalf("InVC is %d bytes, want 32 (12 of header, two 8-byte flit slots, 4 of padding)", size)
+	if len(r.Cold) != len(r.In) {
+		t.Fatalf("cold records = %d, want one per lane (%d)", len(r.Cold), len(r.In))
 	}
-	if size := unsafe.Sizeof(OutVC{}); size != 6 {
-		t.Fatalf("OutVC is %d bytes, want 6", size)
+	if size := unsafe.Sizeof(InVC{}); size != 16 {
+		t.Fatalf("InVC is %d bytes, want 16 (two 4-byte refs, two 2-byte seq words, 4 of route and ring)", size)
+	}
+	if size := unsafe.Sizeof(Cold{}); size != 8 {
+		t.Fatalf("Cold is %d bytes, want 8", size)
+	}
+	if size := unsafe.Sizeof(OutVC{}); size != 4 {
+		t.Fatalf("OutVC is %d bytes, want 4", size)
 	}
 	if size := unsafe.Sizeof(Router{}); size > 160 {
 		t.Fatalf("Router is %d bytes, want <= 160", size)
 	}
-	if r.ovf != nil || New(0, 3, 10, 3).ovf == nil {
+	if r.shared.ovf != nil || New(0, 3, 10, 3).shared.ovf == nil {
 		t.Fatal("overflow window: want none at depth 2, one at depth 3")
 	}
 }
@@ -205,7 +211,7 @@ func TestRequestWordsAndGrant(t *testing.T) {
 	if l, ok := r.Grant(2); !ok || l != 3 || r.RROut[2] != 1 || !r.Starved(70) {
 		t.Fatalf("grant = lane %d (%v), RROut %d, lane 70 parked %v; want lane 3, RROut 1, parked", l, ok, r.RROut[2], r.Starved(70))
 	}
-	if o := r.Out[o70]; !o.Waiting || o.Holder != 70 {
+	if o := r.Out[o70]; !o.Waiting() || o.Holder != 70 {
 		t.Fatalf("output VC of the parked lane = %+v", o)
 	}
 	// Nobody has a credit: everyone parks, no grant, the pointer stays, and
@@ -220,24 +226,24 @@ func TestRequestWordsAndGrant(t *testing.T) {
 	// A credit wakes its holder only; the parked lanes keep their ranks, so
 	// lane 40 (rank 1) is the one to win and the pointer moves to 2.
 	r.Credit(o40)
-	if r.Starved(40) || r.Out[o40].Waiting || !r.Starved(3) || !r.Starved(70) {
+	if r.Starved(40) || r.Out[o40].Waiting() || !r.Starved(3) || !r.Starved(70) {
 		t.Fatal("Credit woke the wrong lanes")
 	}
 	if l, ok := r.Grant(2); !ok || l != 40 || r.RROut[2] != 2 {
 		t.Fatalf("grant = lane %d (%v), RROut %d after the credit", l, ok, r.RROut[2])
 	}
-	// Release, ClearRoute and Resync each drop the mark with the Waiting bit.
+	// Release, ClearRoute and Resync each drop the mark with the VC's Holder.
 	r.Release(o3)
-	if r.Starved(3) || r.Out[o3].Waiting || r.Out[o3].Busy {
+	if r.Starved(3) || r.Out[o3].Waiting() || r.Out[o3].Busy {
 		t.Fatal("Release left the lane parked")
 	}
 	r.ClearRoute(70)
-	if r.Starved(70) || r.Out[o70].Waiting || r.RequestWord(1, 2) != 0 {
+	if r.Starved(70) || r.Out[o70].Waiting() || r.RequestWord(1, 2) != 0 {
 		t.Fatal("ClearRoute left the lane parked or requesting")
 	}
 	r.Starve(40, o40)
 	r.Resync()
-	if r.Starved(40) || r.Out[o40].Waiting {
+	if r.Starved(40) || r.Out[o40].Waiting() {
 		t.Fatal("Resync left the lane parked")
 	}
 }
@@ -276,6 +282,7 @@ func TestSlabRoutersAreDisjoint(t *testing.T) {
 		mid.PushLane(Lane(l), m.Flit(1))
 		mid.SetRoute(Lane(l))
 		mid.Block(Lane(l), ^uint32(0))
+		mid.Cold[l].Owner = 7
 	}
 	for o := range mid.Out {
 		mid.Out[o].Busy = true
@@ -289,7 +296,7 @@ func TestSlabRoutersAreDisjoint(t *testing.T) {
 			t.Fatalf("router %d: neighbour's pushes leaked in (flits %d, lanes %d)", id, flits(r), r.LaneCount())
 		}
 		for l := range r.In {
-			if r.HasRoute(Lane(l)) || r.Blocked(Lane(l)) || r.Len(Lane(l)) != 0 {
+			if r.HasRoute(Lane(l)) || r.Blocked(Lane(l)) || r.Len(Lane(l)) != 0 || r.Cold[l] != (Cold{}) {
 				t.Fatalf("router %d lane %d: neighbour's state leaked in", id, l)
 			}
 		}
@@ -568,12 +575,15 @@ func TestFlitQueuePropertyConservation(t *testing.T) {
 // TestLaneMatchesSliceFIFO drives random PushLane/PopLane/FilterLane/Front
 // sequences on every lane of a small router at depths 1 to 5 — inline
 // slots only, and rings continuing into the overflow window — against one
-// slice FIFO per lane.
+// slice FIFO per lane. The flits are heads, tails and body flits of worms
+// up to message.MaxLen long, so a seq as wide as MaxLen-1 and its tail bit
+// pass through inline slots (stored apart from their Ref) and overflow
+// slots alike.
 func TestLaneMatchesSliceFIFO(t *testing.T) {
 	pool := message.NewPool(2, false)
 	msgs := make([]*message.Message, 4)
-	for i := range msgs {
-		msgs[i] = pool.New(uint64(i), 0, 1, 64, message.Deterministic, 0)
+	for i, length := range []int{1, 64, message.MaxLen, message.MaxLen} {
+		msgs[i] = pool.New(uint64(i), 0, 1, length, message.Deterministic, 0)
 	}
 	if err := quick.Check(func(ops []uint16, depthRaw uint8) bool {
 		depth := 1 + int(depthRaw)%5
@@ -581,24 +591,27 @@ func TestLaneMatchesSliceFIFO(t *testing.T) {
 		ref := make([][]message.Flit, len(r.In))
 		for i, op := range ops {
 			l := Lane(int(op>>2) % len(r.In))
+			m := msgs[int(op>>5)%len(msgs)]
 			switch op & 3 {
 			case 0, 1:
 				if len(ref[l]) == depth {
 					continue
 				}
-				f := msgs[int(op>>5)%len(msgs)].Flit(i % 64)
+				seq := [...]int{0, m.Len - 1, i % m.Len, m.Len / 2}[op>>7&3]
+				f := m.Flit(seq)
 				r.PushLane(l, f)
 				ref[l] = append(ref[l], f)
 			case 2:
 				if len(ref[l]) == 0 {
 					continue
 				}
-				if r.PopLane(l) != ref[l][0] {
+				f := r.PopLane(l)
+				if f != ref[l][0] || f.Seq() != ref[l][0].Seq() || f.IsTail() != ref[l][0].IsTail() {
 					return false
 				}
 				ref[l] = ref[l][1:]
 			case 3:
-				drop := msgs[int(op>>5)%len(msgs)].Flit(0).Ref()
+				drop := m.Flit(0).Ref()
 				kept := ref[l][:0:0]
 				for _, f := range ref[l] {
 					if f.Ref() != drop {
@@ -625,5 +638,18 @@ func TestLaneMatchesSliceFIFO(t *testing.T) {
 		return r.Buffered() == (flits(r) > 0)
 	}, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+	// The longest worm's last three flits, through both inline slots and
+	// the overflow slot of a depth-3 ring.
+	r := ring(3)
+	long := msgs[2]
+	for seq := message.MaxLen - 3; seq < message.MaxLen; seq++ {
+		r.PushLane(0, long.Flit(seq))
+	}
+	for seq := message.MaxLen - 3; seq < message.MaxLen; seq++ {
+		f := r.PopLane(0)
+		if f.Seq() != seq || f.IsHead() || f.IsTail() != (seq == message.MaxLen-1) || f.Ref() != long.Flit(0).Ref() {
+			t.Fatalf("popped seq %d head %v tail %v, want seq %d", f.Seq(), f.IsHead(), f.IsTail(), seq)
+		}
 	}
 }

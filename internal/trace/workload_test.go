@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/message"
 )
 
 func TestWorkloadRoundTrip(t *testing.T) {
@@ -49,7 +51,7 @@ func TestParseWorkloadErrors(t *testing.T) {
 		"1,-2,3,4",                            // negative node
 		"1,2,3,4.5",                           // non-integer length
 		"1,2,3,0",                             // empty worm
-		"1,2,3,2147483648",                    // message.MaxLen+1: flit 1<<31 would read as a head
+		"1,2,3,32768",                         // message.MaxLen+1: flit 1<<15 would read as a head
 		"1,2,3,9223372036854775807",           // the longest int64 length
 		`{"cycle":1,"src":2,"dst":3,"len":4}`, // JSONL is not a workload
 	} {
@@ -61,7 +63,7 @@ func TestParseWorkloadErrors(t *testing.T) {
 	if _, err := ParseWorkload(strings.NewReader("# h\n1,2,3,4\n\n5,6,7\n")); err == nil || !strings.HasPrefix(err.Error(), "line 4: ") {
 		t.Errorf("got %v, want an error naming line 4", err)
 	}
-	if w, err := ParseWorkload(strings.NewReader("1,2,3,2147483647")); err != nil || w.Records[0].Len != 1<<31-1 {
+	if w, err := ParseWorkload(strings.NewReader("1,2,3,32767")); err != nil || w.Records[0].Len != message.MaxLen {
 		t.Errorf("message.MaxLen rejected: %v", err)
 	}
 }
@@ -71,7 +73,7 @@ func TestParseWorkloadErrors(t *testing.T) {
 func FuzzParseWorkload(f *testing.F) {
 	for _, seed := range []string{
 		"# workload: cycle,src,dst,len\n1,0,5,32\n9,63,2,8",
-		"1,0,5,2147483648",          // one past message.MaxLen
+		"1,0,5,32768",               // one past message.MaxLen
 		"1,0,5,9223372036854775807", // the longest int64 length
 		"+1,0,5,4", "01,0,5,4", "1.0,0,5,4",
 		"1,0,5,4\r\n2,1,6,4\r\n",

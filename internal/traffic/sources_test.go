@@ -221,7 +221,7 @@ func TestReplayValidatesRecords(t *testing.T) {
 		{Cycle: 1, Src: 0, Dst: 99, Len: 4},                 // out of range
 		{Cycle: 1, Src: 2, Dst: 2, Len: 4},                  // self-addressed
 		{Cycle: 1, Src: 0, Dst: 1, Len: 0},                  // zero length
-		{Cycle: 1, Src: 0, Dst: 1, Len: message.MaxLen + 1}, // flit 1<<31 would read as a head
+		{Cycle: 1, Src: 0, Dst: 1, Len: message.MaxLen + 1}, // flit 1<<15 would read as a head
 		{Cycle: 1, Src: 5, Dst: 1, Len: 4},                  // faulty endpoint
 	} {
 		w := &trace.Workload{}
@@ -239,7 +239,7 @@ func TestReplayValidatesRecords(t *testing.T) {
 // reported as <file>: line N.
 func TestReplayFileErrorNamesFileAndLine(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "w.csv")
-	if err := os.WriteFile(file, []byte("# cycle,src,dst,len\n1,0,5,4\n2,0,5,2147483648\n"), 0o644); err != nil {
+	if err := os.WriteFile(file, []byte("# cycle,src,dst,len\n1,0,5,4\n2,0,5,32768\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err := NewSource("replay:file="+file, testEnv(t, 1))
