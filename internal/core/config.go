@@ -393,9 +393,12 @@ func (c Config) saturationBacklog(nodes int) int {
 }
 
 // MinDomainNodes is the smallest per-domain router count AutoWorkers
-// considers worth a worker: below a few hundred routers the per-cycle
-// barrier and mailbox bookkeeping outweighs the parallel phase work.
-const MinDomainNodes = 256
+// considers worth a worker: below it the two barriers a cycle and the
+// mailbox bookkeeping outweigh the parallel phase work. On 2 vCPUs two
+// domains first beat one at about 8 000 routers under light load and 4 000
+// under mid load (ARCHITECTURE.md's crossover table), so two domains start
+// at 2 × 4 096.
+const MinDomainNodes = 4096
 
 // AutoWorkers picks an engine worker count for a network of the given
 // size: one domain per MinDomainNodes routers, capped at GOMAXPROCS,

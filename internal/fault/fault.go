@@ -173,9 +173,19 @@ func (s *Set) HealthyNodes() []topology.NodeID {
 }
 
 // Disconnects reports whether the healthy sub-network is disconnected: some
-// pair of healthy nodes has no fault-free path. It runs a BFS from the first
-// healthy node over non-faulty links.
+// pair of healthy nodes has no fault-free path. An empty set answers at once:
+// every registered topology is connected (TestEmptySetConnectsEveryTopology
+// runs the search on each); otherwise it runs a BFS from the first healthy
+// node over non-faulty links.
 func (s *Set) Disconnects() bool {
+	if len(s.nodes) == 0 && len(s.link) == 0 {
+		return false
+	}
+	return s.search()
+}
+
+// search is Disconnects' BFS.
+func (s *Set) search() bool {
 	start := topology.NodeID(-1)
 	healthy := 0
 	for id := 0; id < s.t.Nodes(); id++ {

@@ -77,6 +77,29 @@ func TestDisconnects(t *testing.T) {
 	}
 }
 
+// TestEmptySetConnectsEveryTopology pins the premise of Disconnects' early
+// answer for an empty set: the search itself finds every registered
+// topology connected without faults, on its smallest instance and on its
+// default one.
+func TestEmptySetConnectsEveryTopology(t *testing.T) {
+	for _, info := range topology.Topologies() {
+		built := 0
+		for _, spec := range []string{info.Name + ":k=2,n=1", info.Name + ":n=1", info.Name} {
+			net, err := topology.NewNetwork(spec)
+			if err != nil {
+				continue
+			}
+			built++
+			if NewSet(net).search() {
+				t.Errorf("%s: the search finds the fault-free network disconnected", spec)
+			}
+		}
+		if built < 2 {
+			t.Errorf("%s: built %d of its smallest and default instances, want both", info.Name, built)
+		}
+	}
+}
+
 func TestDisconnectsViaLinks(t *testing.T) {
 	tor := topology.New(4, 1) // simple 4-ring
 	s := NewSet(tor)

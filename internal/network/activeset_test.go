@@ -164,9 +164,9 @@ func checkCredits(t *testing.T, nw *Network, staged []int) []int {
 }
 
 // checkBlocked holds a parked head to what parking it claims: asked again,
-// Route names candidates that are all busy, and the lane is registered for
-// each of them, so whichever is released first wakes it. (Asking is safe:
-// the engine's own wasted looks are this very call.)
+// Route names candidates that are all busy, and the lane's registration
+// holds each one's port bit and VC bit, so whichever is released first wakes
+// it. (Asking is safe: the engine's own wasted looks are this very call.)
 func checkBlocked(t *testing.T, nw *Network, node topology.NodeID, lane router.Lane) {
 	t.Helper()
 	rt := &nw.routers[node]
@@ -184,8 +184,8 @@ func checkBlocked(t *testing.T, nw *Network, node topology.NodeID, lane router.L
 			if !rt.Out[o].Busy {
 				t.Fatalf("cycle %d node %d lane %d: parked with candidate output VC %d free", nw.Now(), node, lane, o)
 			}
-			if rt.Cold[lane].Waits&router.WaitBit(o) == 0 {
-				t.Fatalf("cycle %d node %d lane %d: parked, not registered for candidate output VC %d (waits %#x)", nw.Now(), node, lane, o, rt.Cold[lane].Waits)
+			if bit := router.WaitBit(int(c.Port), c.VC); rt.Waits(lane)&bit != bit {
+				t.Fatalf("cycle %d node %d lane %d: parked, not registered for candidate output VC %d's port and VC bits %#x (waits %#x)", nw.Now(), node, lane, o, bit, rt.Waits(lane))
 			}
 		}
 	}

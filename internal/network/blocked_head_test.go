@@ -278,13 +278,13 @@ func TestBlockedHeadsShareOneRelease(t *testing.T) {
 	}
 }
 
-// TestBlockedHeadSpuriousWakeLeavesNoTrace: a head's registration is one bit per
-// candidate and output VCs 32 apart share a bit (router.WaitBit), so on a
-// router with 64 of them a release can wake a head that cannot use it. The
-// head looks once — one Route call — and parks again, having drawn no random
-// number and traced nothing: the skipped asks and the wasted one are equally
-// invisible. A release under none of its bits leaves it parked; a candidate's
-// release lets it through.
+// TestBlockedHeadSpuriousWakeLeavesNoTrace: a head's registration is one
+// port bit and one VC bit per candidate, VCs from 7 up sharing a bit
+// (router.WaitBit), so on a router with V = 16 a release can wake a head that
+// cannot use it. The head looks once — one Route call — and parks again,
+// having drawn no random number and traced nothing: the skipped asks and the
+// wasted one are equally invisible. A release under none of its bits leaves
+// it parked; a candidate's release lets it through.
 func TestBlockedHeadSpuriousWakeLeavesNoTrace(t *testing.T) {
 	const v = 16
 	tor := topology.New(8, 2)
@@ -306,7 +306,7 @@ func TestBlockedHeadSpuriousWakeLeavesNoTrace(t *testing.T) {
 	// Every VC B could take is held (by hand: nobody will release them but
 	// this test).
 	cands := det.Route(mid, b)
-	waits := waitBits(rt, cands.Preferred) | waitBits(rt, cands.Fallback)
+	waits := waitBits(cands.Preferred) | waitBits(cands.Fallback)
 	for _, candidates := range [][]routing.CandidateVC{cands.Preferred, cands.Fallback} {
 		for _, c := range candidates {
 			rt.Out[rt.OutIndex(c.Port, c.VC)].Busy = true
@@ -326,23 +326,34 @@ func TestBlockedHeadSpuriousWakeLeavesNoTrace(t *testing.T) {
 	}
 	asked, drawn, traced := alg.routes[b.ID], nw.rngs[mid], rec.Count()
 
-	// Neither a candidate nor under one of its bits: B sleeps on.
-	quiet := -1
-	for o := range rt.Out {
-		if router.WaitBit(o)&waits == 0 {
-			quiet = o
+	// Neither a candidate nor under both of a candidate's bits: B sleeps on.
+	// Under both, but not a candidate: a wasted look.
+	isCand := map[int]bool{}
+	for _, candidates := range [][]routing.CandidateVC{cands.Preferred, cands.Fallback} {
+		for _, c := range candidates {
+			isCand[rt.OutIndex(c.Port, c.VC)] = true
 		}
+	}
+	quiet, spurious := -1, -1
+	for o := range rt.Out {
+		port, vc := rt.LanePortVC(router.Lane(o))
+		if bit := router.WaitBit(port, vc); waits&bit != bit {
+			quiet = o
+		} else if !isCand[o] {
+			spurious = o
+		}
+	}
+	if quiet < 0 || spurious < 0 {
+		t.Fatalf("scene broken: no output VC outside B's registration (%d) or none inside it that is no candidate (%d)", quiet, spurious)
 	}
 	release(quiet)
 	nw.Step()
 	if !rt.Blocked(lane) || alg.routes[b.ID] != asked {
-		t.Fatalf("release of output VC %d (no bit of B's): parked %v, %d Route calls", quiet, rt.Blocked(lane), alg.routes[b.ID]-asked)
+		t.Fatalf("release of output VC %d (not under B's bits): parked %v, %d Route calls", quiet, rt.Blocked(lane), alg.routes[b.ID]-asked)
 	}
-	// Under a candidate's bit, but not a candidate: one wasted look.
-	first := rt.OutIndex(cands.Preferred[0].Port, cands.Preferred[0].VC)
-	release(first + 32)
+	release(spurious)
 	if rt.Blocked(lane) {
-		t.Fatal("scene broken: the release 32 output VCs away should share B's bit")
+		t.Fatalf("scene broken: the release of output VC %d should wake B", spurious)
 	}
 	nw.Step()
 	if !rt.Blocked(lane) || alg.routes[b.ID] != asked+1 {
@@ -351,6 +362,7 @@ func TestBlockedHeadSpuriousWakeLeavesNoTrace(t *testing.T) {
 	if nw.rngs[mid] != drawn || rec.Count() != traced {
 		t.Fatalf("the wasted look drew a random number or traced an event (%d new events)", rec.Count()-traced)
 	}
+	first := rt.OutIndex(cands.Preferred[0].Port, cands.Preferred[0].VC)
 	// A candidate: B takes it on the next cycle.
 	rt.Release(first)
 	nw.Step()

@@ -46,32 +46,19 @@ func Knot(nw *Network) []KnotLane {
 	noEscape := make([]bool, total)
 	rev := make([][]int32, total) // rev[b] lists the lanes waiting on b
 	edge := func(a, b int32) { rev[b] = append(rev[b], a) }
-	// holder returns the lane of node routed to output VC o, or -1.
-	holder := func(node topology.NodeID, o int) int32 {
-		rt := &nw.routers[node]
-		for l := range rt.In {
-			lane := router.Lane(l)
-			if rt.HasRoute(lane) && !rt.ToEject(lane) && rt.OutIndex(topology.Port(rt.In[l].OutPort), int(rt.In[l].OutVC)) == o {
-				return idx(node, lane)
-			}
-		}
-		return -1
-	}
 	for id := range nw.routers {
 		rt, node := &nw.routers[id], topology.NodeID(id)
 		for l := range rt.In {
 			lane, ivc := router.Lane(l), &rt.In[l]
 			me := idx(node, lane)
-			port, vc := rt.LanePortVC(lane)
+			port, _ := rt.LanePortVC(lane)
 			front, buffered := rt.Front(lane)
 			switch {
 			case !buffered && !rt.HasRoute(lane), !buffered && port >= nw.degree:
 				movable[me] = true
 			case !buffered:
-				lk := nw.linkFor(node, topology.Port(port))
-				up := topology.NodeID(lk.dst)
-				if h := holder(up, nw.routers[up].OutIndex(topology.Port(port).Opposite(), vc)); h >= 0 {
-					edge(me, h)
+				if up, h, ok := nw.feeder(node, lane); ok {
+					edge(me, idx(up, h))
 				} else {
 					movable[me] = true
 				}
@@ -95,11 +82,10 @@ func Knot(nw *Network) []KnotLane {
 				noEscape[me] = m.Mode == message.Adaptive && !m.Faulted && len(dec.Fallback) == 0
 				for _, cands := range [][]routing.CandidateVC{dec.Preferred, dec.Fallback} {
 					for _, c := range cands {
-						o := rt.OutIndex(c.Port, c.VC)
-						if !rt.Out[o].Busy {
+						if !rt.Out[rt.OutIndex(c.Port, c.VC)].Busy {
 							movable[me] = true
-						} else if h := holder(node, o); h >= 0 {
-							edge(me, h)
+						} else if h, ok := nw.holder(node, c.Port, c.VC); ok {
+							edge(me, idx(node, h))
 						}
 					}
 				}
@@ -138,7 +124,7 @@ func Knot(nw *Network) []KnotLane {
 			k.Front = nw.pool.At(f.Ref())
 		}
 		if rt.HasRoute(lane) {
-			k.Owner = nw.pool.At(rt.Cold[lane].Owner)
+			k.Owner = nw.pool.At(nw.routeOwner(node, lane))
 			if !rt.ToEject(lane) {
 				k.OutVC = int(rt.In[lane].OutVC)
 			}

@@ -394,11 +394,15 @@ func (nw *Network) streamsOf(node topology.NodeID) []stream {
 // (worker.applyArrival).
 func (nw *Network) markSoft(id topology.NodeID) {
 	nw.soft[id] = softRun
-	w := nw.sw
+	nw.domain(id).mark(id)
+}
+
+// domain returns the worker whose domain holds router id.
+func (nw *Network) domain(id topology.NodeID) *worker {
 	if nw.par != nil {
-		w = nw.par[nw.dom[id]]
+		return nw.par[nw.dom[id]]
 	}
-	w.mark(id)
+	return nw.sw
 }
 
 // Now returns the current cycle.
@@ -576,18 +580,19 @@ func (w *worker) routeNode(node topology.NodeID, rt *router.Router) {
 // router's own stream (see Network.rngs).
 //
 // A head that finds every candidate output VC busy is parked
-// (router.Block), registered against the candidates Route just returned,
-// and not asked again until the answer can differ. That is exact, not a
-// heuristic: Route is a pure function of (node, header, fault set) — a
-// repeated call returns the same candidates, including Valiant's via, which
-// the first call already pushed — a blocked outcome draws no random number,
-// and Busy only turns true in this phase. So the outcome can change only
-// when one of those candidates is released (the tail leaves in moveNetwork;
-// a purge frees it) or the fault set changes (applyTransitions), and each
-// of those wakes the lane; a wake-up for any other reason re-parks it with
-// nothing drawn and nothing traced. The mark itself dies with the lane's
-// front flit (router.FilterLane). The state is router-owned, so the
-// parallel engine's single-owner rule holds.
+// (router.Block), registered under the port and VC bits of the candidates
+// Route just returned (router.WaitBit), and not asked again until the
+// answer can differ. Parking loses no decision: Route is a pure function of
+// (node, header, fault set) — a repeated call returns the same candidates,
+// including Valiant's via, which the first call already pushed — a blocked
+// outcome draws no random number, and Busy only turns true in this phase.
+// So the outcome can change only when one of those candidates is released
+// (the tail leaves in moveNetwork; a purge frees it) or the fault set
+// changes (applyTransitions), and each of those wakes the lane; a wake-up
+// for any other reason — the release of a VC that only shares the
+// registration's bits — re-parks it with nothing drawn and nothing traced.
+// The mark itself dies with the lane's front flit (router.FilterLane). The
+// state is router-owned, so the parallel engine's single-owner rule holds.
 //
 //simlint:phase compute
 func (w *worker) allocateLane(node topology.NodeID, rt *router.Router, lane router.Lane) {
@@ -631,7 +636,7 @@ func (w *worker) allocateLane(node topology.NodeID, rt *router.Router, lane rout
 		w.freeVCs = free
 		if len(free) == 0 {
 			// All candidate VCs owned: wait for the release of one of them.
-			rt.Block(lane, waitBits(rt, dec.Preferred)|waitBits(rt, dec.Fallback))
+			rt.Block(lane, waitBits(dec.Preferred)|waitBits(dec.Fallback))
 			return
 		}
 		pick := free[nw.rngs[node].Intn(len(free))]
@@ -639,18 +644,16 @@ func (w *worker) allocateLane(node topology.NodeID, rt *router.Router, lane rout
 		ivc.OutPort, ivc.OutVC = uint8(pick.Port), uint8(pick.VC)
 	}
 	// Every case above that falls through has allocated a route (Progress
-	// returns early otherwise); record the owning worm for the
-	// fault-transition purge.
+	// returns early otherwise).
 	rt.SetRoute(lane)
-	rt.Cold[lane].Owner = front.Ref()
 }
 
 // waitBits returns the registration (router.WaitBit) of a blocked head's
 // candidates.
-func waitBits(rt *router.Router, candidates []routing.CandidateVC) uint32 {
-	waits := uint32(0)
+func waitBits(candidates []routing.CandidateVC) uint16 {
+	waits := uint16(0)
 	for _, c := range candidates {
-		waits |= router.WaitBit(rt.OutIndex(c.Port, c.VC))
+		waits |= router.WaitBit(int(c.Port), c.VC)
 	}
 	return waits
 }

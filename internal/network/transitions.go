@@ -20,6 +20,8 @@ package network
 // with full credits, because the purge left it that way when it failed.
 
 import (
+	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/fault"
@@ -92,8 +94,11 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 	// flight on one, or (node failures) destined to the dead node. The
 	// last class exists because routing assumes healthy destinations: a
 	// worm bound for a dead node would circle until the heal, so it is
-	// purged and lost wherever it is.
+	// purged and lost wherever it is. No lane records who holds its route:
+	// owners lists every routed lane's owner (routeOwner) in (node, lane)
+	// order, derived here, while the flits it is read from are all in place.
 	aff := make(map[message.Ref]bool)
+	var owners []message.Ref
 	dstDead := func(ref message.Ref) bool {
 		return deadNode >= 0 && nw.pool.At(ref).Dst == deadNode
 	}
@@ -102,10 +107,15 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 		node := topology.NodeID(id)
 		for l := range rt.In {
 			lane, ivc := router.Lane(l), &rt.In[l]
+			owner := message.NilRef
+			if rt.HasRoute(lane) {
+				owner = nw.routeOwner(node, lane)
+				owners = append(owners, owner)
+			}
 			if node == deadNode {
 				rt.Each(lane, func(f message.Flit) { aff[f.Ref()] = true })
-				if rt.HasRoute(lane) {
-					aff[rt.Cold[l].Owner] = true
+				if owner != message.NilRef {
+					aff[owner] = true
 				}
 				continue
 			}
@@ -116,8 +126,8 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 					}
 				})
 			}
-			if rt.HasRoute(lane) && !rt.ToEject(lane) && dead[topology.ChannelID{Src: node, Port: topology.Port(ivc.OutPort)}] {
-				aff[rt.Cold[l].Owner] = true
+			if owner != message.NilRef && !rt.ToEject(lane) && dead[topology.ChannelID{Src: node, Port: topology.Port(ivc.OutPort)}] {
+				aff[owner] = true
 			}
 		}
 	}
@@ -147,7 +157,9 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 	// release their lane reservations. A flit removed from a network input
 	// buffer will never pop, so the credit it consumed upstream is
 	// restored directly — unless the feeding channel is dead, whose output
-	// VCs are reset wholesale in pass 4.
+	// VCs are reset wholesale in pass 4. The walk meets the routed lanes in
+	// pass 1's order, and only a lane's own turn clears its route, so the
+	// next routed lane is always owners' next entry.
 	for id := range nw.routers {
 		rt := &nw.routers[id]
 		node := topology.NodeID(id)
@@ -162,12 +174,16 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 				}
 			}
 			cleared := false
-			if rt.HasRoute(lane) && aff[rt.Cold[l].Owner] {
-				if !rt.ToEject(lane) {
-					rt.Release(rt.OutIndex(topology.Port(ivc.OutPort), int(ivc.OutVC)))
+			if rt.HasRoute(lane) {
+				owner := owners[0]
+				owners = owners[1:]
+				if aff[owner] {
+					if !rt.ToEject(lane) {
+						rt.Release(rt.OutIndex(topology.Port(ivc.OutPort), int(ivc.OutVC)))
+					}
+					rt.ClearRoute(lane)
+					cleared = true
 				}
-				rt.ClearRoute(lane)
-				cleared = true
 			}
 			if removed > 0 || cleared {
 				// A surviving worm's head may have surfaced; treat it
@@ -274,6 +290,66 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 		nw.pool.Enqueue(&nw.reQ[m.Src], ref, nw.now+nw.p.Delta)
 		nw.markSoft(m.Src)
 	}
+}
+
+// routeOwner returns the worm holding the route of lane `lane` of node,
+// which must hold one. No lane records its owner; the flits name it. A route
+// lives from its head's allocation until its tail leaves, so while the lane
+// buffers a flit the owner is its front's worm. An empty routed lane waits
+// for the owner's next flit, which is either in flight to it — the first
+// flit staged for the lane, since the output VC feeding it carries no later
+// worm before the owner's tail — or still upstream: in the lane holding that
+// output VC (feeder), whose owner is the same worm, or, for an injection
+// lane, in the stream feeding it. Between Steps only, when every in-flight
+// transfer waits in its receiver's domain queue.
+func (nw *Network) routeOwner(node topology.NodeID, lane router.Lane) message.Ref {
+	for {
+		rt := &nw.routers[node]
+		if f, ok := rt.Front(lane); ok {
+			return f.Ref()
+		}
+		for _, ev := range nw.domain(node).arrQ {
+			if topology.NodeID(ev.node) == node && ev.lane == lane {
+				return ev.flit.Ref()
+			}
+		}
+		if port, vc := rt.LanePortVC(lane); port >= nw.degree {
+			for _, s := range nw.streamsOf(node) {
+				if int(s.vc) == vc {
+					return s.ref
+				}
+			}
+		} else if up, upLane, ok := nw.feeder(node, lane); ok {
+			node, lane = up, upLane
+			continue
+		}
+		panic(fmt.Sprintf("network: routed lane %d of node %d is empty, and no flit of its owner is in flight to it or upstream of it", lane, node))
+	}
+}
+
+// feeder returns the upstream end of network input lane `lane` of node: the
+// neighbour across its port, and the neighbour's lane whose route holds the
+// output VC feeding it — false when no lane holds that VC.
+func (nw *Network) feeder(node topology.NodeID, lane router.Lane) (topology.NodeID, router.Lane, bool) {
+	port, vc := nw.routers[node].LanePortVC(lane)
+	up := topology.NodeID(nw.linkFor(node, topology.Port(port)).dst)
+	l, ok := nw.holder(up, topology.Port(port).Opposite(), vc)
+	return up, l, ok
+}
+
+// holder returns the lane of node whose route holds output VC (port, vc),
+// read off the port's request words — false when none does. A VC is held
+// by one route at a time.
+func (nw *Network) holder(node topology.NodeID, port topology.Port, vc int) (router.Lane, bool) {
+	rt := &nw.routers[node]
+	for i := 0; i < rt.Words(); i++ {
+		for m := rt.RequestWord(i, int(port)); m != 0; m &= m - 1 {
+			if l := router.Lane(i<<6 + bits.TrailingZeros64(m)); int(rt.In[l].OutVC) == vc {
+				return l, true
+			}
+		}
+	}
+	return 0, false
 }
 
 // deadChannels enumerates the unidirectional channels a failure kills:

@@ -12,10 +12,12 @@
 // contiguous slabs, so building N routers costs a constant number of
 // allocations and a cycle walks memory in address order. A lane's record
 // carries the first two slots of its flit ring inline — the whole buffer at
-// the paper's depth of 2 — so a hop touches one 16-byte record per lane;
-// what only a blocked head or the fault-transition purge reads lives in a
-// cold record beside it. Nothing on a per-flit path divides by a runtime
-// value: lanes decode through a shared lookup table and ring indices wrap by
+// the paper's depth of 2 — so a hop touches one 16-byte record per lane,
+// and that record is all a lane keeps: a blocked head registers in its
+// route bytes, unused while it holds no route, and the fault-transition
+// purge derives a route's owner from the flits (internal/network). Nothing
+// on a per-flit path divides by a runtime value: lanes and output VCs decode
+// through a shared lookup table and ring indices wrap by
 // compare-and-subtract.
 package router
 
@@ -53,25 +55,13 @@ type InVC struct {
 	seq [inline]uint16
 	// OutPort/OutVC are the allocated route while HasRoute. OutPort ==
 	// EjectPort() routes the worm to the local ejection port (delivery or
-	// software absorption), and OutVC is then meaningless.
+	// software absorption), and OutVC is then meaningless. While the lane is
+	// blocked they hold its registration instead (Block): the port bits and
+	// the VC bits of its head's candidates.
 	OutPort, OutVC uint8
 	// head/size index the ring: slots below inline are inline, the rest in
 	// the overflow window.
 	head, size uint8
-}
-
-// Cold is the part of a lane's state the per-flit paths never read, kept in
-// a slab of its own (Router.Cold, indexed by Lane) so it costs the hot
-// records nothing. 8 bytes per lane.
-type Cold struct {
-	// Owner is the worm holding the lane's route — valid only while
-	// HasRoute. The fault-transition purge uses it to find every lane a
-	// dying worm has reserved; steady-state routing never reads it.
-	Owner message.Ref
-	// Waits names, while the lane is blocked, the output VCs its head waits
-	// on: bit WaitBit(o) for every candidate o of the head's last routing
-	// attempt (Block).
-	Waits uint32
 }
 
 // NoHolder is OutVC.Holder while no lane is parked on the VC.
@@ -118,13 +108,11 @@ const (
 // the PE) and is represented implicitly; it shares index 2n (EjectPort)
 // with the injection port, which is input-only. Every slice is a window
 // into a slab shared with the other routers of the same NewSlab call, and
-// what is not a per-router window is reached through shared. 152 bytes.
+// what is not a per-router window is reached through shared. 128 bytes.
 type Router struct {
 	ID topology.NodeID
 	// In is indexed by Lane; the last V lanes are the injection port's.
 	In []InVC
-	// Cold is indexed by Lane, beside In.
-	Cold []Cold
 	// Out is indexed by port*V + vc (OutIndex); network ports only.
 	Out []OutVC
 	// RROut holds the round-robin arbitration pointer per output port.
@@ -158,6 +146,8 @@ type Router struct {
 
 // shared is what every router of one NewSlab call reads alike.
 type shared struct {
+	// decode maps a lane id to its (port, vc); output VCs are numbered the
+	// same way (OutIndex), so it decodes those too.
 	decode []portVC
 	// ovf holds ring slots inline.. of every lane of the slab, depth-inline
 	// per lane. Nil at depth <= inline.
@@ -190,7 +180,6 @@ func NewSlab(nodes, n, v, bufDepth int) []Router {
 	}
 	rs := make([]Router, nodes)
 	in := make([]InVC, nodes*lanes)
-	cold := make([]Cold, nodes*lanes)
 	out := make([]OutVC, nodes*degree*v)
 	for i := range out {
 		// Credits start at the downstream buffer depth; symmetric network,
@@ -204,7 +193,6 @@ func NewSlab(nodes, n, v, bufDepth int) []Router {
 		rs[id] = Router{
 			ID:     topology.NodeID(id),
 			In:     window(in, id, lanes),
-			Cold:   window(cold, id, lanes),
 			Out:    window(out, id, degree*v),
 			RROut:  window(rr, id, degree),
 			sets:   sets[id*win : id*win+setWords : (id+1)*win],
@@ -543,20 +531,30 @@ func (r *Router) Blocked(l Lane) bool {
 	return *w&bit != 0
 }
 
-// WaitBit returns output VC o's bit (o an OutIndex) in a blocked lane's
-// registration. Output VCs 32 apart share a bit, so a router with at most 32
-// of them — every 2-D geometry up to V = 8 — registers exactly, and a larger
-// one wakes a head now and then for a VC it cannot use.
-func WaitBit(o int) uint32 { return 1 << (uint(o) & 31) }
+// WaitBit returns output VC (port, vc)'s bits in a blocked lane's
+// registration: bit port of the low byte and bit vc of the high one, each
+// saturating at 7. A registration is the union of its candidates' bits, so
+// it also covers every port × VC pairing of them, and ports or VCs from 7 up
+// share a bit: a release under it now and then wakes a head for a VC it
+// cannot use, which then looks once and parks again.
+func WaitBit(port, vc int) uint16 { return uint16(waitBit(port)) | uint16(waitBit(vc))<<8 }
+
+// waitBit is one half of WaitBit.
+func waitBit(i int) uint8 { return 1 << min(uint(i), 7) }
+
+// Waits returns lane l's registration, meaningful while it is Blocked.
+func (r *Router) Waits(l Lane) uint16 { return uint16(r.In[l].OutPort) | uint16(r.In[l].OutVC)<<8 }
 
 // Block parks lane l: its head found every candidate output VC busy, and
 // asking again can only give a different answer after one of those
 // candidates is released (Release) or the fault set changes (Unblock).
-// waits registers the candidates, WaitBit(o) for each.
-func (r *Router) Block(l Lane, waits uint32) {
+// waits registers the candidates, the union of WaitBit over them. It lives
+// in the lane's route bytes, which a lane without a route does not use.
+func (r *Router) Block(l Lane, waits uint16) {
 	w, bit := r.set(setBlocked, l)
 	*w |= bit
-	r.Cold[l].Waits = waits
+	q := &r.In[l]
+	q.OutPort, q.OutVC = uint8(waits), uint8(waits>>8)
 }
 
 // Unblock wakes every parked lane of the router.
@@ -567,16 +565,18 @@ func (r *Router) Unblock() {
 }
 
 // Release frees output VC o (as indexed by OutIndex) and wakes the lanes
-// parked on it: the heads blocked with o among their candidates may now
-// take it, and a lane credit-parked on o no longer holds it.
+// parked on it: the heads blocked with both o's port bit and its VC bit
+// registered may now take it, and a lane credit-parked on o no longer holds
+// it.
 func (r *Router) Release(o int) {
 	v := &r.Out[o]
 	v.Busy = false
 	r.wake(v)
-	bit := WaitBit(o)
+	d := r.shared.decode[o]
+	pb, vb := waitBit(int(d.port)), waitBit(int(d.vc))
 	for g := setBlocked; g < len(r.sets); g += setStride {
 		for m := r.sets[g]; m != 0; m &= m - 1 {
-			if r.Cold[g/setStride<<6+bits.TrailingZeros64(m)].Waits&bit != 0 {
+			if q := &r.In[g/setStride<<6+bits.TrailingZeros64(m)]; q.OutPort&pb != 0 && q.OutVC&vb != 0 {
 				r.sets[g] &^= m & -m
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"repro/internal/message"
+	"repro/internal/topology"
 )
 
 // poolMsg builds a pool-registered message of the given flit length (flits
@@ -127,20 +128,14 @@ func TestRouterLayout(t *testing.T) {
 	if len(r.RROut) != 6 { // one arbiter per network output port
 		t.Fatalf("rr slots = %d", len(r.RROut))
 	}
-	if len(r.Cold) != len(r.In) {
-		t.Fatalf("cold records = %d, want one per lane (%d)", len(r.Cold), len(r.In))
-	}
 	if size := unsafe.Sizeof(InVC{}); size != 16 {
 		t.Fatalf("InVC is %d bytes, want 16 (two 4-byte refs, two 2-byte seq words, 4 of route and ring)", size)
-	}
-	if size := unsafe.Sizeof(Cold{}); size != 8 {
-		t.Fatalf("Cold is %d bytes, want 8", size)
 	}
 	if size := unsafe.Sizeof(OutVC{}); size != 4 {
 		t.Fatalf("OutVC is %d bytes, want 4", size)
 	}
-	if size := unsafe.Sizeof(Router{}); size > 160 {
-		t.Fatalf("Router is %d bytes, want <= 160", size)
+	if size := unsafe.Sizeof(Router{}); size > 128 {
+		t.Fatalf("Router is %d bytes, want <= 128", size)
 	}
 	if r.shared.ovf != nil || New(0, 3, 10, 3).shared.ovf == nil {
 		t.Fatal("overflow window: want none at depth 2, one at depth 3")
@@ -281,8 +276,7 @@ func TestSlabRoutersAreDisjoint(t *testing.T) {
 		mid.PushLane(Lane(l), m.Flit(0))
 		mid.PushLane(Lane(l), m.Flit(1))
 		mid.SetRoute(Lane(l))
-		mid.Block(Lane(l), ^uint32(0))
-		mid.Cold[l].Owner = 7
+		mid.Block(Lane(l), ^uint16(0))
 	}
 	for o := range mid.Out {
 		mid.Out[o].Busy = true
@@ -296,7 +290,7 @@ func TestSlabRoutersAreDisjoint(t *testing.T) {
 			t.Fatalf("router %d: neighbour's pushes leaked in (flits %d, lanes %d)", id, flits(r), r.LaneCount())
 		}
 		for l := range r.In {
-			if r.HasRoute(Lane(l)) || r.Blocked(Lane(l)) || r.Len(Lane(l)) != 0 || r.Cold[l] != (Cold{}) {
+			if r.HasRoute(Lane(l)) || r.Blocked(Lane(l)) || r.Len(Lane(l)) != 0 || r.In[l] != (InVC{}) {
 				t.Fatalf("router %d lane %d: neighbour's state leaked in", id, l)
 			}
 		}
@@ -406,52 +400,64 @@ func TestLaneSetSpansWords(t *testing.T) {
 	}
 
 	// Route two lanes (one per word), block two others — lane 63 on output
-	// VCs 3 and 40, lane 79 on 40 alone: the route phase must see exactly the
-	// remaining two, the switch phase the routed two.
+	// VCs (0, 3) and (2, 7), lane 79 on (2, 7) alone: the route phase must
+	// see exactly the remaining two, the switch phase the routed two.
 	r.SetRoute(17)
 	r.SetRoute(64)
-	r.Block(63, WaitBit(3)|WaitBit(40))
-	r.Block(79, WaitBit(40))
+	r.Block(63, WaitBit(0, 3)|WaitBit(2, 7))
+	r.Block(79, WaitBit(2, 7))
 	if r.RouteWord(0) != 1<<0 || r.RouteWord(1) != 1<<(65-64) {
 		t.Fatalf("route words = %#x %#x", r.RouteWord(0), r.RouteWord(1))
 	}
 	if r.SwitchWord(0) != 1<<17 || r.SwitchWord(1) != 1<<(64-64) {
 		t.Fatalf("switch words = %#x %#x", r.SwitchWord(0), r.SwitchWord(1))
 	}
+	if w := r.Waits(79); w != WaitBit(2, 7) {
+		t.Fatalf("lane 79 registration = %#x, want %#x", w, WaitBit(2, 7))
+	}
 
-	// A release wakes the lanes registered for that output VC, in either
-	// word, and nobody else: VC 5 has no waiter, VC 3 only lane 63.
-	for _, o := range []int{5, 3, 40} {
+	// A release wakes the lanes holding both its port bit and its VC bit, in
+	// either word, and nobody else: (0, 5) has no waiter — lane 63 holds its
+	// port bit, not its VC bit — and (0, 3) only lane 63.
+	out := func(port, vc int) int { return r.OutIndex(topology.Port(port), vc) }
+	for _, o := range []int{out(0, 5), out(0, 3), out(2, 7)} {
 		r.Out[o].Busy = true
 	}
-	r.Release(5)
-	if r.Out[5].Busy || !r.Blocked(63) || !r.Blocked(79) {
+	r.Release(out(0, 5))
+	if r.Out[out(0, 5)].Busy || !r.Blocked(63) || !r.Blocked(79) {
 		t.Fatal("releasing a VC nobody waits on left it busy or woke a lane")
 	}
-	r.Release(3)
+	r.Release(out(0, 3))
 	if r.Blocked(63) || !r.Blocked(79) {
-		t.Fatalf("release of VC 3: lane 63 blocked %v, lane 79 blocked %v; want woken, parked", r.Blocked(63), r.Blocked(79))
+		t.Fatalf("release of (0, 3): lane 63 blocked %v, lane 79 blocked %v; want woken, parked", r.Blocked(63), r.Blocked(79))
 	}
 	if r.RouteWord(0) != 1<<0|1<<63 || r.RouteWord(1) != 1<<(65-64) {
 		t.Fatalf("route words after the first release = %#x %#x", r.RouteWord(0), r.RouteWord(1))
 	}
 	// Both registered on one VC: its release wakes both. A lane that parks
 	// again registers afresh, so the old candidates no longer wake it.
-	r.Block(63, WaitBit(3)|WaitBit(40))
-	r.Release(40)
+	r.Block(63, WaitBit(0, 3)|WaitBit(2, 7))
+	r.Release(out(2, 7))
 	if r.Blocked(63) || r.Blocked(79) {
-		t.Fatal("release of VC 40 left a lane registered for it blocked")
+		t.Fatal("release of (2, 7) left a lane registered for it blocked")
 	}
-	r.Block(79, WaitBit(7))
-	r.Release(40)
+	r.Block(79, WaitBit(0, 7))
+	r.Release(out(2, 7))
 	if !r.Blocked(79) {
-		t.Fatal("a lane re-parked on VC 7 was woken through its previous registration")
+		t.Fatal("a lane re-parked on (0, 7) was woken through its previous registration")
 	}
-	// Output VCs 32 apart share a registration bit: a wake-up the head cannot
+	// The registration covers more than its candidates: every pairing of
+	// their ports and VCs — lane 63 on (0, 3) and (2, 7) wakes for (2, 3) —
+	// and VCs from 7 up share a bit. Such a wake-up is one the head cannot
 	// use, which only costs it one more look.
-	r.Release(7 + 32)
+	r.Block(63, WaitBit(0, 3)|WaitBit(2, 7))
+	r.Release(out(2, 3))
+	if r.Blocked(63) {
+		t.Fatal("release of (2, 3) did not wake the lane registered on ports 0, 2 and VCs 3, 7")
+	}
+	r.Release(out(0, 9))
 	if r.Blocked(79) {
-		t.Fatal("release of VC 39 did not wake the lane registered under the same bit")
+		t.Fatal("release of (0, 9) did not wake the lane registered under VC 7's saturated bit")
 	}
 	if r.RouteWord(0) != 1<<0|1<<63 || r.RouteWord(1) != 1<<(65-64)|1<<(79-64) {
 		t.Fatalf("route words after the releases = %#x %#x", r.RouteWord(0), r.RouteWord(1))
@@ -489,7 +495,7 @@ func TestFilterLane(t *testing.T) {
 	for _, f := range []message.Flit{a.Flit(2), b.Flit(0), a.Flit(3), b.Flit(1)} {
 		r.PushLane(5, f)
 	}
-	r.Block(5, WaitBit(0))
+	r.Block(5, WaitBit(0, 0))
 	dropA := func(f message.Flit) bool { return f.Ref() == refA }
 	if n := r.FilterLane(5, dropA); n != 2 {
 		t.Fatalf("removed %d flits, want 2", n)
@@ -510,7 +516,7 @@ func TestFilterLane(t *testing.T) {
 	}
 	// A filter that removes nothing must leave a blocked mark alone.
 	r.PushLane(5, b.Flit(0))
-	r.Block(5, WaitBit(0))
+	r.Block(5, WaitBit(0, 0))
 	if n := r.FilterLane(5, func(message.Flit) bool { return false }); n != 0 || !r.Blocked(5) {
 		t.Fatalf("no-op filter removed %d flits, blocked %v", n, r.Blocked(5))
 	}
