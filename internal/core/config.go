@@ -221,15 +221,29 @@ func (c Config) CheckWidths() error {
 // nodes, link existence, silhouette extents — a mesh rejects shapes that
 // would wrap).
 func (c Config) Validate() error {
+	_, err := c.validate()
+	return err
+}
+
+// validate is Validate returning the network it built, so NewEngine builds
+// its topology once.
+func (c Config) validate() (topology.Network, error) {
 	name := c.AlgorithmName()
 	info, ok := routing.Lookup(name)
 	if !ok {
-		return fmt.Errorf("core: unknown routing algorithm %q (registered: %v)", name, routing.Names())
+		return nil, fmt.Errorf("core: unknown routing algorithm %q (registered: %v)", name, routing.Names())
 	}
 	net, err := c.BuildTopology()
 	if err != nil {
-		return err
+		return nil, err
 	}
+	return net, c.check(info, net)
+}
+
+// check is Validate's work once the algorithm is found and the network
+// built.
+func (c Config) check(info routing.Info, net topology.Network) error {
+	name := c.AlgorithmName()
 	minV := info.MinVFor(net)
 	switch {
 	case c.V < minV:

@@ -101,10 +101,7 @@ type Engine struct {
 // faults, routing algorithm, workload, message pool and engine, all wired
 // together but not yet advanced a single cycle.
 func NewEngine(c Config) (*Engine, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	t, err := c.BuildTopology()
+	t, err := c.validate()
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +128,7 @@ func NewEngine(c Config) (*Engine, error) {
 	}
 	mode := alg.BaseMode()
 	r := rng.New(c.Seed)
-	sources := fs.HealthyNodes()
+	sources := t.Nodes() - fs.NumNodeFaults()
 	// One pool serves the source (allocation) and the engine (resolution,
 	// recycling); see message.Pool for the determinism contract.
 	pool := message.NewPool(t.N(), false)
@@ -174,10 +171,10 @@ func NewEngine(c Config) (*Engine, error) {
 	return &Engine{
 		nw:           nw,
 		col:          col,
-		sources:      len(sources),
+		sources:      sources,
 		quota:        uint64(c.MeasureMessages),
-		limit:        c.maxCycles(gen, len(sources)),
-		backlogLimit: c.saturationBacklog(len(sources)),
+		limit:        c.maxCycles(gen, sources),
+		backlogLimit: c.saturationBacklog(sources),
 	}, nil
 }
 

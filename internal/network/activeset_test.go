@@ -145,11 +145,11 @@ func checkCredits(t *testing.T, nw *Network, staged []int) []int {
 		}
 	}
 	for i, lk := range nw.links {
-		if lk.dst < 0 {
+		if lk == noLink {
 			continue
 		}
 		node, port := topology.NodeID(i/nw.degree), topology.Port(i%nw.degree)
-		rt, down := &nw.routers[node], &nw.routers[lk.dst]
+		rt, down := &nw.routers[node], &nw.routers[lk.dst()]
 		for vc := 0; vc < v; vc++ {
 			o := rt.OutIndex(port, vc)
 			credits := int(rt.Out[o].Credits)

@@ -236,9 +236,9 @@ func TestBlockedHeadIgnoresOtherReleases(t *testing.T) {
 }
 
 // TestBlockedHeadsShareOneRelease: two heads parked on the same output VC
-// are both woken by its release; the lower lane takes it, the other parks
-// again — one Route call, registered afresh — and is woken by the next
-// release of that VC.
+// are both woken by its release; the lower lane takes it, the other finds
+// every VC of its registration busy again and parks without a Route call
+// (router.Repark), and is woken by the next release of that VC.
 func TestBlockedHeadsShareOneRelease(t *testing.T) {
 	s := newBlockedScene(t, []int{3, 0}, nil)
 	d := s.enqueue(3, s.mid, []int{4, 0}, 8)
@@ -257,8 +257,8 @@ func TestBlockedHeadsShareOneRelease(t *testing.T) {
 	if !s.rt.HasRoute(s.lane) || !s.rt.Blocked(laneD) {
 		t.Fatalf("after the release: B routed %v, D parked %v; want B on the VC and D parked again", s.rt.HasRoute(s.lane), s.rt.Blocked(laneD))
 	}
-	if b, d := s.alg.routes[s.b.ID]-askedB, s.alg.routes[d.ID]-askedD; b != 1 || d != 1 {
-		t.Fatalf("the release cost B %d and D %d Route calls, want 1 and 1", b, d)
+	if b, d := s.alg.routes[s.b.ID]-askedB, s.alg.routes[d.ID]-askedD; b != 1 || d != 0 {
+		t.Fatalf("the release cost B %d and D %d Route calls, want 1 and 0", b, d)
 	}
 	for s.rt.Blocked(laneD) {
 		if !s.rt.Out[s.out].Busy {
@@ -266,15 +266,54 @@ func TestBlockedHeadsShareOneRelease(t *testing.T) {
 		}
 		s.step(t)
 	}
-	if got := s.alg.routes[d.ID] - askedD; got != 1 {
-		t.Fatalf("D was routed %d times while B held the VC, want only the one that re-parked it", got)
+	if got := s.alg.routes[d.ID] - askedD; got != 0 {
+		t.Fatalf("D was routed %d times while B held the VC, want 0", got)
 	}
 	s.step(t)
-	if !s.rt.HasRoute(laneD) || s.alg.routes[d.ID]-askedD != 2 {
+	if !s.rt.HasRoute(laneD) || s.alg.routes[d.ID]-askedD != 1 {
 		t.Fatal("D did not allocate on the cycle after B's tail left")
 	}
 	for s.col.DeliveredCount() < 3 {
 		s.step(t)
+	}
+}
+
+// TestTransitionBetweenWakeAndReaskRoutes: a fault transition drops the
+// registration of a head a release has already woken, not only of the heads
+// still parked. The scene of TestBlockedHeadsShareOneRelease, with a far
+// link failing at the start of the cycle after the release: B takes the VC
+// as before, and D, whose registration covers only that busy VC, must ask
+// Route again — the fault set it registered under is gone.
+func TestTransitionBetweenWakeAndReaskRoutes(t *testing.T) {
+	// The release cycle, from the same scene without a schedule.
+	s := newBlockedScene(t, []int{3, 0}, nil)
+	s.enqueue(3, s.mid, []int{4, 0}, 8)
+	for !s.rt.Blocked(s.lane + 1) {
+		s.step(t)
+	}
+	for s.rt.Out[s.out].Busy {
+		s.step(t)
+	}
+	released := s.nw.Now()
+	far := topology.ChannelID{Src: s.tor.FromCoords([]int{5, 5}), Port: topology.PortFor(1, topology.Plus)}
+	s = newBlockedScene(t, []int{3, 0}, fault.NewTraceSchedule([]fault.Transition{
+		{Cycle: released + 1, Fail: true, IsLink: true, Link: far},
+	}))
+	d := s.enqueue(3, s.mid, []int{4, 0}, 8)
+	laneD := s.lane + 1
+	for s.nw.Now() < released {
+		s.step(t)
+	}
+	if s.rt.Out[s.out].Busy || s.rt.Blocked(s.lane) || s.rt.Blocked(laneD) {
+		t.Fatalf("scene broken at cycle %d: the VC should just have been released and both heads woken", s.nw.Now())
+	}
+	askedB, askedD := s.alg.routes[s.b.ID], s.alg.routes[d.ID]
+	s.step(t) // the transition, then the route step
+	if !s.rt.HasRoute(s.lane) || !s.rt.Blocked(laneD) {
+		t.Fatalf("after the release: B routed %v, D parked %v; want B on the VC and D parked again", s.rt.HasRoute(s.lane), s.rt.Blocked(laneD))
+	}
+	if b, d := s.alg.routes[s.b.ID]-askedB, s.alg.routes[d.ID]-askedD; b != 1 || d != 1 {
+		t.Fatalf("the transition cycle cost B %d and D %d Route calls, want 1 and 1", b, d)
 	}
 }
 

@@ -71,7 +71,7 @@ func Knot(nw *Network) []KnotLane {
 					break
 				}
 				lk := nw.linkFor(node, out)
-				edge(me, idx(topology.NodeID(lk.dst), nw.routers[lk.dst].LaneOf(int(out.Opposite()), int(ivc.OutVC))))
+				edge(me, idx(topology.NodeID(lk.dst()), nw.routers[lk.dst()].LaneOf(int(out.Opposite()), int(ivc.OutVC))))
 			default:
 				m := nw.pool.At(front.Ref())
 				dec := nw.alg.Route(node, m)

@@ -134,13 +134,25 @@ type creditEvent struct {
 // first output VC feeding our input port, is back(port) = Opposite(port)·V,
 // so flit transfers and credit returns both go to back + vc. The flit
 // latency is Params.LinkLatency unless a latency overlay makes it vary
-// (Network.lat). Routing only ever allocates existing healthy channels, so
-// the dst of an unwired mesh-edge port (-1) is never read. Node ids fit 32
-// bits (New refuses larger networks). 8 bytes.
-type link struct {
-	dst   int32
-	wraps bool
-}
+// (Network.lat). The downstream id takes the low 31 bits and the dateline
+// bit the top one: node ids are below 2³¹ (New refuses larger networks).
+// Routing only ever allocates existing healthy channels, so an unwired
+// mesh-edge port (noLink) is never followed. 4 bytes.
+type link uint32
+
+const (
+	// linkWraps is a link's dateline bit.
+	linkWraps link = 1 << 31
+	// noLink is the entry of an unwired port: its id, MaxInt32, names no
+	// node.
+	noLink link = math.MaxInt32
+)
+
+// dst returns the downstream router.
+func (l link) dst() int32 { return int32(l &^ linkWraps) }
+
+// wraps reports whether the hop crosses the dateline.
+func (l link) wraps() bool { return l&linkWraps != 0 }
 
 // softState is a node's software-layer state (see Network.soft).
 type softState uint8
@@ -152,14 +164,14 @@ const (
 )
 
 // stream is a message currently trickling through a node's injection
-// channel into an injection-port virtual channel. len caches the worm
-// length (at most message.MaxLen) so per-flit injection needs no pool
-// lookup.
+// channel into an injection-port virtual channel: seq is the next flit (a
+// worm is at most message.MaxLen flits long), vc the injection VC (below
+// router.MaxV). The worm's length is read off the message as each flit is
+// made. 8 bytes.
 type stream struct {
 	ref message.Ref
-	len int32
-	vc  int32
-	seq int32
+	seq uint16
+	vc  uint8
 }
 
 // Network is the simulation engine.
@@ -345,12 +357,12 @@ func (nw *Network) buildLinkTable() {
 		id, port := topology.NodeID(i/nw.degree), topology.Port(i%nw.degree)
 		dim, dir := port.Dim(), port.Dir()
 		if !nw.t.HasLink(id, dim, dir) {
-			nw.links[i] = link{dst: -1}
+			nw.links[i] = noLink
 			continue
 		}
-		nw.links[i] = link{
-			dst:   int32(nw.t.Neighbor(id, dim, dir)),
-			wraps: nw.t.WrapsAround(nw.t.Coord(id, dim), dir),
+		nw.links[i] = link(nw.t.Neighbor(id, dim, dir))
+		if nw.t.WrapsAround(nw.t.Coord(id, dim), dir) {
+			nw.links[i] |= linkWraps
 		}
 		if lat := nw.t.LinkLatency(id, port); lat != 0 && lat != nw.p.LinkLatency {
 			uniform = false
@@ -588,18 +600,23 @@ func (w *worker) routeNode(node topology.NodeID, rt *router.Router) {
 // outcome draws no random number, and Busy only turns true in this phase.
 // So the outcome can change only when one of those candidates is released
 // (the tail leaves in moveNetwork; a purge frees it) or the fault set
-// changes (applyTransitions), and each of those wakes the lane; a wake-up
-// for any other reason — the release of a VC that only shares the
-// registration's bits — re-parks it with nothing drawn and nothing traced.
-// The mark itself dies with the lane's front flit (router.FilterLane). The
-// state is router-owned, so the parallel engine's single-owner rule holds.
+// changes (applyTransitions), and each of those wakes the lane. A woken
+// head whose registration still stands and covers only busy output VCs —
+// another head woken by the same release took it first, or the release was
+// of a VC that only shares the registration's bits and has been taken
+// again — is parked again without asking (router.Repark); one whose
+// registration covers a free VC asks, and re-parks with nothing drawn and
+// nothing traced if none of its candidates is free. The mark and the
+// registration die with the lane's front flit (router.FilterLane), and a
+// fault transition drops every registration (router.Unblock). The state is
+// router-owned, so the parallel engine's single-owner rule holds.
 //
 //simlint:phase compute
 func (w *worker) allocateLane(node topology.NodeID, rt *router.Router, lane router.Lane) {
 	nw := w.nw
 	ivc := &rt.In[lane]
 	front, ok := rt.Front(lane)
-	if !ok || !front.IsHead() || nw.readyAt != nil && nw.now < nw.readyAt[int(node)*len(rt.In)+int(lane)] {
+	if !ok || !front.IsHead() || nw.readyAt != nil && nw.now < nw.readyAt[int(node)*len(rt.In)+int(lane)] || rt.Repark(lane) {
 		return
 	}
 	m := nw.pool.At(front.Ref())
@@ -733,14 +750,14 @@ func (w *worker) moveNetwork(node topology.NodeID, rt *router.Router, lane route
 	}
 	if f.IsHead() {
 		m := nw.pool.At(f.Ref())
-		if lk.wraps {
+		if lk.wraps() {
 			m.Crossed[outPort.Dim()] = true
 		}
-		w.emitTrace(phSwitch, trace.Hop, m.ID, topology.NodeID(lk.dst))
+		w.emitTrace(phSwitch, trace.Hop, m.ID, topology.NodeID(lk.dst()))
 	}
 	w.stageArrival(arrivalEvent{
 		dueAt: nw.now + lat - 1,
-		node:  lk.dst,
+		node:  lk.dst(),
 		lane:  router.Lane(nw.back(outPort) + int(ivc.OutVC)),
 		flit:  f,
 	})
@@ -835,14 +852,14 @@ func (w *worker) returnCredit(node topology.NodeID, rt *router.Router, lane rout
 	lk := nw.linkFor(node, topology.Port(port))
 	ev := creditEvent{
 		dueAt: nw.now + nw.p.CreditDelay - 1,
-		node:  lk.dst,
+		node:  lk.dst(),
 		out:   int32(nw.back(topology.Port(port)) + vc),
 	}
 	if w.direct {
 		w.credQ = append(w.credQ, ev)
 		return
 	}
-	w.outCred[nw.dom[lk.dst]] = append(w.outCred[nw.dom[lk.dst]], ev)
+	w.outCred[nw.dom[lk.dst()]] = append(w.outCred[nw.dom[lk.dst()]], ev)
 }
 
 // injectNode runs one node's software-layer injection for this cycle: at
@@ -890,13 +907,14 @@ func (w *worker) injectNode(node topology.NodeID) {
 				continue
 			}
 			// Injection is a local wire: always one cycle.
+			msgLen := nw.pool.At(s.ref).Len
 			w.injArr = append(w.injArr, arrivalEvent{
 				dueAt: nw.now, node: int32(node), lane: lane,
-				flit: message.MakeFlit(s.ref, int(s.seq), int(s.len)),
+				flit: message.MakeFlit(s.ref, int(s.seq), msgLen),
 			})
 			s.seq++
 			nw.rrInj[node] = uint8(k)
-			if s.seq == s.len {
+			if int(s.seq) == msgLen {
 				// Stream complete; remove, preserving order.
 				copy(ss[idx:], ss[idx+1:])
 				nw.nstreams[node]--
@@ -944,7 +962,7 @@ func (w *worker) startStreams(node topology.NodeID) (started bool) {
 			w.emit(phInject, fxRec{kind: fxDropInject, ref: ref, msg: m.ID, node: node})
 			continue
 		}
-		nw.streams[int(node)*nw.p.V+int(nw.nstreams[node])] = stream{ref: ref, len: int32(m.Len), vc: int32(lane - inj)}
+		nw.streams[int(node)*nw.p.V+int(nw.nstreams[node])] = stream{ref: ref, vc: uint8(lane - inj)}
 		nw.nstreams[node]++
 		w.emit(phInject, fxRec{kind: fxInject, ref: ref, msg: m.ID, node: node})
 	}

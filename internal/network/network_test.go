@@ -390,9 +390,9 @@ func TestRecordLayout(t *testing.T) {
 		what       string
 		size, want uintptr
 	}{
-		{"link", unsafe.Sizeof(link{}), 8},
+		{"link", unsafe.Sizeof(link(0)), 4},
 		{"message.Queue", unsafe.Sizeof(message.Queue{}), 8},
-		{"stream", unsafe.Sizeof(stream{}), 16},
+		{"stream", unsafe.Sizeof(stream{}), 8},
 		{"arrivalEvent", unsafe.Sizeof(arrivalEvent{}), 24},
 		{"creditEvent", unsafe.Sizeof(creditEvent{}), 16},
 	} {

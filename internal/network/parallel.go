@@ -20,11 +20,12 @@ package network
 //	                    trace byte stream, the collector's float
 //	                    accumulators, the pool's LIFO free lists) mutates
 //	                    in one order whatever the worker count;
-//	phase B (parallel)  each worker drains the mailboxes addressed to its
-//	                    domain in sender-ascending order (the staging
-//	                    order of one domain), and applies due
-//	                    arrivals/credits to its own routers, re-activating
-//	                    the receivers.
+//	phase B (parallel)  each worker applies the due events of its own
+//	                    queues, then those of the mailboxes addressed to
+//	                    its domain in sender-ascending order (the staging
+//	                    order of one domain), straight from the boxes, to
+//	                    its own routers, re-activating the receivers;
+//	                    only events not yet due are queued.
 //
 // Determinism rests on three invariants: (1) within a cycle, a router's
 // visit reads and writes only its own lanes, queues and streams plus
@@ -135,7 +136,8 @@ type worker struct {
 	// addressed to the worker's own domain, drained fully every cycle);
 	// arrQ/credQ are the domain's in-flight link-transfer and credit
 	// queues. The direct worker stages into its own queues; a domain worker
-	// receives through the mailboxes above.
+	// receives through the mailboxes above and queues only what is not yet
+	// due (phaseB), so between Steps both hold only events due later.
 	injArr []arrivalEvent
 	arrQ   []arrivalEvent
 	credQ  []creditEvent
@@ -353,6 +355,16 @@ func (nw *Network) commitEffects() {
 // due-ordered tail in flight. Each (sender, receiver) mailbox is drained
 // only here, only by its receiver, after the phase barrier — so phase B
 // reads nothing any other goroutine is writing.
+//
+// Each mailbox is applied in place: the due prefix of the domain's own
+// queue first (events staged in earlier cycles), then every box addressed
+// to the domain in sender order, an event due now applied straight from
+// its box and one not yet due queued under queueArrival's rule. That is
+// the order merging the boxes into the queue and applying its due prefix
+// would give, for any latency: a newly staged event is due no earlier than
+// now, and the queue rule puts one due now after every older event due
+// now. So between Steps the boxes are empty and the queues hold only
+// events not yet due — nothing at all under unit latency and credit delay.
 // (The direct worker has no mailboxes: nw.par is empty and it staged
 // straight into arrQ/credQ.)
 //
@@ -365,33 +377,40 @@ func (w *worker) phaseB() {
 		w.applyArrival(a)
 	}
 	w.injArr = w.injArr[:0]
-	// Link transfers: merge incoming mailboxes sender-ascending with the
-	// serial queue's due-position discipline, so this domain's queue holds
-	// its events in the order the serial engine would have staged them.
-	for _, src := range nw.par {
-		box := src.outArr[w.id]
-		for _, ev := range box {
-			w.arrQ = queueArrival(w.arrQ, ev, nw.lat == nil)
-		}
-		src.outArr[w.id] = box[:0]
-	}
 	i := 0
 	for ; i < len(w.arrQ) && w.arrQ[i].dueAt <= nw.now; i++ {
 		w.applyArrival(w.arrQ[i])
 	}
 	w.arrQ = sliceTail(w.arrQ, i)
+	for _, src := range nw.par {
+		box := src.outArr[w.id]
+		for _, ev := range box {
+			if ev.dueAt <= nw.now {
+				w.applyArrival(ev)
+			} else {
+				w.arrQ = queueArrival(w.arrQ, ev, nw.lat == nil)
+			}
+		}
+		src.outArr[w.id] = box[:0]
+	}
 	// Credits: a constant CreditDelay keeps each queue due-ordered under
 	// plain appends, and same-cycle increments commute. A credit wakes the
 	// lane parked on its output VC (router.Credit).
-	for _, src := range nw.par {
-		box := src.outCred[w.id]
-		w.credQ = append(w.credQ, box...)
-		src.outCred[w.id] = box[:0]
-	}
 	j := 0
 	for ; j < len(w.credQ) && w.credQ[j].dueAt <= nw.now; j++ {
 		c := w.credQ[j]
 		nw.routers[c.node].Credit(int(c.out))
 	}
 	w.credQ = sliceTail(w.credQ, j)
+	for _, src := range nw.par {
+		box := src.outCred[w.id]
+		for _, c := range box {
+			if c.dueAt <= nw.now {
+				nw.routers[c.node].Credit(int(c.out))
+			} else {
+				w.credQ = append(w.credQ, c)
+			}
+		}
+		src.outCred[w.id] = box[:0]
+	}
 }

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -249,5 +250,50 @@ func TestParallelEnqueueDriven(t *testing.T) {
 				t.Fatalf("workers=%d: event %d differs:\nserial:   %+v\nparallel: %+v", w, i, base[i], got[i])
 			}
 		}
+	}
+}
+
+// TestMailboxesEmptyBetweenSteps holds phase B's in-place application to
+// what routeOwner, the purge and Idle read between Steps, on three domains,
+// after every Step of the scheduled golden cells and of those with longer
+// links or credit paths: every (sender → receiver) mailbox is empty, every
+// domain's arrival and credit queue holds only events due after the
+// current cycle, and with unit link latency and credit delay both queues
+// are empty.
+func TestMailboxesEmptyBetweenSteps(t *testing.T) {
+	for _, c := range goldenMatrix {
+		if c.sched == "" && !strings.Contains(c.name, "lat") {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			unit, queued := true, 0
+			runGolden(t, c, 3, func(nw *Network) {
+				unit = nw.lat == nil && nw.p.LinkLatency == 1 && nw.p.CreditDelay == 1
+				for _, w := range nw.par {
+					for d := range nw.par {
+						if len(w.outArr[d]) != 0 || len(w.outCred[d]) != 0 {
+							t.Fatalf("cycle %d: mailbox %d → %d holds %d transfers and %d credits", nw.Now(), w.id, d, len(w.outArr[d]), len(w.outCred[d]))
+						}
+					}
+					for _, ev := range w.arrQ {
+						if ev.dueAt <= nw.Now() {
+							t.Fatalf("cycle %d domain %d: a transfer due at %d is still queued", nw.Now(), w.id, ev.dueAt)
+						}
+					}
+					for _, ev := range w.credQ {
+						if ev.dueAt <= nw.Now() {
+							t.Fatalf("cycle %d domain %d: a credit due at %d is still queued", nw.Now(), w.id, ev.dueAt)
+						}
+					}
+					if unit && len(w.arrQ)+len(w.credQ) != 0 {
+						t.Fatalf("cycle %d domain %d: unit latency and credit delay, yet %d transfers and %d credits are queued", nw.Now(), w.id, len(w.arrQ), len(w.credQ))
+					}
+					queued += len(w.arrQ) + len(w.credQ)
+				}
+			})
+			if !unit && queued == 0 {
+				t.Error("no event was ever queued: the cell does not exercise a latency above one")
+			}
+		})
 	}
 }

@@ -167,7 +167,7 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 			lane, ivc := router.Lane(l), &rt.In[l]
 			removed := rt.FilterLane(lane, func(f message.Flit) bool { return aff[f.Ref()] })
 			if p, vc := rt.LanePortVC(lane); removed > 0 && p < nw.degree {
-				feed := topology.ChannelID{Src: topology.NodeID(nw.linkFor(node, topology.Port(p)).dst), Port: topology.Port(p).Opposite()}
+				feed := topology.ChannelID{Src: topology.NodeID(nw.linkFor(node, topology.Port(p)).dst()), Port: topology.Port(p).Opposite()}
 				if !dead[feed] {
 					up := &nw.routers[feed.Src]
 					up.Out[up.OutIndex(feed.Port, vc)].Credits += uint8(removed)
@@ -222,7 +222,7 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 	})
 	for _, ch := range deadCh {
 		lk := nw.linkFor(ch.Src, ch.Port)
-		rt, down := &nw.routers[ch.Src], &nw.routers[lk.dst]
+		rt, down := &nw.routers[ch.Src], &nw.routers[lk.dst()]
 		for vc := 0; vc < nw.p.V; vc++ {
 			o := rt.OutIndex(ch.Port, vc)
 			rt.Release(o)
@@ -332,7 +332,7 @@ func (nw *Network) routeOwner(node topology.NodeID, lane router.Lane) message.Re
 // output VC feeding it — false when no lane holds that VC.
 func (nw *Network) feeder(node topology.NodeID, lane router.Lane) (topology.NodeID, router.Lane, bool) {
 	port, vc := nw.routers[node].LanePortVC(lane)
-	up := topology.NodeID(nw.linkFor(node, topology.Port(port)).dst)
+	up := topology.NodeID(nw.linkFor(node, topology.Port(port)).dst())
 	l, ok := nw.holder(up, topology.Port(port).Opposite(), vc)
 	return up, l, ok
 }
@@ -382,7 +382,7 @@ func (nw *Network) arrivalChannel(ev arrivalEvent) (topology.ChannelID, bool) {
 	if port >= nw.degree {
 		return topology.ChannelID{}, false // injection transfer: no link
 	}
-	up := nw.linkFor(topology.NodeID(ev.node), topology.Port(port)).dst
+	up := nw.linkFor(topology.NodeID(ev.node), topology.Port(port)).dst()
 	return topology.ChannelID{Src: topology.NodeID(up), Port: topology.Port(port).Opposite()}, true
 }
 

@@ -20,7 +20,7 @@ import (
 // router's lanes: the lanes that eject this cycle, the lanes granted a
 // network output channel (in port order) and every arbitration pointer
 // afterwards. It reads credit counts, never the starved set.
-func referenceSwitch(rt *router.Router) (eject, grant []router.Lane, rr []int32) {
+func referenceSwitch(rt *router.Router) (eject, grant []router.Lane, rr []uint16) {
 	rr = slices.Clone(rt.RROut)
 	cands := make([][]router.Lane, len(rr))
 	for l := range rt.In {
@@ -38,7 +38,7 @@ func referenceSwitch(rt *router.Router) (eject, grant []router.Lane, rr []int32)
 			k := (int(rr[p]) + i) % len(c)
 			if ivc := &rt.In[c[k]]; rt.Out[rt.OutIndex(topology.Port(p), int(ivc.OutVC))].Credits > 0 {
 				grant = append(grant, c[k])
-				rr[p] = int32((k + 1) % len(c))
+				rr[p] = uint16((k + 1) % len(c))
 				break
 			}
 		}
@@ -72,7 +72,7 @@ func TestArbiterMatchesReference(t *testing.T) {
 				nw := New(tor, fs, alg, nil, metrics.NewCollector(0), DefaultParams(v), rng.New(1))
 				w, rt := nw.sw, &nw.routers[node]
 				for p := range rt.RROut {
-					rt.RROut[p] = int32(r.Intn(len(rt.In)))
+					rt.RROut[p] = uint16(r.Intn(len(rt.In)))
 				}
 				outs := r.Perm(len(rt.Out)) // an output VC has one holder
 				for l := range rt.In {
@@ -433,12 +433,16 @@ func TestVisitComposition(t *testing.T) {
 			}
 			// A release wakes the heads that wait for that VC, not the
 			// router: under wake-all 54 % of these calls parked a parked
-			// head again. What is left (29 %) is heads sharing a candidate —
-			// one release, several woken, one winner — and heads woken by
-			// a VC that only shares their registration's port and VC bits
-			// (27 % with a bit per output VC).
-			if asks.reasks == 0 || 10*asks.reparks >= 3*asks.asks {
-				t.Errorf("%s: %d of %d Route calls of the route step parked a head that was parked before (%d re-asks), want under three in ten", s.name, asks.reparks, asks.asks, asks.reasks)
+			// head again, and 29 % once a release woke only the heads
+			// registered under its port and VC bits. A woken head whose
+			// registration covers only busy VCs — several heads shared the
+			// candidate and one won, or the VC was taken again — parks
+			// without asking (router.Repark). What is left (11 %) is heads
+			// whose registration covers a free VC none of their candidates
+			// is: the bits pair every registered port with every registered
+			// VC.
+			if asks.reasks == 0 || 100*asks.reparks >= 15*asks.asks {
+				t.Errorf("%s: %d of %d Route calls of the route step parked a head that was parked before (%d re-asks), want under 15 %%", s.name, asks.reparks, asks.asks, asks.reasks)
 			}
 		case "chaos-sparse":
 			if byReq[0]+byReq[1] < 0.9*visits || stalled > 0.01*visits {

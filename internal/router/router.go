@@ -55,9 +55,13 @@ type InVC struct {
 	seq [inline]uint16
 	// OutPort/OutVC are the allocated route while HasRoute. OutPort ==
 	// EjectPort() routes the worm to the local ejection port (delivery or
-	// software absorption), and OutVC is then meaningless. While the lane is
-	// blocked they hold its registration instead (Block): the port bits and
-	// the VC bits of its head's candidates.
+	// software absorption), and OutVC is then meaningless. On a lane without
+	// a route they hold its head's registration (Block): the port bits and
+	// the VC bits of its candidates, kept after a release wakes the head and
+	// zeroed wherever the registration could stop describing the front —
+	// ClearRoute, a FilterLane that drops flits, Unblock — so they are
+	// nonzero only while the head that registered is the front and the fault
+	// set is the one it registered under (Repark).
 	OutPort, OutVC uint8
 	// head/size index the ring: slots below inline are inline, the rest in
 	// the overflow window.
@@ -108,15 +112,16 @@ const (
 // the PE) and is represented implicitly; it shares index 2n (EjectPort)
 // with the injection port, which is input-only. Every slice is a window
 // into a slab shared with the other routers of the same NewSlab call, and
-// what is not a per-router window is reached through shared. 128 bytes.
+// what is not a per-router window is reached through shared. 120 bytes.
 type Router struct {
 	ID topology.NodeID
 	// In is indexed by Lane; the last V lanes are the injection port's.
 	In []InVC
 	// Out is indexed by port*V + vc (OutIndex); network ports only.
 	Out []OutVC
-	// RROut holds the round-robin arbitration pointer per output port.
-	RROut []int32
+	// RROut holds the round-robin arbitration pointer per output port: a
+	// requester rank, below the lane count (at most 64 ports × MaxV).
+	RROut []uint16
 	// sets holds four lane sets, interleaved per 64-lane group:
 	//   active  — the lane buffers at least one flit (Push sets, the pop
 	//             that drains it clears: always exact, so there is no
@@ -139,9 +144,6 @@ type Router struct {
 	shared *shared
 	v      int32
 	depth  int32
-	// base is the slab index of In[0]: lane l's overflow slots start at
-	// shared.ovf[(base+l)*(depth-inline)].
-	base int32
 }
 
 // shared is what every router of one NewSlab call reads alike.
@@ -150,8 +152,10 @@ type shared struct {
 	// same way (OutIndex), so it decodes those too.
 	decode []portVC
 	// ovf holds ring slots inline.. of every lane of the slab, depth-inline
-	// per lane. Nil at depth <= inline.
-	ovf []message.Flit
+	// per lane, router by router from the one with ID first. Nil at depth
+	// <= inline.
+	ovf   []message.Flit
+	first topology.NodeID
 }
 
 // NewSlab builds one router per node id 0..nodes-1 of an n-dimensional
@@ -186,7 +190,7 @@ func NewSlab(nodes, n, v, bufDepth int) []Router {
 		// so it equals our own bufDepth.
 		out[i] = OutVC{Credits: uint8(bufDepth), Holder: NoHolder}
 	}
-	rr := make([]int32, nodes*degree)
+	rr := make([]uint16, nodes*degree)
 	setWords, win := words*setStride, words*(setStride+degree+1)
 	sets := make([]uint64, nodes*win)
 	for id := range rs {
@@ -199,7 +203,6 @@ func NewSlab(nodes, n, v, bufDepth int) []Router {
 			shared: sh,
 			v:      int32(v),
 			depth:  int32(bufDepth),
-			base:   int32(id * lanes),
 		}
 	}
 	return rs
@@ -212,7 +215,7 @@ func window[T any](slab []T, i, n int) []T { return slab[i*n : (i+1)*n : (i+1)*n
 // New builds one stand-alone router (a slab of one) with the given id.
 func New(id topology.NodeID, n, v, bufDepth int) *Router {
 	r := &NewSlab(1, n, v, bufDepth)[0]
-	r.ID = id
+	r.ID, r.shared.first = id, id
 	return r
 }
 
@@ -348,7 +351,7 @@ func (r *Router) Grant(p int) (Lane, bool) {
 			if rank == n {
 				rank = 0
 			}
-			r.RROut[p] = int32(rank)
+			r.RROut[p] = uint16(rank)
 			return l, true
 		}
 		if last == 0 {
@@ -407,7 +410,7 @@ func (r *Router) grantWords(p int) (Lane, bool) {
 			if rank == n {
 				rank = 0
 			}
-			r.RROut[p] = int32(rank)
+			r.RROut[p] = uint16(rank)
 			return l, true
 		}
 		if w++; w == words {
@@ -449,7 +452,8 @@ func (r *Router) SetRoute(l Lane) {
 }
 
 // ClearRoute drops lane l's route (the tail left, or the worm was purged),
-// and with it the lane's request bit and credit-parking mark.
+// and with it the lane's request bit and credit-parking mark; the route
+// bytes are zeroed, so the next head starts without a registration.
 func (r *Router) ClearRoute(l Lane) {
 	w, bit := r.set(setRouted, l)
 	*w &^= bit
@@ -457,6 +461,7 @@ func (r *Router) ClearRoute(l Lane) {
 	if r.Starved(l) {
 		r.wake(r.outOf(l))
 	}
+	r.In[l].OutPort, r.In[l].OutVC = 0, 0
 }
 
 // outOf returns the output VC lane l's route (In[l], not to ejection) leads
@@ -557,11 +562,53 @@ func (r *Router) Block(l Lane, waits uint16) {
 	q.OutPort, q.OutVC = uint8(waits), uint8(waits>>8)
 }
 
-// Unblock wakes every parked lane of the router.
+// Unblock wakes every parked lane of the router and drops every
+// registration — those of heads a release has already woken too: the fault
+// set changed, and with it the candidates a head's Route returns.
 func (r *Router) Unblock() {
 	for i := setBlocked; i < len(r.sets); i += setStride {
 		r.sets[i] = 0
 	}
+	for l := range r.In {
+		if !r.HasRoute(Lane(l)) {
+			r.In[l].OutPort, r.In[l].OutVC = 0, 0
+		}
+	}
+}
+
+// Repark parks lane l again, under the registration it holds, when every
+// output VC the registration covers is busy, and reports whether it did.
+// The lane's front must be an unrouted head. A registration covers every
+// port × VC pairing of its bits (WaitBit), so it covers the candidates
+// Route returned for that head, and while it is held Route would return
+// them again (see OutPort): with all of them busy, asking again could only
+// park the head again. A lane without a registration is not parked.
+func (r *Router) Repark(l Lane) bool {
+	q := &r.In[l]
+	if q.OutPort == 0 || q.OutVC == 0 {
+		return false
+	}
+	v := int(r.v)
+	for p := range r.RROut {
+		if q.OutPort&waitBit(p) == 0 {
+			continue
+		}
+		for vm := uint(q.OutVC); vm != 0; vm &= vm - 1 {
+			vc := bits.TrailingZeros(vm)
+			last := vc
+			if vc == 7 {
+				last = v - 1
+			}
+			for ; vc <= last; vc++ {
+				if !r.Out[p*v+vc].Busy {
+					return false
+				}
+			}
+		}
+	}
+	w, bit := r.set(setBlocked, l)
+	*w |= bit
+	return true
 }
 
 // Release frees output VC o (as indexed by OutIndex) and wakes the lanes
@@ -647,9 +694,11 @@ func (r *Router) slot(l Lane, i int) int {
 	return i
 }
 
-// overflow returns ring slot i (at least inline) of lane l.
+// overflow returns ring slot i (at least inline) of lane l, whose slab
+// index is the router's rank in the slab times its lane count, plus l.
 func (r *Router) overflow(l Lane, i int) *message.Flit {
-	return &r.shared.ovf[(int(r.base)+int(l))*(int(r.depth)-inline)+i-inline]
+	lane := int(r.ID-r.shared.first)*len(r.In) + int(l)
+	return &r.shared.ovf[lane*(int(r.depth)-inline)+i-inline]
 }
 
 // get returns lane l's i-th buffered flit.
@@ -720,7 +769,8 @@ func (r *Router) Each(l Lane, fn func(message.Flit)) {
 // preserving FIFO order of the survivors, and returns the number removed.
 // The fault-transition purge uses it to pull a dead worm's flits out of
 // shared buffers without disturbing interleaved worms. A lane that lost
-// flits may have a new front, so its blocked mark dies with the old one.
+// flits may have a new front, so its blocked mark dies with the old one,
+// and so does the registration of a lane without a route.
 func (r *Router) FilterLane(l Lane, drop func(message.Flit) bool) int {
 	q := &r.In[l]
 	kept := 0
@@ -737,6 +787,9 @@ func (r *Router) FilterLane(l Lane, drop func(message.Flit) bool) int {
 	q.size = uint8(kept)
 	w, bit := r.set(setBlocked, l)
 	*w &^= bit
+	if !r.HasRoute(l) {
+		q.OutPort, q.OutVC = 0, 0
+	}
 	if kept == 0 {
 		w, bit = r.set(setActive, l)
 		*w &^= bit

@@ -134,8 +134,11 @@ func TestRouterLayout(t *testing.T) {
 	if size := unsafe.Sizeof(OutVC{}); size != 4 {
 		t.Fatalf("OutVC is %d bytes, want 4", size)
 	}
-	if size := unsafe.Sizeof(Router{}); size > 128 {
-		t.Fatalf("Router is %d bytes, want <= 128", size)
+	if size := unsafe.Sizeof(Router{}); size != 120 {
+		t.Fatalf("Router is %d bytes, want 120", size)
+	}
+	if size := unsafe.Sizeof(r.RROut[0]); size != 2 {
+		t.Fatalf("a round-robin pointer is %d bytes, want 2", size)
 	}
 	if r.shared.ovf != nil || New(0, 3, 10, 3).shared.ovf == nil {
 		t.Fatal("overflow window: want none at depth 2, one at depth 3")
@@ -475,6 +478,64 @@ func TestLaneSetSpansWords(t *testing.T) {
 	}
 	if got := lanesOf(r); !slices.Equal(got, []Lane{17, 65}) {
 		t.Fatalf("remaining lanes = %v, want [17 65]", got)
+	}
+}
+
+// TestReparkNeedsEveryCoveredVCBusy: a woken head keeps its registration,
+// and Repark parks it again exactly while every output VC the registration
+// covers — each registered port with each registered VC, VCs from 7 up
+// under one bit — is busy. ClearRoute, Unblock and a FilterLane that drops
+// flits take the registration away; a routed lane's route survives Unblock.
+func TestReparkNeedsEveryCoveredVCBusy(t *testing.T) {
+	r := New(0, 2, 16, 2) // ports 0..3, V = 16
+	out := func(port, vc int) int { return r.OutIndex(topology.Port(port), vc) }
+	var covered []int
+	for _, p := range []int{0, 2} {
+		for _, vc := range []int{3, 7, 8, 9, 10, 11, 12, 13, 14, 15} {
+			covered = append(covered, out(p, vc))
+		}
+	}
+	for _, o := range covered {
+		r.Out[o].Busy = true
+	}
+	m := poolMsg(4)
+	r.PushLane(5, m.Flit(0))
+	if r.Repark(5) {
+		t.Fatal("a head that never registered was parked")
+	}
+	r.Block(5, WaitBit(0, 3)|WaitBit(2, 9))
+	for _, o := range covered {
+		r.Release(o) // wakes lane 5: o is under both of its bits
+		if r.Blocked(5) || r.Repark(5) {
+			t.Fatalf("with output VC %d free: blocked %v after its release, or parked again", o, r.Blocked(5))
+		}
+		r.Out[o].Busy = true
+		if !r.Repark(5) || !r.Blocked(5) {
+			t.Fatalf("every covered VC busy again after %d's release, yet the head was not parked", o)
+		}
+	}
+	r.Out[out(1, 3)].Busy, r.Out[out(0, 4)].Busy = false, false
+	if !r.Repark(5) {
+		t.Fatal("a free VC outside the registration's ports or VCs stopped the re-park")
+	}
+	r.Unblock()
+	if r.Repark(5) || r.Waits(5) != 0 {
+		t.Fatal("Unblock left the registration standing")
+	}
+	r.Block(5, WaitBit(0, 3))
+	r.PushLane(5, m.Flit(1))
+	if r.FilterLane(5, func(f message.Flit) bool { return f.Seq() == 0 }) != 1 || r.Waits(5) != 0 {
+		t.Fatal("FilterLane dropped the front, yet the registration stands")
+	}
+	r.In[6].OutPort, r.In[6].OutVC = 2, 5
+	r.SetRoute(6)
+	r.Unblock()
+	if r.In[6].OutPort != 2 || r.In[6].OutVC != 5 {
+		t.Fatal("Unblock cleared a routed lane's route")
+	}
+	r.ClearRoute(6)
+	if r.In[6].OutPort != 0 || r.In[6].OutVC != 0 {
+		t.Fatal("ClearRoute left the route bytes set")
 	}
 }
 

@@ -54,7 +54,7 @@ func NewGenerator(t topology.Network, sources []topology.NodeID, lambda float64,
 	mean := 1.0 / lambda
 	for i, src := range sources {
 		// First arrival at an exponential offset: stationary start.
-		g.heap = append(g.heap, arrival{at: int64(r.Exp(mean)) + 1, node: src, idx: i})
+		g.heap = append(g.heap, arrival{at: int64(r.Exp(mean)) + 1, node: int32(src), idx: int32(i)})
 	}
 	heap.Init(&g.heap)
 	return g
@@ -71,8 +71,9 @@ func (g *Generator) Poll(now int64) []*message.Message {
 			return out
 		}
 		heap.Pop(&g.heap)
-		dst := g.pattern.Pick(top.node, g.r)
-		m := message.New(g.nextID, top.node, dst, g.msgLen, g.t.N(), g.mode, now)
+		src := topology.NodeID(top.node)
+		dst := g.pattern.Pick(src, g.r)
+		m := message.New(g.nextID, src, dst, g.msgLen, g.t.N(), g.mode, now)
 		g.nextID++
 		g.created++
 		out = append(out, m)

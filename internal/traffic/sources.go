@@ -64,7 +64,7 @@ func (s *schedSource) initHeap(first func(idx int) int64) {
 		if at < 1 {
 			at = 1
 		}
-		s.heap = append(s.heap, arrival{at: at, node: src, idx: i})
+		s.heap = append(s.heap, arrival{at: at, node: int32(src), idx: int32(i)})
 	}
 	s.heap.init()
 }
@@ -90,12 +90,13 @@ func (s *schedSource) Poll(now int64) []*message.Message {
 			return s.out
 		}
 		s.heap.pop()
-		dst := s.pattern.Pick(top.node, s.r)
-		m := message.NewIn(s.pool, s.nextID, top.node, dst, s.msgLen, s.t.N(), s.mode, now)
+		src := topology.NodeID(top.node)
+		dst := s.pattern.Pick(src, s.r)
+		m := message.NewIn(s.pool, s.nextID, src, dst, s.msgLen, s.t.N(), s.mode, now)
 		s.nextID++
 		s.created++
 		s.out = append(s.out, m)
-		at := s.next(top.idx, top.at)
+		at := s.next(int(top.idx), top.at)
 		if at <= top.at {
 			at = top.at + 1
 		}

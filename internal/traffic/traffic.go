@@ -136,11 +136,12 @@ func (p *Hotspot) Pick(src topology.NodeID, r *rng.Stream) topology.NodeID {
 
 // arrival is a scheduled message generation event at a node. idx is the
 // node's position in the source's generating-node slice (used by sources
-// with per-node state; the Poisson generator ignores it).
+// with per-node state; the Poisson generator ignores it). Both fit 32 bits
+// (the engine refuses networks of 2³¹ nodes or more). 16 bytes.
 type arrival struct {
 	at   int64
-	node topology.NodeID
-	idx  int
+	node int32
+	idx  int32
 }
 
 // arrivalHeap is a min-heap of scheduled arrivals ordered by cycle. Len,

@@ -3,12 +3,21 @@ package traffic
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/fault"
 	"repro/internal/message"
 	"repro/internal/rng"
 	"repro/internal/topology"
 )
+
+// TestArrivalLayout pins the per-node scheduled arrival at its 32-bit node
+// and index: a generating source holds one per node.
+func TestArrivalLayout(t *testing.T) {
+	if size := unsafe.Sizeof(arrival{}); size != 16 {
+		t.Fatalf("arrival is %d bytes, want 16", size)
+	}
+}
 
 func TestUniformNeverSelfOrFaulty(t *testing.T) {
 	tor := topology.New(8, 2)
