@@ -508,7 +508,7 @@ func TestNewEngineBytesPerNode(t *testing.T) {
 	runtime.KeepAlive(e)
 	perNode := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / nodes
 	t.Logf("NewEngine on %s, V=%d: %.0f bytes retained per node", c.Topology, c.V, perNode)
-	const bound = 932 // the reading is 905 on go1.24, + 3 %
+	const bound = 932 // 905 on go1.24 + 3 %; the reading is 909 with the serial engine's domain table
 	if perNode > bound {
 		t.Fatalf("NewEngine retains %.0f bytes per node, want <= %d", perNode, bound)
 	}

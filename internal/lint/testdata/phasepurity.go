@@ -57,5 +57,5 @@ func unmarked(p *message.Pool, r message.Ref) {
 
 //simlint:phase compute
 func computeSuppressed(p *message.Pool, r message.Ref) {
-	p.Free(r) //simlint:ignore phasepurity -- serial-only path, worker.direct guards it
+	p.Free(r) //simlint:ignore phasepurity -- a fixture reason: the caller guards this path
 }

@@ -174,7 +174,7 @@ func checkBlocked(t *testing.T, nw *Network, node topology.NodeID, lane router.L
 	if !front.IsHead() {
 		t.Fatalf("cycle %d node %d lane %d: parked on a body flit", nw.Now(), node, lane)
 	}
-	dec := nw.alg.Route(node, nw.pool.At(front.Ref()))
+	dec := nw.domain(node).alg.Route(node, nw.pool.At(front.Ref()))
 	if dec.Outcome != routing.Progress {
 		t.Fatalf("cycle %d node %d lane %d: parked, yet Route says outcome %v", nw.Now(), node, lane, dec.Outcome)
 	}

@@ -74,7 +74,7 @@ func Knot(nw *Network) []KnotLane {
 				edge(me, idx(topology.NodeID(lk.dst()), nw.routers[lk.dst()].LaneOf(int(out.Opposite()), int(ivc.OutVC))))
 			default:
 				m := nw.pool.At(front.Ref())
-				dec := nw.alg.Route(node, m)
+				dec := nw.domain(node).alg.Route(node, m)
 				if dec.Outcome != routing.Progress {
 					movable[me] = true
 					break

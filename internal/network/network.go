@@ -178,7 +178,6 @@ type stream struct {
 type Network struct {
 	t    topology.Network
 	f    *fault.Set
-	alg  routing.Router
 	p    Params
 	pool *message.Pool
 
@@ -211,13 +210,8 @@ type Network struct {
 	// routed next cycle, one a purge surfaces this cycle.
 	readyAt []int64
 
-	// sw is the serial stepping context: the one worker whose domain is
-	// every router, staging transfers on its own queues (see worker). par,
-	// when non-nil, holds the parallel domain workers and dom maps node id →
-	// owning domain index (see parallel.go). doms is whichever of the two
-	// steps this engine: {sw} or par.
-	sw   *worker
-	par  []*worker
+	// doms holds the stepping domains in node order — one for the serial
+	// engine — and dom maps node id → owning domain index (see parallel.go).
 	doms []*worker
 	dom  []int32
 
@@ -318,7 +312,7 @@ func New(t topology.Network, f *fault.Set, alg routing.Router, gen traffic.Sourc
 		pool = message.NewPool(t.N(), false)
 	}
 	n := &Network{
-		t: t, f: f, alg: alg, p: p, pool: pool,
+		t: t, f: f, p: p, pool: pool,
 		routers: router.NewSlab(t.Nodes(), t.N(), p.V, p.BufDepth),
 		degree:  t.Degree(),
 		gen:     gen, col: col, r: r,
@@ -341,9 +335,7 @@ func New(t topology.Network, f *fault.Set, alg routing.Router, gen traffic.Sourc
 		n.sched = p.Schedule
 		n.baseMode = alg.BaseMode()
 	}
-	n.sw = newWorker(n, 0, true, 0, topology.NodeID(t.Nodes()), alg)
-	n.doms = []*worker{n.sw}
-	n.initWorkers()
+	n.initWorkers(alg)
 	return n
 }
 
@@ -411,10 +403,7 @@ func (nw *Network) markSoft(id topology.NodeID) {
 
 // domain returns the worker whose domain holds router id.
 func (nw *Network) domain(id topology.NodeID) *worker {
-	if nw.par != nil {
-		return nw.par[nw.dom[id]]
-	}
-	return nw.sw
+	return nw.doms[nw.dom[id]]
 }
 
 // Now returns the current cycle.
@@ -428,12 +417,7 @@ func (nw *Network) Pool() *message.Pool { return nw.pool }
 
 // Workers returns the effective stepping-domain count: 1 for the serial
 // engine, the (node-clamped) Params.Workers otherwise.
-func (nw *Network) Workers() int {
-	if nw.par == nil {
-		return 1
-	}
-	return len(nw.par)
-}
+func (nw *Network) Workers() int { return len(nw.doms) }
 
 // Backlog returns the number of messages waiting in source software queues
 // (new + re-injection) plus active injection streams.
@@ -472,7 +456,7 @@ func (nw *Network) Idle() bool {
 		return false
 	}
 	for _, w := range nw.doms {
-		if len(w.arrQ) > 0 || len(w.injArr) > 0 {
+		if len(w.arrQ) > 0 {
 			return false
 		}
 	}
@@ -855,11 +839,8 @@ func (w *worker) returnCredit(node topology.NodeID, rt *router.Router, lane rout
 		node:  lk.dst(),
 		out:   int32(nw.back(topology.Port(port)) + vc),
 	}
-	if w.direct {
-		w.credQ = append(w.credQ, ev)
-		return
-	}
-	w.outCred[nw.dom[lk.dst()]] = append(w.outCred[nw.dom[lk.dst()]], ev)
+	d := nw.dom[lk.dst()]
+	w.outCred[d] = append(w.outCred[d], ev)
 }
 
 // injectNode runs one node's software-layer injection for this cycle: at
@@ -908,7 +889,7 @@ func (w *worker) injectNode(node topology.NodeID) {
 			}
 			// Injection is a local wire: always one cycle.
 			msgLen := nw.pool.At(s.ref).Len
-			w.injArr = append(w.injArr, arrivalEvent{
+			w.outArr[w.id] = append(w.outArr[w.id], arrivalEvent{
 				dueAt: nw.now, node: int32(node), lane: lane,
 				flit: message.MakeFlit(s.ref, int(s.seq), msgLen),
 			})
@@ -1036,16 +1017,16 @@ func (w *worker) prepareForInjection(node topology.NodeID, m *message.Message) b
 }
 
 // queueArrival inserts one staged transfer into a due-ordered arrival
-// queue, keeping same-due events in staging order. With uniform link
-// latency the queue is naturally due-ordered FIFO; a latmap overlay mixes
-// latencies, so the event is then inserted at its due position (after
-// every event with the same due cycle, preserving deterministic same-cycle
-// application order). The serial engine and every parallel domain share
-// this discipline, which is what makes the per-domain queues apply each
-// receiver's events in the serial order.
-func queueArrival(q []arrivalEvent, ev arrivalEvent, uniformLat bool) []arrivalEvent {
+// queue, keeping same-due events in staging order. Under uniform link
+// latency a newer event is never due before the queue's tail, so it is
+// appended; a latmap overlay mixes latencies, so the event is then inserted
+// at its due position (after every event with the same due cycle,
+// preserving deterministic same-cycle application order). Every domain
+// queues under this one rule, which is what makes the per-domain queues
+// apply each receiver's events in the one-domain order.
+func queueArrival(q []arrivalEvent, ev arrivalEvent) []arrivalEvent {
 	n := len(q)
-	if uniformLat || n == 0 || q[n-1].dueAt <= ev.dueAt {
+	if n == 0 || q[n-1].dueAt <= ev.dueAt {
 		return append(q, ev)
 	}
 	i := sort.Search(n, func(i int) bool { return q[i].dueAt > ev.dueAt })

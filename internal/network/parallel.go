@@ -2,17 +2,17 @@ package network
 
 // Stepping: the routers are partitioned into P contiguous node-id domains,
 // each stepped by one worker; the serial engine is the one-domain case of
-// the same loop (its worker runs on the calling goroutine and stages
-// transfers on its own queues instead of mailboxes). A cycle runs in two
-// phases separated by barriers:
+// the same loop (its one worker runs on the calling goroutine and stages
+// into its own mailbox). A cycle runs in two phases separated by barriers:
 //
 //	phase A (parallel)  one visit per active router of the domain, node-
 //	                    ascending: route/allocate → switch → inject →
 //	                    retire while its state is loaded, with every
 //	                    cross-router or shared-state effect staged, never
-//	                    applied: flit transfers and credit returns go into
-//	                    per-(sender→receiver) mailboxes, trace/metrics/
-//	                    pool/counter effects into per-phase effect logs;
+//	                    applied: flit transfers (injection included) and
+//	                    credit returns go into per-(sender→receiver)
+//	                    mailboxes, trace/metrics/pool/counter effects
+//	                    into per-phase effect logs;
 //	commit  (serial)    the effect logs replay phase-major, domain-
 //	                    ascending — every routing effect in node order,
 //	                    then every switch effect, then every injection —
@@ -95,14 +95,13 @@ type fxRec struct {
 	node topology.NodeID
 }
 
-// worker is one stepping context. The serial engine owns a single direct
-// worker (transfers go straight onto its own queues); each parallel domain
-// owns a mailbox worker plus a private routing-algorithm instance, since a
-// routing.Router's decision scratch is not goroutine-safe.
+// worker is one stepping domain: its routers' active set, its mailboxes and
+// queues, and a private routing-algorithm instance, since a
+// routing.Router's decision scratch is not goroutine-safe. The serial
+// engine is one worker whose domain is every router.
 type worker struct {
-	nw     *Network
-	id     int
-	direct bool
+	nw *Network
+	id int
 
 	// [loNode, hiNode) is the domain's node-id range.
 	loNode, hiNode topology.NodeID
@@ -126,27 +125,18 @@ type worker struct {
 	fx [numPhases][]fxRec
 
 	// outArr[d] / outCred[d] are the mailboxes of staged flit transfers /
-	// credit returns addressed to domain d. Only this worker appends
+	// credit returns addressed to domain d; injection-channel transfers go
+	// into the worker's own box outArr[id]. Only this worker appends
 	// (phase A); only worker d drains (phase B) — no two goroutines ever
 	// touch the same box in the same phase.
 	outArr  [][]arrivalEvent
 	outCred [][]creditEvent
 
-	// injArr holds same-cycle injection-channel transfers (always
-	// addressed to the worker's own domain, drained fully every cycle);
 	// arrQ/credQ are the domain's in-flight link-transfer and credit
-	// queues. The direct worker stages into its own queues; a domain worker
-	// receives through the mailboxes above and queues only what is not yet
-	// due (phaseB), so between Steps both hold only events due later.
-	injArr []arrivalEvent
-	arrQ   []arrivalEvent
-	credQ  []creditEvent
-}
-
-func newWorker(nw *Network, id int, direct bool, lo, hi topology.NodeID, alg routing.Router) *worker {
-	w := &worker{nw: nw, id: id, direct: direct, loNode: lo, hiNode: hi, alg: alg}
-	w.act = make([]uint64, (int(hi-lo)+63)/64)
-	return w
+	// queues: phase B queues there only what the mailboxes hold that is not
+	// yet due, so between Steps both hold only events due later.
+	arrQ  []arrivalEvent
+	credQ []creditEvent
 }
 
 // mark puts a router of this domain into the active set. Idempotent.
@@ -155,28 +145,22 @@ func (w *worker) mark(id topology.NodeID) {
 	w.act[i>>6] |= 1 << (i & 63)
 }
 
-// initWorkers builds the parallel domain workers when Params.Workers asks
-// for more than one effective domain. Domain bounds are the contiguous
-// ranges [i*N/P, (i+1)*N/P); worker 0 reuses the engine's algorithm
-// instance, the rest clone through Params.AlgFactory.
-func (nw *Network) initWorkers() {
-	p := nw.p.Workers
+// initWorkers builds the stepping domains: Params.Workers of them, clamped
+// to [1, nodes]. Domain bounds are the contiguous ranges
+// [i*N/P, (i+1)*N/P); worker 0 takes the engine's algorithm instance alg0,
+// the rest clone through Params.AlgFactory.
+func (nw *Network) initWorkers(alg0 routing.Router) {
 	nodes := nw.t.Nodes()
-	if p > nodes {
-		p = nodes
-	}
-	if p <= 1 {
-		return
-	}
-	if nw.p.AlgFactory == nil {
+	p := max(1, min(nw.p.Workers, nodes))
+	if p > 1 && nw.p.AlgFactory == nil {
 		panic("network: Workers > 1 requires Params.AlgFactory (each worker needs its own routing scratch)")
 	}
 	nw.dom = make([]int32, nodes)
-	nw.par = make([]*worker, p)
+	nw.doms = make([]*worker, p)
 	for i := 0; i < p; i++ {
 		lo := topology.NodeID(i * nodes / p)
 		hi := topology.NodeID((i + 1) * nodes / p)
-		alg := nw.alg
+		alg := alg0
 		if i > 0 {
 			a, err := nw.p.AlgFactory()
 			if err != nil {
@@ -187,15 +171,16 @@ func (nw *Network) initWorkers() {
 			}
 			alg = a
 		}
-		w := newWorker(nw, i, false, lo, hi, alg)
-		w.outArr = make([][]arrivalEvent, p)
-		w.outCred = make([][]creditEvent, p)
+		nw.doms[i] = &worker{
+			nw: nw, id: i, loNode: lo, hiNode: hi, alg: alg,
+			act:     make([]uint64, (int(hi-lo)+63)/64),
+			outArr:  make([][]arrivalEvent, p),
+			outCred: make([][]creditEvent, p),
+		}
 		for n := lo; n < hi; n++ {
 			nw.dom[n] = int32(i)
 		}
-		nw.par[i] = w
 	}
-	nw.doms = nw.par
 }
 
 // emit stages one shared-state effect into the log of the step (ph) that
@@ -253,13 +238,9 @@ func (nw *Network) applyFx(r fxRec) {
 	}
 }
 
-// stageArrival routes a staged link transfer: onto the direct worker's own
-// queue, or into the mailbox of the destination router's domain.
+// stageArrival files a staged link transfer in the mailbox of the
+// destination router's domain.
 func (w *worker) stageArrival(ev arrivalEvent) {
-	if w.direct {
-		w.arrQ = queueArrival(w.arrQ, ev, w.nw.lat == nil)
-		return
-	}
 	d := w.nw.dom[ev.node]
 	w.outArr[d] = append(w.outArr[d], ev)
 }
@@ -365,30 +346,25 @@ func (nw *Network) commitEffects() {
 // now, and the queue rule puts one due now after every older event due
 // now. So between Steps the boxes are empty and the queues hold only
 // events not yet due — nothing at all under unit latency and credit delay.
-// (The direct worker has no mailboxes: nw.par is empty and it staged
-// straight into arrQ/credQ.)
+// Injection transfers sit in the worker's own box among its link
+// transfers, always due now; they commute with the rest, since an
+// injection lane receives nothing else.
 //
 //simlint:phase commit
 func (w *worker) phaseB() {
 	nw := w.nw
-	// Injection-channel transfers: staged by this worker, always addressed
-	// to its own routers, always due this cycle.
-	for _, a := range w.injArr {
-		w.applyArrival(a)
-	}
-	w.injArr = w.injArr[:0]
 	i := 0
 	for ; i < len(w.arrQ) && w.arrQ[i].dueAt <= nw.now; i++ {
 		w.applyArrival(w.arrQ[i])
 	}
 	w.arrQ = sliceTail(w.arrQ, i)
-	for _, src := range nw.par {
+	for _, src := range nw.doms {
 		box := src.outArr[w.id]
 		for _, ev := range box {
 			if ev.dueAt <= nw.now {
 				w.applyArrival(ev)
 			} else {
-				w.arrQ = queueArrival(w.arrQ, ev, nw.lat == nil)
+				w.arrQ = queueArrival(w.arrQ, ev)
 			}
 		}
 		src.outArr[w.id] = box[:0]
@@ -402,7 +378,7 @@ func (w *worker) phaseB() {
 		nw.routers[c.node].Credit(int(c.out))
 	}
 	w.credQ = sliceTail(w.credQ, j)
-	for _, src := range nw.par {
+	for _, src := range nw.doms {
 		box := src.outCred[w.id]
 		for _, c := range box {
 			if c.dueAt <= nw.now {

@@ -153,8 +153,8 @@ func TestParallelDrainsWorklist(t *testing.T) {
 }
 
 // TestWorkersClamp checks the degenerate domain counts: Workers above the
-// node count clamps to one domain per node, and Workers <= 1 stays on the
-// serial engine with no worker pool at all.
+// node count clamps to one domain per node, and Workers <= 1 is the serial
+// engine, one domain holding every router.
 func TestWorkersClamp(t *testing.T) {
 	net := topology.New(2, 2) // 4 nodes
 	fs := fault.NewSet(net)
@@ -173,8 +173,8 @@ func TestWorkersClamp(t *testing.T) {
 	p.Workers = 1
 	p.AlgFactory = nil
 	nw = New(net, fs, alg, nil, metrics.NewCollector(0), p, rng.New(9).Split(2))
-	if nw.par != nil || nw.Workers() != 1 {
-		t.Fatal("Workers=1 must run the serial engine")
+	if len(nw.doms) != 1 || nw.Workers() != 1 || nw.doms[0].hiNode != topology.NodeID(net.Nodes()) {
+		t.Fatal("Workers=1 must run the serial engine: one domain of every router")
 	}
 }
 
@@ -254,9 +254,10 @@ func TestParallelEnqueueDriven(t *testing.T) {
 }
 
 // TestMailboxesEmptyBetweenSteps holds phase B's in-place application to
-// what routeOwner, the purge and Idle read between Steps, on three domains,
-// after every Step of the scheduled golden cells and of those with longer
-// links or credit paths: every (sender → receiver) mailbox is empty, every
+// what routeOwner, the purge and Idle read between Steps, on one domain (the
+// serial engine, whose own box carries every transfer) and on three, after
+// every Step of the scheduled golden cells and of those with longer links
+// or credit paths: every (sender → receiver) mailbox is empty, every
 // domain's arrival and credit queue holds only events due after the
 // current cycle, and with unit link latency and credit delay both queues
 // are empty.
@@ -266,33 +267,37 @@ func TestMailboxesEmptyBetweenSteps(t *testing.T) {
 			continue
 		}
 		t.Run(c.name, func(t *testing.T) {
-			unit, queued := true, 0
-			runGolden(t, c, 3, func(nw *Network) {
-				unit = nw.lat == nil && nw.p.LinkLatency == 1 && nw.p.CreditDelay == 1
-				for _, w := range nw.par {
-					for d := range nw.par {
-						if len(w.outArr[d]) != 0 || len(w.outCred[d]) != 0 {
-							t.Fatalf("cycle %d: mailbox %d → %d holds %d transfers and %d credits", nw.Now(), w.id, d, len(w.outArr[d]), len(w.outCred[d]))
+			for _, workers := range []int{1, 3} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					unit, queued := true, 0
+					runGolden(t, c, workers, func(nw *Network) {
+						unit = nw.lat == nil && nw.p.LinkLatency == 1 && nw.p.CreditDelay == 1
+						for _, w := range nw.doms {
+							for d := range nw.doms {
+								if len(w.outArr[d]) != 0 || len(w.outCred[d]) != 0 {
+									t.Fatalf("cycle %d: mailbox %d → %d holds %d transfers and %d credits", nw.Now(), w.id, d, len(w.outArr[d]), len(w.outCred[d]))
+								}
+							}
+							for _, ev := range w.arrQ {
+								if ev.dueAt <= nw.Now() {
+									t.Fatalf("cycle %d domain %d: a transfer due at %d is still queued", nw.Now(), w.id, ev.dueAt)
+								}
+							}
+							for _, ev := range w.credQ {
+								if ev.dueAt <= nw.Now() {
+									t.Fatalf("cycle %d domain %d: a credit due at %d is still queued", nw.Now(), w.id, ev.dueAt)
+								}
+							}
+							if unit && len(w.arrQ)+len(w.credQ) != 0 {
+								t.Fatalf("cycle %d domain %d: unit latency and credit delay, yet %d transfers and %d credits are queued", nw.Now(), w.id, len(w.arrQ), len(w.credQ))
+							}
+							queued += len(w.arrQ) + len(w.credQ)
 						}
+					})
+					if !unit && queued == 0 {
+						t.Error("no event was ever queued: the cell does not exercise a latency above one")
 					}
-					for _, ev := range w.arrQ {
-						if ev.dueAt <= nw.Now() {
-							t.Fatalf("cycle %d domain %d: a transfer due at %d is still queued", nw.Now(), w.id, ev.dueAt)
-						}
-					}
-					for _, ev := range w.credQ {
-						if ev.dueAt <= nw.Now() {
-							t.Fatalf("cycle %d domain %d: a credit due at %d is still queued", nw.Now(), w.id, ev.dueAt)
-						}
-					}
-					if unit && len(w.arrQ)+len(w.credQ) != 0 {
-						t.Fatalf("cycle %d domain %d: unit latency and credit delay, yet %d transfers and %d credits are queued", nw.Now(), w.id, len(w.arrQ), len(w.credQ))
-					}
-					queued += len(w.arrQ) + len(w.credQ)
-				}
-			})
-			if !unit && queued == 0 {
-				t.Error("no event was ever queued: the cell does not exercise a latency above one")
+				})
 			}
 		})
 	}

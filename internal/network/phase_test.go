@@ -1,7 +1,9 @@
 package network
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -58,11 +60,18 @@ func (c *phaseClock) mark(m stepMark) {
 // reports that it passed a mark (Network.stepClock, nil in production). The
 // moves are counted in a run of their own, so counting them costs the timed
 // run nothing; the runs are deterministic, so they are the same moves.
+// Under -v each cell is timed phaseRuns times and the row is the run of
+// median Step time, with the fastest and slowest run's µs per Step beside
+// it; without -v one timed run per cell keeps the checks and the test cheap.
 func TestPhaseTable(t *testing.T) {
 	if testing.Short() {
-		t.Skip("times eight runs of 200 to 30000 cycles")
+		t.Skip("times eight cells of 200 to 30000 cycles")
 	}
-	t.Logf("| shape | workers | µs per Step | transition + replan | traffic poll | phase A | effect replay | phase B | barrier wait | ns per flit move |")
+	runs := 1
+	if testing.Verbose() {
+		runs = phaseRuns
+	}
+	t.Logf("| shape | workers | µs per Step (min–max of %d) | transition + replan | traffic poll | phase A | effect replay | phase B | barrier wait | ns per flit move |", runs)
 	t.Logf("|---|---|---|---|---|---|---|---|---|---|")
 	for _, s := range compositionShapes {
 		moves, before := 0, 0
@@ -82,30 +91,45 @@ func TestPhaseTable(t *testing.T) {
 			t.Fatalf("%s: no flit moved in %d cycles", s.name, s.cycles)
 		}
 		for _, workers := range []int{1, 2} {
-			nw := s.build(t, workers, nil)
-			var c phaseClock
-			nw.stepClock = c.mark
-			for nw.Now() < s.cycles {
-				nw.Step()
+			clocks := make([]phaseClock, runs)
+			for i := range clocks {
+				c := &clocks[i]
+				nw := s.build(t, workers, nil)
+				nw.stepClock = c.mark
+				for nw.Now() < s.cycles {
+					nw.Step()
+				}
+				if c.steps != int(s.cycles) || (c.wait > 0) != (workers > 1) {
+					t.Errorf("%s on %d workers: %d Steps clocked in %d cycles, barrier wait %v", s.name, workers, c.steps, s.cycles, c.wait)
+				}
 			}
-			total := c.wait
-			for _, d := range c.spent {
-				total += d
-			}
+			slices.SortFunc(clocks, func(a, b phaseClock) int { return cmp.Compare(a.total(), b.total()) })
+			c := clocks[runs/2]
+			total := c.total()
+			perStep := func(c phaseClock) float64 { return float64(c.total().Microseconds()) / float64(c.steps) }
 			pct := func(d time.Duration) string { return fmt.Sprintf("%.1f %%", 100*float64(d)/float64(total)) }
 			perMove := "—"
 			if workers == 1 {
 				perMove = fmt.Sprintf("%.0f", float64(total.Nanoseconds())/float64(moves))
 			}
-			t.Logf("| `%s` | %d | %.1f | %s | %s | %s | %s | %s | %s | %s |", s.name, workers,
-				float64(total.Microseconds())/float64(c.steps),
+			t.Logf("| `%s` | %d | %.1f (%.1f–%.1f) | %s | %s | %s | %s | %s | %s | %s |", s.name, workers,
+				perStep(c), perStep(clocks[0]), perStep(clocks[runs-1]),
 				pct(c.spent[markTransition]), pct(c.spent[markPoll]), pct(c.spent[markPhaseA]),
 				pct(c.spent[markCommit]), pct(c.spent[markPhaseB]), pct(c.wait), perMove)
-			if c.steps != int(s.cycles) || (c.wait > 0) != (workers > 1) {
-				t.Errorf("%s on %d workers: %d Steps clocked in %d cycles, barrier wait %v", s.name, workers, c.steps, s.cycles, c.wait)
-			}
 		}
 	}
+}
+
+// phaseRuns is how many times TestPhaseTable times each cell under -v.
+const phaseRuns = 5
+
+// total is the clocked time of every Step, barrier waits included.
+func (c *phaseClock) total() time.Duration {
+	t := c.wait
+	for _, d := range c.spent {
+		t += d
+	}
+	return t
 }
 
 // TestStepClockInert holds the hook to its promise: with one installed, a

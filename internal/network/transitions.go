@@ -67,16 +67,10 @@ func (nw *Network) applyTransitions() {
 
 // refreshRouting rebuilds fault-derived routing state (region index,
 // healthy-node caches) in every algorithm instance after the shared fault
-// set changed. Worker 0 aliases the engine's instance; the rest are
-// clones with their own scratch and their own index.
+// set changed. Worker 0 holds the engine's instance; the rest are clones
+// with their own scratch and their own index.
 func (nw *Network) refreshRouting() {
-	if fr, ok := nw.alg.(routing.FaultRefresher); ok {
-		fr.RefreshFaults()
-	}
-	if nw.par == nil {
-		return
-	}
-	for _, w := range nw.par[1:] {
+	for _, w := range nw.doms {
 		if fr, ok := w.alg.(routing.FaultRefresher); ok {
 			fr.RefreshFaults()
 		}

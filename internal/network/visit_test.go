@@ -70,7 +70,7 @@ func TestArbiterMatchesReference(t *testing.T) {
 			parked, woken, lone := 0, 0, 0
 			for trial := 0; trial < 400; trial++ {
 				nw := New(tor, fs, alg, nil, metrics.NewCollector(0), DefaultParams(v), rng.New(1))
-				w, rt := nw.sw, &nw.routers[node]
+				w, rt := nw.doms[0], &nw.routers[node]
 				for p := range rt.RROut {
 					rt.RROut[p] = uint16(r.Intn(len(rt.In)))
 				}
@@ -122,7 +122,7 @@ func TestArbiterMatchesReference(t *testing.T) {
 					if len(eject)+len(grant) > 0 && rt.Words() == 1 && bits.OnesCount64(rt.SwitchWord(0)) == 1 {
 						lone++
 					}
-					w.arrQ = w.arrQ[:0]
+					w.outArr[0] = w.outArr[0][:0]
 					w.visit(node)
 					for l := range rt.In {
 						if got := rt.Len(router.Lane(l)); got != want[l] {
@@ -132,10 +132,11 @@ func TestArbiterMatchesReference(t *testing.T) {
 					if !slices.Equal(rt.RROut, rr) {
 						t.Fatalf("trial %d round %d: RROut = %v, reference says %v", trial, round, rt.RROut, rr)
 					}
-					if len(w.arrQ) != len(flits) {
-						t.Fatalf("trial %d round %d: %d transfers staged, reference grants %d", trial, round, len(w.arrQ), len(flits))
+					staged := w.outArr[0]
+					if len(staged) != len(flits) {
+						t.Fatalf("trial %d round %d: %d transfers staged, reference grants %d", trial, round, len(staged), len(flits))
 					}
-					for i, a := range w.arrQ {
+					for i, a := range staged {
 						if a.flit != flits[i] {
 							t.Fatalf("trial %d round %d: transfer %d carries %v, reference says %v", trial, round, i, a.flit, flits[i])
 						}

@@ -19,8 +19,9 @@ func (t *Torus) WrapsAround(c int, dir Dir) bool {
 // EcubePath returns the dimension-order (e-cube) path from src to dst,
 // inclusive of both endpoints: dimensions corrected in increasing order,
 // minimal direction within each ring. This is the fault-free trajectory of
-// the deterministic routing algorithm, used by tests and by the rerouting
-// planner to probe candidate paths for faults.
+// the deterministic routing algorithm: the reference path the topology,
+// fault and routing tests check against. No engine or routing code calls
+// it; it lives here because tests of three packages share it.
 func (t *Torus) EcubePath(src, dst NodeID) []NodeID {
 	path := []NodeID{src}
 	cur := src
