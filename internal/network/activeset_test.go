@@ -21,7 +21,9 @@ import (
 // is the sum of its lane lengths, its active-lane set is exactly the
 // non-empty lanes, a parked lane holds an unrouted head whose every candidate
 // is busy and registered (checkBlocked), the request words
-// are the transpose of the held routes, a credit-parked lane and the output
+// are the transpose of the held routes, an output VC is busy exactly while
+// one routed lane's route leads to it (what the purge's settleOutputs
+// derives ownership from), a credit-parked lane and the output
 // VC it waits on point at each other at zero credits, and a stalled
 // software layer really can neither start a stream nor inject a flit. Both
 // levels are walked in ascending order — the order of a dense nested scan —
@@ -35,6 +37,7 @@ func TestSchedulerSetsCoverWork(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
 				parked, starved, stalled := 0, 0, 0
 				var want []uint64 // request words, as the held routes dictate
+				var holders []int // routes held on each output VC
 				var staged []int  // checkCredits' scratch
 				runGolden(t, c, workers, func(nw *Network) {
 					staged = checkCredits(t, nw, staged)
@@ -81,11 +84,15 @@ func TestSchedulerSetsCoverWork(t *testing.T) {
 						}
 						ports := rt.InjectionPort() + 1
 						want = append(want[:0], make([]uint64, rt.Words()*ports)...)
+						holders = append(holders[:0], make([]int, len(rt.Out))...)
 						for l := range rt.In {
 							lane, ivc := router.Lane(l), &rt.In[l]
 							routed := rt.HasRoute(lane)
 							if routed {
 								want[l>>6*ports+int(ivc.OutPort)] |= 1 << (uint(l) & 63)
+								if !rt.ToEject(lane) {
+									holders[rt.OutIndex(topology.Port(ivc.OutPort), int(ivc.OutVC))]++
+								}
 							}
 							if rt.Starved(lane) {
 								starved++
@@ -103,6 +110,9 @@ func TestSchedulerSetsCoverWork(t *testing.T) {
 							}
 						}
 						for o, out := range rt.Out {
+							if out.Busy != (holders[o] > 0) || holders[o] > 1 {
+								t.Fatalf("cycle %d node %d output VC %d: busy %v, held by %d routes", nw.Now(), id, o, out.Busy, holders[o])
+							}
 							if out.Waiting() && (!out.Busy || !rt.Starved(router.Lane(out.Holder))) {
 								t.Fatalf("cycle %d node %d output VC %d: %+v, holder parked: %v", nw.Now(), id, o, out, rt.Starved(router.Lane(out.Holder)))
 							}

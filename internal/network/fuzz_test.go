@@ -67,9 +67,9 @@ func TestPropertyEngineConservation(t *testing.T) {
 				seed, k, n, v, nf, msgLen, adaptive)
 			return false
 		}
-		if col.DeliveredCount() != col.GeneratedCount() || nw.Dropped() != 0 {
+		if col.DeliveredCount() != col.GeneratedCount() {
 			t.Logf("seed %d: conservation violated %d/%d dropped=%d",
-				seed, col.DeliveredCount(), col.GeneratedCount(), nw.Dropped())
+				seed, col.DeliveredCount(), col.GeneratedCount(), col.Finalize(nw.Now(), tor.Nodes(), false).Dropped)
 			return false
 		}
 		if err := guard.Verify(tor); err != nil {

@@ -85,6 +85,10 @@ var goldenMatrix = []goldenCase{
 	// fault churn, so lanes fill past the inline slots and purges filter
 	// worms out of the overflow ones. Every other cell runs at depth <= 3.
 	{"torus-adaptive-buf4-mtbf-saturated", torus8, "adaptive", 4, 3, 0.03, 0, "mtbf:mtbf=1500,mttr=600,elems=mixed", 0xe150455d183ca106},
+	// Recorded from the parent of the change that derives every output VC
+	// from the credit law after a purge: fault churn on a mesh, where the
+	// unwired edge ports are faulty channels that carry nothing.
+	{"mesh-det-mtbf", mesh8, "det", 4, 3, 0.02, 0, "mtbf:mtbf=1500,mttr=600,elems=mixed", 0x46cb7b1f73f673e2},
 }
 
 // goldenKnobs holds, by cell name, the Params settings the goldenCase

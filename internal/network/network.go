@@ -247,10 +247,8 @@ type Network struct {
 	sched    fault.Schedule
 	baseMode message.Mode
 
-	now       int64
-	inFlight  int // worms injected (streaming or in-network) not yet completed
-	generated uint64
-	dropped   uint64
+	now      int64
+	inFlight int // worms injected (streaming or in-network) not yet completed
 
 	genStopped bool
 
@@ -429,9 +427,6 @@ func (nw *Network) Backlog() int {
 	return total
 }
 
-// Dropped returns messages discarded because no route existed.
-func (nw *Network) Dropped() uint64 { return nw.dropped }
-
 // StopGeneration halts the traffic source (used by drain tests and
 // fixed-message-count runs).
 func (nw *Network) StopGeneration() { nw.genStopped = true }
@@ -498,7 +493,6 @@ func (nw *Network) pollTraffic() {
 	}
 	for _, m := range nw.gen.Poll(nw.now) {
 		nw.col.Generated(m)
-		nw.generated++
 		if nw.sched != nil && (nw.f.NodeFaulty(m.Src) || nw.f.NodeFaulty(m.Dst)) {
 			// An endpoint failed mid-run (sources draw their layout from the
 			// static set and cannot know): the offered message is lost,
@@ -583,12 +577,13 @@ func (w *worker) routeNode(node topology.NodeID, rt *router.Router) {
 // including Valiant's via, which the first call already pushed — a blocked
 // outcome draws no random number, and Busy only turns true in this phase.
 // So the outcome can change only when one of those candidates is released
-// (the tail leaves in moveNetwork; a purge frees it) or the fault set
-// changes (applyTransitions), and each of those wakes the lane. A woken
-// head whose registration still stands and covers only busy output VCs —
-// another head woken by the same release took it first, or the release was
-// of a VC that only shares the registration's bits and has been taken
-// again — is parked again without asking (router.Repark); one whose
+// (the tail leaves in moveNetwork) or the fault set changes
+// (applyTransitions: a failure's purge removes worms, and settleOutputs
+// frees the VCs no surviving route holds), and each of those wakes the
+// lane. A woken head whose registration still stands and covers only busy
+// output VCs — another head woken by the same release took it first, or the
+// release was of a VC that only shares the registration's bits and has been
+// taken again — is parked again without asking (router.Repark); one whose
 // registration covers a free VC asks, and re-parks with nothing drawn and
 // nothing traced if none of its candidates is free. The mark and the
 // registration die with the lane's front flit (router.FilterLane), and a

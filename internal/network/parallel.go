@@ -226,11 +226,9 @@ func (nw *Network) applyFx(r fxRec) {
 		nw.inFlight--
 		nw.trace(trace.Drop, r.msg, r.node)
 		nw.col.Dropped(nw.pool.At(r.ref))
-		nw.dropped++
 		nw.pool.Free(r.ref)
 	case fxDropInject:
 		nw.col.Dropped(nw.pool.At(r.ref))
-		nw.dropped++
 		nw.pool.Free(r.ref)
 	case fxInject:
 		nw.inFlight++

@@ -11,17 +11,19 @@ package network
 //
 // A failure purges every worm occupying the failed component: its flits
 // are pulled out of buffers, link pipelines and injection streams, its
-// channel reservations are released with credits restored, and the whole
-// message restarts from its source through the priority re-injection
-// queue (counted as Reinjected) — unless either endpoint is down, in
-// which case the message is counted Lost (routing assumes healthy
-// destinations, so a dead-destination worm would circle until the heal).
-// Heals mutate only the fault set: a healed component comes back empty,
-// with full credits, because the purge left it that way when it failed.
+// routes are dropped, and the whole message restarts from its source
+// through the priority re-injection queue (counted as Reinjected) — unless
+// either endpoint is down, in which case the message is counted Lost
+// (routing assumes healthy destinations, so a dead-destination worm would
+// circle until the heal). The purge only removes; settleOutputs then sets
+// every output VC's ownership and credits from what survives. Heals mutate
+// only the fault set: a healed component comes back empty, with full
+// credits, because the purge left it that way when it failed.
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/fault"
@@ -47,14 +49,15 @@ func (nw *Network) applyTransitions() {
 		nw.col.Transition(nw.now, tr.Fail)
 		if tr.Fail {
 			nw.purgeFailure(tr)
+			nw.settleOutputs()
 		}
 	}
 	if changed {
 		nw.refreshRouting()
 		// The fault set is an input of Route: every parked head must ask
-		// again (see allocateLane). The purge rewrote credit counts, buffers,
-		// queues and streams directly: every credit-parked lane and every
-		// stalled software layer must look again too.
+		// again (see allocateLane). The purge and the settle rewrote credit
+		// counts, buffers, queues and streams directly: every credit-parked
+		// lane and every stalled software layer must look again too.
 		for id := range nw.routers {
 			nw.routers[id].Unblock()
 			nw.routers[id].Resync()
@@ -78,17 +81,25 @@ func (nw *Network) refreshRouting() {
 }
 
 // purgeFailure removes every worm occupying the component that just
-// failed. The sweep is O(nodes × lanes) — transitions are rare events, so
-// clarity wins over a reverse index.
+// failed: its flits, routes, in-flight transfers and injection streams. It
+// touches no output VC; settleOutputs derives those afterwards. The sweep
+// is O(nodes × lanes) — transitions are rare events, so clarity wins over
+// a reverse index.
 func (nw *Network) purgeFailure(tr fault.Transition) {
-	dead, deadNode := nw.deadChannels(tr)
+	deadNode := topology.NodeID(-1)
+	if !tr.IsLink {
+		deadNode = tr.Node
+	}
 
 	// Pass 1: find the affected worms — every worm with state at the
 	// failed node, holding a route into a dead channel, with flits in
 	// flight on one, or (node failures) destined to the dead node. The
 	// last class exists because routing assumes healthy destinations: a
 	// worm bound for a dead node would circle until the heal, so it is
-	// purged and lost wherever it is. No lane records who holds its route:
+	// purged and lost wherever it is. A dead channel is one the fault set
+	// calls faulty (LinkFaulty): one that failed earlier carries nothing,
+	// since its own purge emptied it and Route never allocates a faulty
+	// channel. No lane records who holds its route:
 	// owners lists every routed lane's owner (routeOwner) in (node, lane)
 	// order, derived here, while the flits it is read from are all in place.
 	aff := make(map[message.Ref]bool)
@@ -120,14 +131,14 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 					}
 				})
 			}
-			if owner != message.NilRef && !rt.ToEject(lane) && dead[topology.ChannelID{Src: node, Port: topology.Port(ivc.OutPort)}] {
+			if owner != message.NilRef && !rt.ToEject(lane) && nw.f.LinkFaulty(node, topology.Port(ivc.OutPort)) {
 				aff[owner] = true
 			}
 		}
 	}
 	markArrivals := func(q []arrivalEvent) {
 		for _, ev := range q {
-			if ch, ok := nw.arrivalChannel(ev); ok && dead[ch] {
+			if ch, ok := nw.arrivalChannel(ev); ok && nw.f.LinkFaulty(ch.Src, ch.Port) {
 				aff[ev.flit.Ref()] = true
 			} else if dstDead(ev.flit.Ref()) {
 				aff[ev.flit.Ref()] = true
@@ -147,34 +158,20 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 		}
 	}
 
-	// Pass 2: pull the affected worms' flits out of every buffer and
-	// release their lane reservations. A flit removed from a network input
-	// buffer will never pop, so the credit it consumed upstream is
-	// restored directly — unless the feeding channel is dead, whose output
-	// VCs are reset wholesale in pass 4. The walk meets the routed lanes in
-	// pass 1's order, and only a lane's own turn clears its route, so the
-	// next routed lane is always owners' next entry.
+	// Pass 2: pull the affected worms' flits out of every buffer and drop
+	// their routes. The walk meets the routed lanes in pass 1's order, and
+	// only a lane's own turn clears its route, so the next routed lane is
+	// always owners' next entry.
 	for id := range nw.routers {
 		rt := &nw.routers[id]
-		node := topology.NodeID(id)
 		for l := range rt.In {
-			lane, ivc := router.Lane(l), &rt.In[l]
+			lane := router.Lane(l)
 			removed := rt.FilterLane(lane, func(f message.Flit) bool { return aff[f.Ref()] })
-			if p, vc := rt.LanePortVC(lane); removed > 0 && p < nw.degree {
-				feed := topology.ChannelID{Src: topology.NodeID(nw.linkFor(node, topology.Port(p)).dst()), Port: topology.Port(p).Opposite()}
-				if !dead[feed] {
-					up := &nw.routers[feed.Src]
-					up.Out[up.OutIndex(feed.Port, vc)].Credits += uint8(removed)
-				}
-			}
 			cleared := false
 			if rt.HasRoute(lane) {
 				owner := owners[0]
 				owners = owners[1:]
 				if aff[owner] {
-					if !rt.ToEject(lane) {
-						rt.Release(rt.OutIndex(topology.Port(ivc.OutPort), int(ivc.OutVC)))
-					}
 					rt.ClearRoute(lane)
 					cleared = true
 				}
@@ -189,42 +186,12 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 		}
 	}
 
-	// Pass 3: drop the affected worms' in-flight link transfers, again
-	// restoring the consumed credit when the traveled channel survives.
+	// Pass 3: drop the affected worms' in-flight link transfers.
 	for _, w := range nw.doms {
-		w.arrQ = nw.filterArrivals(w.arrQ, aff, dead)
+		w.arrQ = slices.DeleteFunc(w.arrQ, func(ev arrivalEvent) bool { return aff[ev.flit.Ref()] })
 	}
 
-	// Pass 4: reset every dead channel's output VCs to the state the
-	// credit-flow invariant dictates — free space equals buffer depth
-	// minus surviving downstream occupancy minus credits still in flight
-	// back to this VC. Pending credit events are NOT dropped: as surviving
-	// occupants pop, their credits arrive and the count converges to a
-	// full buffer, which is exactly what a later heal must find.
-	// The walk runs in sorted (Src, Port) order: the per-channel resets
-	// are independent today, but sorting removes map-iteration order from
-	// the engine's state trajectory outright.
-	deadCh := make([]topology.ChannelID, 0, len(dead))
-	for ch := range dead {
-		deadCh = append(deadCh, ch)
-	}
-	sort.Slice(deadCh, func(i, j int) bool {
-		if deadCh[i].Src != deadCh[j].Src {
-			return deadCh[i].Src < deadCh[j].Src
-		}
-		return deadCh[i].Port < deadCh[j].Port
-	})
-	for _, ch := range deadCh {
-		lk := nw.linkFor(ch.Src, ch.Port)
-		rt, down := &nw.routers[ch.Src], &nw.routers[lk.dst()]
-		for vc := 0; vc < nw.p.V; vc++ {
-			o := rt.OutIndex(ch.Port, vc)
-			rt.Release(o)
-			rt.Out[o].Credits = uint8(nw.p.BufDepth - down.Len(router.Lane(nw.back(ch.Port)+vc)) - nw.pendingCredits(ch.Src, o))
-		}
-	}
-
-	// Pass 5: the software layers shed doomed messages — everything queued
+	// Pass 4: the software layers shed doomed messages — everything queued
 	// at the failed node, plus everything queued anywhere destined to it.
 	// Queued fresh messages vanish silently (they never entered the
 	// network, so they have no trace stream to terminate); absorbed
@@ -260,7 +227,7 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 		nw.nstreams[id] = uint8(len(kept))
 	}
 
-	// Pass 6: finalise the affected worms in message-ID order (the
+	// Pass 5: finalise the affected worms in message-ID order (the
 	// canonical deterministic order; map iteration is not). Salvageable
 	// worms restart from their source with a rewound header through the
 	// priority queue; worms whose source is down are lost.
@@ -346,28 +313,6 @@ func (nw *Network) holder(node topology.NodeID, port topology.Port, vc int) (rou
 	return 0, false
 }
 
-// deadChannels enumerates the unidirectional channels a failure kills:
-// both directions of a failed link, or every channel incident on a failed
-// node (deadNode then identifies the node; -1 for link failures).
-func (nw *Network) deadChannels(tr fault.Transition) (map[topology.ChannelID]bool, topology.NodeID) {
-	dead := make(map[topology.ChannelID]bool)
-	if tr.IsLink {
-		dead[tr.Link] = true
-		dead[topology.ChannelID{Src: tr.Link.Dst(nw.t), Port: tr.Link.Port.Opposite()}] = true
-		return dead, -1
-	}
-	for p := 0; p < nw.t.Degree(); p++ {
-		port := topology.Port(p)
-		if !nw.t.HasLink(tr.Node, port.Dim(), port.Dir()) {
-			continue
-		}
-		ch := topology.ChannelID{Src: tr.Node, Port: port}
-		dead[ch] = true
-		dead[topology.ChannelID{Src: ch.Dst(nw.t), Port: port.Opposite()}] = true
-	}
-	return dead, tr.Node
-}
-
 // arrivalChannel identifies the channel a staged link transfer is
 // traveling on: the event is addressed to (node, input port), so it came
 // from that port's neighbor through the paired output.
@@ -380,35 +325,49 @@ func (nw *Network) arrivalChannel(ev arrivalEvent) (topology.ChannelID, bool) {
 	return topology.ChannelID{Src: topology.NodeID(up), Port: topology.Port(port).Opposite()}, true
 }
 
-// filterArrivals removes in-flight transfers of affected worms from one
-// arrival queue, restoring the consumed upstream credit when the traveled
-// channel is not itself dead (dead channels are reset wholesale).
-func (nw *Network) filterArrivals(q []arrivalEvent, aff map[message.Ref]bool, dead map[topology.ChannelID]bool) []arrivalEvent {
-	kept := q[:0]
-	for _, ev := range q {
-		if !aff[ev.flit.Ref()] {
-			kept = append(kept, ev)
-			continue
+// settleOutputs sets every output VC of every wired channel from the lanes,
+// routes and staged events a purge left: Busy while a routed lane whose route
+// is not to ejection holds it, and credits by the credit-flow law — the
+// buffer depth less the flits buffered in the downstream lane it feeds, the
+// flits staged on it and the credits staged back to it. Unwired mesh-edge
+// ports carry nothing and are never held, so they keep their full credits.
+// The wakes a release would give are left to applyTransitions, which wakes
+// every parked lane after any transition. Between Steps only, when every
+// staged event waits in its receiver's domain queue.
+func (nw *Network) settleOutputs() {
+	for id := range nw.routers {
+		rt := &nw.routers[id]
+		for p := 0; p < nw.degree; p++ {
+			port := topology.Port(p)
+			lk := nw.linkFor(topology.NodeID(id), port)
+			if lk == noLink {
+				continue
+			}
+			down := &nw.routers[lk.dst()]
+			for vc := 0; vc < nw.p.V; vc++ {
+				o := &rt.Out[rt.OutIndex(port, vc)]
+				o.Busy = false
+				o.Credits = uint8(nw.p.BufDepth - down.Len(router.Lane(nw.back(port)+vc)))
+			}
 		}
-		if ch, ok := nw.arrivalChannel(ev); ok && !dead[ch] {
-			up := &nw.routers[ch.Src]
-			_, vc := up.LanePortVC(ev.lane)
-			up.Out[up.OutIndex(ch.Port, vc)].Credits++
-		}
-	}
-	return kept
-}
-
-// pendingCredits counts staged credit returns addressed to output VC out
-// (a router.OutIndex) of node, across every domain's queue.
-func (nw *Network) pendingCredits(node topology.NodeID, out int) int {
-	n := 0
-	for _, w := range nw.doms {
-		for _, c := range w.credQ {
-			if topology.NodeID(c.node) == node && int(c.out) == out {
-				n++
+		for l := range rt.In {
+			if lane := router.Lane(l); rt.HasRoute(lane) && !rt.ToEject(lane) {
+				rt.Out[rt.OutIndex(topology.Port(rt.In[l].OutPort), int(rt.In[l].OutVC))].Busy = true
 			}
 		}
 	}
-	return n
+	// Each staged flit or credit takes one credit off its VC. Counts only
+	// fall from here to the law's value, which is never negative.
+	for _, w := range nw.doms {
+		for _, ev := range w.arrQ {
+			if ch, ok := nw.arrivalChannel(ev); ok {
+				up := &nw.routers[ch.Src]
+				_, vc := up.LanePortVC(ev.lane)
+				up.Out[up.OutIndex(ch.Port, vc)].Credits--
+			}
+		}
+		for _, c := range w.credQ {
+			nw.routers[c.node].Out[c.out].Credits--
+		}
+	}
 }

@@ -503,9 +503,9 @@ func (r *Router) Credit(o int) {
 	r.wake(v)
 }
 
-// Resync wakes every credit-parked lane of the router: the fault-transition
-// purge rewrites credit counts directly, so every parked lane must look at
-// its output VC again.
+// Resync wakes every credit-parked lane of the router: a fault transition
+// rewrites credit counts and ownership directly, so every parked lane must
+// look at its output VC again.
 func (r *Router) Resync() {
 	for g := setStarved; g < len(r.sets); g += setStride {
 		for m := r.sets[g]; m != 0; m &= m - 1 {
