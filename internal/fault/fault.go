@@ -10,6 +10,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/rng"
@@ -34,7 +35,10 @@ type Set struct {
 	t     topology.Network
 	node  []bool // indexed by NodeID
 	nodes []topology.NodeID
-	link  map[topology.ChannelID]bool
+	// link holds the individual link-failure marks, one per channel,
+	// indexed src·Degree + port; links counts the marked channels.
+	link  []bool
+	links int
 }
 
 // NewSet returns an empty fault configuration for the given network.
@@ -42,30 +46,12 @@ func NewSet(t topology.Network) *Set {
 	return &Set{
 		t:    t,
 		node: make([]bool, t.Nodes()),
-		link: make(map[topology.ChannelID]bool),
+		link: make([]bool, t.Nodes()*t.Degree()),
 	}
 }
 
 // Net returns the topology this fault set applies to.
 func (s *Set) Net() topology.Network { return s.t }
-
-// Clone returns an independent copy of the fault configuration. Schedules
-// use clones to test candidate transitions (connectivity preservation)
-// without touching the live set.
-func (s *Set) Clone() *Set {
-	c := &Set{
-		t:     s.t,
-		node:  make([]bool, len(s.node)),
-		nodes: append([]topology.NodeID(nil), s.nodes...),
-		link:  make(map[topology.ChannelID]bool, len(s.link)),
-	}
-	copy(c.node, s.node)
-	//simlint:ignore maprange -- map-to-map set copy; the destination is itself unordered, so no order can leak
-	for ch := range s.link {
-		c.link[ch] = true
-	}
-	return c
-}
 
 // MarkNode marks one node (PE + router) failed. Marking twice is a no-op.
 func (s *Set) MarkNode(id topology.NodeID) {
@@ -93,14 +79,12 @@ func (s *Set) MarkLink(src topology.NodeID, port topology.Port) {
 	if !s.t.Valid(src) || !s.t.HasLink(src, port.Dim(), port.Dir()) {
 		panic(fmt.Sprintf("fault: no link %v on %s", topology.ChannelID{Src: src, Port: port}, s.t))
 	}
-	ch := topology.ChannelID{Src: src, Port: port}
-	s.link[ch] = true
-	dst := ch.Dst(s.t)
-	s.link[topology.ChannelID{Src: dst, Port: port.Opposite()}] = true
+	s.setLink(src, port, true)
 }
 
 // healNode clears a node failure. Apply-only: heals apply at the engine's
-// serial transition point.
+// serial transition point. Healing the node marked last restores nodes'
+// order exactly, which the mtbf schedule's in-place probes rely on.
 func (s *Set) healNode(id topology.NodeID) {
 	if !s.node[id] {
 		return
@@ -116,13 +100,29 @@ func (s *Set) healNode(id topology.NodeID) {
 
 // healLink clears an individual link failure in both directions. Apply-only.
 func (s *Set) healLink(src topology.NodeID, port topology.Port) {
-	ch := topology.ChannelID{Src: src, Port: port}
-	if !s.link[ch] {
+	s.setLink(src, port, false)
+}
+
+// setLink sets the mark of both channels of the link leaving src through
+// port, keeping the count of marked channels. Both are always set together,
+// so one channel's mark stands for the pair.
+func (s *Set) setLink(src topology.NodeID, port topology.Port, failed bool) {
+	i := s.channel(src, port)
+	if s.link[i] == failed {
 		return
 	}
-	delete(s.link, ch)
-	dst := ch.Dst(s.t)
-	delete(s.link, topology.ChannelID{Src: dst, Port: port.Opposite()})
+	dst := s.t.Neighbor(src, port.Dim(), port.Dir())
+	s.link[i], s.link[s.channel(dst, port.Opposite())] = failed, failed
+	if failed {
+		s.links += 2
+	} else {
+		s.links -= 2
+	}
+}
+
+// channel is the index of the channel leaving src through port in link.
+func (s *Set) channel(src topology.NodeID, port topology.Port) int {
+	return int(src)*s.t.Degree() + int(port)
 }
 
 // NodeFaulty reports whether node id has failed.
@@ -131,23 +131,16 @@ func (s *Set) NodeFaulty(id topology.NodeID) bool { return s.node[id] }
 // LinkMarked reports whether the channel itself carries an individual link
 // failure mark (endpoint node failures and missing mesh-edge wires do not
 // count; LinkFaulty folds those in).
-func (s *Set) LinkMarked(ch topology.ChannelID) bool { return s.link[ch] }
+func (s *Set) LinkMarked(ch topology.ChannelID) bool { return s.link[s.channel(ch.Src, ch.Port)] }
 
 // LinkFaulty reports whether the unidirectional channel leaving src through
 // port is unusable: the link does not exist (mesh edge), the link itself
 // failed, or an endpoint node failed.
 func (s *Set) LinkFaulty(src topology.NodeID, port topology.Port) bool {
-	if s.node[src] {
+	if s.node[src] || s.link[s.channel(src, port)] || !s.t.HasLink(src, port.Dim(), port.Dir()) {
 		return true
 	}
-	if !s.t.HasLink(src, port.Dim(), port.Dir()) {
-		return true
-	}
-	ch := topology.ChannelID{Src: src, Port: port}
-	if s.link[ch] {
-		return true
-	}
-	return s.node[ch.Dst(s.t)]
+	return s.node[s.t.Neighbor(src, port.Dim(), port.Dir())]
 }
 
 // NumNodeFaults returns the count of failed nodes.
@@ -175,100 +168,79 @@ func (s *Set) HealthyNodes() []topology.NodeID {
 // Disconnects reports whether the healthy sub-network is disconnected: some
 // pair of healthy nodes has no fault-free path. An empty set answers at once:
 // every registered topology is connected (TestEmptySetConnectsEveryTopology
-// runs the search on each); otherwise it runs a BFS from the first healthy
-// node over non-faulty links.
+// runs the search on each); otherwise it walks from the first healthy node
+// and counts the nodes it reaches.
 func (s *Set) Disconnects() bool {
-	if len(s.nodes) == 0 && len(s.link) == 0 {
+	if len(s.nodes) == 0 && s.links == 0 {
 		return false
 	}
 	return s.search()
 }
 
-// search is Disconnects' BFS.
+// search is Disconnects' walk over the whole healthy network.
 func (s *Set) search() bool {
-	start := topology.NodeID(-1)
-	healthy := 0
-	for id := 0; id < s.t.Nodes(); id++ {
-		if !s.node[id] {
-			healthy++
-			if start < 0 {
-				start = topology.NodeID(id)
-			}
-		}
-	}
+	healthy := s.t.Nodes() - len(s.nodes)
 	if healthy == 0 {
 		return true
 	}
-	seen := make([]bool, s.t.Nodes())
+	start := topology.NodeID(slices.Index(s.node, false))
+	_, reached := s.walk(start, -1, nil)
+	return reached != healthy
+}
+
+// ShortestPath returns a shortest path from cur to goal over channels that
+// are not faulty, entering only nodes admit accepts, as the node sequence
+// from cur to goal inclusive; nil when goal has failed or is unreachable.
+// Of several shortest paths it returns the one the walk discovers first.
+func (s *Set) ShortestPath(cur, goal topology.NodeID, admit func(topology.NodeID) bool) []topology.NodeID {
+	if s.node[goal] {
+		return nil
+	}
+	if goal == cur {
+		return []topology.NodeID{cur}
+	}
+	from, _ := s.walk(cur, goal, admit)
+	if from[goal] == 0 {
+		return nil
+	}
+	path := []topology.NodeID{goal}
+	for at := goal; at != cur; {
+		at = from[at] - 1
+		path = append(path, at)
+	}
+	slices.Reverse(path)
+	return path
+}
+
+// walk is the one breadth-first search over the healthy network: from
+// start, across every channel that is not faulty, neighbours taken in port
+// order, into nodes admit accepts (nil accepts every node). It stops on
+// discovering goal (-1: never) and returns from — from[v] is one more than
+// the node v was first reached from, from[start] is start+1, 0 means
+// unreached — and the number of nodes reached, start included.
+func (s *Set) walk(start, goal topology.NodeID, admit func(topology.NodeID) bool) ([]topology.NodeID, int) {
+	from := make([]topology.NodeID, s.t.Nodes())
+	from[start] = start + 1
 	queue := []topology.NodeID{start}
-	seen[start] = true
-	reached := 1
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
 		for p := 0; p < s.t.Degree(); p++ {
 			port := topology.Port(p)
 			if s.LinkFaulty(cur, port) {
 				continue
 			}
 			nb := s.t.Neighbor(cur, port.Dim(), port.Dir())
-			if !seen[nb] {
-				seen[nb] = true
-				reached++
-				queue = append(queue, nb)
+			if from[nb] != 0 || (admit != nil && !admit(nb)) {
+				continue
+			}
+			from[nb] = cur + 1
+			queue = append(queue, nb)
+			if nb == goal {
+				return from, len(queue)
 			}
 		}
 	}
-	return reached != healthy
-}
-
-// PathFaultFree reports whether every node and hop of path is healthy.
-// The first node is exempt from the node check when exemptFirst is set (a
-// message can depart from the node it currently occupies).
-func (s *Set) PathFaultFree(path []topology.NodeID, exemptFirst bool) bool {
-	for i, id := range path {
-		if i == 0 && exemptFirst {
-			continue
-		}
-		if s.node[id] {
-			return false
-		}
-	}
-	for i := 1; i < len(path); i++ {
-		dim, dir, ok := hopDir(s.t, path[i-1], path[i])
-		if !ok {
-			return false
-		}
-		if i == 1 && exemptFirst {
-			// The exemption covers the first node entirely, including its
-			// role as the source endpoint of the first hop; only a
-			// link-specific fault or the far endpoint can fail this hop.
-			ch := topology.ChannelID{Src: path[0], Port: topology.PortFor(dim, dir)}
-			if s.link[ch] || s.node[path[1]] {
-				return false
-			}
-			continue
-		}
-		if s.LinkFaulty(path[i-1], topology.PortFor(dim, dir)) {
-			return false
-		}
-	}
-	return true
-}
-
-// hopDir identifies the (dimension, direction) of a single hop a -> b.
-// Missing links (mesh edges) never match: Neighbor returns -1 there, and b
-// is a valid node id.
-func hopDir(t topology.Network, a, b topology.NodeID) (int, topology.Dir, bool) {
-	for d := 0; d < t.N(); d++ {
-		if t.Neighbor(a, d, topology.Plus) == b {
-			return d, topology.Plus, true
-		}
-		if t.Neighbor(a, d, topology.Minus) == b {
-			return d, topology.Minus, true
-		}
-	}
-	return 0, 0, false
+	return from, len(queue)
 }
 
 // Random places nf random node faults ("Random faulty nodes are determined

@@ -169,32 +169,6 @@ func TestHealthyNodesComplement(t *testing.T) {
 	}
 }
 
-func TestPathFaultFree(t *testing.T) {
-	tor := topology.New(8, 2)
-	s := NewSet(tor)
-	mid := tor.FromCoords([]int{2, 0})
-	s.MarkNode(mid)
-	src := tor.FromCoords([]int{0, 0})
-	dst := tor.FromCoords([]int{4, 0})
-	path := tor.EcubePath(src, dst)
-	if s.PathFaultFree(path, true) {
-		t.Fatal("path through faulty node reported clean")
-	}
-	clean := tor.EcubePath(src, tor.FromCoords([]int{0, 4}))
-	if !s.PathFaultFree(clean, true) {
-		t.Fatal("clean path reported faulty")
-	}
-	// exemptFirst: a message may start at a node adjacent to faults; starting
-	// AT a faulty node is tolerated only when exempted.
-	p2 := []topology.NodeID{mid, tor.FromCoords([]int{3, 0})}
-	if s.PathFaultFree(p2, false) {
-		t.Fatal("path starting at faulty node with no exemption reported clean")
-	}
-	if !s.PathFaultFree(p2, true) {
-		t.Fatal("exemptFirst not honoured")
-	}
-}
-
 func TestPropertyRandomNeverDisconnects(t *testing.T) {
 	tor := topology.New(8, 2)
 	if err := quick.Check(func(seed uint64, nfRaw uint8) bool {
@@ -207,4 +181,108 @@ func TestPropertyRandomNeverDisconnects(t *testing.T) {
 	}, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// distances is a reference breadth-first search, independent of walk: the
+// hop count from start to every node over channels that are not faulty,
+// through nodes admit accepts (nil: all), -1 where unreachable.
+func distances(s *Set, start topology.NodeID, admit func(topology.NodeID) bool) []int {
+	t := s.Net()
+	dist := make([]int, t.Nodes())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[start] = 0
+	for frontier := []topology.NodeID{start}; len(frontier) > 0; {
+		var next []topology.NodeID
+		for _, cur := range frontier {
+			for p := 0; p < t.Degree(); p++ {
+				port := topology.Port(p)
+				if s.LinkFaulty(cur, port) {
+					continue
+				}
+				nb := t.Neighbor(cur, port.Dim(), port.Dir())
+				if dist[nb] < 0 && (admit == nil || admit(nb)) {
+					dist[nb] = dist[cur] + 1
+					next = append(next, nb)
+				}
+			}
+		}
+		frontier = next
+	}
+	return dist
+}
+
+// TestShortestPathProperty: on random node and link faults over tori, a
+// mesh, a hypercube and a plane restriction, ShortestPath returns a path of
+// the reference search's length whose every hop crosses a usable channel,
+// and nil exactly where that search finds the goal unreachable; Disconnects
+// agrees with the same reachability.
+func TestShortestPathProperty(t *testing.T) {
+	r := rng.New(11)
+	for _, spec := range []string{"torus:k=5,n=2", "torus:k=4,n=3", "mesh:k=5,n=2", "hypercube:n=4", "torus:k=8,n=1"} {
+		net, err := topology.NewNetwork(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans := topology.ChannelsOf(net)
+		for trial := 0; trial < 40; trial++ {
+			s := NewSet(net)
+			for i := r.Intn(net.Nodes() / 3); i > 0; i-- {
+				s.MarkNode(topology.NodeID(r.Intn(net.Nodes())))
+			}
+			for i := r.Intn(len(chans) / 6); i > 0; i-- {
+				ch := chans[r.Intn(len(chans))]
+				s.MarkLink(ch.Src, ch.Port)
+			}
+			healthy := s.HealthyNodes()
+			if len(healthy) == 0 {
+				continue
+			}
+			var admit func(topology.NodeID) bool
+			if net.N() >= 2 && trial%2 == 1 {
+				admit = topology.PlaneOf(net, healthy[0], 0, 1).Contains
+			}
+			cut := false
+			for _, cur := range healthy[:min(len(healthy), 4)] {
+				dist := distances(s, cur, admit)
+				for goal := range dist {
+					g := topology.NodeID(goal)
+					path := s.ShortestPath(cur, g, admit)
+					if admit == nil && cur == healthy[0] && !s.NodeFaulty(g) && dist[goal] < 0 {
+						cut = true
+					}
+					if s.NodeFaulty(g) || dist[goal] < 0 {
+						if path != nil {
+							t.Fatalf("%s trial %d: path %v to unreachable %d", spec, trial, path, g)
+						}
+						continue
+					}
+					if len(path) != dist[goal]+1 || path[0] != cur || path[len(path)-1] != g {
+						t.Fatalf("%s trial %d: path %v from %d to %d, want %d hops", spec, trial, path, cur, g, dist[goal])
+					}
+					for i := 1; i < len(path); i++ {
+						if !usableHop(s, path[i-1], path[i]) || (admit != nil && !admit(path[i])) {
+							t.Fatalf("%s trial %d: hop %d -> %d of %v is not usable", spec, trial, path[i-1], path[i], path)
+						}
+					}
+				}
+			}
+			if admit == nil && s.Disconnects() != cut {
+				t.Fatalf("%s trial %d: Disconnects = %v, the reference search says %v", spec, trial, !cut, cut)
+			}
+		}
+	}
+}
+
+// usableHop reports whether some channel that is not faulty leads a -> b.
+func usableHop(s *Set, a, b topology.NodeID) bool {
+	t := s.Net()
+	for p := 0; p < t.Degree(); p++ {
+		port := topology.Port(p)
+		if !s.LinkFaulty(a, port) && t.Neighbor(a, port.Dim(), port.Dir()) == b {
+			return true
+		}
+	}
+	return false
 }

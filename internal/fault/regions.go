@@ -20,7 +20,7 @@ type Region struct {
 // regions (adjacency along any dimension). Regions are returned sorted by
 // their smallest member for determinism.
 func (s *Set) Regions() []*Region {
-	visited := make(map[topology.NodeID]bool, len(s.nodes))
+	visited := make([]bool, s.t.Nodes())
 	var regions []*Region
 	ordered := s.FaultyNodes()
 	for _, seed := range ordered {

@@ -31,8 +31,10 @@ import (
 // returns every transition due at or before cycle now, in application
 // order; cur is the live fault state (already reflecting previously
 // returned transitions), which generative schedules consult for victim
-// selection. Advance must be called with non-decreasing now; the engine
-// calls it once per cycle from exactly one goroutine.
+// selection — they may probe it in place, leaving it as they found it, so
+// no other goroutine may read it during the call. Advance must be called
+// with non-decreasing now; the engine calls it once per cycle from exactly
+// one goroutine, at its serial transition point.
 type Schedule interface {
 	Advance(now int64, cur *Set) []Transition
 	Name() string
@@ -245,7 +247,11 @@ func (s *mtbfSchedule) Advance(now int64, cur *Set) []Transition {
 
 // pickVictim draws a healthy element whose failure keeps the healthy
 // sub-network connected. Bounded rejection sampling: a pathological state
-// (almost everything down) skips the failure rather than looping.
+// (almost everything down) skips the failure rather than looping. Each
+// candidate is probed on the live set itself — marked, searched, healed —
+// which Advance's place at the serial transition point allows: the
+// candidate was unmarked, so the heal restores the set exactly, the order
+// of its failed-node list included.
 func (s *mtbfSchedule) pickVictim(at int64, cur *Set) (Transition, bool) {
 	for attempt := 0; attempt < 64; attempt++ {
 		link := s.elems == elemsLinks || (s.elems == elemsMixed && s.r.Bool())
@@ -259,9 +265,10 @@ func (s *mtbfSchedule) pickVictim(at int64, cur *Set) (Transition, bool) {
 			if cur.LinkMarked(ch) || cur.NodeFaulty(ch.Dst(s.t)) {
 				continue
 			}
-			probe := cur.Clone()
-			probe.MarkLink(src, port)
-			if probe.Disconnects() {
+			cur.MarkLink(src, port)
+			cut := cur.Disconnects()
+			cur.healLink(src, port)
+			if cut {
 				continue
 			}
 			return Transition{Cycle: at, Fail: true, IsLink: true, Link: ch}, true
@@ -270,9 +277,10 @@ func (s *mtbfSchedule) pickVictim(at int64, cur *Set) (Transition, bool) {
 		if cur.NodeFaulty(id) {
 			continue
 		}
-		probe := cur.Clone()
-		probe.MarkNode(id)
-		if probe.Disconnects() {
+		cur.MarkNode(id)
+		cut := cur.Disconnects()
+		cur.healNode(id)
+		if cut {
 			continue
 		}
 		return Transition{Cycle: at, Fail: true, Node: id}, true

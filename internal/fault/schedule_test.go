@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -277,5 +278,56 @@ func TestMTBFScheduleDeterministic(t *testing.T) {
 	}
 	if fails == 0 || heals == 0 {
 		t.Fatalf("expected both failures and repairs, got %d fails / %d heals", fails, heals)
+	}
+}
+
+// TestMTBFProbesLeaveSetIntact: the mtbf schedule probes each candidate
+// victim on the live set itself. On networks one failure away from a cut —
+// a ring with a failed node, and a mesh walled off but for one gap — most
+// candidates are rejected, and after every Advance the live set must equal
+// one rebuilt from the emitted transitions alone, down to the order of its
+// failed-node list and its count of marked channels.
+func TestMTBFProbesLeaveSetIntact(t *testing.T) {
+	for _, tc := range []struct {
+		spec  string
+		nodes [][]int
+	}{
+		{"torus:k=16,n=1", [][]int{{0}}},
+		{"mesh:k=4,n=2", [][]int{{2, 0}, {2, 1}, {2, 3}}},
+	} {
+		net, err := topology.NewNetwork(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live, rebuilt := NewSet(net), NewSet(net)
+		for _, c := range tc.nodes {
+			live.MarkNode(net.FromCoords(c))
+			rebuilt.MarkNode(net.FromCoords(c))
+		}
+		sched, err := NewSchedule("mtbf:mtbf=20,mttr=300,elems=mixed", ScheduleEnv{
+			T: net, Base: live, R: rng.New(3).Split(rng.ScheduleLabel()),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fails := 0
+		for now := int64(0); now < 20000; now++ {
+			trs := sched.Advance(now, live)
+			if !Equal(live, rebuilt) || !slices.Equal(live.nodes, rebuilt.nodes) || live.links != rebuilt.links ||
+				!slices.Equal(live.FaultyNodes(), rebuilt.FaultyNodes()) || live.NumNodeFaults() != rebuilt.NumNodeFaults() {
+				t.Fatalf("%s cycle %d: Advance left the live set changed", tc.spec, now)
+			}
+			for _, tr := range trs {
+				if live.Apply(tr) != rebuilt.Apply(tr) {
+					t.Fatalf("%s cycle %d: %v applied differently", tc.spec, now, tr)
+				}
+				if tr.Fail {
+					fails++
+				}
+			}
+		}
+		if fails == 0 {
+			t.Fatalf("%s: no failure accepted in 20 000 cycles at mtbf=20", tc.spec)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -47,13 +48,13 @@ func (s *Set) Apply(tr Transition) bool {
 			return false
 		}
 		if tr.Fail {
-			if s.link[ch] {
+			if s.LinkMarked(ch) {
 				return false
 			}
 			s.MarkLink(ch.Src, ch.Port)
 			return true
 		}
-		if !s.link[ch] {
+		if !s.LinkMarked(ch) {
 			return false
 		}
 		s.healLink(ch.Src, ch.Port)
@@ -79,22 +80,5 @@ func (s *Set) Apply(tr Transition) bool {
 // Equal reports whether two fault sets over the same topology agree on
 // every node and channel fault. Used by the net-effect property tests.
 func Equal(a, b *Set) bool {
-	if a.t.Nodes() != b.t.Nodes() || a.t.Degree() != b.t.Degree() {
-		return false
-	}
-	for id := 0; id < a.t.Nodes(); id++ {
-		if a.node[id] != b.node[id] {
-			return false
-		}
-	}
-	if len(a.link) != len(b.link) {
-		return false
-	}
-	//simlint:ignore maprange -- commutative conjunction over an unordered set; any order yields the same bool
-	for ch := range a.link {
-		if !b.link[ch] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.node, b.node) && slices.Equal(a.link, b.link)
 }

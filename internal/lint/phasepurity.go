@@ -49,7 +49,7 @@ var commitOnly = map[string]string{
 	"(*" + modulePath + "/internal/network.Network).applyFx":       "stage the effect with worker.emit; applyFx is replayed only at commit",
 	"(*" + modulePath + "/internal/network.Network).trace":         "stage the event with worker.emitTrace; direct emission bypasses the serial replay order",
 	"(*" + modulePath + "/internal/network.Network).commitEffects": "the barrier itself; only the step driver may run it",
-	"(*" + modulePath + "/internal/network.Network).Enqueue":       "external injection API; compute code must inject via the staged arrival path",
+	"(*" + modulePath + "/internal/network.Network).Enqueue":       "external injection API; compute code injects through the software layer (worker.injectNode)",
 	"(*" + modulePath + "/internal/message.Pool).Free":             "slot recycling must happen in serial commit order (fxDeliver/fxDropEject/fxDropInject effects)",
 	"(*" + modulePath + "/internal/router.Router).Credit":          "stage the credit with worker.returnCredit; applied in phase A it is visible to a router visited later in the same cycle",
 	"(*" + modulePath + "/internal/router.Router).Resync":          "waking every credit-parked lane belongs to the serial transition point (applyTransitions)",

@@ -148,10 +148,9 @@ func checkCredits(t *testing.T, nw *Network, staged []int) []int {
 			staged[int(c.node)*nw.degree*v+int(c.out)]++
 		}
 		for _, a := range w.arrQ {
-			if ch, ok := nw.arrivalChannel(a); ok {
-				_, vc := nw.routers[a.node].LanePortVC(a.lane)
-				staged[(int(ch.Src)*nw.degree+int(ch.Port))*v+vc]++
-			}
+			ch := nw.arrivalChannel(a)
+			_, vc := nw.routers[a.node].LanePortVC(a.lane)
+			staged[(int(ch.Src)*nw.degree+int(ch.Port))*v+vc]++
 		}
 	}
 	for i, lk := range nw.links {

@@ -882,10 +882,11 @@ func (w *worker) injectNode(node topology.NodeID) {
 			if rt.Space(lane) == 0 {
 				continue
 			}
-			// Injection is a local wire: always one cycle.
+			// Injection is a local wire: the flit lands in the node's own
+			// injection lane now, which nothing reads before its next visit.
 			msgLen := nw.pool.At(s.ref).Len
-			w.outArr[w.id] = append(w.outArr[w.id], arrivalEvent{
-				dueAt: nw.now, node: int32(node), lane: lane,
+			w.applyArrival(arrivalEvent{
+				node: int32(node), lane: lane,
 				flit: message.MakeFlit(s.ref, int(s.seq), msgLen),
 			})
 			s.seq++
@@ -1031,8 +1032,9 @@ func queueArrival(q []arrivalEvent, ev arrivalEvent) []arrivalEvent {
 	return q
 }
 
-// applyArrival commits one staged flit into its destination buffer and
-// activates the receiving router. A worker only ever applies arrivals
+// applyArrival commits one flit into its destination buffer and activates
+// the receiving router: a staged link transfer in phase B, or an injected
+// flit during its own node's visit. A worker only ever applies arrivals
 // addressed to its own domain, so the mark goes into its own active set.
 func (w *worker) applyArrival(a arrivalEvent) {
 	nw := w.nw

@@ -9,10 +9,12 @@ package network
 //	                    ascending: route/allocate → switch → inject →
 //	                    retire while its state is loaded, with every
 //	                    cross-router or shared-state effect staged, never
-//	                    applied: flit transfers (injection included) and
-//	                    credit returns go into per-(sender→receiver)
-//	                    mailboxes, trace/metrics/pool/counter effects
-//	                    into per-phase effect logs;
+//	                    applied: flit transfers over links and credit
+//	                    returns go into per-(sender→receiver) mailboxes,
+//	                    trace/metrics/pool/counter effects into per-phase
+//	                    effect logs; an injected flit is the one local
+//	                    effect, pushed straight into the router's own
+//	                    injection lane, which no other visit reads;
 //	commit  (serial)    the effect logs replay phase-major, domain-
 //	                    ascending — every routing effect in node order,
 //	                    then every switch effect, then every injection —
@@ -124,11 +126,11 @@ type worker struct {
 	// fx holds the per-phase effect logs phase A appends to (see emit).
 	fx [numPhases][]fxRec
 
-	// outArr[d] / outCred[d] are the mailboxes of staged flit transfers /
-	// credit returns addressed to domain d; injection-channel transfers go
-	// into the worker's own box outArr[id]. Only this worker appends
-	// (phase A); only worker d drains (phase B) — no two goroutines ever
-	// touch the same box in the same phase.
+	// outArr[d] / outCred[d] are the mailboxes of staged link transfers /
+	// credit returns addressed to domain d (injection stages nothing: its
+	// flit is applied in place). Only this worker appends (phase A); only
+	// worker d drains (phase B) — no two goroutines ever touch the same box
+	// in the same phase.
 	outArr  [][]arrivalEvent
 	outCred [][]creditEvent
 
@@ -344,9 +346,8 @@ func (nw *Network) commitEffects() {
 // now, and the queue rule puts one due now after every older event due
 // now. So between Steps the boxes are empty and the queues hold only
 // events not yet due — nothing at all under unit latency and credit delay.
-// Injection transfers sit in the worker's own box among its link
-// transfers, always due now; they commute with the rest, since an
-// injection lane receives nothing else.
+// Injection never reaches the boxes: a visit pushes its flit into its own
+// injection lane, which receives nothing else.
 //
 //simlint:phase commit
 func (w *worker) phaseB() {

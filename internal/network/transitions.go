@@ -136,17 +136,12 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 			}
 		}
 	}
-	markArrivals := func(q []arrivalEvent) {
-		for _, ev := range q {
-			if ch, ok := nw.arrivalChannel(ev); ok && nw.f.LinkFaulty(ch.Src, ch.Port) {
-				aff[ev.flit.Ref()] = true
-			} else if dstDead(ev.flit.Ref()) {
+	for _, w := range nw.doms {
+		for _, ev := range w.arrQ {
+			if ch := nw.arrivalChannel(ev); nw.f.LinkFaulty(ch.Src, ch.Port) || dstDead(ev.flit.Ref()) {
 				aff[ev.flit.Ref()] = true
 			}
 		}
-	}
-	for _, w := range nw.doms {
-		markArrivals(w.arrQ)
 	}
 	if deadNode >= 0 {
 		for id := range nw.nstreams {
@@ -315,14 +310,12 @@ func (nw *Network) holder(node topology.NodeID, port topology.Port, vc int) (rou
 
 // arrivalChannel identifies the channel a staged link transfer is
 // traveling on: the event is addressed to (node, input port), so it came
-// from that port's neighbor through the paired output.
-func (nw *Network) arrivalChannel(ev arrivalEvent) (topology.ChannelID, bool) {
+// from that port's neighbor through the paired output. Every staged
+// transfer is a link transfer: injection applies its flit in place.
+func (nw *Network) arrivalChannel(ev arrivalEvent) topology.ChannelID {
 	port, _ := nw.routers[ev.node].LanePortVC(ev.lane)
-	if port >= nw.degree {
-		return topology.ChannelID{}, false // injection transfer: no link
-	}
 	up := nw.linkFor(topology.NodeID(ev.node), topology.Port(port)).dst()
-	return topology.ChannelID{Src: topology.NodeID(up), Port: topology.Port(port).Opposite()}, true
+	return topology.ChannelID{Src: topology.NodeID(up), Port: topology.Port(port).Opposite()}
 }
 
 // settleOutputs sets every output VC of every wired channel from the lanes,
@@ -360,11 +353,10 @@ func (nw *Network) settleOutputs() {
 	// fall from here to the law's value, which is never negative.
 	for _, w := range nw.doms {
 		for _, ev := range w.arrQ {
-			if ch, ok := nw.arrivalChannel(ev); ok {
-				up := &nw.routers[ch.Src]
-				_, vc := up.LanePortVC(ev.lane)
-				up.Out[up.OutIndex(ch.Port, vc)].Credits--
-			}
+			ch := nw.arrivalChannel(ev)
+			up := &nw.routers[ch.Src]
+			_, vc := up.LanePortVC(ev.lane)
+			up.Out[up.OutIndex(ch.Port, vc)].Credits--
 		}
 		for _, c := range w.credQ {
 			nw.routers[c.node].Out[c.out].Credits--

@@ -194,8 +194,7 @@ func (p *Planner) orthoDetour(cur topology.NodeID, m *message.Message, d int, s 
 		// they will be at re-injection.
 		m.DirOverride[d] = s
 		m.Reversed[d] = true
-		path := p.segmentPath(cur, via, &m.DirOverride)
-		if path == nil || !p.f.PathFaultFree(path, true) {
+		if !p.segmentClear(cur, via, &m.DirOverride) {
 			m.DirOverride[d] = savedDir
 			m.Reversed[d] = savedRev
 			continue
@@ -206,28 +205,20 @@ func (p *Planner) orthoDetour(cur topology.NodeID, m *message.Message, d int, s 
 	return false
 }
 
-// segmentPath simulates the deterministic router from 'from' to 'to' under
-// the given direction overrides and returns the node sequence, or nil if the
+// segmentClear walks the deterministic router from 'from' to 'to' under the
+// given direction overrides and reports whether every channel it takes is
+// usable: the question Route will ask at each hop. It reports false when the
 // walk fails to converge (defensive; cannot happen with consistent state).
-func (p *Planner) segmentPath(from, to topology.NodeID, override *[message.MaxDims]topology.Dir) []topology.NodeID {
-	path := []topology.NodeID{from}
+func (p *Planner) segmentClear(from, to topology.NodeID, override *[message.MaxDims]topology.Dir) bool {
 	cur := from
-	limit := p.t.N()*p.t.K() + 1
-	for cur != to {
+	for hops := 0; cur != to; hops++ {
 		dim, dir, ok := detNextMove(p.t, cur, to, override)
-		if !ok {
-			return nil
-		}
-		if !p.t.HasLink(cur, dim, dir) {
-			return nil // override walked off a mesh edge: no such path
+		if !ok || hops == p.t.N()*p.t.K() || p.f.LinkFaulty(cur, topology.PortFor(dim, dir)) {
+			return false
 		}
 		cur = p.t.Neighbor(cur, dim, dir)
-		path = append(path, cur)
-		if len(path) > limit {
-			return nil
-		}
 	}
-	return path
+	return true
 }
 
 // planePath implements the in-plane half of table T3: an exact shortest
@@ -246,7 +237,7 @@ func (p *Planner) planePath(cur topology.NodeID, m *message.Message, d, o int) b
 		return false
 	}
 	pl := topology.PlaneOf(p.t, cur, d, o)
-	path := p.bfs(cur, proj, func(id topology.NodeID) bool { return pl.Contains(id) })
+	path := p.f.ShortestPath(cur, proj, pl.Contains)
 	if path == nil {
 		return false
 	}
@@ -258,62 +249,12 @@ func (p *Planner) planePath(cur topology.NodeID, m *message.Message, d, o int) b
 // state and install an exact fault-free route to the final destination.
 func (p *Planner) planExact(cur topology.NodeID, m *message.Message) bool {
 	m.Via = m.Via[:0]
-	path := p.bfs(cur, m.Dst, func(topology.NodeID) bool { return true })
+	path := p.f.ShortestPath(cur, m.Dst, nil)
 	if path == nil {
 		return false
 	}
 	p.installChain(m, path)
 	return true
-}
-
-// bfs finds a shortest healthy path cur -> goal over non-faulty links,
-// restricted to nodes satisfying admit. Returns nil when unreachable.
-func (p *Planner) bfs(cur, goal topology.NodeID, admit func(topology.NodeID) bool) []topology.NodeID {
-	if p.f.NodeFaulty(goal) {
-		return nil
-	}
-	if goal == cur {
-		return []topology.NodeID{cur}
-	}
-	prev := make(map[topology.NodeID]topology.NodeID)
-	prev[cur] = cur
-	queue := []topology.NodeID{cur}
-	found := false
-	for len(queue) > 0 && !found {
-		head := queue[0]
-		queue = queue[1:]
-		for pt := 0; pt < p.t.Degree() && !found; pt++ {
-			port := topology.Port(pt)
-			if p.f.LinkFaulty(head, port) {
-				continue
-			}
-			nb := p.t.Neighbor(head, port.Dim(), port.Dir())
-			if !admit(nb) || p.f.NodeFaulty(nb) {
-				continue
-			}
-			if _, seen := prev[nb]; !seen {
-				prev[nb] = head
-				queue = append(queue, nb)
-				found = nb == goal
-			}
-		}
-	}
-	if !found {
-		return nil
-	}
-	// Reconstruct.
-	var rev []topology.NodeID
-	for at := goal; ; at = prev[at] {
-		rev = append(rev, at)
-		if at == cur {
-			break
-		}
-	}
-	path := make([]topology.NodeID, len(rev))
-	for i := range rev {
-		path[i] = rev[len(rev)-1-i]
-	}
-	return path
 }
 
 // installChain converts an explicit node path into a stack of intermediate

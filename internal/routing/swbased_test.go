@@ -187,3 +187,66 @@ func TestOddRadixDelivery(t *testing.T) {
 		}
 	}
 }
+
+// On a 2-ary dimension both ports lead to the same neighbour, over two
+// distinct channels. T2's segment check must ask about the channel the
+// walk actually takes — the one Route will ask about — not its twin.
+func TestSegmentClearTwinChannels(t *testing.T) {
+	tor := topology.New(2, 2)
+	fs := fault.NewSet(tor)
+	fs.MarkLink(0, topology.PortFor(0, topology.Minus)) // only (0, d0−) and its pair (1, d0+)
+	p := mustDet(t, tor, fs, 4).planner
+	for _, tc := range []struct {
+		name string
+		dir  topology.Dir
+		want bool
+	}{
+		{"through d0-", topology.Minus, false},
+		{"through d0+", topology.Plus, true},
+	} {
+		var override [message.MaxDims]topology.Dir
+		override[0] = tc.dir
+		if got := p.segmentClear(0, 1, &override); got != tc.want {
+			t.Errorf("segment 0 -> 1 %s: clear = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+
+	// The same twin through Plan: a message at node 0 whose dimension-0
+	// direction was reversed to Minus is blocked in dimension 1 with that
+	// dimension already reversed, so T2 proposes the via (1,0), reached
+	// through (0, d0−). The detour Plan installs must not absorb at once.
+	m := message.New(1, 0, 3, 8, 2, message.Deterministic, 0)
+	m.Reversed[0], m.DirOverride[0] = true, topology.Minus
+	m.Reversed[1] = true
+	a := mustDet(t, tor, fs, 4)
+	if !a.Plan(0, m, 1, topology.Plus) {
+		t.Fatal("plan failed")
+	}
+	if dec := a.Route(0, m); dec.Outcome == AbsorbFault {
+		t.Fatalf("the planned route blocks at once on (%d, %v) toward %d", dec.BlockedDim, dec.BlockedDir, m.Target())
+	}
+	if _, stops, ok := walk(t, a, m, 100); !ok || stops > 2 {
+		t.Fatalf("delivery failed or needed extra stops (ok=%v stops=%d)", ok, stops)
+	}
+}
+
+// TestSegmentClear carries over the node cases of the deleted
+// PathFaultFree test: a segment through a failed node is rejected, a clean
+// one accepted, and a walk cannot start from a failed node.
+func TestSegmentClear(t *testing.T) {
+	tor := topology.New(8, 2)
+	fs := fault.NewSet(tor)
+	mid := tor.FromCoords([]int{2, 0})
+	fs.MarkNode(mid)
+	p := mustDet(t, tor, fs, 4).planner
+	src := tor.FromCoords([]int{0, 0})
+	if p.segmentClear(src, tor.FromCoords([]int{4, 0}), nil) {
+		t.Error("segment through a failed node reported clear")
+	}
+	if !p.segmentClear(src, tor.FromCoords([]int{0, 4}), nil) {
+		t.Error("clean segment reported blocked")
+	}
+	if p.segmentClear(mid, tor.FromCoords([]int{3, 0}), nil) {
+		t.Error("segment leaving a failed node reported clear")
+	}
+}
