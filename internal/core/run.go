@@ -159,7 +159,7 @@ func NewEngine(c Config) (*Engine, error) {
 	engineStream := r.Split(2)
 	if c.FaultSchedule != "" {
 		sched, err := fault.NewSchedule(c.FaultSchedule, fault.ScheduleEnv{
-			T: t, Base: fs, R: r.Split(rng.ScheduleLabel()),
+			T: t, R: r.Split(rng.ScheduleLabel()),
 		})
 		if err != nil {
 			return nil, err

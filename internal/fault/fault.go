@@ -11,7 +11,6 @@ package fault
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/rng"
 	"repro/internal/topology"
@@ -27,14 +26,15 @@ import (
 //
 // Sets are built once before a simulation starts and, in the paper's static
 // fault model (MTTR >> simulation horizon), never change afterwards, so all
-// query methods are safe for concurrent readers. Dynamic-fault runs mutate
-// a Set through Apply (see transition.go), which the engine calls only at
-// the serial transition point of a cycle — between cycles every reader still
-// sees a frozen Set.
+// query methods are safe for concurrent readers. In a dynamic-fault run the
+// one writer is the run's Schedule: its Advance applies each transition it
+// emits (see transition.go), and the engine calls it only at the serial
+// transition point of a cycle — between cycles every reader still sees a
+// frozen Set.
 type Set struct {
 	t     topology.Network
 	node  []bool // indexed by NodeID
-	nodes []topology.NodeID
+	nodes int    // the count of failed nodes
 	// link holds the individual link-failure marks, one per channel,
 	// indexed src·Degree + port; links counts the marked channels.
 	link  []bool
@@ -58,10 +58,7 @@ func (s *Set) MarkNode(id topology.NodeID) {
 	if !s.t.Valid(id) {
 		panic(fmt.Sprintf("fault: invalid node %d", id))
 	}
-	if !s.node[id] {
-		s.node[id] = true
-		s.nodes = append(s.nodes, id)
-	}
+	s.setNode(id, true)
 }
 
 // MarkNodes marks a batch of nodes failed.
@@ -82,25 +79,17 @@ func (s *Set) MarkLink(src topology.NodeID, port topology.Port) {
 	s.setLink(src, port, true)
 }
 
-// healNode clears a node failure. Apply-only: heals apply at the engine's
-// serial transition point. Healing the node marked last restores nodes'
-// order exactly, which the mtbf schedule's in-place probes rely on.
-func (s *Set) healNode(id topology.NodeID) {
-	if !s.node[id] {
+// setNode sets node id's failure mark, keeping the count of failed nodes.
+func (s *Set) setNode(id topology.NodeID, failed bool) {
+	if s.node[id] == failed {
 		return
 	}
-	s.node[id] = false
-	for i, n := range s.nodes {
-		if n == id {
-			s.nodes = append(s.nodes[:i], s.nodes[i+1:]...)
-			break
-		}
+	s.node[id] = failed
+	if failed {
+		s.nodes++
+	} else {
+		s.nodes--
 	}
-}
-
-// healLink clears an individual link failure in both directions. Apply-only.
-func (s *Set) healLink(src topology.NodeID, port topology.Port) {
-	s.setLink(src, port, false)
 }
 
 // setLink sets the mark of both channels of the link leaving src through
@@ -144,21 +133,22 @@ func (s *Set) LinkFaulty(src topology.NodeID, port topology.Port) bool {
 }
 
 // NumNodeFaults returns the count of failed nodes.
-func (s *Set) NumNodeFaults() int { return len(s.nodes) }
+func (s *Set) NumNodeFaults() int { return s.nodes }
 
 // FaultyNodes returns the failed nodes in ascending order.
-func (s *Set) FaultyNodes() []topology.NodeID {
-	out := make([]topology.NodeID, len(s.nodes))
-	copy(out, s.nodes)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (s *Set) FaultyNodes() []topology.NodeID { return s.nodesWhere(true, s.nodes) }
 
 // HealthyNodes returns all non-failed nodes in ascending order.
 func (s *Set) HealthyNodes() []topology.NodeID {
-	out := make([]topology.NodeID, 0, s.t.Nodes()-len(s.nodes))
-	for id := 0; id < s.t.Nodes(); id++ {
-		if !s.node[id] {
+	return s.nodesWhere(false, s.t.Nodes()-s.nodes)
+}
+
+// nodesWhere is the one ascending scan behind FaultyNodes and HealthyNodes:
+// the n nodes whose failure mark equals failed.
+func (s *Set) nodesWhere(failed bool, n int) []topology.NodeID {
+	out := make([]topology.NodeID, 0, n)
+	for id, down := range s.node {
+		if down == failed {
 			out = append(out, topology.NodeID(id))
 		}
 	}
@@ -171,7 +161,7 @@ func (s *Set) HealthyNodes() []topology.NodeID {
 // runs the search on each); otherwise it walks from the first healthy node
 // and counts the nodes it reaches.
 func (s *Set) Disconnects() bool {
-	if len(s.nodes) == 0 && s.links == 0 {
+	if s.nodes == 0 && s.links == 0 {
 		return false
 	}
 	return s.search()
@@ -179,7 +169,7 @@ func (s *Set) Disconnects() bool {
 
 // search is Disconnects' walk over the whole healthy network.
 func (s *Set) search() bool {
-	healthy := s.t.Nodes() - len(s.nodes)
+	healthy := s.t.Nodes() - s.nodes
 	if healthy == 0 {
 		return true
 	}
@@ -217,11 +207,14 @@ func (s *Set) ShortestPath(cur, goal topology.NodeID, admit func(topology.NodeID
 // order, into nodes admit accepts (nil accepts every node). It stops on
 // discovering goal (-1: never) and returns from — from[v] is one more than
 // the node v was first reached from, from[start] is start+1, 0 means
-// unreached — and the number of nodes reached, start included.
+// unreached — and the number of nodes reached, start included. The queue
+// is sized once for every node: a walk for Disconnects reaches them all,
+// and the mtbf schedule asks Disconnects of every failure and heal.
 func (s *Set) walk(start, goal topology.NodeID, admit func(topology.NodeID) bool) ([]topology.NodeID, int) {
 	from := make([]topology.NodeID, s.t.Nodes())
 	from[start] = start + 1
-	queue := []topology.NodeID{start}
+	queue := make([]topology.NodeID, 1, s.t.Nodes())
+	queue[0] = start
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
 		for p := 0; p < s.t.Degree(); p++ {

@@ -20,6 +20,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/registry"
@@ -27,22 +28,26 @@ import (
 	"repro/internal/topology"
 )
 
-// Schedule produces the fault transitions of a dynamic run. Advance
-// returns every transition due at or before cycle now, in application
-// order; cur is the live fault state (already reflecting previously
-// returned transitions), which generative schedules consult for victim
-// selection — they may probe it in place, leaving it as they found it, so
-// no other goroutine may read it during the call. Advance must be called
-// with non-decreasing now; the engine calls it once per cycle from exactly
-// one goroutine, at its serial transition point.
+// Schedule produces and applies the fault transitions of a dynamic run.
+// Advance applies to cur, the live fault state, every transition due at or
+// before cycle now, in order, and returns the ones that changed it, in
+// application order: the caller applies nothing. After every batch of the
+// mtbf schedule the healthy sub-network is connected (paper assumption
+// (h)): a failure or heal that would cut it is undone at once. A trace is
+// the user's word, so trace schedules apply their events unchecked.
+// Advance must be called with non-decreasing now; the engine calls it once
+// per cycle from exactly one goroutine, at its serial transition point, so
+// no other goroutine reads cur during the call.
 type Schedule interface {
 	Advance(now int64, cur *Set) []Transition
 	Name() string
 }
 
-// ScheduleEnv is everything a schedule factory may bind: the topology, the
-// run's base (static) fault set, and the dedicated schedule rng stream
-// (rng.ScheduleLabel; nil for schedules that never draw).
+// ScheduleEnv is everything a schedule factory may bind: the topology and
+// the dedicated schedule rng stream (rng.ScheduleLabel; nil for schedules
+// that never draw). Base, the run's static fault set, is read by no
+// schedule — each gets the live set through Advance — and only
+// bench/engine.go still sets it.
 type ScheduleEnv struct {
 	T    topology.Network
 	Base *Set
@@ -99,23 +104,25 @@ func CheckScheduleSpec(specStr string) (registry.Spec, error) {
 // primary name.
 func Schedules() []registry.Info { return schedules.Infos() }
 
-// traceSchedule replays a pre-validated, cycle-sorted transition list.
+// traceSchedule replays a pre-validated, cycle-sorted transition list. It
+// returns the events that changed the set from its own buffer: evs belongs
+// to the caller, who may replay it in another run.
 type traceSchedule struct {
 	evs []Transition
 	pos int
+	out []Transition
 }
 
 func (s *traceSchedule) Name() string { return "trace" }
 
-func (s *traceSchedule) Advance(now int64, _ *Set) []Transition {
-	start := s.pos
-	for s.pos < len(s.evs) && s.evs[s.pos].Cycle <= now {
-		s.pos++
+func (s *traceSchedule) Advance(now int64, cur *Set) []Transition {
+	s.out = s.out[:0]
+	for ; s.pos < len(s.evs) && s.evs[s.pos].Cycle <= now; s.pos++ {
+		if cur.apply(s.evs[s.pos]) {
+			s.out = append(s.out, s.evs[s.pos])
+		}
 	}
-	if s.pos == start {
-		return nil
-	}
-	return s.evs[start:s.pos]
+	return s.out
 }
 
 // NewTraceSchedule wraps an explicit transition list (already sorted by
@@ -194,9 +201,9 @@ const (
 // mtbfSchedule is a generative renewal process: failures arrive with
 // exponential inter-arrival times of mean mtbf cycles; each failed element
 // heals after an exponential repair time of mean mttr cycles. Victims are
-// drawn uniformly from the currently healthy elements, rejecting picks
-// that would disconnect the healthy sub-network (the dynamic analogue of
-// paper assumption (h)); a failure with no admissible victim is skipped.
+// drawn uniformly from the currently healthy elements, and every failure
+// and heal must pass keep (the dynamic analogue of paper assumption (h)):
+// a failure with no admissible victim is skipped, a refused heal retried.
 // All draws happen inside Advance — the engine's serial transition point —
 // from the dedicated schedule stream, so the process is deterministic for
 // a seed at any worker count.
@@ -207,7 +214,7 @@ type mtbfSchedule struct {
 	mttr     float64
 	elems    string
 	nextFail int64
-	heals    []Transition // pending repairs, ascending cycle
+	heals    []Transition // pending repairs, ascending cycle (refused ones included)
 	out      []Transition
 }
 
@@ -221,17 +228,25 @@ func (s *mtbfSchedule) gap(mean float64) int64 {
 	return g
 }
 
+// Advance applies the due heals and failures in cycle order, heals first
+// on a tie: healing first can only widen the victim pool the same-batch
+// failure draws from, and the failure's probe sees the batch's heals. A
+// refused heal keeps its place and its cycle and draws nothing; the heals
+// after it and the failure still go ahead.
 func (s *mtbfSchedule) Advance(now int64, cur *Set) []Transition {
 	s.out = s.out[:0]
+	i := 0 // heals[:i] are due heals refused in this batch
 	for {
-		healDue := len(s.heals) > 0 && s.heals[0].Cycle <= now
+		healDue := i < len(s.heals) && s.heals[i].Cycle <= now
 		failDue := s.nextFail <= now
 		switch {
-		// Repairs before failures at the same cycle: healing first can only
-		// widen the victim pool the same-batch failure draws from.
-		case healDue && (!failDue || s.heals[0].Cycle <= s.nextFail):
-			s.out = append(s.out, s.heals[0])
-			s.heals = s.heals[1:]
+		case healDue && (!failDue || s.heals[i].Cycle <= s.nextFail):
+			if keep(cur, s.heals[i]) {
+				s.out = append(s.out, s.heals[i])
+				s.heals = slices.Delete(s.heals, i, i+1)
+			} else {
+				i++
+			}
 		case failDue:
 			at := s.nextFail
 			if tr, ok := s.pickVictim(at, cur); ok {
@@ -245,45 +260,46 @@ func (s *mtbfSchedule) Advance(now int64, cur *Set) []Transition {
 	}
 }
 
-// pickVictim draws a healthy element whose failure keeps the healthy
-// sub-network connected. Bounded rejection sampling: a pathological state
-// (almost everything down) skips the failure rather than looping. Each
-// candidate is probed on the live set itself — marked, searched, healed —
-// which Advance's place at the serial transition point allows: the
-// candidate was unmarked, so the heal restores the set exactly, the order
-// of its failed-node list included.
+// keep is the one rule every mtbf transition passes: apply tr to cur and
+// keep it unless the healthy sub-network is then disconnected, in which
+// case apply its inverse and report false.
+func keep(cur *Set, tr Transition) bool {
+	if !cur.apply(tr) {
+		return false
+	}
+	if !cur.Disconnects() {
+		return true
+	}
+	tr.Fail = !tr.Fail
+	cur.apply(tr)
+	return false
+}
+
+// pickVictim draws a healthy element and fails it if keep allows.
+// Bounded rejection sampling: a pathological state (almost everything
+// down) skips the failure rather than looping.
 func (s *mtbfSchedule) pickVictim(at int64, cur *Set) (Transition, bool) {
 	for attempt := 0; attempt < 64; attempt++ {
-		link := s.elems == elemsLinks || (s.elems == elemsMixed && s.r.Bool())
-		if link {
+		tr := Transition{Cycle: at, Fail: true}
+		if s.elems == elemsLinks || (s.elems == elemsMixed && s.r.Bool()) {
 			src := topology.NodeID(s.r.Intn(s.t.Nodes()))
 			port := topology.Port(s.r.Intn(s.t.Degree()))
 			if cur.NodeFaulty(src) || !s.t.HasLink(src, port.Dim(), port.Dir()) {
 				continue
 			}
-			ch := topology.ChannelID{Src: src, Port: port}
-			if cur.LinkMarked(ch) || cur.NodeFaulty(ch.Dst(s.t)) {
+			tr.IsLink, tr.Link = true, topology.ChannelID{Src: src, Port: port}
+			if cur.LinkMarked(tr.Link) || cur.NodeFaulty(tr.Link.Dst(s.t)) {
 				continue
 			}
-			cur.MarkLink(src, port)
-			cut := cur.Disconnects()
-			cur.healLink(src, port)
-			if cut {
+		} else {
+			tr.Node = topology.NodeID(s.r.Intn(s.t.Nodes()))
+			if cur.NodeFaulty(tr.Node) {
 				continue
 			}
-			return Transition{Cycle: at, Fail: true, IsLink: true, Link: ch}, true
 		}
-		id := topology.NodeID(s.r.Intn(s.t.Nodes()))
-		if cur.NodeFaulty(id) {
-			continue
+		if keep(cur, tr) {
+			return tr, true
 		}
-		cur.MarkNode(id)
-		cut := cur.Disconnects()
-		cur.healNode(id)
-		if cut {
-			continue
-		}
-		return Transition{Cycle: at, Fail: true, Node: id}, true
 	}
 	return Transition{}, false
 }

@@ -173,7 +173,7 @@ func FuzzParseScheduleTrace(f *testing.F) {
 
 // canonChan maps a directed channel onto its physical link's canonical
 // representative, so the net-effect model below tracks links the way
-// MarkLink/healLink mutate them (both directions at once).
+// setLink mutates them (both directions at once).
 func canonChan(t topology.Network, ch topology.ChannelID) topology.ChannelID {
 	rev := topology.ChannelID{Src: ch.Dst(t), Port: ch.Port.Opposite()}
 	if rev.Src < ch.Src || (rev.Src == ch.Src && rev.Port < ch.Port) {
@@ -182,12 +182,12 @@ func canonChan(t topology.Network, ch topology.ChannelID) topology.ChannelID {
 	return ch
 }
 
-// TestViewNetEffectProperty is Set.Apply's correctness property (the name
-// predates Apply's move off the View wrapper): after any interleaving of
-// fail/heal transitions (including redundant ones Apply rejects), the
-// live set must equal a fresh Set built from the net effect alone. A drift here — a heal that forgets a direction,
-// a fail that leaks state — would silently corrupt every dynamic run
-// that re-fails a healed element.
+// TestViewNetEffectProperty is Set.apply's correctness property (the name
+// predates apply's move off the View wrapper): after any interleaving of
+// fail/heal transitions (including redundant ones apply rejects), the live
+// set must equal a fresh Set built from the net effect alone. A drift here
+// — a heal that forgets a direction, a fail that leaks state — would
+// silently corrupt every dynamic run that re-fails a healed element.
 func TestViewNetEffectProperty(t *testing.T) {
 	tor := topology.New(4, 2)
 	chans := topology.ChannelsOf(tor)
@@ -200,14 +200,14 @@ func TestViewNetEffectProperty(t *testing.T) {
 			fail := r.Bool()
 			if r.Bool() {
 				n := topology.NodeID(r.Intn(tor.Nodes()))
-				if live.Apply(Transition{Fail: fail, Node: n}) != (nodes[n] != fail) {
+				if live.apply(Transition{Fail: fail, Node: n}) != (nodes[n] != fail) {
 					t.Fatalf("trial %d step %d: node %d fail=%v: change report disagrees with model", trial, step, n, fail)
 				}
 				nodes[n] = fail
 			} else {
 				ch := chans[r.Intn(len(chans))]
 				key := canonChan(tor, ch)
-				if live.Apply(Transition{Fail: fail, IsLink: true, Link: ch}) != (links[key] != fail) {
+				if live.apply(Transition{Fail: fail, IsLink: true, Link: ch}) != (links[key] != fail) {
 					t.Fatalf("trial %d step %d: link %v fail=%v: change report disagrees with model", trial, step, ch, fail)
 				}
 				links[key] = fail
@@ -230,34 +230,59 @@ func TestViewNetEffectProperty(t *testing.T) {
 	}
 }
 
+// advanceChecked advances sched to now on live and holds the Schedule
+// contract: every returned transition is due, changes rebuilt — a set
+// kept in step by applying the returned transitions alone — and leaves
+// live equal to it, counts of failed nodes and marked channels included.
+// So Advance applied exactly what it returned, and a rejected probe left
+// nothing behind. It returns the batch.
+func advanceChecked(t *testing.T, sched Schedule, now int64, live, rebuilt *Set) []Transition {
+	t.Helper()
+	trs := sched.Advance(now, live)
+	for _, tr := range trs {
+		if tr.Cycle > now {
+			t.Fatalf("transition %v emitted before its cycle (now %d)", tr, now)
+		}
+		if !rebuilt.apply(tr) {
+			t.Fatalf("cycle %d: returned %v changes nothing", now, tr)
+		}
+	}
+	if !Equal(live, rebuilt) || live.links != rebuilt.links || live.nodes != rebuilt.nodes {
+		t.Fatalf("cycle %d: live set differs from the returned transitions' rebuild", now)
+	}
+	return trs
+}
+
+// copySet returns a set over s's network with s's failed nodes, for
+// advanceChecked's rebuild.
+func copySet(s *Set) *Set {
+	c := NewSet(s.Net())
+	c.MarkNodes(s.FaultyNodes())
+	return c
+}
+
 // TestMTBFScheduleDeterministic pins the generative schedule's contract:
-// identical seeds yield identical transition sequences, every emitted
-// failure has a matching later heal scheduled, and no accepted failure
-// ever disconnects the healthy sub-network.
+// identical seeds yield identical transition sequences, Advance applies
+// exactly the transitions it returns, and no batch — failures and heals alike —
+// ever leaves the healthy sub-network disconnected.
 func TestMTBFScheduleDeterministic(t *testing.T) {
 	tor := topology.New(8, 2)
 	run := func(seed uint64) []Transition {
 		base := NewSet(tor)
 		sched, err := NewSchedule("mtbf:mtbf=300,mttr=80,elems=mixed", ScheduleEnv{
-			T: tor, Base: base, R: rng.New(seed).Split(rng.ScheduleLabel()),
+			T: tor, R: rng.New(seed).Split(rng.ScheduleLabel()),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var all []Transition
+		rebuilt := NewSet(tor)
 		for now := int64(0); now < 20000; now++ {
-			for _, tr := range sched.Advance(now, base) {
-				if tr.Cycle > now {
-					t.Fatalf("transition %v emitted before its cycle (now %d)", tr, now)
-				}
-				if !base.Apply(tr) {
-					continue
-				}
-				all = append(all, tr)
-				if tr.Fail && base.Disconnects() {
-					t.Fatalf("transition %v disconnected the network", tr)
-				}
+			trs := advanceChecked(t, sched, now, base, rebuilt)
+			if len(trs) > 0 && base.Disconnects() {
+				t.Fatalf("cycle %d: batch %v disconnected the network", now, trs)
 			}
+			all = append(all, trs...)
 		}
 		return all
 	}
@@ -281,12 +306,61 @@ func TestMTBFScheduleDeterministic(t *testing.T) {
 	}
 }
 
-// TestMTBFProbesLeaveSetIntact: the mtbf schedule probes each candidate
-// victim on the live set itself. On networks one failure away from a cut —
-// a ring with a failed node, and a mesh walled off but for one gap — most
-// candidates are rejected, and after every Advance the live set must equal
-// one rebuilt from the emitted transitions alone, down to the order of its
-// failed-node list and its count of marked channels.
+// TestMTBFBatchesKeepNetworkConnected holds paper assumption (h) under
+// churn: on a random static placement, every non-empty batch leaves the
+// healthy sub-network connected. Long repairs against frequent failures
+// make heals that would strand a node common — most on the ring, where the
+// failed nodes form one arc and only its ends can heal — so each row
+// refuses heals as well as failures.
+func TestMTBFBatchesKeepNetworkConnected(t *testing.T) {
+	for _, tc := range []struct {
+		topo, sched string
+		nf          int
+		cycles      int64
+	}{
+		{"torus:k=8,n=2", "mtbf:mtbf=100,mttr=2000,elems=mixed", 3, 80_000},
+		{"torus:k=8,n=2", "mtbf:mtbf=100,mttr=2000,elems=nodes", 3, 80_000},
+		{"mesh:k=8,n=2", "mtbf:mtbf=100,mttr=2000,elems=mixed", 3, 80_000},
+		{"torus:k=16,n=1", "mtbf:mtbf=20,mttr=300,elems=mixed", 1, 20_000},
+	} {
+		net, err := topology.NewNetwork(tc.topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := uint64(1); seed <= 5; seed++ {
+			r := rng.New(seed)
+			cur, err := Random(net, tc.nf, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched, err := NewSchedule(tc.sched, ScheduleEnv{T: net, R: r.Split(rng.ScheduleLabel())})
+			if err != nil {
+				t.Fatal(err)
+			}
+			batches, cut, rebuilt := 0, 0, copySet(cur)
+			for now := int64(0); now < tc.cycles; now++ {
+				if len(advanceChecked(t, sched, now, cur, rebuilt)) == 0 {
+					continue
+				}
+				batches++
+				if cur.Disconnects() {
+					cut++
+				}
+			}
+			if cut != 0 || batches == 0 {
+				t.Errorf("%s nf %d %s seed %d: %d of %d batches disconnected the healthy network",
+					tc.topo, tc.nf, tc.sched, seed, cut, batches)
+			}
+		}
+	}
+}
+
+// TestMTBFProbesLeaveSetIntact: the mtbf schedule decides each candidate
+// by applying it to the live set and undoing it when the healthy network
+// is then cut. On networks one failure away from a cut — a ring with a
+// failed node, and a mesh walled off but for one gap — most candidates
+// are rejected, and advanceChecked holds the live set to one rebuilt from
+// the returned transitions alone after every Advance.
 func TestMTBFProbesLeaveSetIntact(t *testing.T) {
 	for _, tc := range []struct {
 		spec  string
@@ -299,28 +373,20 @@ func TestMTBFProbesLeaveSetIntact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		live, rebuilt := NewSet(net), NewSet(net)
+		live := NewSet(net)
 		for _, c := range tc.nodes {
 			live.MarkNode(net.FromCoords(c))
-			rebuilt.MarkNode(net.FromCoords(c))
 		}
+		rebuilt := copySet(live)
 		sched, err := NewSchedule("mtbf:mtbf=20,mttr=300,elems=mixed", ScheduleEnv{
-			T: net, Base: live, R: rng.New(3).Split(rng.ScheduleLabel()),
+			T: net, R: rng.New(3).Split(rng.ScheduleLabel()),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		fails := 0
 		for now := int64(0); now < 20000; now++ {
-			trs := sched.Advance(now, live)
-			if !Equal(live, rebuilt) || !slices.Equal(live.nodes, rebuilt.nodes) || live.links != rebuilt.links ||
-				!slices.Equal(live.FaultyNodes(), rebuilt.FaultyNodes()) || live.NumNodeFaults() != rebuilt.NumNodeFaults() {
-				t.Fatalf("%s cycle %d: Advance left the live set changed", tc.spec, now)
-			}
-			for _, tr := range trs {
-				if live.Apply(tr) != rebuilt.Apply(tr) {
-					t.Fatalf("%s cycle %d: %v applied differently", tc.spec, now, tr)
-				}
+			for _, tr := range advanceChecked(t, sched, now, live, rebuilt) {
 				if tr.Fail {
 					fails++
 				}
@@ -328,6 +394,37 @@ func TestMTBFProbesLeaveSetIntact(t *testing.T) {
 		}
 		if fails == 0 {
 			t.Fatalf("%s: no failure accepted in 20 000 cycles at mtbf=20", tc.spec)
+		}
+	}
+}
+
+// TestTraceScheduleAppliesWhatItReturns: a trace applies its due events
+// unchecked and returns only those that changed the set, leaving the
+// caller's event list as it was, so the list can drive another run.
+func TestTraceScheduleAppliesWhatItReturns(t *testing.T) {
+	tor := topology.New(4, 2)
+	link := topology.ChannelID{Src: 1, Port: 0}
+	evs := []Transition{
+		{Cycle: 5, Fail: true, Node: 3},
+		{Cycle: 5, Fail: true, Node: 3},                   // redundant
+		{Cycle: 5, Fail: false, IsLink: true, Link: link}, // heals a healthy link
+		{Cycle: 9, Fail: true, IsLink: true, Link: link},
+	}
+	want := slices.Clone(evs)
+	for run := 0; run < 2; run++ {
+		cur := NewSet(tor)
+		sched := NewTraceSchedule(evs)
+		if trs := sched.Advance(4, cur); len(trs) != 0 {
+			t.Fatalf("run %d: cycle 4 returned %v", run, trs)
+		}
+		if trs := sched.Advance(7, cur); !slices.Equal(trs, evs[:1]) || !cur.NodeFaulty(3) {
+			t.Fatalf("run %d: cycle 7 returned %v", run, trs)
+		}
+		if trs := sched.Advance(9, cur); !slices.Equal(trs, evs[3:]) || !cur.LinkMarked(link) {
+			t.Fatalf("run %d: cycle 9 returned %v", run, trs)
+		}
+		if !slices.Equal(evs, want) {
+			t.Fatalf("run %d: Advance changed the caller's events: %v", run, evs)
 		}
 	}
 }

@@ -32,48 +32,28 @@ func (tr Transition) String() string {
 	return fmt.Sprintf("@%d %s node %d", tr.Cycle, op, tr.Node)
 }
 
-// Apply performs one transition on the set, in place: the engine calls it
-// strictly at its serial transition point, so between transitions every
-// reader (routing, the planner, traffic sources) still sees a frozen Set.
-// It reports whether the state actually changed: failing an already-faulty
-// element or healing a healthy one is a no-op (false), so replayed traces
-// are idempotent and a generative schedule's heal of a since-re-failed
-// element cannot corrupt state. Link transitions on nonexistent channels
-// (mesh edges) are rejected as no-ops too — parsers validate against the
-// topology, so this is pure defence.
-func (s *Set) Apply(tr Transition) bool {
+// apply performs one transition on the set, in place. Only schedules call
+// it, from Advance, which the engine calls strictly at its serial
+// transition point, so between transitions every reader (routing, the
+// planner, traffic sources) still sees a frozen Set. It reports whether the
+// state actually changed: failing an already-faulty element or healing a
+// healthy one is a no-op (false), so replayed traces are idempotent and
+// Advance returns only the transitions that changed the set. Link
+// transitions on nonexistent channels (mesh edges) are rejected as no-ops
+// too — parsers validate against the topology, so this is pure defence.
+func (s *Set) apply(tr Transition) bool {
 	if tr.IsLink {
 		ch := tr.Link
-		if !s.t.Valid(ch.Src) || !s.t.HasLink(ch.Src, ch.Port.Dim(), ch.Port.Dir()) {
+		if !s.t.Valid(ch.Src) || !s.t.HasLink(ch.Src, ch.Port.Dim(), ch.Port.Dir()) || s.LinkMarked(ch) == tr.Fail {
 			return false
 		}
-		if tr.Fail {
-			if s.LinkMarked(ch) {
-				return false
-			}
-			s.MarkLink(ch.Src, ch.Port)
-			return true
-		}
-		if !s.LinkMarked(ch) {
-			return false
-		}
-		s.healLink(ch.Src, ch.Port)
+		s.setLink(ch.Src, ch.Port, tr.Fail)
 		return true
 	}
-	if !s.t.Valid(tr.Node) {
+	if !s.t.Valid(tr.Node) || s.node[tr.Node] == tr.Fail {
 		return false
 	}
-	if tr.Fail {
-		if s.node[tr.Node] {
-			return false
-		}
-		s.MarkNode(tr.Node)
-		return true
-	}
-	if !s.node[tr.Node] {
-		return false
-	}
-	s.healNode(tr.Node)
+	s.setNode(tr.Node, tr.Fail)
 	return true
 }
 

@@ -176,7 +176,7 @@ func runGolden(t *testing.T, c goldenCase, workers int, check func(*Network)) []
 			spec = strings.Replace(spec, "$TRACE", file, 1)
 		}
 		p.Schedule, err = fault.NewSchedule(spec, fault.ScheduleEnv{
-			T: net, Base: fs, R: r.Split(rng.ScheduleLabel()),
+			T: net, R: r.Split(rng.ScheduleLabel()),
 		})
 		if err != nil {
 			t.Fatal(err)

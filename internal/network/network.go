@@ -95,10 +95,9 @@ type Params struct {
 	// then stay on the heap.
 	Pool *message.Pool
 	// Schedule, when non-nil, makes the run dynamic: the engine advances
-	// the schedule once per cycle at the serial transition point and
-	// applies its fail/heal transitions to the shared fault set in place
-	// (fault.Set.Apply; see transitions.go). The schedule must be built
-	// over the same fault set the engine and algorithm share.
+	// the schedule once per cycle at the serial transition point, and its
+	// Advance applies the fail/heal transitions to the engine's fault set
+	// in place (see transitions.go).
 	Schedule fault.Schedule
 }
 

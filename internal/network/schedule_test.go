@@ -15,11 +15,12 @@ import (
 )
 
 // runScheduled is runTraced's dynamic-fault sibling: it drives one engine
-// with a trace schedule applying the given transitions mid-run. Unlike
+// at offered load lambda with a trace schedule applying the given
+// transitions mid-run. Unlike
 // workersTweak it wires the parallel AlgFactory over the engine's own
 // fault set — the sharing core.NewEngine establishes — because clones
 // must observe transitions, not a private static copy.
-func runScheduled(t *testing.T, net topology.Network, algName string, nf, workers int, evs []fault.Transition) ([]trace.Event, metrics.Results) {
+func runScheduled(t *testing.T, net topology.Network, algName string, nf, workers int, lambda float64, evs []fault.Transition) ([]trace.Event, metrics.Results) {
 	t.Helper()
 	fs := fault.NewSet(net)
 	if nf > 0 {
@@ -51,7 +52,7 @@ func runScheduled(t *testing.T, net topology.Network, algName string, nf, worker
 	p.Pool = pool
 	gen, err := traffic.NewSource("poisson", traffic.Env{
 		T: net, F: fs, Sources: fs.HealthyNodes(),
-		Lambda: 0.004, MsgLen: 16, Mode: alg.BaseMode(),
+		Lambda: lambda, MsgLen: 16, Mode: alg.BaseMode(),
 		Pattern: pattern, R: r.Split(1), Pool: pool,
 	})
 	if err != nil {
@@ -132,27 +133,54 @@ func TestEmptyScheduleMatchesStatic(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			evStatic, resStatic := runTraced(t, tc.net(), tc.alg, tc.nf, nil)
-			evSched, resSched := runScheduled(t, tc.net(), tc.alg, tc.nf, 1, nil)
+			evSched, resSched := runScheduled(t, tc.net(), tc.alg, tc.nf, 1, 0.004, nil)
 			assertSameRun(t, evStatic, evSched, resStatic, resSched, "static vs empty schedule")
 		})
+	}
+}
+
+// sameCycleEvents fails churnEvents' link and node in one batch at cycle
+// at and heals both 600 cycles later: the engine runs one purge for the
+// two failures.
+func sameCycleEvents(t *testing.T, net topology.Network, nf int, at int64) []fault.Transition {
+	t.Helper()
+	churn := churnEvents(t, net, nf)
+	link, node := churn[0].Link, churn[2].Node
+	return []fault.Transition{
+		{Cycle: at, Fail: true, IsLink: true, Link: link},
+		{Cycle: at, Fail: true, Node: node},
+		{Cycle: at + 600, Fail: false, IsLink: true, Link: link},
+		{Cycle: at + 600, Fail: false, Node: node},
 	}
 }
 
 // TestScheduleParallelMatchesSerial extends the commit-order determinism
 // proof to dynamic runs: with an active fail/heal schedule — purges,
 // re-injections, credit restores and planner refreshes mid-run — every
-// worker count must reproduce the serial engine's trace bit for bit.
+// worker count must reproduce the serial engine's trace bit for bit. The
+// same-cycle scenes purge two failures at once; at λ 0.012 both the link
+// and the node hold worms when they fail.
 func TestScheduleParallelMatchesSerial(t *testing.T) {
 	const nf = 3
 	net := topology.New(8, 2)
-	evs := churnEvents(t, net, nf)
-	evBase, resBase := runScheduled(t, net, "adaptive", nf, 1, evs)
-	if resBase.Transitions != uint64(len(evs)) {
-		t.Fatalf("transitions = %d, want %d (schedule did not run)", resBase.Transitions, len(evs))
-	}
-	for _, w := range []int{2, 4, 8} {
-		ev, res := runScheduled(t, topology.New(8, 2), "adaptive", nf, w, evs)
-		assertSameRun(t, evBase, ev, resBase, res, fmt.Sprintf("workers=%d", w))
+	for _, sc := range []struct {
+		name   string
+		lambda float64
+		evs    []fault.Transition
+	}{
+		{"churn", 0.004, churnEvents(t, net, nf)},
+		{"same-cycle@1000", 0.004, sameCycleEvents(t, net, nf, 1000)},
+		{"same-cycle@2200", 0.004, sameCycleEvents(t, net, nf, 2200)},
+		{"same-cycle-busy@2200", 0.012, sameCycleEvents(t, net, nf, 2200)},
+	} {
+		evBase, resBase := runScheduled(t, net, "adaptive", nf, 1, sc.lambda, sc.evs)
+		if resBase.Transitions != uint64(len(sc.evs)) {
+			t.Fatalf("%s: transitions = %d, want %d (schedule did not run)", sc.name, resBase.Transitions, len(sc.evs))
+		}
+		for _, w := range []int{2, 4, 8} {
+			ev, res := runScheduled(t, topology.New(8, 2), "adaptive", nf, w, sc.lambda, sc.evs)
+			assertSameRun(t, evBase, ev, resBase, res, fmt.Sprintf("%s workers=%d", sc.name, w))
+		}
 	}
 }
 
@@ -165,7 +193,7 @@ func TestChaosTraceGolden(t *testing.T) {
 	const golden uint64 = 0x80daf580d670e4cf
 	const nf = 3
 	net := topology.New(8, 2)
-	ev, res := runScheduled(t, net, "adaptive", nf, 1, churnEvents(t, net, nf))
+	ev, res := runScheduled(t, net, "adaptive", nf, 1, 0.004, churnEvents(t, net, nf))
 	if res.Transitions != 4 {
 		t.Fatalf("transitions = %d, want 4", res.Transitions)
 	}

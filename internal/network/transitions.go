@@ -1,24 +1,26 @@
 package network
 
-// Dynamic fault transitions. A scheduled run (Params.Schedule) applies
-// fail/heal transitions at one fixed point in the cycle: after the clock
-// advances, before traffic polling and every per-router phase. The point
-// is serial in both engines — between cycles no worker goroutine exists —
-// so transitions mutate state across domain boundaries freely, and the
-// parallel engine stays bit-identical to the serial one (the commit-order
-// contract extends to dynamic runs; TestScheduleParallelMatchesSerial
-// holds it).
+// Dynamic fault transitions. A scheduled run (Params.Schedule) advances
+// its schedule at one fixed point in the cycle: after the clock advances,
+// before traffic polling and every per-router phase. The schedule applies
+// the cycle's batch of fail/heal transitions to the fault set itself and
+// returns the ones that changed it. The point is serial in both engines —
+// between cycles no worker goroutine exists — so transitions mutate state
+// across domain boundaries freely, and the parallel engine stays
+// bit-identical to the serial one (the commit-order contract extends to
+// dynamic runs; TestScheduleParallelMatchesSerial holds it).
 //
-// A failure purges every worm occupying the failed component: its flits
-// are pulled out of buffers, link pipelines and injection streams, its
-// routes are dropped, and the whole message restarts from its source
-// through the priority re-injection queue (counted as Reinjected) — unless
-// either endpoint is down, in which case the message is counted Lost
-// (routing assumes healthy destinations, so a dead-destination worm would
-// circle until the heal). The purge only removes; settleOutputs then sets
-// every output VC's ownership and credits from what survives. Heals mutate
-// only the fault set: a healed component comes back empty, with full
-// credits, because the purge left it that way when it failed.
+// A batch holding a failure runs one purge, which asks the fault set what
+// is down: every worm occupying a failed component has its flits pulled out
+// of buffers, link pipelines and injection streams and its routes dropped,
+// and the whole message restarts from its source through the priority
+// re-injection queue (counted as Reinjected) — unless either endpoint is
+// down, in which case the message is counted Lost (routing assumes healthy
+// destinations, so a dead-destination worm would circle until the heal).
+// The purge only removes; settleOutputs then sets every output VC's
+// ownership and credits from what survives. Heals need nothing more than
+// the fault set: a healed component comes back empty, with full credits,
+// because the purge left it that way when it failed.
 
 import (
 	"fmt"
@@ -26,7 +28,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/fault"
 	"repro/internal/message"
 	"repro/internal/router"
 	"repro/internal/routing"
@@ -40,19 +41,17 @@ func (nw *Network) applyTransitions() {
 	if nw.sched == nil {
 		return
 	}
-	changed := false
-	for _, tr := range nw.sched.Advance(nw.now, nw.f) {
-		if !nw.f.Apply(tr) {
-			continue // no-op transition (replayed trace, stale heal)
-		}
-		changed = true
+	trs := nw.sched.Advance(nw.now, nw.f)
+	failed := false
+	for _, tr := range trs {
 		nw.col.Transition(nw.now, tr.Fail)
-		if tr.Fail {
-			nw.purgeFailure(tr)
-			nw.settleOutputs()
-		}
+		failed = failed || tr.Fail
 	}
-	if changed {
+	if failed {
+		nw.purge()
+		nw.settleOutputs()
+	}
+	if len(trs) > 0 {
 		nw.refreshRouting()
 		// The fault set is an input of Route: every parked head must ask
 		// again (see allocateLane). The purge and the settle rewrote credit
@@ -80,32 +79,31 @@ func (nw *Network) refreshRouting() {
 	}
 }
 
-// purgeFailure removes every worm occupying the component that just
-// failed: its flits, routes, in-flight transfers and injection streams. It
-// touches no output VC; settleOutputs derives those afterwards. The sweep
-// is O(nodes × lanes) — transitions are rare events, so clarity wins over
-// a reverse index.
-func (nw *Network) purgeFailure(tr fault.Transition) {
-	deadNode := topology.NodeID(-1)
-	if !tr.IsLink {
-		deadNode = tr.Node
-	}
+// purge removes every worm occupying a failed component: its flits,
+// routes, in-flight transfers and injection streams. It asks the fault set
+// what is down, not the batch that just failed it: a component that failed
+// earlier holds nothing, since its own purge emptied it, Route never
+// allocates a faulty channel and no message bound to a failed node
+// survives its purge. It touches no output VC; settleOutputs derives those
+// afterwards. The sweep is O(nodes × lanes) — transitions are rare events,
+// so clarity wins over a reverse index.
+func (nw *Network) purge() {
+	// The node passes run only while some node is down.
+	nodeFaults := nw.f.NumNodeFaults() > 0
 
-	// Pass 1: find the affected worms — every worm with state at the
-	// failed node, holding a route into a dead channel, with flits in
-	// flight on one, or (node failures) destined to the dead node. The
-	// last class exists because routing assumes healthy destinations: a
-	// worm bound for a dead node would circle until the heal, so it is
-	// purged and lost wherever it is. A dead channel is one the fault set
-	// calls faulty (LinkFaulty): one that failed earlier carries nothing,
-	// since its own purge emptied it and Route never allocates a faulty
-	// channel. No lane records who holds its route:
+	// Pass 1: find the affected worms — every worm with state at a failed
+	// node, holding a route into a dead channel, with flits in flight on
+	// one, or destined to a failed node. The last class exists because
+	// routing assumes healthy destinations: a worm bound for a dead node
+	// would circle until the heal, so it is purged and lost wherever it
+	// is. A dead channel is one the fault set calls faulty (LinkFaulty).
+	// No lane records who holds its route:
 	// owners lists every routed lane's owner (routeOwner) in (node, lane)
 	// order, derived here, while the flits it is read from are all in place.
 	aff := make(map[message.Ref]bool)
 	var owners []message.Ref
 	dstDead := func(ref message.Ref) bool {
-		return deadNode >= 0 && nw.pool.At(ref).Dst == deadNode
+		return nodeFaults && nw.f.NodeFaulty(nw.pool.At(ref).Dst)
 	}
 	for id := range nw.routers {
 		rt := &nw.routers[id]
@@ -117,14 +115,14 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 				owner = nw.routeOwner(node, lane)
 				owners = append(owners, owner)
 			}
-			if node == deadNode {
+			if nw.f.NodeFaulty(node) {
 				rt.Each(lane, func(f message.Flit) { aff[f.Ref()] = true })
 				if owner != message.NilRef {
 					aff[owner] = true
 				}
 				continue
 			}
-			if deadNode >= 0 {
+			if nodeFaults {
 				rt.Each(lane, func(f message.Flit) {
 					if dstDead(f.Ref()) {
 						aff[f.Ref()] = true
@@ -143,10 +141,10 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 			}
 		}
 	}
-	if deadNode >= 0 {
+	if nodeFaults {
 		for id := range nw.nstreams {
 			for _, s := range nw.streamsOf(topology.NodeID(id)) {
-				if topology.NodeID(id) == deadNode || dstDead(s.ref) {
+				if nw.f.NodeFaulty(topology.NodeID(id)) || dstDead(s.ref) {
 					aff[s.ref] = true
 				}
 			}
@@ -187,17 +185,17 @@ func (nw *Network) purgeFailure(tr fault.Transition) {
 	}
 
 	// Pass 4: the software layers shed doomed messages — everything queued
-	// at the failed node, plus everything queued anywhere destined to it.
+	// at a failed node, plus everything queued anywhere destined to one.
 	// Queued fresh messages vanish silently (they never entered the
 	// network, so they have no trace stream to terminate); absorbed
 	// messages awaiting re-injection get their streams closed with a
 	// Purge+Drop. Injection streams of affected worms disappear everywhere
-	// — at the failed node and at any healthy node still trickling in a
+	// — at a failed node and at any healthy node still trickling in a
 	// worm that just lost flits to a dead channel.
-	if deadNode >= 0 {
+	if nodeFaults {
 		for id := range nw.newQ {
 			node := topology.NodeID(id)
-			doomed := func(ref message.Ref) bool { return node == deadNode || dstDead(ref) }
+			doomed := func(ref message.Ref) bool { return nw.f.NodeFaulty(node) || dstDead(ref) }
 			for _, ref := range nw.pool.FilterQueue(&nw.newQ[id], doomed) {
 				nw.col.Lost(nw.pool.At(ref))
 				nw.pool.Free(ref)

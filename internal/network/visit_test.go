@@ -295,7 +295,7 @@ func (s compositionShape) build(t *testing.T, workers int, wrap func(routing.Rou
 	}
 	engine := r.Split(2)
 	if s.sched != "" {
-		if p.Schedule, err = fault.NewSchedule(s.sched, fault.ScheduleEnv{T: net, Base: fs, R: r.Split(rng.ScheduleLabel())}); err != nil {
+		if p.Schedule, err = fault.NewSchedule(s.sched, fault.ScheduleEnv{T: net, R: r.Split(rng.ScheduleLabel())}); err != nil {
 			t.Fatal(err)
 		}
 	}
